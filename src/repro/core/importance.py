@@ -15,6 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.ml.gbrt import GBRTRegressor
+from repro.ml.tree import CompiledForest
 
 
 def importance_groups(
@@ -26,17 +27,20 @@ def importance_groups(
 
     ``matrix`` is the normalized feature matrix indexed by partition id.
     Empty groups are kept (as empty arrays) so group index always encodes
-    importance rank.
+    importance rank. Every candidate is scored against every stage in one
+    pass over the fused forest; the cascade then keeps a partition in the
+    first group whose model does not score it positive (NaN included).
     """
     candidates = np.asarray(candidates, dtype=np.intp)
-    groups: list[np.ndarray] = [candidates]
-    for regressor in regressors:
-        tail = groups[-1]
-        if tail.size == 0:
-            groups.append(tail)
-            continue
-        scores = regressor.predict(matrix[tail])
-        advancing = tail[scores > 0.0]
-        groups[-1] = tail[scores <= 0.0]
-        groups.append(advancing)
+    if not regressors or candidates.size == 0:
+        return [candidates] + [candidates[:0]] * len(regressors)
+    matrix = np.asarray(matrix, dtype=np.float64)
+    funnel = CompiledForest.fuse([r.compiled_for(matrix) for r in regressors])
+    groups: list[np.ndarray] = []
+    alive = np.ones(candidates.size, dtype=bool)
+    for scores in funnel.stage_scores(matrix, candidates):
+        advancing = alive & (scores > 0.0)
+        groups.append(candidates[alive & ~advancing])
+        alive = advancing
+    groups.append(candidates[alive])
     return groups

@@ -2,7 +2,8 @@
 
 Squared-loss boosting with shrinkage over histogram trees
 (:mod:`repro.ml.tree`). Feature values are quantile-binned once at fit
-time; the same bin edges discretize prediction inputs. Column subsampling
+time; prediction compares raw values against those bin edges through the
+compiled forest and never bins. Column subsampling
 decorrelates trees and keeps per-tree split search cheap at the feature
 dimensions PS3 produces (hundreds).
 
@@ -18,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.errors import ConfigError, NotFittedError
-from repro.ml.tree import RegressionTree, TreeBuilder
+from repro.ml.tree import CompiledForest, RegressionTree, TreeBuilder
 
 
 def _quantile_bin_edges(values: np.ndarray, num_bins: int) -> np.ndarray:
@@ -56,6 +57,8 @@ class GBRTRegressor:
     _bin_edges: list[np.ndarray] = field(default_factory=list, repr=False)
     _base: float = 0.0
     _num_features: int = 0
+    #: derived from the fields above by ``fit`` / ``from_state``; never persisted
+    _compiled: CompiledForest | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.n_trees < 1:
@@ -111,6 +114,12 @@ class GBRTRegressor:
                 break  # no split improved the loss; boosting has converged
             prediction += self.learning_rate * step
             self._trees.append(tree)
+        return self._compile()
+
+    def _compile(self) -> GBRTRegressor:
+        self._compiled = CompiledForest.compile(
+            self._trees, self._bin_edges, self._base, self.learning_rate
+        )
         return self
 
     # -- inference -----------------------------------------------------------
@@ -119,19 +128,19 @@ class GBRTRegressor:
     def fitted(self) -> bool:
         return self._num_features > 0
 
-    def predict(self, X: np.ndarray) -> np.ndarray:
+    def compiled_for(self, X: np.ndarray) -> CompiledForest:
+        """The compiled inference table, after checking ``X`` fits it."""
         if not self.fitted:
             raise NotFittedError("GBRTRegressor.predict before fit")
-        X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2 or X.shape[1] != self._num_features:
             raise ConfigError(
                 f"expected shape (*, {self._num_features}), got {X.shape}"
             )
-        binned = self._bin(X)
-        out = np.full(X.shape[0], self._base, dtype=np.float64)
-        for tree in self._trees:
-            out += self.learning_rate * tree.predict_binned(binned)
-        return out
+        return self._compiled
+
+    def predict(self, X: np.ndarray) -> np.ndarray:
+        X = np.asarray(X, dtype=np.float64)
+        return self.compiled_for(X).stage_scores(X)[0]
 
     def feature_importances(self) -> np.ndarray:
         """Normalized total split gain per feature (sums to 1 if any)."""
@@ -203,4 +212,4 @@ class GBRTRegressor:
             )
             for tree in state["trees"]
         ]
-        return model
+        return model._compile()

@@ -10,9 +10,9 @@ where G are gradient sums. Histogram accumulation is one ``np.bincount``
 over all (row, feature) pairs in the node, keeping the per-node python
 overhead constant.
 
-Trees store split thresholds in *bin index* space; the booster translates
-test inputs through the same bin edges, which keeps prediction exact with
-respect to training-time splits.
+Trees store split thresholds in *bin index* space, which is what fitting
+consumes. Inference runs on :class:`CompiledForest`, which translates each
+split to a raw-value threshold once and lays all trees into one node table.
 """
 
 from __future__ import annotations
@@ -61,6 +61,125 @@ class RegressionTree:
                 go_left, self.left[current], self.right[current]
             )
         return out
+
+
+@dataclass(frozen=True, eq=False)
+class CompiledForest:
+    """Inference form of one or more boosted regressors ("stages").
+
+    Every tree sits in one flat node table. Splits hold raw-value
+    thresholds, so inference never bins: ``bin(x) <= b`` iff
+    ``x <= edges[b]``, because ``searchsorted(side="left")`` counts edges
+    ``< x``. A ``b`` at or past the last edge sends every row left, NaN
+    included (``right`` points at ``left``). Leaves self-loop, so all
+    rows x trees step together for ``depth`` levels. Each stage opens with
+    a single-leaf pseudo-tree holding its base score at scale 1, which
+    makes a stage's score the strictly sequential ``base + lr*v0 + lr*v1
+    + ...`` — bit-identical to the boosting loop's running prediction.
+    """
+
+    feature: np.ndarray  # column a node tests (0 at leaves, never decisive)
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    value: np.ndarray
+    roots: np.ndarray  # root node of each tree
+    scale: np.ndarray  # per tree: 1 for a stage's base, else its learning rate
+    stages: np.ndarray  # tree-index boundaries, one more than stages
+    depth: int
+
+    @classmethod
+    def compile(
+        cls,
+        trees: list[RegressionTree],
+        bin_edges: list[np.ndarray],
+        base: float,
+        learning_rate: float,
+    ) -> CompiledForest:
+        """One stage from a booster's trees, bin edges, base and shrinkage."""
+        sizes = np.array([1] + [tree.feature.size for tree in trees])
+        roots = np.cumsum(sizes) - sizes
+        shift = np.repeat(roots, sizes)
+
+        def table(name: str, head: float) -> np.ndarray:
+            return np.concatenate([[head]] + [getattr(tree, name) for tree in trees])
+
+        feature, bins = table("feature", -1), table("threshold", -1)
+        leaf, ids = feature < 0, np.arange(feature.size)
+        threshold = np.full(feature.size, np.nan)
+        for node in np.flatnonzero(~leaf):
+            edges = bin_edges[feature[node]]
+            if bins[node] < edges.size:
+                threshold[node] = edges[bins[node]]
+        left, right = table("left", 0) + shift, table("right", 0) + shift
+        right = np.where(np.isnan(threshold), left, right)
+        left, right = np.where(leaf, ids, left), np.where(leaf, ids, right)
+        depth, frontier = 0, roots
+        while not leaf[frontier].all():
+            if depth == feature.size:
+                raise ConfigError("tree nodes form a cycle")
+            depth += 1
+            frontier = np.union1d(left[frontier], right[frontier])
+        scale = np.full(roots.size, learning_rate)
+        scale[0] = 1.0
+        return cls(
+            feature=np.where(leaf, 0, feature),
+            threshold=threshold,
+            left=left,
+            right=right,
+            value=table("value", base),
+            roots=roots,
+            scale=scale,
+            stages=np.array([0, roots.size]),
+            depth=depth,
+        )
+
+    @classmethod
+    def fuse(cls, forests: list[CompiledForest]) -> CompiledForest:
+        """Lay forests side by side in one table; stages keep their order."""
+        node_start = np.cumsum([0] + [forest.value.size for forest in forests])
+        tree_start = np.cumsum([0] + [forest.roots.size for forest in forests])
+
+        def cat(name: str, starts: np.ndarray | None = None) -> np.ndarray:
+            parts = [getattr(forest, name) for forest in forests]
+            if starts is not None:
+                parts = [part + start for part, start in zip(parts, starts)]
+            return np.concatenate(parts)
+
+        ends = [f.stages[1:] + start for f, start in zip(forests, tree_start)]
+        return cls(
+            feature=cat("feature"),
+            threshold=cat("threshold"),
+            left=cat("left", node_start),
+            right=cat("right", node_start),
+            value=cat("value"),
+            roots=cat("roots", node_start),
+            scale=cat("scale"),
+            stages=np.concatenate([[0], *ends]),
+            depth=max(forest.depth for forest in forests),
+        )
+
+    def stage_scores(
+        self, matrix: np.ndarray, rows: np.ndarray | None = None
+    ) -> list[np.ndarray]:
+        """Score ``matrix[rows]`` (default: every row) against every stage."""
+        X = matrix if rows is None else matrix.take(rows, axis=0)
+        n, width = X.shape
+        flat, row_start = X.ravel(), (np.arange(n) * width)[:, None]
+        node = self.roots
+        for __ in range(self.depth):
+            x = flat.take(row_start + self.feature.take(node))
+            node = np.where(
+                x <= self.threshold.take(node),
+                self.left.take(node),
+                self.right.take(node),
+            )
+        steps = self.value.take(node) * self.scale
+        steps = np.broadcast_to(steps, (n, self.roots.size))
+        return [
+            np.add.accumulate(steps[:, start:end], axis=1)[:, -1]
+            for start, end in zip(self.stages, self.stages[1:])
+        ]
 
 
 @dataclass

@@ -101,6 +101,15 @@ def test_perf_gate_is_a_named_bench_rot_step(jobs):
     assert "REPRO_RESULTS_DIR=benchmarks/results" in gate[0]
 
 
+def test_repo_benchmark_selfcheck_is_a_bench_rot_step(jobs):
+    """The e2e benchmark traces ``src/`` callables by name; its self-check
+    (``trace.missing == []``) must run in CI, since tier-1 does not."""
+    assert (
+        "PYTHONPATH=src python -m pytest benchmarks/e2e/test_selfcheck.py -q"
+        in _run_lines(jobs["bench-rot"])
+    )
+
+
 def test_bench_reports_are_uploaded_as_artifacts(jobs):
     uploads = [
         step

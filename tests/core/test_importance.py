@@ -52,3 +52,46 @@ class TestFunnel:
         groups = importance_groups(matrix, np.arange(5), [])
         assert len(groups) == 1
         np.testing.assert_array_equal(groups[0], np.arange(5))
+
+
+class TestEveryCandidateLandsInOneGroup:
+    """The estimator's weights must account for every candidate."""
+
+    @staticmethod
+    def with_nan_leaf(regressor: GBRTRegressor) -> GBRTRegressor:
+        """What a damaged legacy (checksum-less) model file can load as."""
+        state = regressor.to_state()
+        leaves = [i for i, f in enumerate(state["trees"][0]["feature"]) if f < 0]
+        state["trees"][0]["value"][leaves[0]] = float("nan")
+        return GBRTRegressor.from_state(state)
+
+    def test_nan_score_stays_in_the_non_advancing_group(self):
+        matrix = np.column_stack([np.linspace(0, 1, 40), np.zeros(40)])
+        damaged = self.with_nan_leaf(make_regressor(0.5))
+        scores = damaged.predict(matrix)
+        assert np.isnan(scores).any() and (scores > 0.0).any()
+        candidates = np.arange(40)[::-1]
+        groups = importance_groups(matrix, candidates, [damaged, make_regressor(0.2)])
+        np.testing.assert_array_equal(groups[0], candidates[~(scores[::-1] > 0.0)])
+        assert sorted(np.concatenate(groups).tolist()) == list(range(40))
+
+    def test_groups_are_a_permutation_of_candidates(self):
+        rng = np.random.default_rng(3)
+        matrix = rng.uniform(0, 1, (60, 2))
+        matrix[rng.random((60, 2)) < 0.2] = np.nan
+        funnels = [
+            [make_regressor(0.3), make_regressor(0.6)],
+            [self.with_nan_leaf(make_regressor(0.4)), make_regressor(0.1)],
+            [make_regressor(0.9)] * 4,
+        ]
+        for regressors in funnels:
+            candidates = rng.permutation(60)[: rng.integers(1, 60)]
+            groups = importance_groups(matrix, candidates, regressors)
+            assert len(groups) == len(regressors) + 1
+            combined = np.concatenate(groups)
+            assert sorted(combined.tolist()) == sorted(candidates.tolist())
+            # Within a group, candidates keep the order they arrived in.
+            position = {int(p): i for i, p in enumerate(candidates)}
+            for group in groups:
+                order = [position[int(p)] for p in group]
+                assert order == sorted(order)

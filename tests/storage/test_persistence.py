@@ -89,6 +89,31 @@ class TestGBRTState:
         model = GBRTRegressor(n_trees=3).fit(X, X[:, 0])
         json.dumps(model.to_state())  # must not raise
 
+    def test_compiled_table_is_derived_not_persisted(self):
+        """The inference table is rebuilt on load; the state format is fixed."""
+        rng = np.random.default_rng(2)
+        X = rng.normal(size=(300, 6))
+        model = GBRTRegressor(n_trees=8, seed=4).fit(X, X[:, 1] - X[:, 3])
+        state = model.to_state()
+        assert sorted(state) == ["base", "bin_edges", "num_features", "params", "trees"]
+        assert sorted(state["trees"][0]) == [
+            "feature",
+            "gain_by_feature",
+            "left",
+            "right",
+            "threshold",
+            "value",
+        ]
+        assert "compiled" not in repr(model)
+        restored = GBRTRegressor.from_state(json.loads(json.dumps(state)))
+        assert restored.to_state() == state
+        np.testing.assert_array_equal(restored.predict(X), model.predict(X))
+        # Importances and the tree count still read the tree list.
+        assert restored.num_trees_fitted == len(state["trees"]) == 8
+        np.testing.assert_array_equal(
+            restored.feature_importances(), model.feature_importances()
+        )
+
 
 class TestModelRoundtrip:
     @pytest.fixture(scope="class")
@@ -114,6 +139,21 @@ class TestModelRoundtrip:
         assert [(c.partition, c.weight) for c in original.selection] == [
             (c.partition, c.weight) for c in restored.selection
         ]
+
+    def test_resaved_bytes_and_predictions_are_identical(
+        self, saved, trained_ps3, tmp_path
+    ):
+        stats_path, model_path = saved
+        model = load_model(model_path, load_statistics(stats_path))
+        save_model(model, tmp_path / "again.json")
+        assert (tmp_path / "again.json").read_bytes() == model_path.read_bytes()
+        query = trained_ps3.training_data.queries[0]
+        features = trained_ps3.model.feature_builder.features_for_query(query)
+        normalized = trained_ps3.model.normalizer.transform(features.matrix)
+        for loaded, original in zip(model.regressors, trained_ps3.model.regressors):
+            np.testing.assert_array_equal(
+                loaded.predict(normalized), original.predict(normalized)
+            )
 
     def test_thresholds_and_exclusions_preserved(self, saved, trained_ps3):
         stats_path, model_path = saved
