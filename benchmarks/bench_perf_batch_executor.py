@@ -1,12 +1,11 @@
 """Training-loop answer computation: scalar loop vs batch executor.
 
-Times ``compute_partition_answers`` under both paths (the per-partition
-``execute_on_partition`` Python loop vs the ``BatchExecutor``'s fused
-one-pass evaluation) across growing partition counts, over a mixed
-training-style workload (predicates, multi-column group-bys, SUM/COUNT/
-AVG components, an ungrouped global aggregate). This is the per-query
-inner step of ``compute_training_data``, so the speedup here is the
-training-loop speedup. Emits a text table plus
+Times full-table per-partition answers both ways — the scalar reference
+(the per-partition ``execute_on_partition`` Python loop, called directly)
+vs ``BatchExecutor.partition_answers``'s fused one-pass evaluation —
+across growing partition counts, over a mixed training-style workload
+(predicates, multi-column group-bys, SUM/COUNT/AVG components, an
+ungrouped global aggregate). Emits a text table plus
 ``BENCH_perf_batch_executor.json`` under ``benchmarks/results/`` so the
 perf trajectory is tracked across PRs.
 
@@ -28,7 +27,8 @@ import numpy as np
 
 from repro.bench.reporting import emit, format_table, results_dir
 from repro.engine.aggregates import avg_of, count_star, sum_of
-from repro.engine.executor import compute_partition_answers
+from repro.engine.batch_executor import BatchExecutor
+from repro.engine.executor import execute_on_partition
 from repro.engine.expressions import col
 from repro.engine.layout import partition_evenly, sort_table
 from repro.engine.predicates import And, Comparison, Contains, InSet, Not, Or
@@ -88,13 +88,21 @@ def _build_ptable(num_partitions: int, seed: int = 11):
     return partition_evenly(sort_table(table, "d"), num_partitions)
 
 
-def _time_path(ptable, queries: list[Query], batched: bool) -> float:
+def _scalar(ptable, query: Query) -> list:
+    return [execute_on_partition(p, query) for p in ptable]
+
+
+def _batch(ptable, query: Query) -> list:
+    return BatchExecutor.for_table(ptable).partition_answers(query)
+
+
+def _time_path(ptable, queries: list[Query], answer) -> float:
     """Best-of-REPEATS seconds to answer the whole query workload."""
     timings = []
     for __ in range(REPEATS):
         started = time.perf_counter()
         for query in queries:
-            compute_partition_answers(ptable, query, batched=batched)
+            answer(ptable, query)
         timings.append(time.perf_counter() - started)
     return min(timings)
 
@@ -106,9 +114,9 @@ def run() -> dict:
         ptable = _build_ptable(num_partitions)
         # Warm both paths (fused-view build, allocator) so the timed runs
         # measure steady-state answer computation.
-        _time_path(ptable, queries, batched=True)
-        scalar_s = _time_path(ptable, queries, batched=False)
-        batch_s = _time_path(ptable, queries, batched=True)
+        _time_path(ptable, queries, _batch)
+        scalar_s = _time_path(ptable, queries, _scalar)
+        batch_s = _time_path(ptable, queries, _batch)
         rows.append(
             {
                 "partitions": num_partitions,

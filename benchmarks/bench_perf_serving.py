@@ -4,18 +4,21 @@ Times a closed-loop, zipf-skewed serving workload — C client threads,
 each blocking on its answer before issuing the next request, drawing
 from a small pool of hot-and-cold query templates — through two planes:
 
-- **sequential**: every request answered by ``PS3.query`` (one pick, one
-  subset gather, one fused pass per request);
+- **sequential**: every request answered by ``PS3.query`` (one lock
+  hold, one pick, one subset pass per request);
 - **serving**: requests submitted to the :class:`ServingFrontEnd`, which
-  admits them into micro-batches and answers each batch with *one*
-  ``WorkloadExecutor`` sweep over the union of the batch's selections —
-  duplicate queries alias one answer block, distinct queries sharing a
-  predicate or group-by share masks and factorizations.
+  admits them into micro-batches: one lock hold per batch, one pick per
+  distinct ``(query, budget)`` (pick dedup), one subset pass per
+  distinct ``(query, selected partitions)`` — the same
+  ``answer_selections`` call ``PS3.query`` makes, over more pairs.
 
 Both planes run the same request streams and the same trained picker, so
 the measured difference is purely the batching: the zipf skew is what a
 dashboard fan-out or a popular-filter serving mix looks like, and it is
-exactly the shape group commit exploits. Per-request latencies are
+exactly the shape pick dedup exploits (at s=2.0 most batch-mates repeat
+a hot template, so this is the most favourable case for sharing work
+inside a batch — PR 15 ran it on both commits before deleting the
+multi-query subset sweep; numbers in CHANGES.md). Per-request latencies are
 recorded in serving mode (p50/p95/p99) alongside both planes'
 throughput. Emits a text table plus ``BENCH_perf_serving.json`` under
 ``benchmarks/results/``.

@@ -23,7 +23,7 @@ from repro import PS3
 from repro.core.diagnostics import diagnose_query, estimate_with_confidence
 from repro.core.picker import PickerConfig, PS3Picker
 from repro.datasets import get_dataset
-from repro.engine.executor import compute_partition_answers
+from repro.engine.batch_executor import BatchExecutor
 from repro.engine.sql import parse_query
 from repro.storage import load_model, load_statistics, save_model, save_statistics
 from repro.workload import QueryGenerator
@@ -70,7 +70,7 @@ def main() -> None:
           f"({len(result.outliers)} outliers) in {result.total_seconds * 1e3:.1f} ms")
 
     print("\nUnbiased estimate with 95% confidence intervals (2 probes/cluster):")
-    answers = compute_partition_answers(ptable, query)
+    answers = BatchExecutor.for_table(ptable).partition_answers(query)
     normalized = model.normalizer.transform(features.matrix)
     confident = estimate_with_confidence(
         answers, query, features, normalized, budget=8, probes_per_cluster=2

@@ -32,18 +32,9 @@ from repro.core.training import (
     TrainingData,
     train_picker_model,
 )
-from repro.engine.batch_executor import BatchExecutor, fused_view
-from repro.engine.combiner import (
-    FinalAnswer,
-    WeightedChoice,
-    estimate,
-    finalize_answer,
-)
-from repro.engine.executor import (
-    compute_partition_answers,
-    execute_on_partition,
-    true_answer,
-)
+from repro.engine.batch_executor import fused_view
+from repro.engine.combiner import FinalAnswer, finalize_answer
+from repro.engine.executor import true_answer
 from repro.engine.query import Query
 from repro.engine.serving import (
     ServingConfig,
@@ -216,48 +207,28 @@ class PS3:
     def _resolve_budget(
         self, budget_partitions: int | None, budget_fraction: float | None
     ) -> int:
-        if (budget_partitions is None) == (budget_fraction is None):
-            raise ConfigError(
-                "pass exactly one of budget_partitions / budget_fraction"
-            )
-        if budget_fraction is not None:
-            if not 0.0 < budget_fraction <= 1.0:
-                raise ConfigError("budget_fraction must be in (0, 1]")
-            return max(1, int(round(budget_fraction * self.ptable.num_partitions)))
-        if budget_partitions is None or budget_partitions < 1:
-            raise ConfigError("budget_partitions must be >= 1")
-        return budget_partitions
+        return resolve_budget(
+            self.ptable.num_partitions, budget_partitions, budget_fraction
+        )
 
     def query(
         self,
         query: Query,
         budget_partitions: int | None = None,
         budget_fraction: float | None = None,
-        batched: bool = True,
     ) -> ApproximateAnswer:
         """Answer ``query`` reading at most the budgeted partitions.
 
-        Execution touches only the selected partitions (the online I/O
-        saving) but runs them as one fused batch pass; ``batched=False``
-        falls back to the per-partition scalar oracle (same bits).
+        ``query(q)`` *is* ``query_many([q])[0]``: execution touches only
+        the selected partitions (the online I/O saving), as one fused
+        subset pass.
 
         Thread-safe: the pick runs under the state lock (the picker's
         rng and caches are shared), execution on a table snapshot — so
         concurrent ``query``/``append`` calls each see one consistent
         table generation, never a torn view.
         """
-        with self._state_lock:
-            budget = self._resolve_budget(budget_partitions, budget_fraction)
-            ptable = self.ptable
-            selection = self.picker.select(query, budget)
-        groups = _selection_groups(ptable, query, selection.selection, batched)
-        return ApproximateAnswer(
-            query=query,
-            groups=groups,
-            selection=selection,
-            budget=budget,
-            num_partitions=ptable.num_partitions,
-        )
+        return self.query_many([query], budget_partitions, budget_fraction)[0]
 
     def query_many(
         self,
@@ -265,17 +236,15 @@ class PS3:
         budget_partitions: int | None = None,
         budget_fraction: float | None = None,
     ) -> list[ApproximateAnswer]:
-        """Answer a micro-batch of queries with one fused sweep.
+        """Answer a micro-batch of queries under one state-lock hold.
 
         Partitions are picked per query, sequentially in input order
         (exactly the selections back-to-back :meth:`query` calls would
-        make), then the whole batch executes as a single
-        ``WorkloadExecutor`` sweep over the union of selected partitions
-        — identical queries alias one answer block, shared predicates
-        and group-bys share masks/factorizations — and each query's
-        answer is combined with its own weights. Answers are
-        bit-identical to the sequential path for the same selections.
-        ``budget`` applies to each query individually.
+        make) on one table generation; each query then executes on its
+        own selected partitions outside the lock and is combined with
+        its own weights (:func:`~repro.engine.serving.answer_selections`,
+        the same call every online route makes). ``budget`` applies to
+        each query individually.
         """
         queries = list(queries)
         with self._state_lock:
@@ -415,55 +384,37 @@ class PS3:
         return snap
 
 
-def _selection_groups(
-    ptable: PartitionedTable, query: Query, choices, batched: bool
-) -> FinalAnswer:
-    """Combine a weighted selection's partition answers into one answer.
+def resolve_budget(
+    num_partitions: int,
+    budget_partitions: int | None = None,
+    budget_fraction: float | None = None,
+) -> int:
+    """The partition count a request may read, validated.
 
-    The sequential execution plane behind :meth:`PS3.query`: execute the
-    selected partitions (fused batch pass, or the per-partition scalar
-    oracle when ``batched=False`` — same bits), then the weighted
-    combine walk of paper section 2.4.
+    Exactly one of ``budget_partitions`` (an absolute count ``>= 1``) and
+    ``budget_fraction`` (a share of the table in ``(0, 1]``, at least one
+    partition) must be given; anything else — ``nan`` included — is a
+    :class:`ConfigError`.
     """
-    if batched:
-        answers = BatchExecutor.for_table(ptable).partition_answers(
-            query, partitions=[c.partition for c in choices]
+    if (budget_partitions is None) == (budget_fraction is None):
+        raise ConfigError(
+            "pass exactly one of budget_partitions / budget_fraction"
         )
-    else:
-        answers = [
-            execute_on_partition(ptable[c.partition], query) for c in choices
-        ]
-    combined: dict = {}
-    for choice, answer in zip(choices, answers):
-        for key, vec in answer.items():
-            acc = combined.get(key)
-            if acc is None:
-                combined[key] = choice.weight * vec
-            else:
-                acc += choice.weight * vec
-    return finalize_answer(query, combined)
+    if budget_fraction is not None:
+        if not 0.0 < budget_fraction <= 1.0:
+            raise ConfigError("budget_fraction must be in (0, 1]")
+        return max(1, int(round(budget_fraction * num_partitions)))
+    if budget_partitions < 1:
+        raise ConfigError("budget_partitions must be >= 1")
+    return budget_partitions
 
 
 def answer_with_selection(
-    ptable: PartitionedTable, query: Query, selection, batched: bool = True
+    ptable: PartitionedTable, query: Query, selection
 ) -> FinalAnswer:
     """Weighted answer for an explicit selection (baseline evaluation).
 
-    Executes only the *selected* partitions: the selection is remapped to
-    local indices over a subset gather, so evaluating a k-partition
-    selection costs O(k) partition scans, not a full-table pass. The
-    ``batched=False`` path keeps the historical full-table scalar oracle
-    (per-partition answers are independent, so the bits match either way).
+    Executes only the *selected* partitions, so evaluating a k-partition
+    selection costs O(k) partition scans, not a full-table pass.
     """
-    choices = list(selection)
-    if batched:
-        answers = BatchExecutor.for_table(ptable).partition_answers(
-            query, partitions=[c.partition for c in choices]
-        )
-        local = [
-            WeightedChoice(partition=i, weight=c.weight)
-            for i, c in enumerate(choices)
-        ]
-        return estimate(query, answers, local)
-    answers = compute_partition_answers(ptable, query, batched=False)
-    return estimate(query, answers, choices)
+    return answer_selections(ptable, [(query, list(selection))])[0]

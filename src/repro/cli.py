@@ -28,18 +28,21 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
+from repro.api import PS3, resolve_budget
 from repro.core.metrics import evaluate_errors, mean_report
 from repro.core.picker import PickerConfig, PS3Picker
 from repro.core.training import TrainingConfig
 from repro.datasets.registry import DATASETS, get_dataset
 from repro.engine.combiner import finalize_answer
-from repro.engine.executor import execute_on_partition, true_answer
+from repro.engine.executor import true_answer
 from repro.engine.layout import append_rows
+from repro.engine.serving import answer_selections
 from repro.engine.sql import parse_query
-from repro.errors import ReproError
+from repro.errors import ConfigError, ReproError
 from repro.storage import (
     StatisticsStore,
     load_model,
@@ -69,8 +72,6 @@ def _cmd_info(args: argparse.Namespace) -> int:
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
-    from repro.api import PS3
-
     spec = get_dataset(args.dataset)
     layout = args.layout or spec.default_layout
     print(
@@ -251,9 +252,12 @@ def _cmd_checkpoint(args: argparse.Namespace) -> int:
 
 
 def _resolve_budget(budget: float, num_partitions: int) -> int:
+    """``--budget``: a fraction of partitions below 1, a count from 1 up."""
+    if not math.isfinite(budget):
+        raise ConfigError(f"--budget must be a finite number, got {budget}")
     if budget >= 1.0:
-        return int(budget)
-    return max(1, int(round(budget * num_partitions)))
+        return resolve_budget(num_partitions, budget_partitions=int(budget))
+    return resolve_budget(num_partitions, budget_fraction=budget)
 
 
 def _cmd_query(args: argparse.Namespace) -> int:
@@ -261,16 +265,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
     query = parse_query(args.sql, ptable.schema)
     budget = _resolve_budget(args.budget, ptable.num_partitions)
     result = picker.select(query, budget)
-    combined: dict = {}
-    for choice in result.selection:
-        for key, vec in execute_on_partition(
-            ptable[choice.partition], query
-        ).items():
-            acc = combined.get(key)
-            combined[key] = (
-                choice.weight * vec if acc is None else acc + choice.weight * vec
-            )
-    answer = finalize_answer(query, combined)
+    answer = answer_selections(ptable, [(query, result.selection)])[0]
     labels = [a.label() for a in query.aggregates]
     print(
         f"read {len(result.selection)}/{ptable.num_partitions} partitions "
@@ -302,16 +297,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     reports = []
     for query in queries:
         result = picker.select(query, budget)
-        combined: dict = {}
-        for choice in result.selection:
-            for key, vec in execute_on_partition(
-                ptable[choice.partition], query
-            ).items():
-                acc = combined.get(key)
-                combined[key] = (
-                    choice.weight * vec if acc is None else acc + choice.weight * vec
-                )
-        answer = finalize_answer(query, combined)
+        answer = answer_selections(ptable, [(query, result.selection)])[0]
         exact = finalize_answer(query, true_answer(ptable, query))
         reports.append(evaluate_errors(exact, answer))
     mean = mean_report(reports)
@@ -325,7 +311,6 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def _cmd_metrics(args: argparse.Namespace) -> int:
-    from repro.engine.serving import answer_selections
     from repro.obs import get_registry
 
     manifest, spec, ptable, picker = _load_deployment(args.deploy)

@@ -124,7 +124,9 @@ def estimate_with_confidence(
     if estimator is not None:
         combined = estimator.component_answer(selection)
     else:
-        combined = combine_answers(partition_answers, selection)
+        combined = combine_answers(
+            [partition_answers[c.partition] for c in selection], selection
+        )
 
     # Per-group, per-component variance: sum over clusters of
     # s * sum((y - mean)^2) over the probed members (Appendix D.1's

@@ -17,9 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.contribution import partition_contributions
 from repro.core.labels import exponential_thresholds, labels_for_query
-from repro.engine.executor import ComponentAnswer, execute_on_partition
+from repro.engine.executor import ComponentAnswer
 from repro.engine.workload_executor import WorkloadExecutor
 from repro.engine.query import Query
 from repro.engine.table import PartitionedTable
@@ -56,8 +55,8 @@ class TrainingData:
     queries: list[Query]
     features: list[np.ndarray]  # raw feature matrices, one per query
     normalized: list[np.ndarray]  # normalizer-transformed matrices
-    # Per-partition answers per query: plain dict lists on the scalar
-    # path, lazy AnswerMatrix views (same sequence protocol) when batched.
+    # Per-partition answers per query: lazy AnswerMatrix views (the
+    # sequence protocol of a plain list of dicts).
     answers: list[list[ComponentAnswer]]
     contributions: list[np.ndarray]  # contribution scalars per query
 
@@ -91,7 +90,6 @@ def compute_training_data(
     ptable: PartitionedTable,
     feature_builder: FeatureBuilder,
     queries: list[Query],
-    batched: bool = True,
 ) -> TrainingData:
     """Features, answers, and contributions for a set of queries.
 
@@ -102,33 +100,23 @@ def compute_training_data(
     workload is answered in one sweep (masks, group factorizations, and
     duplicate queries shared across queries) into an array-backed
     :class:`~repro.engine.workload_executor.AnswerMatrix`, bit-for-bit
-    equal to the scalar loop. Contributions are read straight off the
+    equal to the scalar ``execute_on_partition`` loop (pinned by the
+    differential suites). Contributions are read straight off the
     matrix arrays; ``TrainingData.answers`` holds the matrix's *lazy*
     per-partition dict views, so the old ``ComponentAnswer`` scatter is
     only ever paid by consumers that actually index it (LSS sweep,
-    feature selection). ``batched=False`` keeps the per-partition
-    ``execute_on_partition`` loop as the reference oracle. The
-    normalized matrices are filled in by :func:`train_picker_model` once
-    the normalizer has been fitted.
+    feature selection). The normalized matrices are filled in by
+    :func:`train_picker_model` once the normalizer has been fitted.
     """
-    matrix = (
-        WorkloadExecutor.for_table(ptable).answer_matrix(queries)
-        if batched
-        else None
-    )
+    matrix = WorkloadExecutor.for_table(ptable).answer_matrix(queries)
     features: list[np.ndarray] = []
     answers: list[list[ComponentAnswer]] = []
     contributions: list[np.ndarray] = []
     for qid, query in enumerate(queries):
         query_features = feature_builder.features_for_query(query)
         features.append(query_features.matrix)
-        if matrix is not None:
-            answers.append(matrix.answers(qid))
-            contributions.append(matrix.contributions(qid))
-        else:
-            partition_answers = [execute_on_partition(p, query) for p in ptable]
-            answers.append(partition_answers)
-            contributions.append(partition_contributions(partition_answers))
+        answers.append(matrix.answers(qid))
+        contributions.append(matrix.contributions(qid))
     return TrainingData(
         queries=list(queries),
         features=features,
@@ -143,18 +131,13 @@ def train_picker_model(
     feature_builder: FeatureBuilder,
     train_queries: list[Query],
     config: TrainingConfig | None = None,
-    batched: bool = True,
 ) -> tuple[PickerModel, TrainingData]:
-    """Fit the normalizer and the k-regressor funnel on a training workload.
-
-    ``batched`` selects the answer-computation path (fused batch executor
-    vs the scalar reference oracle); both produce bit-identical models.
-    """
+    """Fit the normalizer and the k-regressor funnel on a training workload."""
     config = config or TrainingConfig()
     if not train_queries:
         raise ConfigError("training requires at least one query")
 
-    data = compute_training_data(ptable, feature_builder, train_queries, batched)
+    data = compute_training_data(ptable, feature_builder, train_queries)
     normalizer = Normalizer(feature_builder.schema)
     data.normalized = normalizer.fit_transform(data.features)
 

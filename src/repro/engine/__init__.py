@@ -37,11 +37,7 @@ from repro.engine.serving import (
     ServingStats,
 )
 from repro.engine.table import Partition, PartitionedTable, Table
-from repro.engine.workload_executor import (
-    AnswerMatrix,
-    WorkloadExecutor,
-    compute_workload_answers,
-)
+from repro.engine.workload_executor import AnswerMatrix, WorkloadExecutor
 
 __all__ = [
     "AggFunc",
@@ -77,7 +73,6 @@ __all__ = [
     "WeightedChoice",
     "WorkloadExecutor",
     "combine_answers",
-    "compute_workload_answers",
     "execute_on_partition",
     "execute_on_table",
     "finalize_answer",

@@ -21,7 +21,10 @@ materialized, mirroring ``ColumnarSketchIndex.extend``.
 Execution — one pass, segmented group-by
 ----------------------------------------
 :meth:`BatchExecutor.partition_answers` evaluates a query over *all*
-partitions (or any subset) with a handful of array passes:
+partitions, or over a gathered subset — the single-query subset pass is
+the execution step of every online answer
+(:func:`repro.engine.serving.answer_selections`) — with a handful of
+array passes:
 
 1. one predicate mask over the fused arrays (row-order preserving, so
    each partition's surviving rows stay contiguous and in ingest order);
@@ -36,9 +39,10 @@ partitions (or any subset) with a handful of array passes:
 
 Bit-for-bit parity with the scalar oracle
 -----------------------------------------
-The scalar path remains in place as the reference oracle behind
-``compute_partition_answers(..., batched=False)``, and the batch path is
-engineered to match it *bit for bit*, not just approximately:
+The scalar path remains in place as the reference oracle — the
+differential suites compose it directly as ``[execute_on_partition(p,
+query) for p in ptable]`` — and the batch path is engineered to match it
+*bit for bit*, not just approximately:
 
 * predicate masks and aggregate expressions are elementwise, so fused
   evaluation produces the same float64 values row for row;

@@ -6,8 +6,10 @@ answer of group ``g`` is ``A~_g = sum_j w_j * A_{g, p_j}``. Finalization
 then maps combined linear components to the query's aggregate values
 (AVG = SUM/COUNT).
 
-This dict walk is the estimator's *reference path*, kept deliberately
-close to the paper's notation. Hot sweep loops (the LSS stratum sweep,
+This dict walk is the only one in the package: every online route
+(``PS3.query`` / ``query_many`` / ``serve``, ``answer_with_selection``,
+the CLI) reaches it through :func:`repro.engine.serving
+.answer_selections`. Hot offline sweep loops (the LSS stratum sweep,
 feature selection, the bench runner) evaluate the same estimator over
 dense answer arrays via :class:`~repro.engine.block_estimator
 .BlockEstimator`, which reproduces this module's results bit for bit;
@@ -16,6 +18,7 @@ dict inputs stay here as the oracle the block path is tested against.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,22 +38,29 @@ class WeightedChoice:
     weight: float
 
     def __post_init__(self) -> None:
-        if self.weight < 0:
-            raise ConfigError(f"negative weight {self.weight} is not meaningful")
+        # A negative index would silently address a partition from the
+        # end, and ``nan < 0`` is false: both must be refused by name.
+        if self.partition < 0:
+            raise ConfigError(f"negative partition index {self.partition}")
+        if not (math.isfinite(self.weight) and self.weight >= 0):
+            raise ConfigError(
+                f"weight must be finite and non-negative, got {self.weight}"
+            )
 
 
 def combine_answers(
-    partition_answers: list[ComponentAnswer],
+    answers: list[ComponentAnswer],
     selection: list[WeightedChoice],
 ) -> ComponentAnswer:
     """Weighted sum of component answers across the selected partitions.
 
-    ``partition_answers`` is indexed by partition id (as produced by
-    :func:`repro.engine.executor.compute_partition_answers`).
+    ``answers`` is aligned with ``selection``: ``answers[j]`` is the
+    answer of ``selection[j].partition`` (what ``BatchExecutor
+    .partition_answers(query, partitions=...)`` returns). The inputs are
+    only read; the combined vectors are fresh arrays.
     """
     combined: dict[GroupKey, np.ndarray] = {}
-    for choice in selection:
-        answer = partition_answers[choice.partition]
+    for choice, answer in zip(selection, answers, strict=True):
         for key, vec in answer.items():
             acc = combined.get(key)
             if acc is None:
@@ -76,5 +86,6 @@ def estimate(
     partition_answers: list[ComponentAnswer],
     selection: list[WeightedChoice],
 ) -> FinalAnswer:
-    """Convenience: combine then finalize."""
-    return finalize_answer(query, combine_answers(partition_answers, selection))
+    """Combine then finalize, from answers indexed by partition id."""
+    chosen = [partition_answers[choice.partition] for choice in selection]
+    return finalize_answer(query, combine_answers(chosen, selection))

@@ -111,24 +111,6 @@ def execute_on_table(table: Table, query: Query) -> ComponentAnswer:
     return execute_on_columns(table.columns, query)
 
 
-def compute_partition_answers(
-    ptable: PartitionedTable, query: Query, batched: bool = True
-) -> list[ComponentAnswer]:
-    """Per-partition component answers for every partition of the table.
-
-    The default routes through :class:`repro.engine.batch_executor
-    .BatchExecutor` — one fused numpy pass over all partitions instead of
-    an O(partitions) Python loop — whose output is bit-for-bit equal to
-    the scalar path. ``batched=False`` keeps the per-partition
-    :func:`execute_on_partition` loop as the reference oracle.
-    """
-    if batched:
-        from repro.engine.batch_executor import BatchExecutor
-
-        return BatchExecutor.for_table(ptable).partition_answers(query)
-    return [execute_on_partition(p, query) for p in ptable]
-
-
 def true_answer(ptable: PartitionedTable, query: Query) -> ComponentAnswer:
     """Exact component answer over all partitions (weight 1 everywhere)."""
     return execute_on_table(ptable.table, query)

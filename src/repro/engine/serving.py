@@ -1,13 +1,10 @@
 """Micro-batch serving front end: group commit for approximate analytics.
 
-``PS3.query`` answers one query at a time: one pick, one subset gather,
-one predicate mask, one combine. Offline, the
-:class:`~repro.engine.workload_executor.WorkloadExecutor` already
-answers a whole training workload in a single fused sweep — but serving
-traffic never exploited it, so concurrent queries from many clients each
-paid the full per-query execution cost. This module closes that gap with
-the database's classic group-commit move, applied to approximate
-analytics:
+:func:`answer_selections` is the one online way to turn ``(query,
+weighted selection)`` pairs into answers — ``PS3.query``,
+``PS3.query_many``, ``answer_with_selection``, the CLI and the front end
+below all call it, so their answers are bit-identical by construction.
+The front end adds the database's classic group-commit move on top:
 
 1. **admission** — concurrently arriving queries queue up and are
    collected into micro-batches under a configurable window
@@ -17,23 +14,27 @@ analytics:
    requests are shed with :class:`ServingOverloadError` instead of
    growing an unbounded backlog;
 2. **pick** — each request's partitions are selected sequentially in
-   admission order under the system's state lock (the picker's rng and
-   feature caches are shared mutable state), exactly as back-to-back
-   ``PS3.query`` calls would pick; with ``ServingConfig.dedup_picks``
-   (the default) batch-mates with the same query and resolved budget
-   share one selection instead of re-running the picker's model scoring;
-3. **sweep** — the batch is answered with *one*
-   :meth:`WorkloadExecutor.answer_matrix` pass over the union of all
-   selected partitions. Identical queries alias one answer block, and
-   distinct queries sharing a predicate or group-by share its mask /
-   factorization through the executor's
-   :class:`~repro.stats.plan.PlanCache` machinery — the batch costs one
-   gather plus one pass per *distinct* piece of work, not per request;
-4. **scatter** — each request's answer is combined from its own selected
-   partitions' blocks with its own picker weights
-   (:func:`answer_selections` replays the exact dict walk ``PS3.query``
-   runs), so batched answers are bit-identical to the one-at-a-time
-   path for the same selections.
+   admission order under one hold of the system's state lock (the
+   picker's rng and feature caches are shared mutable state), exactly
+   as back-to-back ``PS3.query`` calls would pick; with
+   ``ServingConfig.dedup_picks`` (the default) batch-mates with the same
+   query and resolved budget share one selection instead of re-running
+   the picker's model scoring;
+3. **sweep** — :func:`answer_selections`, outside the lock, on the
+   table object captured under it (so every answer sees exactly one
+   table generation): one :meth:`BatchExecutor.partition_answers` subset
+   pass per *distinct* ``(query, partition tuple)`` of the batch —
+   requests that shared a pick share its execution — then, per request,
+   the paper's section 2.4 walk
+   (:func:`repro.engine.combiner.combine_answers`) under its own weights
+   into freshly allocated arrays, and :func:`finalize_answer`;
+4. **scatter** — each request's future is completed with its
+   ``ApproximateAnswer``.
+
+A micro-batch therefore buys one lock hold, pick dedup and shared
+executions. It does *not* fuse distinct queries into one multi-query
+sweep: at serving batch sizes that shared nothing and cost more than
+the per-query pass (measured in CHANGES.md, PR 15).
 
 **Overload resilience.** An approximate engine has a degradation lever
 most systems lack: the sampling budget. Under the ``"degrade"`` shed
@@ -57,8 +58,8 @@ The front end exposes three client shapes: blocking
 (:meth:`ServingFrontEnd.query`), future-based
 (:meth:`ServingFrontEnd.submit`, for thread-pool clients), and
 asyncio-friendly (:meth:`ServingFrontEnd.submit_async`). ``PS3.serve()``
-constructs and starts one; ``PS3.query_many`` uses the same batch plane
-synchronously without threads.
+constructs and starts one; ``PS3.query_many`` is steps 2-4 synchronously
+without threads.
 """
 
 from __future__ import annotations
@@ -75,10 +76,11 @@ from dataclasses import dataclass, field
 
 from repro.obs import MetricsRegistry, trace_span
 
-from repro.engine.combiner import FinalAnswer, finalize_answer
+from repro.engine.batch_executor import BatchExecutor
+from repro.engine.combiner import FinalAnswer, combine_answers, finalize_answer
+from repro.engine.executor import ComponentAnswer
 from repro.engine.query import Query
 from repro.engine.table import PartitionedTable
-from repro.engine.workload_executor import WorkloadExecutor
 from repro.errors import (
     ConfigError,
     ExecutionError,
@@ -308,35 +310,38 @@ _SHUTDOWN = object()
 def answer_selections(
     ptable: PartitionedTable, pairs: list[tuple[Query, list]]
 ) -> list[FinalAnswer]:
-    """Answer many ``(query, weighted selection)`` pairs in one sweep.
+    """Answer ``(query, weighted selection)`` pairs on one table object.
 
-    The batch execution plane shared by :class:`ServingFrontEnd` and
-    ``PS3.query_many``: one :meth:`WorkloadExecutor.answer_matrix` pass
-    over the union of every pair's selected partitions (identical
-    queries alias one block; shared predicates/group-bys share masks and
-    factorizations), then a per-pair scatter that replays ``PS3.query``'s
-    combine walk — same visiting order, same float chains, same key
-    insertion order — so each returned :data:`FinalAnswer` is
-    bit-identical to the sequential path for the same selection.
+    For each pair: execute the selected partitions with one
+    :meth:`BatchExecutor.partition_answers` subset pass, combine under
+    the selection's weights (:func:`combine_answers`), finalize. Pairs
+    with an equal ``(query, partition tuple)`` — what serving's pick
+    dedup produces — share one execution, but every pair gets its own
+    freshly combined arrays. A partition outside ``ptable`` is a
+    :class:`ConfigError` (a caller bug, not a transient read failure).
     """
-    union = sorted({c.partition for __, selection in pairs for c in selection})
-    local = {p: i for i, p in enumerate(union)}
-    matrix = WorkloadExecutor.for_table(ptable).answer_matrix(
-        [query for query, __ in pairs], partitions=union
-    )
+    executor = BatchExecutor.for_table(ptable)
+    num_partitions = ptable.num_partitions
+    executed: dict[tuple[Query, tuple[int, ...]], list[ComponentAnswer]] = {}
     finals: list[FinalAnswer] = []
-    for qi, (query, selection) in enumerate(pairs):
-        block = matrix.block(qi)
-        combined: dict = {}
-        for choice in selection:
-            answer = block.partition_answer(local[choice.partition])
-            for key, vec in answer.items():
-                acc = combined.get(key)
-                if acc is None:
-                    combined[key] = choice.weight * vec
-                else:
-                    acc += choice.weight * vec
-        finals.append(finalize_answer(query, combined))
+    with trace_span("engine.sweep", queries=len(pairs)) as span:
+        for query, selection in pairs:
+            partitions = tuple(choice.partition for choice in selection)
+            answers = executed.get((query, partitions))
+            if answers is None:
+                if any(not 0 <= p < num_partitions for p in partitions):
+                    raise ConfigError(
+                        f"selection {partitions} names a partition outside "
+                        f"0..{num_partitions - 1}"
+                    )
+                answers = executor.partition_answers(query, partitions=partitions)
+                executed[query, partitions] = answers
+            finals.append(
+                finalize_answer(query, combine_answers(answers, selection))
+            )
+        if span is not None:  # None on the disabled-registry fast path
+            span.tags["executions"] = len(executed)
+            span.tags["partitions"] = sum(len(parts) for __, parts in executed)
     return finals
 
 

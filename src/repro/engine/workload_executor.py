@@ -8,6 +8,13 @@ queries share predicates, grouping columns, and aggregate expressions —
 so this module answers the *whole workload* in one sweep over the fused
 view and keeps the results in arrays end to end.
 
+Full-table only: the sweep factorizes every grouping column and
+evaluates every division-free expression over the *unfiltered* rows,
+which pays when the caches persist across a workload (training sweeps,
+the bench runner, the oracle baseline) and loses to one
+``BatchExecutor`` subset pass per query on a few selected partitions —
+so online answers do not come through here.
+
 Sharing and dedup model
 -----------------------
 :meth:`WorkloadExecutor.answer_matrix` factors the per-query work into
@@ -78,9 +85,7 @@ import numpy as np
 from repro.engine.aggregates import ComponentKind
 from repro.engine.batch_executor import (
     TABLE_CACHE_LOCK,
-    FusedTableView,
     fused_view,
-    gather_partitions,
     reduce_live_segments,
 )
 from repro.engine.executor import ComponentAnswer, GroupKey, _scalar
@@ -205,7 +210,7 @@ class LazyPartitionAnswers:
     """Sequence of per-partition ``ComponentAnswer`` dicts, built on demand.
 
     Compatibility view over a :class:`QueryAnswerBlock` for consumers
-    that still index dict answers (``combine_answers``, the LSS sweep,
+    that still index dict answers (``combiner.estimate``, the LSS sweep,
     feature selection). Materialized entries are cached, so repeated
     access costs one scatter total — and workloads whose answers are only
     consumed as arrays never pay it at all.
@@ -327,14 +332,9 @@ class WorkloadExecutor:
     #: code cache needs no cap — it is bounded by the schema width.
     CACHE_LIMIT = 256
 
-    def __init__(
-        self, ptable: PartitionedTable, view: FusedTableView | None = None
-    ) -> None:
+    def __init__(self, ptable: PartitionedTable) -> None:
         self.ptable = ptable
-        # ``view`` overrides the table's cached fused view — the subset
-        # sweep runs an ephemeral executor over a gathered sub-view whose
-        # local partition ``i`` is some global partition ``parts[i]``.
-        self.view = fused_view(ptable) if view is None else view
+        self.view = fused_view(ptable)
         # Execution twin of the featurization plan cache: same memo +
         # hit/miss machinery, compiling predicates to filtered row sets.
         self.mask_plans = PlanCache(
@@ -366,30 +366,13 @@ class WorkloadExecutor:
 
     # -- public API ----------------------------------------------------------
 
-    def answer_matrix(self, queries, partitions=None) -> AnswerMatrix:
-        """Answers for every query, deduplicating identical queries.
+    def answer_matrix(self, queries) -> AnswerMatrix:
+        """Answers for every query, indexed by global partition id.
 
-        With ``partitions=None`` the sweep covers the whole table and the
-        result is indexed by global partition id. With an explicit
-        sequence of partition ids, only those partitions' rows are
-        gathered (one fancy-index per used column) and answered in one
-        sweep; local partition ``i`` of the result is global partition
-        ``partitions[i]`` (duplicates allowed, any order), with each
-        local answer bit-identical to the same partition's answer in a
-        full sweep — the serving front end's "one sweep over the
-        selected-partition union" path. Subset sweeps run on an ephemeral
-        executor, so the persistent full-view caches are never polluted
-        with subset-local row sets; mask/factorization/expression sharing
-        still applies *within* the subset workload.
+        One sweep over the whole table; identical queries alias one
+        :class:`QueryAnswerBlock`.
         """
         queries = list(queries)
-        if partitions is not None:
-            return self._subset_executor(queries, partitions)._answer_all(
-                queries
-            )
-        return self._answer_all(queries)
-
-    def _answer_all(self, queries: list[Query]) -> AnswerMatrix:
         with trace_span(
             "engine.sweep",
             queries=len(queries),
@@ -406,23 +389,6 @@ class WorkloadExecutor:
                     seen[query] = block
                 blocks.append(block)
             return AnswerMatrix(queries, blocks, self.view.num_partitions)
-
-    def _subset_executor(
-        self, queries: list[Query], partitions
-    ) -> WorkloadExecutor:
-        """An ephemeral executor over the gathered sub-view.
-
-        Gathers exactly the columns the batch's queries touch; the
-        sub-executor's caches are scoped to this batch, so identical
-        predicates/factorizations across the batch still compile once.
-        """
-        used: set[str] = set()
-        for query in queries:
-            used |= query.columns() | set(query.group_by)
-        sub = gather_partitions(
-            self.view, partitions, [c for c in self.view.columns if c in used]
-        )
-        return WorkloadExecutor(self.ptable, view=sub)
 
     def partition_answers(self, query: Query) -> LazyPartitionAnswers:
         """Single-query convenience: the lazy per-partition dict view."""
@@ -568,10 +534,3 @@ class WorkloadExecutor:
             for i, p in enumerate(live):
                 totals[i, slot] = values[bounds[p] : bounds[p + 1]].sum()
         return QueryAnswerBlock(query, [()], live.astype(np.int64), totals, n)
-
-
-def compute_workload_answers(
-    ptable: PartitionedTable, queries
-) -> AnswerMatrix:
-    """Answer a whole workload in one sweep (cached executor per table)."""
-    return WorkloadExecutor.for_table(ptable).answer_matrix(queries)

@@ -7,7 +7,7 @@ from repro.baselines.oracle import OraclePicker
 from repro.core.contribution import partition_contributions
 from repro.core.picker import PickerConfig
 from repro.engine.aggregates import sum_of
-from repro.engine.executor import compute_partition_answers
+from repro.engine.batch_executor import BatchExecutor
 from repro.engine.expressions import col
 from repro.engine.predicates import Comparison
 from repro.engine.query import Query
@@ -34,7 +34,7 @@ def query():
 
 class TestOracle:
     def test_grouping_uses_true_contributions(self, oracle, trained_ps3, query):
-        answers = compute_partition_answers(trained_ps3.ptable, query)
+        answers = BatchExecutor.for_table(trained_ps3.ptable).partition_answers(query)
         contributions = partition_contributions(answers)
         features = trained_ps3.feature_builder.features_for_query(query)
         normalized = trained_ps3.model.normalizer.transform(features.matrix)

@@ -1,0 +1,98 @@
+"""Structural pins that would otherwise only fail in slower jobs.
+
+* No public callable of the query-answering planes takes a ``batched``
+  parameter: there is one way to answer a selection, so there is nothing
+  for such a flag to choose between (PR 15 removed four of them).
+* Every ``(module, attribute path)`` the benchmark's tracer patches
+  (``TRACED`` in ``benchmarks/e2e/layers.py``, read here, never edited)
+  resolves the way the tracer resolves it. A rename would otherwise show
+  up only as ``obs.trace_missing`` in the ~20 s self-check job.
+"""
+
+from __future__ import annotations
+
+import importlib
+import importlib.util
+import inspect
+import pkgutil
+from pathlib import Path
+
+import pytest
+
+import repro.engine
+
+LAYERS = Path(__file__).resolve().parents[2] / "benchmarks" / "e2e" / "layers.py"
+
+PLANES = ["repro.api", "repro.core.training"] + [
+    info.name
+    for info in pkgutil.iter_modules(repro.engine.__path__, "repro.engine.")
+]
+
+
+def _public_callables(module):
+    """Functions, and methods of classes, defined in ``module``."""
+    for name, member in vars(module).items():
+        if name.startswith("_"):
+            continue
+        if getattr(member, "__module__", None) != module.__name__:
+            continue
+        if inspect.isfunction(member):
+            yield name, member
+        elif inspect.isclass(member):
+            for attr, value in vars(member).items():
+                value = getattr(value, "__func__", value)  # static/classmethod
+                if inspect.isfunction(value) and (
+                    not attr.startswith("_") or attr == "__init__"
+                ):
+                    yield f"{name}.{attr}", value
+
+
+@pytest.mark.parametrize("module_name", PLANES)
+def test_no_callable_takes_batched(module_name):
+    module = importlib.import_module(module_name)
+    offenders = [
+        f"{module_name}.{name}"
+        for name, fn in _public_callables(module)
+        if "batched" in inspect.signature(fn).parameters
+    ]
+    assert offenders == []
+
+
+def test_walk_sees_the_callables_that_used_to_take_it():
+    """The walk above is only a guard if it reaches these."""
+    seen = {
+        f"{module_name}.{name}"
+        for module_name in PLANES
+        for name, __ in _public_callables(importlib.import_module(module_name))
+    }
+    assert {
+        "repro.api.PS3.query",
+        "repro.api.answer_with_selection",
+        "repro.core.training.compute_training_data",
+        "repro.core.training.train_picker_model",
+        "repro.engine.serving.answer_selections",
+        "repro.engine.batch_executor.BatchExecutor.partition_answers",
+        "repro.engine.workload_executor.WorkloadExecutor.__init__",
+    } <= seen
+
+
+def _traced():
+    spec = importlib.util.spec_from_file_location("e2e_layers", LAYERS)
+    layers = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layers)
+    return layers.TRACED
+
+
+@pytest.mark.parametrize(
+    "module_name, path", sorted({(module, path) for __, module, path in _traced()})
+)
+def test_traced_name_resolves(module_name, path):
+    """Mirror of ``Tracer.install``: walk the parents by ``getattr``,
+    find the last attribute in the owner's own ``__dict__``, and refuse
+    static/class methods (the tracer cannot wrap them)."""
+    owner = importlib.import_module(module_name)
+    *parents, attribute = path.split(".")
+    for part in parents:
+        owner = getattr(owner, part)
+    assert attribute in vars(owner), f"{module_name}.{path} would be trace.missing"
+    assert not isinstance(vars(owner)[attribute], (staticmethod, classmethod))

@@ -9,7 +9,7 @@ from repro.core.diagnostics import (
     estimate_with_confidence,
 )
 from repro.engine.aggregates import avg_of, count_star, sum_of
-from repro.engine.executor import compute_partition_answers
+from repro.engine.batch_executor import BatchExecutor
 from repro.engine.expressions import col
 from repro.engine.predicates import And, Comparison, Or
 from repro.engine.query import Query
@@ -23,7 +23,7 @@ def prepared(trained_ps3):
         Comparison("l_quantity", ">", 10.0),
         ("l_returnflag",),
     )
-    answers = compute_partition_answers(trained_ps3.ptable, query)
+    answers = BatchExecutor.for_table(trained_ps3.ptable).partition_answers(query)
     features = trained_ps3.feature_builder.features_for_query(query)
     normalized = trained_ps3.model.normalizer.transform(features.matrix)
     return query, answers, features, normalized
@@ -132,7 +132,7 @@ class TestConfidenceIntervals:
 
     def test_empty_passing_set(self, trained_ps3):
         query = Query([count_star()], Comparison("l_quantity", ">", 1e9))
-        answers = compute_partition_answers(trained_ps3.ptable, query)
+        answers = BatchExecutor.for_table(trained_ps3.ptable).partition_answers(query)
         features = trained_ps3.feature_builder.features_for_query(query)
         normalized = trained_ps3.model.normalizer.transform(features.matrix)
         result = estimate_with_confidence(

@@ -5,7 +5,7 @@ import pytest
 
 from repro.engine.aggregates import avg_of, count_star, sum_of
 from repro.engine.batch_executor import BatchExecutor, FusedTableView, fused_view
-from repro.engine.executor import compute_partition_answers, execute_on_partition
+from repro.engine.executor import execute_on_partition
 from repro.engine.expressions import col
 from repro.engine.layout import append_rows, partition_evenly
 from repro.engine.predicates import And, Comparison, Contains, InSet, Not, Or
@@ -120,24 +120,24 @@ class TestBatchAnswers:
     @pytest.mark.parametrize("query", QUERIES, ids=lambda q: q.label())
     def test_matches_scalar_oracle_bitwise(self, query):
         ptable = _make_ptable()
-        batch = compute_partition_answers(ptable, query, batched=True)
-        scalar = compute_partition_answers(ptable, query, batched=False)
+        batch = BatchExecutor.for_table(ptable).partition_answers(query)
+        scalar = [execute_on_partition(p, query) for p in ptable]
         _assert_bitwise_equal(batch, scalar)
 
     def test_single_partition_table(self):
         ptable = _make_ptable(num_rows=50, num_partitions=1)
         for query in QUERIES:
             _assert_bitwise_equal(
-                compute_partition_answers(ptable, query, batched=True),
-                compute_partition_answers(ptable, query, batched=False),
+                BatchExecutor.for_table(ptable).partition_answers(query),
+                [execute_on_partition(p, query) for p in ptable],
             )
 
     def test_single_row_partitions(self):
         ptable = _make_ptable(num_rows=7, num_partitions=7)
         for query in QUERIES:
             _assert_bitwise_equal(
-                compute_partition_answers(ptable, query, batched=True),
-                compute_partition_answers(ptable, query, batched=False),
+                BatchExecutor.for_table(ptable).partition_answers(query),
+                [execute_on_partition(p, query) for p in ptable],
             )
 
     def test_sparse_segment_path(self):
@@ -146,8 +146,8 @@ class TestBatchAnswers:
         ptable = _make_ptable(num_rows=600, num_partitions=8)
         query = Query([sum_of(col("x")), count_star()], None, ("y", "cat"))
         _assert_bitwise_equal(
-            compute_partition_answers(ptable, query, batched=True),
-            compute_partition_answers(ptable, query, batched=False),
+            BatchExecutor.for_table(ptable).partition_answers(query),
+            [execute_on_partition(p, query) for p in ptable],
         )
 
 

@@ -107,7 +107,9 @@ class TestCombineParity:
         answers = matrix.answers(qi)
         for selection in selections(matrix.num_partitions, seed=qi):
             combined, present = estimator.combine(selection)
-            reference = combine_answers(answers, selection)
+            reference = combine_answers(
+                [answers[c.partition] for c in selection], selection
+            )
             got_keys = {estimator.keys[g] for g in np.flatnonzero(present)}
             assert got_keys == set(reference)
             for key, vec in reference.items():
@@ -118,7 +120,10 @@ class TestCombineParity:
         estimator = BlockEstimator.from_matrix(matrix, 0)
         selection = selections(matrix.num_partitions, seed=9)[-1]
         block_dict = estimator.component_answer(selection)
-        reference = combine_answers(matrix.answers(0), selection)
+        answers = matrix.answers(0)
+        reference = combine_answers(
+            [answers[c.partition] for c in selection], selection
+        )
         assert set(block_dict) == set(reference)
         for key in reference:
             assert np.array_equal(block_dict[key], reference[key])

@@ -33,8 +33,14 @@ class TestCombine:
         np.testing.assert_allclose(combined[("a",)], [70.0, 14.0])
         np.testing.assert_allclose(combined[("b",)], [1.0, 1.0])
 
-    def test_empty_selection(self, partition_answers):
-        assert combine_answers(partition_answers, []) == {}
+    def test_empty_selection(self):
+        assert combine_answers([], []) == {}
+
+    def test_answers_must_align_with_selection(self, partition_answers):
+        # Partition-indexed answers (the pre-PR-15 contract) are refused
+        # instead of silently truncated to the selection's length.
+        with pytest.raises(ValueError):
+            combine_answers(partition_answers, [WeightedChoice(1, 1.0)])
 
     def test_negative_weight_rejected(self):
         with pytest.raises(ConfigError):
@@ -43,7 +49,8 @@ class TestCombine:
     def test_source_answers_not_mutated(self, partition_answers):
         before = partition_answers[0][("a",)].copy()
         combine_answers(
-            partition_answers, [WeightedChoice(0, 2.0), WeightedChoice(0, 3.0)]
+            [partition_answers[0], partition_answers[0]],
+            [WeightedChoice(0, 2.0), WeightedChoice(0, 3.0)],
         )
         np.testing.assert_array_equal(partition_answers[0][("a",)], before)
 

@@ -9,8 +9,8 @@ from repro.engine.layout import partition_evenly
 from repro.engine.predicates import Comparison, InSet
 from repro.engine.query import Query
 from repro.engine.executor import (
-    compute_partition_answers,
     execute_on_columns,
+    execute_on_partition,
     execute_on_table,
     true_answer,
 )
@@ -98,7 +98,7 @@ class TestPartitionConsistency:
     def test_partition_answers_sum_to_true_answer(self, table):
         pt = partition_evenly(table, 3)
         query = Query([sum_of(col("v")), count_star()], group_by=("g",))
-        answers = compute_partition_answers(pt, query)
+        answers = [execute_on_partition(p, query) for p in pt]
         combined: dict = {}
         for answer in answers:
             for key, vec in answer.items():

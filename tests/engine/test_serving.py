@@ -1,18 +1,14 @@
-"""Serving plane: subset sweeps, batched scatter, and the front end.
+"""Serving plane: ``query_many`` and the front end.
 
-Three layers, each pinned against the layer below it bit for bit:
+:class:`ServingFrontEnd` — admission batching over threads — and
+``PS3.query_many`` must return answers bit-identical to the scalar
+composition (``execute_on_partition`` per chosen partition →
+``combine_answers`` → ``finalize_answer``) for the same selections,
+isolate per-request failures, and stop cleanly. The differential suite
+for :func:`answer_selections` itself lives in
+``test_answer_selections.py``.
 
-1. ``WorkloadExecutor.answer_matrix(queries, partitions=...)`` — the
-   subset sweep — must match the single-query ``BatchExecutor`` subset
-   gather and the scalar per-partition oracle;
-2. :func:`answer_selections` — the batched pick-scatter — must replay
-   ``PS3.query``'s combine walk exactly (same key insertion order, same
-   float chains) for every (query, selection) pair;
-3. :class:`ServingFrontEnd` — admission batching over threads — must
-   return answers bit-identical to the sequential path for the same
-   selections, isolate per-request failures, and stop cleanly.
-
-Plus the concurrency hammers for the races this PR fixes: the
+Plus the concurrency hammers for the races PR 8 fixed: the
 ``for_table``/``fused_view`` check-then-set memoizations and
 query-vs-append interleavings.
 """
@@ -24,21 +20,17 @@ import threading
 import numpy as np
 import pytest
 
-from repro.api import PS3, _selection_groups
+from repro.api import PS3
 from repro.datasets.registry import get_dataset
-from repro.engine.aggregates import avg_of, count_star, sum_of
+from repro.engine.aggregates import count_star
 from repro.engine.batch_executor import BatchExecutor, fused_view
+from repro.engine.combiner import combine_answers, finalize_answer
 from repro.engine.executor import execute_on_partition
-from repro.engine.expressions import col
 from repro.engine.layout import partition_evenly
-from repro.engine.predicates import Comparison, InSet
+from repro.engine.predicates import Comparison
 from repro.engine.query import Query
 from repro.engine.schema import Column, ColumnKind, Schema
-from repro.engine.serving import (
-    ServingConfig,
-    ServingFrontEnd,
-    answer_selections,
-)
+from repro.engine.serving import ServingConfig, ServingFrontEnd
 from repro.engine.table import Table
 from repro.engine.workload_executor import WorkloadExecutor
 from repro.errors import ConfigError, ServingStoppedError
@@ -63,127 +55,6 @@ def build_table(num_rows: int, seed: int = 5) -> Table:
             "cat": rng.choice(["a", "b", "c", "dd"], num_rows),
         },
     )
-
-
-def _workload() -> list[Query]:
-    """Queries with predicate/group-by overlap, as a serving mix has."""
-    hot = Comparison("x", ">", 5.0)
-    return [
-        Query([sum_of(col("x")), count_star()], hot, ("cat",)),
-        Query([avg_of(col("y"))], hot, ("cat",)),
-        Query([count_star()], InSet("cat", {"a", "c"}), ("d",)),
-        Query([sum_of(col("x") + col("y"))], None, ()),
-        Query([sum_of(col("x")), count_star()], hot, ("cat",)),  # dup of [0]
-    ]
-
-
-@pytest.fixture(scope="module")
-def ptable():
-    return partition_evenly(build_table(3000, seed=8), 12)
-
-
-def _assert_bitwise(actual, expected, context=""):
-    assert len(actual) == len(expected), context
-    for i, (a, e) in enumerate(zip(actual, expected)):
-        assert list(a.keys()) == list(e.keys()), (context, i)
-        for key in e:
-            assert a[key].tobytes() == e[key].tobytes(), (context, i, key)
-
-
-class TestSubsetSweepParity:
-    """`answer_matrix(queries, partitions=...)` vs the existing paths."""
-
-    PARTITIONS = [7, 2, 2, 0, 11, 5]  # unordered, with a duplicate
-
-    def test_matches_batch_executor_subset(self, ptable):
-        queries = _workload()
-        matrix = WorkloadExecutor.for_table(ptable).answer_matrix(
-            queries, partitions=self.PARTITIONS
-        )
-        batch = BatchExecutor.for_table(ptable)
-        for qi, query in enumerate(queries):
-            expected = batch.partition_answers(
-                query, partitions=self.PARTITIONS
-            )
-            _assert_bitwise(
-                matrix.answers(qi), expected, f"query[{qi}] {query.label()}"
-            )
-
-    def test_matches_scalar_oracle(self, ptable):
-        queries = _workload()
-        matrix = WorkloadExecutor.for_table(ptable).answer_matrix(
-            queries, partitions=self.PARTITIONS
-        )
-        for qi, query in enumerate(queries):
-            expected = [
-                execute_on_partition(ptable[p], query)
-                for p in self.PARTITIONS
-            ]
-            _assert_bitwise(
-                matrix.answers(qi), expected, f"query[{qi}] {query.label()}"
-            )
-
-    def test_duplicate_queries_still_alias(self, ptable):
-        executor = WorkloadExecutor.for_table(ptable)
-        queries = _workload()
-        matrix = executor.answer_matrix(queries, partitions=[1, 4])
-        assert matrix.block(0) is matrix.block(4)
-
-    def test_persistent_executor_not_polluted(self, ptable):
-        """The subset sweep runs on an ephemeral executor: the cached
-        full-table executor keeps its identity and its full answers."""
-        executor = WorkloadExecutor.for_table(ptable)
-        query = _workload()[0]
-        before = executor.answer_matrix([query]).answers(0)
-        executor.answer_matrix(_workload(), partitions=[3, 1])
-        assert WorkloadExecutor.for_table(ptable) is executor
-        after = executor.answer_matrix([query]).answers(0)
-        assert len(after) == ptable.num_partitions
-        _assert_bitwise(after, before, "full-table answers changed")
-
-
-class TestAnswerSelections:
-    """The batched scatter replays PS3.query's combine walk exactly."""
-
-    def _selections(self, ptable):
-        from repro.engine.combiner import WeightedChoice
-
-        rng = np.random.default_rng(17)
-        pairs = []
-        for query in _workload():
-            k = int(rng.integers(2, 6))
-            parts = rng.choice(ptable.num_partitions, size=k, replace=False)
-            pairs.append(
-                (
-                    query,
-                    [
-                        WeightedChoice(int(p), float(w))
-                        for p, w in zip(
-                            parts, rng.uniform(0.5, 3.0, size=k).round(3)
-                        )
-                    ],
-                )
-            )
-        return pairs
-
-    def test_bit_identical_to_sequential_walk(self, ptable):
-        pairs = self._selections(ptable)
-        finals = answer_selections(ptable, pairs)
-        for (query, selection), batched in zip(pairs, finals):
-            sequential = _selection_groups(ptable, query, selection, True)
-            assert list(batched.keys()) == list(sequential.keys())
-            for key in sequential:
-                assert batched[key].tobytes() == sequential[key].tobytes(), (
-                    query.label(),
-                    key,
-                )
-
-    def test_empty_selection_yields_empty_answer(self, ptable):
-        query = _workload()[3]
-        pairs = [(query, []), self._selections(ptable)[0]]
-        finals = answer_selections(ptable, pairs)
-        assert finals[0] == {}
-        assert finals[1]  # the non-empty pair is unaffected
 
 
 class TestServingConfig:
@@ -232,10 +103,15 @@ def served_system():
 
 
 def _assert_answer_matches_sequential(system, answer):
-    """Recompute the answer from its own selection via the sequential
-    plane; batched serving must match it bit for bit."""
-    sequential = _selection_groups(
-        system.ptable, answer.query, answer.selection.selection, True
+    """Recompute the answer from its own selection via the scalar
+    composition; served answers must match it bit for bit."""
+    selection = answer.selection.selection
+    answers = [
+        execute_on_partition(system.ptable[c.partition], answer.query)
+        for c in selection
+    ]
+    sequential = finalize_answer(
+        answer.query, combine_answers(answers, selection)
     )
     assert list(answer.groups.keys()) == list(sequential.keys())
     for key in sequential:

@@ -25,8 +25,10 @@ from contextlib import contextmanager
 
 import pytest
 
-from repro.api import PS3, _selection_groups
+from repro.api import PS3
 from repro.datasets.registry import get_dataset
+from repro.engine.combiner import combine_answers, finalize_answer
+from repro.engine.executor import execute_on_partition
 from repro.engine.faults import (
     FaultyPicker,
     ServingFaults,
@@ -57,8 +59,13 @@ def served_system():
 def _assert_matches_sequential(system, answer):
     """Recompute the answer from its own selection via the sequential
     plane; the served answer must match it bit for bit."""
-    sequential = _selection_groups(
-        system.ptable, answer.query, answer.selection.selection, True
+    selection = answer.selection.selection
+    answers = [
+        execute_on_partition(system.ptable[c.partition], answer.query)
+        for c in selection
+    ]
+    sequential = finalize_answer(
+        answer.query, combine_answers(answers, selection)
     )
     assert list(answer.groups.keys()) == list(sequential.keys())
     for key in sequential:

@@ -19,7 +19,7 @@ import pytest
 from repro.api import PS3
 from repro.datasets.registry import get_dataset
 from repro.engine.serving import ServingConfig, ServingStats
-from repro.obs import MetricsRegistry
+from repro.obs import MetricsRegistry, snapshot_delta
 from repro.workload import QueryGenerator
 
 
@@ -158,6 +158,7 @@ class TestPS3Metrics:
         system.checkpoint()
         front = system.serve(ServingConfig(max_hold_seconds=0.0))
         try:
+            before = system.metrics()
             front.query(test[0], budget_fraction=0.25)
         finally:
             front.stop()
@@ -165,8 +166,12 @@ class TestPS3Metrics:
         # Serving plane (from the front end's private registry).
         assert snap["counters"]["serving.queries"] >= 1
         assert "serving.sweep.wall_seconds" in snap["histograms"]
-        # Engine plane (process-global registry).
-        assert snap["counters"]["engine.sweep.calls"] >= 1
+        # Engine plane (process-global registry): the served query opened
+        # exactly one engine.sweep span of its own — a delta, because
+        # ``fit``'s training sweep bumped the same counter long before.
+        served = snapshot_delta(before, snap)
+        assert served["counters"]["engine.sweep.calls"] == 1
+        assert served["histograms"]["engine.sweep.wall_seconds"]["count"] == 1
         assert any(
             name.startswith("mask_cache.") for name in snap["counters"]
         )

@@ -28,10 +28,7 @@ from repro.engine.predicates import And, Comparison, Contains, InSet, Not, Or
 from repro.engine.query import Query
 from repro.engine.schema import Column, ColumnKind, Schema
 from repro.engine.table import Table
-from repro.engine.workload_executor import (
-    WorkloadExecutor,
-    compute_workload_answers,
-)
+from repro.engine.workload_executor import WorkloadExecutor
 
 SCHEMA = Schema.of(
     Column("x", ColumnKind.NUMERIC, positive=True),
@@ -102,7 +99,7 @@ class TestWorkloadParity:
         first = WorkloadExecutor.for_table(ptable)
         second = WorkloadExecutor.for_table(ptable)
         assert first is second
-        matrix = compute_workload_answers(ptable, training_workload()[:4])
+        matrix = second.answer_matrix(training_workload()[:4])
         assert matrix.num_partitions == ptable.num_partitions
 
 

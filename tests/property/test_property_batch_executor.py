@@ -5,8 +5,9 @@ full floating-point identity — same group keys, in the same order, with
 byte-identical component vectors — for arbitrary tables, partitionings,
 predicate trees, multi-column group-bys, and SUM/COUNT/AVG mixes,
 including all-filtered partitions and partitions whose every row
-survives. A final end-to-end check trains the picker under both paths
-and requires identical selections.
+survives. A final end-to-end check requires the training plane's answers
+and contribution labels — the only path-dependent inputs of the
+(deterministic) model fit — to equal the scalar composition's.
 """
 
 import numpy as np
@@ -14,10 +15,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.picker import PickerConfig, PS3Picker
-from repro.core.training import TrainingConfig, train_picker_model
+from repro.core.contribution import partition_contributions
+from repro.core.training import compute_training_data
 from repro.engine.aggregates import avg_of, count_star, sum_of
-from repro.engine.executor import compute_partition_answers
+from repro.engine.batch_executor import BatchExecutor
+from repro.engine.executor import execute_on_partition
 from repro.engine.expressions import col
 from repro.engine.layout import partition_evenly
 from repro.engine.predicates import And, Comparison, Contains, InSet, Not, Or
@@ -124,8 +126,8 @@ class TestBatchScalarParity:
         num_partitions = min(num_partitions, table.num_rows)
         ptable = partition_evenly(table, num_partitions)
         assert_bitwise_equal(
-            compute_partition_answers(ptable, query, batched=True),
-            compute_partition_answers(ptable, query, batched=False),
+            BatchExecutor.for_table(ptable).partition_answers(query),
+            [execute_on_partition(p, query) for p in ptable],
         )
 
     @given(tables(), st.integers(1, 10))
@@ -139,10 +141,10 @@ class TestBatchScalarParity:
             Comparison("w", "<", -1.0),  # w is exponential: impossible
             ("g",),
         )
-        batch = compute_partition_answers(ptable, query, batched=True)
+        batch = BatchExecutor.for_table(ptable).partition_answers(query)
         assert batch == [{} for __ in range(num_partitions)]
         assert_bitwise_equal(
-            batch, compute_partition_answers(ptable, query, batched=False)
+            batch, [execute_on_partition(p, query) for p in ptable]
         )
 
     @given(tables(), queries())
@@ -150,14 +152,15 @@ class TestBatchScalarParity:
     def test_empty_partition_answers(self, table, query):
         """Partitions whose rows are all filtered out yield empty dicts."""
         ptable = partition_evenly(table, min(6, table.num_rows))
-        batch = compute_partition_answers(ptable, query, batched=True)
-        scalar = compute_partition_answers(ptable, query, batched=False)
+        batch = BatchExecutor.for_table(ptable).partition_answers(query)
+        scalar = [execute_on_partition(p, query) for p in ptable]
         assert [not b for b in batch] == [not s for s in scalar]
         assert_bitwise_equal(batch, scalar)
 
 
-class TestEndToEndPickerParity:
-    """Training on batch vs scalar answers must yield identical pickers."""
+class TestTrainingPlaneParity:
+    """Training's answers and labels must equal the scalar composition's
+    (the model fit is a deterministic function of them)."""
 
     def _train_queries(self):
         return [
@@ -175,29 +178,17 @@ class TestEndToEndPickerParity:
             Query([sum_of(col("x"))], None, ("cat", "d")),
         ]
 
-    @pytest.mark.slow
-    def test_identical_models_and_selections(
-        self, tiny_ptable, tiny_stats, tiny_feature_builder
+    def test_answers_and_labels_match_scalar_reference(
+        self, tiny_ptable, tiny_feature_builder
     ):
-        config = TrainingConfig(num_models=3, gbrt_trees=8, seed=2)
         queries = self._train_queries()
-        batch_model, batch_data = train_picker_model(
-            tiny_ptable, tiny_feature_builder, queries, config, batched=True
-        )
-        scalar_model, scalar_data = train_picker_model(
-            tiny_ptable, tiny_feature_builder, queries, config, batched=False
-        )
-        for ba, sa in zip(batch_data.answers, scalar_data.answers):
-            assert_bitwise_equal(ba, sa)
-        for bc, sc in zip(batch_data.contributions, scalar_data.contributions):
-            assert bc.tobytes() == sc.tobytes()
-        assert batch_model.thresholds.tobytes() == scalar_model.thresholds.tobytes()
-
-        batch_picker = PS3Picker(batch_model, tiny_stats, PickerConfig(seed=0))
-        scalar_picker = PS3Picker(scalar_model, tiny_stats, PickerConfig(seed=0))
-        for query in queries:
-            for budget in (2, 4, 7):
-                assert (
-                    batch_picker.select(query, budget).selection
-                    == scalar_picker.select(query, budget).selection
-                )
+        data = compute_training_data(tiny_ptable, tiny_feature_builder, queries)
+        for query, answers, contributions in zip(
+            queries, data.answers, data.contributions
+        ):
+            scalar = [execute_on_partition(p, query) for p in tiny_ptable]
+            assert_bitwise_equal(answers, scalar)
+            assert (
+                contributions.tobytes()
+                == partition_contributions(scalar).tobytes()
+            )

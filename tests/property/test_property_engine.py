@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 from repro.engine.aggregates import avg_of, count_star, sum_of
 from repro.engine.combiner import WeightedChoice, estimate, finalize_answer
-from repro.engine.executor import compute_partition_answers, true_answer
+from repro.engine.batch_executor import BatchExecutor
+from repro.engine.executor import true_answer
 from repro.engine.expressions import col
 from repro.engine.layout import partition_evenly
 from repro.engine.predicates import Comparison, InSet
@@ -76,7 +77,7 @@ class TestPartitionAdditivity:
     def test_unit_weights_reproduce_truth(self, table, query, num_partitions):
         num_partitions = min(num_partitions, table.num_rows)
         ptable = partition_evenly(table, num_partitions)
-        answers = compute_partition_answers(ptable, query)
+        answers = BatchExecutor.for_table(ptable).partition_answers(query)
         combined = estimate(
             query,
             answers,
@@ -95,8 +96,8 @@ class TestPartitionAdditivity:
         """The exact answer is invariant to how rows are partitioned."""
         coarse = partition_evenly(table, 1)
         fine = partition_evenly(table, min(7, table.num_rows))
-        coarse_answers = compute_partition_answers(coarse, query)
-        fine_answers = compute_partition_answers(fine, query)
+        coarse_answers = BatchExecutor.for_table(coarse).partition_answers(query)
+        fine_answers = BatchExecutor.for_table(fine).partition_answers(query)
         coarse_total = estimate(
             query, coarse_answers, [WeightedChoice(0, 1.0)]
         )
@@ -116,7 +117,7 @@ class TestPartitionAdditivity:
     def test_weights_scale_linear_components(self, table, weight):
         query = Query([sum_of(col("v")), count_star()])
         ptable = partition_evenly(table, 1)
-        answers = compute_partition_answers(ptable, query)
+        answers = BatchExecutor.for_table(ptable).partition_answers(query)
         scaled = estimate(query, answers, [WeightedChoice(0, weight)])
         unit = estimate(query, answers, [WeightedChoice(0, 1.0)])
         if unit:

@@ -99,11 +99,11 @@ class TestAnswerWithSelection:
     def test_subset_path_bit_identical_to_full_table_path(
         self, tpch_ptable, query
     ):
-        """Regression: the helper now executes only the selected
-        partitions (subset gather, remapped local indices). The answer
-        must match the historical full-table pass bit for bit."""
+        """Regression: the helper executes only the selected partitions
+        (subset gather). The answer must match the historical full-table
+        pass bit for bit."""
+        from repro.engine.batch_executor import BatchExecutor
         from repro.engine.combiner import estimate
-        from repro.engine.executor import compute_partition_answers
 
         selection = [
             WeightedChoice(9, 1.5),
@@ -113,21 +113,24 @@ class TestAnswerWithSelection:
         subset = answer_with_selection(tpch_ptable, query, selection)
         full = estimate(
             query,
-            compute_partition_answers(tpch_ptable, query),
+            BatchExecutor.for_table(tpch_ptable).partition_answers(query),
             selection,
         )
         assert list(subset.keys()) == list(full.keys())
         for key in full:
             assert subset[key].tobytes() == full[key].tobytes(), key
 
-    def test_scalar_path_unchanged(self, tpch_ptable, query):
+    def test_matches_scalar_reference(self, tpch_ptable, query):
+        from repro.engine.combiner import estimate
+        from repro.engine.executor import execute_on_partition
+
         selection = [WeightedChoice(3, 1.0), WeightedChoice(11, 0.5)]
-        batched = answer_with_selection(
-            tpch_ptable, query, selection, batched=True
+        fused = answer_with_selection(tpch_ptable, query, selection)
+        scalar = estimate(
+            query,
+            [execute_on_partition(p, query) for p in tpch_ptable],
+            selection,
         )
-        scalar = answer_with_selection(
-            tpch_ptable, query, selection, batched=False
-        )
-        assert list(batched.keys()) == list(scalar.keys())
+        assert list(fused.keys()) == list(scalar.keys())
         for key in scalar:
-            assert batched[key].tobytes() == scalar[key].tobytes(), key
+            assert fused[key].tobytes() == scalar[key].tobytes(), key

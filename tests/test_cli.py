@@ -110,6 +110,105 @@ class TestEvaluate:
         assert "4 random workload queries" in captured
 
 
+class TestMetrics:
+    def test_drives_queries_and_prints_a_snapshot(self, deployment, capsys):
+        code = main(
+            ["metrics", "--deploy", str(deployment), "--queries", "3"]
+        )
+        assert code == 0
+        snap = json.loads(capsys.readouterr().out)
+        assert snap["counters"]["engine.sweep.calls"] >= 1
+
+
+class TestBudgetValidation:
+    """``--budget`` resolves through ``repro.api.resolve_budget``: what
+    the API refuses, the CLI refuses — typed, exit 2, nothing read."""
+
+    COMMANDS = {
+        "query": ["SELECT COUNT(*)"],
+        "evaluate": ["--queries", "2"],
+        "metrics": ["--queries", "2"],
+    }
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    @pytest.mark.parametrize("budget", ["0", "-3", "nan", "inf"])
+    def test_bad_budget_exits_with_typed_error(
+        self, deployment, capsys, command, budget
+    ):
+        # Was: 0 and -3 silently read one partition; nan died with an
+        # untyped ValueError traceback.
+        code = main(
+            [command, "--deploy", str(deployment), f"--budget={budget}"]
+            + self.COMMANDS[command]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "error:" in captured.err and "budget" in captured.err
+        assert "partitions" not in captured.out
+
+    @pytest.mark.parametrize(
+        "budget, read",
+        [("0.5", "6 partitions"), ("1.0", "1 partitions"), ("4", "4 partitions")],
+    )
+    def test_documented_convention_kept(self, deployment, capsys, budget, read):
+        """Below 1 a fraction of the 12 partitions, from 1 up a count."""
+        code = main(
+            [
+                "evaluate",
+                "--deploy", str(deployment),
+                "--budget", budget,
+                "--queries", "1",
+            ]
+        )
+        assert code == 0
+        assert f"@ {read}" in capsys.readouterr().out
+
+
+class TestOneRoute:
+    def test_query_prints_the_scalar_composition(
+        self, deployment, capsys, monkeypatch
+    ):
+        """``ps3 query`` answers through ``answer_selections``; what it
+        prints is the scalar composition of the selection it made."""
+        import repro.cli as cli
+        from repro.engine.combiner import combine_answers, finalize_answer
+        from repro.engine.executor import execute_on_partition
+
+        calls = []
+        real = cli.answer_selections
+
+        def recording(ptable, pairs):
+            finals = real(ptable, pairs)
+            calls.append((ptable, pairs, finals))
+            return finals
+
+        monkeypatch.setattr(cli, "answer_selections", recording)
+        code = main(
+            [
+                "query",
+                "--deploy", str(deployment),
+                "--budget", "0.5",
+                "SELECT SUM(src_bytes), AVG(duration) WHERE src_bytes > 10 "
+                "GROUP BY protocol_type",
+            ]
+        )
+        assert code == 0
+        ((ptable, [(query, selection)], [final]),) = calls
+        answers = [
+            execute_on_partition(ptable[c.partition], query) for c in selection
+        ]
+        expected = finalize_answer(query, combine_answers(answers, selection))
+        assert expected
+        assert list(final.keys()) == list(expected.keys())
+        for key in expected:
+            assert final[key].tobytes() == expected[key].tobytes()
+        rows = capsys.readouterr().out.splitlines()[2:]
+        assert rows == [
+            "\t".join([repr(key)] + [f"{v:.4f}" for v in expected[key]])
+            for key in sorted(expected, key=repr)
+        ]
+
+
 class TestAppendCheckpoint:
     """The WAL-backed append/checkpoint lifecycle, including recovery."""
 

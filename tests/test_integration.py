@@ -13,7 +13,7 @@ from repro.api import answer_with_selection
 from repro.baselines.random_sampling import RandomSampler
 from repro.core.metrics import evaluate_errors, mean_report
 from repro.engine.combiner import WeightedChoice, estimate
-from repro.engine.executor import compute_partition_answers
+from repro.engine.batch_executor import BatchExecutor
 
 
 @pytest.fixture(scope="module")
@@ -29,7 +29,7 @@ class TestAccuracyOrdering:
         budget = max(2, tpch_ptable.num_partitions // 8)
         ps3_reports, random_reports = [], []
         for query in test_queries:
-            answers = compute_partition_answers(tpch_ptable, query)
+            answers = BatchExecutor.for_table(tpch_ptable).partition_answers(query)
             truth = estimate(
                 query,
                 answers,
@@ -87,7 +87,7 @@ class TestWeightedEstimation:
         self, trained_ps3, test_queries, tpch_ptable
     ):
         for query in test_queries:
-            answers = compute_partition_answers(tpch_ptable, query)
+            answers = BatchExecutor.for_table(tpch_ptable).partition_answers(query)
             full = [WeightedChoice(p, 1.0) for p in range(len(answers))]
             combined = estimate(query, answers, full)
             exact = trained_ps3.execute_exact(query)
