@@ -313,10 +313,10 @@ class PS3:
             prior_view = getattr(self.ptable, "_fused_view", None)
             self.ptable = append_rows(self.ptable, new_columns)
             # Carry the fused executor view over incrementally: only the
-            # new partition's row ids are materialized (mirrors the
-            # sketch index). Queries picked before this point keep
-            # executing on their snapshot table — append_rows builds new
-            # objects, it never mutates the old table or its view.
+            # new partition's row ids are materialized and rows encoded
+            # (mirrors the sketch index). Queries picked before this point
+            # keep executing on their snapshot table — append_rows builds
+            # new objects; the old table, view and encodings are never written.
             fused_view(self.ptable, prior=prior_view)
             partition = self.ptable[self.ptable.num_partitions - 1]
             append_partition_statistics(self.statistics, partition)

@@ -18,18 +18,31 @@ The view is cached on the table (:func:`fused_view`) and extended
 incrementally when partitions are appended — only the new rows' ids are
 materialized, mirroring ``ColumnarSketchIndex.extend``.
 
-Execution — one pass, segmented group-by
-----------------------------------------
+The view also owns each column's one dictionary encoding per table
+generation (:meth:`FusedTableView.encoded`). Raw columns stay the source
+of truth; execution gathers, filters and groups on the codes, so no query
+sorts or compares row-length strings. An append encodes only its own rows
+and writes nothing an older view can reach: an answer picked before it
+keeps its table *and* dictionary.
+
+Execution — one pass over integer codes, late materialization
+--------------------------------------------------------------
 :meth:`BatchExecutor.partition_answers` evaluates a query over *all*
 partitions, or over a gathered subset — the single-query subset pass is
 the execution step of every online answer
 (:func:`repro.engine.serving.answer_selections`) — with a handful of
 array passes:
 
-1. one predicate mask over the fused arrays (row-order preserving, so
-   each partition's surviving rows stay contiguous and in ingest order);
-2. one global group-by factorization (per-column ``np.unique`` codes
-   combined mixed-radix, exactly like the scalar ``_group_ids``);
+1. one predicate mask (:meth:`FusedTableView.mask`) reading only the
+   predicate's columns — ``InSet`` / ``Contains`` are decided once per
+   *distinct value* on the dictionary and mapped through the codes —
+   then one surviving-row index (row-order preserving, so each
+   partition's rows stay contiguous and in ingest order) at which every
+   other column is gathered;
+2. one group-by factorization (:func:`factorize`): the columns' global
+   codes combined mixed-radix, occupied codes found by a presence
+   ``bincount`` (an integer ``np.unique`` when the radix product dwarfs
+   the row count), keys decoded from the dictionaries;
 3. one segmented aggregation: group codes are combined with partition
    ids into segment ids ``partition * G + group`` and reduced with
    ``np.bincount`` (dense) or a compacted ``np.unique`` + ``bincount``
@@ -39,13 +52,14 @@ array passes:
 
 Bit-for-bit parity with the scalar oracle
 -----------------------------------------
-The scalar path remains in place as the reference oracle — the
-differential suites compose it directly as ``[execute_on_partition(p,
-query) for p in ptable]`` — and the batch path is engineered to match it
-*bit for bit*, not just approximately:
+The scalar path remains in place, string-based, as the reference oracle
+— the differential suites compose it directly as
+``[execute_on_partition(p, query) for p in ptable]`` — and the batch
+path is engineered to match it *bit for bit*, not just approximately:
 
-* predicate masks and aggregate expressions are elementwise, so fused
-  evaluation produces the same float64 values row for row;
+* a dictionary lookup decides a row as the clause decides its value, and
+  aggregate expressions are elementwise, so fused evaluation keeps the
+  same rows with the same float64 values;
 * ``np.bincount`` accumulates weights sequentially in row order, and the
   fused row order within each (partition, group) segment is identical to
   the scalar per-partition row order, so every segment total is the same
@@ -54,35 +68,43 @@ query) for p in ptable]`` — and the batch path is engineered to match it
   ``values.sum()`` (pairwise summation), so the batch path slices the
   fused value vector at the partition bounds and takes the same pairwise
   sum per partition;
-* group keys are emitted in ascending mixed-radix code order, which is
-  value-lexicographic both globally and per partition, so each answer
-  dict carries the same keys in the same iteration order.
+* global codes order a column's values as the oracle's filtered
+  per-partition ``np.unique`` codes do, so the mixed-radix codes are
+  order-isomorphic: same dense group ids, and keys in the same
+  ascending, value-lexicographic order, globally and per partition.
+  Keys compare equal to the oracle's: ``-0.0`` and ``0.0`` are one group
+  keyed by whichever zero the sort kept (``==``, same hash); NaNs are
+  one group, sorted last, whose key equals nothing — compare by position.
 """
 
 from __future__ import annotations
 
+import math
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.engine.aggregates import ComponentKind
-from repro.engine.executor import ComponentAnswer, _group_ids
+from repro.engine.executor import ComponentAnswer, GroupKey
+from repro.engine.predicates import And, Contains, InSet, Not, Or, Predicate, _column
 from repro.engine.query import Query
 from repro.engine.table import PartitionedTable
+from repro.obs import get_registry, trace_span
 
 #: Densest ``partitions x groups`` grid the dense bincount path may
 #: allocate, as a multiple of the (filtered) row count. Beyond this the
-#: segmented reduction compacts segment ids first so memory stays O(rows).
+#: segmented reduction compacts segment ids first so memory stays O(rows);
+#: :func:`factorize` bounds its presence ``bincount`` the same way.
 _DENSE_GRID_FACTOR = 8
 
 #: Guards the per-table memoizations (``ptable._fused_view``,
-#: ``ptable._batch_executor``, ``ptable._workload_executor``): the
-#: check-then-set idiom they use is racy under concurrent queries — two
-#: threads could each build an executor plus fused view for the same
-#: table and leave consumers holding different cache objects. Reentrant
-#: because ``for_table`` builds the executor (which builds the fused
-#: view) while holding it.
+#: ``ptable._batch_executor``, ``ptable._workload_executor``, and a
+#: view's dictionary encodings): the check-then-set idiom they use is
+#: racy under concurrent queries — two threads could each build an
+#: executor plus fused view for the same table and leave consumers
+#: holding different cache objects. Reentrant because ``for_table``
+#: builds the executor (which builds the fused view) while holding it.
 TABLE_CACHE_LOCK = threading.RLock()
 
 
@@ -123,6 +145,91 @@ def reduce_live_segments(
     return live, seg_counts, totals
 
 
+def factorize(encodings: list[tuple]) -> tuple[list[GroupKey], np.ndarray]:
+    """``(keys, gids)`` from one ``(sorted uniques, codes of the grouped
+    rows)`` pair per grouping column: the occupied key tuples ascending
+    and each row's index into them — what the oracle's ``_group_ids``
+    derives from raw values. The one factorization both executors share."""
+    radix = math.prod(len(uniques) for uniques, __ in encodings)
+    if radix > 2**62:
+        # The mixed-radix code would wrap int64 and decode to keys no row
+        # has: group by the leading columns first and fold their groups
+        # (at most one per row, so that product fits) in as one column.
+        lead_keys, lead_ids = factorize(encodings[:-1])
+        lead = (np.arange(len(lead_keys)), lead_ids)
+        keys, gids = factorize([lead, encodings[-1]])
+        return [lead_keys[i] + (value,) for i, value in keys], gids
+    combined = encodings[0][1]
+    for uniques, codes in encodings[1:]:
+        combined = combined.astype(np.int64, copy=False) * len(uniques) + codes
+    if radix <= max(1024, _DENSE_GRID_FACTOR * combined.size):
+        present = np.bincount(combined, minlength=radix) > 0
+        distinct = np.flatnonzero(present)
+        # ``take``, here and in ``mask``: fancy-indexing by int32 is ~3x slower.
+        gids = (np.cumsum(present) - 1).take(combined)
+    else:
+        distinct, gids = np.unique(combined, return_inverse=True)
+    parts = []  # per-column key values, peeled off last column first
+    for uniques, __ in reversed(encodings[1:]):
+        distinct, code = np.divmod(distinct, len(uniques))
+        parts.append(uniques[code].tolist())
+    parts.append(encodings[0][0][distinct].tolist())
+    return list(zip(*reversed(parts))), gids
+
+
+def _encode(name: str, column: np.ndarray, prior: tuple | None = None) -> tuple:
+    """``(sorted uniques, int32 codes)`` of ``column``. ``prior`` encodes
+    its leading rows (the table before an append): only the rows after
+    them are looked up, and no array of ``prior`` is written."""
+    count = get_registry().counter
+    how = "built" if prior is None else "extended"
+    with trace_span("engine.encode", column=name, rows=len(column), how=how) as span:
+        if prior is None:
+            # Two steps: ``return_inverse`` sorts a copy of every row.
+            uniques = np.unique(column)
+            codes = np.searchsorted(uniques, column).astype(np.int32)
+            count("engine.dictionary.builds").inc()
+        else:
+            uniques, head = prior
+            tail = column[len(head) :]
+            at = np.searchsorted(uniques, tail)
+            unseen = uniques[np.minimum(at, len(uniques) - 1)] != tail
+            if unseen.any():
+                # Merge the new values in: a sort of distinct values and
+                # appended rows, never of old rows. A NaN row always reads
+                # unseen yet shares the one NaN slot, hence the length test.
+                merged = np.union1d(uniques, tail[unseen])
+                if len(merged) > len(uniques):
+                    head = np.searchsorted(merged, uniques).astype(np.int32)[head]
+                    uniques, at = merged, np.searchsorted(merged, tail)
+                    count("engine.dictionary.remaps").inc()
+            codes = np.concatenate([head, at], dtype=np.int32)
+            count("engine.dictionary.extends").inc()
+        if span is not None:  # None on the disabled-registry fast path
+            span.tags["distinct"] = len(uniques)
+    # Shared by every thread on this generation and, unless remapped, by
+    # the next generation's pair: make "never written" structural.
+    uniques.flags.writeable = codes.flags.writeable = False
+    return uniques, codes
+
+
+class RowColumns(dict):
+    """``fetch(name)`` at ``rows`` (all rows when ``None``), gathered on
+    first use: a column is touched once, and only if something reads it.
+    A ``KeyError`` from ``fetch`` passes through, which predicates and
+    expressions turn into their typed ``ExecutionError``."""
+
+    def __init__(self, fetch, rows: np.ndarray | None) -> None:
+        super().__init__()
+        self.fetch = fetch
+        self.rows = rows
+
+    def __missing__(self, name: str) -> np.ndarray:
+        column = self.fetch(name)
+        self[name] = column = column if self.rows is None else column[self.rows]
+        return column
+
+
 @dataclass
 class FusedTableView:
     """Concatenated-column view of a partitioned table.
@@ -137,19 +244,24 @@ class FusedTableView:
     offsets: np.ndarray  # (N+1,) int64 — partition row boundaries
     partition_ids: np.ndarray  # (num_rows,) intp — owning partition per row
     num_partitions: int
+    # name -> (sorted uniques, int32 codes); a stored pair is never written.
+    _encoded: dict = field(default_factory=dict, repr=False, compare=False)
 
     @classmethod
     def build(
         cls, ptable: PartitionedTable, prior: FusedTableView | None = None
     ) -> FusedTableView:
-        """Fuse ``ptable``; reuse ``prior``'s row ids when it is a prefix.
+        """Fuse ``ptable``; reuse ``prior``'s work when it is a prefix.
 
-        Passing the previous table's view after an append extends the
-        partition-id vector incrementally (only the appended rows are
-        materialized), mirroring ``ColumnarSketchIndex.extend``.
+        Passing the view of the table ``ptable`` was appended to extends
+        its partition-id vector and encodings incrementally (only the
+        appended rows are materialized and encoded), mirroring
+        ``ColumnarSketchIndex.extend``.
         """
         offsets = np.asarray(ptable.boundaries, dtype=np.int64)
         n = ptable.num_partitions
+        columns = ptable.table.columns
+        encoded = {}
         if (
             prior is not None
             and 0 < prior.num_partitions <= n
@@ -160,15 +272,60 @@ class FusedTableView:
                 np.arange(prior.num_partitions, n, dtype=np.intp), new_sizes
             )
             partition_ids = np.concatenate([prior.partition_ids, new_ids])
+            with TABLE_CACHE_LOCK:  # a reader may be encoding on ``prior``
+                carried = list(prior._encoded.items())
+            encoded = {name: _encode(name, columns[name], p) for name, p in carried}
         else:
             partition_ids = np.repeat(
                 np.arange(n, dtype=np.intp), np.diff(offsets)
             )
-        return cls(ptable.table.columns, offsets, partition_ids, n)
+        return cls(columns, offsets, partition_ids, n, encoded)
 
     @property
     def num_rows(self) -> int:
         return len(self.partition_ids)
+
+    def encoded(self, name: str) -> tuple[np.ndarray, np.ndarray]:
+        """The column's ``(sorted uniques, int32 codes)`` for this view —
+        the only place a column is factorized for execution: built on
+        first use (concurrent first calls get one pair) and carried
+        across appends by :meth:`build`."""
+        with TABLE_CACHE_LOCK:
+            pair = self._encoded.get(name)
+            if pair is None:
+                column = _column(self.columns, name)  # typed error when missing
+                pair = self._encoded[name] = _encode(name, column)
+            return pair
+
+    def group_ids(self, group_by, rows=None) -> tuple[list[GroupKey], np.ndarray]:
+        """:func:`factorize` over ``group_by``'s encodings taken at ``rows``."""
+        pairs = map(self.encoded, group_by)
+        return factorize([(u, c if rows is None else c[rows]) for u, c in pairs])
+
+    def mask(self, predicate: Predicate, rows=None) -> np.ndarray:
+        """Which of ``rows`` (every row when ``None``) pass ``predicate``.
+
+        ``InSet`` / ``Contains`` leaves are decided once per distinct value
+        (the clause's own ``mask`` on the column's dictionary) and mapped
+        through the codes; every other leaf evaluates itself on raw
+        values. Each column is gathered at ``rows`` at most once.
+        """
+        values = RowColumns(self.columns.__getitem__, rows)
+        codes = RowColumns(lambda name: self.encoded(name)[1], rows)
+        return self._mask(predicate, values, codes)
+
+    def _mask(self, node: Predicate, values, codes) -> np.ndarray:
+        # A method: a recursive closure is a reference cycle, which would
+        # keep every gathered column alive until the collector next runs.
+        if isinstance(node, (InSet, Contains)):
+            hit = node.mask({node.column: self.encoded(node.column)[0]})
+            return hit.take(codes[node.column])
+        if isinstance(node, Not):
+            return ~self._mask(node.child, values, codes)
+        if isinstance(node, (And, Or)):
+            fold = np.logical_and if isinstance(node, And) else np.logical_or
+            return fold.reduce([self._mask(c, values, codes) for c in node.children])
+        return node.mask(values)
 
 
 def fused_view(
@@ -189,46 +346,12 @@ def fused_view(
         return view
 
 
-def gather_partitions(
-    view: FusedTableView, partitions, column_names
-) -> FusedTableView:
-    """A sub-view holding ``partitions``' rows of ``column_names`` only.
-
-    Local partition ``i`` of the result is global partition
-    ``partitions[i]`` (duplicates allowed, any order); its rows keep
-    their fused (ingest) order, so per-partition answers computed on the
-    sub-view are bit-identical to the same partitions' answers on the
-    full view. The gather is one fancy-index per column.
-    """
-    parts = np.asarray(partitions, dtype=np.intp)
-    n = int(parts.size)
-    if n == 0:
-        return FusedTableView(
-            {name: view.columns[name][:0] for name in column_names},
-            np.zeros(1, dtype=np.int64),
-            np.empty(0, dtype=np.intp),
-            0,
-        )
-    starts = view.offsets[parts]
-    sizes = view.offsets[parts + 1] - starts
-    total = int(sizes.sum())
-    # Concatenated row ranges: offset each partition's aranged rows so
-    # the gather stays a single fancy-index per column.
-    shift = np.repeat(
-        starts - np.concatenate(([0], np.cumsum(sizes[:-1]))), sizes
-    )
-    row_idx = shift + np.arange(total, dtype=np.int64)
-    columns = {name: view.columns[name][row_idx] for name in column_names}
-    part_ids = np.repeat(np.arange(n, dtype=np.intp), sizes)
-    bounds = np.concatenate(([0], np.cumsum(sizes)))
-    return FusedTableView(columns, bounds, part_ids, n)
-
-
 class BatchExecutor:
     """Evaluates queries over all partitions of one table in one pass."""
 
     def __init__(self, ptable: PartitionedTable) -> None:
-        self.ptable = ptable
+        # Not ``ptable`` too: it memoizes this executor, and the cycle would
+        # leave a dropped generation's columns and codes to the collector.
         self.view = fused_view(ptable)
 
     @classmethod
@@ -258,97 +381,35 @@ class BatchExecutor:
         bit). With an explicit sequence of partition ids, only those
         partitions' rows are gathered and the result aligns with the
         given order (duplicates allowed) — the picker's eval path uses
-        this to execute on just the selected partitions.
+        this to execute on just the selected partitions. Gathered rows
+        keep their fused (ingest) order, so a partition's answer is
+        bit-identical to its answer on the full view.
         """
         view = self.view
         if partitions is None:
-            columns = view.columns
-            part_ids = view.partition_ids
-            bounds = view.offsets
-            n = view.num_partitions
+            rows, part_ids, n = None, view.partition_ids, view.num_partitions
         else:
-            used = query.columns() | set(query.group_by)
-            sub = gather_partitions(
-                view, partitions, [c for c in view.columns if c in used]
-            )
-            if sub.num_partitions == 0:
+            parts = np.asarray(partitions, dtype=np.intp)
+            n = int(parts.size)
+            if n == 0:
                 return []
-            columns = sub.columns
-            part_ids = sub.partition_ids
-            bounds = sub.offsets
-            n = sub.num_partitions
-        return self._answers(query, columns, part_ids, bounds, n)
-
-    # -- internals --------------------------------------------------------------
-
-    def _answers(
-        self,
-        query: Query,
-        columns: dict[str, np.ndarray],
-        part_ids: np.ndarray,
-        bounds: np.ndarray,
-        n: int,
-    ) -> list[ComponentAnswer]:
+            starts = view.offsets[parts]
+            sizes = view.offsets[parts + 1] - starts
+            # Concatenated row ranges: offset each partition's aranged
+            # rows so a gather stays a single fancy-index per column.
+            rows = np.repeat(starts - (np.cumsum(sizes) - sizes), sizes)
+            rows += np.arange(rows.size, dtype=np.int64)
+            part_ids = np.repeat(np.arange(n, dtype=np.intp), sizes)
+        if query.predicate is not None and part_ids.size:
+            # Late materialization: the predicate read its own columns;
+            # every other column is gathered at the surviving rows only.
+            keep = np.flatnonzero(view.mask(query.predicate, rows))
+            rows = keep if rows is None else rows[keep]
+            part_ids = part_ids[keep]
         num_rows = int(part_ids.size)
-        if query.predicate is not None and num_rows:
-            mask = query.predicate.mask(columns)
-            used = query.columns() | set(query.group_by)
-            columns = {
-                name: arr[mask] for name, arr in columns.items() if name in used
-            }
-            part_ids = part_ids[mask]
-            num_rows = int(part_ids.size)
-            # Row counts per partition shift under the filter; rebuild the
-            # bounds from the surviving (still sorted) partition ids.
-            bounds = np.concatenate(
-                ([0], np.cumsum(np.bincount(part_ids, minlength=n)))
-            )
         if num_rows == 0:
             return [{} for __ in range(n)]
-        if query.group_by:
-            return self._grouped(query, columns, part_ids, n, num_rows)
-        return self._ungrouped(query, columns, bounds, n)
-
-    def _ungrouped(
-        self,
-        query: Query,
-        columns: dict[str, np.ndarray],
-        bounds: np.ndarray,
-        n: int,
-    ) -> list[ComponentAnswer]:
-        counts = np.diff(bounds)
-        num_rows = int(bounds[-1])
-        totals = np.zeros((n, query.num_components), dtype=np.float64)
-        for slot, comp in enumerate(query.components):
-            if comp.kind is ComponentKind.COUNT:
-                totals[:, slot] = counts
-                continue
-            values = np.broadcast_to(
-                np.asarray(comp.expr.evaluate(columns), dtype=np.float64),
-                (num_rows,),
-            )
-            # Per-partition pairwise sums: the scalar oracle uses
-            # ``values.sum()`` per partition, whose pairwise summation is
-            # not the sequential order np.bincount would use.
-            for p in range(n):
-                lo, hi = bounds[p], bounds[p + 1]
-                if hi > lo:
-                    totals[p, slot] = values[lo:hi].sum()
-        return [
-            {(): totals[p]} if counts[p] else {} for p in range(n)
-        ]
-
-    def _grouped(
-        self,
-        query: Query,
-        columns: dict[str, np.ndarray],
-        part_ids: np.ndarray,
-        n: int,
-        num_rows: int,
-    ) -> list[ComponentAnswer]:
-        keys, gids = _group_ids(columns, query.group_by)
-        g = len(keys)
-        seg = part_ids * g + gids  # segment id: partition-major, group-minor
+        columns = RowColumns(view.columns.__getitem__, rows)
         component_values = [
             None
             if comp.kind is ComponentKind.COUNT
@@ -358,13 +419,45 @@ class BatchExecutor:
             )
             for comp in query.components
         ]
+        if not query.group_by:
+            return self._ungrouped(component_values, part_ids, n)
+        keys, gids = view.group_ids(query.group_by, rows)
+        return self._grouped(keys, gids, component_values, part_ids, n)
+
+    # -- internals --------------------------------------------------------------
+
+    def _ungrouped(
+        self, component_values: list, part_ids: np.ndarray, n: int
+    ) -> list[ComponentAnswer]:
+        # Row counts per partition shift under the filter; rebuild the
+        # bounds from the surviving (still sorted) partition ids.
+        counts = np.bincount(part_ids, minlength=n)
+        bounds = np.concatenate(([0], np.cumsum(counts)))
+        totals = np.zeros((n, len(component_values)), dtype=np.float64)
+        for slot, values in enumerate(component_values):
+            if values is None:  # COUNT(*) slot
+                totals[:, slot] = counts
+                continue
+            # Per-partition pairwise sums: the scalar oracle uses
+            # ``values.sum()`` per partition, whose pairwise summation is
+            # not the sequential order np.bincount would use.
+            for p in range(n):
+                lo, hi = bounds[p], bounds[p + 1]
+                if hi > lo:
+                    totals[p, slot] = values[lo:hi].sum()
+        return [{(): totals[p]} if counts[p] else {} for p in range(n)]
+
+    def _grouped(
+        self, keys: list, gids, component_values: list, part_ids, n: int
+    ) -> list[ComponentAnswer]:
+        g = len(keys)
+        seg = part_ids * g + gids  # segment id: partition-major, group-minor
         live, __, totals = reduce_live_segments(
-            seg, n * g, num_rows, component_values
+            seg, n * g, int(part_ids.size), component_values
         )
         # ``live`` is sorted ascending = partition-major, group-ascending —
         # the same per-partition key order the scalar path emits.
-        live_parts = live // g
-        live_groups = live % g
+        live_parts, live_groups = np.divmod(live, g)
         cuts = np.searchsorted(live_parts, np.arange(n + 1))
         return [
             {

@@ -47,8 +47,16 @@ def _group_ids(columns: dict[str, np.ndarray], group_by: tuple[str, ...]):
         per_column.append((uniques, inverse))
 
     combined = per_column[0][1].astype(np.int64)
-    for uniques, inverse in per_column[1:]:
+    radix = len(per_column[0][0])
+    compacted: dict[int, np.ndarray] = {}
+    for j, (uniques, inverse) in enumerate(per_column[1:], 1):
+        if radix * len(uniques) > 2**62:
+            # The product would wrap int64 and decode to keys no row has:
+            # renumber the running code densely (<= one id per row) first.
+            compacted[j], combined = np.unique(combined, return_inverse=True)
+            radix = len(compacted[j])
         combined = combined * len(uniques) + inverse
+        radix *= len(uniques)
 
     distinct, ids = np.unique(combined, return_inverse=True)
 
@@ -56,9 +64,11 @@ def _group_ids(columns: dict[str, np.ndarray], group_by: tuple[str, ...]):
     keys: list[GroupKey] = []
     for code in distinct:
         parts = []
-        for uniques, __ in reversed(per_column[1:]):
-            code, rem = divmod(code, len(uniques))
-            parts.append(_scalar(uniques[rem]))
+        for j in range(len(per_column) - 1, 0, -1):
+            code, rem = divmod(code, len(per_column[j][0]))
+            parts.append(_scalar(per_column[j][0][rem]))
+            if j in compacted:
+                code = compacted[j][code]
         parts.append(_scalar(per_column[0][0][code]))
         keys.append(tuple(reversed(parts)))
     return keys, ids

@@ -94,7 +94,11 @@ class Comparison(Predicate):
 class InSet(Predicate):
     """``column IN (v1, v2, ...)`` on a categorical column.
 
-    A single-element set expresses plain equality.
+    A single-element set expresses plain equality. Members are
+    normalized to ``str`` — categorical columns hold strings, and the
+    exact dictionaries and selectivity plans key on ``str(value)`` — so
+    ``InSet("c", [1])`` and ``InSet("c", ["1"])`` are one predicate to
+    the picker, every executor and the SQL round-trip alike.
     """
 
     column: str
@@ -102,7 +106,12 @@ class InSet(Predicate):
 
     def __init__(self, column: str, values) -> None:
         object.__setattr__(self, "column", column)
-        object.__setattr__(self, "values", frozenset(values))
+        values = frozenset(values)
+        if not all(isinstance(value, str) for value in values):
+            # Only then: rebuilding an all-string set could permute its
+            # iteration order, which selectivity sums over members follow.
+            values = frozenset(map(str, values))
+        object.__setattr__(self, "values", values)
         if not self.values:
             raise QueryScopeError("IN set must be non-empty")
 

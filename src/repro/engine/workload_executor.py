@@ -30,13 +30,13 @@ on the table, so sharing also spans repeated calls):
   indices, surviving partition ids, and partition bounds. Queries that
   differ only in aggregates or group-by reuse the mask without rerunning
   the predicate;
-* **group-by factorizations** — every grouping column is factorized
-  (``np.unique`` codes) once over the *unfiltered* fused rows; a query's
-  grouping then only combines pre-computed per-column codes mixed-radix
-  over its filtered rows and compacts them. Queries with the same
-  ``(group_by, predicate)`` share the compacted factorization, and
-  queries with the same grouping columns under different predicates
-  still share the per-column codes;
+* **group-by factorizations** — every grouping column is dictionary
+  encoded once per table generation by the fused view (shared with the
+  online executor); a query's grouping only combines those codes
+  mixed-radix over its filtered rows and compacts them
+  (:meth:`FusedTableView.group_ids`). Queries with the same
+  ``(group_by, predicate)`` share the compacted factorization; the same
+  grouping columns under different predicates still share the codes;
 * **aggregate expressions** — division-free expressions are elementwise,
   so they are evaluated once over all fused rows and sliced per
   predicate (expressions containing ``/`` are evaluated on the filtered
@@ -65,8 +65,8 @@ The workload path reproduces the :class:`BatchExecutor` answers exactly
 (which are themselves bit-identical to the scalar
 ``execute_on_partition`` oracle):
 
-* masks are boolean row filters either way, and gathered rows preserve
-  fused row order;
+* masks come from the same :meth:`FusedTableView.mask` either way, and
+  gathered rows preserve fused row order;
 * mixed-radix group codes built from unfiltered per-column codes are
   order-isomorphic to codes built from filtered per-column codes, so the
   compacted factorization yields the same keys in the same ascending
@@ -85,10 +85,11 @@ import numpy as np
 from repro.engine.aggregates import ComponentKind
 from repro.engine.batch_executor import (
     TABLE_CACHE_LOCK,
+    RowColumns,
     fused_view,
     reduce_live_segments,
 )
-from repro.engine.executor import ComponentAnswer, GroupKey, _scalar
+from repro.engine.executor import ComponentAnswer, GroupKey
 from repro.engine.expressions import BinOp, Expression
 from repro.engine.predicates import Predicate
 from repro.engine.query import Query
@@ -328,8 +329,8 @@ class WorkloadExecutor:
     #: Entry cap for the factorization and expression caches; like
     #: ``PlanCache.limit`` they clear wholesale at the cap, so a
     #: long-lived executor serving ad-hoc queries (the oracle baseline)
-    #: cannot pin unbounded O(rows) arrays to the table. The per-column
-    #: code cache needs no cap — it is bounded by the schema width.
+    #: cannot pin unbounded O(rows) arrays to the table. (The per-column
+    #: codes live on the view, bounded by the schema width.)
     CACHE_LIMIT = 256
 
     def __init__(self, ptable: PartitionedTable) -> None:
@@ -341,7 +342,6 @@ class WorkloadExecutor:
             limit=self.CACHE_LIMIT, compiler=self._compile_mask,
             name="mask_cache",
         )
-        self._column_codes: dict[str, tuple[np.ndarray, np.ndarray]] = {}
         self._factorizations: dict[
             tuple[tuple[str, ...], Predicate | None],
             tuple[list[GroupKey], np.ndarray],
@@ -401,54 +401,26 @@ class WorkloadExecutor:
         n = view.num_partitions
         if predicate is None or view.num_rows == 0:
             return _FilteredRows(None, view.partition_ids, view.offsets)
-        mask = predicate.mask(view.columns)
-        rows = np.flatnonzero(mask)
+        rows = np.flatnonzero(view.mask(predicate))
         part_ids = view.partition_ids[rows]
         bounds = np.concatenate(
             ([0], np.cumsum(np.bincount(part_ids, minlength=n)))
         )
         return _FilteredRows(rows, part_ids, bounds)
 
-    def _codes(self, name: str) -> tuple[np.ndarray, np.ndarray]:
-        """Factorization of one column over all fused rows (memoized)."""
-        codes = self._column_codes.get(name)
-        if codes is None:
-            codes = np.unique(self.view.columns[name], return_inverse=True)
-            self._column_codes[name] = codes
-        return codes
-
     def _factorization(
         self, group_by: tuple[str, ...], predicate: Predicate | None
     ) -> tuple[list[GroupKey], np.ndarray]:
-        """``(keys, gids)`` over the predicate's filtered rows (memoized).
-
-        Combines the memoized per-column codes mixed-radix — with the
-        *unfiltered* column cardinality as radix, which is
-        order-isomorphic to the scalar path's filtered-cardinality codes
-        — then compacts to the filtered domain, yielding the exact keys,
-        ascending order, and row assignment of ``_group_ids``.
+        """``(keys, gids)`` over the predicate's filtered rows (memoized):
+        :meth:`FusedTableView.group_ids` at those rows — the exact keys,
+        ascending order, and row assignment of the oracle's ``_group_ids``.
         """
         cache_key = (group_by, predicate)
         cached = self._factorizations.get(cache_key)
         if cached is not None:
             return cached
         rows = self.mask_plans.get(predicate).rows
-        per_column = [self._codes(name) for name in group_by]
-        combined = per_column[0][1].astype(np.int64)
-        for uniques, inverse in per_column[1:]:
-            combined = combined * len(uniques) + inverse
-        if rows is not None:
-            combined = combined[rows]
-        distinct, gids = np.unique(combined, return_inverse=True)
-        keys: list[GroupKey] = []
-        for code in distinct:
-            parts = []
-            for uniques, __ in reversed(per_column[1:]):
-                code, rem = divmod(code, len(uniques))
-                parts.append(_scalar(uniques[rem]))
-            parts.append(_scalar(per_column[0][0][code]))
-            keys.append(tuple(reversed(parts)))
-        result = (keys, gids)
+        result = self.view.group_ids(group_by, rows)
         if len(self._factorizations) >= self.CACHE_LIMIT:
             self._factorizations.clear()
         self._factorizations[cache_key] = result
@@ -462,11 +434,7 @@ class WorkloadExecutor:
         if _has_division(expr):
             # Division-bearing expressions raise on non-finite results,
             # so they must only see surviving rows (scalar semantics).
-            columns = self.view.columns
-            if rows is not None:
-                columns = {
-                    name: columns[name][rows] for name in expr.columns()
-                }
+            columns = RowColumns(self.view.columns.__getitem__, rows)
             values = np.asarray(expr.evaluate(columns), dtype=np.float64)
         else:
             values = self._expr_values.get(expr)

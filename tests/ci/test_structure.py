@@ -3,6 +3,10 @@
 * No public callable of the query-answering planes takes a ``batched``
   parameter: there is one way to answer a selection, so there is nothing
   for such a flag to choose between (PR 15 removed four of them).
+* Nor does any callable of ``repro.engine`` take an ``encoded=`` /
+  ``dictionary=`` style switch: execution on dictionary codes replaced
+  the string path (PR 17), it did not fork it, so there is no mode to
+  select.
 * Every ``(module, attribute path)`` the benchmark's tracer patches
   (``TRACED`` in ``benchmarks/e2e/layers.py``, read here, never edited)
   resolves the way the tracer resolves it. A rename would otherwise show
@@ -58,6 +62,31 @@ def test_no_callable_takes_batched(module_name):
     assert offenders == []
 
 
+#: Spellings a "run on codes or on strings" switch would plausibly take.
+ENCODING_MODES = {
+    "encoded",
+    "encode",
+    "dictionary",
+    "dictionaries",
+    "use_dictionary",
+    "use_codes",
+    "on_codes",
+}
+
+
+@pytest.mark.parametrize(
+    "module_name", [name for name in PLANES if name.startswith("repro.engine.")]
+)
+def test_no_engine_callable_takes_an_encoding_mode(module_name):
+    module = importlib.import_module(module_name)
+    offenders = [
+        f"{module_name}.{name}({', '.join(sorted(modes))})"
+        for name, fn in _public_callables(module)
+        if (modes := ENCODING_MODES & set(inspect.signature(fn).parameters))
+    ]
+    assert offenders == []
+
+
 def test_walk_sees_the_callables_that_used_to_take_it():
     """The walk above is only a guard if it reaches these."""
     seen = {
@@ -73,6 +102,11 @@ def test_walk_sees_the_callables_that_used_to_take_it():
         "repro.engine.serving.answer_selections",
         "repro.engine.batch_executor.BatchExecutor.partition_answers",
         "repro.engine.workload_executor.WorkloadExecutor.__init__",
+        # ...and the ones an encoding switch would most likely land on.
+        "repro.engine.batch_executor.FusedTableView.build",
+        "repro.engine.batch_executor.FusedTableView.mask",
+        "repro.engine.batch_executor.factorize",
+        "repro.engine.batch_executor.fused_view",
     } <= seen
 
 
@@ -81,6 +115,19 @@ def _traced():
     layers = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(layers)
     return layers.TRACED
+
+
+def test_benchmark_still_traces_execution_and_view_extension():
+    """The two names this layer must keep patchable: the execution step
+    of every online answer, and the append-time view (and dictionary)
+    extension, patched where ``PS3.append`` looks ``fused_view`` up."""
+    traced = {(name, module, path) for name, module, path in _traced()}
+    assert (
+        "engine.execute",
+        "repro.engine.batch_executor",
+        "BatchExecutor.partition_answers",
+    ) in traced
+    assert ("engine.fused_view.extend", "repro.api", "fused_view") in traced
 
 
 @pytest.mark.parametrize(

@@ -131,7 +131,8 @@ class TestSharingAndDedup:
         assert executor.mask_plans.misses == 1
         assert executor.mask_plans.hits >= 2
 
-    def test_factorization_shared_across_predicates(self, ptable):
+    def test_factorization_shared_across_predicates(self):
+        ptable = partition_evenly(build_table(4000), 16)
         executor = WorkloadExecutor(ptable)
         workload = [
             Query([count_star()], Comparison("x", ">", 4.0), ("cat", "d")),
@@ -139,9 +140,11 @@ class TestSharingAndDedup:
             Query([count_star()], None, ("d", "cat")),
         ]
         executor.answer_matrix(workload)
-        # Per-column codes computed once per column despite three
-        # different (group_by, predicate) factorizations.
-        assert set(executor._column_codes) == {"cat", "d"}
+        # One encoding per column, on the view the online executor
+        # shares, despite three different (group_by, predicate)
+        # factorizations.
+        assert set(executor.view._encoded) == {"cat", "d"}
+        assert BatchExecutor.for_table(ptable).view is executor.view
         assert len(executor._factorizations) == 3
 
     def test_dedup_never_changes_results(self, ptable, assert_bitwise_equal):

@@ -1,10 +1,18 @@
-"""Extended API tests: feature selection in fit, reporting helpers."""
+"""Extended API tests: feature selection in fit, ``InSet`` member
+spellings end to end, reporting helpers."""
 
+import numpy as np
 import pytest
 
-from repro.api import PS3
+from repro.api import PS3, answer_with_selection
 from repro.bench.reporting import emit, format_table, results_dir
 from repro.datasets.registry import get_dataset
+from repro.engine.aggregates import count_star, sum_of
+from repro.engine.combiner import WeightedChoice
+from repro.engine.expressions import col
+from repro.engine.predicates import InSet
+from repro.engine.query import Query
+from repro.engine.sql import parse_query, render_sql
 from repro.workload.generator import QueryGenerator
 
 
@@ -38,6 +46,54 @@ class TestFitWithFeatureSelection:
         answer = selected_system.query(query, budget_fraction=0.5)
         report = selected_system.evaluate(query, answer)
         assert report.avg_relative_error < 1.5
+
+
+class TestInSetMemberSpellings:
+    """``InSet("logged_in", [1])`` used to pass every partition in the
+    picker (dictionaries key on ``str(value)``) and match no row in the
+    executor, while ``[1, "a"]`` matched ``"1"`` by numpy coercion."""
+
+    SPELLINGS = ([1], ["1"], [np.str_("1")], [1, "1"])
+
+    @pytest.fixture(scope="class")
+    def system(self):
+        spec = get_dataset("kdd")
+        ptable = spec.build(2400, 8, seed=5)
+        workload = spec.workload()
+        train = QueryGenerator(workload, ptable.table, seed=6).sample_queries(8)
+        return PS3(ptable, workload).fit(train)
+
+    def test_members_become_strings(self):
+        for members in self.SPELLINGS:
+            assert InSet("logged_in", members) == InSet("logged_in", ["1"])
+            assert all(isinstance(v, str) for v in InSet("logged_in", members).values)
+        assert InSet("logged_in", [1, "a"]) == InSet("logged_in", ["a", "1"])
+        assert InSet("logged_in", [1]).label() == "logged_in IN (1)"
+
+    def test_query_and_explicit_selection_agree_with_a_full_scan(self, system):
+        ptable = system.ptable
+        logged_in = ptable.table.columns["logged_in"] == "1"
+        duration = ptable.table.columns["duration"]
+        assert 0 < logged_in.sum() < ptable.num_rows
+        everything = [
+            WeightedChoice(p, 1.0) for p in range(ptable.num_partitions)
+        ]
+        for members in self.SPELLINGS + ([1, "a"],):
+            query = Query(
+                [count_star(), sum_of(col("duration"))],
+                InSet("logged_in", members),
+                ("logged_in",),
+            )
+            answer = system.query(query, budget_fraction=1.0)
+            assert list(answer.groups) == [("1",)]
+            count, total = answer.groups["1",]
+            assert count == logged_in.sum()
+            assert total == pytest.approx(duration[logged_in].sum())
+            explicit = answer_with_selection(ptable, query, everything)
+            assert explicit["1",].tobytes() == answer.groups["1",].tobytes()
+            exact = system.execute_exact(query)
+            assert exact["1",].tobytes() == answer.groups["1",].tobytes()
+            assert parse_query(render_sql(query), ptable.schema) == query
 
 
 class TestReporting:
