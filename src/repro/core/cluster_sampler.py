@@ -13,6 +13,23 @@ Two exemplar rules are provided (Appendix D.1):
   better at small budgets (the paper's default);
 * ``random`` — a uniformly random cluster member, which unbiases the
   estimator at the cost of variance.
+
+The picker clusters in the query's *live subspace* — the columns the
+section 3.2 mask left live (``QueryFeatures.live_columns``); the others
+are zero for every partition and move a distance by rounding at most.
+Two rules keep the selection a function of the points alone, whatever
+the block's width or column order:
+
+* **Ties.** A cluster of one or two members yields its lowest partition
+  id (two members are equidistant from their midpoint by construction).
+  In a larger one, members whose distance to the median is within a
+  relative ``1e-12`` of the smallest tie, and the lowest partition id
+  wins. (Assignment ties in KMeans are ``argmin``'s: lowest cluster index.)
+* **Non-finite features.** One NaN in a numeric column gives a partition
+  NaN / ±inf measure statistics. Non-finite entries of the candidates'
+  block are replaced by ``0.0``, the value a masked statistic has, so
+  the partition clusters by its remaining features instead of turning
+  every distance into NaN.
 """
 
 from __future__ import annotations
@@ -25,27 +42,40 @@ from repro.ml.hac import agglomerative
 from repro.ml.kmeans import KMeans
 
 CLUSTER_ALGORITHMS = ("kmeans", "hac-ward", "hac-single", "hac-complete", "hac-average")
+#: Exemplar distances within this relative gap of the smallest are a tie.
+TIE_RTOL = 1e-12
 
 
 def _cluster_labels(
     matrix: np.ndarray, n_clusters: int, algorithm: str, seed: int
 ) -> np.ndarray:
+    if algorithm not in CLUSTER_ALGORITHMS:
+        raise ConfigError(
+            f"unknown clustering algorithm {algorithm!r}; "
+            f"choose from {CLUSTER_ALGORITHMS}"
+        )
+    if n_clusters == 1:  # one stratum: nothing to seed, merge or iterate
+        return np.zeros(matrix.shape[0], dtype=np.intp)
     if algorithm == "kmeans":
         return KMeans(n_clusters=n_clusters, seed=seed).fit_predict(matrix)
-    if algorithm.startswith("hac-"):
-        return agglomerative(matrix, n_clusters, linkage=algorithm[4:])
-    raise ConfigError(
-        f"unknown clustering algorithm {algorithm!r}; "
-        f"choose from {CLUSTER_ALGORITHMS}"
-    )
+    return agglomerative(matrix, n_clusters, linkage=algorithm[4:])
 
 
-def _median_exemplar(matrix: np.ndarray, members: np.ndarray) -> int:
-    """Member index closest (L2) to the cluster's element-wise median."""
-    cluster = matrix[members]
-    median = np.median(cluster, axis=0)
-    distances = np.linalg.norm(cluster - median, axis=1)
-    return int(members[int(distances.argmin())])
+def _median_exemplar(cluster: np.ndarray, partitions: np.ndarray) -> int:
+    """Of ``partitions``, the one whose row of ``cluster`` is closest (L2)
+    to the element-wise median; ties as the module docstring states."""
+    size = partitions.size
+    if size > 2:
+        ranked = np.sort(cluster, axis=0)
+        half = size >> 1
+        if size & 1:
+            median = ranked[half]
+        else:
+            median = (ranked[half - 1] + ranked[half]) / 2.0
+        gap = cluster - median
+        distances = np.sqrt(np.einsum("ij,ij->i", gap, gap))
+        partitions = partitions[distances <= distances.min() * (1.0 + TIE_RTOL)]
+    return int(partitions.min())
 
 
 def cluster_sample(
@@ -62,7 +92,8 @@ def cluster_sample(
     Parameters
     ----------
     matrix:
-        Full normalized feature matrix (indexed by partition id).
+        Normalized feature block indexed by partition id — from the
+        picker, only the query's live clustering columns.
     candidates:
         Partition ids eligible for selection.
     budget:
@@ -83,17 +114,24 @@ def cluster_sample(
         rng = np.random.default_rng(seed)
 
     sub = matrix[candidates]
+    finite = np.isfinite(sub)
+    if not finite.all():
+        sub = np.where(finite, sub, 0.0)
     labels = _cluster_labels(sub, budget, algorithm, seed)
+    # Members of each cluster, ascending cluster id, in candidate order.
+    by_cluster = np.argsort(labels, kind="stable")
     selection: list[WeightedChoice] = []
-    for cluster_id in np.unique(labels):
-        members = np.flatnonzero(labels == cluster_id)
+    start = 0
+    for stop in np.cumsum(np.bincount(labels)).tolist():
+        if stop == start:
+            continue
+        members = by_cluster[start:stop]
+        start = stop
         if exemplar == "median":
-            local = _median_exemplar(sub, members)
+            chosen = _median_exemplar(sub[members], candidates[members])
         else:
-            local = int(members[int(rng.integers(members.size))])
-        selection.append(
-            WeightedChoice(int(candidates[local]), float(members.size))
-        )
+            chosen = int(candidates[members[int(rng.integers(members.size))]])
+        selection.append(WeightedChoice(chosen, float(members.size)))
     return selection
 
 

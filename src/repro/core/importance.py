@@ -12,10 +12,19 @@ the filter but no model), matching what the budget allocator expects.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from repro.ml.gbrt import GBRTRegressor
 from repro.ml.tree import CompiledForest
+
+
+@lru_cache(maxsize=8)
+def _fused(stages: tuple[CompiledForest, ...]) -> CompiledForest:
+    """One table for the funnel, laid out once per model, not per pick
+    (forests hash by identity, and a refit compiles new ones)."""
+    return CompiledForest.fuse(list(stages))
 
 
 def importance_groups(
@@ -35,7 +44,7 @@ def importance_groups(
     if not regressors or candidates.size == 0:
         return [candidates] + [candidates[:0]] * len(regressors)
     matrix = np.asarray(matrix, dtype=np.float64)
-    funnel = CompiledForest.fuse([r.compiled_for(matrix) for r in regressors])
+    funnel = _fused(tuple(r.compiled_for(matrix) for r in regressors))
     groups: list[np.ndarray] = []
     alive = np.ones(candidates.size, dtype=bool)
     for scores in funnel.stage_scores(matrix, candidates):

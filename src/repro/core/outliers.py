@@ -16,7 +16,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.sketches.builder import DatasetStatistics
-from repro.stats.bitmap import bitmap_signature, signature_matrix
+from repro.stats.bitmap import bitmap_signature
+
+#: Largest mixed-radix signature code; past it the running code is
+#: re-ranked (at most one value per candidate) before the next column.
+_MAX_CODE = 2**62
 
 
 @dataclass(frozen=True)
@@ -27,42 +31,39 @@ class OutlierConfig:
     max_relative_size: float = 0.10  # ... and smaller than this x largest
 
 
-def _signature_groups(
+def _signature_codes(
     dataset: DatasetStatistics,
     columns: tuple[str, ...],
     candidates: np.ndarray,
     index,
-) -> list[list[int]]:
-    """Candidate partitions grouped by identical signature.
+) -> np.ndarray:
+    """One integer per candidate, equal exactly for identical signatures.
 
-    Groups appear in first-appearance order of their signature among the
-    candidates, members in candidate order — matching the dict-insertion
-    semantics of the scalar loop. With a columnar sketch ``index`` the
-    signatures come from one vectorized ``occurrence_matrix`` pass; the
+    With a columnar sketch ``index`` each column contributes the codes
+    the index keeps per table generation, combined mixed-radix; the
     per-partition :func:`bitmap_signature` loop remains the reference
     path when no index is supplied.
     """
     if index is None:
-        groups: dict[tuple, list[int]] = {}
-        for partition in candidates:
-            signature = bitmap_signature(dataset, int(partition), columns)
-            groups.setdefault(signature, []).append(int(partition))
-        return list(groups.values())
-
-    matrix = signature_matrix(dataset, columns, index)[candidates]
-    __, first, inverse = np.unique(
-        matrix, axis=0, return_index=True, return_inverse=True
-    )
-    # np.unique orders signatures lexicographically; re-rank them by
-    # first appearance so grouping matches the dict-based reference.
-    order = np.argsort(first, kind="stable")
-    rank = np.empty_like(order)
-    rank[order] = np.arange(order.size)
-    codes = rank[np.ravel(inverse)]
-    return [
-        [int(p) for p in candidates[codes == code]]
-        for code in range(order.size)
-    ]
+        seen: dict[tuple, int] = {}
+        return np.array(
+            [
+                seen.setdefault(bitmap_signature(dataset, int(p), columns), len(seen))
+                for p in candidates
+            ],
+            dtype=np.int64,
+        )
+    combined, radix = np.zeros(candidates.size, dtype=np.int64), 1
+    for column in columns:
+        codes, distinct = index.signature_codes(
+            column, dataset.global_heavy_hitters[column]
+        )
+        if radix * distinct > _MAX_CODE:
+            combined = np.unique(combined, return_inverse=True)[1]
+            radix = candidates.size
+        combined = combined * distinct + codes[candidates]
+        radix *= distinct
+    return combined
 
 
 def find_outliers(
@@ -76,26 +77,26 @@ def find_outliers(
 
     Queries without a GROUP BY have no rare-group notion: returns empty.
     Outliers are ordered rarest-signature-first so a capped budget keeps
-    the most unusual partitions. ``index`` (a
-    :class:`~repro.sketches.columnar.ColumnarSketchIndex`) batches the
-    signature computation; without it the scalar bitmap loop runs.
+    the most unusual partitions; equally rare signatures keep the order
+    of their first appearance among the candidates, members candidate
+    order. ``index`` (a
+    :class:`~repro.sketches.columnar.ColumnarSketchIndex`) supplies
+    per-column signature codes; without it the scalar bitmap loop runs.
     """
     config = config or OutlierConfig()
     columns = tuple(c for c in group_by if dataset.global_heavy_hitters.get(c))
     if not columns or candidates.size == 0:
         return np.empty(0, dtype=np.intp)
 
-    signature_groups = _signature_groups(dataset, columns, candidates, index)
-
-    largest = max(len(group) for group in signature_groups)
-    threshold = min(
-        config.max_absolute_size, config.max_relative_size * largest
+    codes = _signature_codes(dataset, columns, candidates, index)
+    __, first, group, sizes = np.unique(
+        codes, return_index=True, return_inverse=True, return_counts=True
     )
-    outlying = [
-        group
-        for group in signature_groups
-        if len(group) < threshold
-    ]
-    outlying.sort(key=len)  # rarest signatures first
-    flat = [p for group in outlying for p in group]
-    return np.asarray(flat, dtype=np.intp)
+    threshold = min(
+        config.max_absolute_size, config.max_relative_size * sizes.max()
+    )
+    outlying = np.flatnonzero((sizes < threshold)[group])
+    of = group[outlying]
+    # ``outlying`` ascends, so the last key keeps members in candidate order.
+    order = np.lexsort((outlying, first[of], sizes[of]))
+    return candidates[outlying[order]].astype(np.intp, copy=False)

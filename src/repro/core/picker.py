@@ -115,7 +115,11 @@ class PS3Picker:
         self.dataset = dataset
         self.config = config or PickerConfig()
         self._rng = np.random.default_rng(self.config.seed)
-        self._cluster_columns = model.clustering_feature_indices()
+        # Feature selection (Algorithm 3) may bar families from clustering.
+        self._clusterable = np.isin(
+            np.arange(model.feature_builder.schema.dimension),
+            model.clustering_feature_indices(),
+        )
 
     # -- internals ------------------------------------------------------------
 
@@ -133,20 +137,21 @@ class PS3Picker:
 
     def _sample_within_group(
         self,
-        normalized: np.ndarray,
+        block: np.ndarray | None,
         members: np.ndarray,
         budget: int,
-        clustering_ok: bool,
         seed: int,
     ) -> tuple[list[WeightedChoice], float]:
-        """(weighted choices, clustering seconds) for one importance group."""
+        """(weighted choices, clustering seconds) for one importance group;
+        ``block`` is the select's live clustering columns, ``None`` to
+        sample uniformly."""
         if budget <= 0 or members.size == 0:
             return [], 0.0
-        if not clustering_ok:
+        if block is None:
             return random_sample(members, budget, self._rng), 0.0
         started = time.perf_counter()
         choices = cluster_sample(
-            normalized[:, self._cluster_columns],
+            block,
             members,
             budget,
             algorithm=self.config.clustering_algorithm,
@@ -168,7 +173,6 @@ class PS3Picker:
             raise ConfigError("budget must be non-negative")
         started = time.perf_counter()
         features = self.model.feature_builder.features_for_query(query)
-        normalized = self.model.normalizer.transform(features.matrix)
         passing = features.passing_partitions()
 
         if budget == 0 or passing.size == 0:
@@ -180,6 +184,8 @@ class PS3Picker:
                 selection=[WeightedChoice(int(p), 1.0) for p in passing],
                 total_seconds=time.perf_counter() - started,
             )
+        live = features.live_columns
+        normalized = self.model.normalizer.transform(features.matrix, live=live)
 
         # Step 1: outliers (weight 1 each, up to 10% of the budget).
         outliers: np.ndarray = np.empty(0, dtype=np.intp)
@@ -225,15 +231,17 @@ class PS3Picker:
             and query.num_predicate_clauses()
             <= self.config.max_clauses_for_clustering
         )
+        # One gather per select: every group clusters in the query's live
+        # subspace (the other columns are zero for every partition).
+        block = normalized[:, live[self._clusterable[live]]] if clustering_ok else None
         clustering_seconds = 0.0
         for group_index, (members, group_budget) in enumerate(
             zip(groups, group_budgets)
         ):
             choices, seconds = self._sample_within_group(
-                normalized,
+                block,
                 members,
                 group_budget,
-                clustering_ok,
                 seed=self.config.seed + group_index,
             )
             selection.extend(choices)

@@ -106,12 +106,7 @@ class InSet(Predicate):
 
     def __init__(self, column: str, values) -> None:
         object.__setattr__(self, "column", column)
-        values = frozenset(values)
-        if not all(isinstance(value, str) for value in values):
-            # Only then: rebuilding an all-string set could permute its
-            # iteration order, which selectivity sums over members follow.
-            values = frozenset(map(str, values))
-        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "values", frozenset(map(str, values)))
         if not self.values:
             raise QueryScopeError("IN set must be non-empty")
 

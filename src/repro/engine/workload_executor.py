@@ -80,11 +80,14 @@ The workload path reproduces the :class:`BatchExecutor` answers exactly
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
 from repro.engine.aggregates import ComponentKind
 from repro.engine.batch_executor import (
     TABLE_CACHE_LOCK,
+    FusedTableView,
     RowColumns,
     fused_view,
     reduce_live_segments,
@@ -323,6 +326,18 @@ class AnswerMatrix:
         return self.blocks[query_index].contributions()
 
 
+def _compile_mask(view: FusedTableView, predicate: Predicate | None) -> _FilteredRows:
+    n = view.num_partitions
+    if predicate is None or view.num_rows == 0:
+        return _FilteredRows(None, view.partition_ids, view.offsets)
+    rows = np.flatnonzero(view.mask(predicate))
+    part_ids = view.partition_ids[rows]
+    bounds = np.concatenate(
+        ([0], np.cumsum(np.bincount(part_ids, minlength=n)))
+    )
+    return _FilteredRows(rows, part_ids, bounds)
+
+
 class WorkloadExecutor:
     """Answers many queries in one sweep over a table's fused view."""
 
@@ -334,12 +349,15 @@ class WorkloadExecutor:
     CACHE_LIMIT = 256
 
     def __init__(self, ptable: PartitionedTable) -> None:
-        self.ptable = ptable
+        # Neither ``ptable`` (it memoizes this executor) nor a bound-method
+        # compiler below: either cycle keeps the whole training generation
+        # waiting for the cycle collector.
         self.view = fused_view(ptable)
         # Execution twin of the featurization plan cache: same memo +
         # hit/miss machinery, compiling predicates to filtered row sets.
         self.mask_plans = PlanCache(
-            limit=self.CACHE_LIMIT, compiler=self._compile_mask,
+            limit=self.CACHE_LIMIT,
+            compiler=partial(_compile_mask, self.view),
             name="mask_cache",
         )
         self._factorizations: dict[
@@ -395,18 +413,6 @@ class WorkloadExecutor:
         return self.answer_matrix([query]).answers(0)
 
     # -- shared building blocks ------------------------------------------------
-
-    def _compile_mask(self, predicate: Predicate | None) -> _FilteredRows:
-        view = self.view
-        n = view.num_partitions
-        if predicate is None or view.num_rows == 0:
-            return _FilteredRows(None, view.partition_ids, view.offsets)
-        rows = np.flatnonzero(view.mask(predicate))
-        part_ids = view.partition_ids[rows]
-        bounds = np.concatenate(
-            ([0], np.cumsum(np.bincount(part_ids, minlength=n)))
-        )
-        return _FilteredRows(rows, part_ids, bounds)
 
     def _factorization(
         self, group_by: tuple[str, ...], predicate: Predicate | None

@@ -542,6 +542,9 @@ class ColumnarSketchIndex:
     def __init__(self, columns: dict[str, ColumnIndex], num_partitions: int) -> None:
         self.columns = columns
         self.num_partitions = num_partitions
+        # column -> (hitters, bitmap bytes -> code, codes so far): derived
+        # in memory by ``signature_codes``, never part of ``array_state``.
+        self._signatures: dict[str, tuple] = {}
 
     @classmethod
     def build(cls, dataset: DatasetStatistics) -> ColumnarSketchIndex:
@@ -559,6 +562,30 @@ class ColumnarSketchIndex:
             return self.columns[name]
         except KeyError:
             raise QueryScopeError(f"no statistics for column {name!r}") from None
+
+    def signature_codes(self, column: str, hitters: tuple) -> tuple[np.ndarray, int]:
+        """``(codes, distinct)``: each partition's occurrence bitmap as an id.
+
+        Partitions share a code exactly when ``occurrence_matrix(hitters)``
+        gives them the same row; codes count the distinct rows in order of
+        first appearance, so build-at-once and build-then-append agree.
+        Kept per column for ``find_outliers`` and, after :meth:`extend`,
+        caught up from the appended partitions only.
+        """
+        known = self._signatures.get(column)
+        if known is None or known[0] != hitters:
+            known = (hitters, {}, np.empty(0, dtype=np.int64))
+        __, seen, codes = known
+        if codes.size < self.num_partitions:
+            bitmaps = self.column(column).occurrence_matrix(
+                hitters, codes.size, self.num_partitions
+            )
+            fresh = [
+                seen.setdefault(row.tobytes(), len(seen)) for row in bitmaps != 0.0
+            ]
+            codes = np.concatenate([codes, np.asarray(fresh, dtype=np.int64)])
+            self._signatures[column] = (hitters, seen, codes)
+        return codes, len(seen)
 
     def array_state(self) -> dict[str, dict[str, np.ndarray]]:
         """Flat ``column -> field -> array`` view of the whole index."""
@@ -594,7 +621,8 @@ class ColumnarSketchIndex:
         Only the new partitions' sketches are visited — the existing
         arrays are padded/stacked into *new* arrays, not recomputed or
         written in place (which keeps appends working on read-only
-        mmap-backed indexes). Returns the number of partitions added.
+        mmap-backed indexes). Signature codes catch up on their next
+        lookup. Returns the number of partitions added.
         """
         added = dataset.num_partitions - self.num_partitions
         if added <= 0:

@@ -49,32 +49,11 @@ def bitmap_signature(
 
     Used to group partitions for outlier detection: partitions with
     identical signatures carry the same mix of frequent group values.
-    This is the scalar reference; the picker's select path uses
-    :func:`signature_matrix` over the columnar sketch index instead.
+    This is the scalar reference; the picker's select path combines the
+    per-column codes of ``ColumnarSketchIndex.signature_codes`` instead.
     """
     parts: list[int] = []
     for column in columns:
         bits = occurrence_bitmap(dataset, partition, column)
         parts.extend(int(b) for b in bits)
     return tuple(parts)
-
-
-def signature_matrix(
-    dataset: DatasetStatistics, columns: tuple[str, ...], index
-) -> np.ndarray:
-    """All partitions' concatenated bitmap signatures as one 0/1 matrix.
-
-    Row ``p`` equals ``bitmap_signature(dataset, p, columns)``: the
-    per-column blocks come from ``ColumnIndex.occurrence_matrix`` on the
-    columnar sketch ``index`` (one hashed lookup per heavy hitter across
-    every partition) instead of a per-partition Python loop.
-    """
-    blocks = [
-        index.column(column).occurrence_matrix(
-            dataset.global_heavy_hitters.get(column, ())
-        )
-        for column in columns
-    ]
-    if not blocks:
-        return np.zeros((dataset.num_partitions, 0), dtype=np.float64)
-    return np.hstack(blocks)

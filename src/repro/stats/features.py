@@ -14,7 +14,11 @@ shares the same layout:
 
 At query time a column mask is applied: statistic blocks of columns the
 query does not reference are zeroed, and bitmap blocks are only live for
-the query's actual group-by columns (section 3.2).
+the query's actual group-by columns (section 3.2). The mask is a value,
+not just zeros: :attr:`QueryFeatures.live_columns` lists the feature
+columns it left live (about an eighth of the vector for a typical
+query), so the normalizer and the clustering step work on those columns
+alone — every other column is ``+0.0`` for every partition.
 
 The builder is backed by a :class:`ColumnarSketchIndex`: the static block
 is assembled from per-column array stacks rather than per-partition
@@ -169,6 +173,10 @@ class QueryFeatures:
     schema: FeatureSchema
     query: Query
     matrix: np.ndarray
+    #: The query mask (section 3.2), ascending: stat blocks of referenced
+    #: columns, bitmap blocks of GROUP BY columns, the selectivity slots.
+    #: Every other column of ``matrix`` is ``+0.0``.
+    live_columns: np.ndarray
 
     @property
     def num_partitions(self) -> int:
@@ -239,6 +247,7 @@ class FeatureBuilder:
         else:
             self._index = ColumnarSketchIndex.build(dataset)
         self._static = self._static_rows(0, dataset.num_partitions)
+        self._live_memo: dict[tuple, np.ndarray] = {}
         # Last partition the index has absorbed: lets refresh() distinguish
         # pure appends (incremental) from wholesale replacement (rebuild).
         self._tail = dataset.partitions[-1] if dataset.partitions else None
@@ -303,6 +312,26 @@ class FeatureBuilder:
         """Compiled plan for ``predicate``, memoized in the shared cache."""
         return self.plan_cache.get(predicate)
 
+    def _live_columns(self, query: Query) -> np.ndarray:
+        """The query mask as ascending feature indices (read-only),
+        memoized per (referenced columns, GROUP BY columns)."""
+        used, group_by = query.columns(), frozenset(query.group_by)
+        live = self._live_memo.get((used, group_by))
+        if live is None:
+            schema = self.schema
+            blocks = [schema.stat_slice(c) for c in schema.columns if c in used]
+            blocks += [
+                schema.bitmap_slice(c)
+                for c in schema.groupby_columns
+                if c in group_by
+            ]
+            live = np.r_[(*blocks, schema.selectivity_slice())]
+            live.flags.writeable = False
+            if len(self._live_memo) >= 1024:  # ad-hoc signatures: stay bounded
+                self._live_memo.clear()
+            self._live_memo[used, group_by] = live
+        return live
+
     def features_for_query(
         self, query: Query, vectorized: bool | None = None
     ) -> QueryFeatures:
@@ -311,15 +340,9 @@ class FeatureBuilder:
             self.refresh()  # appends that bypassed refresh()
         n = self.dataset.num_partitions
         matrix = np.zeros((n, self.schema.dimension), dtype=np.float64)
-        used = query.columns()
-        for name in self.schema.columns:
-            if name in used:
-                block = self.schema.stat_slice(name)
-                matrix[:, block] = self._static[:, block]
-        for name in self.schema.groupby_columns:
-            if name in query.group_by:
-                block = self.schema.bitmap_slice(name)
-                matrix[:, block] = self._static[:, block]
+        live = self._live_columns(query)
+        masked = live[:-NUM_SELECTIVITY]  # the static part of the mask
+        matrix[:, masked] = self._static[:, masked]
         sel_block = self.schema.selectivity_slice()
         use_plan = self.vectorized if vectorized is None else vectorized
         if use_plan:
@@ -332,4 +355,6 @@ class FeatureBuilder:
                     query.predicate, self.dataset.partitions[p]
                 )
                 matrix[p, sel_block] = estimate.as_tuple()
-        return QueryFeatures(schema=self.schema, query=query, matrix=matrix)
+        return QueryFeatures(
+            schema=self.schema, query=query, matrix=matrix, live_columns=live
+        )

@@ -49,12 +49,25 @@ class Normalizer:
     def fitted(self) -> bool:
         return self.scale is not None
 
-    def transform(self, matrix: np.ndarray) -> np.ndarray:
-        """Apply log/cbrt transforms and training-average scaling."""
+    def transform(
+        self, matrix: np.ndarray, live: np.ndarray | None = None
+    ) -> np.ndarray:
+        """Apply log/cbrt transforms and training-average scaling.
+
+        ``live`` (ascending; a query's ``QueryFeatures.live_columns``)
+        names the only columns that hold anything but ``+0.0``. ``+0.0``
+        transforms to ``+0.0``, so only they are computed and the result
+        is bit for bit the one without it.
+        """
         if self.scale is None:
             raise NotFittedError("Normalizer.transform called before fit")
-        transformed = _transform(matrix, self.schema.selectivity_slice())
-        return transformed / self.scale
+        selectivity = self.schema.selectivity_slice()
+        if live is None:
+            return _transform(matrix, selectivity) / self.scale
+        slots = np.searchsorted(live, (selectivity.start, selectivity.stop))
+        out = np.zeros(matrix.shape, dtype=np.float64)
+        out[:, live] = _transform(matrix[:, live], slice(*slots)) / self.scale[live]
+        return out
 
     def fit_transform(self, matrices: list[np.ndarray]) -> list[np.ndarray]:
         self.fit(matrices)

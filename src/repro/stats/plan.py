@@ -471,7 +471,9 @@ def _compile_leaf(node: Predicate):
                 hash_value(value),
                 float(hash_value(value)),  # hashed-histogram probe
             )
-            for value in node.values
+            # Sorted: a set of strings iterates in an order that changes
+            # with the process's hash seed, and the sum over members follows it.
+            for value in sorted(node.values)
         )
         return _InSetOp(node.column, probes)
     if isinstance(node, Contains):

@@ -136,7 +136,8 @@ def _categorical_eq_estimate(value, stats: ColumnStatistics) -> float:
 
 
 def _in_estimate(clause: InSet, stats: ColumnStatistics) -> float:
-    total = sum(_categorical_eq_estimate(v, stats) for v in clause.values)
+    # Sorted, as the compiled plan probes: set order follows the hash seed.
+    total = sum(_categorical_eq_estimate(v, stats) for v in sorted(clause.values))
     return _clip(total)
 
 

@@ -16,7 +16,10 @@ alive per query until the collector runs — ``scan_heavy``'s peak RSS read
 same holds for a whole table generation: once ``PS3.append`` has swapped
 the table, the old one — columns, row ids, dictionary codes — must die by
 reference count (``BatchExecutor`` used to point back at the table that
-memoizes it; ``ingest_mixed`` peaked at twice the memory for it).
+memoizes it; ``ingest_mixed`` peaked at twice the memory for it). The
+generation ``fit`` swept is no exception: ``WorkloadExecutor`` used to
+reach itself through its mask cache's bound-method compiler and through
+the table it is memoized on.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ from repro.api import PS3
 from repro.datasets.registry import get_dataset
 from repro.engine.batch_executor import BatchExecutor, fused_view
 from repro.engine.predicates import Contains, InSet
+from repro.engine.workload_executor import WorkloadExecutor
 from repro.workload.generator import QueryGenerator
 
 EXECUTOR_FILES = ("batch_executor.py", "workload_executor.py")
@@ -156,5 +160,30 @@ def test_an_appended_over_generation_dies_by_reference_count():
         assert view()._encoded
         system.append(rows)
         assert table() is None and view() is None
+    finally:
+        gc.enable()
+
+
+def test_the_training_generation_dies_by_reference_count():
+    spec = get_dataset("kdd")
+    ptable = spec.build(2000, 8, seed=4)
+    workload = spec.workload()
+    generator = QueryGenerator(workload, ptable.table, seed=8)
+    train = generator.sample_queries(8)
+    PS3(ptable, workload).fit(train)  # warm-up: lazy imports
+    system = PS3(spec.build(2000, 8, seed=4), workload)
+    del ptable
+    rows = dict(spec.build(250, 1, seed=9).table.columns)
+    gc.collect()
+    gc.disable()
+    try:
+        system.fit(train)
+        assert gc.collect() == 0
+        table = weakref.ref(system.ptable)
+        executor = weakref.ref(WorkloadExecutor.for_table(system.ptable))
+        view = weakref.ref(executor().view)
+        assert len(executor().mask_plans)  # the training sweep went through it
+        system.append(rows)
+        assert table() is None and executor() is None and view() is None
     finally:
         gc.enable()

@@ -7,6 +7,12 @@
   ``dictionary=`` style switch: execution on dictionary codes replaced
   the string path (PR 17), it did not fork it, so there is no mode to
   select.
+* Nor does any callable of ``repro.core`` / ``repro.stats`` / ``repro.ml``
+  take a ``live_only=`` / ``full_width=`` style switch: the picker
+  normalizes and clusters the query's live columns and nothing else
+  (PR 18); ``Normalizer.transform(matrix, live=...)`` takes the mask as
+  data, and the full-width computation exists only as a composition
+  inside the differential tests.
 * Every ``(module, attribute path)`` the benchmark's tracer patches
   (``TRACED`` in ``benchmarks/e2e/layers.py``, read here, never edited)
   resolves the way the tracer resolves it. A rename would otherwise show
@@ -23,7 +29,10 @@ from pathlib import Path
 
 import pytest
 
+import repro.core
 import repro.engine
+import repro.ml
+import repro.stats
 
 LAYERS = Path(__file__).resolve().parents[2] / "benchmarks" / "e2e" / "layers.py"
 
@@ -51,15 +60,19 @@ def _public_callables(module):
                     yield f"{name}.{attr}", value
 
 
+def _takers(module_name, banned):
+    """Public callables of the module that take a parameter in ``banned``."""
+    module = importlib.import_module(module_name)
+    return [
+        f"{module_name}.{name}({', '.join(sorted(modes))})"
+        for name, fn in _public_callables(module)
+        if (modes := banned & set(inspect.signature(fn).parameters))
+    ]
+
+
 @pytest.mark.parametrize("module_name", PLANES)
 def test_no_callable_takes_batched(module_name):
-    module = importlib.import_module(module_name)
-    offenders = [
-        f"{module_name}.{name}"
-        for name, fn in _public_callables(module)
-        if "batched" in inspect.signature(fn).parameters
-    ]
-    assert offenders == []
+    assert _takers(module_name, {"batched"}) == []
 
 
 #: Spellings a "run on codes or on strings" switch would plausibly take.
@@ -78,13 +91,54 @@ ENCODING_MODES = {
     "module_name", [name for name in PLANES if name.startswith("repro.engine.")]
 )
 def test_no_engine_callable_takes_an_encoding_mode(module_name):
-    module = importlib.import_module(module_name)
-    offenders = [
-        f"{module_name}.{name}({', '.join(sorted(modes))})"
-        for name, fn in _public_callables(module)
-        if (modes := ENCODING_MODES & set(inspect.signature(fn).parameters))
-    ]
-    assert offenders == []
+    assert _takers(module_name, ENCODING_MODES) == []
+
+
+#: Spellings a "cluster the live columns or all of them" switch would take.
+SUBSPACE_MODES = {
+    "live_only",
+    "use_live",
+    "subspace",
+    "use_subspace",
+    "live_subspace",
+    "full_width",
+    "fullwidth",
+    "narrow",
+    "padded",
+}
+
+PICKER_PLANES = [
+    info.name
+    for package in (repro.core, repro.stats, repro.ml)
+    for info in pkgutil.iter_modules(package.__path__, package.__name__ + ".")
+]
+
+
+@pytest.mark.parametrize("module_name", PICKER_PLANES)
+def test_no_picker_callable_takes_a_subspace_mode(module_name):
+    assert _takers(module_name, SUBSPACE_MODES) == []
+
+
+def test_walk_sees_the_callables_a_subspace_mode_would_land_on():
+    seen = {
+        f"{module_name}.{name}"
+        for module_name in PICKER_PLANES
+        for name, __ in _public_callables(importlib.import_module(module_name))
+    }
+    assert {
+        "repro.core.picker.PS3Picker.select",
+        "repro.core.cluster_sampler.cluster_sample",
+        "repro.core.outliers.find_outliers",
+        "repro.core.importance.importance_groups",
+        "repro.core.allocation.allocate_samples",
+        "repro.stats.features.FeatureBuilder.features_for_query",
+        "repro.stats.normalization.Normalizer.transform",
+        "repro.ml.kmeans.KMeans.fit",
+    } <= seen
+    # The mask itself travels as data.
+    from repro.stats.normalization import Normalizer
+
+    assert "live" in inspect.signature(Normalizer.transform).parameters
 
 
 def test_walk_sees_the_callables_that_used_to_take_it():

@@ -99,3 +99,92 @@ class TestRandomSample:
     def test_empty_candidates(self):
         rng = np.random.default_rng(3)
         assert random_sample(np.empty(0, dtype=np.intp), 3, rng) == []
+
+
+def widened(matrix, width, seed):
+    """``matrix`` scattered into ``width`` columns in a seeded order, the
+    other columns zero: the same points under another mask layout."""
+    rng = np.random.default_rng(seed)
+    columns = rng.permutation(width)[: matrix.shape[1]]
+    wide = np.zeros((matrix.shape[0], width))
+    wide[:, columns] = matrix
+    return wide
+
+
+class TestTieRule:
+    """The exemplar is a function of the points, not of how wide the
+    block is, what order its columns are in, or last-digit rounding."""
+
+    LAYOUTS = [(7, 0), (7, 1), (60, 2), (478, 3), (478, 4)]
+
+    def test_two_member_clusters_yield_the_lowest_partition_id(self):
+        rng = np.random.default_rng(5)
+        # Three well-separated pairs; within a pair the two members differ
+        # in every column, so which is "closer" to their midpoint is
+        # rounding alone.
+        centers = np.array([[0.0] * 7, [50.0] * 7, [-50.0] * 7])
+        points = np.repeat(centers, 2, axis=0) + rng.normal(0, 1.0, (6, 7))
+        candidates = np.array([9, 4, 11, 2, 7, 5])  # not in id order
+        matrix = np.zeros((12, 7))
+        matrix[candidates] = points
+        for width, seed in self.LAYOUTS:
+            selection = cluster_sample(
+                widened(matrix, width, seed), candidates, budget=3, seed=1
+            )
+            assert sorted((c.partition, c.weight) for c in selection) == [
+                (2, 2.0),
+                (4, 2.0),
+                (5, 2.0),
+            ]
+
+    def test_duplicate_rows_tie_to_the_lowest_partition_id(self):
+        rng = np.random.default_rng(6)
+        prototypes = rng.normal(0, 10.0, (2, 7))
+        # Cluster A: ids 8, 3, 6 identical and 1 slightly off, so the
+        # median is the duplicated row and three members are at distance
+        # exactly 0. Cluster B: ids 0, 5, 7 around another point.
+        matrix = np.zeros((9, 7))
+        matrix[[8, 3, 6]] = prototypes[0]
+        matrix[1] = prototypes[0] + 1e-3
+        matrix[[0, 5, 7]] = prototypes[1] + rng.normal(0, 1e-3, (3, 7))
+        candidates = np.array([8, 7, 6, 5, 3, 1, 0])
+        picks = set()
+        for width, seed in self.LAYOUTS:
+            selection = cluster_sample(
+                widened(matrix, width, seed), candidates, budget=2, seed=3
+            )
+            picks.add(tuple(sorted((c.partition, c.weight) for c in selection)))
+        assert len(picks) == 1
+        assert (3, 4.0) in picks.pop()
+
+    def test_distances_within_the_tolerance_are_a_tie(self):
+        # Ids 6 and 2 mirror each other about the median row (id 4), whose
+        # own distance is 0; drop it from the candidates and the two are
+        # equidistant up to rounding in 5 of 6 columns.
+        base = np.array([1.0, -2.0, 0.5, 3.0, -1.5, 0.25])
+        step = np.array([0.1, 0.3, -0.2, 0.7, 0.05, -0.4])
+        matrix = np.zeros((8, 6))
+        matrix[6], matrix[2] = base + step, base - step
+        matrix[1], matrix[5] = base + 5 * step, base - 5 * step
+        candidates = np.array([6, 5, 2, 1])
+        for width, seed in self.LAYOUTS:
+            selection = cluster_sample(
+                widened(matrix, width, seed), candidates, budget=1, seed=0
+            )
+            assert [(c.partition, c.weight) for c in selection] == [(2, 4.0)]
+
+
+class TestNonFiniteFeatures:
+    def test_nan_and_inf_entries_cluster_as_zero(self, redundant_features):
+        poisoned = redundant_features.copy()
+        poisoned[5] = [np.nan, np.inf]
+        poisoned[9, 0] = -np.inf
+        cleaned = np.where(np.isfinite(poisoned), poisoned, 0.0)
+        for algorithm in ("kmeans", "hac-ward"):
+            selection = cluster_sample(
+                poisoned, np.arange(12), budget=3, algorithm=algorithm
+            )
+            assert selection == cluster_sample(
+                cleaned, np.arange(12), budget=3, algorithm=algorithm
+            )
+            assert sum(c.weight for c in selection) == 12

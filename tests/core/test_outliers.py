@@ -115,3 +115,75 @@ class TestIndexParity:
             scalar = find_outliers(stats, ("g",), np.arange(24), config)
             batched = find_outliers(stats, ("g",), np.arange(24), config, index=index)
             np.testing.assert_array_equal(batched, scalar)
+
+
+class TestIndexParityOnKdd:
+    """Index-backed signature codes against the dict path on real group-by
+    universes: several columns, unsorted candidates, and an index that
+    grew by ``extend`` against one built at once."""
+
+    @pytest.fixture(scope="class")
+    def kdd(self):
+        from repro.datasets.registry import get_dataset
+        from repro.sketches.builder import append_partition_statistics
+
+        spec = get_dataset("kdd")
+        full = spec.build(4_000, 40, seed=6)
+        stats = build_dataset_statistics(full)
+        head = partition_evenly(full.table.take(np.arange(3_000)), 30)
+        grown = build_dataset_statistics(head)
+        index = ColumnarSketchIndex.build(grown)
+        universe = spec.workload().groupby_universe
+        for column in universe:  # codes exist before the index grows
+            if grown.global_heavy_hitters.get(column):
+                index.signature_codes(column, grown.global_heavy_hitters[column])
+        for partition in list(full)[30:]:
+            append_partition_statistics(grown, partition)
+            index.extend(grown)
+        return stats, grown, index, universe
+
+    def column_sets(self, universe):
+        sets = [(c,) for c in universe]
+        sets += [universe[i : i + 2] for i in range(len(universe) - 1)]
+        return sets + [universe, universe[::-1]]
+
+    def test_same_outliers_as_the_dict_path_after_appends(self, kdd):
+        __, grown, index, universe = kdd
+        rng = np.random.default_rng(7)
+        found = 0
+        config = OutlierConfig(max_absolute_size=6, max_relative_size=0.5)
+        for columns in self.column_sets(universe):
+            for __unused in range(6):
+                size = int(rng.integers(2, grown.num_partitions + 1))
+                candidates = rng.permutation(grown.num_partitions)[:size]
+                scalar = find_outliers(grown, columns, candidates, config)
+                batched = find_outliers(grown, columns, candidates, config, index=index)
+                np.testing.assert_array_equal(batched, scalar)
+                assert batched.dtype == np.intp
+                found += batched.size
+        assert found > 20  # the comparison is not between empty arrays
+
+    def test_append_then_build_parity_of_the_codes(self, kdd):
+        __, grown, index, universe = kdd
+        fresh = ColumnarSketchIndex.build(grown)
+        for column in universe:
+            hitters = grown.global_heavy_hitters.get(column)
+            if hitters:
+                extended, distinct = index.signature_codes(column, hitters)
+                built, built_distinct = fresh.signature_codes(column, hitters)
+                np.testing.assert_array_equal(extended, built)
+                assert extended.size == grown.num_partitions
+                assert distinct == built_distinct == len(set(built.tolist()))
+
+    def test_a_wide_group_by_cannot_wrap_the_combined_code(self, kdd, monkeypatch):
+        from repro.core import outliers
+
+        __, grown, index, universe = kdd
+        candidates = np.arange(grown.num_partitions)[::-1]
+        config = OutlierConfig(max_absolute_size=30, max_relative_size=1.5)
+        expected = find_outliers(grown, universe, candidates, config)
+        assert expected.size > 10
+        monkeypatch.setattr(outliers, "_MAX_CODE", 4)  # re-rank at every column
+        np.testing.assert_array_equal(
+            find_outliers(grown, universe, candidates, config, index=index), expected
+        )

@@ -7,7 +7,6 @@ from repro.stats.bitmap import (
     bitmap_signature,
     occurrence_bitmap,
     occurrence_bitmaps,
-    signature_matrix,
 )
 
 
@@ -57,19 +56,29 @@ class TestSignature:
         assert hash(first) == hash(second)
 
 
-class TestSignatureMatrix:
-    """The batched matrix must reproduce the scalar loop row for row."""
+class TestSignatureCodes:
+    """The index's per-column codes must group exactly as the scalar loop."""
 
-    def test_rows_match_scalar_signatures(self, tiny_stats):
+    def test_codes_number_scalar_signatures_by_first_appearance(self, tiny_stats):
         index = ColumnarSketchIndex.build(tiny_stats)
-        for columns in (("cat",), ("tag",), ("cat", "tag"), ("tag", "cat")):
-            matrix = signature_matrix(tiny_stats, columns, index)
-            assert matrix.shape[0] == tiny_stats.num_partitions
-            for p in range(tiny_stats.num_partitions):
-                expected = bitmap_signature(tiny_stats, p, columns)
-                assert tuple(int(b) for b in matrix[p]) == expected
+        for column in ("cat", "tag"):
+            hitters = tiny_stats.global_heavy_hitters[column]
+            codes, distinct = index.signature_codes(column, hitters)
+            seen = {}
+            expected = [
+                seen.setdefault(bitmap_signature(tiny_stats, p, (column,)), len(seen))
+                for p in range(tiny_stats.num_partitions)
+            ]
+            assert codes.tolist() == expected
+            assert distinct == len(seen)
 
-    def test_no_columns_empty_matrix(self, tiny_stats):
+    def test_codes_are_kept_until_the_hitters_change(self, tiny_stats):
         index = ColumnarSketchIndex.build(tiny_stats)
-        matrix = signature_matrix(tiny_stats, (), index)
-        assert matrix.shape == (tiny_stats.num_partitions, 0)
+        hitters = tiny_stats.global_heavy_hitters["cat"]
+        first, __ = index.signature_codes("cat", hitters)
+        again, __ = index.signature_codes("cat", hitters)
+        assert again is first
+        fewer, __ = index.signature_codes("cat", hitters[:1])
+        bits = index.column("cat").occurrence_matrix(hitters[:1])[:, 0]
+        assert fewer is not first
+        assert (fewer == fewer[0]).tolist() == (bits == bits[0]).tolist()

@@ -69,3 +69,50 @@ class TestNormalizer:
         combined = normalizer.fit_transform([m.copy() for m in matrices])
         expected = normalizer.transform(matrices[0])
         np.testing.assert_allclose(combined[0], expected)
+
+
+class TestLiveColumns:
+    """``transform(m, live=...)`` is ``transform(m)``, bit for bit."""
+
+    @staticmethod
+    def same_bits(a, b):
+        # array_equal would call -0.0 and +0.0 equal, and NaN unequal.
+        return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    def test_query_masks_give_the_full_width_result(self, fitted, tiny_feature_builder):
+        normalizer, __ = fitted
+        queries = [
+            Query([count_star()]),
+            Query([count_star()], group_by=("cat",)),
+            Query([count_star()], group_by=("d", "cat")),
+        ]
+        for query in queries:
+            features = tiny_feature_builder.features_for_query(query)
+            live = features.live_columns
+            assert np.all(np.diff(live) > 0)
+            dead = np.setdiff1d(np.arange(features.matrix.shape[1]), live)
+            assert not features.matrix[:, dead].any()
+            assert self.same_bits(
+                normalizer.transform(features.matrix, live=live),
+                normalizer.transform(features.matrix),
+            )
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    def test_hostile_values_in_live_columns(self, fitted):
+        normalizer, matrices = fitted
+        rng = np.random.default_rng(2)
+        dimension = matrices[0].shape[1]
+        sel = normalizer.schema.selectivity_slice()
+        hostile = [-0.0, np.nan, np.inf, -np.inf, -3.5, 1e300, 5e-324]
+        for trial in range(20):
+            static = rng.choice(sel.start, size=rng.integers(0, 40), replace=False)
+            slots = np.arange(sel.start, sel.stop)[rng.random(5) < 0.7]
+            live = np.sort(np.concatenate([static, slots])).astype(np.intp)
+            matrix = np.zeros((9, dimension))
+            matrix[:, live] = rng.normal(0, 50.0, (9, live.size))
+            spoil = rng.random(matrix.shape) < 0.2
+            spoil[:, np.setdiff1d(np.arange(dimension), live)] = False
+            matrix[spoil] = rng.choice(hostile, size=int(spoil.sum()))
+            assert self.same_bits(
+                normalizer.transform(matrix, live=live), normalizer.transform(matrix)
+            )
