@@ -1,12 +1,14 @@
-"""Sketch-build plane: scalar per-partition builder vs the batched plane.
+"""Sketch-build plane: scalar per-partition reference vs the seal plane.
 
 Times the offline half of the statistics builder (paper Figure 1,
 section 2.3.1) two ways:
 
-* **build**: ``build_dataset_statistics(vectorized=False)`` — the
-  per-partition sketch-constructor loop — against the default
-  vectorized plane, which makes one chunked numpy pass per column over
-  the fused table view (shared segmented-unique pass, per-dataset
+* **build**: the per-partition sketch-constructor loop — composed here
+  from ``build_column_statistics`` per column per partition slice plus
+  ``_global_heavy_hitters``; production has no such path — against
+  ``build_dataset_statistics``, which makes one chunked numpy pass per
+  column over the fused table view (one counting pass for the distincts
+  and the lossy-counting sketches of every partition, per-dataset
   distinct hashing, batch sketch constructors);
 * **cold start**: loading a saved deployment the pre-PR-5 way
   (``load_statistics`` + ``ColumnarSketchIndex.build``, i.e. re-export
@@ -49,7 +51,14 @@ from repro.bench.reporting import emit, format_table, results_dir
 from repro.engine.layout import partition_evenly, sort_table
 from repro.engine.schema import Column, ColumnKind, Schema
 from repro.engine.table import Table
-from repro.sketches.builder import build_dataset_statistics
+from repro.sketches.builder import (
+    DatasetStatistics,
+    PartitionStatistics,
+    SketchConfig,
+    _global_heavy_hitters,
+    build_column_statistics,
+    build_dataset_statistics,
+)
 from repro.sketches.columnar import ColumnarSketchIndex
 from repro.storage import (
     load_statistics,
@@ -82,6 +91,32 @@ def _build_ptable(num_partitions: int, seed: int = 13):
         },
     )
     return partition_evenly(sort_table(table, "d"), num_partitions)
+
+
+def _scalar_reference(ptable) -> DatasetStatistics:
+    """Every sketch built on its own partition slice, one at a time."""
+    config = SketchConfig()
+    partitions = [
+        PartitionStatistics(
+            partition_index=partition.index,
+            num_rows=partition.num_rows,
+            columns={
+                column.name: build_column_statistics(
+                    column, partition.column(column.name), config
+                )
+                for column in ptable.schema
+            },
+        )
+        for partition in ptable
+    ]
+    dataset = DatasetStatistics(
+        schema=ptable.schema, config=config, partitions=partitions
+    )
+    for column in ptable.schema:
+        dataset.global_heavy_hitters[column.name] = _global_heavy_hitters(
+            partitions, column.name, config
+        )
+    return dataset
 
 
 def _sketches_identical(a, b) -> bool:
@@ -122,15 +157,15 @@ def _indexes_identical(a: ColumnarSketchIndex, b: ColumnarSketchIndex) -> bool:
 
 
 def _time_builds(ptable) -> tuple[float, float, bool]:
-    """Best-of-REPEATS seconds for the scalar and vectorized builders."""
+    """Best-of-REPEATS seconds for the scalar reference and the plane."""
     scalar_s, vector_s = [], []
     scalar = vector = None
     for __ in range(REPEATS):
         started = time.perf_counter()
-        scalar = build_dataset_statistics(ptable, vectorized=False)
+        scalar = _scalar_reference(ptable)
         scalar_s.append(time.perf_counter() - started)
         started = time.perf_counter()
-        vector = build_dataset_statistics(ptable, vectorized=True)
+        vector = build_dataset_statistics(ptable)
         vector_s.append(time.perf_counter() - started)
     return min(scalar_s), min(vector_s), _sketches_identical(scalar, vector)
 
@@ -242,8 +277,9 @@ def run() -> dict:
         "rows_per_partition": ROWS_PER_PARTITION,
         "repeats": REPEATS,
         "timed_step": (
-            "build_dataset_statistics scalar vs vectorized; cold start "
-            "load+export vs persisted-index bundle load"
+            "per-slice build_column_statistics reference vs "
+            "build_dataset_statistics; cold start load+export vs "
+            "persisted-index bundle load"
         ),
         "results": rows,
     }

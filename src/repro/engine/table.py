@@ -34,7 +34,7 @@ def _validate_column_array(kind: ColumnKind, name: str, arr: np.ndarray) -> np.n
             raise SchemaError(
                 f"date column {name!r} must hold integer days, got {arr.dtype}"
             )
-        return arr.astype(np.int64)
+        return arr.astype(np.int64, copy=False)
     if arr.dtype.kind not in ("i", "u", "f"):
         raise SchemaError(f"numeric column {name!r} has dtype {arr.dtype}")
     return arr.astype(np.float64) if arr.dtype.kind != "f" else arr

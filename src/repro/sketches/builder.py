@@ -18,22 +18,27 @@ It also assembles dataset-level artifacts: the *global* heavy hitters per
 column (merging per-partition sketches), capped at ``bitmap_k`` values,
 which back the occurrence-bitmap features (section 3.2).
 
-Two build planes share this module:
+There is one seal plane. ``build_column_statistics_batch`` builds one
+column's sketches for any number of partitions in one chunked numpy pass
+over the fused column: a single counting pass
+(``HeavyHitterSketch.build_segmented``) yields every partition's sorted
+distinct values *and* its lossy-counting sketch, whatever the partition
+length; each distinct value is hashed once per dataset (not once per
+partition it appears in), and the per-sketch batch constructors
+(``EquiDepthHistogram.build_segmented``, ``AKMVSketch.from_hash_counts``,
+``ExactDictionary.from_distinct_counts``, ``MeasuresSketch
+.build_segmented``) replay the per-partition constructions bit for bit
+from those shared segments. The offline build
+(``build_dataset_statistics``) runs it over all partitions,
+``build_partition_statistics`` — hence ``append_partition_statistics``
+(``PS3.append``) and WAL replay — over one, so build, append and recovery
+seal identically. The per-column work can fan out over an opt-in process
+pool (``n_jobs``).
 
-* the scalar plane (``build_partition_statistics``, and
-  ``build_dataset_statistics(..., vectorized=False)``) constructs every
-  sketch per partition — the reference oracle;
-* the vectorized plane (``vectorized=True``, the default) makes one
-  chunked numpy pass per column across *all* partitions via the fused
-  table view: a single segmented-unique pass yields every partition's
-  sorted distinct values at once, each distinct value is hashed once per
-  dataset (not once per partition it appears in), and the per-sketch
-  batch constructors (``EquiDepthHistogram.build_segmented``,
-  ``AKMVSketch.from_hash_counts``, ``HeavyHitterSketch/ExactDictionary
-  .from_distinct_counts``, ``MeasuresSketch.build_segmented``) replay
-  the scalar constructions bit for bit from those shared segments. The
-  residual per-column work can fan out over an opt-in process pool
-  (``n_jobs``).
+The scalar ``build_column_statistics`` constructs every sketch of one
+partition slice on its own. The plane hands it the columns a
+dataset-global dedup cannot replay (NaN, ``-0.0``); the differential
+tests compose it into the reference the plane must equal.
 """
 
 from __future__ import annotations
@@ -179,14 +184,17 @@ def build_column_statistics(
 def build_partition_statistics(
     partition: Partition, config: SketchConfig | None = None
 ) -> PartitionStatistics:
-    """One pass over a partition: sketches for every column."""
+    """One pass over a partition: sketches for every column.
+
+    The one-segment case of :func:`build_column_statistics_batch`.
+    """
     config = config or SketchConfig()
-    schema = partition.table.schema
+    offsets = np.array([0, partition.num_rows], dtype=np.int64)
     columns = {
-        column.name: build_column_statistics(
-            column, partition.column(column.name), config
-        )
-        for column in schema
+        column.name: build_column_statistics_batch(
+            column, partition.column(column.name), offsets, config
+        )[0]
+        for column in partition.table.schema
     }
     return PartitionStatistics(
         partition_index=partition.index,
@@ -199,18 +207,17 @@ def _global_heavy_hitters(
     stats: list[PartitionStatistics], column: str, config: SketchConfig
 ) -> tuple:
     """Combine per-partition HH sketches into the top global values."""
-    merged: HeavyHitterSketch | None = None
-    for pstats in stats:
-        sketch = pstats.columns[column].heavy_hitter
-        if sketch is None:
-            continue
-        if merged is None:
-            merged = HeavyHitterSketch(
-                support=sketch.support, epsilon=sketch.epsilon
-            )
-        merged.merge(sketch)
-    if merged is None:
+    sketches = [
+        sketch
+        for pstats in stats
+        if (sketch := pstats.columns[column].heavy_hitter) is not None
+    ]
+    if not sketches:
         return ()
+    merged = HeavyHitterSketch(
+        support=sketches[0].support, epsilon=sketches[0].epsilon
+    )
+    merged.merge(*sketches)
     ranked = sorted(merged.items().items(), key=lambda kv: -kv[1])
     return tuple(value for value, __ in ranked[: config.bitmap_k])
 
@@ -252,24 +259,19 @@ def build_dataset_statistics(
     ptable: PartitionedTable,
     config: SketchConfig | None = None,
     *,
-    vectorized: bool = True,
     n_jobs: int | None = None,
 ) -> DatasetStatistics:
     """Build statistics for every partition plus global artifacts.
 
-    ``vectorized=True`` (the default) builds each column's sketches for
-    all partitions in one chunked numpy pass over the fused table view —
-    bit-identical to the per-partition constructors, which remain
-    available as the reference oracle via ``vectorized=False``.
-    ``n_jobs > 1`` additionally fans the per-column batch work out over a
-    process pool (opt-in: forking pays off only when columns are large
-    enough to dwarf the pickling of their fused arrays).
+    Each column's sketches are built for all partitions in one chunked
+    numpy pass over the fused table view — bit-identical to
+    :func:`build_column_statistics` per partition slice. ``n_jobs > 1``
+    additionally fans the per-column batch work out over a process pool
+    (opt-in: forking pays off only when columns are large enough to dwarf
+    the pickling of their fused arrays).
     """
     config = config or SketchConfig()
-    if vectorized:
-        partitions = _build_partitions_vectorized(ptable, config, n_jobs)
-    else:
-        partitions = [build_partition_statistics(p, config) for p in ptable]
+    partitions = _build_partitions(ptable, config, n_jobs)
     dataset = DatasetStatistics(
         schema=ptable.schema, config=config, partitions=partitions
     )
@@ -278,9 +280,6 @@ def build_dataset_statistics(
             partitions, column.name, config
         )
     return dataset
-
-
-# -- vectorized build plane ---------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -344,26 +343,20 @@ class _SegmentedDistincts:
         )
 
 
-def _segment_distincts(
-    values: np.ndarray, offsets: np.ndarray
-) -> _SegmentedDistincts:
-    """One pass: per-partition sorted distinct values with counts."""
-    n = len(offsets) - 1
-    if values.size == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return _SegmentedDistincts(
-            values[:0], empty, empty, np.zeros(n + 1, dtype=np.int64)
-        )
+def _segment_column(
+    values: np.ndarray, offsets: np.ndarray, config: SketchConfig
+) -> tuple[_SegmentedDistincts, list[HeavyHitterSketch]]:
+    """One pass: per-partition sorted distincts with counts, and the
+    per-partition heavy hitters counted on the same keys."""
     uniques, inverse = np.unique(values, return_inverse=True)
-    part_ids = np.repeat(np.arange(n, dtype=np.int64), np.diff(offsets))
-    keys = part_ids * len(uniques) + inverse
-    distinct_keys, counts = np.unique(keys, return_counts=True)
-    codes = distinct_keys % len(uniques)
-    seg_parts = distinct_keys // len(uniques)
-    seg_offsets = np.searchsorted(seg_parts, np.arange(n + 1))
-    return _SegmentedDistincts(
-        uniques, codes, counts.astype(np.int64), seg_offsets.astype(np.int64)
+    heavy_hitters, distincts = HeavyHitterSketch.build_segmented(
+        uniques,
+        inverse,
+        offsets,
+        support=config.hh_support,
+        epsilon=config.hh_epsilon,
     )
+    return _SegmentedDistincts(uniques, *distincts), heavy_hitters
 
 
 def _merge_equal_runs(
@@ -424,10 +417,8 @@ def build_column_statistics_batch(
     """
     offsets = np.asarray(offsets, dtype=np.int64)
     n = len(offsets) - 1
-    totals = np.diff(offsets)
-    hh_width = _lossy_counting_width(config)
     if column.is_categorical:
-        seg = _segment_distincts(values, offsets)
+        seg, heavy_hitters = _segment_column(values, offsets, config)
         hashes = seg.hashes()
         hashed_keys, hashed_counts, hashed_offsets = _sort_segments_by_hash(
             seg, hashes
@@ -451,16 +442,9 @@ def build_column_statistics_batch(
             stats.akmv = AKMVSketch.from_hash_counts(
                 hashed_keys[lo:hi], hashed_counts[lo:hi], k=config.akmv_k
             )
-            dlo, dhi = int(seg.offsets[p]), int(seg.offsets[p + 1])
-            stats.heavy_hitter = _heavy_hitter_for_segment(
-                distinct_values[dlo:dhi],
-                seg.counts[dlo:dhi],
-                int(totals[p]),
-                values[offsets[p] : offsets[p + 1]],
-                config,
-                hh_width,
-            )
+            stats.heavy_hitter = heavy_hitters[p]
             if column.low_cardinality:
+                dlo, dhi = int(seg.offsets[p]), int(seg.offsets[p + 1])
                 stats.exact_dict = ExactDictionary.from_distinct_counts(
                     distinct_values[dlo:dhi],
                     seg.counts[dlo:dhi],
@@ -489,7 +473,7 @@ def build_column_statistics_batch(
             )
             for p in range(n)
         ]
-    seg = _segment_distincts(numeric, offsets)
+    seg, heavy_hitters = _segment_column(numeric, offsets, config)
     measures = MeasuresSketch.build_segmented(
         numeric, offsets, track_log=column.positive
     )
@@ -509,57 +493,12 @@ def build_column_statistics_batch(
         stats.akmv = AKMVSketch.from_hash_counts(
             hashed_keys[lo:hi], hashed_counts[lo:hi], k=config.akmv_k
         )
-        dlo, dhi = int(seg.offsets[p]), int(seg.offsets[p + 1])
-        stats.heavy_hitter = _heavy_hitter_for_segment(
-            distinct_values[dlo:dhi],
-            seg.counts[dlo:dhi],
-            int(totals[p]),
-            numeric[offsets[p] : offsets[p + 1]],
-            config,
-            hh_width,
-        )
+        stats.heavy_hitter = heavy_hitters[p]
         out.append(stats)
     return out
 
 
-def _lossy_counting_width(config: SketchConfig) -> int:
-    """The lossy-counting block width a config's heavy hitters will use.
-
-    Read off a throwaway sketch rather than re-deriving the epsilon
-    default and ``ceil(1/epsilon)`` formula, so the batch plane's
-    fast-path/streaming-fallback threshold can never drift from
-    ``HeavyHitterSketch.__post_init__``.
-    """
-    return HeavyHitterSketch(
-        support=config.hh_support, epsilon=config.hh_epsilon
-    )._width
-
-
-def _heavy_hitter_for_segment(
-    uniques: np.ndarray,
-    counts: np.ndarray,
-    total: int,
-    raw_slice: np.ndarray,
-    config: SketchConfig,
-    width: int,
-) -> HeavyHitterSketch:
-    """Fast-path heavy hitters, falling back to the streaming build.
-
-    The pre-aggregated replay is exact only when the partition fits in a
-    single lossy-counting block; larger partitions (rows > 1/epsilon)
-    depend on row order, so they stream the raw slice like the scalar
-    plane does.
-    """
-    if total <= width:
-        return HeavyHitterSketch.from_distinct_counts(
-            uniques, counts, support=config.hh_support, epsilon=config.hh_epsilon
-        )
-    return HeavyHitterSketch.build(
-        raw_slice, support=config.hh_support, epsilon=config.hh_epsilon
-    )
-
-
-def _build_partitions_vectorized(
+def _build_partitions(
     ptable: PartitionedTable, config: SketchConfig, n_jobs: int | None
 ) -> list[PartitionStatistics]:
     """All partitions' statistics via per-column chunked passes."""

@@ -1,14 +1,37 @@
 """Heavy-hitter sketch via lossy counting (Manku & Motwani, VLDB'02).
 
-Maintains a dictionary of frequent values and their approximate counts for
-each column in the partition (paper section 3.1). The default support of
-1% bounds the output dictionary at 100 items; the internal error bound
-``epsilon`` defaults to ``support / 10``, the standard recommendation, so
-reported counts undercount the truth by at most ``epsilon * N``.
+Maintains the frequent values of a column and their approximate counts
+(paper section 3.1). The default support of 1% bounds the reported
+dictionary at 100 items; the internal error bound ``epsilon`` defaults to
+``support / 10``, the standard recommendation, so reported counts
+undercount the truth by at most ``epsilon * N``.
 
-Values are hashed to stable 64-bit keys internally; the original values of
-reported heavy hitters are retained so occurrence bitmaps and selectivity
-estimates can refer back to actual column values.
+There is one lossy-counting implementation, and it runs on arrays. A
+stream is cut into blocks of ``ceil(1/epsilon)`` rows; within a block a
+value that is absent enters with ``delta = bucket - 1``, a present one
+adds its count, and when a block carries ``total // width + 1`` (the
+bucket) forward every entry with ``count + delta <= bucket`` is pruned.
+:func:`_count_blocks` counts each ``(partition, value, block)`` once for
+a whole column — all partitions, all blocks, one integer sort (or a dense
+``bincount`` when the key space is small) — and :func:`_walk` advances
+block 0, 1, 2, … *of every partition at once* on :class:`_Automaton`
+arrays. ``HeavyHitterSketch.build_segmented`` is that kernel over a
+column's partitions, ``build`` / ``update`` are the same kernel over one
+segment, and ``merge`` runs the automaton's add-then-prune step over
+whole sketches (the global heavy hitters of section 3.2).
+
+Two written rules:
+
+* **Insertion order.** A sketch keeps its entries in the order a
+  dictionary would: by the block (or merge step) of their last
+  insertion, then by value order within it. ``items()`` iterates in
+  that order, ``to_bytes`` persists it, and a merge breaks count ties
+  with it, so it is part of the state.
+* **NaN is one value.** ``np.unique`` collapses NaNs within a block; the
+  same holds across blocks, ``update`` calls and merges: NaN counts add
+  into a single entry. ``-0.0`` and ``0.0`` are one key as well (they
+  compare equal); which sign the stored key carries is ``np.unique``'s
+  pick and nothing may depend on it.
 """
 
 from __future__ import annotations
@@ -16,21 +39,173 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from repro.errors import ConfigError
 
 
-@dataclass
-class _Entry:
-    count: float
-    delta: float
+def _no_floats() -> np.ndarray:
+    return np.empty(0, dtype=np.float64)
 
 
-@dataclass
+class _BlockCounts(NamedTuple):
+    """A column's rows counted once per ``(partition, value, block)`` triple.
+
+    A *pair* is one ``(partition, value)``: partition ``p``'s sorted
+    distinct values are pairs ``offsets[p]:offsets[p + 1]``.
+    """
+
+    codes: np.ndarray  # (D,) value code of each pair, ascending per partition
+    counts: np.ndarray  # (D,) int64 rows of each pair
+    offsets: np.ndarray  # (N+1,) int64 partition boundaries into the pairs
+    parts: np.ndarray  # (D,) partition of each pair
+    slot: np.ndarray  # (T,) automaton slot of each triple: its pair
+    block: np.ndarray  # (T,) block of each triple, within its partition
+    rows: np.ndarray  # (T,) rows of each triple
+    sizes: np.ndarray  # (N,) rows per partition
+    width: int  # rows per block
+    blocks: int  # blocks of the longest partition
+
+
+def _count_keys(keys: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted distinct ``keys`` (each in ``[0, size)``) with multiplicities."""
+    if size <= 2 * keys.size:
+        dense = np.bincount(keys, minlength=size)
+        present = np.flatnonzero(dense)
+        return present, dense[present]
+    return np.unique(keys, return_counts=True)
+
+
+def _count_blocks(
+    inverse: np.ndarray, offsets: np.ndarray, width: int, num_distinct: int
+) -> _BlockCounts:
+    """Count a column's rows per ``(partition, value, block)`` in one pass.
+
+    ``inverse`` maps each row to its value's code in ``[0, num_distinct)``
+    and ``offsets`` are the partition boundaries; blocks are runs of
+    ``width`` rows restarting at every partition.
+    """
+    sizes = np.diff(offsets)
+    n = len(sizes)
+    blocks = max(-(-int(sizes.max(initial=0)) // width), 1)
+    row_parts = np.repeat(np.arange(n, dtype=np.int64), sizes)
+    within = np.arange(len(inverse), dtype=np.int64) - np.repeat(offsets[:-1], sizes)
+    keys = (row_parts * num_distinct + inverse) * blocks + within // width
+    keys, rows = _count_keys(keys, n * num_distinct * blocks)
+    pair_keys, block = np.divmod(keys, blocks)
+    opens = np.ones(len(keys), dtype=bool)
+    opens[1:] = pair_keys[1:] != pair_keys[:-1]
+    starts = np.flatnonzero(opens)
+    parts, codes = np.divmod(pair_keys[starts], num_distinct)
+    return _BlockCounts(
+        codes,
+        np.add.reduceat(rows, starts),
+        np.searchsorted(parts, np.arange(n + 1)),
+        parts,
+        np.cumsum(opens) - 1,
+        block,
+        rows,
+        sizes,
+        width,
+        blocks,
+    )
+
+
+class _Automaton:
+    """Lossy-counting state of many segments at once, on arrays.
+
+    A *slot* is one ``(segment, value)``; ``count`` / ``delta`` / ``alive``
+    are indexed by slot and ``live`` lists the alive slots in insertion
+    order — what a dictionary of entries keeps implicitly.
+    """
+
+    def __init__(self, segment: np.ndarray) -> None:
+        self.segment = segment  # (S,) segment of each slot
+        self.count = np.zeros(len(segment), dtype=np.float64)
+        self.delta = np.zeros(len(segment), dtype=np.float64)
+        self.alive = np.zeros(len(segment), dtype=bool)
+        self.live = np.empty(0, dtype=np.int64)
+
+    def add(
+        self,
+        slots: np.ndarray,
+        counts: np.ndarray,
+        deltas: np.ndarray,
+        *,
+        raise_deltas: bool = False,
+    ) -> None:
+        """Absent slots enter (in the order given) with their ``deltas``;
+        present ones add their counts and, when merging, keep the larger
+        delta. ``slots`` holds no duplicates."""
+        absent = ~self.alive[slots]
+        self.count[slots] += counts
+        entering = slots[absent]
+        self.delta[entering] = deltas[absent]
+        if raise_deltas:
+            present = slots[~absent]
+            self.delta[present] = np.maximum(self.delta[present], deltas[~absent])
+        self.alive[entering] = True
+        self.live = np.concatenate((self.live, entering))
+
+    def prune(self, buckets: np.ndarray, advanced: np.ndarray | None = None) -> None:
+        """Drop entries with ``count + delta <= bucket`` of their segment
+        (only in segments whose bucket ``advanced``, when given)."""
+        live = self.live
+        segment = self.segment[live]
+        doomed = self.count[live] + self.delta[live] <= buckets[segment]
+        if advanced is not None:
+            doomed &= advanced[segment]
+        dead = live[doomed]
+        self.alive[dead] = False
+        self.count[dead] = 0.0
+        self.live = live[~doomed]
+
+
+def _walk(
+    automaton: _Automaton, counted: _BlockCounts, totals: np.ndarray
+) -> np.ndarray:
+    """Stream every segment's blocks through ``automaton``, block 0 of
+    all segments first. ``totals`` are the rows each segment had seen
+    before this stream; the new totals are returned."""
+    width = counted.width
+    # The narrowest dtype: numpy's stable sort is a radix sort up to 16 bits.
+    order = np.argsort(
+        counted.block.astype(np.min_scalar_type(counted.blocks)), kind="stable"
+    )
+    bounds = np.searchsorted(counted.block[order], np.arange(counted.blocks + 1))
+    for b in range(counted.blocks):
+        take = order[bounds[b] : bounds[b + 1]]
+        slots = counted.slot[take]
+        before = totals // width + 1
+        automaton.add(
+            slots, counted.rows[take], (before - 1.0)[automaton.segment[slots]]
+        )
+        totals = totals + np.clip(counted.sizes - b * width, 0, width)
+        buckets = totals // width + 1
+        automaton.prune(buckets, buckets != before)
+    return totals
+
+
+def _unique_values(arrays: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(..., return_inverse=True)`` over the arrays, stacked.
+
+    Empty ones are dropped first: an empty sketch holds a float
+    placeholder that must not promote a string column's dtype.
+    """
+    held = [array for array in arrays if len(array)] or [_no_floats()]
+    return np.unique(np.concatenate(held), return_inverse=True)
+
+
+@dataclass(eq=False)
 class HeavyHitterSketch:
     """Lossy-counting frequency sketch with value payloads.
+
+    State is three aligned arrays — values, counts, deltas — in
+    insertion order (the module docstring has the rule); :meth:`entries`
+    exposes it. NaN is one value: its counts add across blocks, ``update``
+    calls and merges into a single entry, as ``-0.0`` / ``0.0`` do.
 
     Parameters
     ----------
@@ -43,17 +218,14 @@ class HeavyHitterSketch:
     support: float = 0.01
     epsilon: float | None = None
     total: int = 0
-    _entries: dict[object, _Entry] = field(default_factory=dict, repr=False)
-    _bucket: int = 1
+    _values: np.ndarray = field(default_factory=_no_floats, repr=False)
+    _counts: np.ndarray = field(default_factory=_no_floats, repr=False)
+    _deltas: np.ndarray = field(default_factory=_no_floats, repr=False)
     # Memoized results: items()/frequencies() are re-read by the per-clause
     # estimators and the columnar exporter; the dicts only change on
     # update/merge, so they are cached until the next mutation.
-    _items_cache: dict[object, float] | None = field(
-        default=None, repr=False, compare=False
-    )
-    _freq_cache: dict[object, float] | None = field(
-        default=None, repr=False, compare=False
-    )
+    _items_cache: dict[object, float] | None = field(default=None, repr=False)
+    _freq_cache: dict[object, float] | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         if not 0.0 < self.support < 1.0:
@@ -64,6 +236,24 @@ class HeavyHitterSketch:
             raise ConfigError("epsilon must be in (0, support]")
         self._width = max(int(math.ceil(1.0 / self.epsilon)), 1)
 
+    @property
+    def bucket(self) -> int:
+        """The current lossy-counting bucket, ``total // width + 1``."""
+        return self.total // self._width + 1
+
+    def entries(self) -> list[tuple[object, float, float]]:
+        """Raw automaton state: ``(value, count, delta)`` in insertion order."""
+        return list(
+            zip(self._values.tolist(), self._counts.tolist(), self._deltas.tolist())
+        )
+
+    def _adopt(self, values: np.ndarray, automaton: _Automaton) -> None:
+        live = automaton.live
+        self._values = values[live]
+        self._counts = automaton.count[live]
+        self._deltas = automaton.delta[live]
+        self._items_cache = self._freq_cache = None
+
     @classmethod
     def build(
         cls, values: np.ndarray, support: float = 0.01, epsilon: float | None = None
@@ -72,128 +262,103 @@ class HeavyHitterSketch:
         sketch.update(values)
         return sketch
 
+    @classmethod
+    def build_segmented(
+        cls,
+        uniques: np.ndarray,
+        inverse: np.ndarray,
+        offsets: np.ndarray,
+        support: float = 0.01,
+        epsilon: float | None = None,
+    ) -> tuple[list[HeavyHitterSketch], tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """Every partition's sketch of one column, from one counting pass.
+
+        ``uniques, inverse = np.unique(column, return_inverse=True)`` over
+        the fused column and ``offsets`` are the partition boundaries.
+        Sketch ``p`` equals ``build(column[offsets[p]:offsets[p + 1]])``
+        entry for entry. The per-partition distincts the pass counted on
+        the way come back for the other sketch families as ``(codes,
+        counts, bounds)``: partition ``p`` holds the values
+        ``uniques[codes[bounds[p]:bounds[p + 1]]]``, ascending, with those
+        multiplicities.
+        """
+        width = cls(support=support, epsilon=epsilon)._width
+        counted = _count_blocks(inverse, offsets, width, len(uniques))
+        automaton = _Automaton(counted.parts)
+        _walk(automaton, counted, np.zeros(len(counted.sizes), dtype=np.int64))
+        live = automaton.live
+        live = live[np.argsort(counted.parts[live], kind="stable")]
+        bounds = np.searchsorted(counted.parts[live], np.arange(len(offsets)))
+        values = uniques[counted.codes[live]]
+        counts, deltas = automaton.count[live], automaton.delta[live]
+        sketches = [
+            cls(
+                support=support,
+                epsilon=epsilon,
+                total=int(size),
+                _values=values[lo:hi],
+                _counts=counts[lo:hi],
+                _deltas=deltas[lo:hi],
+            )
+            for size, lo, hi in zip(counted.sizes, bounds[:-1], bounds[1:])
+        ]
+        return sketches, (counted.codes, counted.counts, counted.offsets)
+
     def update(self, values: np.ndarray) -> None:
         """Stream a batch of values through the lossy-counting automaton.
 
-        Batches are pre-aggregated with ``np.unique`` so the per-item work
-        is per *distinct* value, then bucket-boundary pruning is applied at
-        the positions it would have occurred in the stream.
+        Blocks restart at the head of every call; pruning fires where
+        ``total`` crosses a multiple of the block width.
         """
         values = np.asarray(values)
         if values.size == 0:
             return
-        # Process in sub-batches no larger than the bucket width so pruning
-        # happens with the cadence the algorithm's guarantees assume.
-        start = 0
-        while start < values.size:
-            stop = min(start + self._width, values.size)
-            self._update_block(values[start:stop])
-            start = stop
+        held = len(self._counts)
+        uniques, inverse = _unique_values([self._values, values])
+        counted = _count_blocks(
+            inverse[held:], np.array([0, values.size]), self._width, len(uniques)
+        )
+        # One segment: a slot per distinct value, so the entries already
+        # held (which the new rows need not mention) have one too.
+        counted = counted._replace(slot=counted.codes[counted.slot])
+        automaton = _Automaton(np.zeros(len(uniques), dtype=np.int64))
+        automaton.add(inverse[:held], self._counts, self._deltas)
+        self.total = int(_walk(automaton, counted, np.array([self.total]))[0])
+        self._adopt(uniques, automaton)
 
-    @classmethod
-    def from_distinct_counts(
-        cls,
-        uniques: np.ndarray,
-        counts: np.ndarray,
-        support: float = 0.01,
-        epsilon: float | None = None,
-    ) -> HeavyHitterSketch:
-        """Build from pre-aggregated ``(distinct value, count)`` pairs.
-
-        Replays ``build(values, ...)`` for a partition whose rows fit in a
-        single lossy-counting block (``total <= ceil(1/epsilon)``): every
-        distinct enters with delta 0 in sorted order (the ``np.unique``
-        order the streaming update uses) and boundary pruning fires iff
-        the block ends exactly on a bucket boundary. Partitions larger
-        than one block depend on row order, which pre-aggregated counts
-        cannot replay — the batched builder falls back to ``build`` on
-        the raw slice there; this constructor raises ``ConfigError``.
-        """
-        sketch = cls(support=support, epsilon=epsilon)
-        if isinstance(uniques, np.ndarray):
-            uniques = uniques.tolist()  # scalar plane's per-entry .item()
-        if isinstance(counts, np.ndarray):
-            counts = counts.tolist()
-        total = int(sum(counts))
-        if total == 0:
-            return sketch
-        if total > sketch._width:
-            raise ConfigError(
-                "partition exceeds one lossy-counting block; "
-                "build from the raw values instead"
-            )
-        sketch._entries = {
-            value: _Entry(float(count), 0.0)
-            for value, count in zip(uniques, counts)
-        }
-        sketch.total = total
-        new_bucket = total // sketch._width + 1
-        if new_bucket != 1:
-            sketch._bucket = int(new_bucket)
-            sketch._prune()
-        return sketch
-
-    def _update_block(self, values: np.ndarray) -> None:
-        self._invalidate()
-        uniques, counts = np.unique(values, return_counts=True)
-        for value, count in zip(uniques, counts):
-            key = value.item() if hasattr(value, "item") else value
-            entry = self._entries.get(key)
-            if entry is None:
-                self._entries[key] = _Entry(float(count), float(self._bucket - 1))
-            else:
-                entry.count += float(count)
-        self.total += int(counts.sum())
-        new_bucket = self.total // self._width + 1
-        if new_bucket != self._bucket:
-            self._bucket = int(new_bucket)
-            self._prune()
-
-    def _prune(self) -> None:
-        threshold = self._bucket
-        doomed = [
-            key
-            for key, entry in self._entries.items()
-            if entry.count + entry.delta <= threshold
-        ]
-        for key in doomed:
-            del self._entries[key]
-
-    def merge(self, other: HeavyHitterSketch) -> None:
-        """Merge another sketch (counts add; deltas take the max).
+    def merge(self, *others: HeavyHitterSketch) -> None:
+        """Merge other sketches, left to right (counts add; deltas take
+        the max; every step prunes at the merged bucket).
 
         Used to assemble *global* heavy hitters for a column by combining
         per-partition sketches (paper section 3.2, occurrence bitmaps).
         """
-        self._invalidate()
-        for key, entry in other._entries.items():
-            mine = self._entries.get(key)
-            if mine is None:
-                self._entries[key] = _Entry(entry.count, entry.delta)
-            else:
-                mine.count += entry.count
-                mine.delta = max(mine.delta, entry.delta)
-        self.total += other.total
-        self._bucket = self.total // self._width + 1
-        self._prune()
+        uniques, inverse = _unique_values(
+            [self._values, *(other._values for other in others)]
+        )
+        automaton = _Automaton(np.zeros(len(uniques), dtype=np.int64))
+        stop = len(self._counts)
+        automaton.add(inverse[:stop], self._counts, self._deltas)
+        for other in others:
+            start, stop = stop, stop + len(other._counts)
+            automaton.add(
+                inverse[start:stop], other._counts, other._deltas, raise_deltas=True
+            )
+            self.total += other.total
+            automaton.prune(np.array([self.bucket]))
+        self._adopt(uniques, automaton)
 
     # -- results -------------------------------------------------------------
-
-    def _invalidate(self) -> None:
-        self._items_cache = None
-        self._freq_cache = None
 
     def items(self) -> dict[object, float]:
         """Heavy hitters: value -> estimated count, at the support level."""
         if self.total == 0:
             return {}
         if self._items_cache is None:
-            cutoff = (self.support - self.epsilon) * self.total
-            self._items_cache = {
-                key: entry.count
-                for key, entry in self._entries.items()
-                if entry.count >= cutoff
-            }
+            keep = self._counts >= (self.support - self.epsilon) * self.total
+            self._items_cache = dict(
+                zip(self._values[keep].tolist(), self._counts[keep].tolist())
+            )
         return self._items_cache
 
     def frequencies(self) -> dict[object, float]:
@@ -238,13 +403,25 @@ class HeavyHitterSketch:
         sketch = cls(support=support, epsilon=epsilon)
         sketch.total = int(total)
         offset = header_size
+        values, counts = [], []
         for __ in range(size):
             length, count = struct.unpack_from("<Id", payload, offset)
             offset += struct.calcsize("<Id")
-            value = _decode_value(payload[offset : offset + length])
+            values.append(_decode_value(payload[offset : offset + length]))
+            counts.append(count)
             offset += length
-            sketch._entries[value] = _Entry(count, 0.0)
-        sketch._bucket = sketch.total // sketch._width + 1
+        if size:
+            # Lossy counting keeps every value once; bundles written before
+            # the NaN rule may hold one NaN entry per block, so fold them.
+            values, counts = np.array(values), np.array(counts, dtype=np.float64)
+            nan = values != values
+            if nan.sum() > 1:
+                first = nan.argmax()
+                counts[first] = counts[nan].sum()
+                nan[first] = False
+                values, counts = values[~nan], counts[~nan]
+            sketch._values, sketch._counts = values, counts
+            sketch._deltas = np.zeros(len(counts), dtype=np.float64)
         return sketch
 
 

@@ -322,20 +322,21 @@ def save_statistics(
     # Per-section CRC32s: the sketch region and the (optional) index
     # region are verified independently at load, so index bit-rot can
     # degrade to a rebuild while sketch bit-rot is a hard error.
-    sections = {
-        "sketches": [0, sketch_length, zlib.crc32(bytes(blob[:sketch_length]))]
-    }
-    if len(blob) > sketch_length:
-        sections["index"] = [
-            sketch_length,
-            len(blob) - sketch_length,
-            zlib.crc32(bytes(blob[sketch_length:])),
-        ]
+    with memoryview(blob) as view:  # checksum in place: no copy of a section
+        sections = {
+            "sketches": [0, sketch_length, zlib.crc32(view[:sketch_length])]
+        }
+        if len(blob) > sketch_length:
+            sections["index"] = [
+                sketch_length,
+                len(blob) - sketch_length,
+                zlib.crc32(view[sketch_length:]),
+            ]
     manifest["sections"] = sections
     manifest["wal_applied_seq"] = int(wal_applied_seq)
     header = json.dumps(manifest).encode("utf-8")
     footer = _FOOTER_MAGIC + struct.pack("<I", zlib.crc32(header))
-    data = struct.pack("<Q", len(header)) + header + bytes(blob) + footer
+    data = b"".join((struct.pack("<Q", len(header)), header, blob, footer))
     atomic_write_bytes(path, data, io=io)
 
 

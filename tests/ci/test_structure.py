@@ -13,6 +13,13 @@
   (PR 18); ``Normalizer.transform(matrix, live=...)`` takes the mask as
   data, and the full-width computation exists only as a composition
   inside the differential tests.
+* No callable of ``repro.sketches.builder`` takes a ``vectorized``
+  parameter, and ``_Entry`` / ``from_distinct_counts`` /
+  ``_heavy_hitter_for_segment`` no longer resolve: partitions are sealed
+  by one segmented lossy-counting kernel on arrays (PR 20), which
+  replaced the scalar plane, the single-block fast path and the
+  per-value entry objects instead of sitting beside them. The scalar
+  reference is a composition inside the differential tests.
 * Every ``(module, attribute path)`` the benchmark's tracer patches
   (``TRACED`` in ``benchmarks/e2e/layers.py``, read here, never edited)
   resolves the way the tracer resolves it. A rename would otherwise show
@@ -117,6 +124,19 @@ PICKER_PLANES = [
 @pytest.mark.parametrize("module_name", PICKER_PLANES)
 def test_no_picker_callable_takes_a_subspace_mode(module_name):
     assert _takers(module_name, SUBSPACE_MODES) == []
+
+
+def test_sketch_builder_has_one_plane():
+    assert _takers("repro.sketches.builder", {"vectorized", "batched"}) == []
+    import repro.sketches.builder as builder
+    import repro.sketches.heavy_hitter as heavy_hitter
+
+    # The guard is only a guard if the walk reaches the entry point.
+    assert "build_dataset_statistics" in dict(_public_callables(builder))
+    assert not hasattr(heavy_hitter, "_Entry")
+    assert not hasattr(heavy_hitter.HeavyHitterSketch, "from_distinct_counts")
+    assert not hasattr(builder, "_heavy_hitter_for_segment")
+    assert not hasattr(builder, "_lossy_counting_width")
 
 
 def test_walk_sees_the_callables_a_subspace_mode_would_land_on():

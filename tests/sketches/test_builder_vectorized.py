@@ -1,13 +1,14 @@
-"""Differential suite: the vectorized sketch-build plane vs the scalar oracle.
+"""Differential suite: the batched seal plane vs the scalar reference.
 
-``build_dataset_statistics(vectorized=True)`` (the default) must be
-*bit-identical* to the per-partition constructor loop
-(``vectorized=False``) — serialized sketch encodings, the raw
+``build_dataset_statistics`` must be *bit-identical* to the
+per-partition constructor loop — composed here, where it is the oracle,
+from ``build_column_statistics`` per column per partition slice plus
+``_global_heavy_hitters`` — in serialized sketch encodings, the raw
 lossy-counting entry state (including deltas and insertion order, which
-drive global-heavy-hitter merges), and the global heavy hitters all
+drive global-heavy-hitter merges), and the global heavy hitters, all
 compared exactly. The append path is pinned too: sealing partitions one
 at a time and extending the columnar index must agree bit for bit with a
-from-scratch vectorized build.
+from-scratch build.
 """
 
 from __future__ import annotations
@@ -21,13 +22,43 @@ from repro.engine.layout import append_rows, partition_evenly, sort_table
 from repro.engine.schema import Column, ColumnKind, Schema
 from repro.engine.table import Table
 from repro.sketches.builder import (
+    DatasetStatistics,
+    PartitionStatistics,
     SketchConfig,
+    _global_heavy_hitters,
     append_partition_statistics,
+    build_column_statistics,
     build_dataset_statistics,
 )
 from repro.sketches.columnar import ColumnarSketchIndex
 
 _SKETCH_FIELDS = ("measures", "histogram", "akmv", "heavy_hitter", "exact_dict")
+
+
+def scalar_reference(ptable, config=None) -> DatasetStatistics:
+    """Every sketch built on its own partition slice — the oracle."""
+    config = config or SketchConfig()
+    partitions = [
+        PartitionStatistics(
+            partition_index=partition.index,
+            num_rows=partition.num_rows,
+            columns={
+                column.name: build_column_statistics(
+                    column, partition.column(column.name), config
+                )
+                for column in ptable.schema
+            },
+        )
+        for partition in ptable
+    ]
+    dataset = DatasetStatistics(
+        schema=ptable.schema, config=config, partitions=partitions
+    )
+    for column in ptable.schema:
+        dataset.global_heavy_hitters[column.name] = _global_heavy_hitters(
+            partitions, column.name, config
+        )
+    return dataset
 
 
 def _values_identical(a, b) -> bool:
@@ -59,21 +90,14 @@ def assert_statistics_identical(expected, actual):
             if he is not None:
                 # Raw automaton state, not just the reported items: the
                 # entry order and deltas feed the global-HH merge.
-                actual_entries = [
-                    (key, entry.count, entry.delta)
-                    for key, entry in ha._entries.items()
-                ]
-                expected_entries = [
-                    (key, entry.count, entry.delta)
-                    for key, entry in he._entries.items()
-                ]
+                actual_entries, expected_entries = ha.entries(), he.entries()
                 assert len(actual_entries) == len(expected_entries), (p, name)
                 assert all(
                     _values_identical(x, y)
                     for a, e in zip(actual_entries, expected_entries)
                     for x, y in zip(a, e)
                 ), (p, name)
-                assert ha.total == he.total and ha._bucket == he._bucket
+                assert ha.total == he.total and ha.bucket == he.bucket
 
 
 def assert_indexes_identical(expected, actual):
@@ -113,16 +137,16 @@ def skewed_table():
 class TestVectorizedBuilderParity:
     def test_default_config(self, tiny_ptable):
         assert_statistics_identical(
-            build_dataset_statistics(tiny_ptable, vectorized=False),
-            build_dataset_statistics(tiny_ptable, vectorized=True),
+            scalar_reference(tiny_ptable),
+            build_dataset_statistics(tiny_ptable),
         )
 
     @pytest.mark.parametrize("num_partitions", [1, 7, 12])
     def test_partitioning_shapes(self, skewed_table, num_partitions):
         ptable = partition_evenly(skewed_table, num_partitions)
         assert_statistics_identical(
-            build_dataset_statistics(ptable, vectorized=False),
-            build_dataset_statistics(ptable, vectorized=True),
+            scalar_reference(ptable),
+            build_dataset_statistics(ptable),
         )
 
     @pytest.mark.parametrize(
@@ -130,8 +154,8 @@ class TestVectorizedBuilderParity:
         [
             SketchConfig(histogram_buckets=1),
             SketchConfig(histogram_buckets=3, akmv_k=4, exact_dict_limit=3),
-            # epsilon large enough that partitions exceed one lossy-counting
-            # block: exercises the streaming fallback inside the batch plane.
+            # epsilon large enough that partitions span many lossy-counting
+            # blocks (width 6, 100 rows): the segmented kernel's block walk.
             SketchConfig(hh_support=0.2, hh_epsilon=0.19),
         ],
         ids=["one-bucket", "tiny-caps", "hh-streaming-fallback"],
@@ -139,8 +163,8 @@ class TestVectorizedBuilderParity:
     def test_config_corners(self, skewed_table, config):
         ptable = partition_evenly(sort_table(skewed_table, "d"), 9)
         assert_statistics_identical(
-            build_dataset_statistics(ptable, config, vectorized=False),
-            build_dataset_statistics(ptable, config, vectorized=True),
+            scalar_reference(ptable, config),
+            build_dataset_statistics(ptable, config),
         )
 
     def test_degenerate_columns(self):
@@ -164,8 +188,8 @@ class TestVectorizedBuilderParity:
         for parts in (1, 2, 4):
             ptable = partition_evenly(table, parts)
             assert_statistics_identical(
-                build_dataset_statistics(ptable, vectorized=False),
-                build_dataset_statistics(ptable, vectorized=True),
+                scalar_reference(ptable),
+                build_dataset_statistics(ptable),
             )
 
     def test_nan_values_match_scalar_semantics(self):
@@ -190,8 +214,8 @@ class TestVectorizedBuilderParity:
         for parts in (1, 2, 4):
             ptable = partition_evenly(table, parts)
             assert_statistics_identical(
-                build_dataset_statistics(ptable, vectorized=False),
-                build_dataset_statistics(ptable, vectorized=True),
+                scalar_reference(ptable),
+                build_dataset_statistics(ptable),
             )
 
     def test_bytes_dtype_categorical_matches_scalar(self):
@@ -208,8 +232,8 @@ class TestVectorizedBuilderParity:
         values = np.array([b"1", b"2", b"1", b"3", b"2", b"1"])
         ptable = partition_evenly(Table(schema, {"b": values}), 3)
         assert_statistics_identical(
-            build_dataset_statistics(ptable, vectorized=False),
-            build_dataset_statistics(ptable, vectorized=True),
+            scalar_reference(ptable),
+            build_dataset_statistics(ptable),
         )
 
     def test_nan_payload_diversity_matches_scalar(self):
@@ -230,8 +254,8 @@ class TestVectorizedBuilderParity:
         for parts in (1, 2, 4):
             ptable = partition_evenly(table, parts)
             assert_statistics_identical(
-                build_dataset_statistics(ptable, vectorized=False),
-                build_dataset_statistics(ptable, vectorized=True),
+                scalar_reference(ptable),
+                build_dataset_statistics(ptable),
             )
 
     def test_negative_zero_matches_scalar(self):
@@ -248,20 +272,20 @@ class TestVectorizedBuilderParity:
         for parts in (1, 3, 7):
             ptable = partition_evenly(table, parts)
             assert_statistics_identical(
-                build_dataset_statistics(ptable, vectorized=False),
-                build_dataset_statistics(ptable, vectorized=True),
+                scalar_reference(ptable),
+                build_dataset_statistics(ptable),
             )
 
     def test_process_pool_matches_inline(self, tiny_ptable):
         assert_statistics_identical(
-            build_dataset_statistics(tiny_ptable, vectorized=True),
-            build_dataset_statistics(tiny_ptable, vectorized=True, n_jobs=2),
+            build_dataset_statistics(tiny_ptable),
+            build_dataset_statistics(tiny_ptable, n_jobs=2),
         )
 
     def test_columnar_index_identical(self, tiny_ptable):
         """The exported index is the same arrays under either plane."""
-        scalar = build_dataset_statistics(tiny_ptable, vectorized=False)
-        vector = build_dataset_statistics(tiny_ptable, vectorized=True)
+        scalar = scalar_reference(tiny_ptable)
+        vector = build_dataset_statistics(tiny_ptable)
         assert_indexes_identical(
             ColumnarSketchIndex.build(scalar), ColumnarSketchIndex.build(vector)
         )
@@ -325,8 +349,8 @@ class TestAppendThenBuildParity:
         # Building through the (incrementally extended) cached view must
         # equal the scalar oracle on the grown table.
         assert_statistics_identical(
-            build_dataset_statistics(grown, vectorized=False),
-            build_dataset_statistics(grown, vectorized=True),
+            scalar_reference(grown),
+            build_dataset_statistics(grown),
         )
 
 
@@ -395,6 +419,6 @@ class TestVectorizedBuilderProperty:
             histogram_buckets=buckets, akmv_k=4, exact_dict_limit=4
         )
         assert_statistics_identical(
-            build_dataset_statistics(ptable, config, vectorized=False),
-            build_dataset_statistics(ptable, config, vectorized=True),
+            scalar_reference(ptable, config),
+            build_dataset_statistics(ptable, config),
         )

@@ -172,3 +172,42 @@ class TestReplayParity:
         ) == _bundle_bytes(
             recovered, tmp_path / "recovered.ps3stats", recovered_index
         )
+
+    def test_recovered_multi_block_partition_equals_the_live_one(
+        self, tiny_ptable, rng, tmp_path
+    ):
+        """A journaled partition longer than one lossy-counting block
+        (700 rows at width 200: three full blocks and a partial one)
+        reloads with the raw heavy-hitter state a live append sealed —
+        replay, append and the offline build share one seal path."""
+        from repro.engine.layout import append_rows
+        from repro.sketches.builder import SketchConfig, build_dataset_statistics
+        from repro.storage import StatisticsStore
+
+        n = 700
+        batch = {
+            "x": rng.exponential(10.0, n) + 1.0,
+            "y": rng.normal(0.0, 5.0, n),
+            "d": rng.integers(0, 100, n),
+            "cat": rng.choice(["a", "b", "c", "dd"], n, p=[0.7, 0.2, 0.07, 0.03]),
+            "tag": rng.choice([f"t{i:03d}" for i in range(300)], n),
+        }
+        live = build_dataset_statistics(tiny_ptable, SketchConfig(hh_support=0.05))
+        store = StatisticsStore(tmp_path)
+        store.checkpoint(live)
+        store.log_append(batch)
+
+        grown = append_rows(tiny_ptable, batch)
+        sealed = append_partition_statistics(live, grown[grown.num_partitions - 1])
+        assert sealed.columns["tag"].heavy_hitter.bucket == 4
+
+        recovered, __ = StatisticsStore(tmp_path).load_statistics()
+        assert recovered.num_partitions == live.num_partitions
+        replayed = recovered.partitions[-1]
+        for name, cstats in sealed.columns.items():
+            theirs = replayed.columns[name].heavy_hitter
+            assert theirs.entries() == cstats.heavy_hitter.entries(), name
+            assert theirs.total == n and theirs.bucket == 4
+        assert _bundle_bytes(live, tmp_path / "live.ps3stats") == _bundle_bytes(
+            recovered, tmp_path / "recovered.ps3stats"
+        )

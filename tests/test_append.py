@@ -6,6 +6,7 @@ import pytest
 from repro.api import PS3
 from repro.datasets.registry import get_dataset
 from repro.engine.layout import append_rows
+from repro.engine.table import Table
 from repro.errors import ConfigError
 from repro.workload import QueryGenerator
 
@@ -103,6 +104,71 @@ class TestAppendRowsHelper:
             grown[0].column("x"), tiny_ptable[0].column("x")
         )
         assert grown[grown.num_partitions - 1].num_rows == 50
+
+    @staticmethod
+    def _batch(rows, seed, cat="a", d_dtype=np.int64):
+        rng = np.random.default_rng(seed)
+        return {
+            "x": rng.normal(size=rows),
+            "y": rng.integers(0, 9, rows),  # ints into a float column
+            "d": rng.integers(0, 400, rows).astype(d_dtype),
+            "cat": np.array([cat] * rows),
+            "tag": np.array([f"t{seed}"] * rows),
+        }
+
+    def test_chain_equals_concatenation(self, tiny_ptable):
+        """Every table of an append chain holds exactly what
+        ``np.concatenate`` would have built (values and dtypes), also
+        where a batch widens a string column or brings a narrower
+        integer, and earlier tables of the chain never change."""
+        batches = [
+            self._batch(40, 1),
+            self._batch(7, 2, cat="a-much-longer-category"),
+            self._batch(90, 3, d_dtype=np.int32),
+            self._batch(700, 4),  # more than the spare: copies again
+        ]
+        expected = dict(tiny_ptable.table.columns)
+        chain, grown = [], tiny_ptable
+        for batch in batches:
+            grown = append_rows(grown, batch)
+            expected = {
+                name: np.concatenate([expected[name], batch[name]])
+                for name in expected
+            }
+            chain.append((grown, Table(grown.schema, dict(expected))))
+        for got, want in chain:
+            for name, column in want.columns.items():
+                np.testing.assert_array_equal(got.table.columns[name], column)
+                assert got.table.columns[name].dtype == column.dtype, name
+        assert chain[-1][0].boundaries[-4:] == (
+            tiny_ptable.num_rows + 40,
+            tiny_ptable.num_rows + 47,
+            tiny_ptable.num_rows + 137,
+            tiny_ptable.num_rows + 837,
+        )
+
+    def test_cost_follows_the_batch(self, tiny_ptable):
+        """The second append writes into the first one's spare rows: no
+        column of the table is copied again."""
+        first = append_rows(tiny_ptable, self._batch(30, 5))
+        second = append_rows(first, self._batch(30, 6))
+        for name, column in second.table.columns.items():
+            assert np.shares_memory(column, first.table.columns[name]), name
+
+    def test_appending_twice_to_one_table_forks(self, tiny_ptable):
+        """Only the newest table may use the spare; a second append to
+        an older one must not overwrite the first one's rows."""
+        base = append_rows(tiny_ptable, self._batch(30, 7))
+        left = append_rows(base, self._batch(30, 8, cat="l"))
+        right = append_rows(base, self._batch(30, 9, cat="r"))
+        assert set(left[left.num_partitions - 1].column("cat")) == {"l"}
+        assert set(right[right.num_partitions - 1].column("cat")) == {"r"}
+        np.testing.assert_array_equal(
+            left.table.columns["x"][: base.num_rows], base.table.columns["x"]
+        )
+        assert not np.shares_memory(
+            left.table.columns["x"], right.table.columns["x"]
+        )
 
 
 class TestStaleness:
