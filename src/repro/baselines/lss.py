@@ -128,8 +128,7 @@ class LSSSampler:
         """Train the scorer and sweep stratum sizes per budget fraction."""
         config = config or TrainingConfig()
         self._normalizer = Normalizer(self.feature_builder.schema)
-        normalized = self._normalizer.fit_transform(data.features)
-        stacked_x = np.vstack(normalized)
+        stacked_x, normalized = self._normalizer.fit_transform(data.features)
         labels = np.concatenate(data.contributions)
         self._model = GBRTRegressor(
             n_trees=config.gbrt_trees,

@@ -23,7 +23,7 @@ from repro.engine.workload_executor import WorkloadExecutor
 from repro.engine.query import Query
 from repro.engine.table import PartitionedTable
 from repro.errors import ConfigError
-from repro.ml.gbrt import GBRTRegressor
+from repro.ml.gbrt import GBRTRegressor, bin_features
 from repro.stats.features import FeatureBuilder
 from repro.stats.normalization import Normalizer
 
@@ -139,12 +139,13 @@ def train_picker_model(
 
     data = compute_training_data(ptable, feature_builder, train_queries)
     normalizer = Normalizer(feature_builder.schema)
-    data.normalized = normalizer.fit_transform(data.features)
+    stacked_x, data.normalized = normalizer.fit_transform(data.features)
 
     thresholds = exponential_thresholds(
         data.contributions, config.num_models, config.top_fraction
     )
-    stacked_x = np.vstack(data.normalized)
+    # Every regressor boosts on the same matrix: bin it once for all k.
+    binned = bin_features(stacked_x, GBRTRegressor.num_bins)
     regressors: list[GBRTRegressor] = []
     for model_index, threshold in enumerate(thresholds):
         labels = np.concatenate(
@@ -160,7 +161,7 @@ def train_picker_model(
             colsample=config.gbrt_colsample,
             seed=config.seed + model_index,
         )
-        regressor.fit(stacked_x, labels)
+        regressor.fit_binned(binned, labels)
         regressors.append(regressor)
 
     model = PickerModel(

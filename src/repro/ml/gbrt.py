@@ -1,9 +1,10 @@
 """Gradient-boosted regression trees (the XGBoost stand-in).
 
 Squared-loss boosting with shrinkage over histogram trees
-(:mod:`repro.ml.tree`). Feature values are quantile-binned once at fit
-time; prediction compares raw values against those bin edges through the
-compiled forest and never bins. Column subsampling
+(:mod:`repro.ml.tree`). Feature values are quantile-binned once per
+training matrix (:func:`bin_features`, shared by every regressor fitted
+on it); prediction compares raw values against those bin edges through
+the compiled forest and never bins. Column subsampling
 decorrelates trees and keeps per-tree split search cheap at the feature
 dimensions PS3 produces (hundreds).
 
@@ -19,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.errors import ConfigError, NotFittedError
-from repro.ml.tree import CompiledForest, RegressionTree, TreeBuilder
+from repro.ml.tree import BinnedMatrix, CompiledForest, RegressionTree, TreeBuilder
 
 
 def _quantile_bin_edges(values: np.ndarray, num_bins: int) -> np.ndarray:
@@ -32,6 +33,19 @@ def _quantile_bin_edges(values: np.ndarray, num_bins: int) -> np.ndarray:
         return (uniques[:-1] + uniques[1:]) / 2.0
     quantiles = np.linspace(0.0, 1.0, num_bins + 1)[1:-1]
     return np.unique(np.quantile(values, quantiles))
+
+
+def bin_features(X: np.ndarray, num_bins: int) -> BinnedMatrix:
+    """Quantile-bin a training matrix once, for every regressor fitted on it."""
+    columns = np.ascontiguousarray(np.asarray(X, dtype=np.float64).T)
+    edges = [_quantile_bin_edges(column, num_bins) for column in columns]
+    live = np.flatnonzero([column_edges.size for column_edges in edges])
+    dtype = np.min_scalar_type(max(live.size * num_bins - 1, 0))
+    codes = np.empty((columns.shape[1], live.size), dtype=dtype)
+    for slot, j in enumerate(live):
+        bins = np.searchsorted(edges[j], columns[j], side="left")
+        codes[:, slot] = bins + slot * num_bins
+    return BinnedMatrix(edges, live, codes, num_bins)
 
 
 @dataclass
@@ -72,30 +86,21 @@ class GBRTRegressor:
 
     # -- fitting -------------------------------------------------------------
 
-    def _bin(self, X: np.ndarray) -> np.ndarray:
-        binned = np.zeros(X.shape, dtype=np.int32)
-        for j, edges in enumerate(self._bin_edges):
-            if edges.size:
-                binned[:, j] = np.searchsorted(edges, X[:, j], side="left")
-        return binned
-
     def fit(self, X: np.ndarray, y: np.ndarray) -> GBRTRegressor:
-        X = np.asarray(X, dtype=np.float64)
+        if np.ndim(X) != 2:
+            raise ConfigError(f"bad shapes X={np.shape(X)} y={np.shape(y)}")
+        return self.fit_binned(bin_features(X, self.num_bins), y)
+
+    def fit_binned(self, binned: BinnedMatrix, y: np.ndarray) -> GBRTRegressor:
+        """Boost on a matrix :func:`bin_features` binned with ``num_bins``."""
         y = np.asarray(y, dtype=np.float64)
-        if X.ndim != 2 or y.ndim != 1 or X.shape[0] != y.shape[0]:
-            raise ConfigError(f"bad shapes X={X.shape} y={y.shape}")
-        n, d = X.shape
+        n, d = binned.codes.shape[0], len(binned.edges)
+        if y.shape != (n,) or binned.num_bins != self.num_bins:
+            raise ConfigError(f"bad shapes rows={n} y={y.shape} bins={binned.num_bins}")
         self._num_features = d
-        self._bin_edges = [
-            _quantile_bin_edges(X[:, j], self.num_bins) for j in range(d)
-        ]
-        binned = self._bin(X)
+        self._bin_edges = binned.edges
         rng = np.random.default_rng(self.seed)
-        builder = TreeBuilder(
-            max_depth=self.max_depth,
-            min_samples_leaf=self.min_samples_leaf,
-            reg_lambda=self.reg_lambda,
-        )
+        builder = TreeBuilder(self.max_depth, self.min_samples_leaf, self.reg_lambda)
         self._base = float(y.mean()) if n else 0.0
         prediction = np.full(n, self._base, dtype=np.float64)
         self._trees = []
@@ -104,12 +109,13 @@ class GBRTRegressor:
             gradients = prediction - y  # d/dpred of 0.5*(pred-y)^2
             if np.allclose(gradients, 0.0):
                 break
+            # Drawn over all d columns, so the draw does not depend on
+            # which of them are live; the builder skips the dead ones.
             if n_sub < d:
                 feature_ids = np.sort(rng.choice(d, size=n_sub, replace=False))
             else:
                 feature_ids = np.arange(d)
-            tree = builder.build(binned, gradients, feature_ids, self.num_bins)
-            step = tree.predict_binned(binned)
+            tree, step = builder.build(binned, gradients, feature_ids)
             if not np.any(step):
                 break  # no split improved the loss; boosting has converged
             prediction += self.learning_rate * step

@@ -6,9 +6,9 @@ for squared loss with unit hessians:
 
     gain = GL^2/(nL + lambda) + GR^2/(nR + lambda) - G^2/(n + lambda)
 
-where G are gradient sums. Histogram accumulation is one ``np.bincount``
-over all (row, feature) pairs in the node, keeping the per-node python
-overhead constant.
+where G are gradient sums. A tree grows level by level: one gradient and
+one count ``np.bincount`` over all (row, feature) pairs, keyed (node,
+feature, bin) on codes the booster computes once per training matrix.
 
 Trees store split thresholds in *bin index* space, which is what fitting
 consumes. Inference runs on :class:`CompiledForest`, which translates each
@@ -39,28 +39,6 @@ class RegressionTree:
     value: np.ndarray = field(default_factory=lambda: np.empty(0, np.float64))
     #: accumulated split gain per feature (importance bookkeeping)
     gain_by_feature: dict[int, float] = field(default_factory=dict)
-
-    def predict_binned(self, binned: np.ndarray) -> np.ndarray:
-        """Evaluate the tree on pre-binned inputs, vectorized."""
-        n = binned.shape[0]
-        node = np.zeros(n, dtype=np.int32)
-        out = np.zeros(n, dtype=np.float64)
-        active = np.arange(n)
-        while active.size:
-            current = node[active]
-            is_leaf = self.feature[current] < 0
-            leaf_rows = active[is_leaf]
-            out[leaf_rows] = self.value[current[is_leaf]]
-            active = active[~is_leaf]
-            if not active.size:
-                break
-            current = node[active]
-            feats = self.feature[current]
-            go_left = binned[active, feats] <= self.threshold[current]
-            node[active] = np.where(
-                go_left, self.left[current], self.right[current]
-            )
-        return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -182,16 +160,33 @@ class CompiledForest:
         ]
 
 
+@dataclass(frozen=True, eq=False)
+class BinnedMatrix:
+    """A training matrix in bin space, built once and shared by every tree.
+
+    ``edges[j]`` are column j's interior bin edges. ``live`` lists,
+    ascending, the columns with at least one edge; the rest sit in a
+    single bin and can never split. ``codes[i, s]`` is
+    ``bin(X[i, live[s]]) + s * num_bins``: a cell of the flat
+    ``(live column, bin)`` histogram.
+    """
+
+    edges: list[np.ndarray]
+    live: np.ndarray
+    codes: np.ndarray
+    num_bins: int
+
+
 @dataclass
-class _NodeTask:
-    node_id: int
-    rows: np.ndarray
-    depth: int
+class _Node:
+    rows: np.ndarray  # ascending
     grad_sum: float
+    split: tuple[int, int, float] | None = None  # (feature, bin, gain)
+    child: int = -1  # the left child; the right one follows it
 
 
 class TreeBuilder:
-    """Grows one tree on (binned features, gradients)."""
+    """Grows one tree on (binned features, gradients), level by level."""
 
     def __init__(
         self,
@@ -210,116 +205,110 @@ class TreeBuilder:
         self.min_gain = min_gain
 
     def build(
-        self,
-        binned: np.ndarray,
-        gradients: np.ndarray,
-        feature_ids: np.ndarray,
-        num_bins: int,
-    ) -> RegressionTree:
+        self, binned: BinnedMatrix, gradients: np.ndarray, feature_ids: np.ndarray
+    ) -> tuple[RegressionTree, np.ndarray]:
         """Fit a tree predicting ``-gradients`` (negative-gradient step).
 
-        ``feature_ids`` selects the candidate split features (column
-        subsampling); ``binned`` is the full matrix so thresholds refer to
-        global feature indices.
+        Returns the tree and its value at every training row.
+        ``feature_ids`` (ascending) selects the candidate split features
+        (column subsampling); those outside ``binned.live`` are skipped.
+        Each depth level costs one gradient and one count ``bincount``
+        keyed (node, live column, bin) over rows x candidates. Rows stay
+        ascending within a node, so a histogram cell sums in the order a
+        per-node histogram would.
         """
-        feature_col, threshold = [], []
-        left, right, value = [], [], []
+        num_bins, min_rows = binned.num_bins, 2 * self.min_samples_leaf
+        slots = np.flatnonzero(np.isin(binned.live, feature_ids))
+        codes = binned.codes.take(slots, axis=1)
+        weights = np.repeat(gradients, slots.size)
+        width = binned.live.size * num_bins
+        nodes = [_Node(np.arange(gradients.size), float(gradients.sum()))]
+        # Each row's histogram in the level's bincount: its node's, or one
+        # spare past the last for rows of nodes that have stopped growing.
+        home = np.empty(gradients.size, np.intp)
+        frontier = nodes[:1] if slots.size else []
+        for __ in range(self.max_depth):
+            level = [node for node in frontier if node.rows.size >= min_rows]
+            if not level:
+                break
+            home[:] = len(level) * width
+            for place, node in enumerate(level):
+                home[node.rows] = place * width
+            keys = (codes + home[:, None]).ravel()
+            shape = (len(level) + 1, binned.live.size, num_bins)
+            grad_hist, count_hist = (
+                np.bincount(keys, weights=w, minlength=shape[0] * width)
+                .reshape(shape)[:-1]
+                .take(slots, axis=1)
+                for w in (weights, None)
+            )
+            found = self._best_splits(level, grad_hist, count_hist)
+            frontier = []
+            for node, (position, bin_idx, gain) in zip(level, found):
+                if position < 0:
+                    continue
+                slot = int(slots[position])
+                go_left = codes[node.rows, position] <= bin_idx + slot * num_bins
+                left_rows, right_rows = node.rows[go_left], node.rows[~go_left]
+                grad_left = float(gradients[left_rows].sum())
+                node.split = (int(binned.live[slot]), bin_idx, gain)
+                node.child = len(nodes)
+                nodes += [
+                    _Node(left_rows, grad_left),
+                    _Node(right_rows, node.grad_sum - grad_left),
+                ]
+                frontier += nodes[-2:]
+
+        # Emit in the id order of a right-first depth-first walk that
+        # numbers both children when it visits their parent.
+        size = len(nodes)
+        feature, threshold = np.full(size, -1, np.int32), np.full(size, -1, np.int32)
+        left, right = np.full(size, -1, np.int32), np.full(size, -1, np.int32)
+        value, step = np.zeros(size), np.zeros(gradients.size)
         gains: dict[int, float] = {}
-
-        def new_node() -> int:
-            feature_col.append(-1)
-            threshold.append(-1)
-            left.append(-1)
-            right.append(-1)
-            value.append(0.0)
-            return len(feature_col) - 1
-
-        root = new_node()
-        stack = [_NodeTask(root, np.arange(binned.shape[0]), 0, float(gradients.sum()))]
-        lam = self.reg_lambda
+        stack, issued = [(nodes[0], 0)], 1
         while stack:
-            task = stack.pop()
-            rows = task.rows
-            n = rows.size
-            leaf_value = -task.grad_sum / (n + lam)
-            if task.depth >= self.max_depth or n < 2 * self.min_samples_leaf:
-                value[task.node_id] = leaf_value
+            node, node_id = stack.pop()
+            if node.split is None:
+                value[node_id] = -node.grad_sum / (node.rows.size + self.reg_lambda)
+                step[node.rows] = value[node_id]
                 continue
-            split = self._best_split(
-                binned, gradients, rows, feature_ids, num_bins, task.grad_sum
-            )
-            if split is None:
-                value[task.node_id] = leaf_value
-                continue
-            feat, bin_idx, gain = split
+            feat, threshold[node_id], gain = node.split
+            feature[node_id] = feat
             gains[feat] = gains.get(feat, 0.0) + gain
-            go_left = binned[rows, feat] <= bin_idx
-            left_rows, right_rows = rows[go_left], rows[~go_left]
-            feature_col[task.node_id] = feat
-            threshold[task.node_id] = bin_idx
-            left_id, right_id = new_node(), new_node()
-            left[task.node_id] = left_id
-            right[task.node_id] = right_id
-            grad_left = float(gradients[left_rows].sum())
-            stack.append(
-                _NodeTask(left_id, left_rows, task.depth + 1, grad_left)
-            )
-            stack.append(
-                _NodeTask(
-                    right_id, right_rows, task.depth + 1, task.grad_sum - grad_left
-                )
-            )
+            left[node_id], right[node_id] = issued, issued + 1
+            stack += [(nodes[node.child], issued), (nodes[node.child + 1], issued + 1)]
+            issued += 2
+        return RegressionTree(feature, threshold, left, right, value, gains), step
 
-        return RegressionTree(
-            feature=np.asarray(feature_col, np.int32),
-            threshold=np.asarray(threshold, np.int32),
-            left=np.asarray(left, np.int32),
-            right=np.asarray(right, np.int32),
-            value=np.asarray(value, np.float64),
-            gain_by_feature=gains,
-        )
-
-    def _best_split(
-        self,
-        binned: np.ndarray,
-        gradients: np.ndarray,
-        rows: np.ndarray,
-        feature_ids: np.ndarray,
-        num_bins: int,
-        grad_sum: float,
-    ) -> tuple[int, int, float] | None:
-        """Best (feature, bin, gain) for a node, or None if nothing helps."""
-        n = rows.size
-        lam = self.reg_lambda
-        sub = binned[np.ix_(rows, feature_ids)].astype(np.int64)
-        offsets = np.arange(feature_ids.size, dtype=np.int64) * num_bins
-        flat = (sub + offsets).ravel()
-        weights = np.broadcast_to(
-            gradients[rows][:, None], sub.shape
-        ).ravel()
-        size = feature_ids.size * num_bins
-        grad_hist = np.bincount(flat, weights=weights, minlength=size)
-        count_hist = np.bincount(flat, minlength=size)
-        grad_hist = grad_hist.reshape(feature_ids.size, num_bins)
-        count_hist = count_hist.reshape(feature_ids.size, num_bins)
-
-        grad_left = np.cumsum(grad_hist, axis=1)[:, :-1]
-        count_left = np.cumsum(count_hist, axis=1)[:, :-1]
-        grad_right = grad_sum - grad_left
-        count_right = n - count_left
-        parent_score = grad_sum**2 / (n + lam)
+    def _best_splits(
+        self, level: list[_Node], grad_hist: np.ndarray, count_hist: np.ndarray
+    ) -> list[tuple[int, int, float]]:
+        """Best (column, bin, gain) per node, column -1 if no split helps, read
+        off the level's (node, candidate column, bin) histograms."""
+        lam, per_node = self.reg_lambda, (len(level), 1, 1)
+        sizes = [node.rows.size for node in level]
+        grad_sums = [node.grad_sum for node in level]
+        grad_left = np.cumsum(grad_hist, axis=2)[:, :, :-1]
+        count_left = np.cumsum(count_hist, axis=2)[:, :, :-1]
+        grad_right = np.reshape(grad_sums, per_node) - grad_left
+        count_right = np.reshape(sizes, per_node) - count_left
+        parent_score = [g**2 / (n + lam) for g, n in zip(grad_sums, sizes)]
         gain = (
             grad_left**2 / (count_left + lam)
             + grad_right**2 / (count_right + lam)
-            - parent_score
+            - np.reshape(parent_score, per_node)
         )
         valid = (count_left >= self.min_samples_leaf) & (
             count_right >= self.min_samples_leaf
         )
-        gain = np.where(valid, gain, -np.inf)
-        best = int(np.argmax(gain))
-        best_feat_pos, best_bin = divmod(best, num_bins - 1)
-        best_gain = float(gain[best_feat_pos, best_bin])
-        if not np.isfinite(best_gain) or best_gain <= self.min_gain:
-            return None
-        return int(feature_ids[best_feat_pos]), int(best_bin), best_gain
+        gain = np.where(valid, gain, -np.inf).reshape(len(level), -1)
+        found = []
+        for node_gain in gain:
+            best = int(np.argmax(node_gain))
+            best_gain = float(node_gain[best])
+            if not np.isfinite(best_gain) or best_gain <= self.min_gain:
+                found.append((-1, -1, 0.0))
+            else:
+                found.append((*divmod(best, grad_hist.shape[2] - 1), best_gain))
+        return found

@@ -38,11 +38,7 @@ class Normalizer:
 
     def fit(self, matrices: list[np.ndarray]) -> Normalizer:
         """Learn per-feature scales from the training queries' matrices."""
-        stacked = np.vstack(matrices)
-        transformed = _transform(stacked, self.schema.selectivity_slice())
-        averages = np.abs(transformed).mean(axis=0)
-        averages[averages == 0.0] = 1.0  # constant-zero features pass through
-        self.scale = averages
+        self.fit_transform(matrices)
         return self
 
     @property
@@ -69,6 +65,19 @@ class Normalizer:
         out[:, live] = _transform(matrix[:, live], slice(*slots)) / self.scale[live]
         return out
 
-    def fit_transform(self, matrices: list[np.ndarray]) -> list[np.ndarray]:
-        self.fit(matrices)
-        return [self.transform(m) for m in matrices]
+    def fit_transform(
+        self, matrices: list[np.ndarray]
+    ) -> tuple[np.ndarray, list[np.ndarray]]:
+        """Fit, then the normalized stack and each matrix's rows of it (views).
+
+        The stack is transformed once, for the scales and the result
+        alike; the transform is elementwise, so every row is bit for bit
+        what :meth:`transform` returns for it.
+        """
+        block = _transform(np.vstack(matrices), self.schema.selectivity_slice())
+        averages = np.abs(block).mean(axis=0)
+        averages[averages == 0.0] = 1.0  # constant-zero features pass through
+        self.scale = averages
+        block /= averages
+        bounds = np.cumsum([0] + [len(matrix) for matrix in matrices])
+        return block, [block[a:b] for a, b in zip(bounds, bounds[1:])]

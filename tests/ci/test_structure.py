@@ -20,6 +20,14 @@
   replaced the scalar plane, the single-block fast path and the
   per-value entry objects instead of sitting beside them. The scalar
   reference is a composition inside the differential tests.
+* No callable of ``repro.ml`` / ``repro.core.training`` takes a
+  ``levelwise=`` / ``histogram=`` / ``per_node=`` / ``prebinned=`` style
+  switch, and ``repro.ml.tree`` no longer resolves ``_best_split`` /
+  ``_NodeTask``: trees grow level by level over codes binned once
+  (PR 21), which replaced the per-node split search instead of sitting
+  beside it. The per-node builder is ``tests/ml/per_node_reference.py``.
+  ``ml/tree.py`` + ``ml/gbrt.py`` stay within the 540 lines they had
+  before it.
 * Every ``(module, attribute path)`` the benchmark's tracer patches
   (``TRACED`` in ``benchmarks/e2e/layers.py``, read here, never edited)
   resolves the way the tracer resolves it. A rename would otherwise show
@@ -137,6 +145,46 @@ def test_sketch_builder_has_one_plane():
     assert not hasattr(heavy_hitter.HeavyHitterSketch, "from_distinct_counts")
     assert not hasattr(builder, "_heavy_hitter_for_segment")
     assert not hasattr(builder, "_lossy_counting_width")
+
+
+#: Spellings a "level-wise or per-node split search" switch would take.
+TREE_MODES = {
+    "levelwise",
+    "level_wise",
+    "histogram",
+    "per_node",
+    "pernode",
+    "prebinned",
+    "pre_binned",
+}
+ML_SOURCES = Path(repro.ml.__file__).resolve().parent
+
+
+@pytest.mark.parametrize(
+    "module_name",
+    ["repro.core.training"] + [n for n in PICKER_PLANES if n.startswith("repro.ml.")],
+)
+def test_no_training_callable_takes_a_tree_mode(module_name):
+    assert _takers(module_name, TREE_MODES) == []
+
+
+def test_tree_builder_has_one_split_search():
+    import repro.ml.gbrt as gbrt
+    import repro.ml.tree as tree
+
+    # The guard is only a guard if the walk reaches the entry points.
+    assert "TreeBuilder.build" in dict(_public_callables(tree))
+    assert {"GBRTRegressor.fit", "GBRTRegressor.fit_binned", "bin_features"} <= set(
+        dict(_public_callables(gbrt))
+    )
+    assert not hasattr(tree, "_NodeTask")
+    assert not hasattr(tree, "_best_split")
+    assert not hasattr(tree.TreeBuilder, "_best_split")
+    lines = sum(
+        len((ML_SOURCES / name).read_text().splitlines())
+        for name in ("tree.py", "gbrt.py")
+    )
+    assert lines <= 540, lines
 
 
 def test_walk_sees_the_callables_a_subspace_mode_would_land_on():

@@ -1,15 +1,23 @@
 """Unit tests for picker training."""
 
+import time
+
 import numpy as np
 import pytest
 
+from repro.api import PS3
+from repro.bench.profiles import get_profile
+from repro.core.labels import exponential_thresholds, labels_for_query
 from repro.core.training import (
     TrainingConfig,
     compute_training_data,
     regressor_feature_importance_by_category,
     train_picker_model,
 )
+from repro.datasets.registry import get_dataset
+from repro.engine.workload_executor import WorkloadExecutor
 from repro.errors import ConfigError
+from repro.workload.generator import QueryGenerator
 
 
 @pytest.fixture(scope="module")
@@ -92,3 +100,56 @@ class TestConfigValidation:
     def test_bad_top_fraction(self):
         with pytest.raises(ConfigError):
             TrainingConfig(top_fraction=0.0)
+
+
+class TestFunnelLabels:
+    @pytest.mark.xfail(
+        strict=True,
+        reason="exponential_thresholds lands on the tied maximum contribution "
+        "(1.0) and labels_for_query compares with a strict '>', so the last "
+        "funnel stages train on zero positives and fit no tree; the fix "
+        "changes selections and belongs to ROADMAP direction 1(c)",
+    )
+    def test_every_funnel_stage_has_a_positive_label_on_kdd(self):
+        dataset = get_dataset("kdd")
+        ptable = dataset.build(64 * 125, 64, seed=22)
+        generator = QueryGenerator(dataset.workload(), ptable.table, seed=22)
+        train, __ = generator.train_test_split(16, 0)
+        matrix = WorkloadExecutor.for_table(ptable).answer_matrix(train)
+        contributions = [matrix.contributions(qid) for qid in range(len(train))]
+        config = TrainingConfig()
+        thresholds = exponential_thresholds(
+            contributions, config.num_models, config.top_fraction
+        )
+        positives = [
+            sum(int((labels_for_query(c, float(t)) > 0).sum()) for c in contributions)
+            for t in thresholds
+        ]
+        assert min(positives) >= 1, (thresholds.tolist(), positives)
+
+
+#: Wall-clock allowance for one ``slow`` test: all but the two exhaustive
+#: kill-point sweeps finish in under 40 s. The test below takes ≈ 20 s;
+#: with the per-node split search its training alone took 80 s.
+SLOW_TEST_BUDGET_S = 120.0
+
+
+@pytest.mark.slow
+def test_trains_on_400_kdd_queries_end_to_end():
+    """The paper's training-set size (400 queries), on the default profile."""
+    started = time.perf_counter()
+    profile = get_profile("default")
+    dataset = get_dataset("kdd")
+    ptable = dataset.build(
+        profile.num_rows, profile.num_partitions, seed=profile.seed
+    )
+    generator = QueryGenerator(dataset.workload(), ptable.table, seed=profile.seed)
+    train, held_out = generator.train_test_split(400, 4)
+    ps3 = PS3(ptable, dataset.workload()).fit(train)
+    rows = 400 * profile.num_partitions
+    assert sum(len(m) for m in ps3.training_data.normalized) == rows
+    assert ps3.model.regressors[0].num_trees_fitted == TrainingConfig().gbrt_trees
+    for query in held_out:
+        answer = ps3.query(query, budget_fraction=0.1)
+        assert 1 <= len(answer.selection.selection) <= 10
+    assert time.perf_counter() - started < SLOW_TEST_BUDGET_S

@@ -2,8 +2,8 @@
 
 Production inference runs only on :class:`repro.ml.tree.CompiledForest`
 (raw thresholds, one flat node table, level-synchronous steps). The
-oracles below are the path it replaced — bin every column with the
-retained ``_bin``, walk the trees one at a time with ``predict_binned``,
+oracles below are the path it replaced — bin every column, walk the
+trees one at a time with ``predict_binned`` (``per_node_reference.py``),
 run the funnel stage by stage — and live here, not under ``src/``.
 Everything is compared with ``np.array_equal``: the compiled form adds
 the same floats in the same order, so no tolerance applies.
@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from per_node_reference import bin_matrix, predict_binned
 
 import repro.core.picker as picker_module
 from repro.api import PS3
@@ -25,10 +26,10 @@ from repro.workload.generator import QueryGenerator
 
 
 def oracle_predict(model: GBRTRegressor, X: np.ndarray) -> np.ndarray:
-    binned = model._bin(np.asarray(X, dtype=np.float64))
+    binned = bin_matrix(model._bin_edges, np.asarray(X, dtype=np.float64))
     out = np.full(binned.shape[0], model._base, dtype=np.float64)
     for tree in model._trees:
-        out += model.learning_rate * tree.predict_binned(binned)
+        out += model.learning_rate * predict_binned(tree, binned)
     return out
 
 

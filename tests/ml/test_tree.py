@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from per_node_reference import as_binned_matrix, predict_binned
 
 from repro.errors import ConfigError
 from repro.ml.tree import TreeBuilder
@@ -10,7 +11,9 @@ from repro.ml.tree import TreeBuilder
 def build_tree(X_binned, gradients, **kwargs):
     builder = TreeBuilder(**kwargs)
     feature_ids = np.arange(X_binned.shape[1])
-    return builder.build(X_binned, gradients, feature_ids, num_bins=8)
+    tree, step = builder.build(as_binned_matrix(X_binned, 8), gradients, feature_ids)
+    np.testing.assert_array_equal(step, predict_binned(tree, X_binned))
+    return tree
 
 
 class TestSplits:
@@ -22,7 +25,7 @@ class TestSplits:
         gradients = np.repeat([1.0, -1.0], 50)
         tree = build_tree(binned, gradients, max_depth=2)
         assert tree.feature[0] == 0  # root splits on the signal feature
-        predictions = tree.predict_binned(binned)
+        predictions = predict_binned(tree, binned)
         # Negative-gradient step: predictions oppose gradients.
         assert predictions[0] < 0 < predictions[99]
 

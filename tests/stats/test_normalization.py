@@ -66,9 +66,10 @@ class TestNormalizer:
             tiny_feature_builder.features_for_query(q).matrix for q in queries
         ]
         normalizer = Normalizer(tiny_feature_builder.schema)
-        combined = normalizer.fit_transform([m.copy() for m in matrices])
+        block, combined = normalizer.fit_transform([m.copy() for m in matrices])
         expected = normalizer.transform(matrices[0])
-        np.testing.assert_allclose(combined[0], expected)
+        np.testing.assert_array_equal(combined[0], expected)
+        assert len(combined) == 1 and np.shares_memory(combined[0], block)
 
 
 class TestLiveColumns:
