@@ -1,8 +1,10 @@
 """Feature-plane throughput: scalar vs vectorized featurization.
 
-Times ``FeatureBuilder.features_for_query`` under both selectivity paths
-(the per-partition scalar estimator loop vs the compile-once predicate
-plan over the columnar sketch index) across growing partition counts,
+Times ``FeatureBuilder.features_for_query`` (the compile-once predicate
+plan over the columnar sketch index) against the per-partition scalar
+estimator loop — composed here from ``estimate_selectivity`` on top of
+the same masked static features; production has no such path — across
+growing partition counts,
 over a mixed predicate workload (joint numeric ranges, OR trees, IN
 sets, substring filters). Emits a text table plus
 ``BENCH_perf_feature_plane.json`` under ``benchmarks/results/`` so the
@@ -33,7 +35,8 @@ from repro.engine.query import Query
 from repro.engine.schema import Column, ColumnKind, Schema
 from repro.engine.table import Table
 from repro.sketches.builder import build_dataset_statistics
-from repro.stats.features import FeatureBuilder
+from repro.stats.features import NUM_SELECTIVITY, FeatureBuilder, QueryFeatures
+from repro.stats.selectivity import estimate_selectivity
 
 PARTITION_COUNTS = (64, 256, 1024)
 ROWS_PER_PARTITION = 50
@@ -95,15 +98,28 @@ def _build_builder(num_partitions: int, seed: int = 11) -> FeatureBuilder:
     return FeatureBuilder(build_dataset_statistics(ptable), ("cat", "d"))
 
 
-def _time_path(
-    builder: FeatureBuilder, queries: list[Query], vectorized: bool
-) -> float:
+def scalar_features(builder: FeatureBuilder, query: Query) -> QueryFeatures:
+    """The reference: the same masked static block, then one
+    ``estimate_selectivity`` walk per partition instead of the plan."""
+    schema = builder.schema
+    partitions = builder.dataset.partitions
+    matrix = np.zeros((len(partitions), schema.dimension), dtype=np.float64)
+    live = builder._live_columns(query)
+    masked = live[:-NUM_SELECTIVITY]  # the static part of the mask
+    matrix[:, masked] = builder.static_matrix[:, masked]
+    block = schema.selectivity_slice()
+    for p, partition in enumerate(partitions):
+        matrix[p, block] = estimate_selectivity(query.predicate, partition).as_tuple()
+    return QueryFeatures(schema=schema, query=query, matrix=matrix, live_columns=live)
+
+
+def _time_path(builder: FeatureBuilder, queries: list[Query], featurize) -> float:
     """Best-of-REPEATS seconds to featurize the whole query workload."""
     timings = []
     for __ in range(REPEATS):
         started = time.perf_counter()
         for query in queries:
-            builder.features_for_query(query, vectorized=vectorized)
+            featurize(builder, query)
         timings.append(time.perf_counter() - started)
     return min(timings)
 
@@ -115,9 +131,9 @@ def run() -> dict:
         builder = _build_builder(num_partitions)
         # Warm both paths (plan compilation, sketch caches) so the timed
         # runs measure steady-state featurization.
-        _time_path(builder, queries, vectorized=True)
-        scalar_s = _time_path(builder, queries, vectorized=False)
-        vectorized_s = _time_path(builder, queries, vectorized=True)
+        _time_path(builder, queries, FeatureBuilder.features_for_query)
+        scalar_s = _time_path(builder, queries, scalar_features)
+        vectorized_s = _time_path(builder, queries, FeatureBuilder.features_for_query)
         rows.append(
             {
                 "partitions": num_partitions,

@@ -18,23 +18,14 @@ size, allocate the budget proportionally to stratum sizes, sample
 uniformly within strata, and weight by ``stratum_size / stratum_samples``.
 
 The Table 8 stratum-size sweep scores every (budget fraction, stratum
-size) candidate selection against each sweep query's exact answer. Two
-estimation paths serve it (``estimation_path``): the default block path
-runs candidate evaluation dict-free over the training
-:class:`~repro.engine.workload_executor.AnswerMatrix` arrays via
-:class:`~repro.engine.block_estimator.BlockEstimator`, and the dict path
-(``engine/combiner.estimate`` + ``evaluate_errors``) remains the
-reference oracle — both choose identical strata, report for report, bit
-for bit. Per-query sweep state (passing set, model ranking, exact
-answer) is hoisted out of the candidate loops: it is invariant across
-the grid, and recomputing the weight-1 truth per candidate used to
-dominate the sweep's cost. Candidate scoring itself is fused: each
-query's whole (fraction × stratum size) candidate set goes through one
-:func:`~repro.engine.block_estimator.selection_grid_scorer` call, which
-lowers the batch into a single segment gather plus one fused
-``np.bincount`` — a handful of array passes instead of one Python call
-chain per candidate, with reports bit-identical to candidate-at-a-time
-scoring.
+size) candidate selection against each sweep query's exact answer,
+dict-free over the training answer blocks: per-query sweep state
+(passing set, model ranking, exact answer) is hoisted out of the
+candidate loops, and each query's whole candidate set goes through one
+:meth:`~repro.engine.block_estimator.BlockEstimator.score_grid` call —
+a single segment gather plus one fused ``np.bincount``, report for
+report what ``engine/combiner.estimate`` + ``evaluate_errors`` give
+candidate by candidate (the tests compose that oracle).
 """
 
 from __future__ import annotations
@@ -45,7 +36,7 @@ import numpy as np
 
 from repro.core.metrics import mean_report
 from repro.core.training import TrainingConfig, TrainingData
-from repro.engine.block_estimator import selection_grid_scorer
+from repro.engine.block_estimator import BlockEstimator
 from repro.engine.combiner import WeightedChoice
 from repro.engine.query import Query
 from repro.errors import ConfigError, NotFittedError
@@ -111,8 +102,6 @@ class LSSSampler:
     feature_builder: FeatureBuilder
     seed: int = 0
     stratum_grid: tuple[int, ...] = (2, 4, 8, 12, 16, 24, 32, 48, 64)
-    #: "auto" (block path for array-backed answers), "block", or "dict".
-    estimation_path: str = "auto"
     _model: GBRTRegressor | None = field(default=None, repr=False)
     _normalizer: Normalizer | None = field(default=None, repr=False)
     #: budget fraction -> best stratum size (the Table 8 sweep result)
@@ -156,8 +145,7 @@ class LSSSampler:
         fused ``score_grid`` call. The rank order of ``rng`` draws
         matches the naive nested loop exactly — (fraction → size →
         query), with out-of-range sizes skipped before drawing — so
-        sweep results are reproducible across the refactor and across
-        estimation paths.
+        sweep results are reproducible across the refactor.
 
         Tiny tables: when every size in ``stratum_grid`` exceeds
         ``num_partitions`` there is nothing to sweep, and the recorded
@@ -180,10 +168,7 @@ class LSSSampler:
                 continue
             scores = self._model.predict(normalized[qid][passing])
             ranked = passing[np.argsort(-scores)]
-            score_grid = selection_grid_scorer(
-                data.queries[qid], data.answers[qid], self.estimation_path
-            )
-            prepared.append((ranked, score_grid))
+            prepared.append((ranked, BlockEstimator(data.answers[qid]).score_grid))
         sizes = [s for s in self.stratum_grid if s <= num_partitions]
         for fraction in budget_fractions:
             budget = max(1, int(round(fraction * num_partitions)))

@@ -14,8 +14,8 @@ import numpy as np
 
 from repro.core.picker import PickerConfig, PS3Picker
 from repro.core.training import PickerModel
+from repro.engine.batch_executor import BatchExecutor
 from repro.engine.query import Query
-from repro.engine.workload_executor import WorkloadExecutor
 from repro.engine.table import PartitionedTable
 from repro.sketches.builder import DatasetStatistics
 
@@ -42,12 +42,9 @@ class OraclePicker(PS3Picker):
     ) -> list[np.ndarray]:
         if not self.config.use_regressors:
             return [inliers]
-        # Routed through the workload executor's array-backed answers —
-        # the cheat stays exact, with no per-partition dict scatter, and
-        # repeated oracle queries share the executor's mask/factorization
-        # caches.
-        matrix = WorkloadExecutor.for_table(self.ptable).answer_matrix([query])
-        contributions = matrix.contributions(0)
+        # The cheat: exact answers over every partition, read as arrays.
+        executor = BatchExecutor.for_table(self.ptable)
+        contributions = executor.partition_answers(query).contributions()
         groups: list[np.ndarray] = [inliers]
         for threshold in self.model.thresholds:
             tail = groups[-1]

@@ -16,7 +16,7 @@ from repro.baselines.lss import LSSSampler
 from repro.baselines.oracle import OraclePicker
 from repro.baselines.random_sampling import RandomSampler
 from repro.bench.profiles import BenchProfile, get_profile
-from repro.core.metrics import ErrorReport, evaluate_errors, mean_report
+from repro.core.metrics import ErrorReport, mean_report
 from repro.core.picker import PickerConfig, PS3Picker
 from repro.core.training import (
     PickerModel,
@@ -25,11 +25,10 @@ from repro.core.training import (
     train_picker_model,
 )
 from repro.datasets.registry import get_dataset
-from repro.engine.batch_executor import fused_view
+from repro.engine.batch_executor import BatchExecutor, QueryAnswerBlock, fused_view
 from repro.engine.block_estimator import BlockEstimator
-from repro.engine.combiner import WeightedChoice, estimate
+from repro.engine.combiner import WeightedChoice
 from repro.engine.query import Query
-from repro.engine.workload_executor import WorkloadExecutor
 from repro.engine.table import PartitionedTable
 from repro.sketches.builder import DatasetStatistics, build_dataset_statistics
 from repro.stats.features import FeatureBuilder
@@ -42,18 +41,13 @@ class PreparedQuery:
     """A test query with everything needed to score any selection."""
 
     query: Query
-    answers: list  # per-partition ComponentAnswer sequence (lazy when array-backed)
+    answers: QueryAnswerBlock  # also the per-partition ComponentAnswer sequence
     truth: dict
     true_selectivity: float  # fraction of rows passing the predicate
-    #: Set when the answers are array-backed; scores selections dict-free.
-    estimator: BlockEstimator | None = None
+    estimator: BlockEstimator  # scores selections dict-free over ``answers``
 
     def evaluate(self, selection: list[WeightedChoice]) -> ErrorReport:
-        if self.estimator is not None:
-            return self.estimator.score(selection)
-        return evaluate_errors(
-            self.truth, estimate(self.query, self.answers, selection)
-        )
+        return self.estimator.score_grid([selection])[0]
 
 
 @dataclass
@@ -127,13 +121,11 @@ class ExperimentContext:
     # -- query preparation -----------------------------------------------------
 
     def prepare_query(self, query: Query) -> PreparedQuery:
-        # Answers come out of the workload executor array-backed, so
-        # every budget-sweep evaluation scores through the block
-        # estimator (dict materialization only if a consumer indexes
+        # Every budget-sweep evaluation scores through the block
+        # estimator (a dict is built only if a consumer indexes
         # ``answers``); the truth dict is kept for compatibility.
-        matrix = WorkloadExecutor.for_table(self.ptable).answer_matrix([query])
-        answers = matrix.answers(0)
-        estimator = BlockEstimator.from_matrix(matrix, 0)
+        answers = BatchExecutor.for_table(self.ptable).partition_answers(query)
+        estimator = BlockEstimator(answers)
         truth = estimator.truth_answer()
         if query.predicate is None:
             selectivity = 1.0

@@ -14,7 +14,7 @@ absolute values so signed measures such as ``cs_net_profit`` behave.
 Two implementations coexist: :func:`partition_contributions` walks
 per-partition ``ComponentAnswer`` dicts (the reference path, also used by
 the scalar training oracle), and :func:`segment_contributions` computes
-the same scalars straight from a workload executor's compacted answer
+the same scalars straight from the executor's compacted answer
 arrays — the training hot path, with no dict in sight. The two agree
 bit for bit: ``np.bincount`` accumulates each group's total over
 partitions in the same ascending-partition addition order the dict walk
@@ -38,7 +38,7 @@ def segment_contributions(
     """Contribution scalars from compacted (partition, group) segments.
 
     Array twin of :func:`partition_contributions` for a
-    :class:`~repro.engine.workload_executor.QueryAnswerBlock`: the
+    :class:`~repro.engine.batch_executor.QueryAnswerBlock`: the
     ``i``-th occupied segment lives at ``(live_parts[i],
     live_groups[i])`` with component totals ``totals[i]``, and segments
     are sorted partition-major. Absent (partition, group) cells

@@ -23,10 +23,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.variance import confidence_interval
-from repro.engine.block_estimator import BlockEstimator
 from repro.engine.combiner import WeightedChoice, combine_answers
 from repro.engine.executor import ComponentAnswer
-from repro.engine.workload_executor import LazyPartitionAnswers
 from repro.engine.query import Query
 from repro.errors import ConfigError
 from repro.ml.kmeans import KMeans
@@ -63,7 +61,7 @@ class ConfidentAnswer:
 
 
 def estimate_with_confidence(
-    partition_answers: list[ComponentAnswer] | LazyPartitionAnswers,
+    partition_answers: list[ComponentAnswer],
     query: Query,
     features: QueryFeatures,
     normalized: np.ndarray,
@@ -117,16 +115,10 @@ def estimate_with_confidence(
     # aggregates. (This previously ran through ``combiner.estimate``,
     # whose finalized values only coincide with component totals when a
     # query's aggregates map 1:1 onto its components; AVG intervals were
-    # built from an already-finalized AVG in the SUM slot.) Array-backed
-    # answers combine through the block estimator, dict lists keep the
-    # reference dict walk.
-    estimator = BlockEstimator.from_lazy(partition_answers)
-    if estimator is not None:
-        combined = estimator.component_answer(selection)
-    else:
-        combined = combine_answers(
-            [partition_answers[c.partition] for c in selection], selection
-        )
+    # built from an already-finalized AVG in the SUM slot.)
+    combined = combine_answers(
+        [partition_answers[c.partition] for c in selection], selection
+    )
 
     # Per-group, per-component variance: sum over clusters of
     # s * sum((y - mean)^2) over the probed members (Appendix D.1's

@@ -10,19 +10,15 @@ family orders and keeping the best exclusion set found.
 Evaluations are cached by exclusion set — the greedy path revisits sets
 frequently — and the error of an exclusion set is measured by actually
 running cluster-sampling on training queries at a few budgets and scoring
-the weighted estimates against the exact answers. Scoring runs on one of
-two estimation paths (``estimation_path``): the default block path works
-dict-free over the training ``AnswerMatrix`` arrays through
-:class:`~repro.engine.block_estimator.BlockEstimator`, while plain dict
-answers keep the ``engine/combiner.estimate`` walk as the reference
-oracle — the two produce bit-identical errors. Per-query sweep state
-(passing sets and the exact answers) is independent of the exclusion set
-and prepared once per evaluator, so each additional exclusion set only
-pays for clustering and candidate scoring — and the scoring itself is
-fused: each query's budget-fraction candidates go through one
-:func:`~repro.engine.block_estimator.selection_grid_scorer` call (a
+the weighted estimates against the exact answers, dict-free over the
+training answer blocks. Per-query sweep state (passing sets and the
+exact answers) is independent of the exclusion set and prepared once per
+evaluator, so each additional exclusion set only pays for clustering and
+candidate scoring — and the scoring itself is fused: each query's
+budget-fraction candidates go through one
+:meth:`~repro.engine.block_estimator.BlockEstimator.score_grid` call (a
 single segment gather plus one fused ``np.bincount``), bit-identical to
-candidate-at-a-time scoring.
+``engine/combiner.estimate`` + ``evaluate_errors`` per candidate.
 """
 
 from __future__ import annotations
@@ -34,7 +30,7 @@ import numpy as np
 from repro.core.cluster_sampler import cluster_sample
 from repro.core.metrics import mean_report
 from repro.core.training import TrainingData
-from repro.engine.block_estimator import selection_grid_scorer
+from repro.engine.block_estimator import BlockEstimator
 from repro.errors import ConfigError
 from repro.stats.features import FeatureSchema
 
@@ -49,8 +45,6 @@ class ClusteringErrorEvaluator:
     algorithm: str = "kmeans"
     max_queries: int = 20
     seed: int = 0
-    #: "auto" (block path for array-backed answers), "block", or "dict".
-    estimation_path: str = "auto"
 
     def __post_init__(self) -> None:
         if not self.data.normalized:
@@ -84,12 +78,8 @@ class ClusteringErrorEvaluator:
             passing = np.flatnonzero(raw[:, upper_index] > 0.0)
             if passing.size == 0:
                 continue
-            score_grid = selection_grid_scorer(
-                self.data.queries[qid],
-                self.data.answers[qid],
-                self.estimation_path,
-            )
-            prepared.append((qid, passing, score_grid))
+            estimator = BlockEstimator(self.data.answers[qid])
+            prepared.append((qid, passing, estimator.score_grid))
         return prepared
 
     def error(self, excluded: frozenset[str]) -> float:

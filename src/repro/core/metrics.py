@@ -9,20 +9,18 @@ error while missing every small group:
 * **absolute error over true** — per aggregate, mean absolute error across
   groups divided by the mean absolute true value, averaged over aggregates.
 
-Three entry points share one matrix core: :func:`evaluate_errors` walks
-``FinalAnswer`` dicts (the reference path),
-:func:`evaluate_errors_block` scores the array form the
-:class:`~repro.engine.block_estimator.BlockEstimator` produces — group
-rows addressed by code instead of key, presence as boolean vectors —
-and :func:`evaluate_errors_grid` scores a whole *batch* of estimates
-against one truth in a handful of array passes (the sweep loops' shape:
-many candidate selections, one exact answer). All order groups
-canonically (ascending group key, which is exactly the block path's
-code order), so for the same answers they return the same
-:class:`ErrorReport` bit for bit: the grid form does its elementwise
-work over the stacked ``(candidates, groups, aggregates)`` block and
-replays each float reduction on the candidate's own 2-D slice, the
-exact chain the standalone matrix core runs.
+Two entry points: :func:`evaluate_errors` walks ``FinalAnswer`` dicts
+(the reference path), and :func:`evaluate_errors_grid` scores the array
+form the :class:`~repro.engine.block_estimator.BlockEstimator` produces —
+group rows addressed by code instead of key, presence as boolean
+vectors — for a whole *batch* of estimates against one truth in a
+handful of array passes (the sweep loops' shape: many candidate
+selections, one exact answer). Both order groups canonically (ascending
+group key, which is exactly the block's code order), so for the same
+answers they return the same :class:`ErrorReport` bit for bit: the grid
+form does its elementwise work over the stacked ``(candidates, groups,
+aggregates)`` block and replays each float reduction on the candidate's
+own 2-D slice, the exact chain the dict path's matrix core runs.
 """
 
 from __future__ import annotations
@@ -64,8 +62,7 @@ def _matrix_report(
     """The three metrics over aligned (group, aggregate) matrices.
 
     ``present`` marks the true groups the estimate carries; absent rows
-    of ``est_matrix`` are zero. Shared by the dict and block paths so
-    their reports cannot drift.
+    of ``est_matrix`` are zero.
     """
     missed = float(1.0 - present.mean())
 
@@ -116,52 +113,25 @@ def evaluate_errors(truth: FinalAnswer, estimate: FinalAnswer) -> ErrorReport:
     return _matrix_report(true_matrix, est_matrix, present)
 
 
-def evaluate_errors_block(
-    true_values: np.ndarray,
-    true_present: np.ndarray,
-    est_values: np.ndarray,
-    est_present: np.ndarray,
-) -> ErrorReport:
-    """Array twin of :func:`evaluate_errors` over shared group codes.
-
-    ``true_values`` / ``est_values`` are ``(groups, aggregates)`` blocks
-    addressed by one group-code dictionary (rows in ascending code
-    order, as :meth:`BlockEstimator.estimate` produces them), with
-    boolean presence vectors. Rows absent from the truth are ignored
-    (spurious groups), rows absent from the estimate score as missed —
-    the same semantics, and bit for bit the same report, as the dict
-    path.
-    """
-    true_present = np.asarray(true_present, dtype=bool)
-    est_present = np.asarray(est_present, dtype=bool)
-    if not true_present.any():
-        return _EMPTY_TRUTH_SPURIOUS if est_present.any() else _EMPTY_TRUTH_EXACT
-
-    present = est_present[true_present]
-    true_matrix = np.asarray(true_values, dtype=np.float64)[true_present]
-    est_matrix = np.where(
-        present[:, None],
-        np.asarray(est_values, dtype=np.float64)[true_present],
-        0.0,
-    )
-    return _matrix_report(true_matrix, est_matrix, present)
-
-
 def evaluate_errors_grid(
     true_values: np.ndarray,
     true_present: np.ndarray,
     est_values: np.ndarray,
     est_present: np.ndarray,
 ) -> list[ErrorReport]:
-    """Batched :func:`evaluate_errors_block`: many estimates, one truth.
+    """Array twin of :func:`evaluate_errors`: many estimates, one truth.
 
-    ``est_values`` is a ``(candidates, groups, aggregates)`` block and
-    ``est_present`` its ``(candidates, groups)`` presence mask, sharing
-    the truth's group-code dictionary. Returns one report per candidate,
-    bit-identical to scoring each candidate alone: the elementwise ops
-    broadcast the truth across candidates in one pass, and each float
-    reduction runs on the candidate's own 2-D slice so its IEEE-754
-    chain matches the per-candidate matrix core exactly.
+    ``true_values`` is a ``(groups, aggregates)`` block addressed by one
+    group-code dictionary (rows in ascending code order) with a boolean
+    presence vector; ``est_values`` is a ``(candidates, groups,
+    aggregates)`` block and ``est_present`` its ``(candidates, groups)``
+    presence mask over the same codes. Rows absent from the truth are
+    ignored (spurious groups), rows absent from an estimate score as
+    missed. Returns one report per candidate, bit-identical to
+    :func:`evaluate_errors` on that candidate's dict answer: the
+    elementwise ops broadcast the truth across candidates in one pass,
+    and each float reduction runs on the candidate's own 2-D slice so
+    its IEEE-754 chain matches the matrix core exactly.
     """
     true_present = np.asarray(true_present, dtype=bool)
     est_present = np.asarray(est_present, dtype=bool)

@@ -18,8 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.labels import exponential_thresholds, labels_for_query
-from repro.engine.executor import ComponentAnswer
-from repro.engine.workload_executor import WorkloadExecutor
+from repro.engine.batch_executor import BatchExecutor, QueryAnswerBlock
 from repro.engine.query import Query
 from repro.engine.table import PartitionedTable
 from repro.errors import ConfigError
@@ -55,9 +54,9 @@ class TrainingData:
     queries: list[Query]
     features: list[np.ndarray]  # raw feature matrices, one per query
     normalized: list[np.ndarray]  # normalizer-transformed matrices
-    # Per-partition answers per query: lazy AnswerMatrix views (the
-    # sequence protocol of a plain list of dicts).
-    answers: list[list[ComponentAnswer]]
+    # One array block per query, indexed by partition id: also the
+    # sequence of per-partition ``ComponentAnswer`` dicts.
+    answers: list[QueryAnswerBlock]
     contributions: list[np.ndarray]  # contribution scalars per query
 
 
@@ -93,30 +92,29 @@ def compute_training_data(
 ) -> TrainingData:
     """Features, answers, and contributions for a set of queries.
 
-    Featurization runs on the builder's vectorized plan path (one batch
-    evaluation per query instead of an O(partitions) estimator loop).
-    The exact answers — the remaining dominant cost — run through the
-    :class:`~repro.engine.workload_executor.WorkloadExecutor`: the whole
-    workload is answered in one sweep (masks, group factorizations, and
-    duplicate queries shared across queries) into an array-backed
-    :class:`~repro.engine.workload_executor.AnswerMatrix`, bit-for-bit
-    equal to the scalar ``execute_on_partition`` loop (pinned by the
-    differential suites). Contributions are read straight off the
-    matrix arrays; ``TrainingData.answers`` holds the matrix's *lazy*
-    per-partition dict views, so the old ``ComponentAnswer`` scatter is
-    only ever paid by consumers that actually index it (LSS sweep,
-    feature selection). The normalized matrices are filled in by
+    Each query is featurized through the builder's compiled plan and
+    answered over every partition by one
+    :meth:`~repro.engine.batch_executor.BatchExecutor.partition_answers`
+    pass, bit-for-bit equal to the scalar ``execute_on_partition`` loop
+    (pinned by the differential suites). Contributions are read straight
+    off the block arrays; no ``ComponentAnswer`` dict is built unless a
+    consumer iterates ``TrainingData.answers``. ``Query`` is a frozen
+    value object, so a repeated query is answered once and aliases one
+    block. The normalized matrices are filled in by
     :func:`train_picker_model` once the normalizer has been fitted.
     """
-    matrix = WorkloadExecutor.for_table(ptable).answer_matrix(queries)
+    executor = BatchExecutor.for_table(ptable)
+    blocks: dict[Query, QueryAnswerBlock] = {}
     features: list[np.ndarray] = []
-    answers: list[list[ComponentAnswer]] = []
+    answers: list[QueryAnswerBlock] = []
     contributions: list[np.ndarray] = []
-    for qid, query in enumerate(queries):
-        query_features = feature_builder.features_for_query(query)
-        features.append(query_features.matrix)
-        answers.append(matrix.answers(qid))
-        contributions.append(matrix.contributions(qid))
+    for query in queries:
+        block = blocks.get(query)
+        if block is None:
+            block = blocks[query] = executor.partition_answers(query)
+        features.append(feature_builder.features_for_query(query).matrix)
+        answers.append(block)
+        contributions.append(block.contributions())
     return TrainingData(
         queries=list(queries),
         features=features,

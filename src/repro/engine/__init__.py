@@ -37,13 +37,11 @@ from repro.engine.serving import (
     ServingStats,
 )
 from repro.engine.table import Partition, PartitionedTable, Table
-from repro.engine.workload_executor import AnswerMatrix, WorkloadExecutor
 
 __all__ = [
     "AggFunc",
     "Aggregate",
     "And",
-    "AnswerMatrix",
     "BatchExecutor",
     "BinOp",
     "Column",
@@ -71,7 +69,6 @@ __all__ = [
     "SimulatedWorkerCrash",
     "Table",
     "WeightedChoice",
-    "WorkloadExecutor",
     "combine_answers",
     "execute_on_partition",
     "execute_on_table",

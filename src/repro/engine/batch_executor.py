@@ -47,8 +47,10 @@ array passes:
    ids into segment ids ``partition * G + group`` and reduced with
    ``np.bincount`` (dense) or a compacted ``np.unique`` + ``bincount``
    pass when the ``partitions x groups`` grid would dwarf the row count;
-4. a scatter of the per-segment totals back into per-partition
-   ``ComponentAnswer`` dicts.
+4. no scatter: the occupied segments and their totals *are* the answer
+   (:class:`QueryAnswerBlock`). Training reads the arrays; serving
+   iterates the block, which yields each partition's ``ComponentAnswer``
+   dict on the way into the weighted combine.
 
 Bit-for-bit parity with the scalar oracle
 -----------------------------------------
@@ -86,10 +88,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.engine.aggregates import ComponentKind
-from repro.engine.executor import ComponentAnswer, GroupKey
+from repro.engine.executor import GroupKey
 from repro.engine.predicates import And, Contains, InSet, Not, Or, Predicate, _column
 from repro.engine.query import Query
 from repro.engine.table import PartitionedTable
+from repro.errors import ConfigError
 from repro.obs import get_registry, trace_span
 
 #: Densest ``partitions x groups`` grid the dense bincount path may
@@ -99,12 +102,12 @@ from repro.obs import get_registry, trace_span
 _DENSE_GRID_FACTOR = 8
 
 #: Guards the per-table memoizations (``ptable._fused_view``,
-#: ``ptable._batch_executor``, ``ptable._workload_executor``, and a
-#: view's dictionary encodings): the check-then-set idiom they use is
-#: racy under concurrent queries — two threads could each build an
-#: executor plus fused view for the same table and leave consumers
-#: holding different cache objects. Reentrant because ``for_table``
-#: builds the executor (which builds the fused view) while holding it.
+#: ``ptable._batch_executor``, and a view's dictionary encodings): the
+#: check-then-set idiom they use is racy under concurrent queries — two
+#: threads could each build an executor plus fused view for the same
+#: table and leave consumers holding different cache objects. Reentrant
+#: because ``for_table`` builds the executor (which builds the fused
+#: view) while holding it.
 TABLE_CACHE_LOCK = threading.RLock()
 
 
@@ -113,18 +116,17 @@ def reduce_live_segments(
     num_segments: int,
     num_rows: int,
     component_values: list[np.ndarray | None],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Segmented reduction over occupied (partition, group) segments.
 
     ``seg`` assigns each row its segment id (partition-major), and
     ``component_values`` holds one ``(num_rows,)`` float64 vector per
     component slot (``None`` for COUNT slots). Returns ``(live,
-    seg_counts, totals)``: the sorted occupied segment ids, their row
-    counts, and a ``(len(live), num_components)`` totals matrix. Shared
-    by :class:`BatchExecutor` and the workload executor so both paths
-    accumulate every segment with the same ``np.bincount`` addition
-    chain. When the segment grid would dwarf the row count the ids are
-    compacted first so the reduction buffers stay O(rows).
+    totals)``: the sorted occupied segment ids and a ``(len(live),
+    num_components)`` totals matrix, every segment one ``np.bincount``
+    addition chain in row order. When the segment grid would dwarf the
+    row count the ids are compacted first so the reduction buffers stay
+    O(rows).
     """
     compacted = num_segments > max(1024, _DENSE_GRID_FACTOR * num_rows)
     if compacted:
@@ -142,14 +144,14 @@ def reduce_live_segments(
             continue
         sums = np.bincount(seg, weights=values, minlength=num_segments)
         totals[:, slot] = sums if compacted else sums[live]
-    return live, seg_counts, totals
+    return live, totals
 
 
 def factorize(encodings: list[tuple]) -> tuple[list[GroupKey], np.ndarray]:
     """``(keys, gids)`` from one ``(sorted uniques, codes of the grouped
     rows)`` pair per grouping column: the occupied key tuples ascending
     and each row's index into them — what the oracle's ``_group_ids``
-    derives from raw values. The one factorization both executors share."""
+    derives from raw values."""
     radix = math.prod(len(uniques) for uniques, __ in encodings)
     if radix > 2**62:
         # The mixed-radix code would wrap int64 and decode to keys no row
@@ -346,6 +348,96 @@ def fused_view(
         return view
 
 
+class QueryAnswerBlock:
+    """One query's per-partition answers, in compacted array form.
+
+    ``keys`` is the group-code dictionary (``[()]`` for ungrouped
+    queries), ``live`` the sorted occupied ``partition * n_groups +
+    group`` segment ids, and ``totals`` the ``(len(live),
+    n_components)`` float64 segment totals. ``cuts`` bounds each
+    partition's run within ``live`` (partition-major order).
+
+    Read as a sequence, the block *is* the per-partition
+    ``ComponentAnswer`` dicts: ``len``, ``[p]``, iteration and ``==``
+    against a plain list, keys ascending within each dict. A dict is
+    built each time it is asked for and holds views into ``totals``;
+    nothing is kept, so the block refers to nothing that refers back.
+    """
+
+    def __init__(
+        self,
+        query: Query,
+        keys: list[GroupKey],
+        live: np.ndarray,
+        totals: np.ndarray,
+        num_partitions: int,
+    ) -> None:
+        self.query = query
+        self.keys = keys
+        self.live = live
+        self.totals = totals
+        self.num_partitions = num_partitions
+        self.num_groups = len(keys)
+        self.live_parts, self.live_groups = np.divmod(live, max(self.num_groups, 1))
+        self.cuts = np.searchsorted(self.live_parts, np.arange(num_partitions + 1))
+        self._contributions: np.ndarray | None = None
+
+    @property
+    def num_components(self) -> int:
+        return self.totals.shape[1]
+
+    def __len__(self) -> int:
+        return self.num_partitions
+
+    def __iter__(self):
+        keys, totals = self.keys, self.totals
+        groups, cuts = self.live_groups.tolist(), self.cuts.tolist()
+        for p in range(self.num_partitions):
+            yield {keys[groups[i]]: totals[i] for i in range(cuts[p], cuts[p + 1])}
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        if index < 0:
+            index += len(self)
+        if not 0 <= index < len(self):
+            raise IndexError(index)
+        lo, hi = self.cuts[index], self.cuts[index + 1]
+        groups = self.live_groups[lo:hi].tolist()
+        return {self.keys[g]: self.totals[lo + i] for i, g in enumerate(groups)}
+
+    def __eq__(self, other) -> bool:
+        try:
+            if len(other) != len(self):
+                return False
+        except TypeError:
+            return NotImplemented
+        # Plain dict equality would truth-test the numpy component
+        # vectors; compare them with array_equal instead.
+        for a, b in zip(self, other):
+            if a.keys() != b.keys():
+                return False
+            if any(not np.array_equal(a[key], b[key]) for key in a):
+                return False
+        return True
+
+    def contributions(self) -> np.ndarray:
+        """Per-partition contribution scalars, computed from the arrays."""
+        if self._contributions is None:
+            # Imported here: core sits above engine in the layering; the
+            # function itself only touches this block's arrays.
+            from repro.core.contribution import segment_contributions
+
+            self._contributions = segment_contributions(
+                self.live_parts,
+                self.live_groups,
+                self.totals,
+                self.num_partitions,
+                self.num_groups,
+            )
+        return self._contributions
+
+
 class BatchExecutor:
     """Evaluates queries over all partitions of one table in one pass."""
 
@@ -369,21 +461,19 @@ class BatchExecutor:
                 ptable._batch_executor = executor
             return executor
 
-    # -- public API -----------------------------------------------------------
-
-    def partition_answers(
-        self, query: Query, partitions=None
-    ) -> list[ComponentAnswer]:
+    def partition_answers(self, query: Query, partitions=None) -> QueryAnswerBlock:
         """Per-partition component answers, one numpy pass over all rows.
 
-        With ``partitions=None`` the result is indexed by partition id
-        (``[execute_on_partition(p, query) for p in ptable]`` bit for
-        bit). With an explicit sequence of partition ids, only those
-        partitions' rows are gathered and the result aligns with the
-        given order (duplicates allowed) — the picker's eval path uses
-        this to execute on just the selected partitions. Gathered rows
-        keep their fused (ingest) order, so a partition's answer is
-        bit-identical to its answer on the full view.
+        With ``partitions=None`` row ``p`` of the block is partition
+        ``p`` (``[execute_on_partition(p, query) for p in ptable]`` bit
+        for bit). With an explicit sequence of partition ids, only those
+        partitions' rows are gathered and row ``i`` is the ``i``-th id
+        given (duplicates allowed) — how every online answer executes
+        just its selected partitions. Gathered rows keep their fused
+        (ingest) order, so a partition's answer is bit-identical to its
+        answer on the full view. An id outside the table is a
+        :class:`ConfigError`: a negative one would otherwise address a
+        partition from the end.
         """
         view = self.view
         if partitions is None:
@@ -391,8 +481,12 @@ class BatchExecutor:
         else:
             parts = np.asarray(partitions, dtype=np.intp)
             n = int(parts.size)
-            if n == 0:
-                return []
+            outside = parts[(parts < 0) | (parts >= view.num_partitions)]
+            if outside.size:
+                raise ConfigError(
+                    f"partition {int(outside[0])} is outside "
+                    f"0..{view.num_partitions - 1}"
+                )
             starts = view.offsets[parts]
             sizes = view.offsets[parts + 1] - starts
             # Concatenated row ranges: offset each partition's aranged
@@ -408,7 +502,10 @@ class BatchExecutor:
             part_ids = part_ids[keep]
         num_rows = int(part_ids.size)
         if num_rows == 0:
-            return [{} for __ in range(n)]
+            keys: list[GroupKey] = [] if query.group_by else [()]
+            live = np.empty(0, dtype=np.intp)
+            totals = np.empty((0, query.num_components), dtype=np.float64)
+            return QueryAnswerBlock(query, keys, live, totals, n)
         columns = RowColumns(view.columns.__getitem__, rows)
         component_values = [
             None
@@ -419,50 +516,34 @@ class BatchExecutor:
             )
             for comp in query.components
         ]
-        if not query.group_by:
-            return self._ungrouped(component_values, part_ids, n)
-        keys, gids = view.group_ids(query.group_by, rows)
-        return self._grouped(keys, gids, component_values, part_ids, n)
-
-    # -- internals --------------------------------------------------------------
+        if query.group_by:
+            keys, gids = view.group_ids(query.group_by, rows)
+            # Segment id: partition-major, group-minor, so ``live`` lists
+            # each partition's groups ascending — the scalar path's order.
+            live, totals = reduce_live_segments(
+                part_ids * len(keys) + gids, n * len(keys), num_rows, component_values
+            )
+        else:
+            keys = [()]
+            live, totals = self._ungrouped(component_values, part_ids, n)
+        return QueryAnswerBlock(query, keys, live, totals, n)
 
     def _ungrouped(
         self, component_values: list, part_ids: np.ndarray, n: int
-    ) -> list[ComponentAnswer]:
+    ) -> tuple[np.ndarray, np.ndarray]:
         # Row counts per partition shift under the filter; rebuild the
         # bounds from the surviving (still sorted) partition ids.
         counts = np.bincount(part_ids, minlength=n)
         bounds = np.concatenate(([0], np.cumsum(counts)))
-        totals = np.zeros((n, len(component_values)), dtype=np.float64)
+        live = np.flatnonzero(counts)
+        totals = np.zeros((live.size, len(component_values)), dtype=np.float64)
         for slot, values in enumerate(component_values):
             if values is None:  # COUNT(*) slot
-                totals[:, slot] = counts
+                totals[:, slot] = counts[live]
                 continue
             # Per-partition pairwise sums: the scalar oracle uses
             # ``values.sum()`` per partition, whose pairwise summation is
             # not the sequential order np.bincount would use.
-            for p in range(n):
-                lo, hi = bounds[p], bounds[p + 1]
-                if hi > lo:
-                    totals[p, slot] = values[lo:hi].sum()
-        return [{(): totals[p]} if counts[p] else {} for p in range(n)]
-
-    def _grouped(
-        self, keys: list, gids, component_values: list, part_ids, n: int
-    ) -> list[ComponentAnswer]:
-        g = len(keys)
-        seg = part_ids * g + gids  # segment id: partition-major, group-minor
-        live, __, totals = reduce_live_segments(
-            seg, n * g, int(part_ids.size), component_values
-        )
-        # ``live`` is sorted ascending = partition-major, group-ascending —
-        # the same per-partition key order the scalar path emits.
-        live_parts, live_groups = np.divmod(live, g)
-        cuts = np.searchsorted(live_parts, np.arange(n + 1))
-        return [
-            {
-                keys[live_groups[i]]: totals[i]
-                for i in range(cuts[p], cuts[p + 1])
-            }
-            for p in range(n)
-        ]
+            for i, p in enumerate(live):
+                totals[i, slot] = values[bounds[p] : bounds[p + 1]].sum()
+        return live, totals

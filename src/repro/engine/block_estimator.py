@@ -1,4 +1,4 @@
-"""Array-native estimation plane: block combine/finalize/score.
+"""Array-native estimation plane: combine, finalize and score a grid.
 
 The paper's section 2.4 estimator is a weighted linear combination of
 per-partition answers: ``A~_g = sum_j w_j * A_{g, p_j}``. In matrix form
@@ -11,12 +11,13 @@ answer block ``T`` of shape ``(partitions, groups, components)``::
 followed by a vectorized finalize (AVG = elementwise SUM/COUNT with
 zero-guarded division; SUM/COUNT pass through) across all groups at
 once. :class:`BlockEstimator` implements that contraction over a
-:class:`~repro.engine.workload_executor.QueryAnswerBlock`, turning the
-per-(query, selection) Python dict walk of ``engine/combiner.py`` into a
-handful of array passes. The dict walk stays in place as the reference
-oracle; consumers pick the path by input type (array-backed
-:class:`~repro.engine.workload_executor.AnswerMatrix` answers take the
-block path, plain dict lists keep the dict path).
+:class:`~repro.engine.batch_executor.QueryAnswerBlock` for a whole
+*grid* of candidate selections at once — the shape of every offline
+consumer (the LSS stratum sweep, the feature-selection evaluator, the
+bench runner's budget sweeps): many selections, one exact answer. One
+selection is a grid of one. The online answer path keeps the dict walk
+of ``engine/combiner.py``, which is also the oracle the tests hold this
+module to, report for report, bit for bit.
 
 Lowering: compacted segments, not the dense grid
 ------------------------------------------------
@@ -26,204 +27,102 @@ groups — so the contraction is evaluated in the block's *compacted*
 coordinates: the selected partitions' live ``(group, totals)`` runs are
 gathered (``cuts`` range concatenation), scaled by their selection
 weights, and reduced with one ``np.bincount`` per component over the
-group codes. That is the same ``sum_p w[p] * T[p, g, c]``, but the work
-is proportional to the occupied segments of the *selected* partitions —
-the quantity the dict walk touches — rather than ``partitions x groups``.
+fused ids ``candidate * num_groups + group``. That is the same
+``sum_p w[p] * T[p, g, c]``, but the work is proportional to the
+occupied segments of the *selected* partitions — the quantity the dict
+walk touches — rather than ``partitions x groups``.
 
-Bit-compatibility with the dict path
+Bit-compatibility with the dict walk
 ------------------------------------
 The dict walk accumulates ``w_j * A_{g, p_j}`` sequentially in selection
 order, so a BLAS matmul — which reassociates the float additions — would
 drift at the last bit. ``np.bincount`` adds its weights in input order,
-and the gathered segments are ordered (selection position, group code) —
-exactly the order the dict walk visits (each partition's dict iterates
-in ascending group-code order), so every group's total is the identical
-left-to-right float64 chain. Starting the chain from bincount's ``+0.0``
-accumulator leaves every IEEE-754 sum unchanged (the only divergence is
-the sign of an all-``-0.0`` total — invisible to ``==`` and to every
-error metric). Presence is tracked per group, because a zero total is
-ambiguous between "no rows" and "rows summing to zero" and the dict path
-only carries present groups.
+and the gathered segments are ordered (candidate, selection position,
+group code) — exactly the order the dict walk visits each candidate
+(each partition's dict iterates in ascending group-code order), so every
+(candidate, group) total is the identical left-to-right float64 chain.
+Starting the chain from bincount's ``+0.0`` accumulator leaves every
+IEEE-754 sum unchanged (the only divergence is the sign of an
+all-``-0.0`` total — invisible to ``==`` and to every error metric).
+Presence is tracked per group, because a zero total is ambiguous between
+"no rows" and "rows summing to zero" and the dict path only carries
+present groups.
 
-Scoring reuses the same machinery: a selection's finalized ``(groups,
-aggregates)`` value block and presence vector are compared against a
-(cached) truth block by :func:`repro.core.metrics.evaluate_errors_block`,
-whose report is bit-identical to ``evaluate_errors`` on the dict path's
-answers. This is what lets the LSS stratum sweep and the
-feature-selection evaluator score thousands of candidate selections per
-query without materializing a single ``ComponentAnswer`` dict.
-
-The fused candidate grid
-------------------------
-Sweeps do not score one selection — they score a *grid* of them against
-the same truth, and at sweep scale the per-candidate Python call chain
-(``combine`` -> ``finalize`` -> ``score``, each a dozen numpy calls)
-becomes the dominant cost: candidate evaluation is nearly flat in
-partition count, i.e. pure per-candidate overhead. The ``*_grid``
-methods lower the *whole batch* at once: every candidate's segment runs
-are gathered into one concatenated sequence (candidate-major, then
-selection order — exactly the order the per-candidate path visits), and
-the combine contraction becomes a single ``np.bincount`` per component
-over the fused ids ``candidate * num_groups + group``. Because bincount
-adds its weights in input scan order and the fused sequence preserves
-each candidate's visiting order, every (candidate, group) float chain is
-the identical left-to-right float64 chain the per-candidate path runs —
-reports are bit-identical, not approximately equal (pinned by the
-differential suites). Finalize batches the same way (elementwise over
-the ``(candidates, groups, aggregates)`` block), and the metrics
-(:func:`repro.core.metrics.evaluate_errors_grid`) batch the elementwise
-work while replaying each float *reduction* on the candidate's own 2-D
-slice — numpy's batched reductions may pick a different
-pairwise-summation blocking than the standalone matrix and drift by an
-ulp, so the per-candidate chains are preserved explicitly.
+Finalize is elementwise over the ``(candidates, groups, aggregates)``
+block, and the metrics (:func:`repro.core.metrics.evaluate_errors_grid`)
+batch the elementwise work while replaying each float *reduction* on the
+candidate's own 2-D slice — numpy's batched reductions may pick a
+different pairwise-summation blocking than the standalone matrix and
+drift by an ulp, so the per-candidate chains are preserved explicitly.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.engine.combiner import FinalAnswer, WeightedChoice, estimate
-from repro.engine.executor import ComponentAnswer, GroupKey
-from repro.engine.query import Query
-from repro.errors import ConfigError
+from repro.engine.batch_executor import QueryAnswerBlock
+from repro.engine.combiner import FinalAnswer, WeightedChoice
 from repro.obs import trace_span
 
 
-class BlockEstimator:
-    """Combine/finalize/score a query's answers in array form.
+def lower_grid(
+    selections: list[list[WeightedChoice]],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """All candidates' ``(parts, weights)`` fused, plus candidate cuts.
 
-    Parameters (the compacted ``QueryAnswerBlock`` layout)
-    ------------------------------------------------------
-    query:
-        The query whose answers the block holds.
-    keys:
-        Group-code dictionary: ``keys[g]`` is the group-key tuple of
-        code ``g``, in ascending (value-lexicographic) code order —
-        the order :func:`sorted` gives the same tuples.
-    seg_groups:
-        Group code of each occupied (partition, group) segment, sorted
-        partition-major.
-    seg_totals:
-        ``(segments, components)`` float64 component totals.
-    cuts:
-        ``(partitions + 1,)`` bounds of each partition's segment run.
+    ``parts``/``weights`` concatenate every candidate's selection in
+    candidate-major order; ``cand_cuts[k] : cand_cuts[k + 1]`` bounds
+    candidate ``k``'s run.
     """
-
-    def __init__(
-        self,
-        query: Query,
-        keys: list[GroupKey],
-        seg_groups: np.ndarray,
-        seg_totals: np.ndarray,
-        cuts: np.ndarray,
-    ) -> None:
-        self.query = query
-        self.keys = keys
-        self.seg_groups = seg_groups
-        self.seg_totals = seg_totals
-        self.cuts = cuts
-        self.num_partitions = len(cuts) - 1
-        self.num_groups = len(keys)
-        self.num_components = seg_totals.shape[1]
-        self._truth: tuple[np.ndarray, np.ndarray] | None = None
-
-    # -- constructors --------------------------------------------------------
-
-    @classmethod
-    def from_block(cls, block) -> BlockEstimator:
-        """Zero-copy view over one :class:`QueryAnswerBlock`."""
-        return cls(
-            block.query,
-            block.keys,
-            block.live_groups,
-            block.totals,
-            block.cuts,
-        )
-
-    @classmethod
-    def from_matrix(cls, matrix, query_index: int) -> BlockEstimator:
-        """One query's estimator off an :class:`AnswerMatrix`."""
-        return cls.from_block(matrix.block(query_index))
-
-    @classmethod
-    def from_lazy(cls, answers) -> BlockEstimator | None:
-        """The estimator behind a lazy ``AnswerMatrix`` view, else ``None``.
-
-        This is the input-type switch consumers use: array-backed
-        answers expose their :class:`QueryAnswerBlock` via ``.block``;
-        plain dict lists do not and stay on the dict reference path.
-        """
-        block = getattr(answers, "block", None)
-        return cls.from_block(block) if block is not None else None
-
-    @classmethod
-    def from_answers(
-        cls, query: Query, partition_answers: list[ComponentAnswer]
-    ) -> BlockEstimator:
-        """Compact plain per-partition dicts (tests / forced block path).
-
-        Keys are sorted into canonical code order; within a partition
-        each group contributes a single segment, so the per-group
-        combine chains are unaffected by the source dicts' iteration
-        order.
-        """
-        keys = sorted({key for answer in partition_answers for key in answer})
-        code = {key: g for g, key in enumerate(keys)}
-        group_list: list[int] = []
-        totals_list: list[np.ndarray] = []
-        counts = []
-        for answer in partition_answers:
-            ordered = sorted(answer)
-            counts.append(len(ordered))
-            group_list.extend(code[key] for key in ordered)
-            totals_list.extend(answer[key] for key in ordered)
-        cuts = np.concatenate(([0], np.cumsum(counts, dtype=np.intp)))
-        seg_groups = np.asarray(group_list, dtype=np.int64)
-        seg_totals = (
-            np.vstack(totals_list).astype(np.float64, copy=False)
-            if totals_list
-            else np.empty((0, query.num_components), dtype=np.float64)
-        )
-        return cls(query, keys, seg_groups, seg_totals, cuts)
-
-    # -- combine -------------------------------------------------------------
-
-    def lower_selection(
-        self, selection: list[WeightedChoice]
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """``(partitions, weights)`` arrays in selection order."""
-        b = len(selection)
-        parts = np.empty(b, dtype=np.intp)
-        weights = np.empty(b, dtype=np.float64)
-        for i, choice in enumerate(selection):
+    counts = np.fromiter(
+        (len(s) for s in selections), dtype=np.intp, count=len(selections)
+    )
+    total = int(counts.sum())
+    parts = np.empty(total, dtype=np.intp)
+    weights = np.empty(total, dtype=np.float64)
+    i = 0
+    for selection in selections:
+        for choice in selection:
             parts[i] = choice.partition
             weights[i] = choice.weight
-        return parts, weights
+            i += 1
+    cand_cuts = np.concatenate(([0], np.cumsum(counts, dtype=np.intp)))
+    return parts, weights, cand_cuts
 
-    def combine(
-        self, selection: list[WeightedChoice]
+
+class BlockEstimator:
+    """Combine/finalize/score candidate selections over one answer block.
+
+    Reads the block in place: ``live_groups`` is the group code of each
+    occupied (partition, group) segment, sorted partition-major;
+    ``totals`` the ``(segments, components)`` float64 totals; ``cuts``
+    the ``(partitions + 1,)`` bounds of each partition's segment run;
+    and ``keys[g]`` the group-key tuple of code ``g``, ascending.
+    """
+
+    def __init__(self, block: QueryAnswerBlock) -> None:
+        self.block = block
+        self._truth: tuple[np.ndarray, np.ndarray] | None = None
+
+    # -- the contraction -----------------------------------------------------
+
+    def _combine(
+        self, parts: np.ndarray, weights: np.ndarray, cand_cuts: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Weighted component totals over all groups, one array pass.
-
-        Returns ``(combined, present)``: the ``(groups, components)``
-        float64 totals and the groups present in at least one selected
-        partition. Matches ``combiner.combine_answers`` bit for bit
-        (see module docstring for the summation-order argument).
-        """
-        parts, weights = self.lower_selection(selection)
-        return self._combine_arrays(parts, weights)
-
-    def _combine_arrays(
-        self, parts: np.ndarray, weights: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        combined = np.zeros((self.num_groups, self.num_components))
-        present = np.zeros(self.num_groups, dtype=bool)
-        if parts.size == 0 or self.num_groups == 0:
+        """``(combined, present)`` of the lowered candidates: a
+        ``(candidates, groups, components)`` float64 block and a
+        ``(candidates, groups)`` presence mask."""
+        block = self.block
+        num_candidates = len(cand_cuts) - 1
+        num_groups, num_components = block.num_groups, block.num_components
+        combined = np.zeros((num_candidates, num_groups, num_components))
+        present = np.zeros((num_candidates, num_groups), dtype=bool)
+        if parts.size == 0 or num_groups == 0:
             return combined, present
-        # Concatenate the selected partitions' segment runs, in
-        # selection order (the dict walk's visiting order).
-        lo = self.cuts[parts]
-        lens = self.cuts[parts + 1] - lo
+        # Concatenate the selected partitions' segment runs, candidate-
+        # major, in selection order (the dict walk's visiting order).
+        lo = block.cuts[parts]
+        lens = block.cuts[parts + 1] - lo
         total = int(lens.sum())
         if total == 0:
             return combined, present
@@ -233,201 +132,86 @@ class BlockEstimator:
             - np.repeat(starts, lens)
             + np.repeat(lo, lens)
         )
-        gids = self.seg_groups[seq]
-        values = self.seg_totals[seq] * np.repeat(weights, lens)[:, None]
-        for c in range(self.num_components):
-            combined[:, c] = np.bincount(
-                gids, weights=values[:, c], minlength=self.num_groups
-            )
-        present[gids] = True
-        return combined, present
-
-    def lower_grid(
-        self, selections: list[list[WeightedChoice]]
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """All candidates' ``(parts, weights)`` fused, plus candidate cuts.
-
-        ``parts``/``weights`` concatenate every candidate's selection in
-        candidate-major order; ``cand_cuts[k] : cand_cuts[k + 1]`` bounds
-        candidate ``k``'s run.
-        """
-        counts = np.fromiter(
-            (len(s) for s in selections), dtype=np.intp, count=len(selections)
-        )
-        total = int(counts.sum())
-        parts = np.empty(total, dtype=np.intp)
-        weights = np.empty(total, dtype=np.float64)
-        i = 0
-        for selection in selections:
-            for choice in selection:
-                parts[i] = choice.partition
-                weights[i] = choice.weight
-                i += 1
-        cand_cuts = np.concatenate(([0], np.cumsum(counts, dtype=np.intp)))
-        return parts, weights, cand_cuts
-
-    def combine_grid(
-        self, selections: list[list[WeightedChoice]]
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Weighted totals for a whole candidate grid in one contraction.
-
-        Returns ``(combined, present)``: a ``(candidates, groups,
-        components)`` float64 block and a ``(candidates, groups)``
-        presence mask. Row ``k`` equals ``self.combine(selections[k])``
-        bit for bit: the gathered segment sequence is candidate-major in
-        each candidate's visiting order, and one ``np.bincount`` per
-        component over ``candidate * num_groups + group`` ids replays
-        every per-(candidate, group) float chain unchanged.
-        """
-        num_candidates = len(selections)
-        combined = np.zeros(
-            (num_candidates, self.num_groups, self.num_components)
-        )
-        present = np.zeros((num_candidates, self.num_groups), dtype=bool)
-        parts, weights, cand_cuts = self.lower_grid(selections)
-        if parts.size == 0 or self.num_groups == 0:
-            return combined, present
-        lo = self.cuts[parts]
-        lens = self.cuts[parts + 1] - lo
-        total = int(lens.sum())
-        if total == 0:
-            return combined, present
-        starts = np.cumsum(lens) - lens
-        seq = (
-            np.arange(total, dtype=np.intp)
-            - np.repeat(starts, lens)
-            + np.repeat(lo, lens)
-        )
-        gids = self.seg_groups[seq]
-        values = self.seg_totals[seq] * np.repeat(weights, lens)[:, None]
+        gids = block.live_groups[seq]
+        values = block.totals[seq] * np.repeat(weights, lens)[:, None]
         # Segment count of each candidate: its selections' run lengths.
         seg_bounds = np.concatenate(([0], np.cumsum(lens, dtype=np.intp)))
         seg_counts = seg_bounds[cand_cuts[1:]] - seg_bounds[cand_cuts[:-1]]
         cand_ids = np.repeat(
             np.arange(num_candidates, dtype=np.intp), seg_counts
         )
-        ids = cand_ids * self.num_groups + gids
-        flat = combined.reshape(-1, self.num_components)
-        for c in range(self.num_components):
+        ids = cand_ids * num_groups + gids
+        flat = combined.reshape(-1, num_components)
+        for c in range(num_components):
             flat[:, c] = np.bincount(
                 ids, weights=values[:, c], minlength=flat.shape[0]
             )
         present.reshape(-1)[ids] = True
         return combined, present
 
-    # -- finalize ------------------------------------------------------------
-
-    def finalize(self, combined: np.ndarray) -> np.ndarray:
-        """``(groups, aggregates)`` values: one vectorized pass per aggregate."""
+    def _finalize(self, combined: np.ndarray) -> np.ndarray:
+        """``(candidates, groups, aggregates)`` values: each aggregate's
+        ``finalize_block`` is elementwise over the whole plane."""
+        query = self.block.query
         values = np.empty(
-            (combined.shape[0], len(self.query.aggregates)), dtype=np.float64
+            combined.shape[:2] + (len(query.aggregates),), dtype=np.float64
         )
         for i, (agg, slots) in enumerate(
-            zip(self.query.aggregates, self.query.component_index)
-        ):
-            values[:, i] = agg.finalize_block([combined[:, s] for s in slots])
-        return values
-
-    def finalize_grid(self, combined: np.ndarray) -> np.ndarray:
-        """``(candidates, groups, aggregates)`` values, batched finalize.
-
-        Each aggregate's ``finalize_block`` is elementwise, so running it
-        over the whole ``(candidates, groups)`` plane at once performs
-        the exact per-element IEEE-754 computation :meth:`finalize` does
-        per candidate.
-        """
-        values = np.empty(
-            combined.shape[:2] + (len(self.query.aggregates),),
-            dtype=np.float64,
-        )
-        for i, (agg, slots) in enumerate(
-            zip(self.query.aggregates, self.query.component_index)
+            zip(query.aggregates, query.component_index)
         ):
             values[..., i] = agg.finalize_block(
                 [combined[..., s] for s in slots]
             )
         return values
 
-    def estimate(
-        self, selection: list[WeightedChoice]
+    # -- grids of selections -------------------------------------------------
+
+    def combine_grid(
+        self, selections: list[list[WeightedChoice]]
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Finalized aggregate values + group presence for a selection."""
-        combined, present = self.combine(selection)
-        return self.finalize(combined), present
+        """Weighted component totals for a whole candidate grid.
+
+        Row ``k`` matches ``combiner.combine_answers`` on
+        ``selections[k]`` bit for bit (see the module docstring for the
+        summation-order argument).
+        """
+        return self._combine(*lower_grid(selections))
 
     def estimate_grid(
         self, selections: list[list[WeightedChoice]]
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Finalized values + presence for a whole candidate grid.
-
-        ``(values, present)`` with shapes ``(candidates, groups,
-        aggregates)`` and ``(candidates, groups)``; row ``k`` matches
-        ``self.estimate(selections[k])`` bit for bit.
-        """
+        """Finalized ``(candidates, groups, aggregates)`` values and
+        ``(candidates, groups)`` presence for a whole candidate grid."""
         combined, present = self.combine_grid(selections)
-        return self.finalize_grid(combined), present
+        return self._finalize(combined), present
 
     def truth(self) -> tuple[np.ndarray, np.ndarray]:
-        """The exact answer block: every partition at weight 1 (cached)."""
+        """The exact ``(values, present)``: one candidate, every
+        partition at weight 1 (cached)."""
         if self._truth is None:
-            parts = np.arange(self.num_partitions, dtype=np.intp)
-            weights = np.ones(self.num_partitions, dtype=np.float64)
-            combined, present = self._combine_arrays(parts, weights)
-            self._truth = (self.finalize(combined), present)
+            n = self.block.num_partitions
+            combined, present = self._combine(
+                np.arange(n, dtype=np.intp),
+                np.ones(n, dtype=np.float64),
+                np.array([0, n], dtype=np.intp),
+            )
+            self._truth = (self._finalize(combined)[0], present[0])
         return self._truth
-
-    # -- dict materialization (compatibility edges) --------------------------
-
-    def component_answer(self, selection: list[WeightedChoice]) -> ComponentAnswer:
-        """Combined component totals as a dict (``combine_answers`` twin)."""
-        combined, present = self.combine(selection)
-        return {self.keys[g]: combined[g] for g in np.flatnonzero(present)}
-
-    def as_final_answer(
-        self, values: np.ndarray, present: np.ndarray
-    ) -> FinalAnswer:
-        """A ``(values, present)`` pair as the familiar FinalAnswer dict."""
-        return {self.keys[g]: values[g] for g in np.flatnonzero(present)}
-
-    def truth_answer(self) -> FinalAnswer:
-        """The exact answer as a FinalAnswer dict (keys in code order)."""
-        return self.as_final_answer(*self.truth())
-
-    # -- scoring -------------------------------------------------------------
-
-    def score(
-        self,
-        selection: list[WeightedChoice],
-        truth: tuple[np.ndarray, np.ndarray] | None = None,
-    ):
-        """:class:`~repro.core.metrics.ErrorReport` of a selection.
-
-        ``truth`` defaults to the cached all-partitions exact answer;
-        pass an ``(values, present)`` pair (e.g. from :meth:`estimate`)
-        to score against a reference selection instead.
-        """
-        # Imported here: core sits above engine in the layering; the
-        # function itself only touches this estimator's arrays.
-        from repro.core.metrics import evaluate_errors_block
-
-        true_values, true_present = truth if truth is not None else self.truth()
-        est_values, est_present = self.estimate(selection)
-        return evaluate_errors_block(
-            true_values, true_present, est_values, est_present
-        )
 
     def score_grid(
         self,
         selections: list[list[WeightedChoice]],
         truth: tuple[np.ndarray, np.ndarray] | None = None,
     ) -> list:
-        """Per-candidate ``ErrorReport`` list for a whole grid.
+        """One :class:`~repro.core.metrics.ErrorReport` per candidate.
 
-        The fused twin of calling :meth:`score` once per candidate —
-        one combine contraction, one batched finalize, and one batched
-        metrics pass over the grid, with report ``k`` bit-identical to
-        ``self.score(selections[k], truth)``.
+        ``truth`` defaults to the cached all-partitions exact answer;
+        pass a ``(values, present)`` pair (a row of
+        :meth:`estimate_grid`) to score against a reference selection
+        instead.
         """
+        # Imported here: core sits above engine in the layering; the
+        # function itself only touches this estimator's arrays.
         from repro.core.metrics import evaluate_errors_grid
 
         with trace_span("engine.grid_score", candidates=len(selections)):
@@ -439,77 +223,14 @@ class BlockEstimator:
                 true_values, true_present, est_values, est_present
             )
 
+    # -- dict materialization (compatibility edges) --------------------------
 
-def selection_scorer(query: Query, answers, path: str = "auto"):
-    """``selection -> ErrorReport`` against the hoisted exact answer.
+    def as_final_answer(
+        self, values: np.ndarray, present: np.ndarray
+    ) -> FinalAnswer:
+        """A ``(values, present)`` pair as the familiar FinalAnswer dict."""
+        return {self.block.keys[g]: values[g] for g in np.flatnonzero(present)}
 
-    The shared entry point for sweep loops (LSS stratum sweep,
-    feature-selection evaluator): computes the weight-1 all-partitions
-    truth once and returns a scorer closure. ``path`` selects the
-    estimation plane:
-
-    * ``"auto"`` — block path when ``answers`` is an array-backed
-      ``AnswerMatrix`` view, dict path for plain dict lists;
-    * ``"block"`` — force the block path (compacting dict lists);
-    * ``"dict"`` — force the dict reference path.
-
-    Both paths return bit-identical reports for the same inputs.
-    """
-    if path not in ("auto", "block", "dict"):
-        raise ConfigError(
-            f"unknown estimation path {path!r}; choose auto, block, or dict"
-        )
-    if path != "dict":
-        estimator = BlockEstimator.from_lazy(answers)
-        if estimator is None and path == "block":
-            estimator = BlockEstimator.from_answers(query, answers)
-        if estimator is not None:
-            return estimator.score
-
-    from repro.core.metrics import evaluate_errors
-
-    truth = estimate(
-        query, answers, [WeightedChoice(p, 1.0) for p in range(len(answers))]
-    )
-
-    def dict_score(selection: list[WeightedChoice]):
-        return evaluate_errors(truth, estimate(query, answers, selection))
-
-    return dict_score
-
-
-def selection_grid_scorer(query: Query, answers, path: str = "auto"):
-    """``[selection, ...] -> [ErrorReport, ...]`` against the hoisted truth.
-
-    The batched twin of :func:`selection_scorer` for sweep loops that
-    score a whole candidate grid per query: the block path fuses the
-    grid into one combine/finalize/metrics pass
-    (:meth:`BlockEstimator.score_grid`), while the dict reference path
-    scores each candidate through the per-candidate walk. Report ``k``
-    is bit-identical to ``selection_scorer(...)(selections[k])`` on
-    either path.
-    """
-    if path not in ("auto", "block", "dict"):
-        raise ConfigError(
-            f"unknown estimation path {path!r}; choose auto, block, or dict"
-        )
-    if path != "dict":
-        estimator = BlockEstimator.from_lazy(answers)
-        if estimator is None and path == "block":
-            estimator = BlockEstimator.from_answers(query, answers)
-        if estimator is not None:
-            return estimator.score_grid
-
-    from repro.core.metrics import evaluate_errors
-
-    truth = estimate(
-        query, answers, [WeightedChoice(p, 1.0) for p in range(len(answers))]
-    )
-
-    def dict_score_grid(selections: list[list[WeightedChoice]]):
-        return [
-            evaluate_errors(truth, estimate(query, answers, selection))
-            for selection in selections
-        ]
-
-    return dict_score_grid
+    def truth_answer(self) -> FinalAnswer:
+        """The exact answer as a FinalAnswer dict (keys in code order)."""
+        return self.as_final_answer(*self.truth())

@@ -9,11 +9,11 @@ then maps combined linear components to the query's aggregate values
 This dict walk is the only one in the package: every online route
 (``PS3.query`` / ``query_many`` / ``serve``, ``answer_with_selection``,
 the CLI) reaches it through :func:`repro.engine.serving
-.answer_selections`. Hot offline sweep loops (the LSS stratum sweep,
+.answer_selections`. Offline sweep loops (the LSS stratum sweep,
 feature selection, the bench runner) evaluate the same estimator over
-dense answer arrays via :class:`~repro.engine.block_estimator
+the answer block's arrays via :class:`~repro.engine.block_estimator
 .BlockEstimator`, which reproduces this module's results bit for bit;
-dict inputs stay here as the oracle the block path is tested against.
+:func:`estimate` is the oracle the tests hold it to.
 """
 
 from __future__ import annotations
@@ -55,8 +55,8 @@ def combine_answers(
     """Weighted sum of component answers across the selected partitions.
 
     ``answers`` is aligned with ``selection``: ``answers[j]`` is the
-    answer of ``selection[j].partition`` (what ``BatchExecutor
-    .partition_answers(query, partitions=...)`` returns). The inputs are
+    answer of ``selection[j].partition`` (what iterating ``BatchExecutor
+    .partition_answers(query, partitions=...)`` yields). The inputs are
     only read; the combined vectors are fresh arrays.
     """
     combined: dict[GroupKey, np.ndarray] = {}

@@ -76,9 +76,8 @@ from dataclasses import dataclass, field
 
 from repro.obs import MetricsRegistry, trace_span
 
-from repro.engine.batch_executor import BatchExecutor
+from repro.engine.batch_executor import BatchExecutor, QueryAnswerBlock
 from repro.engine.combiner import FinalAnswer, combine_answers, finalize_answer
-from repro.engine.executor import ComponentAnswer
 from repro.engine.query import Query
 from repro.engine.table import PartitionedTable
 from repro.errors import (
@@ -317,23 +316,18 @@ def answer_selections(
     the selection's weights (:func:`combine_answers`), finalize. Pairs
     with an equal ``(query, partition tuple)`` — what serving's pick
     dedup produces — share one execution, but every pair gets its own
-    freshly combined arrays. A partition outside ``ptable`` is a
-    :class:`ConfigError` (a caller bug, not a transient read failure).
+    freshly combined arrays. A partition outside ``ptable`` is the
+    executor's :class:`ConfigError` (a caller bug, not a transient read
+    failure).
     """
     executor = BatchExecutor.for_table(ptable)
-    num_partitions = ptable.num_partitions
-    executed: dict[tuple[Query, tuple[int, ...]], list[ComponentAnswer]] = {}
+    executed: dict[tuple[Query, tuple[int, ...]], QueryAnswerBlock] = {}
     finals: list[FinalAnswer] = []
     with trace_span("engine.sweep", queries=len(pairs)) as span:
         for query, selection in pairs:
             partitions = tuple(choice.partition for choice in selection)
             answers = executed.get((query, partitions))
             if answers is None:
-                if any(not 0 <= p < num_partitions for p in partitions):
-                    raise ConfigError(
-                        f"selection {partitions} names a partition outside "
-                        f"0..{num_partitions - 1}"
-                    )
                 answers = executor.partition_answers(query, partitions=partitions)
                 executed[query, partitions] = answers
             finals.append(

@@ -24,8 +24,8 @@ The builder is backed by a :class:`ColumnarSketchIndex`: the static block
 is assembled from per-column array stacks rather than per-partition
 Python calls, and selectivity features come from a compiled
 :class:`~repro.stats.plan.PredicatePlan` evaluated across all partitions
-at once. The scalar :func:`estimate_selectivity` loop remains available
-(``vectorized=False``) as the reference oracle.
+at once. The scalar :func:`~repro.stats.selectivity.estimate_selectivity`
+walk, one partition at a time, is the oracle the tests hold the plan to.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ from repro.errors import ConfigError
 from repro.sketches.builder import DatasetStatistics
 from repro.sketches.columnar import NUM_COLUMN_STATS, ColumnarSketchIndex
 from repro.stats.plan import SHARED_PLAN_CACHE, PlanCache, PredicatePlan
-from repro.stats.selectivity import estimate_selectivity
 
 #: (stat key, category, family) — families follow Appendix B.1's feature
 #: listing so feature selection can drop a statistic across all columns.
@@ -198,8 +197,7 @@ class FeatureBuilder:
     The static part (per-column statistics and bitmaps) is assembled once
     from the columnar sketch index and extended in place on append;
     ``features_for_query`` applies the query mask and appends fresh
-    selectivity estimates from a compiled predicate plan (or the scalar
-    per-partition estimator when ``vectorized`` is off).
+    selectivity estimates from a compiled predicate plan.
 
     Passing ``index`` (e.g. the one
     ``repro.storage.load_statistics_bundle`` rehydrated from disk) skips
@@ -211,7 +209,6 @@ class FeatureBuilder:
         self,
         dataset: DatasetStatistics,
         groupby_columns: tuple[str, ...],
-        vectorized: bool = True,
         plan_cache: PlanCache | None = None,
         index: ColumnarSketchIndex | None = None,
     ) -> None:
@@ -219,7 +216,6 @@ class FeatureBuilder:
             if name not in dataset.schema:
                 raise ConfigError(f"group-by universe column {name!r} not in schema")
         self.dataset = dataset
-        self.vectorized = vectorized
         # Plans are dataset-independent, so builders share one process-wide
         # cache by default: baselines re-featurizing the same workload hit
         # instead of recompiling. Pass a private PlanCache to isolate.
@@ -332,9 +328,7 @@ class FeatureBuilder:
             self._live_memo[used, group_by] = live
         return live
 
-    def features_for_query(
-        self, query: Query, vectorized: bool | None = None
-    ) -> QueryFeatures:
+    def features_for_query(self, query: Query) -> QueryFeatures:
         """Masked static features + selectivity estimates for ``query``."""
         if self._index.num_partitions != self.dataset.num_partitions:
             self.refresh()  # appends that bypassed refresh()
@@ -343,18 +337,9 @@ class FeatureBuilder:
         live = self._live_columns(query)
         masked = live[:-NUM_SELECTIVITY]  # the static part of the mask
         matrix[:, masked] = self._static[:, masked]
-        sel_block = self.schema.selectivity_slice()
-        use_plan = self.vectorized if vectorized is None else vectorized
-        if use_plan:
-            matrix[:, sel_block] = self._plan_for(query.predicate).evaluate(
-                self._index
-            )
-        else:
-            for p in range(n):
-                estimate = estimate_selectivity(
-                    query.predicate, self.dataset.partitions[p]
-                )
-                matrix[p, sel_block] = estimate.as_tuple()
+        matrix[:, self.schema.selectivity_slice()] = self._plan_for(
+            query.predicate
+        ).evaluate(self._index)
         return QueryFeatures(
             schema=self.schema, query=query, matrix=matrix, live_columns=live
         )

@@ -306,41 +306,29 @@ class PlanCache:
     workload and would otherwise recompile identical predicates).
     ``hits``/``misses`` make the reuse observable.
 
-    The cache itself is generic over what "compiling" means: ``compiler``
-    maps a predicate to the cached artifact and defaults to
-    :meth:`PredicatePlan.compile`. The workload executor
-    (:mod:`repro.engine.workload_executor`) reuses this class with a
-    mask compiler so identical predicates across a multi-query workload
-    are evaluated once, with the same observable hit/miss accounting.
-
     Besides the local ``hits``/``misses``/``evictions`` integers, every
-    event also increments ``{name}.hits|misses|evictions`` counters on
-    the process-wide :func:`repro.obs.get_registry`, so cache behavior
+    event also increments ``plan_cache.hits|misses|evictions`` counters
+    on the process-wide :func:`repro.obs.get_registry`, so cache behavior
     shows up in ``PS3.metrics()`` next to the latency histograms.
     """
 
-    def __init__(
-        self, limit: int = 256, compiler=None, name: str = "plan_cache"
-    ) -> None:
+    def __init__(self, limit: int = 256) -> None:
         self.limit = limit
-        self.name = name
         self.hits = 0
         self.misses = 0
         self.evictions = 0
         registry = get_registry()
-        self._hit_counter = registry.counter(f"{name}.hits")
-        self._miss_counter = registry.counter(f"{name}.misses")
-        self._eviction_counter = registry.counter(f"{name}.evictions")
-        self._compiler = compiler if compiler is not None else PredicatePlan.compile
-        self._plans: dict[Predicate | None, object] = {}
+        self._hit_counter = registry.counter("plan_cache.hits")
+        self._miss_counter = registry.counter("plan_cache.misses")
+        self._eviction_counter = registry.counter("plan_cache.evictions")
+        self._plans: dict[Predicate | None, PredicatePlan] = {}
         # The LRU refresh (pop + reinsert) and the at-capacity eviction
         # are multi-step dict mutations; two concurrent ``get``s on the
         # same predicate could interleave pop/reinsert and raise
         # ``KeyError``, or both evict and lose live entries. Serving
         # shares one cache across every front-end thread, so every
-        # public method runs under this lock. Reentrant so a compiler
-        # that itself consults the cache cannot deadlock.
-        self._lock = threading.RLock()
+        # public method runs under this lock.
+        self._lock = threading.Lock()
 
     def __len__(self) -> int:
         return len(self._plans)
@@ -385,7 +373,7 @@ class PlanCache:
                 return plan
             self.misses += 1
             self._miss_counter.inc()
-            plan = self._compiler(predicate)
+            plan = PredicatePlan.compile(predicate)
             if len(self._plans) >= self.limit:
                 del self._plans[next(iter(self._plans))]
                 self.evictions += 1

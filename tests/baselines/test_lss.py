@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-import repro.engine.block_estimator as block_estimator
+import repro.baselines.lss as lss
 from repro.baselines.lss import LSSSampler, stratified_select
 from repro.engine.combiner import WeightedChoice
 from repro.errors import ConfigError, NotFittedError
@@ -137,13 +137,11 @@ class TestTinyTableClamp:
 
 class TestSweepEstimationPaths:
     """E2e guard: the block-path sweep must be indistinguishable from
-    the dict reference path — same rng draws, same reports, and
+    the dict reference walk — same rng draws, same reports, and
     therefore the identical Table 8 strata — on a pinned seed."""
 
-    def _fit(self, trained_ps3, path):
-        sampler = LSSSampler(
-            trained_ps3.feature_builder, seed=7, estimation_path=path
-        )
+    def _fit(self, trained_ps3):
+        sampler = LSSSampler(trained_ps3.feature_builder, seed=7)
         sampler.fit(
             trained_ps3.training_data,
             budget_fractions=(0.25, 0.5),
@@ -151,41 +149,52 @@ class TestSweepEstimationPaths:
         )
         return sampler
 
-    def test_block_and_dict_sweeps_choose_identical_strata(self, trained_ps3):
-        block = self._fit(trained_ps3, "block")
-        dict_ = self._fit(trained_ps3, "dict")
+    def test_block_and_dict_sweeps_choose_identical_strata(
+        self, trained_ps3, dict_oracle_estimator, monkeypatch
+    ):
+        block_reports, dict_reports = [], []
+
+        def logging_to(log, estimator_class):
+            class Logged:
+                def __init__(self, answers):
+                    self.estimator = estimator_class(answers)
+
+                def score_grid(self, selections):
+                    log.append(self.estimator.score_grid(selections))
+                    return log[-1]
+
+            return Logged
+
+        block_estimator = lss.BlockEstimator
+        monkeypatch.setattr(
+            lss, "BlockEstimator", logging_to(block_reports, block_estimator)
+        )
+        block = self._fit(trained_ps3)
+        monkeypatch.setattr(
+            lss, "BlockEstimator", logging_to(dict_reports, dict_oracle_estimator)
+        )
+        dict_ = self._fit(trained_ps3)
         assert block.strata_by_budget == dict_.strata_by_budget
         assert set(block.strata_by_budget) == {0.25, 0.5}
+        assert block_reports and block_reports == dict_reports
 
-    def test_auto_uses_block_path_for_matrix_answers(self, trained_ps3):
-        # Training answers are array-backed, so auto == block.
-        auto = self._fit(trained_ps3, "auto")
-        block = self._fit(trained_ps3, "block")
-        assert auto.strata_by_budget == block.strata_by_budget
-
-    def test_unknown_estimation_path_rejected(self, trained_ps3):
-        with pytest.raises(ConfigError):
-            self._fit(trained_ps3, "matmul")
-
-    def test_dict_sweep_computes_each_truth_once(self, trained_ps3, monkeypatch):
+    def test_sweep_builds_one_estimator_per_query(self, trained_ps3, monkeypatch):
         """The weight-1 all-partitions truth is per-query invariant and
-        must be hoisted out of the (fraction, size) candidate grid."""
+        must be hoisted out of the (fraction, size) candidate grid: one
+        estimator (it caches its truth) per prepared sweep query."""
         num_partitions = trained_ps3.ptable.num_partitions
-        truth_calls = [0]
-        original = block_estimator.estimate
+        built = []
+        original = lss.BlockEstimator
 
-        def counting(query, answers, selection):
-            if len(selection) == num_partitions and all(
-                c.weight == 1.0 for c in selection
-            ):
-                truth_calls[0] += 1
-            return original(query, answers, selection)
+        def counting(answers):
+            built.append(original(answers))
+            return built[-1]
 
-        monkeypatch.setattr(block_estimator, "estimate", counting)
-        sampler = self._fit(trained_ps3, "dict")
-        # One truth per prepared sweep query — not one per grid candidate.
+        monkeypatch.setattr(lss, "BlockEstimator", counting)
+        sampler = self._fit(trained_ps3)
         grid_candidates = sum(
             1 for s in sampler.stratum_grid if s <= num_partitions
         ) * len(sampler.strata_by_budget)
-        assert 0 < truth_calls[0] <= 6
+        assert 0 < len(built) <= 6
         assert grid_candidates > 6  # the grid is genuinely larger
+        assert all(estimator._truth is not None for estimator in built)

@@ -36,14 +36,12 @@ TINY_KNOBS = {
 #: Benches whose speedup claims are conditional on bit-exact parity;
 #: every results row they emit must carry ``bit_identical: true``.
 PARITY_BENCHES = {
-    "perf_estimation_plane",
     "perf_recovery",
     "perf_sketch_plane",
 }
 
 #: Extra speedup columns beyond the common ``speedup`` field.
 EXTRA_SPEEDUP_COLUMNS = {
-    "perf_estimation_plane": ("grid_speedup",),
     "perf_sketch_plane": ("cold_speedup", "mmap_speedup"),
 }
 

@@ -17,9 +17,7 @@ same holds for a whole table generation: once ``PS3.append`` has swapped
 the table, the old one — columns, row ids, dictionary codes — must die by
 reference count (``BatchExecutor`` used to point back at the table that
 memoizes it; ``ingest_mixed`` peaked at twice the memory for it). The
-generation ``fit`` swept is no exception: ``WorkloadExecutor`` used to
-reach itself through its mask cache's bound-method compiler and through
-the table it is memoized on.
+generation ``fit`` answered its training queries on is no exception.
 """
 
 from __future__ import annotations
@@ -35,10 +33,9 @@ from repro.api import PS3
 from repro.datasets.registry import get_dataset
 from repro.engine.batch_executor import BatchExecutor, fused_view
 from repro.engine.predicates import Contains, InSet
-from repro.engine.workload_executor import WorkloadExecutor
 from repro.workload.generator import QueryGenerator
 
-EXECUTOR_FILES = ("batch_executor.py", "workload_executor.py")
+EXECUTOR_FILES = ("batch_executor.py",)
 NUM_QUERIES = 50
 
 
@@ -180,9 +177,9 @@ def test_the_training_generation_dies_by_reference_count():
         system.fit(train)
         assert gc.collect() == 0
         table = weakref.ref(system.ptable)
-        executor = weakref.ref(WorkloadExecutor.for_table(system.ptable))
+        executor = weakref.ref(BatchExecutor.for_table(system.ptable))
         view = weakref.ref(executor().view)
-        assert len(executor().mask_plans)  # the training sweep went through it
+        assert view()._encoded  # the training answers went through it
         system.append(rows)
         assert table() is None and executor() is None and view() is None
     finally:

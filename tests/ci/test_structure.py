@@ -28,6 +28,17 @@
   beside it. The per-node builder is ``tests/ml/per_node_reference.py``.
   ``ml/tree.py`` + ``ml/gbrt.py`` stay within the 540 lines they had
   before it.
+* No callable of ``repro.engine`` / ``repro.core`` / ``repro.stats`` /
+  ``repro.baselines`` takes a ``vectorized`` / ``estimation_path`` /
+  ``path`` mode parameter, ``repro.engine.workload_executor`` no longer
+  imports, and ``WorkloadExecutor`` / ``AnswerMatrix`` /
+  ``LazyPartitionAnswers`` / ``selection_scorer`` /
+  ``evaluate_errors_block`` are gone: ``BatchExecutor.partition_answers``
+  is the one producer of per-partition answers and its array block the
+  one form (PR 22), scored by one grid contraction. The dict oracle and
+  the scalar featurizer are compositions inside the tests
+  (``tests/conftest.py``). File-system ``path`` arguments live in
+  ``repro.storage``, which is not in scope.
 * Every ``(module, attribute path)`` the benchmark's tracer patches
   (``TRACED`` in ``benchmarks/e2e/layers.py``, read here, never edited)
   resolves the way the tracer resolves it. A rename would otherwise show
@@ -44,6 +55,7 @@ from pathlib import Path
 
 import pytest
 
+import repro.baselines
 import repro.core
 import repro.engine
 import repro.ml
@@ -187,6 +199,58 @@ def test_tree_builder_has_one_split_search():
     assert lines <= 540, lines
 
 
+#: The switches PR 22 removed: which featurizer, which estimation plane.
+ANSWER_MODES = {"vectorized", "estimation_path", "path"}
+ANSWER_PLANES = [
+    info.name
+    for package in (repro.engine, repro.core, repro.stats, repro.baselines)
+    for info in pkgutil.iter_modules(package.__path__, package.__name__ + ".")
+]
+
+
+@pytest.mark.parametrize("module_name", ANSWER_PLANES)
+def test_no_callable_takes_an_answer_path_mode(module_name):
+    assert _takers(module_name, ANSWER_MODES) == []
+
+
+def test_one_executor_one_answer_form():
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("repro.engine.workload_executor")
+    import repro.core.metrics as metrics
+    import repro.engine.batch_executor as batch_executor
+    import repro.engine.block_estimator as block_estimator
+
+    for module in (repro.engine, batch_executor, block_estimator, metrics):
+        for name in (
+            "WorkloadExecutor",
+            "AnswerMatrix",
+            "LazyPartitionAnswers",
+            "selection_scorer",
+            "evaluate_errors_block",
+        ):
+            assert not hasattr(module, name), (module.__name__, name)
+    # The guard is only a guard if the walk reaches the entry points the
+    # switches sat on.
+    seen = {
+        f"{module_name}.{name}"
+        for module_name in ANSWER_PLANES
+        for name, __ in _public_callables(importlib.import_module(module_name))
+    }
+    assert {
+        "repro.stats.features.FeatureBuilder.__init__",
+        "repro.stats.features.FeatureBuilder.features_for_query",
+        "repro.stats.plan.PlanCache.__init__",
+        # Dataclass fields are ``__init__`` parameters (``estimation_path``).
+        "repro.baselines.lss.LSSSampler.__init__",
+        "repro.core.feature_selection.ClusteringErrorEvaluator.__init__",
+        "repro.engine.block_estimator.BlockEstimator.score_grid",
+        "repro.engine.batch_executor.BatchExecutor.partition_answers",
+    } <= seen
+    from repro.stats.plan import PlanCache
+
+    assert set(inspect.signature(PlanCache).parameters) == {"limit"}
+
+
 def test_walk_sees_the_callables_a_subspace_mode_would_land_on():
     seen = {
         f"{module_name}.{name}"
@@ -223,7 +287,7 @@ def test_walk_sees_the_callables_that_used_to_take_it():
         "repro.core.training.train_picker_model",
         "repro.engine.serving.answer_selections",
         "repro.engine.batch_executor.BatchExecutor.partition_answers",
-        "repro.engine.workload_executor.WorkloadExecutor.__init__",
+        "repro.engine.batch_executor.QueryAnswerBlock.contributions",
         # ...and the ones an encoding switch would most likely land on.
         "repro.engine.batch_executor.FusedTableView.build",
         "repro.engine.batch_executor.FusedTableView.mask",

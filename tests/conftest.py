@@ -12,12 +12,16 @@ import numpy as np
 import pytest
 
 from repro.api import PS3
+from repro.core.metrics import evaluate_errors
 from repro.datasets.registry import get_dataset
+from repro.engine.batch_executor import QueryAnswerBlock
+from repro.engine.combiner import WeightedChoice, estimate
 from repro.engine.layout import partition_evenly, sort_table
 from repro.engine.schema import Column, ColumnKind, Schema
 from repro.engine.table import Table
 from repro.sketches.builder import build_dataset_statistics
-from repro.stats.features import FeatureBuilder
+from repro.stats.features import FeatureBuilder, QueryFeatures
+from repro.stats.selectivity import estimate_selectivity
 from repro.workload.generator import QueryGenerator
 
 
@@ -92,3 +96,79 @@ def trained_ps3(tpch_ptable, tpch_workload, tpch_queries):
     """A fully trained PS3 system (session-scoped: training is the cost)."""
     train, __ = tpch_queries
     return PS3(tpch_ptable, tpch_workload).fit(train)
+
+
+# -- reference compositions (production has no such path) --------------------
+
+
+def _block_from_answers(query, partition_answers) -> QueryAnswerBlock:
+    """Compact plain per-partition ``ComponentAnswer`` dicts into a block.
+
+    Keys are sorted into canonical code order; within a partition each
+    group contributes a single segment, so the per-group combine chains
+    are unaffected by the source dicts' iteration order.
+    """
+    keys = sorted({key for answer in partition_answers for key in answer})
+    code = {key: g for g, key in enumerate(keys)}
+    live, totals = [], []
+    for p, answer in enumerate(partition_answers):
+        for key in sorted(answer):
+            live.append(p * len(keys) + code[key])
+            totals.append(answer[key])
+    return QueryAnswerBlock(
+        query,
+        keys,
+        np.asarray(live, dtype=np.intp),
+        np.asarray(totals, dtype=np.float64).reshape(-1, query.num_components),
+        len(partition_answers),
+    )
+
+
+def _scalar_features(builder: FeatureBuilder, query) -> QueryFeatures:
+    """``builder.features_for_query(query)`` with the selectivity block
+    recomputed by the scalar oracle: one ``estimate_selectivity`` AST
+    walk per partition against its Python sketch objects."""
+    # Through the class: a test may have shadowed the builder's own method
+    # with this composition to drive a whole pick on the oracle.
+    features = FeatureBuilder.features_for_query(builder, query)
+    block = builder.schema.selectivity_slice()
+    for p, partition in enumerate(builder.dataset.partitions):
+        features.matrix[p, block] = estimate_selectivity(
+            query.predicate, partition
+        ).as_tuple()
+    return features
+
+
+class _DictOracleEstimator:
+    """``BlockEstimator``'s scoring surface on the dict walk: the exact
+    answer once (every partition at weight 1), then ``combiner.estimate``
+    + ``evaluate_errors`` one candidate at a time."""
+
+    def __init__(self, answers) -> None:
+        self.query, self.answers = answers.query, answers
+        everything = [WeightedChoice(p, 1.0) for p in range(len(answers))]
+        self.truth = estimate(self.query, answers, everything)
+
+    def score_grid(self, selections):
+        return [
+            evaluate_errors(self.truth, estimate(self.query, self.answers, s))
+            for s in selections
+        ]
+
+
+@pytest.fixture(scope="session")
+def dict_oracle_estimator():
+    """A drop-in for ``BlockEstimator`` in a sweep (monkeypatch it in)."""
+    return _DictOracleEstimator
+
+
+@pytest.fixture(scope="session")
+def block_from_answers():
+    """``block_from_answers(query, dict_list) -> QueryAnswerBlock``."""
+    return _block_from_answers
+
+
+@pytest.fixture(scope="session")
+def scalar_features():
+    """``scalar_features(builder, query) -> QueryFeatures`` (the oracle)."""
+    return _scalar_features

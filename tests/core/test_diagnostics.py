@@ -108,19 +108,14 @@ class TestConfidenceIntervals:
             assert interval.estimate[2] == pytest.approx(exact[key][2], rel=1e-9)
 
     def test_block_and_dict_answers_agree(self, prepared, trained_ps3):
-        """Array-backed answers route through the block combiner and must
-        reproduce the dict-walk intervals."""
-        from repro.engine.workload_executor import WorkloadExecutor
-
-        query, answers, features, normalized = prepared
-        lazy = WorkloadExecutor.for_table(trained_ps3.ptable).partition_answers(
-            query
-        )
+        """The executor's block, indexed in place, must give the intervals
+        its materialized dict list gives."""
+        query, block, features, normalized = prepared
         dict_result = estimate_with_confidence(
-            list(lazy), query, features, normalized, budget=5, seed=4
+            list(block), query, features, normalized, budget=5, seed=4
         )
         block_result = estimate_with_confidence(
-            lazy, query, features, normalized, budget=5, seed=4
+            block, query, features, normalized, budget=5, seed=4
         )
         assert set(block_result.groups) == set(dict_result.groups)
         assert block_result.partitions_read == dict_result.partitions_read

@@ -2,6 +2,7 @@
 
 import pytest
 
+import repro.core.feature_selection as feature_selection
 from repro.core.feature_selection import (
     ClusteringErrorEvaluator,
     greedy_feature_selection,
@@ -42,22 +43,27 @@ class TestEvaluator:
 
 
 class TestEstimationPathParity:
-    def test_block_and_dict_errors_identical(self, trained_ps3):
-        """Exclusion-set scoring must not depend on the estimation plane."""
+    def test_block_and_dict_errors_identical(
+        self, trained_ps3, dict_oracle_estimator, monkeypatch
+    ):
+        """Exclusion-set scoring must equal the dict walk's, bit for bit."""
         kwargs = dict(
             budget_fractions=(0.25,),
             max_queries=4,
             seed=3,
         )
         schema = trained_ps3.feature_builder.schema
-        block = ClusteringErrorEvaluator(
-            schema, trained_ps3.training_data, estimation_path="block", **kwargs
-        )
-        dict_ = ClusteringErrorEvaluator(
-            schema, trained_ps3.training_data, estimation_path="dict", **kwargs
-        )
+        block = ClusteringErrorEvaluator(schema, trained_ps3.training_data, **kwargs)
+        dict_ = ClusteringErrorEvaluator(schema, trained_ps3.training_data, **kwargs)
         for excluded in (frozenset(), frozenset({"min(x)"})):
-            assert block.error(excluded) == dict_.error(excluded)
+            block_error = block.error(excluded)
+            with monkeypatch.context() as patch:
+                patch.setattr(
+                    feature_selection, "BlockEstimator", dict_oracle_estimator
+                )
+                assert dict_.error(excluded) == block_error
+        scorers = {type(score.__self__) for __, ___, score in dict_._prepared}
+        assert scorers == {dict_oracle_estimator}
 
     def test_truth_prepared_once_across_exclusion_sets(self, evaluator):
         evaluator.error(frozenset({"max(x)"}))

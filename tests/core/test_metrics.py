@@ -1,8 +1,9 @@
 """Unit tests for the three error metrics (paper section 5.1.4).
 
 The dict path (:func:`evaluate_errors`) and the array twin
-(:func:`evaluate_errors_block`) share semantics and must report
-identically; the shared cases here run through both.
+(:func:`evaluate_errors_grid`, here a grid of one candidate) share
+semantics and must report identically; the shared cases here run through
+both.
 """
 
 import numpy as np
@@ -11,7 +12,6 @@ import pytest
 from repro.core.metrics import (
     ErrorReport,
     evaluate_errors,
-    evaluate_errors_block,
     evaluate_errors_grid,
     mean_report,
 )
@@ -39,10 +39,18 @@ def as_block(truth, estimate):
     return true_values, true_present, est_values, est_present
 
 
+def one_candidate(true_values, true_present, est_values, est_present):
+    """The array twin on a single estimate: a grid of one."""
+    [report] = evaluate_errors_grid(
+        true_values, true_present, est_values[None], est_present[None]
+    )
+    return report
+
+
 def both_paths(truth, estimate):
-    """Evaluate through the dict path and the block twin; require identity."""
+    """Evaluate through the dict path and the array twin; require identity."""
     dict_report = evaluate_errors(truth, estimate)
-    block_report = evaluate_errors_block(*as_block(truth, estimate))
+    block_report = one_candidate(*as_block(truth, estimate))
     assert dict_report == block_report
     return dict_report
 
@@ -128,17 +136,17 @@ class TestEmptyTruth:
         true_present = np.zeros(2, dtype=bool)
         est_present = np.array([True, False])
         values = np.zeros((2, 1))
-        report = evaluate_errors_block(values, true_present, values, est_present)
+        report = one_candidate(values, true_present, values, est_present)
         assert report == ErrorReport(0.0, 1.0, 0.0)
-        report = evaluate_errors_block(
+        report = one_candidate(
             values, true_present, values, np.zeros(2, dtype=bool)
         )
         assert report == ErrorReport(0.0, 0.0, 0.0)
 
 
 class TestEvaluateErrorsGrid:
-    """The batched twin must report exactly what per-candidate
-    ``evaluate_errors_block`` reports, row for row."""
+    """The batched twin must report exactly what the dict walk reports
+    on each candidate's own answer, row for row."""
 
     def _random_grid(self, seed, candidates=7, groups=5, aggs=3):
         rng = np.random.default_rng(seed)
@@ -151,7 +159,7 @@ class TestEvaluateErrorsGrid:
         return true_values, true_present, est_values, est_present
 
     @pytest.mark.parametrize("seed", range(5))
-    def test_rows_identical_to_block_twin(self, seed):
+    def test_rows_identical_to_dict_walk(self, seed):
         true_values, true_present, est_values, est_present = self._random_grid(
             seed
         )
@@ -159,8 +167,11 @@ class TestEvaluateErrorsGrid:
             true_values, true_present, est_values, est_present
         )
         assert len(reports) == est_values.shape[0]
+        truth = {(g,): true_values[g] for g in np.flatnonzero(true_present)}
         for k, report in enumerate(reports):
-            assert report == evaluate_errors_block(
+            estimate = {(g,): est_values[k, g] for g in np.flatnonzero(est_present[k])}
+            assert report == evaluate_errors(truth, estimate), k
+            assert report == one_candidate(
                 true_values, true_present, est_values[k], est_present[k]
             ), k
 

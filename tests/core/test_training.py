@@ -15,7 +15,7 @@ from repro.core.training import (
     train_picker_model,
 )
 from repro.datasets.registry import get_dataset
-from repro.engine.workload_executor import WorkloadExecutor
+from repro.engine.batch_executor import BatchExecutor
 from repro.errors import ConfigError
 from repro.workload.generator import QueryGenerator
 
@@ -49,6 +49,30 @@ class TestTrainingData:
         )
         assert data.normalized == []
         assert len(data.answers) == 2
+
+    def test_duplicate_queries_alias_one_block(
+        self, tpch_ptable, trained_ps3, tpch_queries, monkeypatch
+    ):
+        """``Query`` is a value object: an equal query is answered once."""
+        train, __ = tpch_queries
+        query, other = train[0], train[1]
+        twin = type(query)(query.aggregates, query.predicate, query.group_by)
+        assert twin == query and twin is not query
+        executed = []
+        answer = BatchExecutor.partition_answers
+
+        def counting(self, query, partitions=None):
+            executed.append(query)
+            return answer(self, query, partitions)
+
+        monkeypatch.setattr(BatchExecutor, "partition_answers", counting)
+        data = compute_training_data(
+            tpch_ptable, trained_ps3.feature_builder, [query, other, twin, query]
+        )
+        assert data.answers[0] is data.answers[2] is data.answers[3]
+        assert data.answers[0] is not data.answers[1]
+        assert data.contributions[0] is data.contributions[2]
+        assert executed == [query, other]
 
 
 class TestModel:
@@ -115,8 +139,8 @@ class TestFunnelLabels:
         ptable = dataset.build(64 * 125, 64, seed=22)
         generator = QueryGenerator(dataset.workload(), ptable.table, seed=22)
         train, __ = generator.train_test_split(16, 0)
-        matrix = WorkloadExecutor.for_table(ptable).answer_matrix(train)
-        contributions = [matrix.contributions(qid) for qid in range(len(train))]
+        executor = BatchExecutor.for_table(ptable)
+        contributions = [executor.partition_answers(q).contributions() for q in train]
         config = TrainingConfig()
         thresholds = exponential_thresholds(
             contributions, config.num_models, config.top_fraction

@@ -1,36 +1,39 @@
-"""Shared differential harness for the three execution paths.
+"""Shared differential harness: the scalar oracle vs the executor.
 
-Every (query, table) case can be answered three ways — the scalar
-per-partition ``execute_on_partition`` loop (the reference oracle), the
-PR 2 :class:`BatchExecutor` fused single-query pass, and the workload
-executor's :class:`AnswerMatrix` — and all three must agree *bit for
-bit*: same per-partition dicts, same key iteration order, byte-identical
-component vectors. The fixtures here are the single place that contract
-is encoded; executor tests (regression pins, edge cases, workload
-suites) run their cases through ``three_way`` / ``answers_via`` instead
-of hand-rolling pairwise comparisons.
+Every (query, table) case can be answered two ways — the scalar
+per-partition ``execute_on_partition`` loop (the reference oracle) and
+:meth:`BatchExecutor.partition_answers`, whose
+:class:`~repro.engine.batch_executor.QueryAnswerBlock` is read through
+both of its views: iterated as per-partition dicts, and as the raw
+``keys`` / ``live`` / ``totals`` / ``cuts`` arrays training consumes.
+All must agree *bit for bit*: same per-partition dicts, same key
+iteration order, byte-identical component vectors. The fixtures here are
+the single place that contract is encoded; executor tests (regression
+pins, edge cases, workload suites) run their cases through
+``oracle_parity`` / ``answers_via`` instead of hand-rolling comparisons.
 """
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.engine.batch_executor import BatchExecutor
 from repro.engine.executor import execute_on_partition
-from repro.engine.workload_executor import WorkloadExecutor
 
 #: Parametrization ids for tests that pin one path at a time.
-EXECUTION_PATHS = ("scalar", "batch", "workload")
+EXECUTION_PATHS = ("scalar", "batch", "indexed")
 
 
 def _answers_via(path: str, ptable, query):
-    """Per-partition ``ComponentAnswer`` list through one named path."""
+    """Per-partition ``ComponentAnswer`` sequence through one named path."""
     if path == "scalar":
         return [execute_on_partition(p, query) for p in ptable]
-    if path == "batch":
-        return BatchExecutor.for_table(ptable).partition_answers(query)
-    if path == "workload":
-        return WorkloadExecutor.for_table(ptable).partition_answers(query)
+    block = BatchExecutor.for_table(ptable).partition_answers(query)
+    if path == "batch":  # the block, iterated by whoever consumes it
+        return block
+    if path == "indexed":  # the block's other dict builder, ``block[p]``
+        return [block[p] for p in range(len(block))]
     raise ValueError(f"unknown execution path {path!r}")
 
 
@@ -49,29 +52,41 @@ def _assert_answers_bitwise_equal(actual, expected, context: str = ""):
             )
 
 
-def _assert_three_way_parity(ptable, queries):
-    """Scalar, batch, and workload answers agree bit for bit.
+def _assert_block_arrays_equal(block, expected, context: str = ""):
+    """The block's arrays spell the same answers as ``expected`` dicts."""
+    groups = max(block.num_groups, 1)
+    assert np.all(np.diff(block.live) > 0), context  # sorted, no duplicate
+    assert np.array_equal(block.live, block.live_parts * groups + block.live_groups)
+    assert block.cuts[0] == 0 and block.cuts[-1] == len(block.live), context
+    assert block.totals.shape == (len(block.live), block.query.num_components)
+    for p, answer in enumerate(expected):
+        run = slice(block.cuts[p], block.cuts[p + 1])
+        assert np.all(block.live_parts[run] == p), (context, p)
+        assert [block.keys[g] for g in block.live_groups[run]] == list(answer), (
+            context,
+            p,
+        )
+        stacked = b"".join(vec.tobytes() for vec in answer.values())
+        assert block.totals[run].tobytes() == stacked, (context, p)
 
-    ``queries`` is executed as *one* workload through the workload
-    executor (so mask/factorization sharing and duplicate-query dedup
-    are exercised exactly as training uses them) and query by query
-    through the other two paths. Returns the workload ``AnswerMatrix``
-    so callers can make additional assertions on the array views.
+
+def _assert_oracle_parity(ptable, queries):
+    """The executor's blocks equal the scalar oracle, through both views.
+
+    Returns the blocks (one per query) so callers can make additional
+    assertions on them.
     """
-    queries = list(queries)
-    matrix = WorkloadExecutor.for_table(ptable).answer_matrix(queries)
+    blocks = []
     for qi, query in enumerate(queries):
         scalar = _answers_via("scalar", ptable, query)
-        batch = _answers_via("batch", ptable, query)
-        workload = matrix.answers(qi)
+        block = _answers_via("batch", ptable, query)
         label = f"query[{qi}] {query.label()}"
-        _assert_answers_bitwise_equal(
-            batch, scalar, f"batch vs scalar: {label}"
-        )
-        _assert_answers_bitwise_equal(
-            workload, scalar, f"workload vs scalar: {label}"
-        )
-    return matrix
+        _assert_answers_bitwise_equal(block, scalar, f"dicts vs scalar: {label}")
+        indexed = _answers_via("indexed", ptable, query)
+        _assert_answers_bitwise_equal(indexed, scalar, f"[p] vs scalar: {label}")
+        _assert_block_arrays_equal(block, scalar, f"arrays vs scalar: {label}")
+        blocks.append(block)
+    return blocks
 
 
 @pytest.fixture
@@ -87,6 +102,6 @@ def assert_bitwise_equal():
 
 
 @pytest.fixture
-def three_way():
-    """The three-way differential checker (returns the AnswerMatrix)."""
-    return _assert_three_way_parity
+def oracle_parity():
+    """The oracle-vs-executor differential checker (returns the blocks)."""
+    return _assert_oracle_parity

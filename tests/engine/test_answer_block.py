@@ -1,20 +1,22 @@
-"""Workload executor: differential parity, sharing/dedup, edge cases.
+"""The executor's answer block: oracle parity, both views, edge cases.
 
-The differential harness (``tests/engine/conftest.py``) runs every case
-through all three execution paths; the tests here add the
-workload-specific contracts on top: duplicate-query dedup, mask and
-factorization sharing, the ``AnswerMatrix`` array views, the lazy
-``ComponentAnswer`` compatibility sequence, array-path contributions,
-and the edge cases none of the executors had coverage for (predicates
-emptying some or all partitions, single-partition tables, duplicate
-queries in one workload, groups present in only one partition, empty
-partition subsets).
+The differential harness (``tests/engine/conftest.py``) compares every
+case against the scalar oracle through the block's dict views and its
+arrays; the tests here add the block's own contracts on top: the
+sequence protocol, equality against plain lists, array-path
+contributions, partition-id range checks, freedom from reference
+cycles, and the edge cases (predicates emptying some or all partitions,
+single-partition tables, duplicate queries, groups present in only one
+partition, empty partition subsets).
 
 ``PartitionedTable`` rejects zero-row partitions by construction, so
 "empty partition" here always means a partition whose rows are all
-filtered out — plus the batch executor's explicit empty partition-subset
+filtered out — plus the executor's explicit empty partition-subset
 gather, which is the one way a zero-partition execution can happen.
 """
+
+import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -28,7 +30,7 @@ from repro.engine.predicates import And, Comparison, Contains, InSet, Not, Or
 from repro.engine.query import Query
 from repro.engine.schema import Column, ColumnKind, Schema
 from repro.engine.table import Table
-from repro.engine.workload_executor import WorkloadExecutor
+from repro.errors import ConfigError
 
 SCHEMA = Schema.of(
     Column("x", ColumnKind.NUMERIC, positive=True),
@@ -82,147 +84,110 @@ def ptable():
     return partition_evenly(build_table(4000), 16)
 
 
-class TestWorkloadParity:
-    def test_training_workload_three_way(self, ptable, three_way):
-        """The acceptance case: a >=32-query workload, three paths, bitwise."""
-        three_way(ptable, training_workload())
+class TestOracleParity:
+    def test_training_workload(self, ptable, oracle_parity):
+        """The acceptance case: a >=32-query workload, both views, bitwise."""
+        oracle_parity(ptable, training_workload())
 
-    def test_division_expression_stays_filtered(self, ptable, three_way):
+    def test_division_expression_stays_filtered(self, ptable, oracle_parity):
         """`/` must only see surviving rows (scalar error semantics)."""
         queries = [
             Query([sum_of(col("x") / col("x"))], Comparison("x", ">", 3.0), ("cat",)),
             Query([avg_of(col("y") / col("x"))], Comparison("d", "<", 10.0)),
         ]
-        three_way(ptable, queries)
+        oracle_parity(ptable, queries)
 
-    def test_cached_executor_reused_across_calls(self, ptable):
-        first = WorkloadExecutor.for_table(ptable)
-        second = WorkloadExecutor.for_table(ptable)
-        assert first is second
-        matrix = second.answer_matrix(training_workload()[:4])
-        assert matrix.num_partitions == ptable.num_partitions
-
-
-class TestSharingAndDedup:
-    def test_duplicate_queries_alias_one_block(self, ptable):
-        executor = WorkloadExecutor(ptable)
-        query = Query([sum_of(col("x"))], Comparison("x", ">", 5.0), ("cat",))
-        twin = Query([sum_of(col("x"))], Comparison("x", ">", 5.0), ("cat",))
-        other = Query([count_star()], Comparison("x", ">", 5.0), ("d",))
-        matrix = executor.answer_matrix([query, other, twin, query])
-        assert matrix.block(0) is matrix.block(2)
-        assert matrix.block(0) is matrix.block(3)
-        assert matrix.block(0) is not matrix.block(1)
-        assert executor.query_dedup_hits == 2
-        # The lazy dict views alias too, so materialization happens once.
-        assert matrix.answers(0) is matrix.answers(2)
-
-    def test_mask_shared_across_queries_with_same_predicate(self, ptable):
-        executor = WorkloadExecutor(ptable)
-        predicate = Comparison("y", ">", 0.0)
-        workload = [
-            Query([count_star()], predicate, ("cat",)),
-            Query([sum_of(col("x"))], predicate, ("d",)),
-            Query([avg_of(col("y"))], predicate),
-        ]
-        executor.answer_matrix(workload)
-        # One compile for the predicate; the other gets() are hits (the
-        # factorization lookups hit the same entries again).
-        assert executor.mask_plans.misses == 1
-        assert executor.mask_plans.hits >= 2
-
-    def test_factorization_shared_across_predicates(self):
+    def test_one_encoding_per_column_across_predicates(self):
         ptable = partition_evenly(build_table(4000), 16)
-        executor = WorkloadExecutor(ptable)
+        executor = BatchExecutor.for_table(ptable)
         workload = [
             Query([count_star()], Comparison("x", ">", 4.0), ("cat", "d")),
             Query([sum_of(col("y"))], Comparison("x", ">", 8.0), ("cat", "d")),
             Query([count_star()], None, ("d", "cat")),
         ]
-        executor.answer_matrix(workload)
-        # One encoding per column, on the view the online executor
-        # shares, despite three different (group_by, predicate)
-        # factorizations.
+        for query in workload:
+            executor.partition_answers(query)
+        # One encoding per grouped column on the table's view, whatever
+        # the predicate or the grouping order.
         assert set(executor.view._encoded) == {"cat", "d"}
-        assert BatchExecutor.for_table(ptable).view is executor.view
-        assert len(executor._factorizations) == 3
-
-    def test_dedup_never_changes_results(self, ptable, assert_bitwise_equal):
-        """Shared-cache answers == fresh-executor per-query answers."""
-        workload = training_workload()[:10]
-        shared = WorkloadExecutor(ptable).answer_matrix(workload)
-        for qi, query in enumerate(workload):
-            fresh = WorkloadExecutor(ptable).answer_matrix([query])
-            assert_bitwise_equal(
-                shared.answers(qi), fresh.answers(0), query.label()
-            )
 
 
-class TestAnswerMatrixViews:
-    def test_dense_block_matches_dicts(self, ptable):
-        query = Query(
-            [sum_of(col("x")), count_star()],
-            Comparison("x", ">", 5.0),
-            ("cat",),
-        )
-        matrix = WorkloadExecutor(ptable).answer_matrix([query])
-        totals, present = matrix.dense(0)
-        keys = matrix.group_keys(0)
-        answers = matrix.answers(0)
-        assert totals.shape == (ptable.num_partitions, len(keys), 2)
-        assert present.shape == (ptable.num_partitions, len(keys))
-        for p in range(ptable.num_partitions):
-            answer = answers[p]
-            for g, key in enumerate(keys):
-                if present[p, g]:
-                    assert answer[key].tobytes() == totals[p, g].tobytes()
-                else:
-                    assert key not in answer
-            assert len(answer) == int(present[p].sum())
-
-    def test_lazy_view_sequence_protocol(self, ptable):
+class TestBlockViews:
+    def test_sequence_protocol(self, ptable):
         query = Query([count_star()], None, ("cat",))
-        matrix = WorkloadExecutor(ptable).answer_matrix([query])
-        view = matrix.answers(0)
-        assert len(view) == ptable.num_partitions
-        assert view[-1] == view[ptable.num_partitions - 1]
-        assert view[2:4] == [view[2], view[3]]
-        assert list(iter(view)) == view.materialize()
-        assert view == view.materialize()  # __eq__ against a plain list
+        block = BatchExecutor.for_table(ptable).partition_answers(query)
+        assert len(block) == ptable.num_partitions
+        assert block[-1] == block[ptable.num_partitions - 1]
+        assert block[2:4] == [block[2], block[3]]
+        assert block == list(block)  # __eq__ against a plain list
         with pytest.raises(IndexError):
-            view[ptable.num_partitions]
+            block[ptable.num_partitions]
+        with pytest.raises(IndexError):
+            block[-ptable.num_partitions - 1]
 
-    def test_lazy_view_equality_with_foreign_arrays(self, ptable, answers_via):
+    def test_equality_with_foreign_arrays(self, ptable, answers_via):
         """__eq__ vs dicts holding *different* array objects (regression:
         plain dict equality truth-tests numpy vectors and raises)."""
         query = Query([sum_of(col("x")), count_star()], None, ("cat",))
-        matrix = WorkloadExecutor(ptable).answer_matrix([query])
-        view = matrix.answers(0)
+        block = answers_via("batch", ptable, query)
         scalar = answers_via("scalar", ptable, query)
-        assert view == scalar
+        assert block == scalar
         perturbed = [dict(a) for a in scalar]
         perturbed[0][("a",)] = perturbed[0][("a",)] + 1.0
-        assert view != perturbed
-        assert view != scalar[:-1]
+        assert block != perturbed
+        assert block != scalar[:-1]
 
-    def test_contributions_match_dict_path_bitwise(self, ptable):
-        workload = training_workload()
-        matrix = WorkloadExecutor(ptable).answer_matrix(workload)
-        for qi, query in enumerate(workload):
-            dicts = BatchExecutor.for_table(ptable).partition_answers(query)
-            expected = partition_contributions(dicts)
-            assert matrix.contributions(qi).tobytes() == expected.tobytes(), (
-                query.label()
-            )
+    def test_contributions_match_dict_path_bitwise(self, ptable, answers_via):
+        for query in training_workload():
+            block = answers_via("batch", ptable, query)
+            for dicts in (list(block), answers_via("scalar", ptable, query)):
+                expected = partition_contributions(dicts)
+                assert block.contributions().tobytes() == expected.tobytes(), (
+                    query.label()
+                )
 
     def test_contributions_cached_per_block(self, ptable):
         query = Query([count_star()], None, ("cat",))
-        matrix = WorkloadExecutor(ptable).answer_matrix([query, query])
-        assert matrix.contributions(0) is matrix.contributions(1)
+        block = BatchExecutor.for_table(ptable).partition_answers(query)
+        assert block.contributions() is block.contributions()
+
+    def test_block_is_free_without_the_collector(self, ptable):
+        """No reference cycle: a dropped block dies with ``gc`` off.
+
+        (Its memoized dict view used to point back at it, so a re-fit
+        left the previous fit's answer blocks to the cycle collector.)
+        """
+        query = Query([sum_of(col("x")), count_star()], None, ("cat",))
+        gc.disable()
+        try:
+            block = BatchExecutor.for_table(ptable).partition_answers(query)
+            assert len(list(block)) == ptable.num_partitions
+            assert block[0] and block.contributions().size
+            ref = weakref.ref(block)
+            del block
+            assert ref() is None
+        finally:
+            gc.enable()
+
+
+class TestPartitionIdRange:
+    """One range check, in the kernel: an id outside ``0..n-1`` is a
+    typed error naming it — ``[-2]`` used to answer from the end."""
+
+    @pytest.mark.parametrize("offset", [-2, -1, 0], ids=["-2", "-1", "n"])
+    def test_out_of_range_id_is_a_config_error(self, ptable, offset):
+        bad = offset if offset < 0 else ptable.num_partitions
+        executor = BatchExecutor.for_table(ptable)
+        for query in (
+            Query([count_star()], None, ("cat",)),
+            Query([sum_of(col("x"))], Comparison("x", ">", 5.0)),
+        ):
+            with pytest.raises(ConfigError, match=f"partition {bad} is outside"):
+                executor.partition_answers(query, partitions=[0, bad])
 
 
 class TestEdgeCases:
-    """Coverage for both executors on the previously untested corners."""
+    """Coverage for the previously untested corners."""
 
     def _edge_queries(self):
         return [
@@ -243,38 +208,35 @@ class TestEdgeCases:
             Query([sum_of(col("y"))], Comparison("d", "<", 2.0)),
         ]
 
-    def test_predicate_empties_all_partitions(self, ptable, three_way):
-        matrix = three_way(ptable, self._edge_queries()[:2])
-        assert matrix.answers(0).materialize() == [
-            {} for __ in range(ptable.num_partitions)
-        ]
-        totals, present = matrix.dense(0)
-        assert totals.shape[1] == 0 and not present.any()
-        assert matrix.contributions(0).tobytes() == np.zeros(
+    def test_predicate_empties_all_partitions(self, ptable, oracle_parity):
+        grouped, ungrouped = oracle_parity(ptable, self._edge_queries()[:2])
+        assert list(grouped) == [{} for __ in range(ptable.num_partitions)]
+        assert grouped.keys == [] and ungrouped.keys == [()]
+        assert grouped.totals.shape == (0, 2) and grouped.live.size == 0
+        assert grouped.contributions().tobytes() == np.zeros(
             ptable.num_partitions
         ).tobytes()
 
-    def test_predicate_empties_some_partitions(self, three_way):
+    def test_predicate_empties_some_partitions(self, oracle_parity):
         # Sort by d so low-d rows land in the first partitions only.
         from repro.engine.layout import sort_table
 
         table = sort_table(build_table(600, seed=9), "d")
         ptable = partition_evenly(table, 8)
-        matrix = three_way(ptable, self._edge_queries()[2:])
-        answers = matrix.answers(0).materialize()
+        answers = list(oracle_parity(ptable, self._edge_queries()[2:])[0])
         assert any(not a for a in answers) and any(a for a in answers)
 
-    def test_single_partition_table(self, three_way):
+    def test_single_partition_table(self, oracle_parity):
         ptable = partition_evenly(build_table(150, seed=3), 1)
         queries = training_workload()[:12] + self._edge_queries()
-        matrix = three_way(ptable, queries)
-        assert matrix.num_partitions == 1
+        blocks = oracle_parity(ptable, queries)
+        assert all(block.num_partitions == 1 for block in blocks)
 
-    def test_duplicate_queries_in_workload(self, ptable, three_way):
+    def test_duplicate_queries_in_workload(self, ptable, oracle_parity):
         query = Query([avg_of(col("y"))], Comparison("x", ">", 4.0), ("cat",))
-        three_way(ptable, [query, query, query])
+        oracle_parity(ptable, [query, query, query])
 
-    def test_group_present_in_only_one_partition(self, three_way):
+    def test_group_present_in_only_one_partition(self, oracle_parity):
         # One 'rare' group value confined to a single partition.
         table = build_table(400, seed=21)
         cat = table.columns["cat"].astype("U8")  # widen past '<U2'
@@ -283,8 +245,7 @@ class TestEdgeCases:
         columns["cat"] = cat
         ptable = partition_evenly(Table(SCHEMA, columns), 8)
         query = Query([count_star(), sum_of(col("x"))], None, ("cat",))
-        matrix = three_way(ptable, [query])
-        answers = matrix.answers(0)
+        answers = oracle_parity(ptable, [query])[0]
         present_in = [p for p in range(8) if ("only",) in answers[p]]
         assert present_in == [0]
         assert answers[0][("only",)][0] == 1.0
@@ -307,7 +268,7 @@ class TestUngroupedSummationOrder:
     each partition's surviving values — not the sequential left-to-right
     chain a bincount reduction would produce. The fixture data is chosen
     so the two orders give different float64 results in every partition;
-    all three paths must land on the pairwise one, bit for bit.
+    the executor must land on the pairwise one, bit for bit.
     """
 
     @pytest.fixture()
@@ -330,15 +291,14 @@ class TestUngroupedSummationOrder:
             )[0]
             assert values.sum() != sequential
 
-    def test_three_way_pairwise_parity(self, adversarial_ptable, three_way):
+    def test_pairwise_parity(self, adversarial_ptable, oracle_parity):
         queries = [
             Query([sum_of(col("y")), count_star()]),
             Query([sum_of(col("y"))], Comparison("x", ">", 2.0)),
             Query([avg_of(col("y"))], None),
         ]
-        matrix = three_way(adversarial_ptable, queries)
+        answers = oracle_parity(adversarial_ptable, queries)[0]
         # Pin the actual pairwise totals explicitly.
-        answers = matrix.answers(0)
         for partition, answer in zip(adversarial_ptable, answers):
             expected = partition.column("y").sum()
             assert answer[()][0] == expected

@@ -1,10 +1,12 @@
 """Fixed-seed parity tests: block estimation plane vs the dict oracle.
 
-Every check is tolerance-free: combined component totals must compare
-equal float for float (``np.array_equal``, which treats the two IEEE
-zeros as equal — the only divergence the block path's +0.0 padding can
-introduce), and :class:`ErrorReport` values must be identical, not
-approximately equal.
+The oracle is composed here from the dict walk — ``combine_answers`` /
+``combiner.estimate`` over the block's per-partition dicts, then
+``evaluate_errors`` — one candidate at a time. Every check is
+tolerance-free: combined component totals must compare equal float for
+float (``np.array_equal``, which treats the two IEEE zeros as equal —
+the only divergence the block path's +0.0 padding can introduce), and
+:class:`ErrorReport` values must be identical, not approximately equal.
 """
 
 from __future__ import annotations
@@ -14,11 +16,8 @@ import pytest
 
 from repro.core.metrics import evaluate_errors
 from repro.engine.aggregates import avg_of, count_star, sum_of
-from repro.engine.block_estimator import (
-    BlockEstimator,
-    selection_grid_scorer,
-    selection_scorer,
-)
+from repro.engine.batch_executor import BatchExecutor
+from repro.engine.block_estimator import BlockEstimator
 from repro.engine.combiner import (
     WeightedChoice,
     combine_answers,
@@ -30,8 +29,6 @@ from repro.engine.predicates import And, Comparison, InSet, Or
 from repro.engine.query import Query
 from repro.engine.schema import Column, ColumnKind, Schema
 from repro.engine.table import Table
-from repro.engine.workload_executor import WorkloadExecutor
-from repro.errors import ConfigError
 
 SCHEMA = Schema.of(
     Column("x", ColumnKind.NUMERIC, positive=True),
@@ -79,9 +76,17 @@ def ptable():
     return partition_evenly(sort_table(table, "d"), 16)
 
 
+NUM_PARTITIONS = 16
+
+
 @pytest.fixture(scope="module")
-def matrix(ptable):
-    return WorkloadExecutor.for_table(ptable).answer_matrix(QUERIES)
+def blocks(ptable):
+    executor = BatchExecutor.for_table(ptable)
+    return [executor.partition_answers(query) for query in QUERIES]
+
+
+def full_selection():
+    return [WeightedChoice(p, 1.0) for p in range(NUM_PARTITIONS)]
 
 
 def selections(num_partitions, seed):
@@ -102,227 +107,154 @@ def selections(num_partitions, seed):
 
 class TestCombineParity:
     @pytest.mark.parametrize("qi", range(len(QUERIES)))
-    def test_combined_totals_bitwise(self, matrix, qi):
-        estimator = BlockEstimator.from_matrix(matrix, qi)
-        answers = matrix.answers(qi)
-        for selection in selections(matrix.num_partitions, seed=qi):
-            combined, present = estimator.combine(selection)
+    def test_combined_totals_bitwise(self, blocks, qi):
+        estimator = BlockEstimator(blocks[qi])
+        grid = selections(NUM_PARTITIONS, seed=qi)
+        combined, present = estimator.combine_grid(grid)
+        for k, selection in enumerate(grid):
             reference = combine_answers(
-                [answers[c.partition] for c in selection], selection
+                [blocks[qi][c.partition] for c in selection], selection
             )
-            got_keys = {estimator.keys[g] for g in np.flatnonzero(present)}
+            keys = blocks[qi].keys
+            got_keys = {keys[g] for g in np.flatnonzero(present[k])}
             assert got_keys == set(reference)
             for key, vec in reference.items():
-                g = estimator.keys.index(key)
-                assert np.array_equal(combined[g], vec), (key, combined[g], vec)
-
-    def test_component_answer_dict_matches_combine_answers(self, matrix):
-        estimator = BlockEstimator.from_matrix(matrix, 0)
-        selection = selections(matrix.num_partitions, seed=9)[-1]
-        block_dict = estimator.component_answer(selection)
-        answers = matrix.answers(0)
-        reference = combine_answers(
-            [answers[c.partition] for c in selection], selection
-        )
-        assert set(block_dict) == set(reference)
-        for key in reference:
-            assert np.array_equal(block_dict[key], reference[key])
+                g = keys.index(key)
+                assert np.array_equal(combined[k, g], vec), (key, combined[k, g], vec)
 
 
 class TestEstimateParity:
     @pytest.mark.parametrize("qi", range(len(QUERIES)))
-    def test_finalized_values_bitwise(self, matrix, qi):
-        estimator = BlockEstimator.from_matrix(matrix, qi)
-        answers = matrix.answers(qi)
-        for selection in selections(matrix.num_partitions, seed=100 + qi):
-            values, present = estimator.estimate(selection)
-            reference = estimate(QUERIES[qi], answers, selection)
-            final = estimator.as_final_answer(values, present)
+    def test_finalized_values_bitwise(self, blocks, qi):
+        estimator = BlockEstimator(blocks[qi])
+        grid = selections(NUM_PARTITIONS, seed=100 + qi)
+        values, present = estimator.estimate_grid(grid)
+        for k, selection in enumerate(grid):
+            reference = estimate(QUERIES[qi], blocks[qi], selection)
+            final = estimator.as_final_answer(values[k], present[k])
             assert set(final) == set(reference)
             for key in reference:
                 assert np.array_equal(final[key], reference[key])
 
-    def test_truth_matches_weight_one_estimate(self, matrix):
-        for qi, query in enumerate(QUERIES):
-            estimator = BlockEstimator.from_matrix(matrix, qi)
-            reference = estimate(
-                query,
-                matrix.answers(qi),
-                [WeightedChoice(p, 1.0) for p in range(matrix.num_partitions)],
-            )
-            truth = estimator.truth_answer()
+    def test_truth_matches_weight_one_estimate(self, blocks):
+        for query, block in zip(QUERIES, blocks):
+            reference = estimate(query, block, full_selection())
+            truth = BlockEstimator(block).truth_answer()
             assert set(truth) == set(reference)
             for key in reference:
                 assert np.array_equal(truth[key], reference[key])
 
-    def test_truth_is_cached(self, matrix):
-        estimator = BlockEstimator.from_matrix(matrix, 0)
+    def test_truth_is_cached(self, blocks):
+        estimator = BlockEstimator(blocks[0])
         assert estimator.truth() is estimator.truth()
 
-    def test_keys_are_in_sorted_order(self, matrix):
+    def test_keys_are_in_sorted_order(self, blocks):
         # The block code order must agree with sorted(), which is what
         # the dict metric path canonicalizes on.
-        for qi in range(len(QUERIES)):
-            keys = matrix.group_keys(qi)
-            assert keys == sorted(keys)
+        for block in blocks:
+            assert block.keys == sorted(block.keys)
 
 
 class TestScoreParity:
     @pytest.mark.parametrize("qi", range(len(QUERIES)))
-    def test_reports_identical(self, matrix, qi):
-        estimator = BlockEstimator.from_matrix(matrix, qi)
-        answers = matrix.answers(qi)
-        truth = estimate(
-            QUERIES[qi],
-            answers,
-            [WeightedChoice(p, 1.0) for p in range(matrix.num_partitions)],
-        )
-        for selection in selections(matrix.num_partitions, seed=200 + qi):
-            block_report = estimator.score(selection)
-            dict_report = evaluate_errors(
-                truth, estimate(QUERIES[qi], answers, selection)
-            )
-            assert block_report == dict_report
+    def test_reports_identical(self, blocks, qi):
+        query, answers = QUERIES[qi], blocks[qi]
+        truth = estimate(query, answers, full_selection())
+        grid = selections(NUM_PARTITIONS, seed=200 + qi)
+        assert BlockEstimator(answers).score_grid(grid) == [
+            evaluate_errors(truth, estimate(query, answers, selection))
+            for selection in grid
+        ]
 
-    def test_subset_truth_missed_and_spurious(self, matrix):
+    def test_subset_truth_missed_and_spurious(self, blocks):
         """Truth from one subset, estimate from another: groups can be
         missing from either side; both paths must agree exactly."""
-        qi = 0
-        estimator = BlockEstimator.from_matrix(matrix, qi)
-        answers = matrix.answers(qi)
+        query, answers = QUERIES[0], blocks[0]
+        estimator = BlockEstimator(answers)
         truth_sel = [WeightedChoice(p, 1.0) for p in range(0, 6)]
         est_sel = [WeightedChoice(p, 3.5) for p in range(4, 12)]
-        block_report = estimator.score(
-            est_sel, truth=estimator.estimate(truth_sel)
+        values, present = estimator.estimate_grid([truth_sel])
+        [block_report] = estimator.score_grid(
+            [est_sel], truth=(values[0], present[0])
         )
         dict_report = evaluate_errors(
-            estimate(QUERIES[qi], answers, truth_sel),
-            estimate(QUERIES[qi], answers, est_sel),
+            estimate(query, answers, truth_sel),
+            estimate(query, answers, est_sel),
         )
         assert block_report == dict_report
 
 
-class TestConstructors:
-    def test_from_answers_equals_from_block(self, matrix):
-        for qi, query in enumerate(QUERIES):
-            from_block = BlockEstimator.from_matrix(matrix, qi)
-            from_dicts = BlockEstimator.from_answers(
-                query, list(matrix.answers(qi))
-            )
-            if from_block.seg_groups.size:
-                assert from_dicts.keys == from_block.keys
-                assert np.array_equal(
-                    from_dicts.seg_groups, from_block.seg_groups
-                )
-                assert np.array_equal(
-                    from_dicts.seg_totals, from_block.seg_totals
-                )
+class TestBlockFromDicts:
+    def test_compacted_dicts_equal_the_executors_block(
+        self, blocks, block_from_answers
+    ):
+        for qi, (query, block) in enumerate(zip(QUERIES, blocks)):
+            from_dicts = block_from_answers(query, list(block))
+            if block.live.size:
+                assert from_dicts.keys == block.keys
+                assert np.array_equal(from_dicts.live, block.live)
+                assert np.array_equal(from_dicts.cuts, block.cuts)
+                assert from_dicts.totals.tobytes() == block.totals.tobytes()
             # (Ungrouped zero-match blocks carry the single () key with
             # no live segments, which dict answers cannot represent —
             # both forms still score identically.)
-            selection = selections(matrix.num_partitions, seed=qi)[-1]
-            assert from_dicts.score(selection) == from_block.score(selection)
-
-    def test_from_lazy_detects_answer_matrix_views(self, matrix):
-        assert BlockEstimator.from_lazy(matrix.answers(0)) is not None
-        assert BlockEstimator.from_lazy(list(matrix.answers(0))) is None
-
-    def test_lazy_view_exposes_block(self, matrix):
-        assert matrix.answers(0).block is matrix.block(0)
-
-
-class TestSelectionScorer:
-    def test_all_paths_agree(self, matrix):
-        answers = matrix.answers(0)
-        selection = selections(matrix.num_partitions, seed=7)[2]
-        reports = {
-            path: selection_scorer(QUERIES[0], answers, path)(selection)
-            for path in ("auto", "block", "dict")
-        }
-        assert reports["auto"] == reports["block"] == reports["dict"]
-
-    def test_dict_answers_fall_back_to_dict_path(self, matrix):
-        answers = list(matrix.answers(0))
-        score = selection_scorer(QUERIES[0], answers, "auto")
-        selection = selections(matrix.num_partitions, seed=8)[2]
-        assert score(selection) == selection_scorer(
-            QUERIES[0], matrix.answers(0), "block"
-        )(selection)
-
-    def test_unknown_path_rejected(self, matrix):
-        with pytest.raises(ConfigError):
-            selection_scorer(QUERIES[0], matrix.answers(0), "matmul")
+            grid = selections(NUM_PARTITIONS, seed=qi)
+            assert BlockEstimator(from_dicts).score_grid(grid) == BlockEstimator(
+                block
+            ).score_grid(grid)
 
 
 class TestGridParity:
-    """The fused grid path must replay the per-candidate path bit for
-    bit: same combined totals, finalized values, and reports."""
+    """Fusing candidates into one contraction must change no candidate:
+    row ``k`` of a grid is bit for bit the grid of ``selections[k]``
+    alone — same combined totals, finalized values, and reports."""
 
     @pytest.mark.parametrize("qi", range(len(QUERIES)))
-    def test_combine_grid_rows_bitwise(self, matrix, qi):
-        estimator = BlockEstimator.from_matrix(matrix, qi)
-        grid = selections(matrix.num_partitions, seed=300 + qi)
+    def test_combine_grid_rows_bitwise(self, blocks, qi):
+        estimator = BlockEstimator(blocks[qi])
+        grid = selections(NUM_PARTITIONS, seed=300 + qi)
         combined, present = estimator.combine_grid(grid)
         assert combined.shape[0] == len(grid)
         for k, selection in enumerate(grid):
-            ref_combined, ref_present = estimator.combine(selection)
-            assert np.array_equal(present[k], ref_present), k
-            assert np.array_equal(combined[k], ref_combined), k
+            ref_combined, ref_present = estimator.combine_grid([selection])
+            assert np.array_equal(present[k], ref_present[0]), k
+            assert np.array_equal(combined[k], ref_combined[0]), k
 
     @pytest.mark.parametrize("qi", range(len(QUERIES)))
-    def test_estimate_grid_rows_bitwise(self, matrix, qi):
-        estimator = BlockEstimator.from_matrix(matrix, qi)
-        grid = selections(matrix.num_partitions, seed=400 + qi)
+    def test_estimate_grid_rows_bitwise(self, blocks, qi):
+        estimator = BlockEstimator(blocks[qi])
+        grid = selections(NUM_PARTITIONS, seed=400 + qi)
         values, present = estimator.estimate_grid(grid)
         for k, selection in enumerate(grid):
-            ref_values, ref_present = estimator.estimate(selection)
-            assert np.array_equal(present[k], ref_present), k
-            assert np.array_equal(values[k], ref_values), k
+            ref_values, ref_present = estimator.estimate_grid([selection])
+            assert np.array_equal(present[k], ref_present[0]), k
+            assert np.array_equal(values[k], ref_values[0]), k
 
     @pytest.mark.parametrize("qi", range(len(QUERIES)))
-    def test_score_grid_reports_identical(self, matrix, qi):
-        estimator = BlockEstimator.from_matrix(matrix, qi)
-        grid = selections(matrix.num_partitions, seed=500 + qi)
+    def test_score_grid_reports_identical(self, blocks, qi):
+        estimator = BlockEstimator(blocks[qi])
+        grid = selections(NUM_PARTITIONS, seed=500 + qi)
         assert estimator.score_grid(grid) == [
-            estimator.score(selection) for selection in grid
+            estimator.score_grid([selection])[0] for selection in grid
         ]
 
-    def test_score_grid_against_subset_truth(self, matrix):
-        estimator = BlockEstimator.from_matrix(matrix, 0)
-        truth = estimator.estimate([WeightedChoice(p, 1.0) for p in range(6)])
-        grid = selections(matrix.num_partitions, seed=600)
-        assert estimator.score_grid(grid, truth=truth) == [
-            estimator.score(selection, truth=truth) for selection in grid
+    def test_score_grid_against_subset_truth(self, blocks):
+        query, answers = QUERIES[0], blocks[0]
+        estimator = BlockEstimator(answers)
+        truth_sel = [WeightedChoice(p, 1.0) for p in range(6)]
+        values, present = estimator.estimate_grid([truth_sel])
+        grid = selections(NUM_PARTITIONS, seed=600)
+        dict_truth = estimate(query, answers, truth_sel)
+        assert estimator.score_grid(grid, truth=(values[0], present[0])) == [
+            evaluate_errors(dict_truth, estimate(query, answers, selection))
+            for selection in grid
         ]
 
-    def test_empty_grid(self, matrix):
-        estimator = BlockEstimator.from_matrix(matrix, 0)
+    def test_empty_grid(self, blocks):
+        estimator = BlockEstimator(blocks[0])
         assert estimator.score_grid([]) == []
         values, present = estimator.estimate_grid([])
         assert values.shape[0] == 0 and present.shape[0] == 0
-
-
-class TestSelectionGridScorer:
-    def test_all_paths_match_per_candidate_scorer(self, matrix):
-        answers = matrix.answers(0)
-        grid = selections(matrix.num_partitions, seed=9)
-        for path in ("auto", "block", "dict"):
-            single = selection_scorer(QUERIES[0], answers, path)
-            reports = selection_grid_scorer(QUERIES[0], answers, path)(grid)
-            assert reports == [single(s) for s in grid], path
-
-    def test_dict_answers_fall_back_to_dict_path(self, matrix):
-        answers = list(matrix.answers(0))
-        grid = selections(matrix.num_partitions, seed=10)
-        fallback = selection_grid_scorer(QUERIES[0], answers, "auto")(grid)
-        block = selection_grid_scorer(
-            QUERIES[0], matrix.answers(0), "block"
-        )(grid)
-        assert fallback == block
-
-    def test_unknown_path_rejected(self, matrix):
-        with pytest.raises(ConfigError):
-            selection_grid_scorer(QUERIES[0], matrix.answers(0), "matmul")
 
 
 class TestFinalizeBlock:

@@ -1,10 +1,10 @@
 """Differential suite: execution on dictionary codes vs the scalar oracle.
 
-``BatchExecutor`` (and the workload executor's sweeps) gather, filter
-and group on a view's integer codes; ``execute_on_partition`` works on
-the raw strings, one partition at a time. Every case here composes the
-oracle as ``[execute_on_partition(p, q) for p in ...]`` and requires
-byte-equal values under keys in the same order.
+``BatchExecutor`` gathers, filters and groups on a view's integer
+codes; ``execute_on_partition`` works on the raw strings, one partition
+at a time. Every case here composes the oracle as
+``[execute_on_partition(p, q) for p in ...]`` and requires byte-equal
+values under keys in the same order.
 
 Key rule (stated in ``batch_executor``'s docstring): keys compare equal
 to the oracle's. ``-0.0`` and ``0.0`` are ``==`` and hash alike, so they
@@ -36,7 +36,6 @@ from repro.engine.predicates import And, Comparison, Contains, InSet, Not, Or
 from repro.engine.query import Query
 from repro.engine.schema import Column, ColumnKind, Schema
 from repro.engine.table import Table
-from repro.engine.workload_executor import WorkloadExecutor
 from repro.errors import ExecutionError
 from repro.obs import get_registry
 
@@ -165,9 +164,9 @@ class TestAgainstTheScalarComposition:
         check(ptable, Query(AGGS, predicate, group_by))
         check(ptable, Query(AGGS, predicate, group_by), partitions=[7, 2, 9])
 
-    def test_workload_sweep_agrees(self, ptable, three_way):
-        """The offline sweep runs on the same encodings and helper."""
-        three_way(
+    def test_workload_sweep_agrees(self, ptable, oracle_parity):
+        """A whole workload, through both views of the block."""
+        oracle_parity(
             ptable,
             [
                 Query(AGGS, predicate, group_by)
@@ -175,7 +174,7 @@ class TestAgainstTheScalarComposition:
                 for group_by in [(), ("tag", "cat")]
             ],
         )
-        assert WorkloadExecutor.for_table(ptable).view is fused_view(ptable)
+        assert BatchExecutor.for_table(ptable).view is fused_view(ptable)
 
     def test_selection_shapes(self, ptable):
         query = Query(AGGS, Not(InSet("cat", {"bb"})), ("cat", "d"))
@@ -260,7 +259,7 @@ class TestRadixOverflow:
         )
         ptable = partition_evenly(table, 2)
         query = Query([count_star()], None, tuple(names))
-        for path in ("scalar", "batch", "workload"):
+        for path in ("scalar", "batch", "indexed"):
             answers = answers_via(path, ptable, query)
             assert sum(float(v[0]) for a in answers for v in a.values()) == num_rows
             for partition, answer in zip(ptable, answers):

@@ -6,9 +6,9 @@ the executor parity guarantee depends on every path emitting keys in
 ascending value-lexicographic order. This test pins the exact keys, their
 order, and the SUM/COUNT totals on a fixed seed so a future executor
 refactor cannot silently reorder group keys or perturb totals. The pins
-run through the differential harness's ``answers_via`` against all three
-execution paths — the scalar reference loop, the batch executor, and the
-workload executor.
+run through the differential harness's ``answers_via``: the scalar
+reference loop, and the batch executor's answer block both iterated and
+indexed partition by partition.
 """
 
 import numpy as np
@@ -97,7 +97,7 @@ def pinned_ptable():
     return partition_evenly(table, 4)
 
 
-@pytest.mark.parametrize("path", ["scalar", "batch", "workload"])
+@pytest.mark.parametrize("path", ["scalar", "batch", "indexed"])
 class TestPinnedAnswers:
     def test_grouped_keys_order_and_totals(self, pinned_ptable, path, answers_via):
         query = Query(

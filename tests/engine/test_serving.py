@@ -32,7 +32,6 @@ from repro.engine.query import Query
 from repro.engine.schema import Column, ColumnKind, Schema
 from repro.engine.serving import ServingConfig, ServingFrontEnd
 from repro.engine.table import Table
-from repro.engine.workload_executor import WorkloadExecutor
 from repro.errors import ConfigError, ServingStoppedError
 from repro.workload import QueryGenerator
 
@@ -351,10 +350,6 @@ class TestCacheMemoizationRaces:
     def test_batch_executor_memoized_once(self):
         ptable = partition_evenly(build_table(600, seed=21), 6)
         self._hammer(lambda: BatchExecutor.for_table(ptable))
-
-    def test_workload_executor_memoized_once(self):
-        ptable = partition_evenly(build_table(600, seed=22), 6)
-        self._hammer(lambda: WorkloadExecutor.for_table(ptable))
 
     def test_fused_view_memoized_once(self):
         ptable = partition_evenly(build_table(600, seed=23), 6)

@@ -1,20 +1,20 @@
-"""Property tests: workload executor == per-query batch executor, bit for bit.
+"""Property tests: the executor's answer block, read every way it is read.
 
 Random multi-query workloads are drawn with *deliberately overlapping*
 predicates and group-bys (leaves and grouping tuples come from small
-pools, so masks, factorizations, and whole queries repeat across the
-workload — exactly the redundancy the executor's sharing exploits). For
-every workload:
+pools, so dictionary encodings are reused across the workload's
+queries). For every workload:
 
-* each query's lazy ``AnswerMatrix`` view must equal the per-query
-  :class:`BatchExecutor` answers at full floating-point identity (which
-  PR 2's suite already ties to the scalar oracle);
-* plan/mask/factorization dedup must be *invisible*: answering the
-  workload through one shared executor and answering each query through
-  a fresh executor must give identical bits, regardless of how much
-  sharing the workload triggered;
+* each block's arrays (``keys`` / ``live_groups`` / ``totals`` /
+  ``cuts``) must spell the scalar oracle's per-partition answers at full
+  floating-point identity, key order included;
+* what the table's view remembers between queries (the per-column
+  dictionary encodings) must be *invisible*: answering the workload on
+  one table object and answering each query on a fresh one must give
+  identical bits;
 * array-path contributions must match the dict-walk reference;
-* duplicate queries must alias equal answers.
+* a partition subset — shuffled, with duplicates, or empty — must answer
+  position ``i`` exactly as the full pass answers partition ``s[i]``.
 """
 
 import numpy as np
@@ -25,13 +25,13 @@ from hypothesis import strategies as st
 from repro.core.contribution import partition_contributions
 from repro.engine.aggregates import avg_of, count_star, sum_of
 from repro.engine.batch_executor import BatchExecutor
+from repro.engine.executor import execute_on_partition
 from repro.engine.expressions import col
 from repro.engine.layout import partition_evenly
 from repro.engine.predicates import And, Comparison, Contains, InSet, Not, Or
 from repro.engine.query import Query
 from repro.engine.schema import Column, ColumnKind, Schema
 from repro.engine.table import Table
-from repro.engine.workload_executor import WorkloadExecutor
 
 SCHEMA = Schema.of(
     Column("v", ColumnKind.NUMERIC),
@@ -125,59 +125,78 @@ def assert_bitwise_equal(actual, expected):
             assert a[key].tobytes() == e[key].tobytes(), (key, a[key], e[key])
 
 
+def answers(ptable, query, partitions=None):
+    return BatchExecutor.for_table(ptable).partition_answers(query, partitions)
+
+
 @pytest.mark.slow
-class TestWorkloadBatchParity:
+class TestBlockOracleParity:
     @given(tables(), workloads(), st.integers(1, 8))
     @settings(max_examples=120, deadline=None)
-    def test_matrix_equals_per_query_batch(self, table, workload, num_partitions):
+    def test_block_arrays_equal_scalar_oracle(self, table, workload, num_partitions):
         num_partitions = min(num_partitions, table.num_rows)
         ptable = partition_evenly(table, num_partitions)
-        matrix = WorkloadExecutor.for_table(ptable).answer_matrix(workload)
-        batch = BatchExecutor.for_table(ptable)
-        for qi, query in enumerate(workload):
-            assert_bitwise_equal(
-                matrix.answers(qi), batch.partition_answers(query)
-            )
+        for query in workload:
+            block = answers(ptable, query)
+            scalar = [execute_on_partition(p, query) for p in ptable]
+            assert_bitwise_equal(block, scalar)
+            assert len(block.cuts) == num_partitions + 1
+            for p, answer in enumerate(scalar):
+                run = slice(block.cuts[p], block.cuts[p + 1])
+                keys = [block.keys[g] for g in block.live_groups[run]]
+                assert keys == list(answer)
+                stacked = b"".join(vec.tobytes() for vec in answer.values())
+                assert block.totals[run].tobytes() == stacked
 
     @given(tables(), workloads(), st.integers(1, 8))
     @settings(max_examples=60, deadline=None)
-    def test_dedup_invariant(self, table, workload, num_partitions):
-        """Plan/mask/factorization sharing never changes any result."""
+    def test_answers_independent_of_prior_queries(
+        self, table, workload, num_partitions
+    ):
+        """Encodings carried on the view never change any result."""
         num_partitions = min(num_partitions, table.num_rows)
-        ptable = partition_evenly(table, num_partitions)
-        shared_executor = WorkloadExecutor(ptable)
-        shared = shared_executor.answer_matrix(workload)
-        # The pools guarantee overlap often enough for the dedup paths to
-        # be genuinely exercised; when they fire they must be invisible.
-        for qi, query in enumerate(workload):
-            isolated = WorkloadExecutor(ptable).answer_matrix([query])
-            assert_bitwise_equal(shared.answers(qi), isolated.answers(0))
-            assert (
-                shared.contributions(qi).tobytes()
-                == isolated.contributions(0).tobytes()
-            )
-
-    @given(tables(), queries(), st.integers(1, 8))
-    @settings(max_examples=60, deadline=None)
-    def test_duplicate_queries_share_answers(self, table, query, num_partitions):
-        num_partitions = min(num_partitions, table.num_rows)
-        ptable = partition_evenly(table, num_partitions)
-        executor = WorkloadExecutor(ptable)
-        matrix = executor.answer_matrix([query, query, query])
-        assert executor.query_dedup_hits == 2
-        assert matrix.block(0) is matrix.block(1) is matrix.block(2)
-        assert_bitwise_equal(
-            matrix.answers(0),
-            BatchExecutor.for_table(ptable).partition_answers(query),
-        )
+        shared = partition_evenly(table, num_partitions)
+        # The pools guarantee overlap often enough for encodings to be
+        # genuinely reused; when they are, it must be invisible.
+        for query in workload:
+            warm = answers(shared, query)
+            cold = answers(partition_evenly(table, num_partitions), query)
+            assert_bitwise_equal(warm, cold)
+            assert warm.live.tobytes() == cold.live.tobytes()
+            assert warm.contributions().tobytes() == cold.contributions().tobytes()
 
     @given(tables(), workloads(), st.integers(1, 8))
     @settings(max_examples=60, deadline=None)
     def test_contributions_match_dict_walk(self, table, workload, num_partitions):
         num_partitions = min(num_partitions, table.num_rows)
         ptable = partition_evenly(table, num_partitions)
-        matrix = WorkloadExecutor.for_table(ptable).answer_matrix(workload)
-        batch = BatchExecutor.for_table(ptable)
-        for qi, query in enumerate(workload):
-            reference = partition_contributions(batch.partition_answers(query))
-            assert matrix.contributions(qi).tobytes() == reference.tobytes()
+        for query in workload:
+            block = answers(ptable, query)
+            reference = partition_contributions(list(block))
+            assert block.contributions().tobytes() == reference.tobytes()
+
+
+class TestPartitionSubsets:
+    @given(
+        tables(),
+        queries(),
+        st.integers(1, 8),
+        st.lists(st.integers(0, 7), max_size=12),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_subset_row_is_the_full_pass_row(
+        self, table, query, num_partitions, picks
+    ):
+        """``partition_answers(q, partitions=s)[i]`` is byte for byte
+        ``partition_answers(q)[s[i]]`` — shuffled, duplicated, empty."""
+        num_partitions = min(num_partitions, table.num_rows)
+        ptable = partition_evenly(table, num_partitions)
+        subset = [p % num_partitions for p in picks]
+        full = answers(ptable, query)
+        block = answers(ptable, query, subset)
+        assert len(block) == len(subset)
+        assert_bitwise_equal(block, [full[p] for p in subset])
+        for i, p in enumerate(subset):
+            assert list(block[i]) == list(full[p])
+            for key, vec in block[i].items():
+                assert vec.tobytes() == full[p][key].tobytes()

@@ -17,11 +17,8 @@ from hypothesis import strategies as st
 
 from repro.core.metrics import evaluate_errors
 from repro.engine.aggregates import avg_of, count_star, sum_of
-from repro.engine.block_estimator import (
-    BlockEstimator,
-    selection_grid_scorer,
-    selection_scorer,
-)
+from repro.engine.batch_executor import BatchExecutor
+from repro.engine.block_estimator import BlockEstimator
 from repro.engine.combiner import WeightedChoice, estimate
 from repro.engine.expressions import col
 from repro.engine.layout import partition_evenly
@@ -29,7 +26,6 @@ from repro.engine.predicates import And, Comparison, InSet, Not, Or
 from repro.engine.query import Query
 from repro.engine.schema import Column, ColumnKind, Schema
 from repro.engine.table import Table
-from repro.engine.workload_executor import WorkloadExecutor
 
 SCHEMA = Schema.of(
     Column("v", ColumnKind.NUMERIC),
@@ -123,17 +119,25 @@ def cases(draw):
     return ptable, query, selection
 
 
+def answer_block(ptable, query):
+    return BatchExecutor.for_table(ptable).partition_answers(query)
+
+
+def full_selection(ptable):
+    return [WeightedChoice(p, 1.0) for p in range(ptable.num_partitions)]
+
+
 @pytest.mark.slow
 class TestBlockDictParity:
     @given(cases())
     @settings(max_examples=150, deadline=None)
     def test_estimate_bitwise(self, case):
         ptable, query, selection = case
-        matrix = WorkloadExecutor.for_table(ptable).answer_matrix([query])
-        estimator = BlockEstimator.from_matrix(matrix, 0)
-        values, present = estimator.estimate(selection)
-        reference = estimate(query, matrix.answers(0), selection)
-        final = estimator.as_final_answer(values, present)
+        answers = answer_block(ptable, query)
+        estimator = BlockEstimator(answers)
+        values, present = estimator.estimate_grid([selection])
+        reference = estimate(query, answers, selection)
+        final = estimator.as_final_answer(values[0], present[0])
         assert set(final) == set(reference)
         for key in reference:
             assert np.array_equal(final[key], reference[key]), key
@@ -142,15 +146,9 @@ class TestBlockDictParity:
     @settings(max_examples=150, deadline=None)
     def test_score_identical_reports(self, case):
         ptable, query, selection = case
-        matrix = WorkloadExecutor.for_table(ptable).answer_matrix([query])
-        estimator = BlockEstimator.from_matrix(matrix, 0)
-        answers = matrix.answers(0)
-        truth = estimate(
-            query,
-            answers,
-            [WeightedChoice(p, 1.0) for p in range(ptable.num_partitions)],
-        )
-        block_report = estimator.score(selection)
+        answers = answer_block(ptable, query)
+        truth = estimate(query, answers, full_selection(ptable))
+        [block_report] = BlockEstimator(answers).score_grid([selection])
         dict_report = evaluate_errors(truth, estimate(query, answers, selection))
         assert block_report == dict_report
 
@@ -162,11 +160,11 @@ class TestBlockDictParity:
         estimate (missed); the report must still match the dict path."""
         ptable, query, selection = case
         truth_selection = data.draw(selections(ptable.num_partitions))
-        matrix = WorkloadExecutor.for_table(ptable).answer_matrix([query])
-        estimator = BlockEstimator.from_matrix(matrix, 0)
-        answers = matrix.answers(0)
-        block_report = estimator.score(
-            selection, truth=estimator.estimate(truth_selection)
+        answers = answer_block(ptable, query)
+        estimator = BlockEstimator(answers)
+        values, present = estimator.estimate_grid([truth_selection])
+        [block_report] = estimator.score_grid(
+            [selection], truth=(values[0], present[0])
         )
         dict_report = evaluate_errors(
             estimate(query, answers, truth_selection),
@@ -176,24 +174,13 @@ class TestBlockDictParity:
 
     @given(cases())
     @settings(max_examples=60, deadline=None)
-    def test_scorer_paths_agree(self, case):
+    def test_from_answers_scores_like_from_block(self, block_from_answers, case):
         ptable, query, selection = case
-        matrix = WorkloadExecutor.for_table(ptable).answer_matrix([query])
-        answers = matrix.answers(0)
-        reports = {
-            path: selection_scorer(query, answers, path)(selection)
-            for path in ("auto", "block", "dict")
-        }
-        assert reports["auto"] == reports["block"] == reports["dict"]
-
-    @given(cases())
-    @settings(max_examples=60, deadline=None)
-    def test_from_answers_scores_like_from_block(self, case):
-        ptable, query, selection = case
-        matrix = WorkloadExecutor.for_table(ptable).answer_matrix([query])
-        from_block = BlockEstimator.from_matrix(matrix, 0)
-        from_dicts = BlockEstimator.from_answers(query, list(matrix.answers(0)))
-        assert from_dicts.score(selection) == from_block.score(selection)
+        answers = answer_block(ptable, query)
+        from_dicts = block_from_answers(query, list(answers))
+        assert BlockEstimator(from_dicts).score_grid([selection]) == BlockEstimator(
+            answers
+        ).score_grid([selection])
 
 
 @st.composite
@@ -209,29 +196,33 @@ def grid_cases(draw):
 
 @pytest.mark.slow
 class TestGridParity:
-    """The fused candidate grid vs candidate-at-a-time, bit for bit."""
+    """The fused candidate grid vs the dict walk, candidate by candidate."""
 
     @given(grid_cases())
     @settings(max_examples=120, deadline=None)
     def test_estimate_grid_rows_bitwise(self, case):
         ptable, query, grid = case
-        matrix = WorkloadExecutor.for_table(ptable).answer_matrix([query])
-        estimator = BlockEstimator.from_matrix(matrix, 0)
+        answers = answer_block(ptable, query)
+        estimator = BlockEstimator(answers)
         values, present = estimator.estimate_grid(grid)
         for k, selection in enumerate(grid):
-            ref_values, ref_present = estimator.estimate(selection)
-            assert np.array_equal(present[k], ref_present), k
-            assert np.array_equal(values[k], ref_values), k
+            alone_values, alone_present = estimator.estimate_grid([selection])
+            assert np.array_equal(present[k], alone_present[0]), k
+            assert np.array_equal(values[k], alone_values[0]), k
+            reference = estimate(query, answers, selection)
+            final = estimator.as_final_answer(values[k], present[k])
+            assert set(final) == set(reference), k
+            for key in reference:
+                assert np.array_equal(final[key], reference[key]), (k, key)
 
     @given(grid_cases())
     @settings(max_examples=120, deadline=None)
-    def test_score_grid_identical_reports_on_every_path(self, case):
+    def test_score_grid_identical_reports(self, case):
         ptable, query, grid = case
-        matrix = WorkloadExecutor.for_table(ptable).answer_matrix([query])
-        answers = matrix.answers(0)
+        answers = answer_block(ptable, query)
+        truth = estimate(query, answers, full_selection(ptable))
         per_candidate = [
-            selection_scorer(query, answers, "block")(s) for s in grid
+            evaluate_errors(truth, estimate(query, answers, selection))
+            for selection in grid
         ]
-        for path in ("auto", "block", "dict"):
-            reports = selection_grid_scorer(query, answers, path)(grid)
-            assert reports == per_candidate, path
+        assert BlockEstimator(answers).score_grid(grid) == per_candidate

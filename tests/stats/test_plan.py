@@ -1,8 +1,9 @@
 """Unit tests for the vectorized feature plane.
 
 Covers the compile-once plan + columnar index against the scalar oracle
-on fixed queries, the FeatureBuilder rewiring (plan cache, vectorized /
-scalar toggle), incremental refresh after appends, the index-backed
+on fixed queries (the ``scalar_features`` composition of
+``tests/conftest.py``), the FeatureBuilder rewiring (plan cache),
+incremental refresh after appends, the index-backed
 occurrence bitmaps, and the sketch-level frequency caches.
 """
 
@@ -43,10 +44,12 @@ PREDICATES = (
 
 class TestPlanAgainstScalar:
     @pytest.mark.parametrize("predicate", PREDICATES, ids=str)
-    def test_features_match_scalar_path(self, tiny_feature_builder, predicate):
+    def test_features_match_scalar_path(
+        self, tiny_feature_builder, scalar_features, predicate
+    ):
         query = Query([count_star()], predicate)
-        vectorized = tiny_feature_builder.features_for_query(query, vectorized=True)
-        scalar = tiny_feature_builder.features_for_query(query, vectorized=False)
+        vectorized = tiny_feature_builder.features_for_query(query)
+        scalar = scalar_features(tiny_feature_builder, query)
         np.testing.assert_allclose(
             vectorized.matrix, scalar.matrix, rtol=0.0, atol=1e-12
         )
@@ -122,13 +125,15 @@ class TestIncrementalRefresh:
             builder.static_matrix, fresh.static_matrix, rtol=0.0, atol=1e-12
         )
 
-    def test_selectivity_covers_appended_partitions(self, growable, tiny_table):
+    def test_selectivity_covers_appended_partitions(
+        self, growable, tiny_table, scalar_features
+    ):
         ptable, dataset, builder = growable
         append_partition_statistics(dataset, partition_evenly(tiny_table, 12)[3])
         builder.refresh()
         query = Query([sum_of(col("x"))], Comparison("x", ">", 0.0))
-        vectorized = builder.features_for_query(query, vectorized=True)
-        scalar = builder.features_for_query(query, vectorized=False)
+        vectorized = builder.features_for_query(query)
+        scalar = scalar_features(builder, query)
         assert vectorized.matrix.shape[0] == dataset.num_partitions
         np.testing.assert_allclose(
             vectorized.matrix, scalar.matrix, rtol=0.0, atol=1e-12

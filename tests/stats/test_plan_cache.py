@@ -48,7 +48,7 @@ class TestPlanCacheSharing:
         builder = FeatureBuilder(tiny_stats, ("cat",))
         assert builder.plan_cache is SHARED_PLAN_CACHE
 
-    def test_plans_are_dataset_independent(self, tiny_stats):
+    def test_plans_are_dataset_independent(self, tiny_stats, scalar_features):
         """One cached plan serves two datasets with correct per-dataset output."""
         cache = PlanCache()
         query = Query([count_star()], PREDICATE)
@@ -63,7 +63,7 @@ class TestPlanCacheSharing:
             (tiny_builder, tiny_vec),
             (other_builder, other_vec),
         ):
-            scalar = builder.features_for_query(query, vectorized=False)
+            scalar = scalar_features(builder, query)
             np.testing.assert_array_equal(features.matrix, scalar.matrix)
 
     def test_no_predicate_is_cacheable(self, tiny_stats):
