@@ -40,6 +40,7 @@ from repro.engine.serving import (
     ServingConfig,
     ServingFrontEnd,
     answer_selections,
+    check_budget_shape,
 )
 from repro.engine.table import PartitionedTable
 from repro.errors import ConfigError, NotFittedError
@@ -104,17 +105,13 @@ class PS3:
         workload: WorkloadSpec,
         sketch_config: SketchConfig | None = None,
         picker_config: PickerConfig | None = None,
-        sketch_n_jobs: int | None = None,
     ) -> None:
         workload.validate_against(ptable.schema)
         self.ptable = ptable
         self.workload = workload
         self.picker_config = picker_config or PickerConfig()
-        # Offline: one chunked pass per column across all partitions
-        # (``sketch_n_jobs > 1`` fans columns out over a process pool).
-        self.statistics = build_dataset_statistics(
-            ptable, sketch_config, n_jobs=sketch_n_jobs
-        )
+        # Offline: one chunked pass per column across all partitions.
+        self.statistics = build_dataset_statistics(ptable, sketch_config)
         self.feature_builder = FeatureBuilder(
             self.statistics, workload.groupby_universe
         )
@@ -365,9 +362,8 @@ class PS3:
 
         Merges the process-wide registry (engine sweeps / grid scoring,
         plan- and mask-cache hit rates, WAL append/fsync latency,
-        checkpoint duration, mmap section touches — everything the
-        engine and storage planes record via
-        :func:`repro.obs.get_registry`) with the most recent
+        checkpoint duration — everything the engine and storage planes
+        record via :func:`repro.obs.get_registry`) with the most recent
         :meth:`serve` front end's private registry (``serving.*``
         counters, admission-wait/pick/sweep/scatter histograms).
         Instrument names are plane-prefixed, so the merge is
@@ -389,23 +385,13 @@ def resolve_budget(
     budget_partitions: int | None = None,
     budget_fraction: float | None = None,
 ) -> int:
-    """The partition count a request may read, validated.
-
-    Exactly one of ``budget_partitions`` (an absolute count ``>= 1``) and
-    ``budget_fraction`` (a share of the table in ``(0, 1]``, at least one
-    partition) must be given; anything else — ``nan`` included — is a
-    :class:`ConfigError`.
+    """The partition count a request may read, validated
+    (:func:`~repro.engine.serving.check_budget_shape`); a
+    ``budget_fraction`` reads at least one partition.
     """
-    if (budget_partitions is None) == (budget_fraction is None):
-        raise ConfigError(
-            "pass exactly one of budget_partitions / budget_fraction"
-        )
+    check_budget_shape(budget_partitions, budget_fraction)
     if budget_fraction is not None:
-        if not 0.0 < budget_fraction <= 1.0:
-            raise ConfigError("budget_fraction must be in (0, 1]")
         return max(1, int(round(budget_fraction * num_partitions)))
-    if budget_partitions < 1:
-        raise ConfigError("budget_partitions must be >= 1")
     return budget_partitions
 
 

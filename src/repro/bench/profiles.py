@@ -10,7 +10,7 @@ profile globally; benchmarks read it via :func:`get_profile`.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.errors import ConfigError
 
@@ -27,9 +27,6 @@ class BenchProfile:
     budget_fractions: tuple[float, ...]
     random_runs: int  # repetitions for randomized methods (paper: 10)
     seed: int = 7
-    #: Workers for the sketch builder's per-column process pool (None =
-    #: inline). Overridable via ``REPRO_SKETCH_N_JOBS``.
-    sketch_n_jobs: int | None = None
 
     def budgets(self, num_partitions: int | None = None) -> list[int]:
         n = num_partitions or self.num_partitions
@@ -68,24 +65,11 @@ PROFILES: dict[str, BenchProfile] = {
 
 
 def get_profile(name: str | None = None) -> BenchProfile:
-    """The active profile (argument > env var > 'default').
-
-    ``REPRO_SKETCH_N_JOBS=<k>`` opts the statistics builder into a
-    k-worker per-column process pool for every benchmark context.
-    """
+    """The active profile (argument > env var > 'default')."""
     chosen = name or os.environ.get("REPRO_BENCH_PROFILE", "default")
     try:
-        profile = PROFILES[chosen]
+        return PROFILES[chosen]
     except KeyError:
         raise ConfigError(
             f"unknown profile {chosen!r}; choose from {tuple(PROFILES)}"
         ) from None
-    n_jobs = os.environ.get("REPRO_SKETCH_N_JOBS")
-    if n_jobs:
-        try:
-            profile = replace(profile, sketch_n_jobs=max(int(n_jobs), 1))
-        except ValueError:
-            raise ConfigError(
-                f"REPRO_SKETCH_N_JOBS must be an integer, got {n_jobs!r}"
-            ) from None
-    return profile

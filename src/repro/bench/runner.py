@@ -103,9 +103,7 @@ class ExperimentContext:
         ctx.train_queries, test_queries = generator.train_test_split(
             profile.train_queries, profile.test_queries
         )
-        ctx.statistics = build_dataset_statistics(
-            ctx.ptable, n_jobs=profile.sketch_n_jobs
-        )
+        ctx.statistics = build_dataset_statistics(ctx.ptable)
         ctx.feature_builder = FeatureBuilder(
             ctx.statistics, ctx.workload.groupby_universe
         )

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.sketches.builder import DatasetStatistics
-from repro.stats.bitmap import bitmap_signature
 
 #: Largest mixed-radix signature code; past it the running code is
 #: re-ranked (at most one value per candidate) before the next column.
@@ -39,20 +38,9 @@ def _signature_codes(
 ) -> np.ndarray:
     """One integer per candidate, equal exactly for identical signatures.
 
-    With a columnar sketch ``index`` each column contributes the codes
-    the index keeps per table generation, combined mixed-radix; the
-    per-partition :func:`bitmap_signature` loop remains the reference
-    path when no index is supplied.
+    Each column contributes the codes the columnar sketch ``index``
+    keeps per table generation, combined mixed-radix.
     """
-    if index is None:
-        seen: dict[tuple, int] = {}
-        return np.array(
-            [
-                seen.setdefault(bitmap_signature(dataset, int(p), columns), len(seen))
-                for p in candidates
-            ],
-            dtype=np.int64,
-        )
     combined, radix = np.zeros(candidates.size, dtype=np.int64), 1
     for column in columns:
         codes, distinct = index.signature_codes(
@@ -71,7 +59,8 @@ def find_outliers(
     group_by: tuple[str, ...],
     candidates: np.ndarray,
     config: OutlierConfig | None = None,
-    index=None,
+    *,
+    index,
 ) -> np.ndarray:
     """Outlier partition ids among ``candidates`` for a GROUP BY columnset.
 
@@ -81,7 +70,7 @@ def find_outliers(
     of their first appearance among the candidates, members candidate
     order. ``index`` (a
     :class:`~repro.sketches.columnar.ColumnarSketchIndex`) supplies
-    per-column signature codes; without it the scalar bitmap loop runs.
+    per-column signature codes.
     """
     config = config or OutlierConfig()
     columns = tuple(c for c in group_by if dataset.global_heavy_hitters.get(c))

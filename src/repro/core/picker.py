@@ -21,7 +21,6 @@ The lesion switches (``use_clustering``, ``use_outliers``,
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -94,8 +93,6 @@ class PickerSelection:
     group_sizes: list[int] = field(default_factory=list)
     group_budgets: list[int] = field(default_factory=list)
     used_clustering: bool = False
-    total_seconds: float = 0.0
-    clustering_seconds: float = 0.0
 
     @property
     def partitions(self) -> list[int]:
@@ -141,16 +138,14 @@ class PS3Picker:
         members: np.ndarray,
         budget: int,
         seed: int,
-    ) -> tuple[list[WeightedChoice], float]:
-        """(weighted choices, clustering seconds) for one importance group;
-        ``block`` is the select's live clustering columns, ``None`` to
-        sample uniformly."""
+    ) -> list[WeightedChoice]:
+        """Weighted choices for one importance group; ``block`` is the
+        select's live clustering columns, ``None`` to sample uniformly."""
         if budget <= 0 or members.size == 0:
-            return [], 0.0
+            return []
         if block is None:
-            return random_sample(members, budget, self._rng), 0.0
-        started = time.perf_counter()
-        choices = cluster_sample(
+            return random_sample(members, budget, self._rng)
+        return cluster_sample(
             block,
             members,
             budget,
@@ -159,7 +154,6 @@ class PS3Picker:
             seed=seed,
             rng=self._rng,
         )
-        return choices, time.perf_counter() - started
 
     # -- public API -----------------------------------------------------------
 
@@ -171,18 +165,14 @@ class PS3Picker:
         """
         if budget < 0:
             raise ConfigError("budget must be non-negative")
-        started = time.perf_counter()
         features = self.model.feature_builder.features_for_query(query)
         passing = features.passing_partitions()
 
         if budget == 0 or passing.size == 0:
-            return PickerSelection(
-                selection=[], total_seconds=time.perf_counter() - started
-            )
+            return PickerSelection(selection=[])
         if budget >= passing.size:
             return PickerSelection(
-                selection=[WeightedChoice(int(p), 1.0) for p in passing],
-                total_seconds=time.perf_counter() - started,
+                selection=[WeightedChoice(int(p), 1.0) for p in passing]
             )
         live = features.live_columns
         normalized = self.model.normalizer.transform(features.matrix, live=live)
@@ -234,18 +224,17 @@ class PS3Picker:
         # One gather per select: every group clusters in the query's live
         # subspace (the other columns are zero for every partition).
         block = normalized[:, live[self._clusterable[live]]] if clustering_ok else None
-        clustering_seconds = 0.0
         for group_index, (members, group_budget) in enumerate(
             zip(groups, group_budgets)
         ):
-            choices, seconds = self._sample_within_group(
-                block,
-                members,
-                group_budget,
-                seed=self.config.seed + group_index,
+            selection.extend(
+                self._sample_within_group(
+                    block,
+                    members,
+                    group_budget,
+                    seed=self.config.seed + group_index,
+                )
             )
-            selection.extend(choices)
-            clustering_seconds += seconds
 
         return PickerSelection(
             selection=selection,
@@ -253,6 +242,4 @@ class PS3Picker:
             group_sizes=group_sizes,
             group_budgets=group_budgets,
             used_clustering=clustering_ok,
-            total_seconds=time.perf_counter() - started,
-            clustering_seconds=clustering_seconds,
         )

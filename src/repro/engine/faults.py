@@ -23,7 +23,7 @@ Two injection vehicles:
   batch / sweep / scatter steps: crash at the Nth batch
   (``crash_at_batch`` — worker death with the whole batch in flight),
   fail the first k sweep attempts (``fail_sweeps`` — exercises the
-  transient-retry path; default fault is the ``EIO`` an mmap-backed
+  transient-retry path; default fault is the ``EIO`` a sick disk
   read surfaces), crash between the Nth and (N+1)th future completion
   (``crash_at_scatter`` — the mid-scatter death that must not strand
   the not-yet-answered batch-mates), and sleep per batch
@@ -56,10 +56,10 @@ class SimulatedWorkerCrash(BaseException):
 def transient_eio() -> OSError:
     """The default injected sweep fault: a transient ``EIO`` read error.
 
-    This is what an mmap-backed bundle read surfaces when the disk has
-    a sick moment — the serving sweep must retry it with capped backoff
-    (mirroring ``storage/atomic.py``'s ``read_with_retry``), not fail
-    the whole batch.
+    This is what a read surfaces when the disk has a sick moment — the
+    serving sweep must retry it with capped backoff (mirroring
+    ``storage/atomic.py``'s ``read_with_retry``), not fail the whole
+    batch.
     """
     return OSError(errno.EIO, "injected transient EIO")
 

@@ -49,7 +49,7 @@ window stops padding a batch whose oldest request is near its deadline.
 The batch loop runs under a **supervisor**: a worker crash fails the
 in-flight futures (never stranding batch-mates) and restarts the loop,
 up to ``max_worker_restarts``; transient sweep failures (``EIO`` from
-mmap-backed reads) retry with capped backoff, mirroring
+a sick disk read) retry with capped backoff, mirroring
 ``storage/atomic.py``'s read retry. :meth:`ServingFrontEnd.health`
 snapshots the whole picture. Every fault point is injectable via
 :mod:`repro.engine.faults` and proven by enumeration in the test tree.
@@ -306,6 +306,26 @@ class _Request:
 _SHUTDOWN = object()
 
 
+def check_budget_shape(
+    budget_partitions: int | None, budget_fraction: float | None
+) -> None:
+    """A request's budget arguments, validated without the table.
+
+    Exactly one of ``budget_partitions`` (an absolute count ``>= 1``) and
+    ``budget_fraction`` (a share of the table in ``(0, 1]``) must be
+    given; anything else — ``nan`` included — is a :class:`ConfigError`.
+    """
+    if (budget_partitions is None) == (budget_fraction is None):
+        raise ConfigError(
+            "pass exactly one of budget_partitions / budget_fraction"
+        )
+    if budget_fraction is not None:
+        if not 0.0 < budget_fraction <= 1.0:
+            raise ConfigError("budget_fraction must be in (0, 1]")
+    elif budget_partitions < 1:
+        raise ConfigError("budget_partitions must be >= 1")
+
+
 def answer_selections(
     ptable: PartitionedTable, pairs: list[tuple[Query, list]]
 ) -> list[FinalAnswer]:
@@ -483,14 +503,7 @@ class ServingFrontEnd:
         request may wait for an answer; a full admission queue sheds the
         request with :class:`ServingOverloadError`.
         """
-        if (budget_partitions is None) == (budget_fraction is None):
-            raise ConfigError(
-                "pass exactly one of budget_partitions / budget_fraction"
-            )
-        if budget_fraction is not None and not 0.0 < budget_fraction <= 1.0:
-            raise ConfigError("budget_fraction must be in (0, 1]")
-        if budget_partitions is not None and budget_partitions < 1:
-            raise ConfigError("budget_partitions must be >= 1")
+        check_budget_shape(budget_partitions, budget_fraction)
         if deadline_seconds is None:
             deadline_seconds = self.config.default_deadline_seconds
         if deadline_seconds is not None and deadline_seconds <= 0:
@@ -857,8 +870,8 @@ class ServingFrontEnd:
     def _sweep_with_retry(self, ptable, picked):
         """One batch sweep, retrying transient failures with backoff.
 
-        Transient = ``EIO``/``EINTR`` (what an mmap-backed read surfaces
-        on a sick disk) or :class:`ExecutionError` — retried up to
+        Transient = ``EIO``/``EINTR`` (what a read surfaces on a sick
+        disk) or :class:`ExecutionError` — retried up to
         ``sweep_retries`` times with doubling, capped backoff, mirroring
         ``storage/atomic.py``'s read retry. Any other failure (or
         exhausted retries) fails every future of the batch — never the

@@ -83,14 +83,8 @@ class StorageError(ReproError):
     """
 
 
-class CorruptBundleError(StorageError, ConfigError):
-    """A persisted bundle failed a checksum or structural integrity check.
-
-    Deprecated compatibility: corruption used to surface as
-    :class:`ConfigError`, so this class keeps it as a secondary base for
-    one release — ``except ConfigError`` still catches corruption, but
-    new code should catch :class:`StorageError`/:class:`CorruptBundleError`.
-    """
+class CorruptBundleError(StorageError):
+    """A persisted bundle failed a checksum or structural integrity check."""
 
 
 class WalReplayError(StorageError):

@@ -12,8 +12,7 @@ Three modules, one import surface:
   :class:`StageProfiler` aggregate, and :func:`wrap_stage` adapter.
 
 The whole plane is stdlib-only and sits below storage/stats/engine in
-the import graph; a disabled registry is near-zero-cost (bound asserted
-by microbench in ``benchmarks/bench_perf_serving.py``). See the README
+the import graph; a disabled registry is near-zero-cost. See the README
 "Observability" section for the span/metric taxonomy.
 """
 

@@ -3,7 +3,7 @@
 The registry is the one data structure every plane reports into: serving
 (admission wait, pick/sweep/scatter latency, queue depth, shed/degrade
 counts), engine (sweep timings, plan-cache hit rates), and storage (WAL
-append/fsync latency, checkpoint duration, mmap section touches). It is
+append/fsync latency, checkpoint duration). It is
 deliberately dependency-free — stdlib plus nothing — so the storage and
 stats layers at the bottom of the import graph can use it.
 
@@ -19,9 +19,7 @@ Three instrument kinds, all created idempotently by name:
 
 **Disabled fast path.** Every mutating call starts with one attribute
 load and a branch on the owning registry's ``enabled`` flag; a disabled
-registry therefore costs a few tens of nanoseconds per call — the no-op
-bound is asserted by microbench in ``benchmarks/bench_perf_serving.py``,
-so "observability is free when off" is a gated claim, not a hope. Reads
+registry therefore costs a few tens of nanoseconds per call. Reads
 (``value``, ``snapshot``) work either way.
 
 **Snapshots.** :meth:`MetricsRegistry.snapshot` returns a plain

@@ -19,8 +19,7 @@ sweep is precisely the latency you want in the histogram.
 **Disabled fast path.** When the registry is disabled and no profilers
 are registered, ``trace_span(...)`` returns a shared no-op context
 manager: no Span allocation, no clock reads, no stack push — two attr
-loads and a branch. The microbench bound in
-``benchmarks/bench_perf_serving.py`` holds the line on this.
+loads and a branch.
 
 Profilers (see :mod:`repro.obs.profiling`) registered on the registry
 receive ``on_span_start``/``on_span_end`` callbacks even when metric

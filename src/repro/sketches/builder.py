@@ -32,8 +32,7 @@ from those shared segments. The offline build
 (``build_dataset_statistics``) runs it over all partitions,
 ``build_partition_statistics`` — hence ``append_partition_statistics``
 (``PS3.append``) and WAL replay — over one, so build, append and recovery
-seal identically. The per-column work can fan out over an opt-in process
-pool (``n_jobs``).
+seal identically.
 
 The scalar ``build_column_statistics`` constructs every sketch of one
 partition slice on its own. The plane hands it the columns a
@@ -258,20 +257,15 @@ def recompute_global_heavy_hitters(
 def build_dataset_statistics(
     ptable: PartitionedTable,
     config: SketchConfig | None = None,
-    *,
-    n_jobs: int | None = None,
 ) -> DatasetStatistics:
     """Build statistics for every partition plus global artifacts.
 
     Each column's sketches are built for all partitions in one chunked
     numpy pass over the fused table view — bit-identical to
-    :func:`build_column_statistics` per partition slice. ``n_jobs > 1``
-    additionally fans the per-column batch work out over a process pool
-    (opt-in: forking pays off only when columns are large enough to dwarf
-    the pickling of their fused arrays).
+    :func:`build_column_statistics` per partition slice.
     """
     config = config or SketchConfig()
-    partitions = _build_partitions(ptable, config, n_jobs)
+    partitions = _build_partitions(ptable, config)
     dataset = DatasetStatistics(
         schema=ptable.schema, config=config, partitions=partitions
     )
@@ -499,7 +493,7 @@ def build_column_statistics_batch(
 
 
 def _build_partitions(
-    ptable: PartitionedTable, config: SketchConfig, n_jobs: int | None
+    ptable: PartitionedTable, config: SketchConfig
 ) -> list[PartitionStatistics]:
     """All partitions' statistics via per-column chunked passes."""
     # Imported lazily: the engine package pulls in stats.plan -> columnar,
@@ -509,15 +503,12 @@ def _build_partitions(
     view = fused_view(ptable)
     offsets = view.offsets
     schema = ptable.schema
-    if n_jobs is not None and n_jobs > 1 and len(schema.names) > 1:
-        by_column = _run_column_pool(ptable, offsets, config, n_jobs)
-    else:
-        by_column = {
-            column.name: build_column_statistics_batch(
-                column, view.columns[column.name], offsets, config
-            )
-            for column in schema
-        }
+    by_column = {
+        column.name: build_column_statistics_batch(
+            column, view.columns[column.name], offsets, config
+        )
+        for column in schema
+    }
     sizes = np.diff(offsets)
     return [
         PartitionStatistics(
@@ -527,38 +518,3 @@ def _build_partitions(
         )
         for p in range(ptable.num_partitions)
     ]
-
-
-def _run_column_pool(
-    ptable: PartitionedTable,
-    offsets: np.ndarray,
-    config: SketchConfig,
-    n_jobs: int,
-) -> dict[str, list[ColumnStatistics]]:
-    """Fan the per-column batch builds out over a process pool."""
-    import concurrent.futures
-    import multiprocessing
-
-    schema = ptable.schema
-    start_methods = multiprocessing.get_all_start_methods()
-    context = multiprocessing.get_context(
-        "fork" if "fork" in start_methods else None
-    )
-    workers = min(int(n_jobs), len(schema.names))
-    results: dict[str, list[ColumnStatistics]] = {}
-    with concurrent.futures.ProcessPoolExecutor(
-        max_workers=workers, mp_context=context
-    ) as pool:
-        futures = {
-            pool.submit(
-                build_column_statistics_batch,
-                column,
-                ptable.table.columns[column.name],
-                offsets,
-                config,
-            ): column.name
-            for column in schema
-        }
-        for future in concurrent.futures.as_completed(futures):
-            results[futures[future]] = future.result()
-    return results

@@ -599,15 +599,11 @@ class ColumnarSketchIndex:
     ) -> ColumnarSketchIndex:
         """Rebuild an index from persisted :meth:`array_state` arrays.
 
-        The arrays are adopted as-is — including *read-only* views over
-        a memory-mapped bundle (``load_statistics_bundle(mmap=True)``).
-        That is safe because nothing in the index mutates its arrays in
-        place: queries only read, and :meth:`extend` goes through
-        :meth:`ColumnIndex.concat`, which always allocates fresh stacked
-        arrays (copy-on-append). Keep it that way — an in-place write
-        would raise ``ValueError: assignment destination is read-only``
-        on mmap-backed indexes (pinned by the append-after-cold-load
-        regression test).
+        The arrays are adopted as-is. Nothing in the index mutates its
+        arrays in place: queries only read, and :meth:`extend` goes
+        through :meth:`ColumnIndex.concat`, which always allocates fresh
+        stacked arrays (copy-on-append) — older generations keep reading
+        theirs.
         """
         columns = {
             name: ColumnIndex.from_array_state(name, column_state)
@@ -620,8 +616,8 @@ class ColumnarSketchIndex:
 
         Only the new partitions' sketches are visited — the existing
         arrays are padded/stacked into *new* arrays, not recomputed or
-        written in place (which keeps appends working on read-only
-        mmap-backed indexes). Signature codes catch up on their next
+        written in place (older generations and non-writeable
+        dictionaries rely on it). Signature codes catch up on their next
         lookup. Returns the number of partitions added.
         """
         added = dataset.num_partitions - self.num_partitions

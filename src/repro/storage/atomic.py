@@ -27,7 +27,6 @@ retries transient ``EIO``/``EINTR`` with capped exponential backoff.
 from __future__ import annotations
 
 import errno
-import mmap
 import os
 import time
 from pathlib import Path
@@ -91,23 +90,6 @@ class FileIO:
     def read_bytes(self, path: str | Path) -> bytes:
         return Path(path).read_bytes()
 
-    def mmap_bytes(self, path: str | Path) -> memoryview:
-        """A read-only memory map of ``path`` as a ``memoryview``.
-
-        Pages fault in lazily, so a consumer that slices only some
-        sections touches only those bytes — the point of the mmap load
-        path. The map stays alive as long as the returned view (or any
-        array built over it via ``np.frombuffer``) holds a reference;
-        empty files map to an empty view because ``mmap`` rejects
-        zero-length maps.
-        """
-        with open(path, "rb") as handle:
-            size = os.fstat(handle.fileno()).st_size
-            if size == 0:
-                return memoryview(b"")
-            mapped = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
-        return memoryview(mapped)
-
     def sleep(self, seconds: float) -> None:
         time.sleep(seconds)
 
@@ -163,28 +145,6 @@ def atomic_write_bytes(
         ) from error
 
 
-def _retry_transient(
-    reader,
-    io: FileIO,
-    retries: int,
-    backoff: float,
-    max_backoff: float,
-):
-    """Run ``reader()``, retrying transient ``EIO``/``EINTR`` with capped
-    exponential backoff; other ``OSError`` values propagate immediately.
-    """
-    delay = backoff
-    for attempt in range(retries + 1):
-        try:
-            return reader()
-        except OSError as error:
-            if error.errno not in _TRANSIENT_ERRNOS or attempt == retries:
-                raise
-            io.sleep(delay)
-            delay = min(delay * 2, max_backoff)
-    raise AssertionError("unreachable")  # pragma: no cover
-
-
 def read_with_retry(
     path: str | Path,
     *,
@@ -193,31 +153,20 @@ def read_with_retry(
     backoff: float = 0.01,
     max_backoff: float = 0.25,
 ) -> bytes:
-    """Read a file with the transient-error retry policy above."""
-    io = io or DEFAULT_IO
-    return _retry_transient(
-        lambda: io.read_bytes(path), io, retries, backoff, max_backoff
-    )
-
-
-def mmap_with_retry(
-    path: str | Path,
-    *,
-    io: FileIO | None = None,
-    retries: int = 4,
-    backoff: float = 0.01,
-    max_backoff: float = 0.25,
-) -> memoryview:
-    """Memory-map a file with the same transient-error retry policy.
-
-    The retry covers the *map* step only; page faults after a successful
-    map are the kernel's problem (a sick sector there raises ``SIGBUS``,
-    which no userspace retry loop can help).
+    """Read a file, retrying transient ``EIO``/``EINTR`` with capped
+    exponential backoff; other ``OSError`` values propagate immediately.
     """
     io = io or DEFAULT_IO
-    return _retry_transient(
-        lambda: io.mmap_bytes(path), io, retries, backoff, max_backoff
-    )
+    delay = backoff
+    for attempt in range(retries + 1):
+        try:
+            return io.read_bytes(path)
+        except OSError as error:
+            if error.errno not in _TRANSIENT_ERRNOS or attempt == retries:
+                raise
+            io.sleep(delay)
+            delay = min(delay * 2, max_backoff)
+    raise AssertionError("unreachable")  # pragma: no cover
 
 
 def cleanup_stale_temps(path: str | Path, *, io: FileIO | None = None) -> None:

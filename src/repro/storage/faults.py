@@ -17,9 +17,9 @@ backend that models a machine which can die at any moment:
   would on a real power cut — fsync placement is verified, not assumed.
 * **bit-rot** — ``flip_byte_at=offset`` silently XORs one bit of the
   byte at that cumulative write offset, modeling storage that lies.
-* **sick reads** — ``fail_reads=k`` makes the first ``k`` reads —
-  ``read_bytes`` and ``mmap_bytes`` alike — raise ``EIO`` (exercising
-  the retry paths); ``sleep`` is recorded, not slept.
+* **sick reads** — ``fail_reads=k`` makes the first ``k``
+  ``read_bytes`` calls raise ``EIO`` (exercising the retry path);
+  ``sleep`` is recorded, not slept.
 
 The model is intentionally conservative about renames: ``os.replace``
 is treated as immediately durable (journalled-metadata behavior). The
@@ -192,19 +192,6 @@ class FaultyIO(FileIO):
             self.reads_failed += 1
             raise OSError(errno.EIO, "injected EIO")
         return super().read_bytes(path)
-
-    def mmap_bytes(self, path) -> memoryview:
-        """Mapped reads share the sick-read fault: ``mmap`` is a read
-        syscall and fails with the same injected ``EIO``. The returned
-        view is a plain bytes copy rather than a kernel map — byte-level
-        faults this backend injected on the write side (torn prefixes,
-        flipped bits) are what the mmap consumer must survive, and a
-        copy shows it the identical bytes a real map would.
-        """
-        if self.reads_failed < self.fail_reads:
-            self.reads_failed += 1
-            raise OSError(errno.EIO, "injected EIO")
-        return memoryview(Path(path).read_bytes())
 
     def sleep(self, seconds: float) -> None:
         self.sleeps.append(seconds)  # recorded, never slept

@@ -45,21 +45,6 @@ fallback can rebuild it. :func:`recover_statistics_bundle` adds the
 ``.bak``-generation fallback on top. Version-1 and version-2 files (no
 checksums) still load; v1 files have no index section and callers fall
 back to the sketch-object export.
-
-The mmap load path (``load_statistics_bundle(path, mmap=True)``)
-memory-maps the file instead of copying it: the manifest and footer CRC
-are still verified eagerly (they are a few KB), but the blob stays a
-lazy ``memoryview`` over the map. Index arrays come up as *read-only*
-``np.frombuffer`` views over the mapped bytes — zero copy, pages fault
-in on first touch — and the sketch section's CRC plus decode are
-deferred until ``bundle.statistics`` is first accessed. A workload that
-only needs the columnar index therefore never touches the (dominant)
-sketch bytes. Failure modes are unchanged, only their *timing* moves to
-first touch: sketch-section damage raises :class:`CorruptBundleError`
-from the ``statistics`` property, index damage degrades to ``None`` with
-the same warning from the ``index`` property. The eager copy load stays
-the reference path (and the only one recovery uses — fallback decisions
-need every check up front).
 """
 
 from __future__ import annotations
@@ -68,19 +53,18 @@ import json
 import struct
 import warnings
 import zlib
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from repro.engine.schema import Column, ColumnKind, Schema
 from repro.errors import ConfigError, CorruptBundleError, DegradedLoadWarning
-from repro.obs import get_registry
 from repro.storage.atomic import (
     FileIO,
     atomic_write_bytes,
     backup_path,
     cleanup_stale_temps,
-    mmap_with_retry,
     read_with_retry,
 )
 from repro.sketches.akmv import AKMVSketch
@@ -157,27 +141,23 @@ def _encode_array(arr: np.ndarray, blob: bytearray) -> list:
     return entry
 
 
-def _decode_array(entry: list, blob, *, copy: bool = True) -> np.ndarray:
-    """An array from its manifest entry over ``blob`` (bytes or mmap view).
-
-    ``copy=True`` (the reference path) detaches the array from the blob.
-    ``copy=False`` returns a zero-copy ``np.frombuffer`` view — *read
-    only* when the blob is (a memory map always is), which is why every
-    consumer that mutates index arrays must copy-on-write first.
-    """
+def _decode_array(entry: list, blob: bytes) -> np.ndarray:
+    """A fresh array (detached from ``blob``) from its manifest entry."""
     offset, length, dtype_str, shape = entry
     if offset < 0 or length < 0 or offset + length > len(blob):
         raise CorruptBundleError("corrupt statistics index: array out of bounds")
     try:
         dtype = np.dtype(dtype_str)
-        arr = np.frombuffer(blob[offset : offset + length], dtype=dtype).reshape(
-            shape
+        return (
+            np.frombuffer(blob[offset : offset + length], dtype=dtype)
+            .reshape(shape)
+            .copy()
         )
-        return arr.copy() if copy else arr
     except (TypeError, ValueError) as error:
         raise CorruptBundleError(f"corrupt statistics index: {error}") from None
 
 
+@dataclass
 class StatisticsBundle:
     """Everything a cold start needs: statistics plus optional artifacts.
 
@@ -188,51 +168,12 @@ class StatisticsBundle:
     strings; not consumed on load). ``wal_applied_seq`` is the highest
     WAL sequence number folded into this bundle (0 = none); replay skips
     records at or below it, making checkpoints idempotent.
-
-    The eager copy load fills ``statistics``/``index`` directly; the
-    mmap load passes *loaders* instead, so each section's verification
-    and decode run on first attribute access (and any resulting
-    :class:`CorruptBundleError` / :class:`DegradedLoadWarning` surfaces
-    there rather than at load time). Either way the attributes read the
-    same.
     """
 
-    def __init__(
-        self,
-        statistics: DatasetStatistics | None = None,
-        index: ColumnarSketchIndex | None = None,
-        plan_cache_keys: tuple[str, ...] = (),
-        wal_applied_seq: int = 0,
-        *,
-        statistics_loader=None,
-        index_loader=None,
-    ) -> None:
-        if statistics is None and statistics_loader is None:
-            raise TypeError(
-                "StatisticsBundle needs statistics or a statistics_loader"
-            )
-        self._statistics = statistics
-        self._statistics_loader = statistics_loader
-        self._index = index
-        # ``index=None`` is a legitimate final value, so laziness is
-        # tracked by the loader's presence, not by the cached value.
-        self._index_loader = index_loader
-        self.plan_cache_keys = plan_cache_keys
-        self.wal_applied_seq = wal_applied_seq
-
-    @property
-    def statistics(self) -> DatasetStatistics:
-        if self._statistics is None:
-            self._statistics = self._statistics_loader()
-            self._statistics_loader = None
-        return self._statistics
-
-    @property
-    def index(self) -> ColumnarSketchIndex | None:
-        if self._index_loader is not None:
-            self._index = self._index_loader()
-            self._index_loader = None
-        return self._index
+    statistics: DatasetStatistics
+    index: ColumnarSketchIndex | None = None
+    plan_cache_keys: tuple[str, ...] = ()
+    wal_applied_seq: int = 0
 
 
 def save_statistics(
@@ -341,24 +282,13 @@ def save_statistics(
 
 
 def _read_manifest(
-    path: str | Path, *, io: FileIO | None = None, mapped: bool = False
-):
-    """Parse and verify the manifest; return ``(manifest, blob)``.
-
-    ``mapped=True`` memory-maps the file (``blob`` is then a lazy
-    ``memoryview`` over the map) and *defers* the sketch-section CRC —
-    the map's whole point is not touching those bytes until someone
-    decodes them; the caller runs :func:`_verify_sketch_section` at that
-    moment. The manifest and footer are always verified eagerly: they
-    are a few KB and every load consumes them.
-    """
-    if mapped:
-        raw = mmap_with_retry(path, io=io)
-    else:
-        raw = read_with_retry(path, io=io)
+    path: str | Path, *, io: FileIO | None = None
+) -> tuple[dict, bytes]:
+    """Parse and verify the manifest; return ``(manifest, blob)``."""
+    raw = read_with_retry(path, io=io)
     try:
         (header_size,) = struct.unpack("<Q", raw[:8])
-        header = bytes(raw[8 : 8 + header_size])
+        header = raw[8 : 8 + header_size]
         if len(header) != header_size:
             raise ValueError("truncated manifest")
         manifest = json.loads(header.decode("utf-8"))
@@ -387,26 +317,18 @@ def _read_manifest(
                 f"corrupt statistics file {path}: manifest checksum mismatch"
             )
         blob = blob[:-_FOOTER_SIZE]
-        if not mapped:
-            _verify_sketch_section(manifest, blob, path)
+        sections = manifest.get("sections", {})
+        offset, length, crc = sections.get("sketches", [0, 0, 0])
+        section = blob[offset : offset + length]
+        if len(section) != length or zlib.crc32(section) != crc:
+            raise CorruptBundleError(
+                f"corrupt statistics file {path}: sketch section "
+                "checksum mismatch"
+            )
     return manifest, blob
 
 
-def _verify_sketch_section(manifest: dict, blob, path: str | Path) -> None:
-    """Raise :class:`CorruptBundleError` unless the v3 sketch CRC holds."""
-    if manifest.get("version", 1) < 3:
-        return
-    sections = manifest.get("sections", {})
-    offset, length, crc = sections.get("sketches", [0, 0, 0])
-    section = blob[offset : offset + length]
-    if len(section) != length or zlib.crc32(section) != crc:
-        raise CorruptBundleError(
-            f"corrupt statistics file {path}: sketch section "
-            "checksum mismatch"
-        )
-
-
-def _index_section_ok(manifest: dict, blob) -> bool:
+def _index_section_ok(manifest: dict, blob: bytes) -> bool:
     """Whether the v3 index-section checksum verifies (v1/v2: trusted)."""
     if manifest.get("version", 1) < 3:
         return True
@@ -442,9 +364,7 @@ def _statistics_from_manifest_unchecked(
             cstats = ColumnStatistics(column=schema[name])
             for sketch_field, (offset, length) in entry.items():
                 sketch_type = _SKETCH_TYPES[sketch_field]
-                # bytes() is a no-op copy on the eager path and the
-                # per-sketch materialization step on the mmap path.
-                payload = bytes(blob[offset : offset + length])
+                payload = blob[offset : offset + length]
                 setattr(cstats, sketch_field, sketch_type.from_bytes(payload))
             columns[name] = cstats
         partitions.append(
@@ -463,7 +383,7 @@ def _statistics_from_manifest_unchecked(
 
 
 def _index_from_manifest(
-    manifest: dict, blob, *, copy: bool = True
+    manifest: dict, blob: bytes
 ) -> ColumnarSketchIndex | None:
     """Decode the persisted index, degrading to ``None`` on damage.
 
@@ -472,11 +392,7 @@ def _index_from_manifest(
     :class:`DegradedLoadWarning` (``reason="index-corrupt"``) and falls
     back to the sketch-object export — slower cold start, same bits.
     Consistency with the statistics is validated against the *manifest*
-    (partition count, schema names) rather than a decoded
-    ``DatasetStatistics`` — they come from the same manifest, and the
-    mmap path must be able to hand out the index without ever decoding
-    a sketch. ``copy=False`` keeps the arrays as read-only views over
-    the blob.
+    (partition count, schema names): both come from the same manifest.
     """
     index_manifest = manifest.get("index")
     if index_manifest is None:
@@ -487,7 +403,7 @@ def _index_from_manifest(
         num_partitions = int(index_manifest["num_partitions"])
         state = {
             name: {
-                key: _decode_array(entry, blob, copy=copy)
+                key: _decode_array(entry, blob)
                 for key, entry in column_state.items()
             }
             for name, column_state in index_manifest["columns"].items()
@@ -504,9 +420,15 @@ def _index_from_manifest(
                 "corrupt statistics index: columns do not match the schema"
             )
         return ColumnarSketchIndex.from_array_state(state, num_partitions)
-    except (ConfigError, KeyError, TypeError, ValueError) as error:
-        # ConfigError covers CorruptBundleError plus the structural
-        # checks inside ColumnIndex.from_array_state (missing arrays).
+    except (
+        CorruptBundleError,
+        ConfigError,
+        KeyError,
+        TypeError,
+        ValueError,
+    ) as error:
+        # ConfigError: the structural checks inside
+        # ColumnIndex.from_array_state (missing arrays).
         warnings.warn(
             DegradedLoadWarning(
                 f"statistics index section is corrupt ({error}); loading "
@@ -528,7 +450,7 @@ def load_statistics(
 
 
 def load_statistics_bundle(
-    path: str | Path, *, io: FileIO | None = None, mmap: bool = False
+    path: str | Path, *, io: FileIO | None = None
 ) -> StatisticsBundle:
     """Read statistics plus the persisted cold-start artifacts.
 
@@ -538,40 +460,11 @@ def load_statistics_bundle(
     index *section* also degrades to ``index=None`` (with a
     :class:`DegradedLoadWarning`); corruption anywhere else raises
     :class:`CorruptBundleError`.
-
-    ``mmap=True`` memory-maps the file and returns a *lazy* bundle: the
-    manifest/footer are verified up front, but each section's CRC and
-    decode run on first access of ``bundle.statistics`` /
-    ``bundle.index`` — and only the pages those touches need fault in.
-    Index arrays are read-only views over the map; consumers that mutate
-    (``ColumnarSketchIndex.extend``) copy-on-append. Section corruption
-    surfaces at first touch with the exact same error/degrade behavior
-    as the eager load.
     """
-    if not mmap:
-        manifest, blob = _read_manifest(path, io=io)
-        return StatisticsBundle(
-            statistics=_statistics_from_manifest(manifest, blob),
-            index=_index_from_manifest(manifest, blob),
-            plan_cache_keys=tuple(manifest.get("plan_cache_keys", ())),
-            wal_applied_seq=int(manifest.get("wal_applied_seq", 0)),
-        )
-    manifest, blob = _read_manifest(path, io=io, mapped=True)
-
-    def load_stats() -> DatasetStatistics:
-        # First touch of the deferred sketch section: visible in
-        # PS3.metrics() so mmap laziness can be audited, not assumed.
-        get_registry().counter("storage.mmap.sketch_section_touches").inc()
-        _verify_sketch_section(manifest, blob, path)
-        return _statistics_from_manifest(manifest, blob)
-
-    def load_index() -> ColumnarSketchIndex | None:
-        get_registry().counter("storage.mmap.index_section_touches").inc()
-        return _index_from_manifest(manifest, blob, copy=False)
-
+    manifest, blob = _read_manifest(path, io=io)
     return StatisticsBundle(
-        statistics_loader=load_stats,
-        index_loader=load_index,
+        statistics=_statistics_from_manifest(manifest, blob),
+        index=_index_from_manifest(manifest, blob),
         plan_cache_keys=tuple(manifest.get("plan_cache_keys", ())),
         wal_applied_seq=int(manifest.get("wal_applied_seq", 0)),
     )

@@ -39,6 +39,15 @@
   the scalar featurizer are compositions inside the tests
   (``tests/conftest.py``). File-system ``path`` arguments live in
   ``repro.storage``, which is not in scope.
+* No callable of ``repro.storage`` takes ``mmap`` / ``mapped`` and
+  ``repro.storage.atomic`` no longer resolves ``mmap_with_retry``; no
+  callable of ``repro.sketches`` / ``repro.api`` / ``repro.bench`` takes
+  ``n_jobs`` / ``sketch_n_jobs`` and ``REPRO_SKETCH_N_JOBS`` appears
+  nowhere under ``src/``; ``find_outliers`` has no default for ``index``
+  (PR 23): a bundle loads one way, partitions seal in the calling
+  process, outliers group by the index's signature codes. Each was a
+  selector between two paths with identical output whose other side no
+  production caller took.
 * Every ``(module, attribute path)`` the benchmark's tracer patches
   (``TRACED`` in ``benchmarks/e2e/layers.py``, read here, never edited)
   resolves the way the tracer resolves it. A rename would otherwise show
@@ -55,18 +64,28 @@ from pathlib import Path
 
 import pytest
 
+import repro
 import repro.baselines
+import repro.bench
 import repro.core
 import repro.engine
 import repro.ml
+import repro.sketches
 import repro.stats
+import repro.storage
 
 LAYERS = Path(__file__).resolve().parents[2] / "benchmarks" / "e2e" / "layers.py"
 
-PLANES = ["repro.api", "repro.core.training"] + [
-    info.name
-    for info in pkgutil.iter_modules(repro.engine.__path__, "repro.engine.")
-]
+
+def _modules_of(*packages):
+    return [
+        info.name
+        for package in packages
+        for info in pkgutil.iter_modules(package.__path__, package.__name__ + ".")
+    ]
+
+
+PLANES = ["repro.api", "repro.core.training"] + _modules_of(repro.engine)
 
 
 def _public_callables(module):
@@ -134,11 +153,7 @@ SUBSPACE_MODES = {
     "padded",
 }
 
-PICKER_PLANES = [
-    info.name
-    for package in (repro.core, repro.stats, repro.ml)
-    for info in pkgutil.iter_modules(package.__path__, package.__name__ + ".")
-]
+PICKER_PLANES = _modules_of(repro.core, repro.stats, repro.ml)
 
 
 @pytest.mark.parametrize("module_name", PICKER_PLANES)
@@ -201,11 +216,9 @@ def test_tree_builder_has_one_split_search():
 
 #: The switches PR 22 removed: which featurizer, which estimation plane.
 ANSWER_MODES = {"vectorized", "estimation_path", "path"}
-ANSWER_PLANES = [
-    info.name
-    for package in (repro.engine, repro.core, repro.stats, repro.baselines)
-    for info in pkgutil.iter_modules(package.__path__, package.__name__ + ".")
-]
+ANSWER_PLANES = _modules_of(
+    repro.engine, repro.core, repro.stats, repro.baselines
+)
 
 
 @pytest.mark.parametrize("module_name", ANSWER_PLANES)
@@ -249,6 +262,53 @@ def test_one_executor_one_answer_form():
     from repro.stats.plan import PlanCache
 
     assert set(inspect.signature(PlanCache).parameters) == {"limit"}
+
+
+STORAGE_MODULES = _modules_of(repro.storage)
+SEAL_MODULES = ["repro.api"] + _modules_of(repro.sketches, repro.bench)
+
+
+@pytest.mark.parametrize("module_name", STORAGE_MODULES)
+def test_no_storage_callable_takes_a_load_mode(module_name):
+    assert _takers(module_name, {"mmap", "mapped"}) == []
+
+
+@pytest.mark.parametrize("module_name", SEAL_MODULES)
+def test_no_callable_takes_a_seal_schedule(module_name):
+    assert _takers(module_name, {"n_jobs", "sketch_n_jobs"}) == []
+
+
+def test_one_bundle_load_one_seal_schedule_one_outlier_grouping():
+    import repro.storage.atomic as atomic
+    from repro.core.outliers import find_outliers
+
+    assert not hasattr(atomic, "mmap_with_retry")
+    assert not hasattr(atomic.FileIO, "mmap_bytes")
+    sources = Path(repro.__file__).resolve().parent
+    assert [
+        str(path)
+        for path in sorted(sources.rglob("*.py"))
+        if "REPRO_SKETCH_N_JOBS" in path.read_text()
+    ] == []
+    index = inspect.signature(find_outliers).parameters["index"]
+    assert index.default is inspect.Parameter.empty
+    # Each ban is only a guard if its walk reaches the callables that
+    # used to take the parameter.
+    seen = {
+        f"{module_name}.{name}"
+        for module_name in STORAGE_MODULES + SEAL_MODULES
+        for name, __ in _public_callables(importlib.import_module(module_name))
+    }
+    assert {
+        "repro.storage.stats_io.load_statistics_bundle",
+        "repro.storage.atomic.read_with_retry",
+        "repro.storage.faults.FaultyIO.read_bytes",
+        "repro.sketches.builder.build_dataset_statistics",
+        "repro.api.PS3.__init__",
+        # Dataclass fields are ``__init__`` parameters (``sketch_n_jobs``).
+        "repro.bench.profiles.BenchProfile.__init__",
+        "repro.bench.runner.ExperimentContext.build",
+    } <= seen
 
 
 def test_walk_sees_the_callables_a_subspace_mode_would_land_on():

@@ -1,4 +1,11 @@
-"""Unit tests for rare-bitmap outlier detection."""
+"""Unit tests for rare-bitmap outlier detection.
+
+``find_outliers`` groups partitions by the signature codes of the
+columnar sketch index. Its reference is a composition kept here:
+:func:`scalar_find_outliers`, the per-partition
+:func:`~repro.stats.bitmap.bitmap_signature` loop. Every case checks the
+production result against it.
+"""
 
 import numpy as np
 import pytest
@@ -9,6 +16,41 @@ from repro.sketches.columnar import ColumnarSketchIndex
 from repro.engine.layout import partition_evenly
 from repro.engine.schema import Column, ColumnKind, Schema
 from repro.engine.table import Table
+from repro.stats.bitmap import bitmap_signature
+
+
+def scalar_find_outliers(stats, group_by, candidates, config=None):
+    """Section 4.4 one partition at a time: group the candidates by
+    ``bitmap_signature``, keep the groups that are small absolutely and
+    against the largest, rarest first (ties by first appearance)."""
+    config = config or OutlierConfig()
+    columns = tuple(c for c in group_by if stats.global_heavy_hitters.get(c))
+    groups: dict[tuple, list[int]] = {}
+    if columns:
+        for p in candidates:
+            signature = bitmap_signature(stats, int(p), columns)
+            groups.setdefault(signature, []).append(int(p))
+    if not groups:
+        return np.empty(0, dtype=np.intp)
+    threshold = min(
+        config.max_absolute_size,
+        config.max_relative_size * max(map(len, groups.values())),
+    )
+    rare = sorted(  # stable: equally rare groups keep first-appearance order
+        (members for members in groups.values() if len(members) < threshold),
+        key=len,
+    )
+    return np.array([p for members in rare for p in members], dtype=np.intp)
+
+
+def checked_outliers(stats, index, group_by, candidates, config=None):
+    """``find_outliers`` through the index, equal to the scalar loop."""
+    found = find_outliers(stats, group_by, candidates, config, index=index)
+    np.testing.assert_array_equal(
+        found, scalar_find_outliers(stats, group_by, candidates, config)
+    )
+    assert found.dtype == np.intp
+    return found
 
 
 @pytest.fixture(scope="module")
@@ -31,69 +73,64 @@ def skewed_dataset():
     return ptable, build_dataset_statistics(ptable)
 
 
+@pytest.fixture(scope="module")
+def index(skewed_dataset):
+    __, stats = skewed_dataset
+    return ColumnarSketchIndex.build(stats)
+
+
 class TestDetection:
-    def test_rare_partitions_found(self, skewed_dataset):
+    def test_rare_partitions_found(self, skewed_dataset, index):
         __, stats = skewed_dataset
         candidates = np.arange(24)
-        outliers = find_outliers(stats, ("g",), candidates)
+        outliers = checked_outliers(stats, index, ("g",), candidates)
         assert set(outliers.tolist()) == {5, 17}
 
-    def test_rarest_signatures_first(self, skewed_dataset):
+    def test_rarest_signatures_first(self, skewed_dataset, index):
         __, stats = skewed_dataset
-        outliers = find_outliers(stats, ("g",), np.arange(24))
+        outliers = checked_outliers(stats, index, ("g",), np.arange(24))
         assert outliers.size == 2  # both from the same rare signature
 
-    def test_candidates_restrict_search(self, skewed_dataset):
+    def test_candidates_restrict_search(self, skewed_dataset, index):
         __, stats = skewed_dataset
-        outliers = find_outliers(stats, ("g",), np.arange(5))  # excludes 5, 17
+        # excludes 5, 17
+        outliers = checked_outliers(stats, index, ("g",), np.arange(5))
         assert outliers.size == 0
 
-    def test_no_group_by_no_outliers(self, skewed_dataset):
+    def test_no_group_by_no_outliers(self, skewed_dataset, index):
         __, stats = skewed_dataset
-        assert find_outliers(stats, (), np.arange(24)).size == 0
+        assert checked_outliers(stats, index, (), np.arange(24)).size == 0
 
-    def test_empty_candidates(self, skewed_dataset):
+    def test_empty_candidates(self, skewed_dataset, index):
         __, stats = skewed_dataset
-        assert find_outliers(stats, ("g",), np.empty(0, dtype=np.intp)).size == 0
+        none = np.empty(0, dtype=np.intp)
+        assert checked_outliers(stats, index, ("g",), none).size == 0
 
 
 class TestThresholds:
-    def test_relative_threshold(self, skewed_dataset):
+    def test_relative_threshold(self, skewed_dataset, index):
         """Paper example: many small equal groups -> none are outlying."""
         __, stats = skewed_dataset
         # With max_relative_size tiny, even the 2-partition group fails
         # the relative test (2 >= 0.01 * 22).
         config = OutlierConfig(max_absolute_size=10, max_relative_size=0.01)
-        outliers = find_outliers(stats, ("g",), np.arange(24), config)
+        outliers = checked_outliers(stats, index, ("g",), np.arange(24), config)
         assert outliers.size == 0
 
-    def test_absolute_threshold(self, skewed_dataset):
+    def test_absolute_threshold(self, skewed_dataset, index):
         __, stats = skewed_dataset
         config = OutlierConfig(max_absolute_size=2, max_relative_size=0.5)
-        outliers = find_outliers(stats, ("g",), np.arange(24), config)
+        outliers = checked_outliers(stats, index, ("g",), np.arange(24), config)
         assert outliers.size == 0  # group of size 2 is not < 2
 
-    def test_column_without_heavy_hitters_skipped(self, skewed_dataset):
+    def test_column_without_heavy_hitters_skipped(self, skewed_dataset, index):
         __, stats = skewed_dataset
         stats.global_heavy_hitters["v"] = ()
-        assert find_outliers(stats, ("v",), np.arange(24)).size == 0
+        assert checked_outliers(stats, index, ("v",), np.arange(24)).size == 0
 
 
 class TestIndexParity:
     """The occurrence-matrix path must match the scalar bitmap loop."""
-
-    @pytest.fixture(scope="class")
-    def index(self, skewed_dataset):
-        __, stats = skewed_dataset
-        return ColumnarSketchIndex.build(stats)
-
-    def test_same_outliers_and_order(self, skewed_dataset, index):
-        __, stats = skewed_dataset
-        candidates = np.arange(24)
-        scalar = find_outliers(stats, ("g",), candidates)
-        batched = find_outliers(stats, ("g",), candidates, index=index)
-        np.testing.assert_array_equal(batched, scalar)
-        assert set(batched.tolist()) == {5, 17}
 
     def test_parity_over_candidate_subsets(self, skewed_dataset, index):
         __, stats = skewed_dataset
@@ -101,9 +138,7 @@ class TestIndexParity:
         for __unused in range(10):
             size = int(rng.integers(1, 24))
             candidates = np.sort(rng.choice(24, size=size, replace=False))
-            scalar = find_outliers(stats, ("g",), candidates)
-            batched = find_outliers(stats, ("g",), candidates, index=index)
-            np.testing.assert_array_equal(batched, scalar)
+            checked_outliers(stats, index, ("g",), candidates)
 
     def test_parity_under_custom_thresholds(self, skewed_dataset, index):
         __, stats = skewed_dataset
@@ -112,13 +147,11 @@ class TestIndexParity:
             OutlierConfig(max_absolute_size=10, max_relative_size=0.01),
             OutlierConfig(max_absolute_size=30, max_relative_size=1.5),
         ):
-            scalar = find_outliers(stats, ("g",), np.arange(24), config)
-            batched = find_outliers(stats, ("g",), np.arange(24), config, index=index)
-            np.testing.assert_array_equal(batched, scalar)
+            checked_outliers(stats, index, ("g",), np.arange(24), config)
 
 
 class TestIndexParityOnKdd:
-    """Index-backed signature codes against the dict path on real group-by
+    """Index-backed signature codes against the scalar loop on real group-by
     universes: several columns, unsorted candidates, and an index that
     grew by ``extend`` against one built at once."""
 
@@ -147,7 +180,7 @@ class TestIndexParityOnKdd:
         sets += [universe[i : i + 2] for i in range(len(universe) - 1)]
         return sets + [universe, universe[::-1]]
 
-    def test_same_outliers_as_the_dict_path_after_appends(self, kdd):
+    def test_same_outliers_as_the_scalar_loop_after_appends(self, kdd):
         __, grown, index, universe = kdd
         rng = np.random.default_rng(7)
         found = 0
@@ -156,11 +189,9 @@ class TestIndexParityOnKdd:
             for __unused in range(6):
                 size = int(rng.integers(2, grown.num_partitions + 1))
                 candidates = rng.permutation(grown.num_partitions)[:size]
-                scalar = find_outliers(grown, columns, candidates, config)
-                batched = find_outliers(grown, columns, candidates, config, index=index)
-                np.testing.assert_array_equal(batched, scalar)
-                assert batched.dtype == np.intp
-                found += batched.size
+                found += checked_outliers(
+                    grown, index, columns, candidates, config
+                ).size
         assert found > 20  # the comparison is not between empty arrays
 
     def test_append_then_build_parity_of_the_codes(self, kdd):
@@ -181,7 +212,7 @@ class TestIndexParityOnKdd:
         __, grown, index, universe = kdd
         candidates = np.arange(grown.num_partitions)[::-1]
         config = OutlierConfig(max_absolute_size=30, max_relative_size=1.5)
-        expected = find_outliers(grown, universe, candidates, config)
+        expected = scalar_find_outliers(grown, universe, candidates, config)
         assert expected.size > 10
         monkeypatch.setattr(outliers, "_MAX_CODE", 4)  # re-rank at every column
         np.testing.assert_array_equal(

@@ -117,11 +117,6 @@ class TestDiagnostics:
         result = picker.select(grouped_query, budget=8)
         assert sum(result.group_budgets) == 8 - len(result.outliers)
 
-    def test_timing_recorded(self, picker, grouped_query):
-        result = picker.select(grouped_query, budget=5)
-        assert result.total_seconds > 0.0
-        assert 0.0 <= result.clustering_seconds <= result.total_seconds
-
     def test_outlier_budget_capped_at_fraction(self, picker, grouped_query):
         result = picker.select(grouped_query, budget=10)
         assert len(result.outliers) <= int(np.ceil(0.1 * 10))

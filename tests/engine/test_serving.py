@@ -241,6 +241,12 @@ class TestServingFrontEnd:
                 front.submit(test[0], budget_partitions=2, budget_fraction=0.5)
             with pytest.raises(ConfigError):
                 front.submit(test[0], budget_fraction=1.5)
+            with pytest.raises(ConfigError):
+                front.submit(test[0], budget_fraction=float("nan"))
+            with pytest.raises(ConfigError):
+                front.submit(test[0], budget_partitions=0)
+            # Raised in the caller's thread, before anything is enqueued.
+            assert front.stats.queue_peak == 0
 
     def test_stopped_front_end_rejects_submissions(self, served_system):
         system, test = served_system

@@ -276,12 +276,6 @@ class TestVectorizedBuilderParity:
                 build_dataset_statistics(ptable),
             )
 
-    def test_process_pool_matches_inline(self, tiny_ptable):
-        assert_statistics_identical(
-            build_dataset_statistics(tiny_ptable),
-            build_dataset_statistics(tiny_ptable, n_jobs=2),
-        )
-
     def test_columnar_index_identical(self, tiny_ptable):
         """The exported index is the same arrays under either plane."""
         scalar = scalar_reference(tiny_ptable)

@@ -67,7 +67,7 @@ class TestStatisticsRoundtrip:
         path.write_bytes(
             len(header).to_bytes(8, "little") + header + raw[8 + header_size :]
         )
-        with pytest.raises(ConfigError, match="version"):
+        with pytest.raises(CorruptBundleError, match="version"):
             load_statistics(path)
 
 

@@ -10,28 +10,30 @@ the warm plan-cache keys alongside the sketch blob. Pinned here:
 * a corrupted index *section* degrades (``index=None`` plus a
   :class:`~repro.errors.DegradedLoadWarning`) because the sketch blob
   can rebuild it; unsupported versions raise
-  :class:`~repro.errors.CorruptBundleError` — still catchable as
-  :class:`~repro.errors.ConfigError` for one deprecation release;
+  :class:`~repro.errors.CorruptBundleError`, a
+  :class:`~repro.errors.StorageError` and not a
+  :class:`~repro.errors.ConfigError`;
 * a cold start through the persisted index never touches the
   sketch-object export path (spy test);
-* the mmap load (``load_statistics_bundle(mmap=True)``) returns the
-  same bundle lazily: read-only zero-copy index arrays, sketch decode
-  deferred to first touch, corruption surfacing at first touch with the
-  eager path's exact error/degrade behavior — and an mmap-cold-loaded
-  index still accepts appended partitions (copy-on-append).
+* a cold-loaded index still accepts appended partitions, and ``extend``
+  never writes into the arrays it was given (copy-on-append).
 """
 
 from __future__ import annotations
 
 import json
 import struct
-import warnings
 import zlib
 
 import numpy as np
 import pytest
 
-from repro.errors import ConfigError, CorruptBundleError, DegradedLoadWarning
+from repro.errors import (
+    ConfigError,
+    CorruptBundleError,
+    DegradedLoadWarning,
+    StorageError,
+)
 from repro.sketches.columnar import ColumnarSketchIndex
 from repro.stats.features import FeatureBuilder
 from repro.storage import (
@@ -42,7 +44,6 @@ from repro.storage import (
     save_model,
     save_statistics,
 )
-from repro.storage.faults import FaultyIO
 
 _FOOTER_MAGIC = b"PS3C"
 
@@ -182,10 +183,11 @@ class TestCorruption:
         )
         with pytest.raises(CorruptBundleError, match="version"):
             load_statistics_bundle(bad)
-        # Deprecated compatibility: corruption stays catchable as
-        # ConfigError for one release (CorruptBundleError subclasses it).
-        with pytest.raises(ConfigError, match="version"):
+        # Damage in the world, not a caller bug: a StorageError, never a
+        # ConfigError.
+        with pytest.raises(StorageError, match="version") as caught:
             load_statistics(bad)
+        assert not isinstance(caught.value, ConfigError)
 
     def _assert_degrades(self, bad, tiny_stats):
         """A damaged index section loads with index=None + a warning."""
@@ -331,149 +333,24 @@ class TestColdStartSkipsExport:
         assert features.matrix.shape[0] == bundle.statistics.num_partitions
 
 
-class TestMmapLoad:
-    """``mmap=True``: same bundle, lazily — and lazily *verified*."""
-
-    def test_index_bit_identical_to_eager_load(self, saved_with_index):
-        path, __ = saved_with_index
-        eager = load_statistics_bundle(path)
-        mapped = load_statistics_bundle(path, mmap=True)
-        assert mapped.plan_cache_keys == eager.plan_cache_keys
-        assert mapped.wal_applied_seq == eager.wal_applied_seq
-        _assert_indexes_identical(eager.index, mapped.index)
-
-    def test_lazy_statistics_identical_to_eager(
-        self, saved_with_index, tmp_path
-    ):
-        path, __ = saved_with_index
-        save_statistics(
-            load_statistics_bundle(path).statistics, tmp_path / "eager.ref"
-        )
-        save_statistics(
-            load_statistics_bundle(path, mmap=True).statistics,
-            tmp_path / "mapped.ref",
-        )
-        assert (tmp_path / "eager.ref").read_bytes() == (
-            tmp_path / "mapped.ref"
-        ).read_bytes()
-
-    def test_index_access_never_decodes_sketches(
-        self, saved_with_index, monkeypatch
-    ):
-        """The mmap path's whole point: an index-only cold start must
-        not touch (or checksum) the dominant sketch bytes."""
-        import repro.storage.stats_io as stats_io
-
-        path, __ = saved_with_index
-        bundle = load_statistics_bundle(path, mmap=True)
-
-        def boom(*args, **kwargs):  # pragma: no cover - failure path
-            raise AssertionError("sketch decode ran for an index access")
-
-        monkeypatch.setattr(stats_io, "_statistics_from_manifest", boom)
-        monkeypatch.setattr(stats_io, "_verify_sketch_section", boom)
-        assert bundle.index is not None
-
-    def test_index_arrays_are_readonly_views(self, saved_with_index):
-        path, __ = saved_with_index
-        bundle = load_statistics_bundle(path, mmap=True)
-        for name, column in bundle.index.columns.items():
-            state = column.array_state()
-            assert all(
-                not arr.flags.writeable for arr in state.values()
-            ), name
-        with pytest.raises(ValueError, match="read-only"):
-            next(iter(bundle.index.columns.values())).array_state()[
-                "stats"
-            ][0, 0] = 1.0
-
-    def test_mapped_index_drives_identical_features(self, saved_with_index):
-        path, __ = saved_with_index
-        eager = load_statistics_bundle(path)
-        mapped = load_statistics_bundle(path, mmap=True)
-        np.testing.assert_array_equal(
-            FeatureBuilder(
-                mapped.statistics, ("cat", "d"), index=mapped.index
-            ).static_matrix,
-            FeatureBuilder(
-                eager.statistics, ("cat", "d"), index=eager.index
-            ).static_matrix,
-        )
-
-    def test_transient_map_failures_retried(self, saved_with_index):
-        path, __ = saved_with_index
-        io = FaultyIO(fail_reads=2)
-        bundle = load_statistics_bundle(path, io=io, mmap=True)
-        assert io.reads_failed == 2
-        assert len(io.sleeps) == 2  # backoff recorded, never slept
-        assert bundle.index is not None
-
-    def test_manifest_rot_still_rejected_eagerly(
-        self, saved_with_index, tmp_path
-    ):
-        """Laziness never extends to the manifest: its CRC (and the
-        footer) are checked at load, before any section is touched."""
-        path, __ = saved_with_index
-        raw = bytearray(path.read_bytes())
-        header_size = int.from_bytes(raw[:8], "little")
-        marker = raw[8 : 8 + header_size].find(b'"num_rows":')
-        assert marker >= 0
-        digit = 8 + marker + len(b'"num_rows": ')
-        raw[digit] = ord("9") if raw[digit] != ord("9") else ord("8")
-        bad = tmp_path / "rot.ps3stats"
-        bad.write_bytes(bytes(raw))
-        with pytest.raises(CorruptBundleError, match="manifest checksum"):
-            load_statistics_bundle(bad, mmap=True)
-
-    def test_corrupt_sketch_raises_at_first_statistics_touch(
-        self, saved_with_index, tmp_path
-    ):
-        path, __ = saved_with_index
-        raw = bytearray(path.read_bytes())
-        header_size = int.from_bytes(raw[:8], "little")
-        raw[8 + header_size + 3] ^= 0x40  # inside the sketch region
-        bad = tmp_path / "blobrot.ps3stats"
-        bad.write_bytes(bytes(raw))
-        bundle = load_statistics_bundle(bad, mmap=True)  # no error yet
-        assert bundle.index is not None  # index section is clean
-        with pytest.raises(CorruptBundleError, match="sketch section"):
-            bundle.statistics
-
-    def test_corrupt_index_degrades_at_first_index_touch(
-        self, saved_with_index, tiny_stats, tmp_path
-    ):
-        path, __ = saved_with_index
-
-        def clobber(manifest):
-            column = next(iter(manifest["index"]["columns"]))
-            manifest["index"]["columns"][column]["stats"][0] = 10**9
-
-        bad = _rewrite_manifest(path, tmp_path / "oob.ps3stats", clobber)
-        with warnings.catch_warnings():
-            # Loading must stay silent — the damage is not looked at yet.
-            warnings.simplefilter("error", DegradedLoadWarning)
-            bundle = load_statistics_bundle(bad, mmap=True)
-        with pytest.warns(DegradedLoadWarning) as caught:
-            assert bundle.index is None
-        assert caught[0].message.reason == "index-corrupt"
-        # The statistics are intact — the index is a rebuildable cache.
-        assert bundle.statistics.num_partitions == tiny_stats.num_partitions
-
-
 class TestAppendAfterColdLoad:
-    """Regression: appends must keep working after an mmap cold load.
+    """Regression: appends must keep working after a cold load.
 
-    The mapped index adopts *read-only* zero-copy arrays, so any append
-    path that wrote into them in place would raise ``ValueError``
-    here; ``ColumnarSketchIndex.extend`` must allocate fresh arrays
-    (copy-on-append) and land bit-identical to a from-scratch build."""
+    The loaded arrays are frozen here, so any append path that wrote
+    into them in place would raise ``ValueError``;
+    ``ColumnarSketchIndex.extend`` must allocate fresh arrays
+    (copy-on-append: older generations keep reading theirs) and land
+    bit-identical to a from-scratch build."""
 
-    def test_extend_after_mmap_load_matches_scratch_build(
+    def test_extend_after_cold_load_matches_scratch_build(
         self, saved_with_index, rng
     ):
         path, __ = saved_with_index
-        bundle = load_statistics_bundle(path, mmap=True)
+        bundle = load_statistics_bundle(path)
         stats, index = bundle.statistics, bundle.index
+        for column in index.columns.values():
+            for arr in column.array_state().values():
+                arr.flags.writeable = False
         before = stats.num_partitions
         n = 40
         batch = {
@@ -492,7 +369,7 @@ class TestAppendAfterColdLoad:
         """Two appends in a row: the second extends arrays the first
         already copied — still bit-identical to scratch."""
         path, __ = saved_with_index
-        bundle = load_statistics_bundle(path, mmap=True)
+        bundle = load_statistics_bundle(path)
         stats, index = bundle.statistics, bundle.index
         for size in (25, 31):
             batch = {
