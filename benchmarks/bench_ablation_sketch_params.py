@@ -55,7 +55,7 @@ def sweep(profile):
         statistics = build_dataset_statistics(ptable, config)
         feature_builder = FeatureBuilder(statistics, workload.groupby_universe)
         model, __ = train_picker_model(ptable, feature_builder, train_queries)
-        picker = PS3Picker(model, statistics, PickerConfig(seed=profile.seed))
+        picker = PS3Picker(model, PickerConfig(seed=profile.seed))
         helper = ExperimentContext(
             dataset_name="kdd", layout="count", profile=profile
         )

@@ -33,7 +33,7 @@ def sweep(profile):
         model, __ = train_picker_model(
             ctx.ptable, ctx.feature_builder, ctx.train_queries[:size]
         )
-        picker = PS3Picker(model, ctx.statistics, PickerConfig(seed=profile.seed))
+        picker = PS3Picker(model, PickerConfig(seed=profile.seed))
         reports = [
             p.evaluate(picker.select(p.query, budget).selection)
             for p in ctx.prepared

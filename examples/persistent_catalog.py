@@ -1,15 +1,20 @@
-"""Persistent catalog: save a trained PS3 deployment and reload it.
+"""Persistent catalog: save a trained PS3 deployment and reopen it.
 
 Production-shaped lifecycle: statistics are built when partitions seal
 and live next to the data; the trained model is a separate artifact that
 only changes on retraining. This example:
 
-1. trains PS3 on the TPC-DS*-style table and saves both artifacts;
-2. "restarts" by reloading them from disk (no retraining, no re-sketch);
-3. answers SQL-text queries against the reloaded system;
+1. trains PS3 on the TPC-DS*-style table, checkpoints its statistics
+   into a catalog directory and saves the model next to them;
+2. journals one more appended partition, then "crashes" (drops the
+   system) before the next checkpoint;
+3. reopens with ``PS3.open`` — no retraining, no re-sketch, the journaled
+   partition replayed — and answers SQL-text queries on the reopened
+   system;
 4. runs the section-7 extensions: per-group confidence intervals (extra
    probe reads) and failure-case diagnostics;
-5. appends new partitions and watches the staleness tracker trip.
+5. appends new partitions to the reopened system and watches the
+   staleness tracker trip.
 
 Run:  python examples/persistent_catalog.py
 """
@@ -17,16 +22,14 @@ Run:  python examples/persistent_catalog.py
 from __future__ import annotations
 
 import tempfile
-import time
 from pathlib import Path
 
 from repro import PS3
 from repro.core.diagnostics import diagnose_query, estimate_with_confidence
-from repro.core.picker import PickerConfig, PS3Picker
 from repro.datasets import get_dataset
 from repro.engine.batch_executor import BatchExecutor
 from repro.engine.sql import parse_query
-from repro.storage import load_model, load_statistics, save_model, save_statistics
+from repro.storage import save_model
 from repro.workload import QueryGenerator
 
 
@@ -39,42 +42,52 @@ def main() -> None:
     ps3 = PS3(ptable, workload).fit(generator.sample_queries(32))
 
     catalog = Path(tempfile.mkdtemp(prefix="ps3_catalog_"))
-    stats_path = catalog / "tpcds.ps3stats"
     model_path = catalog / "tpcds.model.json"
-    save_statistics(ps3.statistics, stats_path)
+    store = ps3.attach_store(catalog)
+    ps3.checkpoint()
     save_model(ps3.model, model_path)
     print(f"Saved catalog to {catalog}")
-    print(f"  statistics: {stats_path.stat().st_size / 1024:.0f} KB")
+    print(f"  statistics: {store.stats_path.stat().st_size / 1024:.0f} KB")
     print(f"  model:      {model_path.stat().st_size / 1024:.0f} KB")
 
-    print("\nReloading (as a fresh process would)...")
-    statistics = load_statistics(stats_path)
-    model = load_model(model_path, statistics)
-    picker = PS3Picker(model, statistics, PickerConfig(seed=1))
+    ps3.append(dict(spec.generate(400, seed=999).columns))
+    print("Journaled one appended partition, then lost the process...")
+    del ps3
+
+    print("\nReopening (as a fresh process would)...")
+    reopened = PS3.open(ptable, workload, catalog, model_path)
+    print(
+        f"  {reopened.ptable.num_partitions} partitions: the checkpoint's "
+        f"{ptable.num_partitions} + the journal's replayed tail"
+    )
 
     sql = (
         "SELECT SUM(cs_net_profit), COUNT(*) "
         "WHERE cs_quantity > 50 AND i_category IN ('category#01', 'category#02') "
         "GROUP BY cd_gender"
     )
-    query = parse_query(sql, ptable.schema)
+    query = parse_query(sql, reopened.ptable.schema)
     print(f"\nSQL: {sql}")
 
-    features = model.feature_builder.features_for_query(query)
+    features = reopened.feature_builder.features_for_query(query)
     diagnostics = diagnose_query(query, features)
     print(f"diagnostics healthy: {diagnostics.healthy}")
     for recommendation in diagnostics.recommendations:
         print(f"  ! {recommendation}")
 
-    started = time.perf_counter()
-    result = picker.select(query, budget=8)
-    select_ms = (time.perf_counter() - started) * 1e3
-    print(f"picker chose {len(result.selection)} partitions "
-          f"({len(result.outliers)} outliers) in {select_ms:.1f} ms")
+    answer = reopened.query(query, budget_partitions=8)
+    picked = answer.selection
+    print(
+        f"read {len(picked.selection)}/{answer.num_partitions} partitions "
+        f"({len(picked.outliers)} outliers):"
+    )
+    for key in sorted(answer.groups, key=repr):
+        total, count = answer.groups[key]
+        print(f"  {key}: SUM(cs_net_profit) = {total:,.0f}, COUNT(*) = {count:,.0f}")
 
     print("\nUnbiased estimate with 95% confidence intervals (2 probes/cluster):")
-    answers = BatchExecutor.for_table(ptable).partition_answers(query)
-    normalized = model.normalizer.transform(features.matrix)
+    answers = BatchExecutor.for_table(reopened.ptable).partition_answers(query)
+    normalized = reopened.model.normalizer.transform(features.matrix)
     confident = estimate_with_confidence(
         answers, query, features, normalized, budget=8, probes_per_cluster=2
     )
@@ -85,11 +98,11 @@ def main() -> None:
             f"in [{interval.lower[0]:,.0f}, {interval.upper[0]:,.0f}]"
         )
 
-    print("\nAppending 5 new partitions of fresh sales...")
+    print("\nAppending 5 new partitions of fresh sales to the reopened system...")
     for seed in range(5):
         fresh = spec.generate(400, seed=1000 + seed)
-        ps3.append(dict(fresh.columns))
-    staleness = ps3.staleness()
+        reopened.append(dict(fresh.columns))
+    staleness = reopened.staleness()
     print(
         f"staleness: +{staleness.partitions_added} partitions "
         f"({staleness.fraction_new:.0%} of data), "

@@ -35,6 +35,7 @@ from repro.core.training import (
 from repro.engine.batch_executor import fused_view
 from repro.engine.combiner import FinalAnswer, finalize_answer
 from repro.engine.executor import true_answer
+from repro.engine.layout import append_rows, validate_batch
 from repro.engine.query import Query
 from repro.engine.serving import (
     ServingConfig,
@@ -88,10 +89,6 @@ class ApproximateAnswer:
         if self.effective_budget is None:
             self.effective_budget = self.budget
 
-    @property
-    def fraction_read(self) -> float:
-        return len(self.selection.selection) / self.num_partitions
-
     def aggregate_labels(self) -> tuple[str, ...]:
         return tuple(a.label() for a in self.query.aggregates)
 
@@ -107,18 +104,23 @@ class PS3:
         picker_config: PickerConfig | None = None,
     ) -> None:
         workload.validate_against(ptable.schema)
+        # Offline: one chunked pass per column across all partitions.
+        statistics = build_dataset_statistics(ptable, sketch_config)
+        builder = FeatureBuilder(statistics, workload.groupby_universe)
+        self._bind(ptable, workload, picker_config, builder)
+
+    def _bind(self, ptable, workload, picker_config, feature_builder) -> None:
         self.ptable = ptable
         self.workload = workload
         self.picker_config = picker_config or PickerConfig()
-        # Offline: one chunked pass per column across all partitions.
-        self.statistics = build_dataset_statistics(ptable, sketch_config)
-        self.feature_builder = FeatureBuilder(
-            self.statistics, workload.groupby_universe
-        )
+        self.statistics = feature_builder.dataset
+        self.feature_builder = feature_builder
         self.model: PickerModel | None = None
         self.training_data: TrainingData | None = None
         self._picker: PS3Picker | None = None
-        self._store = None  # StatisticsStore, bound via attach_store
+        # Partitions the model has seen: staleness counts from here.
+        self._trained_on = self.statistics.num_partitions
+        self._store = None  # StatisticsStore, bound via attach_store / open
         self._serving_registry = None  # latest serve()'s MetricsRegistry
         # Serializes mutations of the shared serving state (table,
         # statistics, picker, feature builder) against picks. Picks and
@@ -128,16 +130,72 @@ class PS3:
         # callers can use the public query path.
         self._state_lock = threading.RLock()
 
+    @classmethod
+    def open(
+        cls,
+        ptable: PartitionedTable,
+        workload: WorkloadSpec,
+        directory,
+        model_path,
+        *,
+        picker_config: PickerConfig | None = None,
+        io=None,
+    ) -> PS3:
+        """Reopen a persisted system: the one way back from disk.
+
+        ``directory`` is the :class:`~repro.storage.StatisticsStore` a
+        previous system checkpointed into, ``model_path`` its
+        ``save_model`` file, ``ptable`` the table as of that checkpoint.
+        Statistics, columnar index and model are bound as they load
+        (nothing is re-sketched or retrained), the journal tail is
+        replayed through the in-memory half of :meth:`append` (growing
+        the table too; nothing is journaled again) and the store stays
+        attached, so ``query`` / ``serve`` / ``append`` / ``checkpoint``
+        continue the pre-crash timeline; :meth:`staleness` counts from
+        the checkpoint. A table of another partition count, a model for
+        other statistics or another workload, or a missing model file
+        is a :class:`ConfigError`; damage a ``StorageError``.
+        """
+        from repro.storage import StatisticsStore, load_model
+
+        workload.validate_against(ptable.schema)
+        store = StatisticsStore(directory, io=io)
+        bundle, batches = store.load()
+        statistics = bundle.statistics
+        if ptable.num_partitions != statistics.num_partitions:
+            raise ConfigError(
+                f"the checkpoint in {directory} covers {statistics.num_partitions} "
+                f"partitions but the table has {ptable.num_partitions}"
+            )
+        try:
+            model = load_model(model_path, statistics, index=bundle.index, io=io)
+        except FileNotFoundError:
+            raise ConfigError(f"no picker model at {model_path}") from None
+        groupby = model.feature_builder.schema.groupby_columns
+        if groupby != tuple(workload.groupby_universe):
+            raise ConfigError(
+                f"the model in {model_path} was trained for the group-by "
+                f"universe {groupby}, not {tuple(workload.groupby_universe)}"
+            )
+        system = cls.__new__(cls)
+        system._bind(ptable, workload, picker_config, model.feature_builder)
+        system.model = model
+        system._picker = PS3Picker(model, system.picker_config)
+        system._store = store
+        for batch in batches:
+            system._apply(batch.columns)
+        return system
+
     # -- durability -------------------------------------------------------------
 
     def attach_store(self, directory, *, io=None):
         """Bind a crash-safe :class:`~repro.storage.StatisticsStore`.
 
-        Once attached, every :meth:`append` batch is journaled to the
-        store's write-ahead log *before* the in-memory mutation, and
-        :meth:`checkpoint` folds the journal into a fresh atomic bundle.
-        After a crash, ``StatisticsStore(directory).load_statistics()``
-        recovers statistics bit-identical to the pre-crash state.
+        Once attached, every :meth:`append` batch is validated, journaled
+        to the store's write-ahead log and only then applied in memory,
+        and :meth:`checkpoint` folds the journal into a fresh atomic
+        bundle. After a crash, :meth:`open` on the directory recovers a
+        system bit-identical to the pre-crash state.
         """
         from repro.storage import StatisticsStore
 
@@ -156,13 +214,11 @@ class PS3:
         """Fold journaled appends into a fresh atomic statistics bundle.
 
         Returns the journal sequence number the bundle is stamped with.
-        The persisted columnar index and warm plan-cache keys ride along,
-        so recovery cold-starts without re-exporting sketches.
+        The persisted columnar index rides along, so recovery cold-starts
+        without re-exporting sketches.
         """
         return self.store.checkpoint(
-            self.statistics,
-            index=self.feature_builder.sketch_index,
-            plan_cache_keys=self.feature_builder.plan_cache.keys(),
+            self.statistics, index=self.feature_builder.sketch_index
         )
 
     # -- training --------------------------------------------------------------
@@ -190,7 +246,8 @@ class PS3:
                 evaluator,
                 rounds=feature_selection_rounds,
             )
-        self._picker = PS3Picker(self.model, self.statistics, self.picker_config)
+        self._picker = PS3Picker(self.model, self.picker_config)
+        self._trained_on = self.statistics.num_partitions
         return self
 
     @property
@@ -297,41 +354,43 @@ class PS3:
         *existing* trained picker (feature schema frozen). Returns the new
         partition's index. Check :meth:`staleness` to decide when the
         accumulated appends warrant retraining (section 7).
-        """
-        from repro.engine.layout import append_rows
-        from repro.sketches.builder import append_partition_statistics
 
+        Validate (``validate_batch``: ``ConfigError`` / ``SchemaError``),
+        journal, apply — in that order: a rejected batch changes nothing,
+        on disk or in memory.
+        """
         with self._state_lock:
+            batch = validate_batch(self.ptable.schema, new_columns)
             if self._store is not None:
                 # Write-ahead: the batch is fsynced to the journal before
                 # any in-memory state changes. A crash after this line
                 # replays the batch; a crash before it loses only the call.
-                self._store.log_append(new_columns)
-            prior_view = getattr(self.ptable, "_fused_view", None)
-            self.ptable = append_rows(self.ptable, new_columns)
-            # Carry the fused executor view over incrementally: only the
-            # new partition's row ids are materialized and rows encoded
-            # (mirrors the sketch index). Queries picked before this point
-            # keep executing on their snapshot table — append_rows builds
-            # new objects; the old table, view and encodings are never written.
-            fused_view(self.ptable, prior=prior_view)
-            partition = self.ptable[self.ptable.num_partitions - 1]
-            append_partition_statistics(self.statistics, partition)
-            self.feature_builder.refresh()
-            if self._picker is not None:
-                self._picker.dataset = self.statistics
-            return partition.index
+                self._store.log_append(batch)
+            return self._apply(batch)
+
+    def _apply(self, batch: dict) -> int:
+        """The in-memory half of an append: what a live call runs after
+        the journal write and what :meth:`open` runs per replayed batch."""
+        from repro.sketches.builder import append_partition_statistics
+
+        prior_view = getattr(self.ptable, "_fused_view", None)
+        self.ptable = append_rows(self.ptable, batch)
+        # Carry the fused executor view over incrementally: only the
+        # new partition's row ids are materialized and rows encoded
+        # (mirrors the sketch index). Queries picked before this point
+        # keep executing on their snapshot table — append_rows builds
+        # new objects; the old table, view and encodings are never written.
+        fused_view(self.ptable, prior=prior_view)
+        partition = self.ptable[self.ptable.num_partitions - 1]
+        append_partition_statistics(self.statistics, partition)
+        self.feature_builder.refresh()
+        return partition.index
 
     def staleness(self) -> StalenessReport:
         """How far the dataset has drifted since the model was trained."""
         from repro.sketches.builder import recompute_global_heavy_hitters
 
-        trained_on = (
-            len(self.training_data.contributions[0])
-            if self.training_data and self.training_data.contributions
-            else self.statistics.num_partitions
-        )
-        added = self.statistics.num_partitions - trained_on
+        added = self.statistics.num_partitions - self._trained_on
         fraction_new = added / max(self.statistics.num_partitions, 1)
 
         fresh = recompute_global_heavy_hitters(self.statistics)

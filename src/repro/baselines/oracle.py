@@ -17,7 +17,6 @@ from repro.core.training import PickerModel
 from repro.engine.batch_executor import BatchExecutor
 from repro.engine.query import Query
 from repro.engine.table import PartitionedTable
-from repro.sketches.builder import DatasetStatistics
 
 
 class OraclePicker(PS3Picker):
@@ -30,11 +29,10 @@ class OraclePicker(PS3Picker):
     def __init__(
         self,
         model: PickerModel,
-        dataset: DatasetStatistics,
         ptable: PartitionedTable,
         config: PickerConfig | None = None,
     ) -> None:
-        super().__init__(model, dataset, config)
+        super().__init__(model, config)
         self.ptable = ptable
 
     def _group_inliers(

@@ -141,16 +141,11 @@ class ExperimentContext:
     # -- method constructors -----------------------------------------------------
 
     def ps3_picker(self, config: PickerConfig | None = None) -> PS3Picker:
-        return PS3Picker(
-            self.model, self.statistics, config or PickerConfig(seed=self.profile.seed)
-        )
+        return PS3Picker(self.model, config or PickerConfig(seed=self.profile.seed))
 
     def oracle_picker(self, config: PickerConfig | None = None) -> OraclePicker:
         return OraclePicker(
-            self.model,
-            self.statistics,
-            self.ptable,
-            config or PickerConfig(seed=self.profile.seed),
+            self.model, self.ptable, config or PickerConfig(seed=self.profile.seed)
         )
 
     def random_sampler(self, seed_offset: int = 0) -> RandomSampler:

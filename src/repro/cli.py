@@ -16,8 +16,9 @@ model files. The CLI manages that lifecycle::
     ps3-repro metrics --deploy ./deploy --queries 5
 
 ``train`` writes ``manifest.json``, ``stats.ps3stats`` and
-``model.json``; ``query`` and ``evaluate`` rebuild the table from the
-manifest and answer through the trained picker. ``append`` journals a
+``model.json``; ``query``, ``evaluate`` and ``metrics`` rebuild the table
+from the manifest, reopen the system with ``PS3.open`` and answer through
+``PS3.query`` like any other caller. ``append`` journals a
 synthetic batch to the write-ahead log (``stats.ps3wal``) before
 anything else changes, and ``checkpoint`` folds the journal into a
 fresh atomic statistics bundle — every command recovers cleanly from a
@@ -34,20 +35,16 @@ import time
 from pathlib import Path
 
 from repro.api import PS3, resolve_budget
-from repro.core.metrics import evaluate_errors, mean_report
-from repro.core.picker import PickerConfig, PS3Picker
+from repro.core.metrics import mean_report
+from repro.core.picker import PickerConfig
 from repro.core.training import TrainingConfig
 from repro.datasets.registry import DATASETS, get_dataset
-from repro.engine.combiner import finalize_answer
-from repro.engine.executor import true_answer
 from repro.engine.layout import append_rows
-from repro.engine.serving import answer_selections
 from repro.engine.sql import parse_query
 from repro.errors import ConfigError, ReproError
 from repro.storage import (
     StatisticsStore,
-    load_model,
-    replay_batch_into_statistics,
+    recover_statistics_bundle,
     save_model,
     save_statistics,
 )
@@ -135,14 +132,15 @@ def _append_batch_columns(spec, manifest: dict, rows: int, seed: int) -> dict:
 
 
 def _load_deployment(deploy: str):
-    """Recover a deployment: checkpoint (``.bak`` fallback) + WAL replay.
+    """Reopen a deployment: rebuild its table, then ``PS3.open``.
 
-    Appended rows come from two places. Batches not yet folded into the
-    checkpoint are replayed straight from the journal (the columns are
-    in the record) into both the table and the statistics. Batches
-    already folded are in the statistics but not the journal — their
-    rows are regenerated from the manifest's ``appends`` entries (every
-    batch is a seeded synthetic sample, so regeneration is exact).
+    The table as of the checkpoint is the manifest's seeded base plus
+    the appended batches already folded into the bundle, regenerated
+    from the manifest's ``appends`` entries (every batch is a seeded
+    synthetic sample, so regeneration is exact). Batches not yet folded
+    are in the journal, rows included; ``PS3.open`` replays them into
+    table and statistics alike. The bundle is read twice: here for the
+    journal stamp that says where the folded batches end, then by it.
     """
     directory = Path(deploy)
     manifest = json.loads((directory / _MANIFEST).read_text())
@@ -153,23 +151,20 @@ def _load_deployment(deploy: str):
         manifest["layout"],
         seed=manifest["seed"],
     )
-    store = StatisticsStore(directory)
-    bundle, batches = store.load()
-    statistics = bundle.statistics
+    folded = recover_statistics_bundle(directory / _STATS).wal_applied_seq
     for entry in manifest.get("appends", ()):
-        if entry["seq"] <= bundle.wal_applied_seq:
+        if entry["seq"] <= folded:
             ptable = append_rows(
                 ptable,
                 _append_batch_columns(
                     spec, manifest, entry["rows"], entry["seed"]
                 ),
             )
-    for batch in batches:
-        ptable = append_rows(ptable, batch.columns)
-        replay_batch_into_statistics(statistics, batch.columns, bundle.index)
-    model = load_model(directory / _MODEL, statistics, index=bundle.index)
-    picker = PS3Picker(model, statistics, PickerConfig(seed=manifest["seed"]))
-    return manifest, spec, ptable, picker
+    config = PickerConfig(seed=manifest["seed"])
+    system = PS3.open(
+        ptable, spec.workload(), directory, directory / _MODEL, picker_config=config
+    )
+    return manifest, system
 
 
 def _cmd_append(args: argparse.Namespace) -> int:
@@ -204,10 +199,8 @@ def _cmd_checkpoint(args: argparse.Namespace) -> int:
     directory = Path(args.deploy)
     manifest = json.loads((directory / _MANIFEST).read_text())
     store = StatisticsStore(directory)
-    bundle, batches = store.load()
-    statistics = bundle.statistics
-    for batch in batches:
-        replay_batch_into_statistics(statistics, batch.columns, bundle.index)
+    bundle, batches = store.load()  # for the batches' seq and meta
+    statistics, index = store.load_statistics()
     # Reconcile the manifest before truncating the journal: an append
     # that crashed between its WAL record and its manifest entry must
     # get the entry now, while the batch metadata is still journaled.
@@ -241,9 +234,7 @@ def _cmd_checkpoint(args: argparse.Namespace) -> int:
         directory / _MANIFEST, json.dumps(manifest, indent=2).encode("utf-8")
     )
     applied = store.checkpoint(
-        statistics,
-        index=bundle.index,
-        plan_cache_keys=bundle.plan_cache_keys,
+        statistics, index=index, plan_cache_keys=bundle.plan_cache_keys
     )
     print(
         f"folded {len(batches)} journaled batches into {directory / _STATS} "
@@ -261,27 +252,31 @@ def _resolve_budget(budget: float, num_partitions: int) -> int:
     return resolve_budget(num_partitions, budget_fraction=budget)
 
 
-def _cmd_query(args: argparse.Namespace) -> int:
-    manifest, __, ptable, picker = _load_deployment(args.deploy)
-    query = parse_query(args.sql, ptable.schema)
-    budget = _resolve_budget(args.budget, ptable.num_partitions)
-    started = time.perf_counter()
-    result = picker.select(query, budget)
-    select_ms = (time.perf_counter() - started) * 1e3
-    answer = answer_selections(ptable, [(query, result.selection)])[0]
-    labels = [a.label() for a in query.aggregates]
-    print(
-        f"read {len(result.selection)}/{ptable.num_partitions} partitions "
-        f"({len(result.outliers)} outliers) in {select_ms:.1f} ms"
+def _workload_queries(manifest: dict, system: PS3, count: int) -> list:
+    generator = QueryGenerator(
+        system.workload, system.ptable.table, seed=manifest["seed"] + 999
     )
-    header = ["group"] + labels
-    print("\t".join(header))
-    for key in sorted(answer, key=repr):
-        rendered = [repr(key)] + [f"{v:.4f}" for v in answer[key]]
+    return generator.sample_queries(count)
+
+
+def _cmd_query(args: argparse.Namespace) -> int:
+    __, system = _load_deployment(args.deploy)
+    query = parse_query(args.sql, system.ptable.schema)
+    budget = _resolve_budget(args.budget, system.ptable.num_partitions)
+    started = time.perf_counter()
+    answer = system.query(query, budget_partitions=budget)
+    query_ms = (time.perf_counter() - started) * 1e3
+    picked = answer.selection
+    print(
+        f"read {len(picked.selection)}/{answer.num_partitions} partitions "
+        f"({len(picked.outliers)} outliers) in {query_ms:.1f} ms"
+    )
+    print("\t".join(["group", *answer.aggregate_labels()]))
+    for key in sorted(answer.groups, key=repr):
+        rendered = [repr(key)] + [f"{v:.4f}" for v in answer.groups[key]]
         print("\t".join(rendered))
     if args.exact:
-        exact = finalize_answer(query, true_answer(ptable, query))
-        report = evaluate_errors(exact, answer)
+        report = system.evaluate(query, answer)
         print(
             f"vs exact: avg rel err {report.avg_relative_error:.4f}, "
             f"missed groups {report.missed_groups:.4f}"
@@ -290,20 +285,13 @@ def _cmd_query(args: argparse.Namespace) -> int:
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
-    manifest, spec, ptable, picker = _load_deployment(args.deploy)
-    workload = spec.workload()
-    generator = QueryGenerator(
-        workload, ptable.table, seed=manifest["seed"] + 999
+    manifest, system = _load_deployment(args.deploy)
+    queries = _workload_queries(manifest, system, args.queries)
+    budget = _resolve_budget(args.budget, system.ptable.num_partitions)
+    answers = system.query_many(queries, budget_partitions=budget)
+    mean = mean_report(
+        [system.evaluate(query, answer) for query, answer in zip(queries, answers)]
     )
-    queries = generator.sample_queries(args.queries)
-    budget = _resolve_budget(args.budget, ptable.num_partitions)
-    reports = []
-    for query in queries:
-        result = picker.select(query, budget)
-        answer = answer_selections(ptable, [(query, result.selection)])[0]
-        exact = finalize_answer(query, true_answer(ptable, query))
-        reports.append(evaluate_errors(exact, answer))
-    mean = mean_report(reports)
     print(
         f"{len(queries)} random workload queries @ {budget} partitions: "
         f"avg rel err {mean.avg_relative_error:.4f}, "
@@ -314,24 +302,14 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def _cmd_metrics(args: argparse.Namespace) -> int:
-    from repro.obs import get_registry
-
-    manifest, spec, ptable, picker = _load_deployment(args.deploy)
+    manifest, system = _load_deployment(args.deploy)
     if args.queries > 0:
         # Drive the engine plane so the snapshot shows live counters and
         # latency histograms, not just the load-time storage metrics.
-        workload = spec.workload()
-        generator = QueryGenerator(
-            workload, ptable.table, seed=manifest["seed"] + 999
-        )
-        queries = generator.sample_queries(args.queries)
-        budget = _resolve_budget(args.budget, ptable.num_partitions)
-        pairs = [
-            (query, picker.select(query, budget).selection)
-            for query in queries
-        ]
-        answer_selections(ptable, pairs)
-    print(json.dumps(get_registry().snapshot(), indent=2))
+        queries = _workload_queries(manifest, system, args.queries)
+        budget = _resolve_budget(args.budget, system.ptable.num_partitions)
+        system.query_many(queries, budget_partitions=budget)
+    print(json.dumps(system.metrics(), indent=2))
     return 0
 
 

@@ -40,13 +40,6 @@ class ErrorReport:
     avg_relative_error: float
     abs_over_true: float
 
-    def as_dict(self) -> dict[str, float]:
-        return {
-            "missed_groups": self.missed_groups,
-            "avg_relative_error": self.avg_relative_error,
-            "abs_over_true": self.abs_over_true,
-        }
-
 
 #: Empty true answer, empty estimate: an exact approximation.
 _EMPTY_TRUTH_EXACT = ErrorReport(0.0, 0.0, 0.0)

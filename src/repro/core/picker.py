@@ -33,7 +33,6 @@ from repro.core.training import PickerModel
 from repro.engine.combiner import WeightedChoice
 from repro.engine.query import Query
 from repro.errors import ConfigError
-from repro.sketches.builder import DatasetStatistics
 
 
 @dataclass(frozen=True)
@@ -100,16 +99,12 @@ class PickerSelection:
 
 
 class PS3Picker:
-    """Online partition picker bound to a trained model and statistics."""
+    """Online partition picker bound to a trained model and its statistics."""
 
     def __init__(
-        self,
-        model: PickerModel,
-        dataset: DatasetStatistics,
-        config: PickerConfig | None = None,
+        self, model: PickerModel, config: PickerConfig | None = None
     ) -> None:
         self.model = model
-        self.dataset = dataset
         self.config = config or PickerConfig()
         self._rng = np.random.default_rng(self.config.seed)
         # Feature selection (Algorithm 3) may bar families from clustering.
@@ -183,7 +178,7 @@ class PS3Picker:
             # The builder's columnar sketch index batches the signature
             # grouping — the last per-partition loop on the select path.
             candidates = find_outliers(
-                self.dataset,
+                self.model.feature_builder.dataset,
                 query.group_by,
                 passing,
                 OutlierConfig(),

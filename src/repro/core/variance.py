@@ -1,10 +1,9 @@
 """Estimator variance analysis (paper Appendix D).
 
-Provides the Horvitz–Thompson variance estimators the appendix derives for
+Provides the Horvitz–Thompson population variance the appendix derives for
 Poisson (Bernoulli) sampling, the partition-vs-row decomposition (Eq. 3-5:
 partition-level sampling adds a same-partition covariance term, so at
-equal sampling fraction its variance dominates row-level sampling), the
-stratified-SRSWoR variance of the *unbiased* cluster estimator (D.1), and
+equal sampling fraction its variance dominates row-level sampling), and
 normal-approximation confidence intervals.
 """
 
@@ -20,23 +19,6 @@ from repro.errors import ConfigError
 def _check_probability(p: float) -> None:
     if not 0.0 < p <= 1.0:
         raise ConfigError("inclusion probability must be in (0, 1]")
-
-
-def ht_estimate(sampled_values: np.ndarray, p: float) -> float:
-    """Horvitz–Thompson total estimate under Bernoulli(p) sampling."""
-    _check_probability(p)
-    return float(np.sum(sampled_values) / p)
-
-
-def ht_variance_estimate(sampled_values: np.ndarray, p: float) -> float:
-    """Eq. 3 / Eq. 4: estimated variance of the HT total from a sample.
-
-    Works for partition-level sampling (values = per-partition aggregates)
-    and row-level sampling (values = per-row contributions) alike.
-    """
-    _check_probability(p)
-    factor = 1.0 / p**2 - 1.0 / p
-    return float(factor * np.sum(np.square(sampled_values)))
 
 
 def ht_true_variance(values: np.ndarray, p: float) -> float:
@@ -70,25 +52,6 @@ def partition_vs_row_variance(
     part_var = float(factor * np.sum(np.square(partition_totals)))
     cross = part_var - row_var
     return row_var, part_var, cross
-
-
-def stratified_unbiased_variance(strata_values: list[np.ndarray]) -> float:
-    """Variance of the unbiased cluster estimator (Appendix D.1).
-
-    Each stratum (cluster) of size ``s`` contributes ``s * y_j`` where
-    ``y_j`` is a uniformly chosen member: the stratum-total estimator is
-    unbiased with variance ``s^2 * Var_uniform(y) = s * sum((y - mean)^2)``.
-    Strata are sampled independently, so variances add.
-    """
-    total = 0.0
-    for values in strata_values:
-        values = np.asarray(values, dtype=np.float64)
-        s = values.size
-        if s <= 1:
-            continue
-        centered = values - values.mean()
-        total += float(s * np.sum(np.square(centered)))
-    return total
 
 
 def confidence_interval(

@@ -13,6 +13,7 @@ import threading
 
 import numpy as np
 
+from repro.engine.schema import Schema
 from repro.engine.table import PartitionedTable, Table
 from repro.errors import ConfigError
 
@@ -94,6 +95,27 @@ class _Tail:
             return fits
 
 
+def validate_batch(
+    schema: Schema, new_columns: dict[str, np.ndarray]
+) -> dict[str, np.ndarray]:
+    """One appended batch as arrays of the schema's kinds, in schema order.
+
+    The check every batch passes before it is journaled, applied or
+    replayed: a wrong column set, ragged or empty columns are a
+    ``ConfigError``, a column of the wrong kind a ``SchemaError``.
+    Already-normalised columns come back as they are (no copy).
+    """
+    if set(new_columns) != set(schema.names):
+        missing = set(schema.names) - set(new_columns)
+        extra = set(new_columns) - set(schema.names)
+        raise ConfigError(f"append column mismatch: missing={missing} extra={extra}")
+    new = {name: np.asarray(new_columns[name]) for name in schema.names}
+    lengths = {len(arr) for arr in new.values()}
+    if len(lengths) != 1 or 0 in lengths:
+        raise ConfigError("appended columns must be equal-length and non-empty")
+    return Table(schema, new).columns
+
+
 def append_rows(
     ptable: PartitionedTable, new_columns: dict[str, np.ndarray]
 ) -> PartitionedTable:
@@ -106,16 +128,9 @@ def append_rows(
     behind them (see :class:`_Tail`), which the next append fills; the
     whole table is copied only when the spare runs out.
     """
-    if set(new_columns) != set(ptable.schema.names):
-        missing = set(ptable.schema.names) - set(new_columns)
-        extra = set(new_columns) - set(ptable.schema.names)
-        raise ConfigError(f"append column mismatch: missing={missing} extra={extra}")
-    new = {name: np.asarray(values) for name, values in new_columns.items()}
-    lengths = {len(arr) for arr in new.values()}
-    if len(lengths) != 1 or 0 in lengths:
-        raise ConfigError("appended columns must be equal-length and non-empty")
+    new = validate_batch(ptable.schema, new_columns)
     start = ptable.table.num_rows
-    stop = start + lengths.pop()
+    stop = start + len(next(iter(new.values())))
     tail = getattr(ptable.table, "_tail", None)
     if tail is None or not tail.claim(ptable.table.columns, stop, new):
         buffers = {}

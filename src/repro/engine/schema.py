@@ -29,11 +29,6 @@ class ColumnKind(enum.Enum):
     CATEGORICAL = "categorical"
     DATE = "date"
 
-    @property
-    def is_numeric_like(self) -> bool:
-        """Whether values order numerically (numeric and date columns)."""
-        return self is not ColumnKind.CATEGORICAL
-
 
 @dataclass(frozen=True)
 class Column:
@@ -80,10 +75,6 @@ class Column:
     def is_categorical(self) -> bool:
         return self.kind is ColumnKind.CATEGORICAL
 
-    @property
-    def is_date(self) -> bool:
-        return self.kind is ColumnKind.DATE
-
 
 @dataclass(frozen=True)
 class Schema:
@@ -125,20 +116,6 @@ class Schema:
     @property
     def names(self) -> tuple[str, ...]:
         return tuple(col.name for col in self.columns)
-
-    def numeric_names(self) -> tuple[str, ...]:
-        """Names of NUMERIC columns (usable in aggregate expressions)."""
-        return tuple(c.name for c in self.columns if c.is_numeric)
-
-    def categorical_names(self) -> tuple[str, ...]:
-        return tuple(c.name for c in self.columns if c.is_categorical)
-
-    def date_names(self) -> tuple[str, ...]:
-        return tuple(c.name for c in self.columns if c.is_date)
-
-    def numeric_like_names(self) -> tuple[str, ...]:
-        """Numeric plus date columns: everything that orders numerically."""
-        return tuple(c.name for c in self.columns if c.kind.is_numeric_like)
 
     def require(self, name: str, *kinds: ColumnKind) -> Column:
         """Return the column, checking it exists and matches a kind.

@@ -259,11 +259,6 @@ class ServingStats:
         if size > 1:
             self._counters["batched_queries"].inc(size)
 
-    @property
-    def mean_batch_size(self) -> float:
-        batches = self._counters["batches"].value
-        return self._counters["queries"].value / batches if batches else 0.0
-
 
 @dataclass(frozen=True)
 class ServingHealth:

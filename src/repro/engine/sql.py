@@ -305,71 +305,3 @@ class _Parser:
 def parse_query(text: str, schema: Schema) -> Query:
     """Parse a PS3-scope SQL string against a table schema."""
     return _Parser(text, schema).parse_query()
-
-
-# ---------------------------------------------------------------------------
-# Rendering (the inverse: Query AST -> parseable SQL text)
-# ---------------------------------------------------------------------------
-
-
-def _render_expression(expr: Expression) -> str:
-    if isinstance(expr, ColumnRef):
-        return expr.name
-    if isinstance(expr, Const):
-        return repr(expr.value)
-    if isinstance(expr, BinOp):
-        return (
-            f"({_render_expression(expr.left)} {expr.op} "
-            f"{_render_expression(expr.right)})"
-        )
-    raise QueryScopeError(f"cannot render expression {expr!r}")
-
-
-def _quote(value: str) -> str:
-    return "'" + value.replace("'", "\\'") + "'"
-
-
-def _render_predicate(predicate: Predicate) -> str:
-    if isinstance(predicate, Comparison):
-        op = {"==": "=", "!=": "<>"}.get(predicate.op, predicate.op)
-        # Floats normalize integer-valued comparisons (dates carry ints;
-        # the parser produces floats) so rendering is idempotent.
-        return f"{predicate.column} {op} {float(predicate.value)!r}"
-    if isinstance(predicate, InSet):
-        values = ", ".join(_quote(str(v)) for v in sorted(predicate.values))
-        return f"{predicate.column} IN ({values})"
-    if isinstance(predicate, Contains):
-        return f"{predicate.column} LIKE {_quote('%' + predicate.text + '%')}"
-    if isinstance(predicate, Not):
-        return f"NOT ({_render_predicate(predicate.child)})"
-    if isinstance(predicate, And):
-        return " AND ".join(
-            f"({_render_predicate(c)})" for c in predicate.children
-        )
-    if isinstance(predicate, Or):
-        return " OR ".join(
-            f"({_render_predicate(c)})" for c in predicate.children
-        )
-    raise QueryScopeError(f"cannot render predicate {predicate!r}")
-
-
-def _render_aggregate(aggregate: Aggregate) -> str:
-    if aggregate.expr is None:
-        return "COUNT(*)"
-    return f"{aggregate.func.value}({_render_expression(aggregate.expr)})"
-
-
-def render_sql(query: Query) -> str:
-    """Render a Query back to SQL text accepted by :func:`parse_query`.
-
-    Round-tripping preserves semantics but not necessarily structure:
-    single-value ``IN`` sets reparse as ``IN``, parenthesization is
-    canonicalized, and numeric literals render via ``repr``. Useful for
-    query logging and for serializing workloads.
-    """
-    parts = ["SELECT " + ", ".join(_render_aggregate(a) for a in query.aggregates)]
-    if query.predicate is not None:
-        parts.append("WHERE " + _render_predicate(query.predicate))
-    if query.group_by:
-        parts.append("GROUP BY " + ", ".join(query.group_by))
-    return " ".join(parts)

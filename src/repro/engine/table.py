@@ -150,6 +150,3 @@ class PartitionedTable:
 
     def __getitem__(self, index: int) -> Partition:
         return self.partitions[index]
-
-    def partition_sizes(self) -> np.ndarray:
-        return np.diff(np.asarray(self.boundaries))

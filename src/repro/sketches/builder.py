@@ -30,9 +30,9 @@ partition it appears in), and the per-sketch batch constructors
 .build_segmented``) replay the per-partition constructions bit for bit
 from those shared segments. The offline build
 (``build_dataset_statistics``) runs it over all partitions,
-``build_partition_statistics`` — hence ``append_partition_statistics``
-(``PS3.append``) and WAL replay — over one, so build, append and recovery
-seal identically.
+``seal_appended_columns`` — which ``append_partition_statistics``
+(``PS3.append``) and WAL replay both call — over one, so build, append
+and recovery seal identically.
 
 The scalar ``build_column_statistics`` constructs every sketch of one
 partition slice on its own. The plane hands it the columns a
@@ -139,9 +139,6 @@ class DatasetStatistics:
     def num_partitions(self) -> int:
         return len(self.partitions)
 
-    def column_stats(self, partition: int, column: str) -> ColumnStatistics:
-        return self.partitions[partition].columns[column]
-
     def average_partition_size_bytes(self) -> float:
         if not self.partitions:
             return 0.0
@@ -180,25 +177,34 @@ def build_column_statistics(
     return stats
 
 
+def _seal_columns(
+    schema: Schema, columns: dict[str, np.ndarray], index: int, config: SketchConfig
+) -> PartitionStatistics:
+    """Sketches for every column of one partition's rows: the
+    one-segment case of :func:`build_column_statistics_batch`."""
+    num_rows = len(columns[schema.names[0]])
+    offsets = np.array([0, num_rows], dtype=np.int64)
+    return PartitionStatistics(
+        partition_index=index,
+        num_rows=num_rows,
+        columns={
+            column.name: build_column_statistics_batch(
+                column, columns[column.name], offsets, config
+            )[0]
+            for column in schema
+        },
+    )
+
+
 def build_partition_statistics(
     partition: Partition, config: SketchConfig | None = None
 ) -> PartitionStatistics:
-    """One pass over a partition: sketches for every column.
-
-    The one-segment case of :func:`build_column_statistics_batch`.
-    """
-    config = config or SketchConfig()
-    offsets = np.array([0, partition.num_rows], dtype=np.int64)
-    columns = {
-        column.name: build_column_statistics_batch(
-            column, partition.column(column.name), offsets, config
-        )[0]
-        for column in partition.table.schema
-    }
-    return PartitionStatistics(
-        partition_index=partition.index,
-        num_rows=partition.num_rows,
-        columns=columns,
+    """One pass over a partition: sketches for every column."""
+    return _seal_columns(
+        partition.table.schema,
+        partition.columns,
+        partition.index,
+        config or SketchConfig(),
     )
 
 
@@ -221,20 +227,31 @@ def _global_heavy_hitters(
     return tuple(value for value, __ in ranked[: config.bitmap_k])
 
 
-def append_partition_statistics(
-    dataset: DatasetStatistics, partition: Partition
+def seal_appended_columns(
+    dataset: DatasetStatistics, columns: dict[str, np.ndarray]
 ) -> PartitionStatistics:
-    """Seal statistics for a newly appended partition.
+    """Seal one validated batch of rows as the dataset's next partition.
 
-    The new partition's sketches are added to the dataset; the *global*
-    heavy hitters are deliberately left frozen so feature schemas (and
-    hence trained models) stay valid. Use
+    The one place an appended batch becomes statistics: a live append
+    (:func:`append_partition_statistics`) and journal replay both end
+    here. The new partition's sketches are added to the dataset; the
+    *global* heavy hitters are deliberately left frozen so feature
+    schemas (and hence trained models) stay valid. Use
     :func:`recompute_global_heavy_hitters` to measure drift and decide on
     retraining.
     """
-    pstats = build_partition_statistics(partition, dataset.config)
+    pstats = _seal_columns(
+        dataset.schema, columns, dataset.num_partitions, dataset.config
+    )
     dataset.partitions.append(pstats)
     return pstats
+
+
+def append_partition_statistics(
+    dataset: DatasetStatistics, partition: Partition
+) -> PartitionStatistics:
+    """Seal a table's newly appended partition (the live append call)."""
+    return seal_appended_columns(dataset, partition.columns)
 
 
 def recompute_global_heavy_hitters(

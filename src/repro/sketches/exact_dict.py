@@ -117,21 +117,12 @@ class ExactDictionary:
             return 0.0
         return self.fractions().get(value, 0.0)
 
-    def fraction_in(self, values) -> float:
-        if not self.usable or self.total == 0:
-            return 0.0
-        hit = sum(self.counts.get(str(v), 0) for v in values)
-        return hit / self.total
-
     def fraction_containing(self, text: str) -> float:
         """Exact fraction of rows whose value contains ``text``."""
         if not self.usable or self.total == 0:
             return 0.0
         hit = sum(count for value, count in self.counts.items() if text in value)
         return hit / self.total
-
-    def distinct_count(self) -> int:
-        return len(self.counts) if self.usable else 0
 
     # -- serialization -----------------------------------------------------
 

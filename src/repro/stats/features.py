@@ -141,12 +141,6 @@ class FeatureSchema:
             seen.setdefault(info.family, None)
         return tuple(seen)
 
-    def family_indices(self, family: str) -> np.ndarray:
-        return np.array(
-            [info.index for info in self.features if info.family == family],
-            dtype=np.intp,
-        )
-
     def category_indices(self, category: str) -> np.ndarray:
         return np.array(
             [info.index for info in self.features if info.category == category],
@@ -244,9 +238,6 @@ class FeatureBuilder:
             self._index = ColumnarSketchIndex.build(dataset)
         self._static = self._static_rows(0, dataset.num_partitions)
         self._live_memo: dict[tuple, np.ndarray] = {}
-        # Last partition the index has absorbed: lets refresh() distinguish
-        # pure appends (incremental) from wholesale replacement (rebuild).
-        self._tail = dataset.partitions[-1] if dataset.partitions else None
 
     def _static_rows(self, start: int, stop: int) -> np.ndarray:
         """Static feature rows for partitions ``[start, stop)``."""
@@ -279,30 +270,20 @@ class FeatureBuilder:
     def refresh(self) -> None:
         """Extend static features after partitions were appended.
 
-        Incremental: when the dataset only grew, just the appended
-        partitions' sketches are exported into the columnar index and
-        appended as new static rows; existing rows are never recomputed.
-        If the partition list shrank or was replaced wholesale (the old
-        tail partition is gone), everything is rebuilt from scratch. The
-        feature *schema* (including bitmap widths, which derive from the
-        global heavy hitters frozen at construction) stays fixed so
-        trained models remain applicable. Retrain when the dataset
-        drifts (see ``PS3.staleness``).
+        Incremental: just the appended partitions' sketches are exported
+        into the columnar index and appended as new static rows;
+        existing rows are never recomputed. Statistics only grow, and
+        whoever grows them (``PS3.append``, journal replay) calls this
+        before the next query. The feature *schema* (including bitmap
+        widths, which derive from the global heavy hitters frozen at
+        construction) stays fixed so trained models remain applicable.
+        Retrain when the dataset drifts (see ``PS3.staleness``).
         """
-        n = self.dataset.num_partitions
         built = self._static.shape[0]
-        appended_only = (
-            n >= built
-            and built > 0
-            and self.dataset.partitions[built - 1] is self._tail
-        )
-        if not appended_only and built > 0:
-            self._index = ColumnarSketchIndex.build(self.dataset)
-            self._static = self._static_rows(0, n)
-        elif n > built:
+        n = self.dataset.num_partitions
+        if n > built:
             self._index.extend(self.dataset)
             self._static = np.vstack([self._static, self._static_rows(built, n)])
-        self._tail = self.dataset.partitions[-1] if self.dataset.partitions else None
 
     def _plan_for(self, predicate: Predicate | None) -> PredicatePlan:
         """Compiled plan for ``predicate``, memoized in the shared cache."""
@@ -330,8 +311,6 @@ class FeatureBuilder:
 
     def features_for_query(self, query: Query) -> QueryFeatures:
         """Masked static features + selectivity estimates for ``query``."""
-        if self._index.num_partitions != self.dataset.num_partitions:
-            self.refresh()  # appends that bypassed refresh()
         n = self.dataset.num_partitions
         matrix = np.zeros((n, self.schema.dimension), dtype=np.float64)
         live = self._live_columns(query)

@@ -200,10 +200,6 @@ class PredicatePlan:
     def __init__(self, ops: tuple) -> None:
         self.ops = ops
 
-    @property
-    def num_ops(self) -> int:
-        return len(self.ops)
-
     # -- compilation -------------------------------------------------------
 
     @classmethod
@@ -332,18 +328,6 @@ class PlanCache:
 
     def __len__(self) -> int:
         return len(self._plans)
-
-    def keys(self) -> tuple[str, ...]:
-        """Sorted ``repr`` keys of the cached predicates (diagnostics).
-
-        Beware when persisting: a shared cache (the default for
-        ``FeatureBuilder``) accumulates predicates from *every* workload
-        in the process, so artifacts scoped to one deployment should
-        derive their keys from that deployment's own queries the way
-        ``cli train`` does, not from here.
-        """
-        with self._lock:
-            return tuple(sorted(repr(predicate) for predicate in self._plans))
 
     def clear(self) -> None:
         with self._lock:

@@ -53,9 +53,6 @@ class SelectivityEstimate:
     def exact(cls, value: float) -> SelectivityEstimate:
         return cls(value, value, value, value, value)
 
-    def as_tuple(self) -> tuple[float, float, float, float, float]:
-        return (self.upper, self.lower, self.indep, self.clause_min, self.clause_max)
-
 
 _FULL = SelectivityEstimate.exact(1.0)
 

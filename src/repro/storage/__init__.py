@@ -33,7 +33,6 @@ from repro.storage.atomic import (
 from repro.storage.model_io import load_model, save_model
 from repro.storage.stats_io import (
     StatisticsBundle,
-    load_statistics,
     load_statistics_bundle,
     recover_statistics_bundle,
     save_statistics,
@@ -54,7 +53,6 @@ __all__ = [
     "atomic_write_bytes",
     "backup_path",
     "load_model",
-    "load_statistics",
     "load_statistics_bundle",
     "read_with_retry",
     "recover_statistics_bundle",

@@ -441,14 +441,6 @@ def _index_from_manifest(
         return None
 
 
-def load_statistics(
-    path: str | Path, *, io: FileIO | None = None
-) -> DatasetStatistics:
-    """Read dataset statistics written by :func:`save_statistics`."""
-    manifest, blob = _read_manifest(path, io=io)
-    return _statistics_from_manifest(manifest, blob)
-
-
 def load_statistics_bundle(
     path: str | Path, *, io: FileIO | None = None
 ) -> StatisticsBundle:

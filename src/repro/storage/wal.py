@@ -18,8 +18,8 @@ this codebase:
   journal. A crash between those two steps is harmless: replay skips
   records at or below the stamp, so batches are never applied twice.
 * :func:`replay_batch_into_statistics` — applies one journal batch via
-  the exact machinery live appends use
-  (``build_partition_statistics`` + ``ColumnarSketchIndex.extend``), so
+  the exact machinery live appends use (``validate_batch``, then
+  ``seal_appended_columns`` + ``ColumnarSketchIndex.extend``), so
   append → crash → replay is bit-identical to append without a crash —
   the property the kill-point suite asserts, differentially.
 
@@ -51,16 +51,15 @@ import numpy as np
 
 from repro.obs import get_registry, trace_span
 
-from repro.engine.table import PartitionedTable, Table
+from repro.engine.layout import validate_batch
 from repro.errors import (
+    ConfigError,
     DegradedLoadWarning,
+    SchemaError,
     StorageError,
     WalReplayError,
 )
-from repro.sketches.builder import (
-    DatasetStatistics,
-    build_partition_statistics,
-)
+from repro.sketches.builder import DatasetStatistics, seal_appended_columns
 from repro.sketches.columnar import ColumnarSketchIndex
 from repro.storage.atomic import (
     FileIO,
@@ -283,19 +282,13 @@ def replay_batch_into_statistics(
 ) -> None:
     """Apply one journaled batch to in-memory statistics.
 
-    Runs the same seal path a live ``PS3.append`` runs
-    (``build_partition_statistics`` on the new rows, then
-    ``ColumnarSketchIndex.extend``), so recovered statistics are
-    bit-identical to the never-crashed timeline.
+    Runs what a live ``PS3.append`` runs — ``validate_batch``, then
+    ``seal_appended_columns`` and ``ColumnarSketchIndex.extend`` — so
+    recovered statistics are bit-identical to the never-crashed
+    timeline, and a batch a live append would reject raises the same
+    typed error here.
     """
-    table = Table(
-        stats.schema,
-        {name: np.asarray(columns[name]) for name in stats.schema.names},
-    )
-    ptable = PartitionedTable(table, (0, table.num_rows))
-    pstats = build_partition_statistics(ptable[0], stats.config)
-    pstats.partition_index = stats.num_partitions
-    stats.partitions.append(pstats)
+    seal_appended_columns(stats, validate_batch(stats.schema, columns))
     if index is not None:
         index.extend(stats)
 
@@ -358,9 +351,32 @@ class StatisticsStore:
             return applied
 
     def load(self) -> tuple[StatisticsBundle, list[WalBatch]]:
-        """The last good checkpoint plus the journal batches after it."""
+        """The last good checkpoint plus the journal batches after it.
+
+        The batches are validated against the checkpoint's schema, so
+        what comes back can be applied as it is. A journal written
+        before validation preceded the journal write may hold a batch
+        its live system rejected and never applied: replay skips it
+        with a :class:`DegradedLoadWarning`
+        (``reason="wal-rejected-batch"``).
+        """
         bundle = recover_statistics_bundle(self.stats_path, io=self.io)
-        return bundle, self.wal.replay(after_seq=bundle.wal_applied_seq)
+        batches = []
+        for batch in self.wal.replay(after_seq=bundle.wal_applied_seq):
+            try:
+                columns = validate_batch(bundle.statistics.schema, batch.columns)
+            except (ConfigError, SchemaError) as error:
+                warnings.warn(
+                    DegradedLoadWarning(
+                        f"WAL {self.wal.path}: skipping record {batch.seq}, "
+                        f"which no live system can have applied ({error})",
+                        reason="wal-rejected-batch",
+                    ),
+                    stacklevel=2,
+                )
+                continue
+            batches.append(WalBatch(batch.seq, columns, batch.meta))
+        return bundle, batches
 
     def load_statistics(
         self,

@@ -17,7 +17,6 @@ from repro.engine.query import Query
 def oracle(trained_ps3):
     return OraclePicker(
         trained_ps3.model,
-        trained_ps3.statistics,
         trained_ps3.ptable,
         PickerConfig(seed=3),
     )
@@ -62,7 +61,6 @@ class TestOracle:
     def test_regressor_lesion_collapses_groups(self, trained_ps3, query):
         oracle = OraclePicker(
             trained_ps3.model,
-            trained_ps3.statistics,
             trained_ps3.ptable,
             PickerConfig(use_regressors=False),
         )

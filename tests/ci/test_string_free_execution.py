@@ -69,7 +69,7 @@ def test_warm_queries_build_nothing_and_touch_no_string_rows(
 ):
     system, queries = system_and_queries
     ptable = system.ptable
-    row_length = int(ptable.partition_sizes().min())
+    row_length = min(len(partition) for partition in ptable)
     string_columns = [
         name for name, arr in ptable.table.columns.items() if arr.dtype.kind == "U"
     ]

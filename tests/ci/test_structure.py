@@ -48,6 +48,15 @@
   process, outliers group by the index's signature codes. Each was a
   selector between two paths with identical output whose other side no
   production caller took.
+* ``PS3Picker.__init__`` takes no ``dataset``; ``repro.cli`` imports none
+  of ``PS3Picker`` / ``answer_selections`` / ``true_answer`` /
+  ``replay_batch_into_statistics``; ``repro.storage.wal`` imports none of
+  ``build_partition_statistics`` / ``Table`` / ``PartitionedTable``;
+  ``FeatureBuilder`` has no ``_tail``; ``PS3.__init__`` takes no
+  ``statistics`` / ``index`` / ``model`` (PR 24): a batch is validated by
+  ``validate_batch`` and sealed by ``seal_appended_columns`` wherever it
+  comes from, persisted state becomes a system through ``PS3.open`` and
+  nowhere else, and the CLI is one more caller of ``PS3.query``.
 * Every ``(module, attribute path)`` the benchmark's tracer patches
   (``TRACED`` in ``benchmarks/e2e/layers.py``, read here, never edited)
   resolves the way the tracer resolves it. A rename would otherwise show
@@ -308,6 +317,53 @@ def test_one_bundle_load_one_seal_schedule_one_outlier_grouping():
         # Dataclass fields are ``__init__`` parameters (``sketch_n_jobs``).
         "repro.bench.profiles.BenchProfile.__init__",
         "repro.bench.runner.ExperimentContext.build",
+    } <= seen
+
+
+def test_one_append_plane_one_way_back_from_disk():
+    import repro.api as api
+    import repro.cli as cli
+    import repro.storage.wal as wal
+    from repro.core.picker import PS3Picker
+    from repro.stats.features import FeatureBuilder
+
+    assert set(inspect.signature(PS3Picker).parameters) == {"model", "config"}
+    for name in (
+        "PS3Picker",
+        "answer_selections",
+        "true_answer",
+        "replay_batch_into_statistics",
+    ):
+        assert not hasattr(cli, name), name
+    for name in ("build_partition_statistics", "Table", "PartitionedTable"):
+        assert not hasattr(wal, name), name
+    assert "_tail" not in inspect.getsource(FeatureBuilder)
+    assert not {"statistics", "index", "model"} & set(
+        inspect.signature(api.PS3).parameters
+    )
+    # Each ban is only a guard if the walk reaches the callables it is
+    # about, and the single implementations are where the doc says.
+    seen = {
+        f"{module_name}.{name}"
+        for module_name in (
+            "repro.api",
+            "repro.core.picker",
+            "repro.engine.layout",
+            "repro.sketches.builder",
+            "repro.storage.wal",
+        )
+        for name, __ in _public_callables(importlib.import_module(module_name))
+    }
+    assert {
+        "repro.api.PS3.__init__",
+        "repro.api.PS3.open",
+        "repro.api.PS3.append",
+        "repro.core.picker.PS3Picker.__init__",
+        "repro.engine.layout.validate_batch",
+        "repro.sketches.builder.seal_appended_columns",
+        "repro.sketches.builder.append_partition_statistics",
+        "repro.storage.wal.replay_batch_into_statistics",
+        "repro.storage.wal.StatisticsStore.load_statistics",
     } <= seen
 
 

@@ -8,6 +8,8 @@ code path.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -133,9 +135,9 @@ def _scalar_features(builder: FeatureBuilder, query) -> QueryFeatures:
     features = FeatureBuilder.features_for_query(builder, query)
     block = builder.schema.selectivity_slice()
     for p, partition in enumerate(builder.dataset.partitions):
-        features.matrix[p, block] = estimate_selectivity(
-            query.predicate, partition
-        ).as_tuple()
+        features.matrix[p, block] = dataclasses.astuple(
+            estimate_selectivity(query.predicate, partition)
+        )
     return features
 
 

@@ -214,11 +214,3 @@ class TestEdgesAndAggregation:
 
     def test_mean_of_nothing(self):
         assert mean_report([]) == ErrorReport(0.0, 0.0, 0.0)
-
-    def test_as_dict(self):
-        report = ErrorReport(0.1, 0.2, 0.3)
-        assert report.as_dict() == {
-            "missed_groups": 0.1,
-            "avg_relative_error": 0.2,
-            "abs_over_true": 0.3,
-        }

@@ -13,7 +13,7 @@ from repro.errors import ConfigError
 
 @pytest.fixture(scope="module")
 def picker(trained_ps3):
-    return PS3Picker(trained_ps3.model, trained_ps3.statistics, PickerConfig(seed=5))
+    return PS3Picker(trained_ps3.model, PickerConfig(seed=5))
 
 
 @pytest.fixture(scope="module")
@@ -76,14 +76,13 @@ class TestComponentToggles:
             Comparison("l_quantity", ">", float(i)) for i in range(6)
         ] + [Comparison("p_size", "<", float(50 - i)) for i in range(6)]
         query = Query([count_star()], Or([And(clauses[:6]), And(clauses[6:])]))
-        picker = PS3Picker(trained_ps3.model, trained_ps3.statistics)
+        picker = PS3Picker(trained_ps3.model)
         result = picker.select(query, budget=4)
         assert not result.used_clustering  # 12 clauses > 10
 
     def test_lesion_no_outliers(self, trained_ps3, grouped_query):
         picker = PS3Picker(
             trained_ps3.model,
-            trained_ps3.statistics,
             PickerConfig(use_outliers=False),
         )
         result = picker.select(grouped_query, budget=5)
@@ -92,7 +91,6 @@ class TestComponentToggles:
     def test_lesion_no_regressors_single_group(self, trained_ps3, grouped_query):
         picker = PS3Picker(
             trained_ps3.model,
-            trained_ps3.statistics,
             PickerConfig(use_regressors=False),
         )
         result = picker.select(grouped_query, budget=5)
@@ -103,7 +101,6 @@ class TestComponentToggles:
     ):
         picker = PS3Picker(
             trained_ps3.model,
-            trained_ps3.statistics,
             PickerConfig(use_clustering=False, use_outliers=False),
         )
         result = picker.select(grouped_query, budget=5)

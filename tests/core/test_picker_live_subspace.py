@@ -65,7 +65,7 @@ def median_distance(block, members, partition):
 def compare_picks(system, queries, budgets, monkeypatch):
     """Counts of (cluster_sample calls, clusters, exemplars that differ on
     a tie); raises on any other difference."""
-    picker = PS3Picker(system.model, system.statistics, PickerConfig(seed=2))
+    picker = PS3Picker(system.model, PickerConfig(seed=2))
     builder = system.model.feature_builder
     dimension = builder.schema.dimension
     calls = []

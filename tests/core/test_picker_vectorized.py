@@ -26,7 +26,7 @@ def _select(model, statistics, query, budget, featurize=None):
     if featurize is not None:
         builder.features_for_query = lambda q: featurize(builder, q)
     try:
-        picker = PS3Picker(model, statistics, PickerConfig(seed=1234))
+        picker = PS3Picker(model, PickerConfig(seed=1234))
         return picker.select(query, budget)
     finally:
         vars(builder).pop("features_for_query", None)

@@ -97,7 +97,9 @@ class TestModel:
         try:
             indices = model.clustering_feature_indices()
             schema = model.feature_builder.schema
-            excluded = set(schema.family_indices("min(x)").tolist())
+            excluded = {
+                info.index for info in schema.features if info.family == "min(x)"
+            }
             assert excluded.isdisjoint(indices.tolist())
         finally:
             model.excluded_families = frozenset()

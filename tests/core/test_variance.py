@@ -5,42 +5,20 @@ import pytest
 
 from repro.core.variance import (
     confidence_interval,
-    ht_estimate,
     ht_true_variance,
-    ht_variance_estimate,
     partition_vs_row_variance,
-    stratified_unbiased_variance,
 )
 from repro.errors import ConfigError
 
 
 class TestHorvitzThompson:
-    def test_estimate_unbiased_empirically(self):
-        rng = np.random.default_rng(0)
-        values = rng.exponential(1.0, 500)
-        p = 0.2
-        estimates = []
-        for __ in range(400):
-            sampled = values[rng.random(500) < p]
-            estimates.append(ht_estimate(sampled, p))
-        assert np.mean(estimates) == pytest.approx(values.sum(), rel=0.05)
-
-    def test_variance_estimator_tracks_truth(self):
-        rng = np.random.default_rng(1)
-        values = rng.exponential(1.0, 2000)
-        p = 0.3
-        truth = ht_true_variance(values, p)
-        sampled = values[rng.random(2000) < p]
-        assert ht_variance_estimate(sampled, p) == pytest.approx(truth, rel=0.2)
-
     def test_full_sample_zero_variance(self):
         values = np.arange(5.0)
         assert ht_true_variance(values, 1.0) == 0.0
-        assert ht_variance_estimate(values, 1.0) == 0.0
 
     def test_bad_probability(self):
         with pytest.raises(ConfigError):
-            ht_estimate(np.ones(2), 0.0)
+            ht_true_variance(np.ones(2), 0.0)
         with pytest.raises(ConfigError):
             ht_true_variance(np.ones(2), 1.2)
 
@@ -88,27 +66,6 @@ class TestPartitionVsRow:
         )
         assert part_var == pytest.approx(row_var)
         assert cross == pytest.approx(0.0, abs=1e-9)
-
-
-class TestStratified:
-    def test_homogeneous_strata_zero_variance(self):
-        strata = [np.full(4, 3.0), np.full(3, 7.0)]
-        assert stratified_unbiased_variance(strata) == 0.0
-
-    def test_matches_empirical_variance(self):
-        rng = np.random.default_rng(4)
-        strata = [rng.normal(10, 2, 6), rng.normal(50, 5, 4)]
-        analytic = stratified_unbiased_variance(strata)
-        totals = []
-        for __ in range(4000):
-            total = sum(
-                len(s) * s[rng.integers(len(s))] for s in strata
-            )
-            totals.append(total)
-        assert np.var(totals) == pytest.approx(analytic, rel=0.1)
-
-    def test_singleton_stratum_contributes_nothing(self):
-        assert stratified_unbiased_variance([np.array([42.0])]) == 0.0
 
 
 class TestConfidenceInterval:

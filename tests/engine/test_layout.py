@@ -56,7 +56,7 @@ class TestShuffleAndPartition:
 
     def test_partition_evenly_sizes(self, table):
         pt = partition_evenly(table, 7)
-        sizes = pt.partition_sizes()
+        sizes = np.diff(pt.boundaries)
         assert sizes.sum() == 100
         assert sizes.max() - sizes.min() <= 1
 

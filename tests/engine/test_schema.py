@@ -13,11 +13,6 @@ class TestColumn:
         assert not col.is_categorical
         assert col.positive
 
-    def test_date_is_numeric_like(self):
-        assert ColumnKind.DATE.is_numeric_like
-        assert ColumnKind.NUMERIC.is_numeric_like
-        assert not ColumnKind.CATEGORICAL.is_numeric_like
-
     def test_empty_name_rejected(self):
         with pytest.raises(SchemaError):
             Column("", ColumnKind.NUMERIC)
@@ -52,17 +47,6 @@ class TestSchema:
         schema = Schema.of(Column("a", ColumnKind.NUMERIC))
         with pytest.raises(SchemaError, match="unknown column"):
             schema["missing"]
-
-    def test_kind_filters(self):
-        schema = Schema.of(
-            Column("n", ColumnKind.NUMERIC),
-            Column("c", ColumnKind.CATEGORICAL),
-            Column("d", ColumnKind.DATE),
-        )
-        assert schema.numeric_names() == ("n",)
-        assert schema.categorical_names() == ("c",)
-        assert schema.date_names() == ("d",)
-        assert schema.numeric_like_names() == ("n", "d")
 
     def test_require_kind(self):
         schema = Schema.of(Column("n", ColumnKind.NUMERIC))

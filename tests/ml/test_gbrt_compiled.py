@@ -235,7 +235,7 @@ class TestFunnelOnRealPicks:
 
         def selections(funnel):
             monkeypatch.setattr(picker_module, "importance_groups", funnel)
-            picker = PS3Picker(ps3.model, ps3.statistics, PickerConfig(seed=4))
+            picker = PS3Picker(ps3.model, PickerConfig(seed=4))
             picks = [picker.select(q, budget) for q in queries for budget in (3, 9)]
             return [[(c.partition, c.weight) for c in p.selection] for p in picks]
 

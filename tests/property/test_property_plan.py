@@ -11,6 +11,8 @@ dictionary-backed and heavy-hitter-backed columns — and asserts
 agreement within 1e-12.
 """
 
+import dataclasses
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -122,7 +124,7 @@ def predicates_shallow(draw):
 def _scalar_matrix(predicate, dataset) -> np.ndarray:
     return np.array(
         [
-            estimate_selectivity(predicate, pstats).as_tuple()
+            dataclasses.astuple(estimate_selectivity(predicate, pstats))
             for pstats in dataset.partitions
         ]
     )

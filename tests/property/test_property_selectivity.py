@@ -7,6 +7,8 @@ in the system. Hypothesis drives random tables, partitionings, and
 predicate trees against it.
 """
 
+import dataclasses
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -98,7 +100,7 @@ class TestSelectivitySoundness:
         ptable = partition_evenly(table, 1)
         stats = build_partition_statistics(ptable[0])
         estimate = estimate_selectivity(predicate, stats)
-        for value in estimate.as_tuple():
+        for value in dataclasses.astuple(estimate):
             assert 0.0 <= value <= 1.0
         assert estimate.lower <= estimate.upper + 1e-9
         assert estimate.clause_min <= estimate.clause_max + 1e-9

@@ -15,20 +15,11 @@ class TestExactCounts:
         assert dictionary.fraction_eq("b") == 0.4
         assert dictionary.fraction_eq("zzz") == 0.0
 
-    def test_fraction_in(self):
-        values = np.array(["a"] * 5 + ["b"] * 3 + ["c"] * 2)
-        dictionary = ExactDictionary.build(values)
-        assert dictionary.fraction_in({"a", "c"}) == pytest.approx(0.7)
-
     def test_fraction_containing(self):
         values = np.array(["promo_x", "promo_y", "plain", "promo_x"])
         dictionary = ExactDictionary.build(values)
         assert dictionary.fraction_containing("promo") == 0.75
         assert dictionary.fraction_containing("zzz") == 0.0
-
-    def test_distinct_count(self):
-        dictionary = ExactDictionary.build(np.array(["x", "y", "x"]))
-        assert dictionary.distinct_count() == 2
 
 
 class TestOverflow:
@@ -38,7 +29,6 @@ class TestOverflow:
         assert dictionary.overflowed
         assert not dictionary.usable
         assert dictionary.fraction_eq("v0") == 0.0
-        assert dictionary.distinct_count() == 0
 
     def test_merge_propagates_overflow(self):
         small = ExactDictionary.build(np.array(["a", "b"]))

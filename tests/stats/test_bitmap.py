@@ -19,7 +19,7 @@ class TestOccurrenceBitmap:
     def test_bits_reflect_local_heavy_hitters(self, tiny_stats):
         global_hitters = tiny_stats.global_heavy_hitters["cat"]
         bits = occurrence_bitmap(tiny_stats, 2, "cat")
-        local = set(tiny_stats.column_stats(2, "cat").heavy_hitter.items())
+        local = set(tiny_stats.partitions[2].columns["cat"].heavy_hitter.items())
         for j, value in enumerate(global_hitters):
             assert bits[j] == (1.0 if value in local else 0.0)
 

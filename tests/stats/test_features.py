@@ -41,13 +41,6 @@ class TestFeatureSchema:
         ):
             assert expected in families, expected
 
-    def test_family_indices_partition_features(self, tiny_feature_builder):
-        schema = tiny_feature_builder.schema
-        counted = sum(
-            len(schema.family_indices(f)) for f in schema.families()
-        )
-        assert counted == schema.dimension
-
 
 class TestStaticFeatures:
     def test_categorical_columns_have_zero_measures(self, tiny_feature_builder):
@@ -61,7 +54,7 @@ class TestStaticFeatures:
         schema = tiny_feature_builder.schema
         static = tiny_feature_builder.static_matrix
         block = schema.stat_slice("x")
-        sketch = tiny_stats.column_stats(3, "x").measures
+        sketch = tiny_stats.partitions[3].columns["x"].measures
         assert static[3, block.start] == pytest.approx(sketch.mean)
         assert static[3, block.start + 4] == pytest.approx(sketch.max_value())
 

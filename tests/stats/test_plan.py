@@ -77,7 +77,7 @@ class TestPlanAgainstScalar:
         )
         plan = PredicatePlan.compile(predicate)
         # One joint interval + one InSet leaf + the AND combiner.
-        assert plan.num_ops == 3
+        assert len(plan.ops) == 3
 
 
 class TestIndexBackedStatics:
@@ -144,18 +144,6 @@ class TestIncrementalRefresh:
         static = builder.static_matrix
         builder.refresh()
         assert builder.static_matrix is static
-
-    def test_refresh_detects_wholesale_replacement(self, growable, tiny_table):
-        __, dataset, builder = growable
-        replaced = build_dataset_statistics(
-            partition_evenly(sort_table(tiny_table, "x"), len(dataset.partitions))
-        )
-        dataset.partitions[:] = replaced.partitions  # same count, new sketches
-        builder.refresh()
-        fresh = FeatureBuilder(dataset, ("cat", "d"))
-        np.testing.assert_allclose(
-            builder.static_matrix, fresh.static_matrix, rtol=0.0, atol=1e-12
-        )
 
 
 class TestSketchCaches:

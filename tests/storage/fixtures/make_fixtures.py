@@ -89,7 +89,7 @@ def main() -> None:
             v for v in stats.global_heavy_hitters["cat"]
         ],
         "x_means": [
-            stats.column_stats(p, "x").measures.mean
+            stats.partitions[p].columns["x"].measures.mean
             for p in range(stats.num_partitions)
         ],
     }

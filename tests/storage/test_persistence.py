@@ -8,7 +8,12 @@ import pytest
 from repro.core.picker import PickerConfig, PS3Picker
 from repro.errors import ConfigError, CorruptBundleError
 from repro.ml.gbrt import GBRTRegressor
-from repro.storage import load_model, load_statistics, save_model, save_statistics
+from repro.storage import (
+    load_model,
+    load_statistics_bundle,
+    save_model,
+    save_statistics,
+)
 
 
 class TestStatisticsRoundtrip:
@@ -16,7 +21,7 @@ class TestStatisticsRoundtrip:
     def roundtripped(self, tiny_stats, tmp_path_factory):
         path = tmp_path_factory.mktemp("stats") / "tiny.ps3stats"
         save_statistics(tiny_stats, path)
-        return path, load_statistics(path)
+        return path, load_statistics_bundle(path).statistics
 
     def test_schema_preserved(self, roundtripped, tiny_stats):
         __, restored = roundtripped
@@ -35,8 +40,8 @@ class TestStatisticsRoundtrip:
     def test_sketch_values_preserved(self, roundtripped, tiny_stats):
         __, restored = roundtripped
         for p in range(tiny_stats.num_partitions):
-            original = tiny_stats.column_stats(p, "x")
-            loaded = restored.column_stats(p, "x")
+            original = tiny_stats.partitions[p].columns["x"]
+            loaded = restored.partitions[p].columns["x"]
             assert loaded.measures.mean == pytest.approx(original.measures.mean)
             assert loaded.akmv.distinct_estimate() == pytest.approx(
                 original.akmv.distinct_estimate()
@@ -44,8 +49,8 @@ class TestStatisticsRoundtrip:
             np.testing.assert_allclose(
                 loaded.histogram.edges, original.histogram.edges
             )
-            cat_original = tiny_stats.column_stats(p, "cat")
-            cat_loaded = restored.column_stats(p, "cat")
+            cat_original = tiny_stats.partitions[p].columns["cat"]
+            cat_loaded = restored.partitions[p].columns["cat"]
             assert cat_loaded.heavy_hitter.items() == cat_original.heavy_hitter.items()
             assert cat_loaded.exact_dict.counts == cat_original.exact_dict.counts
 
@@ -68,7 +73,7 @@ class TestStatisticsRoundtrip:
             len(header).to_bytes(8, "little") + header + raw[8 + header_size :]
         )
         with pytest.raises(CorruptBundleError, match="version"):
-            load_statistics(path)
+            load_statistics_bundle(path).statistics
 
 
 class TestGBRTState:
@@ -127,12 +132,12 @@ class TestModelRoundtrip:
 
     def test_loaded_model_picks_identically(self, saved, trained_ps3):
         stats_path, model_path = saved
-        statistics = load_statistics(stats_path)
+        statistics = load_statistics_bundle(stats_path).statistics
         model = load_model(model_path, statistics)
         original_picker = PS3Picker(
-            trained_ps3.model, trained_ps3.statistics, PickerConfig(seed=9)
+            trained_ps3.model, PickerConfig(seed=9)
         )
-        restored_picker = PS3Picker(model, statistics, PickerConfig(seed=9))
+        restored_picker = PS3Picker(model, PickerConfig(seed=9))
         query = trained_ps3.training_data.queries[0]
         original = original_picker.select(query, 5)
         restored = restored_picker.select(query, 5)
@@ -144,7 +149,7 @@ class TestModelRoundtrip:
         self, saved, trained_ps3, tmp_path
     ):
         stats_path, model_path = saved
-        model = load_model(model_path, load_statistics(stats_path))
+        model = load_model(model_path, load_statistics_bundle(stats_path).statistics)
         save_model(model, tmp_path / "again.json")
         assert (tmp_path / "again.json").read_bytes() == model_path.read_bytes()
         query = trained_ps3.training_data.queries[0]
@@ -157,7 +162,7 @@ class TestModelRoundtrip:
 
     def test_thresholds_and_exclusions_preserved(self, saved, trained_ps3):
         stats_path, model_path = saved
-        model = load_model(model_path, load_statistics(stats_path))
+        model = load_model(model_path, load_statistics_bundle(stats_path).statistics)
         np.testing.assert_allclose(model.thresholds, trained_ps3.model.thresholds)
         assert model.excluded_families == trained_ps3.model.excluded_families
 

@@ -38,7 +38,6 @@ from repro.sketches.columnar import ColumnarSketchIndex
 from repro.stats.features import FeatureBuilder
 from repro.storage import (
     load_model,
-    load_statistics,
     load_statistics_bundle,
     replay_batch_into_statistics,
     save_model,
@@ -110,12 +109,6 @@ class TestIndexRoundtrip:
         path, __ = saved_with_index
         assert load_statistics_bundle(path).plan_cache_keys == ("p-a", "p-b")
 
-    def test_plain_load_statistics_unaffected(self, saved_with_index, tiny_stats):
-        path, __ = saved_with_index
-        restored = load_statistics(path)
-        assert restored.global_heavy_hitters == tiny_stats.global_heavy_hitters
-        assert restored.num_partitions == tiny_stats.num_partitions
-
     def test_loaded_index_drives_identical_features(
         self, saved_with_index, tiny_stats
     ):
@@ -181,12 +174,11 @@ class TestCorruption:
             tmp_path / "v99.ps3stats",
             lambda manifest: manifest.update(version=99),
         )
-        with pytest.raises(CorruptBundleError, match="version"):
-            load_statistics_bundle(bad)
         # Damage in the world, not a caller bug: a StorageError, never a
         # ConfigError.
-        with pytest.raises(StorageError, match="version") as caught:
-            load_statistics(bad)
+        with pytest.raises(CorruptBundleError, match="version") as caught:
+            load_statistics_bundle(bad)
+        assert isinstance(caught.value, StorageError)
         assert not isinstance(caught.value, ConfigError)
 
     def _assert_degrades(self, bad, tiny_stats):
@@ -316,7 +308,6 @@ class TestColdStartSkipsExport:
             trained_ps3.statistics,
             stats_path,
             index=trained_ps3.feature_builder.sketch_index,
-            plan_cache_keys=trained_ps3.feature_builder.plan_cache.keys(),
         )
         save_model(trained_ps3.model, model_path)
         bundle = load_statistics_bundle(stats_path)

@@ -38,7 +38,7 @@ def _assert_statistics_match(stats, expected):
         == expected["global_heavy_hitters_cat"]
     )
     for p, mean in enumerate(expected["x_means"]):
-        assert stats.column_stats(p, "x").measures.mean == pytest.approx(
+        assert stats.partitions[p].columns["x"].measures.mean == pytest.approx(
             mean, rel=1e-12
         )
 

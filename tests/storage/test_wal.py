@@ -12,7 +12,13 @@ import copy
 import numpy as np
 import pytest
 
-from repro.errors import DegradedLoadWarning, StorageError, WalReplayError
+from repro.errors import (
+    ConfigError,
+    DegradedLoadWarning,
+    SchemaError,
+    StorageError,
+    WalReplayError,
+)
 from repro.sketches.builder import append_partition_statistics
 from repro.sketches.columnar import ColumnarSketchIndex
 from repro.storage import (
@@ -172,6 +178,31 @@ class TestReplayParity:
         ) == _bundle_bytes(
             recovered, tmp_path / "recovered.ps3stats", recovered_index
         )
+
+    @pytest.mark.parametrize(
+        "damage, error",
+        [
+            (lambda b: b.pop("cat"), ConfigError),
+            (lambda b: b.update(y=b["y"][:7]), ConfigError),
+            (lambda b: b.update(x=np.array(["many"] * len(b["x"]))), SchemaError),
+        ],
+        ids=["missing column", "ragged columns", "wrong kind"],
+    )
+    def test_replay_rejects_what_a_live_append_rejects(
+        self, tiny_stats, tiny_ptable, batch, damage, error
+    ):
+        """One checker for both: the same typed error, nothing applied."""
+        from repro.engine.layout import append_rows
+
+        bad = dict(batch)
+        damage(bad)
+        recovered = copy.deepcopy(tiny_stats)
+        with pytest.raises(error) as live:
+            append_rows(tiny_ptable, bad)
+        with pytest.raises(error) as replayed:
+            replay_batch_into_statistics(recovered, bad)
+        assert str(replayed.value) == str(live.value)
+        assert recovered.num_partitions == tiny_stats.num_partitions
 
     def test_recovered_multi_block_partition_equals_the_live_one(
         self, tiny_ptable, rng, tmp_path

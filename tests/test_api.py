@@ -77,7 +77,7 @@ class TestAnswers:
     def test_answer_metadata(self, trained_ps3, query, tpch_ptable):
         answer = trained_ps3.query(query, budget_partitions=4)
         assert answer.num_partitions == tpch_ptable.num_partitions
-        assert 0 < answer.fraction_read <= 4 / tpch_ptable.num_partitions + 1e-9
+        assert 0 < len(answer.selection.selection) <= 4
         assert answer.aggregate_labels() == (
             "SUM(l_extendedprice)",
             "AVG(l_quantity)",

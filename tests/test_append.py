@@ -1,4 +1,7 @@
-"""Tests for append-only ingest: new partitions, frozen features, drift."""
+"""Tests for append-only ingest: new partitions, frozen features, drift,
+and the durable half — validate, journal, apply, and ``PS3.open``."""
+
+import warnings
 
 import numpy as np
 import pytest
@@ -7,8 +10,22 @@ from repro.api import PS3
 from repro.datasets.registry import get_dataset
 from repro.engine.layout import append_rows
 from repro.engine.table import Table
-from repro.errors import ConfigError
+from repro.errors import (
+    ConfigError,
+    CorruptBundleError,
+    DegradedLoadWarning,
+    SchemaError,
+    WalReplayError,
+)
+from repro.storage import (
+    StatisticsStore,
+    WriteAheadLog,
+    load_statistics_bundle,
+    save_model,
+    save_statistics,
+)
 from repro.workload import QueryGenerator
+from repro.workload.spec import WorkloadSpec
 
 
 @pytest.fixture
@@ -192,3 +209,193 @@ class TestStaleness:
         system.append(_new_rows(spec, 250, seed=500))
         report = system.staleness()
         assert 0.0 <= report.heavy_hitter_drift <= 1.0
+
+
+def _rejected_rows(spec, shape):
+    """The three batches a live append rejects, by how they are wrong."""
+    rows = _new_rows(spec, 100, seed=1)
+    if shape == "missing column":
+        rows.pop("count")
+    elif shape == "ragged columns":
+        rows["count"] = rows["count"][:50]
+    else:
+        rows["count"] = np.array(["many"] * 100)
+    return rows
+
+
+REJECTED = [
+    ("missing column", ConfigError),
+    ("ragged columns", ConfigError),
+    ("wrong kind", SchemaError),
+]
+
+
+def _bundle_bytes(statistics, index, path):
+    save_statistics(statistics, path, index=index)
+    return path.read_bytes()
+
+
+def _state_bytes(system, path):
+    """The statistics and index of a system, as their bundle bytes."""
+    return _bundle_bytes(
+        system.statistics, system.feature_builder.sketch_index, path
+    )
+
+
+@pytest.fixture
+def durable(fresh_ps3, tmp_path):
+    """``fresh_ps3`` checkpointed into a store, its model saved beside it."""
+    system, __, spec = fresh_ps3
+    (tmp_path / "store").mkdir()
+    store = system.attach_store(tmp_path / "store")
+    system.checkpoint()
+    save_model(system.model, tmp_path / "model.json")
+    return system, spec, store, tmp_path / "model.json"
+
+
+class TestDurableAppend:
+    """Validate, journal, apply: what is rejected never becomes durable."""
+
+    @pytest.mark.parametrize("shape, error", REJECTED)
+    def test_rejected_append_never_reaches_the_journal(
+        self, durable, tmp_path, shape, error
+    ):
+        system, spec, store, model_path = durable
+        base = system.ptable
+        system.append(_new_rows(spec, 120, seed=7))
+        journal = (store.wal.last_seq, store.wal.path.stat().st_size)
+        with pytest.raises(error):
+            system.append(_rejected_rows(spec, shape))
+        assert (store.wal.last_seq, store.wal.path.stat().st_size) == journal
+        assert WriteAheadLog(store.wal.path).last_seq == journal[0]
+        assert system.ptable.num_partitions == base.num_partitions + 1
+        system.append(_new_rows(spec, 90, seed=8))
+
+        live = _state_bytes(system, tmp_path / "live.ps3stats")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # nothing to skip, nothing degraded
+            recovered = StatisticsStore(store.directory).load_statistics()
+            reopened = PS3.open(base, system.workload, store.directory, model_path)
+        assert _bundle_bytes(*recovered, tmp_path / "recovered.ps3stats") == live
+        assert _state_bytes(reopened, tmp_path / "reopened.ps3stats") == live
+
+    @pytest.mark.parametrize("shape", [shape for shape, __ in REJECTED])
+    def test_old_journal_holding_a_rejected_batch_still_recovers(
+        self, durable, tmp_path, shape
+    ):
+        """Before validation preceded the journal write, the rejected
+        batch was durable; replay skips what no live system applied."""
+        system, spec, store, model_path = durable
+        base = system.ptable
+        system.append(_new_rows(spec, 120, seed=7))
+        store.log_append(_rejected_rows(spec, shape))  # what the old order left
+        system.append(_new_rows(spec, 90, seed=8))
+
+        live = _state_bytes(system, tmp_path / "live.ps3stats")
+        with pytest.warns(DegradedLoadWarning) as caught:
+            recovered = StatisticsStore(store.directory).load_statistics()
+        assert [w.message.reason for w in caught] == ["wal-rejected-batch"]
+        assert _bundle_bytes(*recovered, tmp_path / "recovered.ps3stats") == live
+        with pytest.warns(DegradedLoadWarning, match="skipping record 2"):
+            reopened = PS3.open(base, system.workload, store.directory, model_path)
+        assert _state_bytes(reopened, tmp_path / "reopened.ps3stats") == live
+        # The skip is for a record that is intact and wrong, never for damage.
+        raw = bytearray(store.wal.path.read_bytes())
+        raw[-10] ^= 0x40  # inside the last record's payload
+        store.wal.path.write_bytes(bytes(raw))
+        with pytest.raises(WalReplayError, match="checksum"):
+            StatisticsStore(store.directory).load_statistics()
+        with pytest.raises(WalReplayError, match="checksum"):
+            PS3.open(base, system.workload, store.directory, model_path)
+
+    def test_checkpoint_persists_no_other_deployments_predicates(
+        self, durable, trained_ps3
+    ):
+        """The default plan cache is process-wide: what it holds says
+        nothing about this store (it was once written into the bundle)."""
+        system, __, store, ___ = durable
+        trained_ps3.query(
+            trained_ps3.training_data.queries[0], budget_partitions=2
+        )
+        assert len(system.feature_builder.plan_cache) > 0
+        system.checkpoint()
+        assert load_statistics_bundle(store.stats_path).plan_cache_keys == ()
+
+
+class TestOpenEqualsNeverCrashed:
+    """fit → checkpoint → append ×2 → checkpoint → append → crash →
+    ``PS3.open``: the reopened system is the live one, bit for bit."""
+
+    @pytest.fixture
+    def timelines(self, durable):
+        system, spec, store, model_path = durable
+        for seed in (11, 12):
+            system.append(_new_rows(spec, 150, seed=seed))
+        system.checkpoint()
+        at_checkpoint = system.ptable
+        system.append(_new_rows(spec, 80, seed=13))
+        reopened = PS3.open(
+            at_checkpoint, system.workload, store.directory, model_path
+        )
+        return system, reopened, at_checkpoint, store, model_path
+
+    def test_statistics_index_and_answers_equal(self, timelines, tmp_path):
+        live, reopened, *__ = timelines
+        assert reopened.ptable.num_partitions == live.ptable.num_partitions
+        assert _state_bytes(reopened, tmp_path / "r.ps3stats") == _state_bytes(
+            live, tmp_path / "l.ps3stats"
+        )
+        ours = reopened.feature_builder.sketch_index
+        theirs = live.feature_builder.sketch_index
+        for name, column in theirs.columns.items():
+            for key, array in column.array_state().items():
+                np.testing.assert_array_equal(
+                    ours.columns[name].array_state()[key], array, err_msg=name
+                )
+        queries = QueryGenerator(
+            live.workload, live.ptable.table, seed=31
+        ).sample_queries(12)
+        for fraction in (0.1, 0.4):
+            for query in queries:
+                want = live.query(query, budget_fraction=fraction)
+                got = reopened.query(query, budget_fraction=fraction)
+                assert got.budget == want.budget
+                assert got.selection == want.selection
+                assert list(got.groups) == list(want.groups)
+                for key, values in want.groups.items():
+                    assert got.groups[key].tobytes() == values.tobytes()
+
+    def test_reopened_system_serves_appends_and_checkpoints(self, timelines):
+        live, reopened, at_checkpoint, store, model_path = timelines
+        query = live.training_data.queries[0]
+        with reopened.serve() as front:
+            served = front.submit(query, budget_fraction=0.5).result(timeout=30)
+        assert served.num_partitions == reopened.ptable.num_partitions
+        # The store came back attached: the timeline continues on it.
+        rows = dict(live.ptable[0].columns)
+        assert reopened.append(rows) == live.append(rows)
+        assert reopened.checkpoint() == store.wal.last_seq
+        again = PS3.open(
+            reopened.ptable, live.workload, store.directory, model_path
+        )
+        assert again.statistics.num_partitions == live.statistics.num_partitions
+
+    def test_open_fails_typed_never_half_open(self, timelines, tmp_path):
+        live, __, at_checkpoint, store, model_path = timelines
+        with pytest.raises(ConfigError, match="partitions"):
+            PS3.open(live.ptable, live.workload, store.directory, model_path)
+        narrower = WorkloadSpec(
+            live.workload.groupby_universe[:-1],
+            live.workload.aggregate_columns,
+            live.workload.predicate_columns,
+        )
+        with pytest.raises(ConfigError, match="group-by universe"):
+            PS3.open(at_checkpoint, narrower, store.directory, model_path)
+        with pytest.raises(ConfigError, match="no picker model"):
+            PS3.open(
+                at_checkpoint, live.workload, store.directory, tmp_path / "none"
+            )
+        torn = tmp_path / "torn.json"
+        torn.write_bytes(model_path.read_bytes()[:-40])
+        with pytest.raises(CorruptBundleError):
+            PS3.open(at_checkpoint, live.workload, store.directory, torn)

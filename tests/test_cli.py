@@ -168,21 +168,22 @@ class TestOneRoute:
     def test_query_prints_the_scalar_composition(
         self, deployment, capsys, monkeypatch
     ):
-        """``ps3 query`` answers through ``answer_selections``; what it
-        prints is the scalar composition of the selection it made."""
-        import repro.cli as cli
+        """``ps3 query`` answers through ``PS3.query``, hence through
+        ``answer_selections``; what it prints is the scalar composition
+        of the selection it made."""
+        import repro.api as api
         from repro.engine.combiner import combine_answers, finalize_answer
         from repro.engine.executor import execute_on_partition
 
         calls = []
-        real = cli.answer_selections
+        real = api.answer_selections
 
         def recording(ptable, pairs):
             finals = real(ptable, pairs)
             calls.append((ptable, pairs, finals))
             return finals
 
-        monkeypatch.setattr(cli, "answer_selections", recording)
+        monkeypatch.setattr(api, "answer_selections", recording)
         code = main(
             [
                 "query",
