@@ -215,11 +215,15 @@ class PS3:
 
         Returns the journal sequence number the bundle is stamped with.
         The persisted columnar index rides along, so recovery cold-starts
-        without re-exporting sketches.
+        without re-exporting sketches. Holds the state lock, as
+        :meth:`append` does from validation to apply: a batch journaled
+        while the bundle is written would be in neither the bundle nor
+        the truncated journal.
         """
-        return self.store.checkpoint(
-            self.statistics, index=self.feature_builder.sketch_index
-        )
+        with self._state_lock:
+            return self.store.checkpoint(
+                self.statistics, index=self.feature_builder.sketch_index
+            )
 
     # -- training --------------------------------------------------------------
 

@@ -112,6 +112,9 @@ class PartitionStatistics:
     partition_index: int
     num_rows: int
     columns: dict[str, ColumnStatistics]
+    # The persisted form, memoized by ``repro.storage.stats_io``: a sealed
+    # partition never changes, so it is encoded at most once.
+    encoded: tuple | None = field(default=None, init=False, compare=False, repr=False)
 
     def size_bytes(self) -> int:
         return sum(cs.size_bytes() for cs in self.columns.values())

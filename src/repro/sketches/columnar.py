@@ -305,14 +305,24 @@ class SubstringTable:
         )
 
     def concat(self, other: SubstringTable) -> SubstringTable:
-        raw = np.concatenate(
-            [self.unique_values[self.codes], other.unique_values[other.codes]]
+        """Stack another table's entries below this one's.
+
+        The two sorted dictionaries merge and both code vectors are
+        remapped into the union, so only the distinct values are sorted,
+        never every entry. Equal to :meth:`build` over the concatenated
+        values, parts and weights.
+        """
+        uniques = np.union1d(self.unique_values, other.unique_values)
+        return SubstringTable(
+            uniques,
+            np.concatenate([self._codes_into(uniques), other._codes_into(uniques)]),
+            np.concatenate([self.parts, other.parts]),
+            np.concatenate([self.weights, other.weights]),
         )
-        return SubstringTable.build(
-            list(raw),
-            list(np.concatenate([self.parts, other.parts])),
-            list(np.concatenate([self.weights, other.weights])),
-        )
+
+    def _codes_into(self, uniques: np.ndarray) -> np.ndarray:
+        """This table's entry codes into a sorted superset dictionary."""
+        return np.searchsorted(uniques, self.unique_values)[self.codes]
 
     def matched_weight(self, text: str, num_partitions: int) -> np.ndarray:
         """Per-partition total weight of entries containing ``text``."""
@@ -601,9 +611,10 @@ class ColumnarSketchIndex:
 
         The arrays are adopted as-is. Nothing in the index mutates its
         arrays in place: queries only read, and :meth:`extend` goes
-        through :meth:`ColumnIndex.concat`, which always allocates fresh
-        stacked arrays (copy-on-append) — older generations keep reading
-        theirs.
+        through :meth:`ColumnIndex.concat`, which stacks into fresh
+        arrays (copy-on-append; string dictionaries are merged into a
+        fresh union and both code vectors remapped into it, never edited
+        in place) — older generations keep reading theirs.
         """
         columns = {
             name: ColumnIndex.from_array_state(name, column_state)

@@ -157,6 +157,41 @@ def _decode_array(entry: list, blob: bytes) -> np.ndarray:
         raise CorruptBundleError(f"corrupt statistics index: {error}") from None
 
 
+def _encode_partition(pstats: PartitionStatistics, base: int) -> tuple[bytes, dict]:
+    """A sealed partition's sketch section and its manifest entry.
+
+    Returns ``(section, entry)``: the partition's sketch encodings back
+    to back, and its manifest entry, whose ``column -> sketch field ->
+    [offset, length]`` offsets place the section at ``base`` in the blob.
+    Both are memoized on the partition (``PartitionStatistics.encoded``,
+    with the base they were laid out at): a sealed partition is encoded
+    once, and since partitions only append, its base — and so its entry
+    — stays put from one checkpoint to the next. Saved at another base
+    (a different partition list), it is encoded afresh.
+    """
+    memo = pstats.encoded
+    if memo is None or memo[2] != base:
+        section = bytearray()
+        columns: dict[str, dict[str, list[int]]] = {}
+        for name, cstats in pstats.columns.items():
+            entry: dict[str, list[int]] = {}
+            for sketch_field in _SKETCH_FIELDS:
+                sketch = getattr(cstats, sketch_field)
+                if sketch is None:
+                    continue
+                encoded = sketch.to_bytes()
+                entry[sketch_field] = [base + len(section), len(encoded)]
+                section += encoded
+            columns[name] = entry
+        manifest_entry = {
+            "index": pstats.partition_index,
+            "num_rows": pstats.num_rows,
+            "columns": columns,
+        }
+        memo = pstats.encoded = (bytes(section), manifest_entry, base)
+    return memo[0], memo[1]
+
+
 @dataclass
 class StatisticsBundle:
     """Everything a cold start needs: statistics plus optional artifacts.
@@ -211,24 +246,9 @@ def save_statistics(
     blob = bytearray()
     partitions_manifest = []
     for pstats in stats.partitions:
-        columns_manifest: dict[str, dict] = {}
-        for name, cstats in pstats.columns.items():
-            entry: dict[str, list[int]] = {}
-            for sketch_field in _SKETCH_FIELDS:
-                sketch = getattr(cstats, sketch_field)
-                if sketch is None:
-                    continue
-                encoded = sketch.to_bytes()
-                entry[sketch_field] = [len(blob), len(encoded)]
-                blob.extend(encoded)
-            columns_manifest[name] = entry
-        partitions_manifest.append(
-            {
-                "index": pstats.partition_index,
-                "num_rows": pstats.num_rows,
-                "columns": columns_manifest,
-            }
-        )
+        section, entry = _encode_partition(pstats, len(blob))
+        partitions_manifest.append(entry)
+        blob += section
     sketch_length = len(blob)
     manifest = {
         "version": _MAGIC_VERSION,

@@ -57,6 +57,12 @@
   ``validate_batch`` and sealed by ``seal_appended_columns`` wherever it
   comes from, persisted state becomes a system through ``PS3.open`` and
   nowhere else, and the CLI is one more caller of ``PS3.query``.
+* ``save_statistics``, ``StatisticsStore.checkpoint`` and
+  ``PS3.checkpoint`` keep their parameters, and a sketch's ``to_bytes``
+  is called from one function under ``repro.storage``,
+  ``stats_io._encode_partition``: a sealed partition is encoded once
+  and memoized on itself, with no switch to turn that off and no second
+  encoder beside it.
 * Every ``(module, attribute path)`` the benchmark's tracer patches
   (``TRACED`` in ``benchmarks/e2e/layers.py``, read here, never edited)
   resolves the way the tracer resolves it. A rename would otherwise show
@@ -65,6 +71,7 @@
 
 from __future__ import annotations
 
+import ast
 import importlib
 import importlib.util
 import inspect
@@ -365,6 +372,71 @@ def test_one_append_plane_one_way_back_from_disk():
         "repro.storage.wal.replay_batch_into_statistics",
         "repro.storage.wal.StatisticsStore.load_statistics",
     } <= seen
+
+
+def _to_bytes_callers(sources: Path) -> set[str]:
+    """``module.function`` of every ``<expr>.to_bytes(...)`` call (a call
+    outside any function counts as ``module.<module>``)."""
+    callers = set()
+    for path in sorted(sources.rglob("*.py")):
+        module = path.relative_to(sources).with_suffix("").as_posix()
+
+        def visit(node, owner):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner = node.name
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "to_bytes"
+            ):
+                callers.add(f"{module}.{owner}")
+            for child in ast.iter_child_nodes(node):
+                visit(child, owner)
+
+        visit(ast.parse(path.read_text()), "<module>")
+    return callers
+
+
+def test_one_partition_encoder_no_checkpoint_switch(tmp_path):
+    import repro.api as api
+    import repro.storage.stats_io as stats_io
+    import repro.storage.wal as wal
+
+    checkpoints = (
+        stats_io.save_statistics,
+        wal.StatisticsStore.checkpoint,
+        api.PS3.checkpoint,
+    )
+    assert [set(inspect.signature(fn).parameters) for fn in checkpoints] == [
+        {"stats", "path", "index", "plan_cache_keys", "wal_applied_seq", "io"},
+        {"self", "stats", "index", "plan_cache_keys"},
+        {"self"},
+    ]
+    storage = Path(repro.storage.__file__).resolve().parent
+    assert _to_bytes_callers(storage) == {"stats_io._encode_partition"}
+    # Each pin is only a guard if its walk reaches what it is about: the
+    # public-callable walk the three checkpoints, the call walk every call
+    # site — nested, in a method, or at module level.
+    seen = {
+        f"{module_name}.{name}"
+        for module_name in ("repro.api", *STORAGE_MODULES)
+        for name, __ in _public_callables(importlib.import_module(module_name))
+    }
+    assert {
+        "repro.storage.stats_io.save_statistics",
+        "repro.storage.wal.StatisticsStore.checkpoint",
+        "repro.api.PS3.checkpoint",
+    } <= seen
+    (tmp_path / "pkg").mkdir()
+    (tmp_path / "pkg" / "mod.py").write_text(
+        "HEADER = SKETCH.to_bytes()\n"
+        "class Writer:\n"
+        "    def save(self, sketches):\n"
+        "        def one(s):\n"
+        "            return s.to_bytes()\n"
+        "        return [one(s) for s in sketches]\n"
+    )
+    assert _to_bytes_callers(tmp_path) == {"pkg/mod.<module>", "pkg/mod.one"}
 
 
 def test_walk_sees_the_callables_a_subspace_mode_would_land_on():

@@ -1,6 +1,7 @@
 """Tests for append-only ingest: new partitions, frozen features, drift,
 and the durable half — validate, journal, apply, and ``PS3.open``."""
 
+import threading
 import warnings
 
 import numpy as np
@@ -24,6 +25,7 @@ from repro.storage import (
     save_model,
     save_statistics,
 )
+from repro.storage.atomic import FileIO
 from repro.workload import QueryGenerator
 from repro.workload.spec import WorkloadSpec
 
@@ -307,6 +309,38 @@ class TestDurableAppend:
             StatisticsStore(store.directory).load_statistics()
         with pytest.raises(WalReplayError, match="checksum"):
             PS3.open(base, system.workload, store.directory, model_path)
+
+    def test_checkpoint_keeps_an_append_it_races(self, durable, tmp_path):
+        """An append journaled while a checkpoint writes its bundle would
+        be in neither the bundle nor the truncated journal; the checkpoint
+        holds the state lock, so the append waits for it and lands in the
+        journal after the truncation."""
+        system, spec, store, __ = durable
+        system.append(_new_rows(spec, 120, seed=7))
+        appended = []
+
+        class AppendDuringBundleWrite(FileIO):
+            thread = None
+
+            def write(self, handle, data):
+                if self.thread is None and str(handle.name).endswith(".ps3stats.tmp"):
+                    rows = _new_rows(spec, 90, seed=8)
+                    self.thread = threading.Thread(
+                        target=lambda: appended.append(system.append(rows))
+                    )
+                    self.thread.start()
+                    self.thread.join(timeout=0.2)  # time to journal, if it can
+                super().write(handle, data)
+
+        io = AppendDuringBundleWrite()
+        system.attach_store(store.directory, io=io)
+        system.checkpoint()
+        io.thread.join(timeout=30)
+        assert appended == [system.ptable.num_partitions - 1]
+        stats, index = StatisticsStore(store.directory).load_statistics()
+        assert stats.num_partitions == system.statistics.num_partitions
+        live = _state_bytes(system, tmp_path / "live.ps3stats")
+        assert _bundle_bytes(stats, index, tmp_path / "recovered.ps3stats") == live
 
     def test_checkpoint_persists_no_other_deployments_predicates(
         self, durable, trained_ps3
