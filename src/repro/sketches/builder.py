@@ -18,21 +18,20 @@ It also assembles dataset-level artifacts: the *global* heavy hitters per
 column (merging per-partition sketches), capped at ``bitmap_k`` values,
 which back the occurrence-bitmap features (section 3.2).
 
-There is one seal plane. ``build_column_statistics_batch`` builds one
-column's sketches for any number of partitions in one chunked numpy pass
-over the fused column: a single counting pass
-(``HeavyHitterSketch.build_segmented``) yields every partition's sorted
-distinct values *and* its lossy-counting sketch, whatever the partition
-length; each distinct value is hashed once per dataset (not once per
-partition it appears in), and the per-sketch batch constructors
+There is one seal plane. ``build_column_statistics_batch`` builds the
+sketches of any number of segments in one chunked numpy pass over their
+concatenation: a single counting pass
+(``HeavyHitterSketch.build_segmented``) yields every segment's sorted
+distinct values *and* its lossy-counting sketch, whatever the segment
+length; each distinct value is hashed once per call (not once per
+segment it appears in), and the per-sketch batch constructors
 (``EquiDepthHistogram.build_segmented``, ``AKMVSketch.from_hash_counts``,
 ``ExactDictionary.from_distinct_counts``, ``MeasuresSketch
-.build_segmented``) replay the per-partition constructions bit for bit
-from those shared segments. The offline build
-(``build_dataset_statistics``) runs it over all partitions,
-``seal_appended_columns`` — which ``append_partition_statistics``
-(``PS3.append``) and WAL replay both call — over one, so build, append
-and recovery seal identically.
+.build_segmented``) replay the per-segment constructions bit for bit.
+In the offline build (``build_dataset_statistics``) the segments are one
+column's partitions; in a seal (``seal_appended_columns``, which
+``PS3.append`` and WAL replay both call) they are one partition's
+columns, stacked by kind. Build, append and recovery seal identically.
 
 The scalar ``build_column_statistics`` constructs every sketch of one
 partition slice on its own. The plane hands it the columns a
@@ -42,6 +41,7 @@ tests compose it into the reference the plane must equal.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -180,22 +180,48 @@ def build_column_statistics(
     return stats
 
 
+def _breaks_dedup(numeric: np.ndarray) -> bool:
+    """Whether a float column holds NaN or ``-0.0`` (see the kernel)."""
+    return bool(
+        np.any((numeric == 0.0) & np.signbit(numeric)) or np.isnan(numeric).any()
+    )
+
+
 def _seal_columns(
     schema: Schema, columns: dict[str, np.ndarray], index: int, config: SketchConfig
 ) -> PartitionStatistics:
-    """Sketches for every column of one partition's rows: the
-    one-segment case of :func:`build_column_statistics_batch`."""
+    """Sketches for every column of one partition's rows.
+
+    The columns are stacked as the segments of one
+    :func:`build_column_statistics_batch` call per kind: numeric and date
+    columns as float64, categorical columns by string dtype kind. A float
+    column holding NaN or ``-0.0`` is sealed alone, so only it goes to
+    the scalar oracle.
+    """
     num_rows = len(columns[schema.names[0]])
-    offsets = np.array([0, num_rows], dtype=np.int64)
+    groups: dict[object, list[Column]] = {}
+    for column in schema:
+        values = columns[column.name]
+        if column.is_categorical:
+            key: object = values.dtype.kind
+        elif values.dtype.kind == "f" and _breaks_dedup(values):
+            key = (column.name,)
+        else:
+            key = "numeric"
+        groups.setdefault(key, []).append(column)
+    sealed: dict[str, ColumnStatistics] = {}
+    for group in groups.values():
+        values = np.concatenate(
+            [columns[column.name] for column in group],
+            dtype=None if group[0].is_categorical else np.float64,
+        )
+        offsets = np.arange(len(group) + 1, dtype=np.int64) * num_rows
+        batch = build_column_statistics_batch(group, values, offsets, config)
+        sealed.update(zip([column.name for column in group], batch))
     return PartitionStatistics(
         partition_index=index,
         num_rows=num_rows,
-        columns={
-            column.name: build_column_statistics_batch(
-                column, columns[column.name], offsets, config
-            )[0]
-            for column in schema
-        },
+        columns={name: sealed[name] for name in schema.names},
     )
 
 
@@ -296,15 +322,18 @@ def build_dataset_statistics(
     return dataset
 
 
+_HASH_CHUNK = 8192  # distinct values hashed per joined digest buffer
+
+
 @dataclass(frozen=True)
 class _SegmentedDistincts:
-    """Every partition's sorted distinct values of one column, stacked.
+    """Every segment's sorted distinct values, stacked.
 
-    ``uniques`` holds the dataset-global distinct values (sorted); each
-    partition's distincts are ``codes[offsets[p]:offsets[p+1]]`` indexed
+    ``uniques`` holds the distinct values of all segments (sorted); each
+    segment's distincts are ``codes[offsets[p]:offsets[p+1]]`` indexed
     into it, sorted ascending within the segment, with exact
     multiplicities in ``counts``. One segmented-unique pass replaces the
-    per-partition ``np.unique`` calls of every sketch constructor.
+    per-segment ``np.unique`` calls of every sketch constructor.
     """
 
     uniques: np.ndarray  # (G,) global distinct values, sorted
@@ -319,10 +348,10 @@ class _SegmentedDistincts:
     def hashes(self) -> np.ndarray:
         """Stable 64-bit hash of each global distinct value.
 
-        Hashing is per *dataset-global* distinct — the scalar plane's
-        ``hash_array`` hashes each distinct once per partition it
-        appears in. The digests are the same blake2b-64 as
-        ``hash_value``, with the per-value payload packing batched.
+        Hashing is per distinct of all segments — the scalar plane's
+        ``hash_array`` hashes each distinct once per segment it appears
+        in. The digests are the same blake2b-64 as ``hash_value``, with
+        the per-value payload packing batched.
         """
         import hashlib
 
@@ -330,22 +359,18 @@ class _SegmentedDistincts:
 
         uniques = self.uniques
         if uniques.dtype.kind in "fiu":
-            # One C-level pack of every float64; identical bytes to the
-            # per-value struct.pack("<d", ...) in hash_value.
-            packed = np.ascontiguousarray(uniques, dtype="<f8").tobytes()
+            # Each float64 as its 8 packed bytes, identical to the
+            # per-value struct.pack("<d", ...) in hash_value; the digests
+            # are joined and read back as little-endian uint64, a chunk
+            # at a time so the temporaries stay bounded.
+            packed = np.ascontiguousarray(uniques, dtype="<f8").view("V8")
             blake2b = hashlib.blake2b
-            from_bytes = int.from_bytes
-            return np.fromiter(
-                (
-                    from_bytes(
-                        blake2b(packed[i : i + 8], digest_size=8).digest(),
-                        "little",
-                    )
-                    for i in range(0, len(packed), 8)
-                ),
-                dtype=np.uint64,
-                count=len(uniques),
-            )
+            out = np.empty(len(packed), dtype=np.uint64)
+            for start in range(0, len(packed), _HASH_CHUNK):
+                chunk = packed[start : start + _HASH_CHUNK].tolist()
+                digests = b"".join([blake2b(v, digest_size=8).digest() for v in chunk])
+                out[start : start + len(chunk)] = np.frombuffer(digests, "<u8")
+            return out
         # Strings, bytes, everything else: defer to hash_value per global
         # distinct, so the payload rules (np.str_ -> utf-8, any other
         # scalar -> float pack) can never drift from the scalar plane's
@@ -418,20 +443,24 @@ def _sort_segments_by_hash(
 
 
 def build_column_statistics_batch(
-    column: Column,
+    columns: Sequence[Column],
     values: np.ndarray,
     offsets: np.ndarray,
     config: SketchConfig,
 ) -> list[ColumnStatistics]:
-    """Every partition's :class:`ColumnStatistics` for one column.
+    """Every segment's :class:`ColumnStatistics`.
 
-    ``values`` is the fused (concatenated) column and ``offsets`` the
-    partition boundaries. Bit-identical to calling
-    :func:`build_column_statistics` per partition slice.
+    ``values`` is the concatenation of the segments, ``offsets`` their
+    boundaries and ``columns`` the column of each segment: one column's
+    partitions in the offline build, one partition's columns in a seal
+    (all categorical, or none). Bit-identical to calling
+    :func:`build_column_statistics` per segment.
     """
     offsets = np.asarray(offsets, dtype=np.int64)
     n = len(offsets) - 1
-    if column.is_categorical:
+    if n == 0:
+        return []
+    if columns[0].is_categorical:
         seg, heavy_hitters = _segment_column(values, offsets, config)
         hashes = seg.hashes()
         hashed_keys, hashed_counts, hashed_offsets = _sort_segments_by_hash(
@@ -450,14 +479,14 @@ def build_column_statistics_batch(
         distinct_values = seg.values()
         out = []
         for p in range(n):
-            stats = ColumnStatistics(column=column)
+            stats = ColumnStatistics(column=columns[p])
             stats.histogram = histograms[p]
             lo, hi = int(hashed_offsets[p]), int(hashed_offsets[p + 1])
             stats.akmv = AKMVSketch.from_hash_counts(
                 hashed_keys[lo:hi], hashed_counts[lo:hi], k=config.akmv_k
             )
             stats.heavy_hitter = heavy_hitters[p]
-            if column.low_cardinality:
+            if columns[p].low_cardinality:
                 dlo, dhi = int(seg.offsets[p]), int(seg.offsets[p + 1])
                 stats.exact_dict = ExactDictionary.from_distinct_counts(
                     distinct_values[dlo:dhi],
@@ -468,10 +497,7 @@ def build_column_statistics_batch(
         return out
 
     numeric = values.astype(np.float64)
-    if bool(
-        np.any((numeric == 0.0) & np.signbit(numeric))
-        or np.isnan(numeric).any()
-    ):
+    if _breaks_dedup(numeric):
         # Two float families break the "same value, same bits" premise of
         # a dataset-global dedup: -0.0 compares equal to 0.0 but has
         # different bits (np.unique's run representative depends on sort
@@ -483,13 +509,13 @@ def build_column_statistics_batch(
         # guessing.
         return [
             build_column_statistics(
-                column, numeric[offsets[p] : offsets[p + 1]], config
+                columns[p], numeric[offsets[p] : offsets[p + 1]], config
             )
             for p in range(n)
         ]
     seg, heavy_hitters = _segment_column(numeric, offsets, config)
     measures = MeasuresSketch.build_segmented(
-        numeric, offsets, track_log=column.positive
+        numeric, offsets, track_log=[c.positive for c in columns]
     )
     distinct_values = seg.values()
     histograms = EquiDepthHistogram.build_segmented(
@@ -500,7 +526,7 @@ def build_column_statistics_batch(
     )
     out = []
     for p in range(n):
-        stats = ColumnStatistics(column=column)
+        stats = ColumnStatistics(column=columns[p])
         stats.measures = measures[p]
         stats.histogram = histograms[p]
         lo, hi = int(hashed_offsets[p]), int(hashed_offsets[p + 1])
@@ -525,7 +551,7 @@ def _build_partitions(
     schema = ptable.schema
     by_column = {
         column.name: build_column_statistics_batch(
-            column, view.columns[column.name], offsets, config
+            [column] * ptable.num_partitions, view.columns[column.name], offsets, config
         )
         for column in schema
     }

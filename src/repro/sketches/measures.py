@@ -118,13 +118,14 @@ class MeasuresSketch:
 
     @classmethod
     def build_segmented(
-        cls, values: np.ndarray, offsets: np.ndarray, track_log: bool = False
+        cls, values: np.ndarray, offsets: np.ndarray, track_log: bool | list = False
     ) -> list[MeasuresSketch]:
         """Per-partition measures over a fused column in one chunked pass.
 
         ``values`` is the concatenation of every partition's column and
         ``offsets`` the partition boundaries (``offsets[p]:offsets[p+1]``
-        is partition ``p``; segments must be non-empty). Matches
+        is partition ``p``; segments must be non-empty). ``track_log`` is
+        one flag for every segment or one per segment. Matches
         ``MeasuresSketch(track_log=...).update(slice)`` bit for bit:
         sums reuse ``ndarray.sum`` on the same slices so the pairwise
         summation chains are identical, extrema come from vectorized
@@ -145,13 +146,14 @@ class MeasuresSketch:
         # defaults). Replay all of that exactly for NaN segments.
         nan_seg = np.isnan(mins)
         squares = np.square(values)
+        track = np.broadcast_to(np.asarray(track_log, dtype=bool), n)
         logs = log_squares = None
-        if track_log and bool((mins > 0.0).all()):
+        if track.all() and bool((mins > 0.0).all()):
             logs = np.log(values)
             log_squares = np.square(logs)
         out = []
         for p in range(n):
-            sketch = cls(track_log=track_log)
+            sketch = cls(track_log=bool(track[p]))
             lo, hi = int(offsets[p]), int(offsets[p + 1])
             if hi == lo:  # update() is a no-op on empty batches
                 out.append(sketch)
@@ -164,7 +166,7 @@ class MeasuresSketch:
             if not has_nan:
                 sketch.minimum = float(mins[p])
                 sketch.maximum = float(maxs[p])
-            if track_log:
+            if track[p]:
                 if not has_nan and float(mins[p]) <= 0.0:
                     sketch.track_log = False
                 elif has_nan:
@@ -173,7 +175,7 @@ class MeasuresSketch:
                     sketch.log_total = float("nan")
                     sketch.log_total_sq = float("nan")
                 else:
-                    if logs is None:  # some other partition was nonpositive
+                    if logs is None:  # some other segment was nonpositive
                         logs = np.log(
                             np.where(values > 0.0, values, 1.0)
                         )

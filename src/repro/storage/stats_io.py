@@ -157,17 +157,22 @@ def _decode_array(entry: list, blob: bytes) -> np.ndarray:
         raise CorruptBundleError(f"corrupt statistics index: {error}") from None
 
 
-def _encode_partition(pstats: PartitionStatistics, base: int) -> tuple[bytes, dict]:
+def _encode_partition(
+    pstats: PartitionStatistics, base: int, crc: int
+) -> tuple[bytes, str, int]:
     """A sealed partition's sketch section and its manifest entry.
 
-    Returns ``(section, entry)``: the partition's sketch encodings back
-    to back, and its manifest entry, whose ``column -> sketch field ->
-    [offset, length]`` offsets place the section at ``base`` in the blob.
-    Both are memoized on the partition (``PartitionStatistics.encoded``,
-    with the base they were laid out at): a sealed partition is encoded
-    once, and since partitions only append, its base — and so its entry
-    — stays put from one checkpoint to the next. Saved at another base
-    (a different partition list), it is encoded afresh.
+    Returns ``(section, entry, crc)``: the partition's sketch encodings
+    back to back, its manifest entry as JSON text, whose ``column ->
+    sketch field -> [offset, length]`` offsets place the section at
+    ``base`` in the blob, and the sketch region's running CRC32 carried
+    from ``crc`` (the CRC of the sections before it) through the section.
+    All are memoized on the partition (``PartitionStatistics.encoded``,
+    with the base and the incoming CRC): a sealed partition is encoded
+    once, and since partitions only append, its base, its entry and the
+    sections before it stay put from one checkpoint to the next. Saved
+    at another base it is encoded afresh, after other bytes its CRC is
+    carried afresh.
     """
     memo = pstats.encoded
     if memo is None or memo[2] != base:
@@ -188,8 +193,11 @@ def _encode_partition(pstats: PartitionStatistics, base: int) -> tuple[bytes, di
             "num_rows": pstats.num_rows,
             "columns": columns,
         }
-        memo = pstats.encoded = (bytes(section), manifest_entry, base)
-    return memo[0], memo[1]
+        memo = (bytes(section), json.dumps(manifest_entry), base, None, 0)
+    if memo[3] != crc:
+        memo = (*memo[:3], crc, zlib.crc32(memo[0], crc))
+    pstats.encoded = memo
+    return memo[0], memo[1], memo[4]
 
 
 @dataclass
@@ -244,13 +252,14 @@ def save_statistics(
                 "schema; it was built from a different dataset"
             )
     blob = bytearray()
-    partitions_manifest = []
+    partition_entries = []
+    crc = 0  # of the sketch region so far
     for pstats in stats.partitions:
-        section, entry = _encode_partition(pstats, len(blob))
-        partitions_manifest.append(entry)
+        section, entry, crc = _encode_partition(pstats, len(blob), crc)
+        partition_entries.append(entry)
         blob += section
     sketch_length = len(blob)
-    manifest = {
+    head = {
         "version": _MAGIC_VERSION,
         "schema": _schema_to_json(stats.schema),
         "config": {
@@ -265,10 +274,10 @@ def save_statistics(
             column: [_encode_hh_value(v) for v in values]
             for column, values in stats.global_heavy_hitters.items()
         },
-        "partitions": partitions_manifest,
     }
+    tail: dict = {}  # the fields after "partitions"
     if index is not None:
-        manifest["index"] = {
+        tail["index"] = {
             "num_partitions": index.num_partitions,
             "columns": {
                 name: {
@@ -279,23 +288,23 @@ def save_statistics(
             },
         }
     if plan_cache_keys:
-        manifest["plan_cache_keys"] = list(plan_cache_keys)
+        tail["plan_cache_keys"] = list(plan_cache_keys)
     # Per-section CRC32s: the sketch region and the (optional) index
     # region are verified independently at load, so index bit-rot can
     # degrade to a rebuild while sketch bit-rot is a hard error.
-    with memoryview(blob) as view:  # checksum in place: no copy of a section
-        sections = {
-            "sketches": [0, sketch_length, zlib.crc32(view[:sketch_length])]
-        }
-        if len(blob) > sketch_length:
-            sections["index"] = [
-                sketch_length,
-                len(blob) - sketch_length,
-                zlib.crc32(view[sketch_length:]),
-            ]
-    manifest["sections"] = sections
-    manifest["wal_applied_seq"] = int(wal_applied_seq)
-    header = json.dumps(manifest).encode("utf-8")
+    sections = {"sketches": [0, sketch_length, crc]}
+    if len(blob) > sketch_length:
+        with memoryview(blob) as view:  # checksum in place: no copy of a section
+            index_crc = zlib.crc32(view[sketch_length:])
+        sections["index"] = [sketch_length, len(blob) - sketch_length, index_crc]
+    tail["sections"] = sections
+    tail["wal_applied_seq"] = int(wal_applied_seq)
+    # json.dumps({**head, "partitions": [...], **tail}), byte for byte,
+    # with each partition's memoized entry text spliced in.
+    header = (
+        f'{json.dumps(head)[:-1]}, "partitions": [{", ".join(partition_entries)}], '
+        f"{json.dumps(tail)[1:]}"
+    ).encode("utf-8")
     footer = _FOOTER_MAGIC + struct.pack("<I", zlib.crc32(header))
     data = b"".join((struct.pack("<Q", len(header)), header, blob, footer))
     atomic_write_bytes(path, data, io=io)

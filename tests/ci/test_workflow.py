@@ -160,3 +160,25 @@ def test_every_python_setup_uses_pip_caching(jobs):
         for step in setups:
             assert step["with"]["cache"] == "pip", name
             assert step["with"]["cache-dependency-path"] == "pyproject.toml"
+
+
+BYTE_IDENTITY_SUITES = (
+    "tests/sketches/test_seal_plane.py",
+    "tests/storage/test_checkpoint_encoding.py",
+    "tests/ml/test_forest_golden.py",
+)
+
+
+def test_byte_identity_goldens_are_a_named_tier1_gate(jobs):
+    """The suites that pin sketch, bundle and forest bytes run as one
+    named step of the fast gate, so a speed-up that drifts a byte is its
+    own red gate; the workflow header says so."""
+    steps = {step.get("name"): step for step in jobs["tier-1"]["steps"]}
+    step = steps.get("Byte-identity goldens")
+    assert step is not None, "tier-1 lost its byte-identity goldens step"
+    assert "continue-on-error" not in step
+    assert step["run"].startswith("PYTHONPATH=src python -m pytest -x -q ")
+    for suite in BYTE_IDENTITY_SUITES:
+        assert suite in step["run"].split(), suite
+        assert (WORKFLOW.parents[2] / suite).is_file(), suite
+    assert "Byte-identity goldens" in WORKFLOW.read_text().split("\nname:")[0]

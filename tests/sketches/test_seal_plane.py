@@ -7,12 +7,19 @@
   rewrite must not move them.
 * Guards that go red if per-value Python objects or the per-partition
   streaming build come back.
+* A sealed partition stacks its columns into a few kernel calls; each
+  column's sketches must equal ``build_column_statistics`` on that
+  column alone, and only NaN / ``-0.0`` columns reach that oracle.
+* Distinct floats are hashed through bounded digest buffers, to the
+  same digests as ``hash_value``.
 """
 
 from __future__ import annotations
 
 import gc
 import hashlib
+import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,13 +29,17 @@ from repro.datasets.registry import get_dataset
 from repro.engine.layout import append_rows, partition_evenly
 from repro.engine.schema import Column, ColumnKind, Schema
 from repro.engine.table import PartitionedTable, Table
+from repro.sketches import builder
 from repro.sketches.builder import (
     SketchConfig,
+    _SegmentedDistincts,
     append_partition_statistics,
+    build_column_statistics,
     build_dataset_statistics,
     build_partition_statistics,
 )
 from repro.sketches.columnar import ColumnarSketchIndex
+from repro.sketches.hashing import hash_value
 from repro.sketches.heavy_hitter import HeavyHitterSketch
 
 _SKETCH_FIELDS = ("measures", "histogram", "akmv", "heavy_hitter", "exact_dict")
@@ -155,3 +166,162 @@ class TestOnePlane:
                 if mine is not None:
                     assert mine.to_bytes() == theirs.to_bytes(), (name, field)
             assert cstats.heavy_hitter.entries() == other.heavy_hitter.entries()
+
+
+#: A partition with every seal group: positive, non-positive and
+#: declared-positive-but-not floats, ints and dates (one numeric stack),
+#: a NaN and a -0.0 column (sealed alone), and categoricals from <U1 to
+#: <U9 with and without an exact dictionary (one categorical stack).
+STACKED_SCHEMA = Schema.of(
+    Column("pos", ColumnKind.NUMERIC, positive=True),
+    Column("neg", ColumnKind.NUMERIC),
+    Column("not_pos", ColumnKind.NUMERIC, positive=True),
+    Column("count", ColumnKind.NUMERIC, positive=True),
+    Column("delta", ColumnKind.NUMERIC),
+    Column("day", ColumnKind.DATE),
+    Column("nan", ColumnKind.NUMERIC, positive=True),
+    Column("negzero", ColumnKind.NUMERIC),
+    Column("c1", ColumnKind.CATEGORICAL, low_cardinality=True),
+    Column("c4", ColumnKind.CATEGORICAL),
+    Column("c9", ColumnKind.CATEGORICAL, low_cardinality=True),
+    Column("id9", ColumnKind.CATEGORICAL),
+)
+
+
+def stacked_table(rows: int = 900) -> Table:
+    rng = np.random.default_rng(28)
+    not_pos = rng.exponential(3.0, rows) + 1.0
+    not_pos[rows // 2] = 0.0
+    nan = rng.exponential(3.0, rows) + 1.0
+    nan[::7] = np.nan
+    negzero = rng.integers(-3, 4, rows).astype(np.float64)
+    negzero[negzero == 0.0] = -0.0
+    negzero[::5] = 0.0
+    return Table(
+        STACKED_SCHEMA,
+        {
+            "pos": rng.exponential(10.0, rows) + 1.0,
+            "neg": rng.normal(0.0, 5.0, rows),
+            "not_pos": not_pos,
+            "count": rng.integers(1, 60, rows),
+            "delta": rng.integers(-40, 40, rows),
+            "day": rng.integers(9000, 9100, rows),
+            "nan": nan,
+            "negzero": negzero,
+            "c1": rng.choice(list("abcde"), rows),
+            "c4": rng.choice(["x", "ab", "abc", "abcd", "ünï"], rows),
+            "c9": rng.choice(["q", "qqqqqqqqq", "tag-ω", "ωω"], rows),
+            "id9": np.array([f"v{i:08d}" for i in rng.integers(0, 600, rows)]),
+        },
+    )
+
+
+class TestStackedSeal:
+    @pytest.fixture
+    def spies(self, monkeypatch):
+        """Columns sent to the scalar oracle; segments per kernel call."""
+        oracle, kernel = [], []
+        scalar = builder.build_column_statistics
+        batch = builder.build_column_statistics_batch
+
+        def oracle_spy(column, values, config):
+            oracle.append(column.name)
+            return scalar(column, values, config)
+
+        def kernel_spy(columns, values, offsets, config):
+            kernel.append(len(offsets) - 1)
+            return batch(columns, values, offsets, config)
+
+        monkeypatch.setattr(builder, "build_column_statistics", oracle_spy)
+        monkeypatch.setattr(builder, "build_column_statistics_batch", kernel_spy)
+        return oracle, kernel
+
+    def test_every_column_equals_its_seal_alone(self, spies):
+        table = stacked_table()
+        dtypes = {table.columns[name].dtype.str for name in ("c1", "c4", "c9", "id9")}
+        assert dtypes == {"<U1", "<U4", "<U9"}
+        partition = partition_evenly(table, 1)[0]
+        sealed = build_partition_statistics(partition, GOLDEN_CONFIG)
+        oracle, kernel = spies
+        assert sorted(oracle) == ["nan", "negzero"]
+        assert sorted(kernel) == [1, 1, 4, 6]
+        assert list(sealed.columns) == list(STACKED_SCHEMA.names)
+        for column in STACKED_SCHEMA:
+            alone = build_column_statistics(
+                column, table.columns[column.name], GOLDEN_CONFIG
+            )
+            stacked = sealed.columns[column.name]
+            assert stacked.column == column
+            for field in _SKETCH_FIELDS:
+                mine, theirs = getattr(stacked, field), getattr(alone, field)
+                assert (mine is None) == (theirs is None), (column.name, field)
+                if mine is not None:
+                    assert mine.to_bytes() == theirs.to_bytes(), (column.name, field)
+            # repr: the NaN column's entries hold NaNs, which never compare equal.
+            assert repr(stacked.heavy_hitter.entries()) == repr(
+                alone.heavy_hitter.entries()
+            )
+        assert not sealed.columns["not_pos"].measures.track_log
+        assert sealed.columns["pos"].measures.track_log
+
+    def test_a_kdd_partition_seals_in_a_few_kernel_calls(self, golden_ptable, spies):
+        stats = build_dataset_statistics(golden_ptable, GOLDEN_CONFIG)
+        oracle, kernel = spies
+        kernel.clear()  # the offline build: one call per column
+        grown = append_rows(golden_ptable, golden_ptable[2].columns)
+        append_partition_statistics(stats, grown[grown.num_partitions - 1])
+        assert len(kernel) <= 4 and sum(kernel) == len(golden_ptable.schema) == 25
+        assert oracle == []
+
+
+#: Floats whose packed form ends in NUL bytes (zero, subnormals),
+#: infinities, and enough others to fill more than one digest chunk.
+DIGEST_FLOATS = np.unique(
+    np.concatenate(
+        (
+            [0.0, 1.0, -2.5, np.inf, -np.inf, 5e-324, 1e-310, 2.0**-1060],
+            [
+                struct.unpack("<d", bytes([i, 7, 0, 0, 0, 0, 0, 0]))[0]
+                for i in range(1, 9)
+            ],
+            np.random.default_rng(1).normal(size=20_000),
+        )
+    )
+)
+
+
+class TestDigestBuffer:
+    def test_hashing_a_million_distinct_floats_stays_bounded(self):
+        """The output (8 MB) plus one chunk's digests, not a packed copy
+        of every value beside it."""
+        uniques = np.arange(1_000_000, dtype=np.float64) * 0.25
+        none = np.empty(0, dtype=np.int64)
+        seg = _SegmentedDistincts(uniques, none, none, np.zeros(1, dtype=np.int64))
+        tracemalloc.start()
+        try:
+            hashes = seg.hashes()
+            __, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert hashes.nbytes == 8_000_000
+        assert peak < hashes.nbytes + 2 * 2**20, peak
+        picks = np.random.default_rng(0).integers(0, len(uniques), 64)
+        assert [int(hashes[i]) for i in picks] == [
+            hash_value(uniques[i]) for i in picks
+        ]
+
+    @pytest.mark.parametrize(
+        "uniques",
+        [
+            DIGEST_FLOATS,
+            np.array([-(2**40), -5, 0, 3, 2**53, 2**62], dtype=np.int64),
+            np.array([0, 1, 255, 2**63], dtype=np.uint64),
+        ],
+        ids=["floats", "ints", "uints"],
+    )
+    def test_digests_equal_hash_value(self, uniques):
+        ends_in_nul = [struct.pack("<d", v).endswith(b"\0") for v in uniques.tolist()]
+        assert any(ends_in_nul)
+        none = np.empty(0, dtype=np.int64)
+        seg = _SegmentedDistincts(uniques, none, none, np.zeros(1, dtype=np.int64))
+        assert seg.hashes().tolist() == [hash_value(v) for v in uniques]

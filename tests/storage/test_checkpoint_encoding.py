@@ -1,21 +1,26 @@
 """A checkpoint encodes each sealed partition once.
 
 ``save_statistics`` joins the per-partition sections memoized on
-``PartitionStatistics.encoded``; a loaded partition starts without one,
+``PartitionStatistics.encoded`` and splices their memoized manifest
+entry texts into the header; a loaded partition starts without a memo,
 so it is encoded from its decoded sketches on the first save after the
-load. The reference below is the loop it replaced: every sketch of
-every partition through ``to_bytes``, on every save. Each case compares
-the saved sketch region and its manifest entries with that loop, and
-the whole bundle with a save whose memos were all cleared.
+load. The references below are what that replaced: every sketch of
+every partition through ``to_bytes``, and the whole manifest assembled
+as one dict through one ``json.dumps``, on every save. Each case
+compares the saved sketch region, its manifest entries and the header
+bytes with them, and the whole bundle with a save whose memos were all
+cleared.
 """
 
 from __future__ import annotations
 
 import copy
 import hashlib
+import json
 import struct
 import zlib
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -27,7 +32,15 @@ from repro.storage import (
     save_model,
     save_statistics,
 )
-from repro.storage.stats_io import _SKETCH_FIELDS, _SKETCH_TYPES, _read_manifest
+from repro.storage import stats_io
+from repro.storage.stats_io import (
+    _SKETCH_FIELDS,
+    _SKETCH_TYPES,
+    _encode_array,
+    _encode_hh_value,
+    _read_manifest,
+    _schema_to_json,
+)
 from repro.workload import QueryGenerator
 from repro.workload.spec import WorkloadSpec
 
@@ -70,8 +83,69 @@ def reference_sketch_region(stats) -> tuple[list, bytes]:
     return partitions, bytes(blob)
 
 
+def reference_header(
+    stats, *, index=None, plan_cache_keys=(), wal_applied_seq=0
+) -> bytes:
+    """The manifest assembled as one dict and dumped once, as every
+    save did before entries were memoized as text."""
+    partitions, sketches = reference_sketch_region(stats)
+    blob = bytearray(sketches)
+    manifest = {
+        "version": 3,
+        "schema": _schema_to_json(stats.schema),
+        "config": {
+            "histogram_buckets": stats.config.histogram_buckets,
+            "akmv_k": stats.config.akmv_k,
+            "hh_support": stats.config.hh_support,
+            "hh_epsilon": stats.config.hh_epsilon,
+            "exact_dict_limit": stats.config.exact_dict_limit,
+            "bitmap_k": stats.config.bitmap_k,
+        },
+        "global_heavy_hitters": {
+            column: [_encode_hh_value(v) for v in values]
+            for column, values in stats.global_heavy_hitters.items()
+        },
+        "partitions": partitions,
+    }
+    if index is not None:
+        manifest["index"] = {
+            "num_partitions": index.num_partitions,
+            "columns": {
+                name: {
+                    key: _encode_array(arr, blob)
+                    for key, arr in column_state.items()
+                }
+                for name, column_state in index.array_state().items()
+            },
+        }
+    if plan_cache_keys:
+        manifest["plan_cache_keys"] = list(plan_cache_keys)
+    sections = {"sketches": [0, len(sketches), zlib.crc32(sketches)]}
+    if len(blob) > len(sketches):
+        sections["index"] = [
+            len(sketches),
+            len(blob) - len(sketches),
+            zlib.crc32(bytes(blob[len(sketches) :])),
+        ]
+    manifest["sections"] = sections
+    manifest["wal_applied_seq"] = int(wal_applied_seq)
+    return json.dumps(manifest).encode("utf-8")
+
+
+def saved_header(path: Path) -> bytes:
+    raw = path.read_bytes()
+    (size,) = struct.unpack("<Q", raw[:8])
+    return raw[8 : 8 + size]
+
+
 def assert_matches_reference(stats, path: Path, index=None, wal_applied_seq=0):
     manifest, blob = _read_manifest(path)
+    assert saved_header(path) == reference_header(
+        stats,
+        index=index,
+        plan_cache_keys=tuple(manifest.get("plan_cache_keys", ())),
+        wal_applied_seq=wal_applied_seq,
+    )
     partitions, sketches = reference_sketch_region(stats)
     assert manifest["partitions"] == partitions
     assert manifest["sections"]["sketches"] == [0, len(sketches), zlib.crc32(sketches)]
@@ -131,6 +205,21 @@ def sketch_encodings(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def entry_dumps(monkeypatch):
+    """Partition indexes whose manifest entry ``save_statistics`` dumps."""
+    calls = []
+
+    def dumps(obj, *args, **kwargs):
+        if isinstance(obj, dict) and "num_rows" in obj:
+            calls.append(obj["index"])
+        return json.dumps(obj, *args, **kwargs)
+
+    spy = SimpleNamespace(dumps=dumps, loads=json.loads)
+    monkeypatch.setattr(stats_io, "json", spy)
+    return calls
+
+
 def _sketch_count(partitions) -> int:
     return sum(
         getattr(cstats, sketch_field) is not None
@@ -156,22 +245,52 @@ def test_fresh_build(tiny_ptable, tmp_path):
     assert_matches_reference(tail, path)
 
 
+@pytest.mark.parametrize(
+    "case", ["zero partitions", "no index", "index", "plan cache keys"]
+)
+def test_header_is_one_dumps_of_the_manifest(case, tiny_ptable, tmp_path):
+    system = PS3(tiny_ptable, WORKLOAD)
+    stats, options = system.statistics, {}
+    if case == "zero partitions":
+        stats = DatasetStatistics(
+            schema=stats.schema,
+            config=stats.config,
+            partitions=[],
+            global_heavy_hitters=stats.global_heavy_hitters,
+        )
+    if case in ("index", "plan cache keys"):
+        options["index"] = system.feature_builder.sketch_index
+    if case == "plan cache keys":
+        options["plan_cache_keys"] = ("Range(x, 1.0, 2.0)", "InSet(cat, {'ünï'})")
+        options["wal_applied_seq"] = 7
+    path = tmp_path / "bundle.ps3stats"
+    save_statistics(stats, path, **options)
+    assert saved_header(path) == reference_header(stats, **options)
+    assert load_statistics_bundle(path).statistics.num_partitions == len(
+        stats.partitions
+    )
+
+
 def test_appends_with_a_checkpoint_every_second_one(
-    tiny_ptable, tmp_path, sketch_encodings
+    tiny_ptable, tmp_path, sketch_encodings, entry_dumps
 ):
     system = PS3(tiny_ptable, WORKLOAD)
     store = system.attach_store(tmp_path)
     system.checkpoint()
     assert len(sketch_encodings) == _sketch_count(system.statistics.partitions)
+    assert entry_dumps == list(range(tiny_ptable.num_partitions))
     for round_ in range(6):
         system.append(batch(round_))
         if round_ % 2:
             sketch_encodings.clear()
+            entry_dumps.clear()
             seq = system.checkpoint()
             # Only the two partitions sealed since the last checkpoint.
             assert len(sketch_encodings) == _sketch_count(
                 system.statistics.partitions[-2:]
             )
+            total = system.statistics.num_partitions
+            assert entry_dumps == [total - 2, total - 1]
             assert_matches_reference(
                 system.statistics,
                 store.stats_path,
@@ -181,7 +300,7 @@ def test_appends_with_a_checkpoint_every_second_one(
 
 
 def test_reopened_system_checkpoints_at_delta_cost(
-    tiny_ptable, tmp_path, sketch_encodings
+    tiny_ptable, tmp_path, sketch_encodings, entry_dumps
 ):
     generator = QueryGenerator(WORKLOAD, tiny_ptable.table, seed=5)
     train, __ = generator.train_test_split(6, 1)
@@ -190,18 +309,28 @@ def test_reopened_system_checkpoints_at_delta_cost(
     system.checkpoint()
     save_model(system.model, tmp_path / "model.json")
     reopened = PS3.open(tiny_ptable, WORKLOAD, tmp_path, tmp_path / "model.json")
-    for round_ in range(3):
+    for round_ in range(2):
         reopened.append(batch(round_))
     sketch_encodings.clear()
-    reopened.checkpoint()
+    entry_dumps.clear()
+    seq = reopened.checkpoint()
     # The first checkpoint after a load encodes every partition once ...
     assert len(sketch_encodings) == _sketch_count(reopened.statistics.partitions)
-    for round_ in range(3, 5):
+    assert entry_dumps == list(range(tiny_ptable.num_partitions + 2))
+    assert saved_header(store.stats_path) == reference_header(
+        reopened.statistics,
+        index=reopened.feature_builder.sketch_index,
+        wal_applied_seq=seq,
+    )
+    for round_ in range(2, 4):
         reopened.append(batch(round_))
     sketch_encodings.clear()
+    entry_dumps.clear()
     seq = reopened.checkpoint()
     # ... and every later one only the partitions sealed since.
+    total = reopened.statistics.num_partitions
     assert len(sketch_encodings) == _sketch_count(reopened.statistics.partitions[-2:])
+    assert entry_dumps == [total - 2, total - 1]
     assert_matches_reference(
         reopened.statistics,
         store.stats_path,
@@ -268,3 +397,27 @@ def test_seeded_history_bundle_is_pinned(tiny_ptable, tmp_path):
     assert system.statistics.num_partitions == tiny_ptable.num_partitions + 6
     digest = hashlib.sha256(system.store.stats_path.read_bytes()).hexdigest()
     assert digest == HISTORY_SHA256
+
+
+def test_same_offsets_after_other_bytes_carry_the_crc_afresh(tiny_ptable, tmp_path):
+    """A memoized partition saved at its old base behind a different
+    first section keeps its entry but not the running sketch CRC."""
+    system = PS3(tiny_ptable, WORKLOAD)
+    stats = system.statistics
+    save_statistics(stats, tmp_path / "first.ps3stats")
+    other = copy.deepcopy(stats.partitions[0])
+    other.encoded = None
+    next(iter(other.columns.values())).measures.total += 1.0  # same length
+    changed = DatasetStatistics(
+        schema=stats.schema,
+        config=stats.config,
+        partitions=[other, *stats.partitions[1:]],
+        global_heavy_hitters=stats.global_heavy_hitters,
+    )
+    path = tmp_path / "changed.ps3stats"
+    save_statistics(changed, path)
+    assert_matches_reference(changed, path)
+    assert stats.partitions[1].encoded[2] == changed.partitions[1].encoded[2]
+    assert load_statistics_bundle(path).statistics.num_partitions == len(
+        changed.partitions
+    )
