@@ -281,10 +281,12 @@ class PS3:
         the selected partitions (the online I/O saving), as one fused
         subset pass.
 
-        Thread-safe: the pick runs under the state lock (the picker's
-        rng and caches are shared), execution on a table snapshot — so
-        concurrent ``query``/``append`` calls each see one consistent
-        table generation, never a torn view.
+        A repeat at the same budget reuses a pure pick until the next
+        append (:mod:`repro.core.picker`). Thread-safe: the pick runs
+        under the state lock (the picker's rng, memo and caches are
+        shared), execution on a table snapshot — so concurrent
+        ``query``/``append`` calls each see one consistent table
+        generation, never a torn view.
         """
         return self.query_many([query], budget_partitions, budget_fraction)[0]
 
@@ -302,7 +304,8 @@ class PS3:
         own selected partitions outside the lock and is combined with
         its own weights (:func:`~repro.engine.serving.answer_selections`,
         the same call every online route makes). ``budget`` applies to
-        each query individually.
+        each query individually. The picks share the picker's rng and
+        memo, hence the lock.
         """
         queries = list(queries)
         with self._state_lock:

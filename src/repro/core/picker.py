@@ -17,6 +17,12 @@ partitions, the picker:
 
 The lesion switches (``use_clustering``, ``use_outliers``,
 ``use_regressors``) exist for the paper's Figure 4 study and default on.
+
+**Pick memo.** A pick that draws nothing from the rng (median exemplar,
+every group clustered) is pure; the last :data:`PICK_MEMO_LIMIT` of them
+per statistics generation (``FeatureBuilder.generation``) are kept, least
+recently used out, and a repeat is a copy, not a pick. A hit never skips
+a draw, so every selection is the one an unmemoized picker makes.
 """
 
 from __future__ import annotations
@@ -33,6 +39,10 @@ from repro.core.training import PickerModel
 from repro.engine.combiner import WeightedChoice
 from repro.engine.query import Query
 from repro.errors import ConfigError
+from repro.obs import get_registry
+
+#: Pure picks remembered per statistics generation (see the module doc).
+PICK_MEMO_LIMIT = 256
 
 
 @dataclass(frozen=True)
@@ -97,6 +107,11 @@ class PickerSelection:
     def partitions(self) -> list[int]:
         return [choice.partition for choice in self.selection]
 
+    def copy(self) -> PickerSelection:
+        """The same pick in fresh lists (the choices themselves are frozen)."""
+        lists = (self.selection, self.outliers, self.group_sizes, self.group_budgets)
+        return PickerSelection(*map(list, lists), self.used_clustering)
+
 
 class PS3Picker:
     """Online partition picker bound to a trained model and its statistics."""
@@ -112,6 +127,13 @@ class PS3Picker:
             np.arange(model.feature_builder.schema.dimension),
             model.clustering_feature_indices(),
         )
+        # Pure picks of one statistics generation, least recently used first.
+        self._memo: dict[tuple[Query, int], PickerSelection] = {}
+        self._memo_generation = model.feature_builder.generation
+        registry = get_registry()
+        self._memo_hits = registry.counter("picker.memo.hits")
+        self._memo_misses = registry.counter("picker.memo.misses")
+        self._memo_evictions = registry.counter("picker.memo.evictions")
 
     # -- internals ------------------------------------------------------------
 
@@ -157,9 +179,33 @@ class PS3Picker:
 
         The returned selection may be smaller than the budget when fewer
         partitions can satisfy the predicate (the answer is then exact).
+        A pure repeat is a memo hit (module doc). Not thread-safe: callers
+        share the rng and the memo under ``PS3._state_lock``.
         """
         if budget < 0:
             raise ConfigError("budget must be non-negative")
+        generation = self.model.feature_builder.generation
+        if generation != self._memo_generation:
+            self._memo.clear()
+            self._memo_generation = generation
+        key = (query, budget)
+        stored = self._memo.pop(key, None)
+        if stored is not None:
+            self._memo[key] = stored  # most recently used: to the back
+            self._memo_hits.inc()
+            return stored.copy()
+        self._memo_misses.inc()
+        state = self._rng.bit_generator.state
+        picked = self._pick(query, budget)
+        if self._rng.bit_generator.state == state:  # pure: drew nothing
+            if len(self._memo) >= PICK_MEMO_LIMIT:
+                del self._memo[next(iter(self._memo))]
+                self._memo_evictions.inc()
+            self._memo[key] = picked.copy()
+        return picked
+
+    def _pick(self, query: Query, budget: int) -> PickerSelection:
+        """One pick as Algorithm 1 makes it, with no memo."""
         features = self.model.feature_builder.features_for_query(query)
         passing = features.passing_partitions()
 

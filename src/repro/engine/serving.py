@@ -15,11 +15,12 @@ The front end adds the database's classic group-commit move on top:
    growing an unbounded backlog;
 2. **pick** — each request's partitions are selected sequentially in
    admission order under one hold of the system's state lock (the
-   picker's rng and feature caches are shared mutable state), exactly
-   as back-to-back ``PS3.query`` calls would pick; with
-   ``ServingConfig.dedup_picks`` (the default) batch-mates with the same
-   query and resolved budget share one selection instead of re-running
-   the picker's model scoring;
+   picker's rng, pick memo and feature caches are shared mutable
+   state), exactly as back-to-back ``PS3.query`` calls would pick; a
+   pure pick repeated across batches is a picker memo hit until the
+   next append, and with ``ServingConfig.dedup_picks`` (the default)
+   batch-mates with the same query and resolved budget also share a
+   pick that draws from the picker's rng;
 3. **sweep** — :func:`answer_selections`, outside the lock, on the
    table object captured under it (so every answer sees exactly one
    table generation): one :meth:`BatchExecutor.partition_answers` subset
@@ -105,7 +106,9 @@ class ServingConfig:
     the same query and resolved budget — answers stay bit-identical to
     ``PS3.query`` for that selection; identical concurrent requests just
     get the *same* sample rather than independent ones (set ``False``
-    when clients average repeats to tighten estimates).
+    when clients average repeats to tighten estimates). It matters only
+    for picks that draw from the picker's rng: a pure pick is the same
+    every time, and a repeat is a picker memo hit.
 
     **Admission control.** ``max_queue_depth`` bounds the admission
     queue (``None`` = unbounded, the pre-resilience behavior). At
@@ -773,11 +776,12 @@ class ServingFrontEnd:
         # Queue pressure is sampled once per batch, so batch-mates share
         # one degradation factor and pick dedup keeps working.
         pressure = self._pressure()
-        # Pick under the system's state lock: selections see a
-        # consistent (table, statistics, picker) generation, and the
-        # snapshot table keeps this batch's execution consistent even if
-        # an append lands mid-sweep (appends build a *new* table object;
-        # the snapshot's fused view is never mutated).
+        # Pick under the system's state lock: the picker's rng and pick
+        # memo are shared, selections see a consistent (table,
+        # statistics, picker) generation, and the snapshot table keeps
+        # this batch's execution consistent even if an append lands
+        # mid-sweep (appends build a *new* table object; the snapshot's
+        # fused view is never mutated).
         with trace_span(
             "serving.pick", registry=self.registry, batch=len(batch)
         ), system._state_lock:

@@ -263,6 +263,12 @@ class FeatureBuilder:
         return self._static
 
     @property
+    def generation(self) -> int:
+        """Partitions the static block covers. Only :meth:`refresh`
+        advances it, so everything a pick reads is fixed within one."""
+        return self._static.shape[0]
+
+    @property
     def sketch_index(self) -> ColumnarSketchIndex:
         """The columnar sketch index backing the batch paths."""
         return self._index

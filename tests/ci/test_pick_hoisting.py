@@ -6,22 +6,28 @@ estimates, the mask, and the candidates. Everything else is derived once
 table generation (caught up from the appended partitions only) — and
 clustering sees the query's live columns, never the full feature width.
 Spies on ``CompiledForest.fuse``, ``ColumnIndex.occurrence_matrix`` and
-``KMeans.fit`` say so without a clock.
+``KMeans.fit`` say so without a clock. The spied picks run at a budget
+the warm-up did not use, so they are picker memo misses that really
+pick; re-issuing a warm-up pair is a hit that featurizes, scores and
+clusters nothing.
 """
 
 from __future__ import annotations
 
 import pytest
 
+import repro.core.picker as picker_module
 from repro.api import PS3
 from repro.datasets.registry import get_dataset
 from repro.ml.kmeans import KMeans
 from repro.ml.tree import CompiledForest
 from repro.sketches.columnar import ColumnIndex
+from repro.stats.features import FeatureBuilder
 from repro.workload.generator import QueryGenerator
 
 NUM_QUERIES = 50
 BUDGET = 0.25
+SPIED_BUDGET = 0.375  # 6 of 16 partitions; the warm-up picked 4
 
 
 @pytest.fixture(scope="module")
@@ -71,12 +77,32 @@ def test_warm_picks_rebuild_nothing_and_cluster_only_live_columns(
         live = builder.features_for_query(query).live_columns.size
         assert live < dimension / 2
         del widths[:]
-        system.query(query, budget_fraction=BUDGET)
+        system.query(query, budget_fraction=SPIED_BUDGET)
         assert all(width == live for width in widths), (widths, live)
         fits += len(widths)
     assert fits >= NUM_QUERIES / 2  # the spy sat on the path
     assert fused == []
     assert occurrences == []
+
+    # A warm-up pair again: a memo hit, no featurize, funnel or k-means.
+    featurized, funnelled = [], []
+    features_for_query = FeatureBuilder.features_for_query
+    importance_groups = picker_module.importance_groups
+
+    def counting_features(self, query):
+        featurized.append(query)
+        return features_for_query(self, query)
+
+    def counting_groups(*args, **kwargs):
+        funnelled.append(args)
+        return importance_groups(*args, **kwargs)
+
+    monkeypatch.setattr(FeatureBuilder, "features_for_query", counting_features)
+    monkeypatch.setattr(picker_module, "importance_groups", counting_groups)
+    del widths[:]
+    for query in queries:
+        system.query(query, budget_fraction=BUDGET)
+    assert (featurized, funnelled, widths) == ([], [], [])
 
     # One append: bitmaps and signature codes of the new partition only.
     before = system.ptable.num_partitions

@@ -63,6 +63,9 @@
   ``stats_io._encode_partition``: a sealed partition is encoded once
   and memoized on itself, with no switch to turn that off and no second
   encoder beside it.
+* ``PS3Picker.__init__``, ``PS3Picker.select`` and ``PickerConfig`` take
+  no parameter naming a memo or a cache: pure picks are memoized per
+  statistics generation always, under a constant bound.
 * Every ``(module, attribute path)`` the benchmark's tracer patches
   (``TRACED`` in ``benchmarks/e2e/layers.py``, read here, never edited)
   resolves the way the tracer resolves it. A rename would otherwise show
@@ -372,6 +375,18 @@ def test_one_append_plane_one_way_back_from_disk():
         "repro.storage.wal.replay_batch_into_statistics",
         "repro.storage.wal.StatisticsStore.load_statistics",
     } <= seen
+
+
+def test_pick_memo_has_no_switch():
+    from repro.core.picker import PickerConfig, PS3Picker
+
+    for taker in (PS3Picker.__init__, PS3Picker.select, PickerConfig):
+        switches = [
+            name
+            for name in inspect.signature(taker).parameters
+            if "memo" in name or "cache" in name
+        ]
+        assert switches == [], (taker, switches)
 
 
 def _to_bytes_callers(sources: Path) -> set[str]:

@@ -166,13 +166,15 @@ BYTE_IDENTITY_SUITES = (
     "tests/sketches/test_seal_plane.py",
     "tests/storage/test_checkpoint_encoding.py",
     "tests/ml/test_forest_golden.py",
+    "tests/core/test_pick_memo.py",
 )
 
 
 def test_byte_identity_goldens_are_a_named_tier1_gate(jobs):
-    """The suites that pin sketch, bundle and forest bytes run as one
-    named step of the fast gate, so a speed-up that drifts a byte is its
-    own red gate; the workflow header says so."""
+    """The suites that pin sketch, bundle and forest bytes and memoized
+    selections run as one named step of the fast gate, so a speed-up
+    that drifts a byte or a pick is its own red gate; the workflow
+    header names each."""
     steps = {step.get("name"): step for step in jobs["tier-1"]["steps"]}
     step = steps.get("Byte-identity goldens")
     assert step is not None, "tier-1 lost its byte-identity goldens step"
@@ -181,4 +183,7 @@ def test_byte_identity_goldens_are_a_named_tier1_gate(jobs):
     for suite in BYTE_IDENTITY_SUITES:
         assert suite in step["run"].split(), suite
         assert (WORKFLOW.parents[2] / suite).is_file(), suite
-    assert "Byte-identity goldens" in WORKFLOW.read_text().split("\nname:")[0]
+    header = WORKFLOW.read_text().split("\nname:")[0]
+    assert "Byte-identity goldens" in header
+    for suite in BYTE_IDENTITY_SUITES:
+        assert suite in header, suite
