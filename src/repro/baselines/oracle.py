@@ -36,7 +36,11 @@ class OraclePicker(PS3Picker):
         self.ptable = ptable
 
     def _group_inliers(
-        self, query: Query, normalized: np.ndarray, inliers: np.ndarray
+        self,
+        query: Query,
+        block: np.ndarray,
+        inliers: np.ndarray,
+        columns: np.ndarray,
     ) -> list[np.ndarray]:
         if not self.config.use_regressors:
             return [inliers]

@@ -23,6 +23,13 @@ every group clustered) is pure; the last :data:`PICK_MEMO_LIMIT` of them
 per statistics generation (``FeatureBuilder.generation``) are kept, least
 recently used out, and a repeat is a copy, not a pick. A hit never skips
 a draw, so every selection is the one an unmemoized picker makes.
+
+**Live block.** A pick reads only the query's live feature columns
+(section 3.2's mask): their static part is gathered from a static block
+normalized once per statistics generation, the five selectivity columns
+are normalized per pick, and one last ``+0.0`` column stands in for
+every masked feature a funnel tree tests. No pick builds the full
+feature matrix.
 """
 
 from __future__ import annotations
@@ -40,6 +47,7 @@ from repro.engine.combiner import WeightedChoice
 from repro.engine.query import Query
 from repro.errors import ConfigError
 from repro.obs import get_registry
+from repro.stats.features import NUM_SELECTIVITY, QueryFeatures
 
 #: Pure picks remembered per statistics generation (see the module doc).
 PICK_MEMO_LIMIT = 256
@@ -130,6 +138,7 @@ class PS3Picker:
         # Pure picks of one statistics generation, least recently used first.
         self._memo: dict[tuple[Query, int], PickerSelection] = {}
         self._memo_generation = model.feature_builder.generation
+        self._normalized_static = self._normalize_static()
         registry = get_registry()
         self._memo_hits = registry.counter("picker.memo.hits")
         self._memo_misses = registry.counter("picker.memo.misses")
@@ -137,16 +146,42 @@ class PS3Picker:
 
     # -- internals ------------------------------------------------------------
 
+    def _normalize_static(self) -> np.ndarray:
+        """The normalized static block of the current statistics
+        generation: what every pick of it gathers its live columns from."""
+        static = self.model.feature_builder.static_matrix
+        return self.model.normalizer.transform(static, live=np.arange(static.shape[1]))
+
+    def _live_block(self, features: QueryFeatures) -> np.ndarray:
+        """The query's live columns, normalized, then one ``+0.0`` column.
+
+        Only the five selectivity columns are transformed here; the
+        static ones are gathered from the generation's normalized block.
+        """
+        live = features.live_columns
+        static = live[:-NUM_SELECTIVITY]
+        block = np.zeros((features.num_partitions, live.size + 1))
+        block[:, : static.size] = self._normalized_static[:, static]
+        block[:, static.size : live.size] = self.model.normalizer.transform(
+            features.selectivity, live=live[static.size :]
+        )
+        return block
+
     def _group_inliers(
-        self, query: Query, normalized: np.ndarray, inliers: np.ndarray
+        self,
+        query: Query,
+        block: np.ndarray,
+        inliers: np.ndarray,
+        columns: np.ndarray,
     ) -> list[np.ndarray]:
-        """Importance grouping, least-important group first.
+        """Importance grouping, least-important group first; feature ``f``
+        of a partition is ``block[partition, columns[f]]``.
 
         Overridable: the oracle baseline (Appendix C.2) replaces the
         learned funnel with true contributions.
         """
         if self.config.use_regressors and self.model.regressors:
-            return importance_groups(normalized, inliers, self.model.regressors)
+            return importance_groups(block, inliers, self.model.regressors, columns)
         return [inliers]
 
     def _sample_within_group(
@@ -188,6 +223,7 @@ class PS3Picker:
         if generation != self._memo_generation:
             self._memo.clear()
             self._memo_generation = generation
+            self._normalized_static = self._normalize_static()
         key = (query, budget)
         stored = self._memo.pop(key, None)
         if stored is not None:
@@ -215,8 +251,12 @@ class PS3Picker:
             return PickerSelection(
                 selection=[WeightedChoice(int(p), 1.0) for p in passing]
             )
+        # Every pick reads the query's live block alone: a masked feature
+        # is +0.0 for every partition, and the block's last column holds it.
         live = features.live_columns
-        normalized = self.model.normalizer.transform(features.matrix, live=live)
+        block = self._live_block(features)
+        columns = np.full(self.model.feature_builder.schema.dimension, live.size)
+        columns[live] = np.arange(live.size)
 
         # Step 1: outliers (weight 1 each, up to 10% of the budget).
         outliers: np.ndarray = np.empty(0, dtype=np.intp)
@@ -245,7 +285,7 @@ class PS3Picker:
         remaining = budget - outliers.size
 
         # Step 2: importance funnel.
-        groups = self._group_inliers(query, normalized, inliers)
+        groups = self._group_inliers(query, block, inliers, columns)
 
         # Step 3: budget split with decay alpha.
         group_sizes = [int(g.size) for g in groups]
@@ -264,13 +304,15 @@ class PS3Picker:
         )
         # One gather per select: every group clusters in the query's live
         # subspace (the other columns are zero for every partition).
-        block = normalized[:, live[self._clusterable[live]]] if clustering_ok else None
+        clustered = (
+            block[:, np.flatnonzero(self._clusterable[live])] if clustering_ok else None
+        )
         for group_index, (members, group_budget) in enumerate(
             zip(groups, group_budgets)
         ):
             selection.extend(
                 self._sample_within_group(
-                    block,
+                    clustered,
                     members,
                     group_budget,
                     seed=self.config.seed + group_index,

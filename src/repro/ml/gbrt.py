@@ -134,19 +134,20 @@ class GBRTRegressor:
     def fitted(self) -> bool:
         return self._num_features > 0
 
-    def compiled_for(self, X: np.ndarray) -> CompiledForest:
-        """The compiled inference table, after checking ``X`` fits it."""
+    def compiled_for(self, columns: np.ndarray) -> CompiledForest:
+        """The inference table, once ``columns`` maps each feature to a column."""
         if not self.fitted:
             raise NotFittedError("GBRTRegressor.predict before fit")
-        if X.ndim != 2 or X.shape[1] != self._num_features:
+        if columns.shape != (self._num_features,):
             raise ConfigError(
-                f"expected shape (*, {self._num_features}), got {X.shape}"
+                f"expected {self._num_features} feature columns, got {columns.shape}"
             )
         return self._compiled
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)
-        return self.compiled_for(X).stage_scores(X)[0]
+        columns = np.arange(X.shape[1] if X.ndim == 2 else 0)  # identity map
+        return self.compiled_for(columns).stage_scores(X)[0]
 
     def feature_importances(self) -> np.ndarray:
         """Normalized total split gain per feature (sums to 1 if any)."""

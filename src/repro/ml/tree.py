@@ -17,7 +17,7 @@ split to a raw-value threshold once and lays all trees into one node table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -136,6 +136,10 @@ class CompiledForest:
             stages=np.concatenate([[0], *ends]),
             depth=max(forest.depth for forest in forests),
         )
+
+    def reading(self, columns: np.ndarray) -> CompiledForest:
+        """This table with feature ``f`` read from input column ``columns[f]``."""
+        return replace(self, feature=columns.take(self.feature))
 
     def stage_scores(
         self, matrix: np.ndarray, rows: np.ndarray | None = None

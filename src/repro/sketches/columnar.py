@@ -30,6 +30,7 @@ negligible at these cardinalities.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -153,7 +154,10 @@ class HistogramArrays:
         # so this sum is exact regardless of summation order.
         cumulative = np.sum(self.depths * (value >= his), axis=1)
         rows = np.arange(n)
-        j = np.argmax(value < his, axis=1)  # first bucket with value < hi
+        # The bucket the scalar walk stops in: the first not below the
+        # probe. Spelled ``~(value >= hi)``, not ``value < hi``, so a NaN
+        # last edge stops it there (no interpolation), not at bucket 0.
+        j = np.argmax(~(value >= his), axis=1)
         lo_j = self.edges[rows, j]
         hi_j = his[rows, j]
         span = hi_j - lo_j
@@ -215,13 +219,35 @@ class HistogramArrays:
         n = self.num_partitions
         if low > high:
             return np.zeros(n, dtype=np.float64)
-        upper = (
-            self.fraction_leq(high) if high_inclusive else self.fraction_lt(high)
-        )
-        lower = self.fraction_lt(low) if low_inclusive else self.fraction_leq(low)
+        upper = self._fraction_below(high, high_inclusive)
+        lower = self._fraction_below(low, not low_inclusive)
         return np.where(
             self.totals == 0, 0.0, np.clip(upper - lower, 0.0, 1.0)
         )
+
+    def _fraction_below(self, value: float, inclusive: bool) -> np.ndarray:
+        """``fraction_leq(value)`` if ``inclusive``, else ``fraction_lt``.
+
+        An infinite ``value`` — the open side of a one-sided range —
+        takes its closed form, 1 at ``+inf`` and 0 at ``-inf``, in every
+        row where the primitive's own range test returns exactly that:
+        ``+inf >= last edge`` (``>`` for ``lt``, which estimates the
+        equality mass at an infinite last edge) and ``-inf < first edge``
+        (``<=`` for ``lt``). NaN and equal-infinite end edges fail those
+        tests and take the primitive. Rows with ``totals == 0`` differ,
+        but :meth:`fraction_in_interval` zeroes them.
+        """
+        primitive = self.fraction_leq if inclusive else self.fraction_lt
+        if not math.isinf(value):
+            return primitive(value)
+        if value > 0:
+            edge = self.edges[:, -1]
+            closed = value >= edge if inclusive else value > edge
+        else:
+            edge = self.edges[:, 0]
+            closed = value < edge if inclusive else value <= edge
+        form = np.full(self.num_partitions, 1.0 if value > 0 else 0.0)
+        return form if closed.all() else np.where(closed, form, primitive(value))
 
 
 @dataclass

@@ -17,8 +17,12 @@ query does not reference are zeroed, and bitmap blocks are only live for
 the query's actual group-by columns (section 3.2). The mask is a value,
 not just zeros: :attr:`QueryFeatures.live_columns` lists the feature
 columns it left live (about an eighth of the vector for a typical
-query), so the normalizer and the clustering step work on those columns
-alone — every other column is ``+0.0`` for every partition.
+query), so the normalizer, the funnel and the clustering step work on
+those columns alone — every other column is ``+0.0`` for every
+partition. A query's features are therefore its selectivity block
+(N x 5) and its mask over the builder's static block; the masked
+N x M matrix (:attr:`QueryFeatures.matrix`) is composed only when a
+caller reads it (training, LSS, diagnostics), never by a pick.
 
 The builder is backed by a :class:`ColumnarSketchIndex`: the static block
 is assembled from per-column array stacks rather than per-partition
@@ -31,6 +35,7 @@ walk, one partition at a time, is the oracle the tests hold the plan to.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -161,24 +166,38 @@ class FeatureSchema:
 
 @dataclass
 class QueryFeatures:
-    """The feature matrix F (N x M) for one query, plus conveniences."""
+    """One query's features: its selectivity block and its mask, over
+    the builder's static block; the full matrix F (N x M) on demand."""
 
     schema: FeatureSchema
     query: Query
-    matrix: np.ndarray
+    #: Selectivity estimates (N x 5), in ``SELECTIVITY_SPECS`` order.
+    selectivity: np.ndarray
     #: The query mask (section 3.2), ascending: stat blocks of referenced
     #: columns, bitmap blocks of GROUP BY columns, the selectivity slots.
     #: Every other column of ``matrix`` is ``+0.0``.
     live_columns: np.ndarray
+    #: The builder's unmasked static block (read-only) these rows index.
+    static: np.ndarray = field(repr=False)
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """The masked N x M matrix, composed on first access for the
+        callers that need full width (training, LSS, diagnostics)."""
+        matrix = np.zeros((self.num_partitions, self.schema.dimension))
+        masked = self.live_columns[:-NUM_SELECTIVITY]  # the static part
+        matrix[:, masked] = self.static[:, masked]
+        matrix[:, self.schema.selectivity_slice()] = self.selectivity
+        return matrix
 
     @property
     def num_partitions(self) -> int:
-        return self.matrix.shape[0]
+        return self.selectivity.shape[0]
 
     @property
     def selectivity_upper(self) -> np.ndarray:
         """Per-partition ``selectivity_upper`` (the perfect-recall filter)."""
-        return self.matrix[:, self.schema.selectivity_upper_index]
+        return self.selectivity[:, 0]
 
     def passing_partitions(self) -> np.ndarray:
         """Indices of partitions that may contain qualifying rows."""
@@ -237,6 +256,7 @@ class FeatureBuilder:
         else:
             self._index = ColumnarSketchIndex.build(dataset)
         self._static = self._static_rows(0, dataset.num_partitions)
+        self._static.flags.writeable = False  # shared with every QueryFeatures
         self._live_memo: dict[tuple, np.ndarray] = {}
 
     def _static_rows(self, start: int, stop: int) -> np.ndarray:
@@ -290,6 +310,7 @@ class FeatureBuilder:
         if n > built:
             self._index.extend(self.dataset)
             self._static = np.vstack([self._static, self._static_rows(built, n)])
+            self._static.flags.writeable = False
 
     def _plan_for(self, predicate: Predicate | None) -> PredicatePlan:
         """Compiled plan for ``predicate``, memoized in the shared cache."""
@@ -316,15 +337,12 @@ class FeatureBuilder:
         return live
 
     def features_for_query(self, query: Query) -> QueryFeatures:
-        """Masked static features + selectivity estimates for ``query``."""
-        n = self.dataset.num_partitions
-        matrix = np.zeros((n, self.schema.dimension), dtype=np.float64)
-        live = self._live_columns(query)
-        masked = live[:-NUM_SELECTIVITY]  # the static part of the mask
-        matrix[:, masked] = self._static[:, masked]
-        matrix[:, self.schema.selectivity_slice()] = self._plan_for(
-            query.predicate
-        ).evaluate(self._index)
+        """Selectivity estimates and the mask for ``query``; nothing of
+        the static block is copied until ``.matrix`` is read."""
         return QueryFeatures(
-            schema=self.schema, query=query, matrix=matrix, live_columns=live
+            schema=self.schema,
+            query=query,
+            selectivity=self._plan_for(query.predicate).evaluate(self._index),
+            live_columns=self._live_columns(query),
+            static=self._static,
         )

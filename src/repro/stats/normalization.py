@@ -10,6 +10,12 @@ statistic dominates Euclidean distances:
 3. every feature is scaled by its *average* absolute value over the
    training set (the average is more outlier-robust than the max). Test
    queries reuse the training averages.
+
+Each step is elementwise, so any block of feature columns normalizes on
+its own, bit for bit as inside the full matrix: the picker normalizes
+the static block once per statistics generation and, per pick, only the
+query's five selectivity columns (:meth:`Normalizer.transform` with
+``live`` naming the block's features).
 """
 
 from __future__ import annotations
@@ -46,24 +52,24 @@ class Normalizer:
         return self.scale is not None
 
     def transform(
-        self, matrix: np.ndarray, live: np.ndarray | None = None
+        self, block: np.ndarray, live: np.ndarray | None = None
     ) -> np.ndarray:
         """Apply log/cbrt transforms and training-average scaling.
 
-        ``live`` (ascending; a query's ``QueryFeatures.live_columns``)
-        names the only columns that hold anything but ``+0.0``. ``+0.0``
-        transforms to ``+0.0``, so only they are computed and the result
-        is bit for bit the one without it.
+        ``live`` (ascending) names the feature each column of ``block``
+        holds — a query's live columns, a selectivity block's slots, the
+        static block's prefix — and the result has ``block``'s shape;
+        ``None`` means ``block`` is a full-width feature matrix. The
+        transform is elementwise, so each column is bit for bit what it
+        is in a full-width transform.
         """
         if self.scale is None:
             raise NotFittedError("Normalizer.transform called before fit")
         selectivity = self.schema.selectivity_slice()
         if live is None:
-            return _transform(matrix, selectivity) / self.scale
+            return _transform(block, selectivity) / self.scale
         slots = np.searchsorted(live, (selectivity.start, selectivity.stop))
-        out = np.zeros(matrix.shape, dtype=np.float64)
-        out[:, live] = _transform(matrix[:, live], slice(*slots)) / self.scale[live]
-        return out
+        return _transform(block, slice(*slots)) / self.scale[live]
 
     def fit_transform(
         self, matrices: list[np.ndarray]

@@ -38,7 +38,8 @@ class TestOracle:
         features = trained_ps3.feature_builder.features_for_query(query)
         normalized = trained_ps3.model.normalizer.transform(features.matrix)
         inliers = features.passing_partitions()
-        groups = oracle._group_inliers(query, normalized, inliers)
+        columns = np.arange(normalized.shape[1])
+        groups = oracle._group_inliers(query, normalized, inliers, columns)
         assert len(groups) == len(trained_ps3.model.thresholds) + 1
         # Verify funnel semantics against the thresholds directly.
         for level, members in enumerate(groups[:-1]):

@@ -2,14 +2,17 @@
 
 A pick depends on the query in three places only: the selectivity
 estimates, the mask, and the candidates. Everything else is derived once
-— the fused funnel forest per model, the per-column signature codes per
-table generation (caught up from the appended partitions only) — and
-clustering sees the query's live columns, never the full feature width.
-Spies on ``CompiledForest.fuse``, ``ColumnIndex.occurrence_matrix`` and
-``KMeans.fit`` say so without a clock. The spied picks run at a budget
-the warm-up did not use, so they are picker memo misses that really
-pick; re-issuing a warm-up pair is a hit that featurizes, scores and
-clusters nothing.
+— the fused funnel forest per model, the normalized static feature block
+and the per-column signature codes per table generation (caught up from
+the appended partitions only) — and normalization, the funnel and
+clustering see the query's live block (its live columns and one ``+0.0``
+column), never the full feature width, whose matrix a pick never
+composes. Spies on ``CompiledForest.fuse``,
+``ColumnIndex.occurrence_matrix``, ``QueryFeatures.matrix``,
+``Normalizer.transform``, ``importance_groups`` and ``KMeans.fit`` say so
+without a clock. The spied picks run at a budget the warm-up did not
+use, so they are picker memo misses that really pick; re-issuing a
+warm-up pair is a hit that featurizes, scores and clusters nothing.
 """
 
 from __future__ import annotations
@@ -22,7 +25,8 @@ from repro.datasets.registry import get_dataset
 from repro.ml.kmeans import KMeans
 from repro.ml.tree import CompiledForest
 from repro.sketches.columnar import ColumnIndex
-from repro.stats.features import FeatureBuilder
+from repro.stats.features import FeatureBuilder, QueryFeatures
+from repro.stats.normalization import Normalizer
 from repro.workload.generator import QueryGenerator
 
 NUM_QUERIES = 50
@@ -52,9 +56,13 @@ def test_warm_picks_rebuild_nothing_and_cluster_only_live_columns(
         system.query(query, budget_fraction=BUDGET)
 
     fused, occurrences, widths = [], [], []
+    composed, transformed, funnelled = [], [], []
     fuse = CompiledForest.fuse.__func__
     occurrence_matrix = ColumnIndex.occurrence_matrix
     fit = KMeans.fit
+    compose = QueryFeatures.matrix.func
+    transform = Normalizer.transform
+    importance_groups = picker_module.importance_groups
 
     def counting_fuse(cls, forests):
         fused.append(len(forests))
@@ -68,47 +76,66 @@ def test_warm_picks_rebuild_nothing_and_cluster_only_live_columns(
         widths.append(X.shape[1])
         return fit(self, X)
 
+    def counting_compose(self):
+        composed.append(self.query)
+        return compose(self)
+
+    def measuring_transform(self, block, live=None):
+        transformed.append(block.shape[1])
+        return transform(self, block, live)
+
+    def measuring_groups(block, candidates, regressors, columns):
+        funnelled.append(block.shape[1])
+        return importance_groups(block, candidates, regressors, columns)
+
     monkeypatch.setattr(CompiledForest, "fuse", classmethod(counting_fuse))
     monkeypatch.setattr(ColumnIndex, "occurrence_matrix", counting_occurrence_matrix)
     monkeypatch.setattr(KMeans, "fit", measuring_fit)
+    monkeypatch.setattr(QueryFeatures, "matrix", property(counting_compose))
+    monkeypatch.setattr(Normalizer, "transform", measuring_transform)
+    monkeypatch.setattr(picker_module, "importance_groups", measuring_groups)
 
-    fits = 0
+    fits, transforms, funnels = 0, 0, 0
     for query in queries:
         live = builder.features_for_query(query).live_columns.size
         assert live < dimension / 2
-        del widths[:]
+        del widths[:], transformed[:], funnelled[:]
         system.query(query, budget_fraction=SPIED_BUDGET)
         assert all(width == live for width in widths), (widths, live)
+        assert all(width <= live + 1 for width in transformed), (transformed, live)
+        assert all(width == live + 1 for width in funnelled), (funnelled, live)
         fits += len(widths)
-    assert fits >= NUM_QUERIES / 2  # the spy sat on the path
+        transforms += len(transformed)
+        funnels += len(funnelled)
+    assert min(fits, transforms, funnels) >= NUM_QUERIES / 2  # the spies sat
+    assert composed == []  # no pick built a full-width feature matrix
     assert fused == []
     assert occurrences == []
 
     # A warm-up pair again: a memo hit, no featurize, funnel or k-means.
-    featurized, funnelled = [], []
+    featurized = []
     features_for_query = FeatureBuilder.features_for_query
-    importance_groups = picker_module.importance_groups
 
     def counting_features(self, query):
         featurized.append(query)
         return features_for_query(self, query)
 
-    def counting_groups(*args, **kwargs):
-        funnelled.append(args)
-        return importance_groups(*args, **kwargs)
-
     monkeypatch.setattr(FeatureBuilder, "features_for_query", counting_features)
-    monkeypatch.setattr(picker_module, "importance_groups", counting_groups)
-    del widths[:]
+    del widths[:], funnelled[:]
     for query in queries:
         system.query(query, budget_fraction=BUDGET)
     assert (featurized, funnelled, widths) == ([], [], [])
 
-    # One append: bitmaps and signature codes of the new partition only.
+    # One append: bitmaps and signature codes of the new partition only,
+    # and one normalization of the new generation's whole static block.
     before = system.ptable.num_partitions
     system.append(appended_rows)
+    del transformed[:]
     for query in queries:
         system.query(query, budget_fraction=BUDGET)
+    wide = [width for width in transformed if width > dimension / 2]
+    assert wide == [builder.schema.selectivity_offset]
+    assert composed == []
     assert fused == []
     assert occurrences
     assert {(start, stop) for __, start, stop in occurrences} == {(before, before + 1)}

@@ -22,7 +22,7 @@ from repro.engine.layout import partition_evenly, sort_table
 from repro.engine.schema import Column, ColumnKind, Schema
 from repro.engine.table import Table
 from repro.sketches.builder import build_dataset_statistics
-from repro.stats.features import FeatureBuilder, QueryFeatures
+from repro.stats.features import NUM_SELECTIVITY, FeatureBuilder, QueryFeatures
 from repro.stats.selectivity import estimate_selectivity
 from repro.workload.generator import QueryGenerator
 
@@ -133,12 +133,14 @@ def _scalar_features(builder: FeatureBuilder, query) -> QueryFeatures:
     # Through the class: a test may have shadowed the builder's own method
     # with this composition to drive a whole pick on the oracle.
     features = FeatureBuilder.features_for_query(builder, query)
-    block = builder.schema.selectivity_slice()
-    for p, partition in enumerate(builder.dataset.partitions):
-        features.matrix[p, block] = dataclasses.astuple(
-            estimate_selectivity(query.predicate, partition)
-        )
-    return features
+    estimates = [
+        dataclasses.astuple(estimate_selectivity(query.predicate, partition))
+        for partition in builder.dataset.partitions
+    ]
+    # The block every reader reads: a pick reads ``selectivity`` and
+    # ``.matrix`` is composed from it, so both hold the oracle's values.
+    selectivity = np.array(estimates, dtype=np.float64).reshape(-1, NUM_SELECTIVITY)
+    return dataclasses.replace(features, selectivity=selectivity)
 
 
 class _DictOracleEstimator:

@@ -1,9 +1,14 @@
 """Unit tests for the importance-group funnel (Algorithm 2)."""
 
 import numpy as np
+import pytest
 
 from repro.core.importance import importance_groups
+from repro.errors import ConfigError
 from repro.ml.gbrt import GBRTRegressor
+
+#: Every matrix below is full width: feature ``f`` is column ``f``.
+FULL_WIDTH = np.arange(2)
 
 
 def make_regressor(boundary: float) -> GBRTRegressor:
@@ -18,7 +23,7 @@ class TestFunnel:
     def test_groups_partition_candidates(self):
         matrix = np.column_stack([np.linspace(0, 1, 20), np.zeros(20)])
         regressors = [make_regressor(0.3), make_regressor(0.7)]
-        groups = importance_groups(matrix, np.arange(20), regressors)
+        groups = importance_groups(matrix, np.arange(20), regressors, FULL_WIDTH)
         assert len(groups) == 3
         combined = np.concatenate(groups)
         assert sorted(combined.tolist()) == list(range(20))
@@ -26,7 +31,7 @@ class TestFunnel:
     def test_funnel_ordering(self):
         matrix = np.column_stack([np.linspace(0, 1, 20), np.zeros(20)])
         regressors = [make_regressor(0.3), make_regressor(0.7)]
-        groups = importance_groups(matrix, np.arange(20), regressors)
+        groups = importance_groups(matrix, np.arange(20), regressors, FULL_WIDTH)
         # The most important group holds the highest-feature partitions.
         if groups[2].size:
             assert matrix[groups[2], 0].min() >= matrix[groups[0], 0].max()
@@ -35,7 +40,7 @@ class TestFunnel:
         """A partition must pass every earlier model to reach group k."""
         matrix = np.column_stack([np.linspace(0, 1, 40), np.zeros(40)])
         regressors = [make_regressor(0.5), make_regressor(0.2)]
-        groups = importance_groups(matrix, np.arange(40), regressors)
+        groups = importance_groups(matrix, np.arange(40), regressors, FULL_WIDTH)
         # Stage 2's looser threshold cannot resurrect stage-1 rejects.
         if groups[0].size and groups[2].size:
             assert matrix[groups[0], 0].max() <= 0.6
@@ -43,13 +48,22 @@ class TestFunnel:
     def test_empty_candidates(self):
         matrix = np.zeros((5, 2))
         groups = importance_groups(
-            matrix, np.empty(0, dtype=np.intp), [make_regressor(0.5)]
+            matrix, np.empty(0, dtype=np.intp), [make_regressor(0.5)], FULL_WIDTH
         )
         assert all(g.size == 0 for g in groups)
 
+    def test_a_column_map_that_does_not_fit_is_refused(self):
+        """One column per model feature, each inside the matrix: a map
+        past the matrix's width would read another partition's row."""
+        matrix = np.zeros((5, 2))
+        regressors = [make_regressor(0.5)]
+        for columns in (np.arange(3), np.array([0, 2])):
+            with pytest.raises(ConfigError):
+                importance_groups(matrix, np.arange(5), regressors, columns)
+
     def test_no_regressors_single_group(self):
         matrix = np.zeros((5, 2))
-        groups = importance_groups(matrix, np.arange(5), [])
+        groups = importance_groups(matrix, np.arange(5), [], FULL_WIDTH)
         assert len(groups) == 1
         np.testing.assert_array_equal(groups[0], np.arange(5))
 
@@ -71,7 +85,9 @@ class TestEveryCandidateLandsInOneGroup:
         scores = damaged.predict(matrix)
         assert np.isnan(scores).any() and (scores > 0.0).any()
         candidates = np.arange(40)[::-1]
-        groups = importance_groups(matrix, candidates, [damaged, make_regressor(0.2)])
+        groups = importance_groups(
+            matrix, candidates, [damaged, make_regressor(0.2)], FULL_WIDTH
+        )
         np.testing.assert_array_equal(groups[0], candidates[~(scores[::-1] > 0.0)])
         assert sorted(np.concatenate(groups).tolist()) == list(range(40))
 
@@ -86,7 +102,7 @@ class TestEveryCandidateLandsInOneGroup:
         ]
         for regressors in funnels:
             candidates = rng.permutation(60)[: rng.integers(1, 60)]
-            groups = importance_groups(matrix, candidates, regressors)
+            groups = importance_groups(matrix, candidates, regressors, FULL_WIDTH)
             assert len(groups) == len(regressors) + 1
             combined = np.concatenate(groups)
             assert sorted(combined.tolist()) == sorted(candidates.tolist())

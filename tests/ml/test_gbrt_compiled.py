@@ -33,8 +33,10 @@ def oracle_predict(model: GBRTRegressor, X: np.ndarray) -> np.ndarray:
     return out
 
 
-def sequential_groups(matrix, candidates, regressors) -> list[np.ndarray]:
-    """The stage-by-stage funnel, scoring only each stage's survivors."""
+def sequential_groups(matrix, candidates, regressors, columns) -> list[np.ndarray]:
+    """The stage-by-stage funnel, scoring only each stage's survivors of
+    the full-width matrix (feature ``f`` is ``matrix[:, columns[f]]``)."""
+    matrix = matrix[:, columns]
     groups = [np.asarray(candidates, dtype=np.intp)]
     for regressor in regressors:
         tail = groups[-1]
@@ -202,9 +204,10 @@ class TestZeroTreeAndMixedStages:
             [stump, negative, deep],
             [empty, empty],
         ):
+            columns = np.arange(matrix.shape[1])
             assert_same_groups(
-                importance_groups(matrix, candidates, funnel),
-                sequential_groups(matrix, candidates, funnel),
+                importance_groups(matrix, candidates, funnel, columns),
+                sequential_groups(matrix, candidates, funnel, columns),
             )
 
 
@@ -225,11 +228,11 @@ class TestFunnelOnRealPicks:
         ps3, queries = kdd_system
         calls = []
 
-        def recording(matrix, candidates, regressors):
-            groups = importance_groups(matrix, candidates, regressors)
+        def recording(block, candidates, regressors, columns):
+            groups = importance_groups(block, candidates, regressors, columns)
             calls.append(candidates.size)
             assert_same_groups(
-                groups, sequential_groups(matrix, candidates, regressors)
+                groups, sequential_groups(block, candidates, regressors, columns)
             )
             return groups
 
@@ -288,7 +291,8 @@ class TestCompiledProperties:
                 model.predict(probe), oracle_predict(model, probe)
             )
         candidates = np.random.default_rng(seed).permutation(probe.shape[0])[:200]
+        columns = np.arange(probe.shape[1])
         assert_same_groups(
-            importance_groups(probe, candidates, models),
-            sequential_groups(probe, candidates, models),
+            importance_groups(probe, candidates, models, columns),
+            sequential_groups(probe, candidates, models, columns),
         )

@@ -73,7 +73,8 @@ class TestNormalizer:
 
 
 class TestLiveColumns:
-    """``transform(m, live=...)`` is ``transform(m)``, bit for bit."""
+    """``transform(m[:, live], live=live)`` is ``transform(m)[:, live]``,
+    bit for bit, and every other column of ``transform(m)`` is ``+0.0``."""
 
     @staticmethod
     def same_bits(a, b):
@@ -93,10 +94,37 @@ class TestLiveColumns:
             assert np.all(np.diff(live) > 0)
             dead = np.setdiff1d(np.arange(features.matrix.shape[1]), live)
             assert not features.matrix[:, dead].any()
+            full = normalizer.transform(features.matrix)
+            assert self.same_bits(full[:, dead], np.zeros((full.shape[0], dead.size)))
             assert self.same_bits(
-                normalizer.transform(features.matrix, live=live),
-                normalizer.transform(features.matrix),
+                normalizer.transform(features.matrix[:, live], live=live),
+                full[:, live],
             )
+
+    def test_static_block_and_selectivity_block_compose_the_live_block(
+        self, fitted, tiny_feature_builder
+    ):
+        """What a pick does: gather the static columns from the block
+        normalized once per generation, transform the selectivity block."""
+        normalizer, __ = fitted
+        static = tiny_feature_builder.static_matrix
+        normalized_static = normalizer.transform(
+            static, live=np.arange(static.shape[1])
+        )
+        for group_by in ((), ("cat",), ("d", "cat")):
+            query = Query([count_star()], group_by=group_by)
+            features = tiny_feature_builder.features_for_query(query)
+            live = features.live_columns
+            split = live.size - features.selectivity.shape[1]
+            masked, slots = live[:split], live[split:]
+            composed = np.hstack(
+                [
+                    normalized_static[:, masked],
+                    normalizer.transform(features.selectivity, live=slots),
+                ]
+            )
+            full = normalizer.transform(features.matrix)
+            assert self.same_bits(composed, full[:, live])
 
     @pytest.mark.filterwarnings("ignore:invalid value encountered")
     def test_hostile_values_in_live_columns(self, fitted):
@@ -114,6 +142,9 @@ class TestLiveColumns:
             spoil = rng.random(matrix.shape) < 0.2
             spoil[:, np.setdiff1d(np.arange(dimension), live)] = False
             matrix[spoil] = rng.choice(hostile, size=int(spoil.sum()))
+            full = normalizer.transform(matrix)
             assert self.same_bits(
-                normalizer.transform(matrix, live=live), normalizer.transform(matrix)
+                normalizer.transform(matrix[:, live], live=live), full[:, live]
             )
+            dead = np.setdiff1d(np.arange(dimension), live)
+            assert self.same_bits(full[:, dead], np.zeros((9, dead.size)))

@@ -50,9 +50,7 @@ class TestPlanAgainstScalar:
         query = Query([count_star()], predicate)
         vectorized = tiny_feature_builder.features_for_query(query)
         scalar = scalar_features(tiny_feature_builder, query)
-        np.testing.assert_allclose(
-            vectorized.matrix, scalar.matrix, rtol=0.0, atol=1e-12
-        )
+        np.testing.assert_array_equal(vectorized.matrix, scalar.matrix)
 
     def test_no_predicate_yields_full_selectivity(self, tiny_feature_builder):
         features = tiny_feature_builder.features_for_query(Query([count_star()]))
