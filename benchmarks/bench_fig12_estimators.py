@@ -64,6 +64,12 @@ def test_fig12_biased_vs_unbiased(estimator_results, benchmark, profile):
     assert wins >= len(DATASETS) // 2 + 1
 
     ctx, budgets, __, ___ = estimator_results["tpch"]
-    picker = ctx.ps3_picker(PickerConfig(exemplar="random"))
     query = ctx.prepared[0].query
-    benchmark(lambda: picker.select(query, budgets[0]))
+    budget = budgets[0]
+    # A cold pick per round: a fresh picker, since a repeat on one
+    # picker is a memo hit.
+    benchmark.pedantic(
+        lambda picker: picker.select(query, budget),
+        setup=lambda: ((ctx.ps3_picker(PickerConfig(exemplar="random")),), {}),
+        rounds=20,
+    )

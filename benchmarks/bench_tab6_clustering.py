@@ -69,8 +69,13 @@ def test_tab6_clustering_algorithms(clustering_auc, benchmark, profile):
         assert auc["hac-single"] >= best_pair * 0.9, dataset
 
     ctx = get_context("kdd", profile=profile)
-    picker = ctx.ps3_picker(
-        PickerConfig(clustering_algorithm="hac-ward", use_regressors=False)
-    )
+    config = PickerConfig(clustering_algorithm="hac-ward", use_regressors=False)
     query = ctx.prepared[0].query
-    benchmark(lambda: picker.select(query, max(1, ctx.num_partitions // 10)))
+    budget = max(1, ctx.num_partitions // 10)
+    # A cold pick per round: a fresh picker, since a repeat on one
+    # picker is a memo hit.
+    benchmark.pedantic(
+        lambda picker: picker.select(query, budget),
+        setup=lambda: ((ctx.ps3_picker(config),), {}),
+        rounds=20,
+    )

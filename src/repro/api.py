@@ -33,7 +33,7 @@ from repro.core.training import (
     train_picker_model,
 )
 from repro.engine.batch_executor import fused_view
-from repro.engine.combiner import FinalAnswer, finalize_answer
+from repro.engine.combiner import CombinedAnswer, FinalAnswer, finalize_answer
 from repro.engine.executor import true_answer
 from repro.engine.layout import append_rows, validate_batch
 from repro.engine.query import Query
@@ -345,7 +345,8 @@ class PS3:
 
     def execute_exact(self, query: Query) -> FinalAnswer:
         """The exact answer (full scan) for ground-truth comparison."""
-        return finalize_answer(query, true_answer(self.ptable, query))
+        exact = CombinedAnswer.of(true_answer(self.ptable, query), query)
+        return finalize_answer(query, exact)
 
     def evaluate(self, query: Query, answer: ApproximateAnswer) -> ErrorReport:
         """Score an approximate answer against the exact one."""

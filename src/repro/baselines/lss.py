@@ -24,7 +24,7 @@ dict-free over the training answer blocks: per-query sweep state
 candidate loops, and each query's whole candidate set goes through one
 :meth:`~repro.engine.block_estimator.BlockEstimator.score_grid` call —
 a single segment gather plus one fused ``np.bincount``, report for
-report what ``engine/combiner.estimate`` + ``evaluate_errors`` give
+report what the dict walk's ``estimate`` + ``evaluate_errors`` give
 candidate by candidate (the tests compose that oracle).
 """
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.variance import confidence_interval
-from repro.engine.combiner import WeightedChoice, combine_answers
+from repro.engine.combiner import WeightedChoice
 from repro.engine.executor import ComponentAnswer
 from repro.engine.query import Query
 from repro.errors import ConfigError
@@ -112,13 +112,12 @@ def estimate_with_confidence(
 
     # Combine in *component* space (SUM/COUNT totals per group) — the
     # slot-indexed CI math below needs components, not finalized
-    # aggregates. (This previously ran through ``combiner.estimate``,
-    # whose finalized values only coincide with component totals when a
-    # query's aggregates map 1:1 onto its components; AVG intervals were
-    # built from an already-finalized AVG in the SUM slot.)
-    combined = combine_answers(
-        [partition_answers[c.partition] for c in selection], selection
-    )
+    # aggregates. Starting from ``-0.0`` adds nothing: ``-0.0 + x`` is
+    # ``x``, sign included.
+    combined: dict[tuple, np.ndarray] = {}
+    for choice in selection:
+        for key, vec in partition_answers[choice.partition].items():
+            combined[key] = combined.get(key, -0.0) + choice.weight * vec
 
     # Per-group, per-component variance: sum over clusters of
     # s * sum((y - mean)^2) over the probed members (Appendix D.1's

@@ -18,7 +18,7 @@ candidate scoring — and the scoring itself is fused: each query's
 budget-fraction candidates go through one
 :meth:`~repro.engine.block_estimator.BlockEstimator.score_grid` call (a
 single segment gather plus one fused ``np.bincount``), bit-identical to
-``engine/combiner.estimate`` + ``evaluate_errors`` per candidate.
+the dict walk's ``estimate`` + ``evaluate_errors`` per candidate.
 """
 
 from __future__ import annotations

@@ -14,7 +14,7 @@ weights.
 
 from repro.engine.aggregates import AggFunc, Aggregate
 from repro.engine.batch_executor import BatchExecutor, FusedTableView, fused_view
-from repro.engine.combiner import WeightedChoice, combine_answers, finalize_answer
+from repro.engine.combiner import WeightedChoice
 from repro.engine.executor import execute_on_partition, execute_on_table, true_answer
 from repro.engine.expressions import BinOp, ColumnRef, Const, Expression
 from repro.engine.layout import partition_evenly, shuffle_table, sort_table
@@ -69,10 +69,8 @@ __all__ = [
     "SimulatedWorkerCrash",
     "Table",
     "WeightedChoice",
-    "combine_answers",
     "execute_on_partition",
     "execute_on_table",
-    "finalize_answer",
     "fused_view",
     "partition_evenly",
     "shuffle_table",

@@ -48,9 +48,9 @@ array passes:
    ``np.bincount`` (dense) or a compacted ``np.unique`` + ``bincount``
    pass when the ``partitions x groups`` grid would dwarf the row count;
 4. no scatter: the occupied segments and their totals *are* the answer
-   (:class:`QueryAnswerBlock`). Training reads the arrays; serving
-   iterates the block, which yields each partition's ``ComponentAnswer``
-   dict on the way into the weighted combine.
+   (:class:`QueryAnswerBlock`). Training and serving read the arrays;
+   the weighted combine (:mod:`repro.engine.combiner`) reduces the
+   selected segments without building a dict per partition.
 
 Bit-for-bit parity with the scalar oracle
 -----------------------------------------
@@ -359,7 +359,8 @@ class QueryAnswerBlock:
 
     Read as a sequence, the block *is* the per-partition
     ``ComponentAnswer`` dicts: ``len``, ``[p]``, iteration and ``==``
-    against a plain list, keys ascending within each dict. A dict is
+    against a plain list, keys ascending within each dict — the shape
+    the tests' oracles take; no answer path builds them. A dict is
     built each time it is asked for and holds views into ``totals``;
     nothing is kept, so the block refers to nothing that refers back.
     """

@@ -1,52 +1,27 @@
 """Array-native estimation plane: combine, finalize and score a grid.
 
 The paper's section 2.4 estimator is a weighted linear combination of
-per-partition answers: ``A~_g = sum_j w_j * A_{g, p_j}``. In matrix form
-that is a single contraction — lower the selection ``S = {(p_j, w_j)}``
-to a weight vector ``w`` over partitions and contract it with the dense
-answer block ``T`` of shape ``(partitions, groups, components)``::
+per-partition answers: ``A~_g = sum_j w_j * A_{g, p_j}``.
+:class:`BlockEstimator` evaluates it over a
+:class:`~repro.engine.batch_executor.QueryAnswerBlock` for a whole *grid*
+of candidate selections at once — the shape of every offline consumer
+(the LSS stratum sweep, the feature-selection evaluator, the bench
+runner's budget sweeps): many selections, one exact answer. An online
+answer is a grid of one (:func:`repro.engine.combiner.combine_answers`);
+both reduce with the one kernel, :func:`repro.engine.combiner
+.weighted_sums`, byte for byte the dict walk the tests keep under
+``tests/`` (the summation-order argument is in ``engine/combiner.py``).
 
-    combined[g, c] = sum_p w[p] * T[p, g, c]        # the paper's sum_j
-
-followed by a vectorized finalize (AVG = elementwise SUM/COUNT with
-zero-guarded division; SUM/COUNT pass through) across all groups at
-once. :class:`BlockEstimator` implements that contraction over a
-:class:`~repro.engine.batch_executor.QueryAnswerBlock` for a whole
-*grid* of candidate selections at once — the shape of every offline
-consumer (the LSS stratum sweep, the feature-selection evaluator, the
-bench runner's budget sweeps): many selections, one exact answer. One
-selection is a grid of one. The online answer path keeps the dict walk
-of ``engine/combiner.py``, which is also the oracle the tests hold this
-module to, report for report, bit for bit.
-
-Lowering: compacted segments, not the dense grid
-------------------------------------------------
-``T`` is extremely sparse in exactly the hot cases — under a sorted
-layout each partition holds a handful of a high-cardinality group-by's
-groups — so the contraction is evaluated in the block's *compacted*
-coordinates: the selected partitions' live ``(group, totals)`` runs are
-gathered (``cuts`` range concatenation), scaled by their selection
-weights, and reduced with one ``np.bincount`` per component over the
-fused ids ``candidate * num_groups + group``. That is the same
-``sum_p w[p] * T[p, g, c]``, but the work is proportional to the
-occupied segments of the *selected* partitions — the quantity the dict
-walk touches — rather than ``partitions x groups``.
-
-Bit-compatibility with the dict walk
-------------------------------------
-The dict walk accumulates ``w_j * A_{g, p_j}`` sequentially in selection
-order, so a BLAS matmul — which reassociates the float additions — would
-drift at the last bit. ``np.bincount`` adds its weights in input order,
-and the gathered segments are ordered (candidate, selection position,
-group code) — exactly the order the dict walk visits each candidate
-(each partition's dict iterates in ascending group-code order), so every
-(candidate, group) total is the identical left-to-right float64 chain.
-Starting the chain from bincount's ``+0.0`` accumulator leaves every
-IEEE-754 sum unchanged (the only divergence is the sign of an
-all-``-0.0`` total — invisible to ``==`` and to every error metric).
-Presence is tracked per group, because a zero total is ambiguous between
-"no rows" and "rows summing to zero" and the dict path only carries
-present groups.
+The block is sparse in exactly the hot cases — under a sorted layout
+each partition holds a handful of a high-cardinality group-by's groups —
+so a grid is lowered in the block's *compacted* coordinates: the
+selected partitions' live ``(group, totals)`` runs are gathered (``cuts``
+range concatenation) candidate-major in selection order, scaled by their
+weights, and reduced over the fused ids ``candidate * num_groups +
+group``: work proportional to the selected partitions' occupied
+segments, not ``partitions x groups``. Presence is tracked per group,
+because a zero total is ambiguous between "no rows" and "rows summing to
+zero" and the dict walk only carries present groups.
 
 Finalize is elementwise over the ``(candidates, groups, aggregates)``
 block, and the metrics (:func:`repro.core.metrics.evaluate_errors_grid`)
@@ -61,7 +36,12 @@ from __future__ import annotations
 import numpy as np
 
 from repro.engine.batch_executor import QueryAnswerBlock
-from repro.engine.combiner import FinalAnswer, WeightedChoice
+from repro.engine.combiner import (
+    FinalAnswer,
+    WeightedChoice,
+    finalize_values,
+    weighted_sums,
+)
 from repro.obs import trace_span
 
 
@@ -74,18 +54,10 @@ def lower_grid(
     candidate-major order; ``cand_cuts[k] : cand_cuts[k + 1]`` bounds
     candidate ``k``'s run.
     """
-    counts = np.fromiter(
-        (len(s) for s in selections), dtype=np.intp, count=len(selections)
-    )
-    total = int(counts.sum())
-    parts = np.empty(total, dtype=np.intp)
-    weights = np.empty(total, dtype=np.float64)
-    i = 0
-    for selection in selections:
-        for choice in selection:
-            parts[i] = choice.partition
-            weights[i] = choice.weight
-            i += 1
+    choices = [choice for selection in selections for choice in selection]
+    parts = np.array([choice.partition for choice in choices], dtype=np.intp)
+    weights = np.array([choice.weight for choice in choices], dtype=np.float64)
+    counts = [len(selection) for selection in selections]
     cand_cuts = np.concatenate(([0], np.cumsum(counts, dtype=np.intp)))
     return parts, weights, cand_cuts
 
@@ -114,55 +86,27 @@ class BlockEstimator:
         ``(candidates, groups)`` presence mask."""
         block = self.block
         num_candidates = len(cand_cuts) - 1
-        num_groups, num_components = block.num_groups, block.num_components
-        combined = np.zeros((num_candidates, num_groups, num_components))
-        present = np.zeros((num_candidates, num_groups), dtype=bool)
-        if parts.size == 0 or num_groups == 0:
-            return combined, present
+        num_groups = block.num_groups
         # Concatenate the selected partitions' segment runs, candidate-
         # major, in selection order (the dict walk's visiting order).
         lo = block.cuts[parts]
         lens = block.cuts[parts + 1] - lo
-        total = int(lens.sum())
-        if total == 0:
-            return combined, present
         starts = np.cumsum(lens) - lens
-        seq = (
-            np.arange(total, dtype=np.intp)
-            - np.repeat(starts, lens)
-            + np.repeat(lo, lens)
-        )
-        gids = block.live_groups[seq]
+        seq = np.arange(int(lens.sum())) - np.repeat(starts - lo, lens)
         values = block.totals[seq] * np.repeat(weights, lens)[:, None]
         # Segment count of each candidate: its selections' run lengths.
         seg_bounds = np.concatenate(([0], np.cumsum(lens, dtype=np.intp)))
         seg_counts = seg_bounds[cand_cuts[1:]] - seg_bounds[cand_cuts[:-1]]
-        cand_ids = np.repeat(
-            np.arange(num_candidates, dtype=np.intp), seg_counts
+        cand_ids = np.repeat(np.arange(num_candidates, dtype=np.intp), seg_counts)
+        combined, present = weighted_sums(
+            cand_ids * num_groups + block.live_groups[seq],
+            values,
+            num_candidates * num_groups,
         )
-        ids = cand_ids * num_groups + gids
-        flat = combined.reshape(-1, num_components)
-        for c in range(num_components):
-            flat[:, c] = np.bincount(
-                ids, weights=values[:, c], minlength=flat.shape[0]
-            )
-        present.reshape(-1)[ids] = True
-        return combined, present
-
-    def _finalize(self, combined: np.ndarray) -> np.ndarray:
-        """``(candidates, groups, aggregates)`` values: each aggregate's
-        ``finalize_block`` is elementwise over the whole plane."""
-        query = self.block.query
-        values = np.empty(
-            combined.shape[:2] + (len(query.aggregates),), dtype=np.float64
+        return (
+            combined.reshape(num_candidates, num_groups, block.num_components),
+            present.reshape(num_candidates, num_groups),
         )
-        for i, (agg, slots) in enumerate(
-            zip(query.aggregates, query.component_index)
-        ):
-            values[..., i] = agg.finalize_block(
-                [combined[..., s] for s in slots]
-            )
-        return values
 
     # -- grids of selections -------------------------------------------------
 
@@ -171,9 +115,9 @@ class BlockEstimator:
     ) -> tuple[np.ndarray, np.ndarray]:
         """Weighted component totals for a whole candidate grid.
 
-        Row ``k`` matches ``combiner.combine_answers`` on
-        ``selections[k]`` bit for bit (see the module docstring for the
-        summation-order argument).
+        Row ``k`` is the dict walk's combination of ``selections[k]``
+        byte for byte, groups in code order (see the module docstring
+        for the summation-order argument).
         """
         return self._combine(*lower_grid(selections))
 
@@ -183,7 +127,7 @@ class BlockEstimator:
         """Finalized ``(candidates, groups, aggregates)`` values and
         ``(candidates, groups)`` presence for a whole candidate grid."""
         combined, present = self.combine_grid(selections)
-        return self._finalize(combined), present
+        return finalize_values(self.block.query, combined), present
 
     def truth(self) -> tuple[np.ndarray, np.ndarray]:
         """The exact ``(values, present)``: one candidate, every
@@ -195,7 +139,8 @@ class BlockEstimator:
                 np.ones(n, dtype=np.float64),
                 np.array([0, n], dtype=np.intp),
             )
-            self._truth = (self._finalize(combined)[0], present[0])
+            values = finalize_values(self.block.query, combined)
+            self._truth = (values[0], present[0])
         return self._truth
 
     def score_grid(

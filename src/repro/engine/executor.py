@@ -4,8 +4,8 @@ The executor evaluates a :class:`~repro.engine.query.Query` on a single
 partition and returns the *linear component* totals per group: a mapping
 ``group key -> numpy vector`` aligned with ``query.components``. Component
 answers from different partitions combine under weights (the paper's
-``A_g = sum_j w_j A_g,p_j``), and :func:`repro.engine.combiner.finalize_answer`
-turns combined components into the final SUM/COUNT/AVG values.
+``A_g = sum_j w_j A_g,p_j``, :mod:`repro.engine.combiner`), and
+finalization turns combined components into the final SUM/COUNT/AVG values.
 
 Group keys are tuples of python scalars (strings for categorical columns,
 ints for dates, floats for numeric group-bys); the empty tuple is the single

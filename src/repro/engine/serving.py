@@ -26,9 +26,10 @@ The front end adds the database's classic group-commit move on top:
    table generation): one :meth:`BatchExecutor.partition_answers` subset
    pass per *distinct* ``(query, partition tuple)`` of the batch —
    requests that shared a pick share its execution — then, per request,
-   the paper's section 2.4 walk
-   (:func:`repro.engine.combiner.combine_answers`) under its own weights
-   into freshly allocated arrays, and :func:`finalize_answer`;
+   the paper's section 2.4 sum under its own weights over that block's
+   arrays (:func:`repro.engine.combiner.combine_answers`, one
+   ``np.bincount`` per component) into freshly allocated arrays, and
+   :func:`finalize_answer` over the (groups x aggregates) plane;
 4. **scatter** — each request's future is completed with its
    ``ApproximateAnswer``.
 
@@ -344,13 +345,11 @@ def answer_selections(
     with trace_span("engine.sweep", queries=len(pairs)) as span:
         for query, selection in pairs:
             partitions = tuple(choice.partition for choice in selection)
-            answers = executed.get((query, partitions))
-            if answers is None:
-                answers = executor.partition_answers(query, partitions=partitions)
-                executed[query, partitions] = answers
-            finals.append(
-                finalize_answer(query, combine_answers(answers, selection))
-            )
+            block = executed.get((query, partitions))
+            if block is None:
+                block = executor.partition_answers(query, partitions=partitions)
+                executed[query, partitions] = block
+            finals.append(finalize_answer(query, combine_answers(block, selection)))
         if span is not None:  # None on the disabled-registry fast path
             span.tags["executions"] = len(executed)
             span.tags["partitions"] = sum(len(parts) for __, parts in executed)

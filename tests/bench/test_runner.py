@@ -82,7 +82,8 @@ class TestContext:
         """Prepared queries score through the block estimator; the dict
         walk over the same answers must report identically."""
         from repro.core.metrics import evaluate_errors
-        from repro.engine.combiner import WeightedChoice, estimate
+        from dict_walk import estimate
+        from repro.engine.combiner import WeightedChoice
 
         rng = np.random.default_rng(5)
         for prepared in context.prepared:

@@ -168,14 +168,15 @@ BYTE_IDENTITY_SUITES = (
     "tests/ml/test_forest_golden.py",
     "tests/core/test_pick_memo.py",
     "tests/core/test_cold_pick_golden.py",
+    "tests/engine/test_online_answer_identity.py",
 )
 
 
 def test_byte_identity_goldens_are_a_named_tier1_gate(jobs):
     """The suites that pin sketch, bundle and forest bytes, memoized
-    selections and cold picks run as one named step of the fast gate, so
-    a speed-up that drifts a byte or a pick is its own red gate; the
-    workflow header names each."""
+    selections, cold picks and online answers run as one named step of
+    the fast gate, so a speed-up that drifts a byte or a pick is its own
+    red gate; the workflow header names each."""
     steps = {step.get("name"): step for step in jobs["tier-1"]["steps"]}
     step = steps.get("Byte-identity goldens")
     assert step is not None, "tier-1 lost its byte-identity goldens step"

@@ -12,12 +12,13 @@ import dataclasses
 
 import numpy as np
 import pytest
+from dict_walk import estimate
 
 from repro.api import PS3
 from repro.core.metrics import evaluate_errors
 from repro.datasets.registry import get_dataset
 from repro.engine.batch_executor import QueryAnswerBlock
-from repro.engine.combiner import WeightedChoice, estimate
+from repro.engine.combiner import WeightedChoice
 from repro.engine.layout import partition_evenly, sort_table
 from repro.engine.schema import Column, ColumnKind, Schema
 from repro.engine.table import Table

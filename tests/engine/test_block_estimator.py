@@ -1,11 +1,10 @@
 """Fixed-seed parity tests: block estimation plane vs the dict oracle.
 
 The oracle is composed here from the dict walk — ``combine_answers`` /
-``combiner.estimate`` over the block's per-partition dicts, then
-``evaluate_errors`` — one candidate at a time. Every check is
-tolerance-free: combined component totals must compare equal float for
-float (``np.array_equal``, which treats the two IEEE zeros as equal —
-the only divergence the block path's +0.0 padding can introduce), and
+``estimate`` of ``tests/dict_walk.py`` over the block's per-partition
+dicts, then ``evaluate_errors`` — one candidate at a time. Every check
+is tolerance-free: combined component totals and finalized values must
+be byte-equal (``tobytes()``, so the sign of a zero counts), and
 :class:`ErrorReport` values must be identical, not approximately equal.
 """
 
@@ -14,15 +13,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from dict_walk import combine_answers, estimate
+
 from repro.core.metrics import evaluate_errors
 from repro.engine.aggregates import avg_of, count_star, sum_of
 from repro.engine.batch_executor import BatchExecutor
 from repro.engine.block_estimator import BlockEstimator
-from repro.engine.combiner import (
-    WeightedChoice,
-    combine_answers,
-    estimate,
-)
+from repro.engine.combiner import WeightedChoice
 from repro.engine.expressions import col
 from repro.engine.layout import partition_evenly, sort_table
 from repro.engine.predicates import And, Comparison, InSet, Or
@@ -120,7 +117,8 @@ class TestCombineParity:
             assert got_keys == set(reference)
             for key, vec in reference.items():
                 g = keys.index(key)
-                assert np.array_equal(combined[k, g], vec), (key, combined[k, g], vec)
+                got = combined[k, g]
+                assert got.tobytes() == vec.tobytes(), (key, got, vec)
 
 
 class TestEstimateParity:
@@ -134,7 +132,7 @@ class TestEstimateParity:
             final = estimator.as_final_answer(values[k], present[k])
             assert set(final) == set(reference)
             for key in reference:
-                assert np.array_equal(final[key], reference[key])
+                assert final[key].tobytes() == reference[key].tobytes(), key
 
     def test_truth_matches_weight_one_estimate(self, blocks):
         for query, block in zip(QUERIES, blocks):
@@ -142,7 +140,7 @@ class TestEstimateParity:
             truth = BlockEstimator(block).truth_answer()
             assert set(truth) == set(reference)
             for key in reference:
-                assert np.array_equal(truth[key], reference[key])
+                assert truth[key].tobytes() == reference[key].tobytes(), key
 
     def test_truth_is_cached(self, blocks):
         estimator = BlockEstimator(blocks[0])
@@ -218,7 +216,7 @@ class TestGridParity:
         for k, selection in enumerate(grid):
             ref_combined, ref_present = estimator.combine_grid([selection])
             assert np.array_equal(present[k], ref_present[0]), k
-            assert np.array_equal(combined[k], ref_combined[0]), k
+            assert combined[k].tobytes() == ref_combined[0].tobytes(), k
 
     @pytest.mark.parametrize("qi", range(len(QUERIES)))
     def test_estimate_grid_rows_bitwise(self, blocks, qi):
@@ -228,7 +226,7 @@ class TestGridParity:
         for k, selection in enumerate(grid):
             ref_values, ref_present = estimator.estimate_grid([selection])
             assert np.array_equal(present[k], ref_present[0]), k
-            assert np.array_equal(values[k], ref_values[0]), k
+            assert values[k].tobytes() == ref_values[0].tobytes(), k
 
     @pytest.mark.parametrize("qi", range(len(QUERIES)))
     def test_score_grid_reports_identical(self, blocks, qi):

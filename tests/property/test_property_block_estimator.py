@@ -4,10 +4,10 @@ Random (table, query, selection) triples — including zero-match
 predicates, partial selections that miss groups, and weight-scaled
 selections that blow spurious groups up — must produce identical
 combined totals, finalized answers, and :class:`ErrorReport` values
-through :class:`BlockEstimator` and through the ``combiner.estimate`` /
-``evaluate_errors`` dict walk. Reports are compared with ``==`` (no
-tolerance); totals with ``np.array_equal`` (exact floats, the two IEEE
-zeros identified).
+through :class:`BlockEstimator` and through the ``estimate`` /
+``evaluate_errors`` dict walk of ``tests/dict_walk.py``. Reports are
+compared with ``==`` (no tolerance); values with ``tobytes()`` (exact
+floats, the sign of a zero included).
 """
 
 import numpy as np
@@ -15,11 +15,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dict_walk import estimate
+
 from repro.core.metrics import evaluate_errors
 from repro.engine.aggregates import avg_of, count_star, sum_of
 from repro.engine.batch_executor import BatchExecutor
 from repro.engine.block_estimator import BlockEstimator
-from repro.engine.combiner import WeightedChoice, estimate
+from repro.engine.combiner import WeightedChoice
 from repro.engine.expressions import col
 from repro.engine.layout import partition_evenly
 from repro.engine.predicates import And, Comparison, InSet, Not, Or
@@ -140,7 +142,7 @@ class TestBlockDictParity:
         final = estimator.as_final_answer(values[0], present[0])
         assert set(final) == set(reference)
         for key in reference:
-            assert np.array_equal(final[key], reference[key]), key
+            assert final[key].tobytes() == reference[key].tobytes(), key
 
     @given(cases())
     @settings(max_examples=150, deadline=None)
@@ -208,12 +210,12 @@ class TestGridParity:
         for k, selection in enumerate(grid):
             alone_values, alone_present = estimator.estimate_grid([selection])
             assert np.array_equal(present[k], alone_present[0]), k
-            assert np.array_equal(values[k], alone_values[0]), k
+            assert values[k].tobytes() == alone_values[0].tobytes(), k
             reference = estimate(query, answers, selection)
             final = estimator.as_final_answer(values[k], present[k])
             assert set(final) == set(reference), k
             for key in reference:
-                assert np.array_equal(final[key], reference[key]), (k, key)
+                assert final[key].tobytes() == reference[key].tobytes(), (k, key)
 
     @given(grid_cases())
     @settings(max_examples=120, deadline=None)

@@ -103,7 +103,7 @@ class TestAnswerWithSelection:
         (subset gather). The answer must match the historical full-table
         pass bit for bit."""
         from repro.engine.batch_executor import BatchExecutor
-        from repro.engine.combiner import estimate
+        from dict_walk import estimate
 
         selection = [
             WeightedChoice(9, 1.5),
@@ -121,7 +121,7 @@ class TestAnswerWithSelection:
             assert subset[key].tobytes() == full[key].tobytes(), key
 
     def test_matches_scalar_reference(self, tpch_ptable, query):
-        from repro.engine.combiner import estimate
+        from dict_walk import estimate
         from repro.engine.executor import execute_on_partition
 
         selection = [WeightedChoice(3, 1.0), WeightedChoice(11, 0.5)]

@@ -172,7 +172,7 @@ class TestOneRoute:
         ``answer_selections``; what it prints is the scalar composition
         of the selection it made."""
         import repro.api as api
-        from repro.engine.combiner import combine_answers, finalize_answer
+        from dict_walk import combine_answers, finalize_answer
         from repro.engine.executor import execute_on_partition
 
         calls = []

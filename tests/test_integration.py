@@ -9,10 +9,12 @@ and estimates must converge to the truth as the budget grows.
 import numpy as np
 import pytest
 
+from dict_walk import estimate
+
 from repro.api import answer_with_selection
 from repro.baselines.random_sampling import RandomSampler
 from repro.core.metrics import evaluate_errors, mean_report
-from repro.engine.combiner import WeightedChoice, estimate
+from repro.engine.combiner import WeightedChoice
 from repro.engine.batch_executor import BatchExecutor
 
 
