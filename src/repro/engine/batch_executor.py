@@ -28,7 +28,7 @@ keeps its table *and* dictionary.
 Execution — one pass over integer codes, late materialization
 --------------------------------------------------------------
 :meth:`BatchExecutor.partition_answers` evaluates a query over *all*
-partitions, or over a gathered subset — the single-query subset pass is
+partitions, or over a selected subset — the single-query subset pass is
 the execution step of every online answer
 (:func:`repro.engine.serving.answer_selections`) — with a handful of
 array passes:
@@ -38,7 +38,9 @@ array passes:
    *distinct value* on the dictionary and mapped through the codes —
    then one surviving-row index (row-order preserving, so each
    partition's rows stay contiguous and in ingest order) at which every
-   other column is gathered;
+   other column is gathered. A subset's reads before the mask (all of
+   them without a predicate) copy its partitions' row ranges; rows are
+   gathered by id only after it, at the kept rows;
 2. one group-by factorization (:func:`factorize`): the columns' global
    codes combined mixed-radix, occupied codes found by a presence
    ``bincount`` (an integer ``np.unique`` when the radix product dwarfs
@@ -215,20 +217,28 @@ def _encode(name: str, column: np.ndarray, prior: tuple | None = None) -> tuple:
     return uniques, codes
 
 
+def read_rows(column: np.ndarray, rows) -> np.ndarray:
+    """``column`` whole, as a fresh copy of a list of slices, or gathered."""
+    if rows is None:
+        return column
+    if isinstance(rows, list):
+        return np.concatenate([column[s] for s in rows])
+    return column[rows]
+
+
 class RowColumns(dict):
-    """``fetch(name)`` at ``rows`` (all rows when ``None``), gathered on
-    first use: a column is touched once, and only if something reads it.
-    A ``KeyError`` from ``fetch`` passes through, which predicates and
+    """``fetch(name)`` read at ``rows`` (:func:`read_rows`) on first use:
+    a column is touched once, and only if something reads it. A
+    ``KeyError`` from ``fetch`` passes through, which predicates and
     expressions turn into their typed ``ExecutionError``."""
 
-    def __init__(self, fetch, rows: np.ndarray | None) -> None:
+    def __init__(self, fetch, rows) -> None:
         super().__init__()
         self.fetch = fetch
         self.rows = rows
 
     def __missing__(self, name: str) -> np.ndarray:
-        column = self.fetch(name)
-        self[name] = column = column if self.rows is None else column[self.rows]
+        self[name] = column = read_rows(self.fetch(name), self.rows)
         return column
 
 
@@ -300,17 +310,17 @@ class FusedTableView:
             return pair
 
     def group_ids(self, group_by, rows=None) -> tuple[list[GroupKey], np.ndarray]:
-        """:func:`factorize` over ``group_by``'s encodings taken at ``rows``."""
+        """:func:`factorize` over ``group_by``'s encodings read at ``rows``."""
         pairs = map(self.encoded, group_by)
-        return factorize([(u, c if rows is None else c[rows]) for u, c in pairs])
+        return factorize([(u, read_rows(c, rows)) for u, c in pairs])
 
     def mask(self, predicate: Predicate, rows=None) -> np.ndarray:
-        """Which of ``rows`` (every row when ``None``) pass ``predicate``.
+        """Which of ``rows`` (see :func:`read_rows`) pass ``predicate``.
 
         ``InSet`` / ``Contains`` leaves are decided once per distinct value
         (the clause's own ``mask`` on the column's dictionary) and mapped
         through the codes; every other leaf evaluates itself on raw
-        values. Each column is gathered at ``rows`` at most once.
+        values. Each column and code is read at ``rows`` at most once.
         """
         values = RowColumns(self.columns.__getitem__, rows)
         codes = RowColumns(lambda name: self.encoded(name)[1], rows)
@@ -467,40 +477,47 @@ class BatchExecutor:
 
         With ``partitions=None`` row ``p`` of the block is partition
         ``p`` (``[execute_on_partition(p, query) for p in ptable]`` bit
-        for bit). With an explicit sequence of partition ids, only those
-        partitions' rows are gathered and row ``i`` is the ``i``-th id
-        given (duplicates allowed) — how every online answer executes
-        just its selected partitions. Gathered rows keep their fused
-        (ingest) order, so a partition's answer is bit-identical to its
-        answer on the full view. An id outside the table is a
-        :class:`ConfigError`: a negative one would otherwise address a
-        partition from the end.
+        for bit). With an explicit sequence of partition ids, row ``i``
+        is the ``i``-th id given (duplicates allowed) — how every online
+        answer executes just its selected partitions. Reads before the
+        mask copy their row ranges; rows are gathered by id only after
+        it, at the kept rows, in fused (ingest) order, so a partition's
+        answer is bit-identical to its answer on the full view. An id
+        that is not an integer (it would be truncated) or lies outside
+        the table (a negative one would address a partition from the
+        end) is a :class:`ConfigError`.
         """
         view = self.view
         if partitions is None:
             rows, part_ids, n = None, view.partition_ids, view.num_partitions
+            if query.predicate is not None and part_ids.size:
+                rows = np.flatnonzero(view.mask(query.predicate))
+                part_ids = part_ids[rows]
         else:
-            parts = np.asarray(partitions, dtype=np.intp)
-            n = int(parts.size)
+            parts = np.asarray(partitions)
+            if parts.dtype.kind not in "iu" and parts.size or any(
+                isinstance(p, (bool, np.bool_)) for p in partitions
+            ):
+                raise ConfigError(f"partition ids must be integers, got {partitions!r}")
+            parts, n = parts.astype(np.intp), int(parts.size)
             outside = parts[(parts < 0) | (parts >= view.num_partitions)]
             if outside.size:
                 raise ConfigError(
                     f"partition {int(outside[0])} is outside "
                     f"0..{view.num_partitions - 1}"
                 )
-            starts = view.offsets[parts]
-            sizes = view.offsets[parts + 1] - starts
-            # Concatenated row ranges: offset each partition's aranged
-            # rows so a gather stays a single fancy-index per column.
-            rows = np.repeat(starts - (np.cumsum(sizes) - sizes), sizes)
-            rows += np.arange(rows.size, dtype=np.int64)
-            part_ids = np.repeat(np.arange(n, dtype=np.intp), sizes)
-        if query.predicate is not None and part_ids.size:
-            # Late materialization: the predicate read its own columns;
-            # every other column is gathered at the surviving rows only.
-            keep = np.flatnonzero(view.mask(query.predicate, rows))
-            rows = keep if rows is None else rows[keep]
-            part_ids = part_ids[keep]
+            starts, stops = view.offsets[parts], view.offsets[parts + 1]
+            rows = list(map(slice, starts.tolist(), stops.tolist()))
+            counts = stops - starts
+            if query.predicate is not None and counts.sum():
+                # Late materialization: the predicate read its own columns
+                # as ranges; every other column is gathered at kept rows.
+                keep = np.flatnonzero(view.mask(query.predicate, rows))
+                ends = np.cumsum(counts)  # a partition's kept rows shift by stop - end
+                kept = np.searchsorted(keep, ends)
+                counts = kept - np.searchsorted(keep, ends - counts)
+                rows = keep + np.repeat(stops - ends, counts)
+            part_ids = np.repeat(np.arange(n, dtype=np.intp), counts)
         num_rows = int(part_ids.size)
         if num_rows == 0:
             keys: list[GroupKey] = [] if query.group_by else [()]

@@ -61,9 +61,12 @@ class WeightedChoice:
     weight: float
 
     def __post_init__(self) -> None:
-        # A negative index would silently address a partition from the
-        # end, and ``nan < 0`` is false: both must be refused by name.
-        if self.partition < 0:
+        # A float or bool index would be truncated and a negative one address
+        # a partition from the end; ``nan < 0`` is false: refuse each by name.
+        partition = self.partition
+        if isinstance(partition, bool) or not isinstance(partition, (int, np.integer)):
+            raise ConfigError(f"partition index must be an integer, got {partition!r}")
+        if partition < 0:
             raise ConfigError(f"negative partition index {self.partition}")
         if not (math.isfinite(self.weight) and self.weight >= 0):
             raise ConfigError(

@@ -185,6 +185,28 @@ class TestPartitionIdRange:
             with pytest.raises(ConfigError, match=f"partition {bad} is outside"):
                 executor.partition_answers(query, partitions=[0, bad])
 
+    @pytest.mark.parametrize(
+        "partitions",
+        [[2.7, True], [1, True], [True], [np.True_, 2], np.array([2.0, 1.0])],
+    )
+    def test_non_integer_id_is_a_config_error(self, ptable, partitions):
+        # ``[2.7, True]`` used to read partitions 2 and 1.
+        executor = BatchExecutor.for_table(ptable)
+        for query in (
+            Query([count_star()], None, ("cat",)),
+            Query([sum_of(col("x"))], Comparison("x", ">", 5.0)),
+        ):
+            with pytest.raises(ConfigError, match="must be integers"):
+                executor.partition_answers(query, partitions=partitions)
+
+    def test_integer_numpy_ids_read_their_partitions(self, ptable):
+        executor = BatchExecutor.for_table(ptable)
+        query = Query([sum_of(col("x"))], Comparison("x", ">", 5.0), ("cat",))
+        numpy_ids = [np.int64(3), np.int32(0), np.uint16(15)]
+        assert executor.partition_answers(query, partitions=numpy_ids) == (
+            executor.partition_answers(query, partitions=[3, 0, 15])
+        )
+
 
 class TestEdgeCases:
     """Coverage for the previously untested corners."""

@@ -169,3 +169,6 @@ class TestSubsetExecution:
         ptable = _make_ptable()
         executor = BatchExecutor.for_table(ptable)
         assert executor.partition_answers(QUERIES[1], partitions=[]) == []
+        # ``np.asarray([])`` is float64: an empty selection has no id to refuse.
+        for empty in (np.asarray([]), ()):
+            assert executor.partition_answers(QUERIES[2], partitions=empty) == []

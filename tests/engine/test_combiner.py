@@ -89,6 +89,16 @@ class TestCombine:
         with pytest.raises(ConfigError):
             WeightedChoice(0, -1.0)
 
+    @pytest.mark.parametrize("partition", [2.7, 2.0, True, np.float64(1.0), np.True_])
+    def test_non_integer_partition_rejected(self, partition):
+        # ``int(2.7)`` and ``int(True)`` would read partitions 2 and 1.
+        with pytest.raises(ConfigError, match="integer"):
+            WeightedChoice(partition, 1.0)
+
+    def test_integer_numpy_partition_accepted(self):
+        assert WeightedChoice(np.int64(3), 1.0).partition == 3
+        assert WeightedChoice(np.uint8(3), 1.0).partition == 3
+
     def test_source_answers_not_mutated(self, block):
         before = block.totals.copy()
         combined = combine_answers(
