@@ -10,10 +10,8 @@ only changes on retraining. This example:
    system) before the next checkpoint;
 3. reopens with ``PS3.open`` — no retraining, no re-sketch, the journaled
    partition replayed — and answers SQL-text queries on the reopened
-   system;
-4. runs the section-7 extensions: per-group confidence intervals (extra
-   probe reads) and failure-case diagnostics;
-5. appends new partitions to the reopened system and watches the
+   system, scoring one against the exact answer;
+4. appends new partitions to the reopened system and watches the
    staleness tracker trip.
 
 Run:  python examples/persistent_catalog.py
@@ -25,9 +23,7 @@ import tempfile
 from pathlib import Path
 
 from repro import PS3
-from repro.core.diagnostics import diagnose_query, estimate_with_confidence
 from repro.datasets import get_dataset
-from repro.engine.batch_executor import BatchExecutor
 from repro.engine.sql import parse_query
 from repro.storage import save_model
 from repro.workload import QueryGenerator
@@ -69,12 +65,6 @@ def main() -> None:
     query = parse_query(sql, reopened.ptable.schema)
     print(f"\nSQL: {sql}")
 
-    features = reopened.feature_builder.features_for_query(query)
-    diagnostics = diagnose_query(query, features)
-    print(f"diagnostics healthy: {diagnostics.healthy}")
-    for recommendation in diagnostics.recommendations:
-        print(f"  ! {recommendation}")
-
     answer = reopened.query(query, budget_partitions=8)
     picked = answer.selection
     print(
@@ -85,18 +75,11 @@ def main() -> None:
         total, count = answer.groups[key]
         print(f"  {key}: SUM(cs_net_profit) = {total:,.0f}, COUNT(*) = {count:,.0f}")
 
-    print("\nUnbiased estimate with 95% confidence intervals (2 probes/cluster):")
-    answers = BatchExecutor.for_table(reopened.ptable).partition_answers(query)
-    normalized = reopened.model.normalizer.transform(features.matrix)
-    confident = estimate_with_confidence(
-        answers, query, features, normalized, budget=8, probes_per_cluster=2
+    report = reopened.evaluate(query, answer)
+    print(
+        f"error vs the exact answer: avg relative {report.avg_relative_error:.3f}, "
+        f"missed groups {report.missed_groups:.2f}"
     )
-    print(f"  partitions read incl. probes: {confident.partitions_read}")
-    for key, interval in list(confident.groups.items())[:4]:
-        print(
-            f"  {key}: SUM(cs_net_profit) = {interval.estimate[0]:,.0f} "
-            f"in [{interval.lower[0]:,.0f}, {interval.upper[0]:,.0f}]"
-        )
 
     print("\nAppending 5 new partitions of fresh sales to the reopened system...")
     for seed in range(5):

@@ -32,9 +32,13 @@ from repro.core.training import (
     TrainingData,
     train_picker_model,
 )
-from repro.engine.batch_executor import fused_view
-from repro.engine.combiner import CombinedAnswer, FinalAnswer, finalize_answer
-from repro.engine.executor import true_answer
+from repro.engine.batch_executor import BatchExecutor, fused_view
+from repro.engine.combiner import (
+    FinalAnswer,
+    WeightedChoice,
+    combine_answers,
+    finalize_answer,
+)
 from repro.engine.layout import append_rows, validate_batch
 from repro.engine.query import Query
 from repro.engine.serving import (
@@ -344,9 +348,14 @@ class PS3:
         return front
 
     def execute_exact(self, query: Query) -> FinalAnswer:
-        """The exact answer (full scan) for ground-truth comparison."""
-        exact = CombinedAnswer.of(true_answer(self.ptable, query), query)
-        return finalize_answer(query, exact)
+        """The exact answer for ground-truth comparison: the full read's
+        own answer, every partition at weight 1 through the one executor
+        and combine, so it equals ``query(q, budget_fraction=1.0).groups``
+        byte for byte."""
+        ptable = self.ptable
+        block = BatchExecutor.for_table(ptable).partition_answers(query)
+        everything = [WeightedChoice(p, 1.0) for p in range(ptable.num_partitions)]
+        return finalize_answer(query, combine_answers(block, everything))
 
     def evaluate(self, query: Query, answer: ApproximateAnswer) -> ErrorReport:
         """Score an approximate answer against the exact one."""
@@ -459,7 +468,7 @@ def resolve_budget(
     check_budget_shape(budget_partitions, budget_fraction)
     if budget_fraction is not None:
         return max(1, int(round(budget_fraction * num_partitions)))
-    return budget_partitions
+    return int(budget_partitions)
 
 
 def answer_with_selection(

@@ -41,7 +41,7 @@ class PreparedQuery:
     """A test query with everything needed to score any selection."""
 
     query: Query
-    answers: QueryAnswerBlock  # also the per-partition ComponentAnswer sequence
+    answers: QueryAnswerBlock  # also the per-partition answer-dict sequence
     truth: dict
     true_selectivity: float  # fraction of rows passing the predicate
     estimator: BlockEstimator  # scores selections dict-free over ``answers``

@@ -248,7 +248,9 @@ def _resolve_budget(budget: float, num_partitions: int) -> int:
     if not math.isfinite(budget):
         raise ConfigError(f"--budget must be a finite number, got {budget}")
     if budget >= 1.0:
-        return resolve_budget(num_partitions, budget_partitions=int(budget))
+        # A whole number is a count; ``2.7`` reaches the check as a float.
+        count = int(budget) if budget.is_integer() else budget
+        return resolve_budget(num_partitions, budget_partitions=count)
     return resolve_budget(num_partitions, budget_fraction=budget)
 
 

@@ -16,7 +16,6 @@ Components map one-to-one onto paper section 4:
 """
 
 from repro.core.cluster_sampler import cluster_sample
-from repro.core.contribution import partition_contributions
 from repro.core.metrics import ErrorReport, evaluate_errors
 from repro.core.picker import PickerConfig, PS3Picker
 from repro.core.training import PickerModel, train_picker_model
@@ -28,6 +27,5 @@ __all__ = [
     "PickerModel",
     "cluster_sample",
     "evaluate_errors",
-    "partition_contributions",
     "train_picker_model",
 ]

@@ -11,21 +11,19 @@ Contributions are computed on the linear SUM/COUNT components (DESIGN.md
 section 5 notes why: AVG ratios are ill-defined per partition), using
 absolute values so signed measures such as ``cs_net_profit`` behave.
 
-Two implementations coexist: :func:`partition_contributions` walks
-per-partition ``ComponentAnswer`` dicts (the reference path, also used by
-the scalar training oracle), and :func:`segment_contributions` computes
-the same scalars straight from the executor's compacted answer
-arrays — the training hot path, with no dict in sight. The two agree
-bit for bit: ``np.bincount`` accumulates each group's total over
-partitions in the same ascending-partition addition order the dict walk
-uses, and the ratio/max/clip expressions are elementwise identical.
+:func:`segment_contributions` computes them straight from the
+executor's compacted answer arrays, with no dict in sight. The reference
+it is held to bit for bit, a walk over per-partition ``{group key:
+component vector}`` dicts, lives with the tests
+(``tests/scalar_oracle.py``): ``np.bincount`` accumulates each group's
+total over partitions in the same ascending-partition addition order the
+dict walk uses, and the ratio/max/clip expressions are elementwise
+identical.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-from repro.engine.executor import ComponentAnswer
 
 
 def segment_contributions(
@@ -37,7 +35,7 @@ def segment_contributions(
 ) -> np.ndarray:
     """Contribution scalars from compacted (partition, group) segments.
 
-    Array twin of :func:`partition_contributions` for a
+    Array twin of the tests' dict walk for a
     :class:`~repro.engine.batch_executor.QueryAnswerBlock`: the
     ``i``-th occupied segment lives at ``(live_parts[i],
     live_groups[i])`` with component totals ``totals[i]``, and segments
@@ -63,44 +61,3 @@ def segment_contributions(
     best = ratios.max(axis=1)
     np.maximum.at(out, live_parts, best)
     return np.minimum(out, 1.0)
-
-
-def partition_contributions(
-    partition_answers: list[ComponentAnswer],
-    total_answer: ComponentAnswer | None = None,
-) -> np.ndarray:
-    """Per-partition contribution scalars in [0, 1].
-
-    Parameters
-    ----------
-    partition_answers:
-        Component answers per partition (index = partition id).
-    total_answer:
-        The exact combined answer; computed by summation when omitted.
-    """
-    if total_answer is None:
-        total_answer = {}
-        for answer in partition_answers:
-            for key, vec in answer.items():
-                acc = total_answer.get(key)
-                if acc is None:
-                    total_answer[key] = vec.copy()
-                else:
-                    acc += vec
-    # Guard groups whose component totals are zero (nothing to attribute).
-    denominators = {
-        key: np.where(np.abs(vec) > 0.0, np.abs(vec), np.inf)
-        for key, vec in total_answer.items()
-    }
-    out = np.zeros(len(partition_answers), dtype=np.float64)
-    for i, answer in enumerate(partition_answers):
-        best = 0.0
-        for key, vec in answer.items():
-            denom = denominators.get(key)
-            if denom is None:
-                continue
-            ratio = float((np.abs(vec) / denom).max())
-            if ratio > best:
-                best = ratio
-        out[i] = min(best, 1.0)
-    return out

@@ -55,7 +55,7 @@ class TrainingData:
     features: list[np.ndarray]  # raw feature matrices, one per query
     normalized: list[np.ndarray]  # normalizer-transformed matrices
     # One array block per query, indexed by partition id: also the
-    # sequence of per-partition ``ComponentAnswer`` dicts.
+    # sequence of per-partition ``{group key: component vector}`` dicts.
     answers: list[QueryAnswerBlock]
     contributions: list[np.ndarray]  # contribution scalars per query
 
@@ -95,9 +95,9 @@ def compute_training_data(
     Each query is featurized through the builder's compiled plan and
     answered over every partition by one
     :meth:`~repro.engine.batch_executor.BatchExecutor.partition_answers`
-    pass, bit-for-bit equal to the scalar ``execute_on_partition`` loop
-    (pinned by the differential suites). Contributions are read straight
-    off the block arrays; no ``ComponentAnswer`` dict is built unless a
+    pass, bit-for-bit equal to the tests' scalar ``execute_on_partition``
+    loop (pinned by the differential suites). Contributions are read
+    straight off the block arrays; no per-partition dict is built unless a
     consumer iterates ``TrainingData.answers``. ``Query`` is a frozen
     value object, so a repeated query is answered once and aliases one
     block. The normalized matrices are filled in by

@@ -3,13 +3,10 @@
 Provides the Horvitz–Thompson population variance the appendix derives for
 Poisson (Bernoulli) sampling, the partition-vs-row decomposition (Eq. 3-5:
 partition-level sampling adds a same-partition covariance term, so at
-equal sampling fraction its variance dominates row-level sampling), and
-normal-approximation confidence intervals.
+equal sampling fraction its variance dominates row-level sampling).
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -52,21 +49,3 @@ def partition_vs_row_variance(
     part_var = float(factor * np.sum(np.square(partition_totals)))
     cross = part_var - row_var
     return row_var, part_var, cross
-
-
-def confidence_interval(
-    estimate: float, variance: float, level: float = 0.95
-) -> tuple[float, float]:
-    """Normal-approximation CI (the paper quotes 1.96 for 95%)."""
-    if variance < 0:
-        raise ConfigError("variance must be non-negative")
-    if not 0.0 < level < 1.0:
-        raise ConfigError("level must be in (0, 1)")
-    # Inverse normal CDF via the scipy-free rational approximation is
-    # overkill: the paper only uses 95%; support a few common levels.
-    z_table = {0.90: 1.6449, 0.95: 1.9600, 0.99: 2.5758}
-    z = z_table.get(round(level, 2))
-    if z is None:
-        raise ConfigError(f"unsupported level {level}; use one of {set(z_table)}")
-    half = z * math.sqrt(variance)
-    return (estimate - half, estimate + half)

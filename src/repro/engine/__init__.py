@@ -2,9 +2,9 @@
 
 This package implements the parts of a big-data query engine that PS3
 depends on: an in-memory columnar table split into coarse partitions, a
-typed query AST (aggregates, predicates, group-by), a vectorized
-per-partition executor, weighted answer combination, and data-layout tools
-(sorting, shuffling, partitioning).
+typed query AST (aggregates, predicates, group-by), one batch executor
+producing every partition's answer, weighted answer combination, and
+data-layout tools (sorting, shuffling, partitioning).
 
 The paper runs on SCOPE/Spark; this is the from-scratch substrate standing
 in for those systems. The essential property preserved is that queries are
@@ -15,7 +15,6 @@ weights.
 from repro.engine.aggregates import AggFunc, Aggregate
 from repro.engine.batch_executor import BatchExecutor, FusedTableView, fused_view
 from repro.engine.combiner import WeightedChoice
-from repro.engine.executor import execute_on_partition, execute_on_table, true_answer
 from repro.engine.expressions import BinOp, ColumnRef, Const, Expression
 from repro.engine.layout import partition_evenly, shuffle_table, sort_table
 from repro.engine.predicates import (
@@ -69,11 +68,8 @@ __all__ = [
     "SimulatedWorkerCrash",
     "Table",
     "WeightedChoice",
-    "execute_on_partition",
-    "execute_on_table",
     "fused_view",
     "partition_evenly",
     "shuffle_table",
     "sort_table",
-    "true_answer",
 ]

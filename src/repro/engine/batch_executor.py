@@ -1,10 +1,11 @@
 """Batch columnar executor: per-partition answers in one numpy pass.
 
-The scalar executor (:func:`repro.engine.executor.execute_on_partition`)
-re-runs predicate masking and group-by factorization once per partition
-per query; the training loop calls it for every (query, partition) pair,
-which makes exact answer computation the dominant offline cost now that
-featurization is batched. This module removes that loop.
+A scalar executor re-runs predicate masking and group-by factorization
+once per partition per query; training needs every (query, partition)
+pair, so such a loop would make exact answer computation the dominant
+offline cost. This module is the one executor: every answer — online,
+offline and :meth:`PS3.execute_exact <repro.api.PS3.execute_exact>` — is
+read from its blocks.
 
 Layout — the fused view
 -----------------------
@@ -56,9 +57,9 @@ array passes:
 
 Bit-for-bit parity with the scalar oracle
 -----------------------------------------
-The scalar path remains in place, string-based, as the reference oracle
-— the differential suites compose it directly as
-``[execute_on_partition(p, query) for p in ptable]`` — and the batch
+The scalar, string-based executor lives with the tests as the reference
+oracle (``tests/scalar_oracle.py``) — the differential suites compose it
+as ``[execute_on_partition(p, query) for p in ptable]`` — and the batch
 path is engineered to match it *bit for bit*, not just approximately:
 
 * a dictionary lookup decides a row as the clause decides its value, and
@@ -90,7 +91,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.engine.aggregates import ComponentKind
-from repro.engine.executor import GroupKey
 from repro.engine.predicates import And, Contains, InSet, Not, Or, Predicate, _column
 from repro.engine.query import Query
 from repro.engine.table import PartitionedTable
@@ -111,6 +111,9 @@ _DENSE_GRID_FACTOR = 8
 #: because ``for_table`` builds the executor (which builds the fused
 #: view) while holding it.
 TABLE_CACHE_LOCK = threading.RLock()
+
+#: A group's key: a tuple of python scalars; ``()`` for an ungrouped query.
+GroupKey = tuple
 
 
 def reduce_live_segments(
@@ -367,8 +370,8 @@ class QueryAnswerBlock:
     n_components)`` float64 segment totals. ``cuts`` bounds each
     partition's run within ``live`` (partition-major order).
 
-    Read as a sequence, the block *is* the per-partition
-    ``ComponentAnswer`` dicts: ``len``, ``[p]``, iteration and ``==``
+    Read as a sequence, the block *is* the per-partition ``{group key:
+    component vector}`` dicts: ``len``, ``[p]``, iteration and ``==``
     against a plain list, keys ascending within each dict — the shape
     the tests' oracles take; no answer path builds them. A dict is
     built each time it is asked for and holds views into ``totals``;

@@ -12,9 +12,10 @@ segments, scaled by their weights: one ``np.bincount`` per component.
 Every online route (``PS3.query`` / ``query_many`` / ``serve``,
 ``answer_with_selection``, the CLI) reaches it through
 :func:`repro.engine.serving.answer_selections` as :func:`combine_answers`
-then :func:`finalize_answer`, a grid of one selection; the offline
-sweeps (:class:`~repro.engine.block_estimator.BlockEstimator`) run it
-over many selections at once.
+then :func:`finalize_answer`, a grid of one selection, and so does
+``PS3.execute_exact`` (every partition at weight 1); the offline sweeps
+(:class:`~repro.engine.block_estimator.BlockEstimator`) run it over many
+selections at once.
 
 Byte-identity with the dict walk
 --------------------------------
@@ -45,8 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.engine.batch_executor import QueryAnswerBlock
-from repro.engine.executor import ComponentAnswer, GroupKey
+from repro.engine.batch_executor import GroupKey, QueryAnswerBlock
 from repro.engine.query import Query
 from repro.errors import ConfigError
 
@@ -81,12 +81,6 @@ class CombinedAnswer:
 
     keys: list[GroupKey]
     totals: np.ndarray
-
-    @classmethod
-    def of(cls, answer: ComponentAnswer, query: Query) -> CombinedAnswer:
-        """A ``{key: component vector}`` dict in this form, keys in order."""
-        totals = np.array(list(answer.values()), dtype=np.float64)
-        return cls(list(answer), totals.reshape(len(answer), query.num_components))
 
 
 def weighted_sums(

@@ -69,6 +69,7 @@ from __future__ import annotations
 import asyncio
 import errno
 import math
+import numbers
 import queue
 import threading
 import time
@@ -310,9 +311,10 @@ def check_budget_shape(
 ) -> None:
     """A request's budget arguments, validated without the table.
 
-    Exactly one of ``budget_partitions`` (an absolute count ``>= 1``) and
-    ``budget_fraction`` (a share of the table in ``(0, 1]``) must be
-    given; anything else — ``nan`` included — is a :class:`ConfigError`.
+    Exactly one of ``budget_partitions`` (an absolute integer count
+    ``>= 1``, numpy integers included) and ``budget_fraction`` (a share of
+    the table in ``(0, 1]``) must be given; anything else — ``nan``, a
+    float or bool count included — is a :class:`ConfigError`.
     """
     if (budget_partitions is None) == (budget_fraction is None):
         raise ConfigError(
@@ -321,8 +323,12 @@ def check_budget_shape(
     if budget_fraction is not None:
         if not 0.0 < budget_fraction <= 1.0:
             raise ConfigError("budget_fraction must be in (0, 1]")
-    elif budget_partitions < 1:
-        raise ConfigError("budget_partitions must be >= 1")
+    else:
+        count = budget_partitions
+        if isinstance(count, bool) or not isinstance(count, numbers.Integral):
+            raise ConfigError(f"budget_partitions must be an integer, got {count!r}")
+        if count < 1:
+            raise ConfigError("budget_partitions must be >= 1")
 
 
 def answer_selections(

@@ -267,7 +267,7 @@ class MetricsRegistry:
 
     def __init__(self, enabled: bool = True) -> None:
         self.enabled = enabled
-        #: Registered :class:`~repro.obs.profiling.Profiler` objects,
+        #: Registered profilers (``on_span_start`` / ``on_span_end``),
         #: notified on span start/end even when ``enabled`` is False.
         #: A tuple, replaced wholesale on (un)register, so span-close
         #: iteration never needs a lock.

@@ -21,9 +21,12 @@ are registered, ``trace_span(...)`` returns a shared no-op context
 manager: no Span allocation, no clock reads, no stack push — two attr
 loads and a branch.
 
-Profilers (see :mod:`repro.obs.profiling`) registered on the registry
-receive ``on_span_start``/``on_span_end`` callbacks even when metric
-recording is disabled — profiling is an independent opt-in.
+Profilers — any object with ``on_span_start(span)`` /
+``on_span_end(span)``, attached with ``registry.add_profiler`` — receive
+those callbacks for every span on every thread, even when metric
+recording is disabled: profiling is an independent opt-in. They run
+inline on the instrumented thread, so an exception from one propagates
+into the traced stage.
 """
 
 from __future__ import annotations

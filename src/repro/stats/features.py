@@ -22,7 +22,7 @@ those columns alone — every other column is ``+0.0`` for every
 partition. A query's features are therefore its selectivity block
 (N x 5) and its mask over the builder's static block; the masked
 N x M matrix (:attr:`QueryFeatures.matrix`) is composed only when a
-caller reads it (training, LSS, diagnostics), never by a pick.
+caller reads it (training, LSS), never by a pick.
 
 The builder is backed by a :class:`ColumnarSketchIndex`: the static block
 is assembled from per-column array stacks rather than per-partition
@@ -183,7 +183,7 @@ class QueryFeatures:
     @cached_property
     def matrix(self) -> np.ndarray:
         """The masked N x M matrix, composed on first access for the
-        callers that need full width (training, LSS, diagnostics)."""
+        callers that need full width (training, LSS)."""
         matrix = np.zeros((self.num_partitions, self.schema.dimension))
         masked = self.live_columns[:-NUM_SELECTIVITY]  # the static part
         matrix[:, masked] = self.static[:, masked]

@@ -2,9 +2,9 @@
 
 import numpy as np
 import pytest
+from scalar_oracle import partition_contributions
 
 from repro.baselines.oracle import OraclePicker
-from repro.core.contribution import partition_contributions
 from repro.core.picker import PickerConfig
 from repro.engine.aggregates import sum_of
 from repro.engine.batch_executor import BatchExecutor

@@ -66,6 +66,15 @@
 * ``PS3Picker.__init__``, ``PS3Picker.select`` and ``PickerConfig`` take
   no parameter naming a memo or a cache: pure picks are memoized per
   statistics generation always, under a constant bound.
+* ``repro.engine.executor``, ``repro.core.diagnostics`` and
+  ``repro.obs.profiling`` no longer import, ``CombinedAnswer`` has no
+  ``of``, and ``repro.engine`` / ``repro.core`` / ``repro.obs`` export
+  none of what they held: ``PS3.execute_exact`` is the weight-1 case of
+  the path every answer takes (``BatchExecutor.partition_answers`` →
+  ``combine_answers`` → ``finalize_answer``), so ``src/`` has one
+  executor and one section 2.4 kernel. The scalar executor and the dict
+  contribution walk are ``tests/scalar_oracle.py``, and no module under
+  ``src/repro`` imports from the tests.
 * Every ``(module, attribute path)`` the benchmark's tracer patches
   (``TRACED`` in ``benchmarks/e2e/layers.py``, read here, never edited)
   resolves the way the tracer resolves it. A rename would otherwise show
@@ -89,6 +98,7 @@ import repro.bench
 import repro.core
 import repro.engine
 import repro.ml
+import repro.obs
 import repro.sketches
 import repro.stats
 import repro.storage
@@ -532,3 +542,84 @@ def test_traced_name_resolves(module_name, path):
         owner = getattr(owner, part)
     assert attribute in vars(owner), f"{module_name}.{path} would be trace.missing"
     assert not isinstance(vars(owner)[attribute], (staticmethod, classmethod))
+
+
+#: What the one-executor change removed, by the package that exported it.
+REMOVED = {
+    repro.engine: (
+        "execute_on_columns",
+        "execute_on_partition",
+        "execute_on_table",
+        "true_answer",
+        "ComponentAnswer",
+    ),
+    repro.core: (
+        "partition_contributions",
+        "diagnose_query",
+        "estimate_with_confidence",
+        "confidence_interval",
+    ),
+    repro.obs: ("Profiler", "StageProfiler", "wrap_stage"),
+}
+TESTS = Path(__file__).resolve().parents[1]
+
+
+@pytest.mark.parametrize(
+    "module_name",
+    ["repro.engine.executor", "repro.core.diagnostics", "repro.obs.profiling"],
+)
+def test_removed_plane_does_not_import(module_name):
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module(module_name)
+
+
+def test_packages_export_none_of_the_removed_names():
+    import repro.core.contribution as contribution
+    import repro.core.variance as variance
+    from repro.engine.combiner import CombinedAnswer
+
+    for package, names in REMOVED.items():
+        for name in names:
+            assert not hasattr(package, name), (package.__name__, name)
+            assert name not in package.__all__, (package.__name__, name)
+    assert not hasattr(contribution, "partition_contributions")
+    assert not hasattr(variance, "confidence_interval")
+    assert not hasattr(CombinedAnswer, "of")
+
+
+def _imported_roots(sources: Path) -> set[str]:
+    """Top-level names of every module imported under ``sources``."""
+    roots = set()
+    for path in sorted(sources.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                roots |= {alias.name.split(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+                roots.add(node.module.split(".")[0])
+    return roots
+
+
+def test_no_source_module_imports_the_tests():
+    test_modules = {"tests"} | {path.stem for path in TESTS.rglob("*.py")}
+    # The guard is only a guard if it knows the oracles' names.
+    assert {"scalar_oracle", "dict_walk", "per_node_reference"} <= test_modules
+    sources = Path(repro.__file__).resolve().parent
+    assert _imported_roots(sources) & test_modules == set()
+
+
+def test_execute_exact_reaches_the_batch_executor(trained_ps3, monkeypatch):
+    """Control: the exact answer is read from the one executor's block."""
+    from repro.engine.aggregates import count_star
+    from repro.engine.batch_executor import BatchExecutor
+    from repro.engine.query import Query
+
+    calls = []
+    real = BatchExecutor.partition_answers
+
+    def spy(self, query, partitions=None):
+        calls.append(partitions)
+        return real(self, query, partitions)
+
+    monkeypatch.setattr(BatchExecutor, "partition_answers", spy)
+    assert trained_ps3.execute_exact(Query([count_star()]))
+    assert calls == [None]

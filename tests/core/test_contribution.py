@@ -1,9 +1,8 @@
-"""Unit tests for partition-contribution computation."""
+"""Unit tests for the dict contribution walk the array path is held to."""
 
 import numpy as np
 import pytest
-
-from repro.core.contribution import partition_contributions
+from scalar_oracle import partition_contributions
 
 
 class TestContribution:

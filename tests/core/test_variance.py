@@ -3,11 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.variance import (
-    confidence_interval,
-    ht_true_variance,
-    partition_vs_row_variance,
-)
+from repro.core.variance import ht_true_variance, partition_vs_row_variance
 from repro.errors import ConfigError
 
 
@@ -66,25 +62,3 @@ class TestPartitionVsRow:
         )
         assert part_var == pytest.approx(row_var)
         assert cross == pytest.approx(0.0, abs=1e-9)
-
-
-class TestConfidenceInterval:
-    def test_95_percent_width(self):
-        low, high = confidence_interval(10.0, variance=4.0)
-        assert low == pytest.approx(10.0 - 1.96 * 2.0)
-        assert high == pytest.approx(10.0 + 1.96 * 2.0)
-
-    def test_coverage_empirical(self):
-        rng = np.random.default_rng(5)
-        hits = 0
-        for __ in range(1000):
-            sample = rng.normal(0.0, 1.0)
-            low, high = confidence_interval(sample, variance=1.0)
-            hits += low <= 0.0 <= high
-        assert hits / 1000 == pytest.approx(0.95, abs=0.03)
-
-    def test_validation(self):
-        with pytest.raises(ConfigError):
-            confidence_interval(0.0, -1.0)
-        with pytest.raises(ConfigError):
-            confidence_interval(0.0, 1.0, level=0.5)

@@ -15,9 +15,9 @@ through its root ``conftest.py``.
 from __future__ import annotations
 
 import numpy as np
+from scalar_oracle import ComponentAnswer, GroupKey
 
 from repro.engine.combiner import FinalAnswer, WeightedChoice
-from repro.engine.executor import ComponentAnswer, GroupKey
 from repro.engine.query import Query
 
 

@@ -17,9 +17,9 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from scalar_oracle import execute_on_partition
 
 from repro.engine.batch_executor import BatchExecutor
-from repro.engine.executor import execute_on_partition
 
 #: Parametrization ids for tests that pin one path at a time.
 EXECUTION_PATHS = ("scalar", "batch", "indexed")

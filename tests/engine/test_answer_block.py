@@ -20,8 +20,8 @@ import weakref
 
 import numpy as np
 import pytest
+from scalar_oracle import partition_contributions
 
-from repro.core.contribution import partition_contributions
 from repro.engine.aggregates import avg_of, count_star, sum_of
 from repro.engine.batch_executor import BatchExecutor
 from repro.engine.expressions import col

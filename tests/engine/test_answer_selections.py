@@ -17,12 +17,12 @@ import numpy as np
 import pytest
 
 from dict_walk import combine_answers, finalize_answer
+from scalar_oracle import execute_on_partition
 
 from repro.api import PS3, answer_with_selection
 from repro.datasets.registry import get_dataset
 from repro.engine.aggregates import avg_of, count_star, sum_of
 from repro.engine.combiner import WeightedChoice
-from repro.engine.executor import execute_on_partition
 from repro.engine.expressions import col
 from repro.engine.layout import partition_evenly
 from repro.engine.predicates import Comparison, InSet

@@ -2,10 +2,10 @@
 
 import numpy as np
 import pytest
+from scalar_oracle import execute_on_partition
 
 from repro.engine.aggregates import avg_of, count_star, sum_of
 from repro.engine.batch_executor import BatchExecutor, FusedTableView, fused_view
-from repro.engine.executor import execute_on_partition
 from repro.engine.expressions import col
 from repro.engine.layout import append_rows, partition_evenly
 from repro.engine.predicates import And, Comparison, Contains, InSet, Not, Or

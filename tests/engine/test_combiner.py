@@ -169,13 +169,3 @@ class TestFinalize:
         query = Query([avg_of(col("v"))])
         final = finalize_answer(query, CombinedAnswer([()], np.array([[3.0, 0.0]])))
         assert final[()].tobytes() == np.array([0.0]).tobytes()
-
-    def test_exact_dict_lifts_in_its_key_order(self):
-        exact = {("b",): np.array([4.0, 2.0]), ("a",): np.array([-0.0, 1.0])}
-        combined = CombinedAnswer.of(exact, QUERY)
-        assert combined.keys == [("b",), ("a",)]
-        final, reference = finalize_answer(QUERY, combined), walk_finalize(QUERY, exact)
-        assert list(final) == list(reference)
-        for key in reference:
-            assert final[key].tobytes() == reference[key].tobytes()
-        assert finalize_answer(QUERY, CombinedAnswer.of({}, QUERY)) == {}

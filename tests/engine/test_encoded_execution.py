@@ -21,6 +21,7 @@ import threading
 
 import numpy as np
 import pytest
+from scalar_oracle import execute_on_partition
 
 from repro.engine.aggregates import avg_of, count_star, sum_of
 from repro.engine.batch_executor import (
@@ -29,7 +30,6 @@ from repro.engine.batch_executor import (
     factorize,
     fused_view,
 )
-from repro.engine.executor import execute_on_partition
 from repro.engine.expressions import col
 from repro.engine.layout import append_rows, partition_evenly
 from repro.engine.predicates import And, Comparison, Contains, InSet, Not, Or
@@ -415,7 +415,7 @@ class TestConcurrentFirstUse:
 
 
 class _EncodeSpans:
-    """A profiler (``repro.obs.Profiler`` protocol) keeping encode tags."""
+    """A profiler (``MetricsRegistry.add_profiler``) keeping encode tags."""
 
     def __init__(self):
         self.tags = []

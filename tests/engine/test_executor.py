@@ -1,19 +1,19 @@
-"""Unit tests for the vectorized per-partition executor."""
+"""Unit tests for the scalar per-partition executor (the tests' oracle)."""
 
 import numpy as np
 import pytest
+from scalar_oracle import (
+    execute_on_columns,
+    execute_on_partition,
+    execute_on_table,
+    true_answer,
+)
 
 from repro.engine.aggregates import avg_of, count_star, sum_of
 from repro.engine.expressions import col
 from repro.engine.layout import partition_evenly
 from repro.engine.predicates import Comparison, InSet
 from repro.engine.query import Query
-from repro.engine.executor import (
-    execute_on_columns,
-    execute_on_partition,
-    execute_on_table,
-    true_answer,
-)
 from repro.engine.schema import Column, ColumnKind, Schema
 from repro.engine.table import Table
 

@@ -21,12 +21,12 @@ import numpy as np
 import pytest
 
 from dict_walk import combine_answers, finalize_answer
+from scalar_oracle import execute_on_partition
 
 from repro.api import PS3
 from repro.datasets.registry import get_dataset
 from repro.engine.aggregates import count_star
 from repro.engine.batch_executor import BatchExecutor, fused_view
-from repro.engine.executor import execute_on_partition
 from repro.engine.layout import partition_evenly
 from repro.engine.predicates import Comparison
 from repro.engine.query import Query

@@ -26,10 +26,10 @@ from contextlib import contextmanager
 import pytest
 
 from dict_walk import combine_answers, finalize_answer
+from scalar_oracle import execute_on_partition
 
 from repro.api import PS3
 from repro.datasets.registry import get_dataset
-from repro.engine.executor import execute_on_partition
 from repro.engine.faults import (
     FaultyPicker,
     ServingFaults,

@@ -25,10 +25,10 @@ import threading
 import pytest
 
 from dict_walk import combine_answers, finalize_answer
+from scalar_oracle import execute_on_partition
 
 from repro.api import PS3
 from repro.datasets.registry import get_dataset
-from repro.engine.executor import execute_on_partition
 from repro.engine.faults import ServingFaults
 from repro.engine.serving import ServingConfig, ServingFrontEnd
 from repro.errors import (

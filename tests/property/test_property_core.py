@@ -4,10 +4,10 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scalar_oracle import partition_contributions
 
 from repro.core.allocation import allocate_samples
 from repro.core.cluster_sampler import cluster_sample
-from repro.core.contribution import partition_contributions
 from repro.core.labels import labels_for_query
 
 

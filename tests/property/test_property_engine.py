@@ -10,11 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dict_walk import estimate, finalize_answer
+from scalar_oracle import true_answer
 
 from repro.engine.aggregates import avg_of, count_star, sum_of
 from repro.engine.combiner import WeightedChoice
 from repro.engine.batch_executor import BatchExecutor
-from repro.engine.executor import true_answer
 from repro.engine.expressions import col
 from repro.engine.layout import partition_evenly
 from repro.engine.predicates import Comparison, InSet

@@ -11,9 +11,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scalar_oracle import execute_on_table
 
 from repro.engine.aggregates import Aggregate
-from repro.engine.executor import execute_on_table
 from repro.engine.expressions import BinOp, ColumnRef, Const, Expression
 from repro.engine.predicates import (
     And,

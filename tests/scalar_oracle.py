@@ -1,15 +1,12 @@
-"""Vectorized per-partition query execution.
+"""The scalar, string-based executor and the dict contribution walk.
 
-The executor evaluates a :class:`~repro.engine.query.Query` on a single
-partition and returns the *linear component* totals per group: a mapping
-``group key -> numpy vector`` aligned with ``query.components``. Component
-answers from different partitions combine under weights (the paper's
-``A_g = sum_j w_j A_g,p_j``, :mod:`repro.engine.combiner`), and
-finalization turns combined components into the final SUM/COUNT/AVG values.
-
-Group keys are tuples of python scalars (strings for categorical columns,
-ints for dates, floats for numeric group-bys); the empty tuple is the single
-group of an ungrouped query.
+The references the production planes are held to: ``BatchExecutor
+.partition_answers`` must equal ``[execute_on_partition(p, q) for p in
+ptable]`` byte for byte — one ``{group key: component vector}`` dict per
+partition, vectors aligned with ``query.components`` — and
+``QueryAnswerBlock.contributions`` must equal
+:func:`partition_contributions` over those dicts. Import it as ``from
+scalar_oracle import ...`` (``tests/`` is on the path via ``conftest.py``).
 """
 
 from __future__ import annotations
@@ -17,10 +14,10 @@ from __future__ import annotations
 import numpy as np
 
 from repro.engine.aggregates import ComponentKind
+from repro.engine.batch_executor import GroupKey
 from repro.engine.query import Query
 from repro.engine.table import Partition, PartitionedTable, Table
 
-GroupKey = tuple
 ComponentAnswer = dict[GroupKey, np.ndarray]
 
 
@@ -124,3 +121,44 @@ def execute_on_table(table: Table, query: Query) -> ComponentAnswer:
 def true_answer(ptable: PartitionedTable, query: Query) -> ComponentAnswer:
     """Exact component answer over all partitions (weight 1 everywhere)."""
     return execute_on_table(ptable.table, query)
+
+
+def partition_contributions(
+    partition_answers: list[ComponentAnswer],
+    total_answer: ComponentAnswer | None = None,
+) -> np.ndarray:
+    """Per-partition contribution scalars in [0, 1].
+
+    Parameters
+    ----------
+    partition_answers:
+        Component answers per partition (index = partition id).
+    total_answer:
+        The exact combined answer; computed by summation when omitted.
+    """
+    if total_answer is None:
+        total_answer = {}
+        for answer in partition_answers:
+            for key, vec in answer.items():
+                acc = total_answer.get(key)
+                if acc is None:
+                    total_answer[key] = vec.copy()
+                else:
+                    acc += vec
+    # Guard groups whose component totals are zero (nothing to attribute).
+    denominators = {
+        key: np.where(np.abs(vec) > 0.0, np.abs(vec), np.inf)
+        for key, vec in total_answer.items()
+    }
+    out = np.zeros(len(partition_answers), dtype=np.float64)
+    for i, answer in enumerate(partition_answers):
+        best = 0.0
+        for key, vec in answer.items():
+            denom = denominators.get(key)
+            if denom is None:
+                continue
+            ratio = float((np.abs(vec) / denom).max())
+            if ratio > best:
+                best = ratio
+        out[i] = min(best, 1.0)
+    return out

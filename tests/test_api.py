@@ -122,7 +122,7 @@ class TestAnswerWithSelection:
 
     def test_matches_scalar_reference(self, tpch_ptable, query):
         from dict_walk import estimate
-        from repro.engine.executor import execute_on_partition
+        from scalar_oracle import execute_on_partition
 
         selection = [WeightedChoice(3, 1.0), WeightedChoice(11, 0.5)]
         fused = answer_with_selection(tpch_ptable, query, selection)

@@ -173,7 +173,7 @@ class TestOneRoute:
         of the selection it made."""
         import repro.api as api
         from dict_walk import combine_answers, finalize_answer
-        from repro.engine.executor import execute_on_partition
+        from scalar_oracle import execute_on_partition
 
         calls = []
         real = api.answer_selections

@@ -75,7 +75,7 @@ class TestGeneratedQueries:
         assert AggFunc.SUM in seen and AggFunc.COUNT in seen
 
     def test_queries_are_executable(self, generator, tpch_ptable):
-        from repro.engine.executor import execute_on_table
+        from scalar_oracle import execute_on_table
 
         for __ in range(20):
             query = generator.sample_query()
@@ -83,7 +83,7 @@ class TestGeneratedQueries:
 
     def test_constants_drawn_from_data(self, generator, tpch_ptable):
         """Range predicates should rarely be trivially empty."""
-        from repro.engine.executor import execute_on_table
+        from scalar_oracle import execute_on_table
 
         nonempty = 0
         total = 30

@@ -2,8 +2,8 @@
 
 import numpy as np
 import pytest
+from scalar_oracle import execute_on_table
 
-from repro.engine.executor import execute_on_table
 from repro.workload.tpch_queries import TEMPLATES, get_template
 
 
