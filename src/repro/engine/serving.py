@@ -6,13 +6,13 @@ weighted selection)`` pairs into answers — ``PS3.query``,
 below all call it, so their answers are bit-identical by construction.
 The front end adds the database's classic group-commit move on top:
 
-1. **admission** — concurrently arriving queries queue up and are
-   collected into micro-batches under a configurable window
-   (:class:`ServingConfig`: ``max_batch_size`` requests or
-   ``max_hold_seconds`` after the first arrival, whichever trips first);
-   the queue is *bounded* (``max_queue_depth``) — at capacity new
-   requests are shed with :class:`ServingOverloadError` instead of
-   growing an unbounded backlog;
+1. **admission** — the worker takes the request it dequeued plus
+   whatever is already queued, up to ``max_batch_size``, and never waits
+   for company: a lone request is swept on arrival, and under load
+   batches form from the backlog that builds up during a sweep (group
+   commit without a timer); the queue is *bounded*
+   (``max_queue_depth``) — at capacity new requests are shed with
+   :class:`ServingOverloadError` instead of growing an unbounded backlog;
 2. **pick** — each request's partitions are selected sequentially in
    admission order under one hold of the system's state lock (the
    picker's rng, pick memo and feature caches are shared mutable
@@ -46,13 +46,12 @@ faster, wider-error answers instead of queueing or failing — the answer
 reports ``effective_budget``/``degraded`` so callers see the trade.
 Requests carry per-request **deadlines** (plus a config default); a
 request already expired at admission or pick time fails fast with
-:class:`ServingTimeoutError` instead of being swept, and the admission
-window stops padding a batch whose oldest request is near its deadline.
-The batch loop runs under a **supervisor**: a worker crash fails the
-in-flight futures (never stranding batch-mates) and restarts the loop,
-up to ``max_worker_restarts``; transient sweep failures (``EIO`` from
-a sick disk read) retry with capped backoff, mirroring
-``storage/atomic.py``'s read retry. :meth:`ServingFrontEnd.health`
+:class:`ServingTimeoutError` instead of being swept. The batch loop
+runs under a **supervisor**: a worker crash fails the in-flight futures
+(never stranding batch-mates) and restarts the loop, up to
+``max_worker_restarts``; transient sweep failures (``EIO`` from a sick
+disk read) retry with capped backoff, mirroring ``storage/atomic.py``'s
+read retry. :meth:`ServingFrontEnd.health`
 snapshots the whole picture. Every fault point is injectable via
 :mod:`repro.engine.faults` and proven by enumeration in the test tree.
 
@@ -68,7 +67,6 @@ from __future__ import annotations
 
 import asyncio
 import errno
-import math
 import numbers
 import queue
 import threading
@@ -101,9 +99,10 @@ _TRANSIENT_ERRNOS = frozenset({errno.EIO, errno.EINTR})
 class ServingConfig:
     """Admission-batching and overload-resilience knobs.
 
-    **Batching.** ``max_batch_size`` caps how many requests one sweep
-    may serve; ``max_hold_seconds`` bounds how long the first request in
-    a batch may wait for company (``0`` disables holding).
+    **Batching.** A batch is the request the worker dequeued plus
+    whatever else is already queued when it does, capped at
+    ``max_batch_size``; nothing waits for batch-mates, so batches are
+    as large as the backlog that builds up during a sweep.
     ``dedup_picks`` shares one picker selection among batch-mates with
     the same query and resolved budget — answers stay bit-identical to
     ``PS3.query`` for that selection; identical concurrent requests just
@@ -126,8 +125,7 @@ class ServingConfig:
     **Deadlines.** ``default_deadline_seconds`` applies to requests that
     do not pass their own ``deadline_seconds``. An expired request fails
     fast with :class:`ServingTimeoutError` at admission or pick time
-    rather than wasting sweep work, and the admission window never holds
-    a batch past its oldest member's deadline.
+    rather than wasting sweep work.
 
     **Supervision.** The worker loop is restarted after a crash up to
     ``max_worker_restarts`` times per :meth:`~ServingFrontEnd.start`;
@@ -138,7 +136,6 @@ class ServingConfig:
     """
 
     max_batch_size: int = 32
-    max_hold_seconds: float = 0.002
     dedup_picks: bool = True
     max_queue_depth: int | None = 1024
     shed_policy: str = "reject"
@@ -151,8 +148,6 @@ class ServingConfig:
     def __post_init__(self) -> None:
         if self.max_batch_size < 1:
             raise ConfigError("max_batch_size must be >= 1")
-        if self.max_hold_seconds < 0:
-            raise ConfigError("max_hold_seconds must be >= 0")
         if self.max_queue_depth is not None and self.max_queue_depth < 1:
             raise ConfigError("max_queue_depth must be >= 1 (or None)")
         if self.shed_policy not in ("reject", "degrade"):
@@ -666,45 +661,16 @@ class ServingFrontEnd:
             time.monotonic() - request.submitted
         )
 
-    @staticmethod
-    def _pad_end(request: _Request, now: float) -> float:
-        """Latest moment the admission window may hold this request.
-
-        A deadlined request spends at most *half* its remaining time
-        waiting for batch-mates — the other half is reserved for the
-        pick/sweep/scatter itself, so stopping the padding still leaves
-        time to answer (holding right up to the deadline would
-        guarantee a pick-time expiry).
-        """
-        if request.deadline is None:
-            return math.inf
-        return now + 0.5 * (request.deadline - now)
-
     def _admit(self, first: _Request) -> tuple[list[_Request], bool]:
-        """Collect one micro-batch starting from ``first``.
+        """One micro-batch: ``first`` plus whatever is already queued.
 
-        Holds the window open until ``max_batch_size`` requests are in
-        or ``max_hold_seconds`` have passed since the first arrival —
-        but stops padding a batch whose oldest request is near its
-        deadline (see :meth:`_pad_end`): it sweeps immediately rather
-        than holding for company it cannot wait for.
+        Takes queued requests with ``get_nowait`` until the queue is
+        empty or ``max_batch_size`` is reached, and never waits.
         """
         batch = [first]
-        now = time.monotonic()
-        window_end = now + self.config.max_hold_seconds
-        earliest_pad = self._pad_end(first, now)
         while len(batch) < self.config.max_batch_size:
-            now = time.monotonic()
-            if earliest_pad <= now:
-                # The oldest deadline binds: stop padding (even the
-                # free-looking scoop below adds sweep work), sweep now.
-                break
-            remaining = min(window_end, earliest_pad) - now
             try:
-                if remaining <= 0:
-                    item = self._queue.get_nowait()
-                else:
-                    item = self._queue.get(timeout=remaining)
+                item = self._queue.get_nowait()
             except queue.Empty:
                 break
             if item is _SHUTDOWN:
@@ -712,9 +678,6 @@ class ServingFrontEnd:
             self._note_dequeue(item)
             batch.append(item)
             self._inflight.append(item)
-            earliest_pad = min(
-                earliest_pad, self._pad_end(item, time.monotonic())
-            )
         return batch, False
 
     # -- future completion (cancellation-safe) -------------------------------

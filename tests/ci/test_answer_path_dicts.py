@@ -12,6 +12,7 @@ deduplicated pick (and so one execution).
 from __future__ import annotations
 
 import pytest
+from serving_plug import plugged
 
 from repro.api import PS3
 from repro.datasets.registry import get_dataset
@@ -53,9 +54,10 @@ def test_online_answers_build_no_partition_dicts(system_and_queries, dict_views)
     answers = [system.query(q, budget_fraction=0.25) for q in queries]
     answers += system.query_many(queries, budget_fraction=0.5)
     repeated = [queries[0]] * 4 + [queries[1]] * 3
-    config = ServingConfig(max_batch_size=len(repeated), max_hold_seconds=0.5)
+    config = ServingConfig(max_batch_size=len(repeated))
     with system.serve(config) as front:
-        futures = [front.submit(q, budget_fraction=0.25) for q in repeated]
+        with plugged(front):  # the repeats land in one batch
+            futures = [front.submit(q, budget_fraction=0.25) for q in repeated]
         answers += [future.result(timeout=60) for future in futures]
         dedup_hits = front.stats.pick_dedup_hits
     assert dedup_hits >= 1  # some batch-mates shared a pick and its execution

@@ -66,6 +66,9 @@
 * ``PS3Picker.__init__``, ``PS3Picker.select`` and ``PickerConfig`` take
   no parameter naming a memo or a cache: pure picks are memoized per
   statistics generation always, under a constant bound.
+* No ``ServingConfig`` field names a hold, a window or a wait: the
+  serving worker batches what is already queued when it dequeues a
+  request and never waits for batch-mates, so there is no timer to set.
 * ``repro.engine.executor``, ``repro.core.diagnostics`` and
   ``repro.obs.profiling`` no longer import, ``CombinedAnswer`` has no
   ``of``, and ``repro.engine`` / ``repro.core`` / ``repro.obs`` export
@@ -397,6 +400,17 @@ def test_pick_memo_has_no_switch():
             if "memo" in name or "cache" in name
         ]
         assert switches == [], (taker, switches)
+
+
+def test_serving_admission_has_no_timer():
+    from repro.engine.serving import ServingConfig
+
+    timers = [
+        name
+        for name in inspect.signature(ServingConfig).parameters
+        if "hold" in name or "window" in name or "wait" in name
+    ]
+    assert timers == []
 
 
 def _to_bytes_callers(sources: Path) -> set[str]:

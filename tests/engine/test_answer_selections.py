@@ -28,7 +28,7 @@ from repro.engine.layout import partition_evenly
 from repro.engine.predicates import Comparison, InSet
 from repro.engine.query import Query
 from repro.engine.schema import Column, ColumnKind, Schema
-from repro.engine.serving import ServingConfig, answer_selections
+from repro.engine.serving import answer_selections
 from repro.engine.table import Table
 from repro.errors import ConfigError
 from repro.obs import get_registry, snapshot_delta
@@ -213,7 +213,7 @@ class TestEveryRouteIsTheSameRoute:
         try:
             direct = system.query(query, budget_partitions=4)
             many = system.query_many([query, query], budget_partitions=4)
-            with system.serve(ServingConfig(max_hold_seconds=0.0)) as front:
+            with system.serve() as front:
                 served = front.query(query, budget_partitions=4)
         finally:
             system._picker = original

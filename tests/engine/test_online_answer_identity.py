@@ -20,6 +20,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 from dict_walk import estimate
+from serving_plug import plugged
 
 from repro.api import PS3, answer_with_selection
 from repro.core.picker import PickerSelection
@@ -31,7 +32,6 @@ from repro.engine.layout import partition_evenly
 from repro.engine.predicates import Comparison
 from repro.engine.query import Query
 from repro.engine.schema import Column, ColumnKind, Schema
-from repro.engine.serving import ServingConfig
 from repro.engine.table import Table
 from repro.workload import WorkloadSpec
 
@@ -136,8 +136,9 @@ def test_every_route_matches_the_walk(system, name):
     try:
         single = [system.query(q, budget_partitions=BUDGET) for q in QUERIES]
         many = system.query_many(QUERIES, budget_partitions=BUDGET)
-        with system.serve(ServingConfig(max_hold_seconds=0.05)) as front:
-            futures = [front.submit(q, budget_partitions=BUDGET) for q in QUERIES]
+        with system.serve() as front:
+            with plugged(front):  # every query in one batch
+                futures = [front.submit(q, budget_partitions=BUDGET) for q in QUERIES]
             served = [future.result(timeout=60) for future in futures]
     finally:
         system._picker = None

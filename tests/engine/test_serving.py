@@ -22,6 +22,7 @@ import pytest
 
 from dict_walk import combine_answers, finalize_answer
 from scalar_oracle import execute_on_partition
+from serving_plug import plugged
 
 from repro.api import PS3
 from repro.datasets.registry import get_dataset
@@ -73,7 +74,6 @@ class TestServingConfig:
         "kwargs",
         [
             {"max_batch_size": 0},
-            {"max_hold_seconds": -0.1},
             {"max_queue_depth": 0},
             {"shed_policy": "drop"},
             {"default_deadline_seconds": 0.0},
@@ -147,17 +147,18 @@ class TestQueryMany:
 class TestServingFrontEnd:
     def test_batched_answers_bit_identical(self, served_system):
         system, test = served_system
-        config = ServingConfig(max_batch_size=8, max_hold_seconds=0.2)
+        config = ServingConfig(max_batch_size=8)
         with system.serve(config) as front:
-            futures = [
-                front.submit(test[i % len(test)], budget_fraction=0.4)
-                for i in range(16)
-            ]
+            with plugged(front):
+                futures = [
+                    front.submit(test[i % len(test)], budget_fraction=0.4)
+                    for i in range(16)
+                ]
             answers = [f.result(timeout=30) for f in futures]
         for answer in answers:
             _assert_answer_matches_sequential(system, answer)
-        assert front.stats.queries == 16
-        # The 0.2s hold with instant submits guarantees real batches.
+        assert front.stats.queries == 16 + 1  # and the plug
+        # Queued behind the plug, the 16 form batches of max_batch_size.
         assert front.stats.largest_batch >= 2
         assert front.stats.batched_queries >= 2
         assert front.stats.batches < 16
@@ -187,13 +188,15 @@ class TestServingFrontEnd:
 
     def test_pick_dedup_shares_selection_within_batch(self, served_system):
         system, test = served_system
-        config = ServingConfig(max_batch_size=8, max_hold_seconds=0.3)
+        config = ServingConfig(max_batch_size=8)
         with system.serve(config) as front:
-            futures = [
-                front.submit(test[0], budget_partitions=3) for __ in range(6)
-            ]
+            with plugged(front):
+                futures = [
+                    front.submit(test[0], budget_partitions=3)
+                    for __ in range(6)
+                ]
             answers = [f.result(timeout=30) for f in futures]
-        # The 0.3s hold admits all 6 into one batch; same query + same
+        # Queued behind the plug, all 6 form one batch; same query + same
         # budget -> one pick shared by all, and the answers agree bitwise.
         assert front.stats.pick_dedup_hits >= 5
         first = answers[0]
@@ -207,26 +210,57 @@ class TestServingFrontEnd:
 
     def test_pick_dedup_disabled_picks_per_request(self, served_system):
         system, test = served_system
-        config = ServingConfig(
-            max_batch_size=8, max_hold_seconds=0.3, dedup_picks=False
-        )
+        config = ServingConfig(max_batch_size=8, dedup_picks=False)
         with system.serve(config) as front:
-            futures = [
-                front.submit(test[0], budget_partitions=3) for __ in range(6)
-            ]
+            with plugged(front):
+                futures = [
+                    front.submit(test[0], budget_partitions=3)
+                    for __ in range(6)
+                ]
             answers = [f.result(timeout=30) for f in futures]
         assert front.stats.pick_dedup_hits == 0
         for answer in answers:
             _assert_answer_matches_sequential(system, answer)
 
+    def test_lone_request_is_swept_without_a_timed_wait(self, served_system):
+        system, test = served_system
+        front = ServingFrontEnd(system)
+        timeouts = []
+        get = front._queue.get
+
+        def spy(block=True, timeout=None):
+            timeouts.append(timeout)
+            return get(block, timeout)
+
+        front._queue.get = spy  # get_nowait calls it too, with block=False
+        with front:
+            answer = front.query(test[0], budget_partitions=3)
+        _assert_answer_matches_sequential(system, answer)
+        assert front.stats.batches == 1
+        assert len(timeouts) >= 2  # the idle wait and the batch scoop
+        assert [t for t in timeouts if t is not None and t > 0] == []
+
+    def test_burst_behind_a_busy_worker_is_one_batch(self, served_system):
+        system, test = served_system
+        burst = [test[0], test[1]] * 4
+        with system.serve() as front:
+            with plugged(front):
+                futures = [front.submit(q, budget_partitions=3) for q in burst]
+            answers = [f.result(timeout=30) for f in futures]
+        assert front.stats.largest_batch == 8
+        assert front.stats.batches == 2  # the plug's, then the burst's
+        assert front.stats.pick_dedup_hits == 6
+        for i, answer in enumerate(answers):
+            assert answer.selection is answers[i % 2].selection
+            _assert_answer_matches_sequential(system, answer)
+
     def test_per_request_failure_isolated(self, served_system):
         system, test = served_system
         bad = Query([count_star()], Comparison("no_such_column", ">", 1.0))
-        with system.serve(
-            ServingConfig(max_batch_size=4, max_hold_seconds=0.2)
-        ) as front:
-            good_future = front.submit(test[0], budget_partitions=3)
-            bad_future = front.submit(bad, budget_partitions=3)
+        with system.serve(ServingConfig(max_batch_size=4)) as front:
+            with plugged(front):
+                good_future = front.submit(test[0], budget_partitions=3)
+                bad_future = front.submit(bad, budget_partitions=3)
             answer = good_future.result(timeout=30)
             with pytest.raises(Exception):
                 bad_future.result(timeout=30)
@@ -314,12 +348,13 @@ class TestServingFrontEnd:
 
     def test_queue_gauge_returns_to_zero(self, served_system):
         system, test = served_system
-        config = ServingConfig(max_batch_size=8, max_hold_seconds=0.2)
+        config = ServingConfig(max_batch_size=8)
         with system.serve(config) as front:
-            futures = [
-                front.submit(test[i % len(test)], budget_fraction=0.4)
-                for i in range(6)
-            ]
+            with plugged(front):
+                futures = [
+                    front.submit(test[i % len(test)], budget_fraction=0.4)
+                    for i in range(6)
+                ]
             for future in futures:
                 future.result(timeout=30)
         assert front.stats.queue_depth == 0

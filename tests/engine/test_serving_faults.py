@@ -27,6 +27,7 @@ import pytest
 
 from dict_walk import combine_answers, finalize_answer
 from scalar_oracle import execute_on_partition
+from serving_plug import plugged
 
 from repro.api import PS3
 from repro.datasets.registry import get_dataset
@@ -84,25 +85,20 @@ def poisoned_picker(system, **faults):
         system._picker = original
 
 
-#: A batch-forming config: long hold, so a burst of submits lands in
-#: one deterministic batch that closes when it reaches max_batch_size.
-def _batch_config(size, **kw):
-    return ServingConfig(max_batch_size=size, max_hold_seconds=0.5, **kw)
-
-
 class TestPoisonedPick:
     """Fault point: picker.select raises for one request."""
 
     @pytest.mark.parametrize("poison", [0, 1, 3])
     def test_fails_only_its_own_future(self, served_system, poison):
         system, test = served_system
-        config = _batch_config(4, dedup_picks=False)
+        config = ServingConfig(max_batch_size=4, dedup_picks=False)
         with poisoned_picker(system, fail_at_pick=poison):
             with ServingFrontEnd(system, config) as front:
-                futures = [
-                    front.submit(test[i], budget_partitions=3)
-                    for i in range(4)
-                ]
+                with plugged(front):
+                    futures = [
+                        front.submit(test[i], budget_partitions=3)
+                        for i in range(4)
+                    ]
                 for i, future in enumerate(futures):
                     if i == poison:
                         with pytest.raises(ExecutionError):
@@ -119,13 +115,16 @@ class TestPoisonedPick:
         for size in (1, 2, 3, 4):
             for poison in range(size):
                 system, test = served_system
-                config = _batch_config(size, dedup_picks=False)
+                config = ServingConfig(max_batch_size=size, dedup_picks=False)
                 with poisoned_picker(system, fail_at_pick=poison):
                     with ServingFrontEnd(system, config) as front:
-                        futures = [
-                            front.submit(test[i % len(test)], budget_partitions=3)
-                            for i in range(size)
-                        ]
+                        with plugged(front):
+                            futures = [
+                                front.submit(
+                                    test[i % len(test)], budget_partitions=3
+                                )
+                                for i in range(size)
+                            ]
                         for i, future in enumerate(futures):
                             if i == poison:
                                 with pytest.raises(ExecutionError):
@@ -138,13 +137,14 @@ class TestPoisonedPick:
 
     def test_crash_at_pick_fails_batch_restarts_worker(self, served_system):
         system, test = served_system
-        config = _batch_config(3, dedup_picks=False)
+        config = ServingConfig(max_batch_size=3, dedup_picks=False)
         with poisoned_picker(system, crash_at_pick=1):
             with ServingFrontEnd(system, config) as front:
-                futures = [
-                    front.submit(test[i], budget_partitions=3)
-                    for i in range(3)
-                ]
+                with plugged(front):
+                    futures = [
+                        front.submit(test[i], budget_partitions=3)
+                        for i in range(3)
+                    ]
                 # The crash escapes the per-request guard (it is a
                 # worker death, not a request bug): every in-flight
                 # future fails, none strands.
@@ -165,13 +165,15 @@ class TestSweepRetry:
     def test_transient_eio_retried_bit_identical(self, served_system):
         system, test = served_system
         faults = ServingFaults(fail_sweeps=2)
-        config = _batch_config(
-            3, sweep_retries=2, retry_backoff_seconds=0.0
+        config = ServingConfig(
+            max_batch_size=3, sweep_retries=2, retry_backoff_seconds=0.0
         )
         with ServingFrontEnd(system, config, faults=faults) as front:
-            futures = [
-                front.submit(test[i], budget_partitions=3) for i in range(3)
-            ]
+            with plugged(front):
+                futures = [
+                    front.submit(test[i], budget_partitions=3)
+                    for i in range(3)
+                ]
             for future in futures:
                 _assert_matches_sequential(system, future.result(timeout=30))
         assert front.stats.sweep_retries == 2
@@ -184,7 +186,9 @@ class TestSweepRetry:
         faults = ServingFaults(
             fail_sweeps=1, sweep_error=lambda: ExecutionError("injected")
         )
-        config = _batch_config(2, sweep_retries=1, retry_backoff_seconds=0.0)
+        config = ServingConfig(
+            max_batch_size=2, sweep_retries=1, retry_backoff_seconds=0.0
+        )
         with ServingFrontEnd(system, config, faults=faults) as front:
             answer = front.query(test[0], budget_partitions=3)
         _assert_matches_sequential(system, answer)
@@ -193,11 +197,15 @@ class TestSweepRetry:
     def test_exhausted_retries_fail_batch_not_worker(self, served_system):
         system, test = served_system
         faults = ServingFaults(fail_sweeps=3)
-        config = _batch_config(2, sweep_retries=2, retry_backoff_seconds=0.0)
+        config = ServingConfig(
+            max_batch_size=2, sweep_retries=2, retry_backoff_seconds=0.0
+        )
         with ServingFrontEnd(system, config, faults=faults) as front:
-            futures = [
-                front.submit(test[i], budget_partitions=3) for i in range(2)
-            ]
+            with plugged(front):
+                futures = [
+                    front.submit(test[i], budget_partitions=3)
+                    for i in range(2)
+                ]
             for future in futures:
                 with pytest.raises(OSError):
                     future.result(timeout=30)
@@ -216,7 +224,9 @@ class TestSweepRetry:
             fail_sweeps=5,
             sweep_error=lambda: OSError(errno.ENOENT, "not transient"),
         )
-        config = _batch_config(1, sweep_retries=3, retry_backoff_seconds=0.0)
+        config = ServingConfig(
+            max_batch_size=1, sweep_retries=3, retry_backoff_seconds=0.0
+        )
         with ServingFrontEnd(system, config, faults=faults) as front:
             future = front.submit(test[0], budget_partitions=3)
             with pytest.raises(OSError):
@@ -231,12 +241,13 @@ class TestCrashMidScatter:
     def _run_point(self, served_system, size, crash_at):
         system, test = served_system
         faults = ServingFaults(crash_at_scatter=crash_at)
-        config = _batch_config(size, dedup_picks=False)
+        config = ServingConfig(max_batch_size=size, dedup_picks=False)
         with ServingFrontEnd(system, config, faults=faults) as front:
-            futures = [
-                front.submit(test[i % len(test)], budget_partitions=3)
-                for i in range(size)
-            ]
+            with plugged(front):
+                futures = [
+                    front.submit(test[i % len(test)], budget_partitions=3)
+                    for i in range(size)
+                ]
             for i, future in enumerate(futures):
                 if i < crash_at:
                     # Completed before the crash: bit-identical answer.
@@ -276,12 +287,14 @@ class TestWorkerDeath:
 
     def test_single_crash_restarts_and_recovers(self, served_system):
         system, test = served_system
-        faults = ServingFaults(crash_at_batch=0)
-        config = _batch_config(2)
+        faults = ServingFaults(crash_at_batch=1)  # batch 0 is the plug's
+        config = ServingConfig(max_batch_size=2)
         with ServingFrontEnd(system, config, faults=faults) as front:
-            futures = [
-                front.submit(test[i], budget_partitions=3) for i in range(2)
-            ]
+            with plugged(front):
+                futures = [
+                    front.submit(test[i], budget_partitions=3)
+                    for i in range(2)
+                ]
             for future in futures:
                 with pytest.raises(ServingError):
                     future.result(timeout=30)
@@ -295,7 +308,7 @@ class TestWorkerDeath:
 
     def test_restart_cap_fails_permanently(self, served_system):
         system, test = served_system
-        config = _batch_config(2, max_worker_restarts=1)
+        config = ServingConfig(max_batch_size=2, max_worker_restarts=1)
         front = ServingFrontEnd(
             system, config, faults=self._AlwaysCrash()
         ).start()
@@ -321,7 +334,7 @@ class TestWorkerDeath:
     def test_blocking_query_never_hangs_on_worker_death(self, served_system):
         """Regression: `query` used to block forever on a dead worker."""
         system, test = served_system
-        config = _batch_config(1, max_worker_restarts=0)
+        config = ServingConfig(max_batch_size=1, max_worker_restarts=0)
         front = ServingFrontEnd(
             system, config, faults=self._AlwaysCrash()
         ).start()
@@ -338,7 +351,7 @@ class TestWorkerDeath:
         system, test = served_system
         faults = ServingFaults(slow_batch_seconds=0.5)
         with ServingFrontEnd(
-            system, _batch_config(1), faults=faults
+            system, ServingConfig(max_batch_size=1), faults=faults
         ) as front:
             started = time.monotonic()
             with pytest.raises(ServingTimeoutError):
@@ -350,7 +363,7 @@ class TestWorkerDeath:
         """The config default deadline applies when none is passed."""
         system, test = served_system
         faults = ServingFaults(slow_batch_seconds=0.5)
-        config = _batch_config(1, default_deadline_seconds=0.05)
+        config = ServingConfig(max_batch_size=1, default_deadline_seconds=0.05)
         with ServingFrontEnd(system, config, faults=faults) as front:
             with pytest.raises(ServingTimeoutError):
                 front.query(test[0], budget_partitions=3)
@@ -361,7 +374,7 @@ class TestDeadlines:
         system, test = served_system
         faults = ServingFaults(slow_batch_seconds=0.1)
         with ServingFrontEnd(
-            system, _batch_config(1), faults=faults
+            system, ServingConfig(max_batch_size=1), faults=faults
         ) as front:
             future = front.submit(
                 test[0], budget_partitions=3, deadline_seconds=0.03
@@ -372,7 +385,7 @@ class TestDeadlines:
 
     def test_submit_rejects_already_expired_deadline(self, served_system):
         system, test = served_system
-        with ServingFrontEnd(system, _batch_config(2)) as front:
+        with ServingFrontEnd(system, ServingConfig(max_batch_size=2)) as front:
             with pytest.raises(ServingTimeoutError):
                 front.submit(test[0], budget_partitions=3, deadline_seconds=0.0)
             with pytest.raises(ServingTimeoutError):
@@ -380,29 +393,9 @@ class TestDeadlines:
                     test[0], budget_partitions=3, deadline_seconds=-1.0
                 )
 
-    def test_admission_stops_padding_near_deadline(self, served_system):
-        """A lone deadlined request is not held for the full window.
-
-        With a 10s hold and a 0.5s deadline, the old admission loop
-        would hold the batch open well past the deadline; the fix
-        spends at most half the remaining deadline budget padding, so
-        the answer lands with time to spare.
-        """
-        system, test = served_system
-        config = ServingConfig(max_batch_size=32, max_hold_seconds=10.0)
-        with ServingFrontEnd(system, config) as front:
-            started = time.monotonic()
-            answer = front.query(
-                test[0], budget_partitions=3, deadline_seconds=0.5
-            )
-            elapsed = time.monotonic() - started
-        _assert_matches_sequential(system, answer)
-        assert elapsed < 2.0  # nowhere near the 10s hold
-        assert front.stats.deadline_misses == 0
-
     def test_generous_deadline_answers_normally(self, served_system):
         system, test = served_system
-        with ServingFrontEnd(system, _batch_config(2)) as front:
+        with ServingFrontEnd(system, ServingConfig(max_batch_size=2)) as front:
             answer = front.query(
                 test[0], budget_partitions=3, deadline_seconds=30.0
             )
@@ -420,17 +413,20 @@ class TestCancelledFutures:
         self, served_system
     ):
         system, test = served_system
-        config = _batch_config(4, dedup_picks=False)
+        config = ServingConfig(max_batch_size=4, dedup_picks=False)
         with ServingFrontEnd(system, config) as front:
-            f0 = front.submit(test[0], budget_partitions=3)
-            f1 = front.submit(test[1], budget_partitions=3)
-            f2 = front.submit(test[2], budget_partitions=3)
-            assert f1.cancel()  # still pending: the batch is holding
-            f3 = front.submit(test[3], budget_partitions=3)  # closes batch
+            with plugged(front):
+                f0 = front.submit(test[0], budget_partitions=3)
+                f1 = front.submit(test[1], budget_partitions=3)
+                f2 = front.submit(test[2], budget_partitions=3)
+                assert f1.cancel()  # still queued behind the plug
+                f3 = front.submit(test[3], budget_partitions=3)
             for future in (f0, f2, f3):
                 _assert_matches_sequential(system, future.result(timeout=30))
             assert f1.cancelled()
-        assert front.stats.cancelled_skips >= 1
+        # One skip is the plug's (cancelled before release); the other
+        # must be f1's.
+        assert front.stats.cancelled_skips == 2
         assert front.stats.worker_restarts == 0
         assert front.stats.failures == 0
 
@@ -438,9 +434,9 @@ class TestCancelledFutures:
         import asyncio
 
         system, test = served_system
-        config = _batch_config(3, dedup_picks=False)
+        config = ServingConfig(max_batch_size=3, dedup_picks=False)
 
-        async def go(front):
+        async def go(front, release):
             victim = asyncio.ensure_future(
                 front.submit_async(test[0], budget_partitions=3)
             )
@@ -452,13 +448,16 @@ class TestCancelledFutures:
             closer = asyncio.ensure_future(
                 front.submit_async(test[2], budget_partitions=3)
             )
+            await asyncio.sleep(0)  # let the closer's submit land
+            release()  # all three were queued behind the plug: one batch
             answers = await asyncio.gather(survivor, closer)
             with pytest.raises(asyncio.CancelledError):
                 await victim
             return answers
 
         with ServingFrontEnd(system, config) as front:
-            answers = asyncio.run(go(front))
+            with plugged(front) as release:
+                answers = asyncio.run(go(front, release))
         for answer in answers:
             _assert_matches_sequential(system, answer)
         assert front.stats.worker_restarts == 0

@@ -18,7 +18,7 @@ import pytest
 
 from repro.api import PS3
 from repro.datasets.registry import get_dataset
-from repro.engine.serving import ServingConfig, ServingStats
+from repro.engine.serving import ServingStats
 from repro.obs import MetricsRegistry, snapshot_delta
 from repro.workload import QueryGenerator
 
@@ -37,7 +37,7 @@ def served_system():
 class TestStatsRegistryConsistency:
     def test_legacy_views_equal_registry_counters(self, served_system):
         system, test = served_system
-        front = system.serve(ServingConfig(max_hold_seconds=0.0))
+        front = system.serve()
         try:
             for query in test:
                 front.query(query, budget_fraction=0.25)
@@ -57,7 +57,7 @@ class TestStatsRegistryConsistency:
 
     def test_spans_fire_consistently_with_batch_counts(self, served_system):
         system, test = served_system
-        front = system.serve(ServingConfig(max_hold_seconds=0.0))
+        front = system.serve()
         try:
             for query in test:
                 front.query(query, budget_fraction=0.25)
@@ -84,7 +84,7 @@ class TestStatsRegistryConsistency:
 
     def test_stats_survive_stop_and_stay_readable(self, served_system):
         system, test = served_system
-        front = system.serve(ServingConfig(max_hold_seconds=0.0))
+        front = system.serve()
         front.query(test[0], budget_fraction=0.25)
         front.stop()
         assert front.stats.queries == 1
@@ -155,7 +155,7 @@ class TestPS3Metrics:
             }
         )
         system.checkpoint()
-        front = system.serve(ServingConfig(max_hold_seconds=0.0))
+        front = system.serve()
         try:
             before = system.metrics()
             front.query(test[0], budget_fraction=0.25)

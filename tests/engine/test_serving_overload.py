@@ -111,7 +111,6 @@ class TestBoundedQueue:
         system, test = served_system
         config = ServingConfig(
             max_batch_size=2,
-            max_hold_seconds=0.0,
             max_queue_depth=6,
             shed_policy="reject",
         )
@@ -133,9 +132,7 @@ class TestBoundedQueue:
 
     def test_unbounded_queue_never_sheds(self, served_system):
         system, test = served_system
-        config = ServingConfig(
-            max_batch_size=8, max_hold_seconds=0.0, max_queue_depth=None
-        )
+        config = ServingConfig(max_batch_size=8, max_queue_depth=None)
         front = ServingFrontEnd(system, config, faults=_throttled()).start()
         try:
             futures, sheds = _flood(front, test, clients=4, per_client=10)
@@ -152,7 +149,6 @@ class TestDegradePolicy:
         system, test = served_system
         config = ServingConfig(
             max_batch_size=2,
-            max_hold_seconds=0.0,
             max_queue_depth=8,
             shed_policy="degrade",
             min_degraded_fraction=0.25,
@@ -189,7 +185,6 @@ class TestDegradePolicy:
         config = ServingConfig(
             max_queue_depth=64,
             shed_policy="degrade",
-            max_hold_seconds=0.05,
         )
         with ServingFrontEnd(system, config) as front:
             answer = front.query(test[0], budget_fraction=0.75)
@@ -201,9 +196,7 @@ class TestDegradePolicy:
 class TestDeadlinesUnderLoad:
     def test_deadline_miss_fails_fast_behind_backlog(self, served_system):
         system, test = served_system
-        config = ServingConfig(
-            max_batch_size=1, max_hold_seconds=0.0, max_queue_depth=64
-        )
+        config = ServingConfig(max_batch_size=1, max_queue_depth=64)
         front = ServingFrontEnd(
             system, config, faults=_throttled(0.02)
         ).start()
@@ -238,9 +231,7 @@ class TestDeadlinesUnderLoad:
 class TestStopUnderLoad:
     def test_zero_stranded_futures_after_stop(self, served_system):
         system, test = served_system
-        config = ServingConfig(
-            max_batch_size=2, max_hold_seconds=0.0, max_queue_depth=64
-        )
+        config = ServingConfig(max_batch_size=2, max_queue_depth=64)
         front = ServingFrontEnd(
             system, config, faults=_throttled(0.01)
         ).start()
