@@ -12,7 +12,7 @@ Typical use::
 
 ``PS3`` owns the statistics builder, feature builder, trained picker
 model, and the online picker; :class:`ApproximateAnswer` carries the
-per-group estimates plus the weighted selection and error diagnostics.
+per-group estimates plus the weighted selection and its budgets.
 """
 
 from __future__ import annotations

@@ -16,25 +16,23 @@ The front end adds the database's classic group-commit move on top:
 2. **pick** — each request's partitions are selected sequentially in
    admission order under one hold of the system's state lock (the
    picker's rng, pick memo and feature caches are shared mutable
-   state), exactly as back-to-back ``PS3.query`` calls would pick; a
-   pure pick repeated across batches is a picker memo hit until the
-   next append, and with ``ServingConfig.dedup_picks`` (the default)
-   batch-mates with the same query and resolved budget also share a
-   pick that draws from the picker's rng;
+   state), one ``picker.select`` per request, exactly as back-to-back
+   ``PS3.query`` calls would pick; a pure pick repeated within or
+   across batches is a picker memo hit until the next append;
 3. **sweep** — :func:`answer_selections`, outside the lock, on the
    table object captured under it (so every answer sees exactly one
-   table generation): one :meth:`BatchExecutor.partition_answers` subset
-   pass per *distinct* ``(query, partition tuple)`` of the batch —
-   requests that shared a pick share its execution — then, per request,
-   the paper's section 2.4 sum under its own weights over that block's
-   arrays (:func:`repro.engine.combiner.combine_answers`, one
-   ``np.bincount`` per component) into freshly allocated arrays, and
-   :func:`finalize_answer` over the (groups x aggregates) plane;
+   table generation): per request, one
+   :meth:`BatchExecutor.partition_answers` subset pass over its own
+   selection, the paper's section 2.4 sum under its own weights over
+   that block's arrays (:func:`repro.engine.combiner.combine_answers`,
+   one ``np.bincount`` per component), and :func:`finalize_answer` over
+   the (groups x aggregates) plane;
 4. **scatter** — each request's future is completed with its
    ``ApproximateAnswer``.
 
-A micro-batch therefore buys one lock hold, pick dedup and shared
-executions. It does *not* fuse distinct queries into one multi-query
+A micro-batch therefore buys one lock hold, and no answer depends on
+its batch-mates: a batch answers exactly as ``PS3.query_many`` over its
+requests in admission order. Distinct queries are *not* fused into one
 sweep: at serving batch sizes that shared nothing and cost more than
 the per-query pass (measured in CHANGES.md, PR 15).
 
@@ -67,6 +65,7 @@ from __future__ import annotations
 
 import asyncio
 import errno
+import math
 import numbers
 import queue
 import threading
@@ -77,7 +76,7 @@ from dataclasses import dataclass, field
 
 from repro.obs import MetricsRegistry, trace_span
 
-from repro.engine.batch_executor import BatchExecutor, QueryAnswerBlock
+from repro.engine.batch_executor import BatchExecutor
 from repro.engine.combiner import FinalAnswer, combine_answers, finalize_answer
 from repro.engine.query import Query
 from repro.engine.table import PartitionedTable
@@ -103,13 +102,6 @@ class ServingConfig:
     whatever else is already queued when it does, capped at
     ``max_batch_size``; nothing waits for batch-mates, so batches are
     as large as the backlog that builds up during a sweep.
-    ``dedup_picks`` shares one picker selection among batch-mates with
-    the same query and resolved budget — answers stay bit-identical to
-    ``PS3.query`` for that selection; identical concurrent requests just
-    get the *same* sample rather than independent ones (set ``False``
-    when clients average repeats to tighten estimates). It matters only
-    for picks that draw from the picker's rng: a pure pick is the same
-    every time, and a repeat is a picker memo hit.
 
     **Admission control.** ``max_queue_depth`` bounds the admission
     queue (``None`` = unbounded, the pre-resilience behavior). At
@@ -133,10 +125,12 @@ class ServingConfig:
     failed, new submits raise :class:`ServingStoppedError`). Transient
     sweep failures retry up to ``sweep_retries`` times with exponential
     backoff starting at ``retry_backoff_seconds``.
+
+    Counts are non-bool integers and times and fractions finite, non-bool
+    real numbers; anything else is a :class:`ConfigError`.
     """
 
     max_batch_size: int = 32
-    dedup_picks: bool = True
     max_queue_depth: int | None = 1024
     shed_policy: str = "reject"
     default_deadline_seconds: float | None = None
@@ -146,6 +140,14 @@ class ServingConfig:
     retry_backoff_seconds: float = 0.005
 
     def __post_init__(self) -> None:
+        for name in ("max_batch_size", "max_worker_restarts", "sweep_retries"):
+            _check_number(name, getattr(self, name), integer=True)
+        for name in ("min_degraded_fraction", "retry_backoff_seconds"):
+            _check_number(name, getattr(self, name))
+        if self.max_queue_depth is not None:
+            _check_number("max_queue_depth", self.max_queue_depth, integer=True)
+        if self.default_deadline_seconds is not None:
+            _check_number("default_deadline_seconds", self.default_deadline_seconds)
         if self.max_batch_size < 1:
             raise ConfigError("max_batch_size must be >= 1")
         if self.max_queue_depth is not None and self.max_queue_depth < 1:
@@ -198,7 +200,6 @@ class ServingStats:
         "batches",
         "batched_queries",  # queries that shared a sweep with >= 1 other
         "failures",
-        "pick_dedup_hits",  # requests that reused a batch-mate's pick
         "shed",
         "degraded",
         "deadline_misses",
@@ -301,28 +302,39 @@ class _Request:
 _SHUTDOWN = object()
 
 
+def _check_number(name: str, value, *, integer: bool = False) -> None:
+    """A non-bool integer if ``integer``, else a finite non-bool real."""
+    if integer:
+        ok = isinstance(value, numbers.Integral)
+    else:
+        ok = isinstance(value, numbers.Real) and math.isfinite(value)
+    if isinstance(value, bool) or not ok:
+        kind = "an integer" if integer else "a finite real number"
+        raise ConfigError(f"{name} must be {kind}, got {value!r}")
+
+
 def check_budget_shape(
     budget_partitions: int | None, budget_fraction: float | None
 ) -> None:
     """A request's budget arguments, validated without the table.
 
     Exactly one of ``budget_partitions`` (an absolute integer count
-    ``>= 1``, numpy integers included) and ``budget_fraction`` (a share of
-    the table in ``(0, 1]``) must be given; anything else — ``nan``, a
-    float or bool count included — is a :class:`ConfigError`.
+    ``>= 1``, numpy integers included) and ``budget_fraction`` (a real
+    share of the table in ``(0, 1]``) must be given; anything else —
+    ``nan``, a float or bool count, a bool or string fraction included —
+    is a :class:`ConfigError`.
     """
     if (budget_partitions is None) == (budget_fraction is None):
         raise ConfigError(
             "pass exactly one of budget_partitions / budget_fraction"
         )
     if budget_fraction is not None:
+        _check_number("budget_fraction", budget_fraction)
         if not 0.0 < budget_fraction <= 1.0:
             raise ConfigError("budget_fraction must be in (0, 1]")
     else:
-        count = budget_partitions
-        if isinstance(count, bool) or not isinstance(count, numbers.Integral):
-            raise ConfigError(f"budget_partitions must be an integer, got {count!r}")
-        if count < 1:
+        _check_number("budget_partitions", budget_partitions, integer=True)
+        if budget_partitions < 1:
             raise ConfigError("budget_partitions must be >= 1")
 
 
@@ -333,27 +345,21 @@ def answer_selections(
 
     For each pair: execute the selected partitions with one
     :meth:`BatchExecutor.partition_answers` subset pass, combine under
-    the selection's weights (:func:`combine_answers`), finalize. Pairs
-    with an equal ``(query, partition tuple)`` — what serving's pick
-    dedup produces — share one execution, but every pair gets its own
-    freshly combined arrays. A partition outside ``ptable`` is the
+    the selection's weights (:func:`combine_answers`), finalize. No
+    pair shares anything with another, so an answer does not depend on
+    the pairs beside it. A partition outside ``ptable`` is the
     executor's :class:`ConfigError` (a caller bug, not a transient read
     failure).
     """
     executor = BatchExecutor.for_table(ptable)
-    executed: dict[tuple[Query, tuple[int, ...]], QueryAnswerBlock] = {}
     finals: list[FinalAnswer] = []
     with trace_span("engine.sweep", queries=len(pairs)) as span:
         for query, selection in pairs:
             partitions = tuple(choice.partition for choice in selection)
-            block = executed.get((query, partitions))
-            if block is None:
-                block = executor.partition_answers(query, partitions=partitions)
-                executed[query, partitions] = block
+            block = executor.partition_answers(query, partitions=partitions)
             finals.append(finalize_answer(query, combine_answers(block, selection)))
         if span is not None:  # None on the disabled-registry fast path
-            span.tags["executions"] = len(executed)
-            span.tags["partitions"] = sum(len(parts) for __, parts in executed)
+            span.tags["partitions"] = sum(len(selection) for __, selection in pairs)
     return finals
 
 
@@ -502,8 +508,7 @@ class ServingFrontEnd:
         request with :class:`ServingOverloadError`.
         """
         check_budget_shape(budget_partitions, budget_fraction)
-        if deadline_seconds is None:
-            deadline_seconds = self.config.default_deadline_seconds
+        deadline_seconds = self._deadline_seconds(deadline_seconds)
         if deadline_seconds is not None and deadline_seconds <= 0:
             # Fail fast: the client's remaining time is already gone.
             raise ServingTimeoutError(
@@ -554,8 +559,7 @@ class ServingFrontEnd:
         no deadline, a worker crash still fails the future via the
         supervisor, so the wait can never hang on a dead worker.
         """
-        if deadline_seconds is None:
-            deadline_seconds = self.config.default_deadline_seconds
+        deadline_seconds = self._deadline_seconds(deadline_seconds)
         deadline = (
             time.monotonic() + deadline_seconds
             if deadline_seconds is not None
@@ -579,6 +583,13 @@ class ServingFrontEnd:
             raise ServingTimeoutError(
                 f"request missed its {deadline_seconds}s deadline"
             ) from None
+
+    def _deadline_seconds(self, deadline_seconds: float | None) -> float | None:
+        """A request's own deadline, else the config default; checked."""
+        if deadline_seconds is None:
+            return self.config.default_deadline_seconds
+        _check_number("deadline_seconds", deadline_seconds)
+        return deadline_seconds
 
     async def submit_async(
         self,
@@ -742,7 +753,7 @@ class ServingFrontEnd:
             faults.on_batch()
         system = self.system
         # Queue pressure is sampled once per batch, so batch-mates share
-        # one degradation factor and pick dedup keeps working.
+        # one degradation factor.
         pressure = self._pressure()
         # Pick under the system's state lock: the picker's rng and pick
         # memo are shared, selections see a consistent (table,
@@ -756,7 +767,6 @@ class ServingFrontEnd:
             ptable = system.ptable
             num_partitions = ptable.num_partitions
             picked: list[tuple[_Request, int, int, object]] = []
-            pick_cache: dict = {}
             for request in batch:
                 # Marking the future RUNNING wins the race against
                 # client-side cancellation: from here on, set_result/
@@ -779,22 +789,7 @@ class ServingFrontEnd:
                         request.budget_partitions, request.budget_fraction
                     )
                     effective = self._degraded_budget(budget, pressure)
-                    key = (
-                        (request.query, effective)
-                        if self.config.dedup_picks
-                        else None
-                    )
-                    selection = (
-                        pick_cache.get(key) if key is not None else None
-                    )
-                    if selection is None:
-                        selection = system.picker.select(
-                            request.query, effective
-                        )
-                        if key is not None:
-                            pick_cache[key] = selection
-                    else:
-                        self.stats.count("pick_dedup_hits")
+                    selection = system.picker.select(request.query, effective)
                 except Exception as exc:  # noqa: BLE001 - forwarded
                     # Ordinary per-request failures (bad column, bad
                     # budget, injected pick poison) fail only this

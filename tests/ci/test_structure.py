@@ -413,6 +413,16 @@ def test_serving_admission_has_no_timer():
     assert timers == []
 
 
+def test_serving_config_has_no_dedup():
+    """A served request picks and executes on its own, as ``query_many``
+    would: no knob shares a pick or an execution between batch-mates."""
+    from repro.engine.serving import ServingConfig, ServingStats
+
+    names = list(inspect.signature(ServingConfig).parameters)
+    names += ServingStats._COUNTER_NAMES
+    assert [name for name in names if "dedup" in name] == []
+
+
 def _to_bytes_callers(sources: Path) -> set[str]:
     """``module.function`` of every ``<expr>.to_bytes(...)`` call (a call
     outside any function counts as ``module.<module>``)."""

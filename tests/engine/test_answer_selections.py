@@ -269,7 +269,7 @@ class TestEveryRouteIsTheSameRoute:
 
 
 class TestSweepSpan:
-    def test_tags_count_queries_executions_and_partitions(self, ptable):
+    def test_tags_count_queries_and_partitions(self, ptable):
         seen = []
 
         class Recorder:
@@ -293,5 +293,5 @@ class TestSweepSpan:
         delta = snapshot_delta(before, registry.snapshot())
         assert delta["counters"]["engine.sweep.calls"] == 1
         assert seen == [
-            ("engine.sweep", {"queries": 3, "executions": 2, "partitions": 3})
+            ("engine.sweep", {"queries": 3, "partitions": 5})
         ]

@@ -38,6 +38,7 @@ from repro.engine.faults import (
 )
 from repro.engine.serving import ServingConfig, ServingFrontEnd
 from repro.errors import (
+    ConfigError,
     ExecutionError,
     ServingError,
     ServingStoppedError,
@@ -91,7 +92,7 @@ class TestPoisonedPick:
     @pytest.mark.parametrize("poison", [0, 1, 3])
     def test_fails_only_its_own_future(self, served_system, poison):
         system, test = served_system
-        config = ServingConfig(max_batch_size=4, dedup_picks=False)
+        config = ServingConfig(max_batch_size=4)
         with poisoned_picker(system, fail_at_pick=poison):
             with ServingFrontEnd(system, config) as front:
                 with plugged(front):
@@ -115,7 +116,7 @@ class TestPoisonedPick:
         for size in (1, 2, 3, 4):
             for poison in range(size):
                 system, test = served_system
-                config = ServingConfig(max_batch_size=size, dedup_picks=False)
+                config = ServingConfig(max_batch_size=size)
                 with poisoned_picker(system, fail_at_pick=poison):
                     with ServingFrontEnd(system, config) as front:
                         with plugged(front):
@@ -137,7 +138,7 @@ class TestPoisonedPick:
 
     def test_crash_at_pick_fails_batch_restarts_worker(self, served_system):
         system, test = served_system
-        config = ServingConfig(max_batch_size=3, dedup_picks=False)
+        config = ServingConfig(max_batch_size=3)
         with poisoned_picker(system, crash_at_pick=1):
             with ServingFrontEnd(system, config) as front:
                 with plugged(front):
@@ -241,7 +242,7 @@ class TestCrashMidScatter:
     def _run_point(self, served_system, size, crash_at):
         system, test = served_system
         faults = ServingFaults(crash_at_scatter=crash_at)
-        config = ServingConfig(max_batch_size=size, dedup_picks=False)
+        config = ServingConfig(max_batch_size=size)
         with ServingFrontEnd(system, config, faults=faults) as front:
             with plugged(front):
                 futures = [
@@ -393,6 +394,18 @@ class TestDeadlines:
                     test[0], budget_partitions=3, deadline_seconds=-1.0
                 )
 
+    def test_nan_deadline_is_a_config_error(self, served_system):
+        # NaN never expired a submitted request, and a blocking query
+        # waited max(0.0, nan) = 0 seconds, so it always timed out.
+        system, test = served_system
+        nan = float("nan")
+        with ServingFrontEnd(system, ServingConfig(max_batch_size=2)) as front:
+            with pytest.raises(ConfigError, match="deadline_seconds"):
+                front.submit(test[0], budget_partitions=3, deadline_seconds=nan)
+            with pytest.raises(ConfigError, match="deadline_seconds"):
+                front.query(test[0], budget_partitions=3, deadline_seconds=nan)
+        assert front.stats.queue_peak == 0
+
     def test_generous_deadline_answers_normally(self, served_system):
         system, test = served_system
         with ServingFrontEnd(system, ServingConfig(max_batch_size=2)) as front:
@@ -413,7 +426,7 @@ class TestCancelledFutures:
         self, served_system
     ):
         system, test = served_system
-        config = ServingConfig(max_batch_size=4, dedup_picks=False)
+        config = ServingConfig(max_batch_size=4)
         with ServingFrontEnd(system, config) as front:
             with plugged(front):
                 f0 = front.submit(test[0], budget_partitions=3)
@@ -434,7 +447,7 @@ class TestCancelledFutures:
         import asyncio
 
         system, test = served_system
-        config = ServingConfig(max_batch_size=3, dedup_picks=False)
+        config = ServingConfig(max_batch_size=3)
 
         async def go(front, release):
             victim = asyncio.ensure_future(

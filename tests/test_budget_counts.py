@@ -7,6 +7,7 @@ reported ``budget=nan``, ``True`` read one, ``3.0`` reported a float
 budget and ``2.5`` died with a bare ``TypeError`` inside the picker. The
 CLI keeps "a fraction below 1, a count from 1 up", but ``--budget 2.7``
 is a typed error (exit 2) instead of silently reading 2 partitions.
+A ``budget_fraction`` must be a finite real number, not a bool or a string.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import pytest
 from repro.cli import main
 from repro.engine.aggregates import count_star
 from repro.engine.query import Query
+from repro.engine.serving import check_budget_shape
 from repro.errors import ConfigError
 
 QUERY = Query([count_star()])
@@ -86,6 +88,37 @@ def test_non_integer_count_is_a_config_error(
     captured = capsys.readouterr()
     assert "error:" in captured.err and "budget_partitions" in captured.err
     assert "partitions" not in captured.out
+
+
+#: Fractions that are not finite real numbers: ``True`` read the whole
+#: table and a string raised an untyped ``TypeError``.
+NOT_FRACTIONS = {
+    "true": True,
+    "numpy_bool": np.bool_(True),
+    "string": "0.5",
+    "nan": float("nan"),
+    "list": [0.5],
+}
+
+
+@pytest.mark.parametrize("fraction", NOT_FRACTIONS.values(), ids=NOT_FRACTIONS)
+def test_non_real_fraction_is_a_config_error(fraction):
+    with pytest.raises(ConfigError, match="budget_fraction"):
+        check_budget_shape(None, fraction)
+
+
+@pytest.mark.parametrize("route", API_ROUTES)
+@pytest.mark.parametrize("fraction", [True, "0.5"], ids=["true", "string"])
+def test_non_real_fraction_fails_typed_on_every_route(
+    route, fraction, trained_ps3, front
+):
+    with pytest.raises(ConfigError, match="budget_fraction"):
+        if route == "query":
+            trained_ps3.query(QUERY, budget_fraction=fraction)
+        elif route == "query_many":
+            trained_ps3.query_many([QUERY], budget_fraction=fraction)
+        else:
+            front.submit(QUERY, budget_fraction=fraction)
 
 
 @pytest.mark.parametrize("route, count", cases(INTEGERS, ("3", "3.0")))
