@@ -339,8 +339,8 @@ class PS3:
         .ServingFrontEnd`; call its ``submit``/``query``/``submit_async``
         from any number of client threads or asyncio tasks, and ``stop``
         it (or use it as a context manager) when done. ``faults`` takes
-        a :class:`~repro.engine.faults.ServingFaults` hook set for
-        deterministic fault-injection tests.
+        an ``on_batch`` / ``on_scatter`` hook set for deterministic
+        fault-injection tests (see :class:`ServingFrontEnd`).
         """
         self.picker  # noqa: B018 - fail fast with NotFittedError
         front = ServingFrontEnd(self, config, faults=faults).start()

@@ -26,7 +26,6 @@ from repro.engine.predicates import (
     Or,
     Predicate,
 )
-from repro.engine.faults import FaultyPicker, ServingFaults, SimulatedWorkerCrash
 from repro.engine.query import Query
 from repro.engine.schema import Column, ColumnKind, Schema
 from repro.engine.serving import (
@@ -50,7 +49,6 @@ __all__ = [
     "Const",
     "Contains",
     "Expression",
-    "FaultyPicker",
     "FusedTableView",
     "InSet",
     "Not",
@@ -61,11 +59,9 @@ __all__ = [
     "Query",
     "Schema",
     "ServingConfig",
-    "ServingFaults",
     "ServingFrontEnd",
     "ServingHealth",
     "ServingStats",
-    "SimulatedWorkerCrash",
     "Table",
     "WeightedChoice",
     "fused_view",

@@ -26,7 +26,8 @@ The front end adds the database's classic group-commit move on top:
    selection, the paper's section 2.4 sum under its own weights over
    that block's arrays (:func:`repro.engine.combiner.combine_answers`,
    one ``np.bincount`` per component), and :func:`finalize_answer` over
-   the (groups x aggregates) plane;
+   the (groups x aggregates) plane; a request whose execution raises
+   (say, a division by zero) fails only its own future;
 4. **scatter** — each request's future is completed with its
    ``ApproximateAnswer``.
 
@@ -47,11 +48,11 @@ request already expired at admission or pick time fails fast with
 :class:`ServingTimeoutError` instead of being swept. The batch loop
 runs under a **supervisor**: a worker crash fails the in-flight futures
 (never stranding batch-mates) and restarts the loop, up to
-``max_worker_restarts``; transient sweep failures (``EIO`` from a sick
-disk read) retry with capped backoff, mirroring ``storage/atomic.py``'s
-read retry. :meth:`ServingFrontEnd.health`
-snapshots the whole picture. Every fault point is injectable via
-:mod:`repro.engine.faults` and proven by enumeration in the test tree.
+``max_worker_restarts``. :meth:`ServingFrontEnd.health` snapshots the
+whole picture. The worker calls duck-typed ``faults.on_batch`` /
+``faults.on_scatter`` hooks when given a fault set, so the test tree can
+inject a crash at every batch and scatter point and prove isolation by
+enumeration.
 
 The front end exposes three client shapes: blocking
 (:meth:`ServingFrontEnd.query`), future-based
@@ -64,7 +65,6 @@ without threads.
 from __future__ import annotations
 
 import asyncio
-import errno
 import math
 import numbers
 import queue
@@ -82,16 +82,11 @@ from repro.engine.query import Query
 from repro.engine.table import PartitionedTable
 from repro.errors import (
     ConfigError,
-    ExecutionError,
     ServingError,
     ServingOverloadError,
     ServingStoppedError,
     ServingTimeoutError,
 )
-
-#: Transient read errors the sweep retries (mirror of storage/atomic.py:
-#: the engine layer must not import the storage plane).
-_TRANSIENT_ERRNOS = frozenset({errno.EIO, errno.EINTR})
 
 
 @dataclass(frozen=True)
@@ -122,9 +117,9 @@ class ServingConfig:
     **Supervision.** The worker loop is restarted after a crash up to
     ``max_worker_restarts`` times per :meth:`~ServingFrontEnd.start`;
     past the cap the front end fails permanently (pending futures are
-    failed, new submits raise :class:`ServingStoppedError`). Transient
-    sweep failures retry up to ``sweep_retries`` times with exponential
-    backoff starting at ``retry_backoff_seconds``.
+    failed, new submits raise :class:`ServingStoppedError`). A request
+    whose pick or execution raises is not retried: it fails its own
+    future, and the worker carries on with the rest of the batch.
 
     Counts are non-bool integers and times and fractions finite, non-bool
     real numbers; anything else is a :class:`ConfigError`.
@@ -136,14 +131,11 @@ class ServingConfig:
     default_deadline_seconds: float | None = None
     min_degraded_fraction: float = 0.25
     max_worker_restarts: int = 2
-    sweep_retries: int = 2
-    retry_backoff_seconds: float = 0.005
 
     def __post_init__(self) -> None:
-        for name in ("max_batch_size", "max_worker_restarts", "sweep_retries"):
+        for name in ("max_batch_size", "max_worker_restarts"):
             _check_number(name, getattr(self, name), integer=True)
-        for name in ("min_degraded_fraction", "retry_backoff_seconds"):
-            _check_number(name, getattr(self, name))
+        _check_number("min_degraded_fraction", self.min_degraded_fraction)
         if self.max_queue_depth is not None:
             _check_number("max_queue_depth", self.max_queue_depth, integer=True)
         if self.default_deadline_seconds is not None:
@@ -163,10 +155,6 @@ class ServingConfig:
             raise ConfigError("min_degraded_fraction must be in (0, 1]")
         if self.max_worker_restarts < 0:
             raise ConfigError("max_worker_restarts must be >= 0")
-        if self.sweep_retries < 0:
-            raise ConfigError("sweep_retries must be >= 0")
-        if self.retry_backoff_seconds < 0:
-            raise ConfigError("retry_backoff_seconds must be >= 0")
 
 
 class ServingStats:
@@ -184,28 +172,29 @@ class ServingStats:
 
     ``queue_depth`` is the one live gauge: requests currently admitted
     but not yet dequeued by the worker (``queue_peak`` is its high-water
-    mark). ``shed`` counts requests rejected at admission by the
-    bounded queue; ``degraded`` counts requests answered below their
-    resolved budget by the degradation controller; ``deadline_misses``
-    counts requests that expired before an answer (at admission, at
-    pick time, or in a blocking ``query`` wait); ``cancelled_skips``
-    counts futures the client cancelled before the worker could
-    complete them; ``worker_restarts`` counts supervisor restarts after
-    a worker crash; ``sweep_retries`` counts transient sweep failures
-    that were retried.
+    mark). ``batched_queries`` counts queries admitted in a batch of two
+    or more (nothing is shared between them). ``shed`` counts requests
+    rejected at admission by the bounded queue; ``degraded`` counts
+    requests answered below their resolved budget by the degradation
+    controller; ``deadline_misses`` counts requests that expired before
+    an answer (at admission, at pick time, or in a blocking ``query``
+    wait); ``cancelled_skips`` counts futures the client cancelled
+    before the worker could complete them; ``worker_restarts`` counts
+    supervisor restarts after a worker crash; ``failures`` counts
+    requests whose pick or execution raised, plus those in flight at a
+    crash.
     """
 
     _COUNTER_NAMES = (
         "queries",
         "batches",
-        "batched_queries",  # queries that shared a sweep with >= 1 other
+        "batched_queries",  # queries admitted in a batch of >= 2
         "failures",
         "shed",
         "degraded",
         "deadline_misses",
         "cancelled_skips",
         "worker_restarts",
-        "sweep_retries",
     )
     _GAUGE_NAMES = ("queue_depth", "queue_peak", "largest_batch")
 
@@ -292,10 +281,8 @@ class _Request:
     future: Future = field(default_factory=Future)
     submitted: float = field(default_factory=time.monotonic)
 
-    def expired(self, now: float | None = None) -> bool:
-        if self.deadline is None:
-            return False
-        return (time.monotonic() if now is None else now) >= self.deadline
+    def expired(self) -> bool:
+        return self.deadline is not None and time.monotonic() >= self.deadline
 
 
 #: Queue sentinel: the worker drains, answers what it holds, and exits.
@@ -348,8 +335,7 @@ def answer_selections(
     the selection's weights (:func:`combine_answers`), finalize. No
     pair shares anything with another, so an answer does not depend on
     the pairs beside it. A partition outside ``ptable`` is the
-    executor's :class:`ConfigError` (a caller bug, not a transient read
-    failure).
+    executor's :class:`ConfigError` (a caller bug).
     """
     executor = BatchExecutor.for_table(ptable)
     finals: list[FinalAnswer] = []
@@ -368,19 +354,20 @@ class ServingFrontEnd:
 
     Requests may arrive from any number of threads (or asyncio tasks via
     :meth:`submit_async`); a single worker thread forms micro-batches
-    and answers each with one fused sweep. Use as a context manager, or
-    pair :meth:`start` with :meth:`stop`::
+    and answers each request in them on its own. Use as a context
+    manager, or pair :meth:`start` with :meth:`stop`::
 
         with ServingFrontEnd(ps3) as front:
             future = front.submit(query, budget_fraction=0.1)
             answer = future.result()
 
-    Per-request failures (unknown columns, invalid budgets at pick time)
-    fail only that request's future; the worker and the rest of the
-    batch keep going. A worker *crash* fails the in-flight futures and
-    restarts the loop (capped; see :meth:`health`) — no future is ever
-    stranded. ``faults`` accepts a
-    :class:`~repro.engine.faults.ServingFaults` hook set for
+    Per-request failures (unknown columns, invalid budgets at pick time,
+    an execution error such as a division by zero) fail only that
+    request's future; the worker and the rest of the batch keep going.
+    A worker *crash* fails the in-flight futures and restarts the loop
+    (capped; see :meth:`health`) — no future is ever stranded.
+    ``faults`` takes any object with ``on_batch()`` and ``on_scatter()``
+    hooks, called before each batch and each future completion, for
     deterministic fault-injection tests.
     """
 
@@ -805,15 +792,24 @@ class ServingFrontEnd:
         self.stats.note_batch(len(batch))
         if not picked:
             return
-        finals = self._sweep_with_retry(ptable, picked)
-        if finals is None:
-            return  # every future already failed
+        answered = []
+        with trace_span("serving.sweep", registry=self.registry, requests=len(picked)):
+            for request, budget, effective, selection in picked:
+                try:
+                    (groups,) = answer_selections(
+                        ptable, [(request.query, selection.selection)]
+                    )
+                except Exception as exc:  # noqa: BLE001 - forwarded
+                    # Same isolation as the pick: an execution error
+                    # (say, a division by zero) fails only this future.
+                    self.stats.count("failures")
+                    self._fail_request(request, exc)
+                else:
+                    answered.append((request, budget, effective, selection, groups))
         with trace_span(
-            "serving.scatter", registry=self.registry, requests=len(picked)
+            "serving.scatter", registry=self.registry, requests=len(answered)
         ):
-            for (request, budget, effective, selection), groups in zip(
-                picked, finals
-            ):
+            for request, budget, effective, selection, groups in answered:
                 if faults is not None:
                     faults.on_scatter()
                 self._complete_request(
@@ -828,49 +824,3 @@ class ServingFrontEnd:
                         degraded=effective < budget,
                     ),
                 )
-
-    def _sweep_with_retry(self, ptable, picked):
-        """One batch sweep, retrying transient failures with backoff.
-
-        Transient = ``EIO``/``EINTR`` (what a read surfaces on a sick
-        disk) or :class:`ExecutionError` — retried up to
-        ``sweep_retries`` times with doubling, capped backoff, mirroring
-        ``storage/atomic.py``'s read retry. Any other failure (or
-        exhausted retries) fails every future of the batch — never the
-        worker. Returns the finals, or ``None`` after failing the batch.
-        """
-        pairs = [(req.query, sel.selection) for req, __, __e, sel in picked]
-        delay = self.config.retry_backoff_seconds
-        max_delay = max(delay, 0.1)
-        retries = self.config.sweep_retries
-        for attempt in range(retries + 1):
-            try:
-                with trace_span(
-                    "serving.sweep",
-                    registry=self.registry,
-                    requests=len(pairs),
-                ):
-                    if self._faults is not None:
-                        self._faults.on_sweep()
-                    return answer_selections(ptable, pairs)
-            except (OSError, ExecutionError) as exc:
-                transient = (
-                    isinstance(exc, ExecutionError)
-                    or exc.errno in _TRANSIENT_ERRNOS
-                )
-                if not transient or attempt == retries:
-                    self._fail_batch(picked, exc)
-                    return None
-                self.stats.count("sweep_retries")
-                if delay:
-                    time.sleep(delay)
-                    delay = min(delay * 2, max_delay)
-            except Exception as exc:  # noqa: BLE001 - forwarded per future
-                self._fail_batch(picked, exc)
-                return None
-        return None  # pragma: no cover - loop always returns or fails
-
-    def _fail_batch(self, picked, exc: BaseException) -> None:
-        self.stats.count("failures", len(picked))
-        for request, __, __e, __sel in picked:
-            self._fail_request(request, exc)

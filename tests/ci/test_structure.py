@@ -78,6 +78,13 @@
   executor and one section 2.4 kernel. The scalar executor and the dict
   contribution walk are ``tests/scalar_oracle.py``, and no module under
   ``src/repro`` imports from the tests.
+* No ``ServingConfig`` field names a retry or a backoff, ``ServingStats``
+  counts no ``sweep_retries``, the test tree's ``ServingFaults`` has no
+  ``on_sweep`` and ``repro.engine.serving`` keeps no transient errno set:
+  execution runs on in-memory arrays, so its one real error is a
+  deterministic ``ExecutionError``, which fails its own request and no
+  other. ``repro.engine.faults`` no longer imports (the serving fault
+  plane is ``tests/serving_faults.py``).
 * Every ``(module, attribute path)`` the benchmark's tracer patches
   (``TRACED`` in ``benchmarks/e2e/layers.py``, read here, never edited)
   resolves the way the tracer resolves it. A rename would otherwise show
@@ -423,6 +430,19 @@ def test_serving_config_has_no_dedup():
     assert [name for name in names if "dedup" in name] == []
 
 
+def test_serving_sweep_has_no_retry():
+    """A served request's execution runs once: an error fails that
+    request's future, with no retry, backoff or batch-wide failure."""
+    import repro.engine.serving as serving
+    from serving_faults import ServingFaults
+
+    names = list(inspect.signature(serving.ServingConfig).parameters)
+    assert [name for name in names if "retr" in name or "backoff" in name] == []
+    assert "sweep_retries" not in serving.ServingStats._COUNTER_NAMES
+    assert not hasattr(ServingFaults, "on_sweep")
+    assert not hasattr(serving, "_TRANSIENT_ERRNOS")
+
+
 def _to_bytes_callers(sources: Path) -> set[str]:
     """``module.function`` of every ``<expr>.to_bytes(...)`` call (a call
     outside any function counts as ``module.<module>``)."""
@@ -568,7 +588,8 @@ def test_traced_name_resolves(module_name, path):
     assert not isinstance(vars(owner)[attribute], (staticmethod, classmethod))
 
 
-#: What the one-executor change removed, by the package that exported it.
+#: What the one-executor change and the serving fault move removed, by
+#: the package that exported it.
 REMOVED = {
     repro.engine: (
         "execute_on_columns",
@@ -576,6 +597,9 @@ REMOVED = {
         "execute_on_table",
         "true_answer",
         "ComponentAnswer",
+        "FaultyPicker",
+        "ServingFaults",
+        "SimulatedWorkerCrash",
     ),
     repro.core: (
         "partition_contributions",
@@ -590,7 +614,12 @@ TESTS = Path(__file__).resolve().parents[1]
 
 @pytest.mark.parametrize(
     "module_name",
-    ["repro.engine.executor", "repro.core.diagnostics", "repro.obs.profiling"],
+    [
+        "repro.engine.executor",
+        "repro.engine.faults",
+        "repro.core.diagnostics",
+        "repro.obs.profiling",
+    ],
 )
 def test_removed_plane_does_not_import(module_name):
     with pytest.raises(ModuleNotFoundError):

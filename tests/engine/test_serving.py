@@ -63,12 +63,11 @@ class TestServingConfig:
         config = ServingConfig()
         assert config.max_batch_size >= 1
         # The resilience defaults: bounded queue, plain reject, no
-        # deadline, restart headroom, transient-sweep retries.
+        # deadline, restart headroom.
         assert config.max_queue_depth is not None
         assert config.shed_policy == "reject"
         assert config.default_deadline_seconds is None
         assert config.max_worker_restarts >= 1
-        assert config.sweep_retries >= 1
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -81,20 +80,21 @@ class TestServingConfig:
             {"min_degraded_fraction": 0.0},
             {"min_degraded_fraction": 1.5},
             {"max_worker_restarts": -1},
-            {"sweep_retries": -1},
-            {"retry_backoff_seconds": -0.01},
             # Counts are non-bool integers; times and fractions are
             # finite non-bool reals (NaN used to slip past every range
             # check and fail later, inside the worker or a blocking wait).
             {"max_batch_size": 2.5},
             {"max_queue_depth": 2.5},
             {"max_worker_restarts": True},
-            {"sweep_retries": 1.5},
-            {"retry_backoff_seconds": float("nan")},
-            {"retry_backoff_seconds": float("inf")},
             {"default_deadline_seconds": float("nan")},
             {"default_deadline_seconds": float("inf")},
             {"min_degraded_fraction": "0.5"},
+            {"max_batch_size": True},
+            {"max_queue_depth": True},
+            {"max_worker_restarts": 1.5},
+            {"min_degraded_fraction": float("nan")},
+            {"default_deadline_seconds": True},
+            {"shed_policy": None},
         ],
     )
     def test_rejects_bad_knobs(self, kwargs):

@@ -3,15 +3,16 @@
 The storage plane proves its crash-safety by killing every filesystem
 op once (`tests/storage/test_killpoints.py`); this suite is the same
 discipline on the serving plane. For every injectable fault point —
-poisoned pick, worker crash at pick, transient sweep EIO, exhausted
-sweep retries, crash mid-scatter (every index), crash at batch start,
+poisoned pick, worker crash at pick, an execution error in one
+request, crash mid-scatter (every index), crash at batch start,
 a permanently crashing worker, a client-cancelled future mid-batch —
 it asserts the three isolation invariants of the front end:
 
-1. a poisoned request fails only its *own* future;
+1. a poisoned request (its pick or its execution) fails only its *own*
+   future;
 2. a worker crash never strands batch-mates — every future completes
    (answered or failed), none hangs;
-3. after recovery (restart or retry), answers are bit-identical to the
+3. after recovery (a restart), answers are bit-identical to the
    sequential ``PS3.query`` combine walk for the same selections.
 
 The fast subset runs as a named tier-1 CI step; the exhaustive
@@ -27,15 +28,14 @@ import pytest
 
 from dict_walk import combine_answers, finalize_answer
 from scalar_oracle import execute_on_partition
+from serving_faults import FaultyPicker, ServingFaults, SimulatedWorkerCrash
 from serving_plug import plugged
 
 from repro.api import PS3
 from repro.datasets.registry import get_dataset
-from repro.engine.faults import (
-    FaultyPicker,
-    ServingFaults,
-    SimulatedWorkerCrash,
-)
+from repro.engine.aggregates import sum_of
+from repro.engine.expressions import col
+from repro.engine.query import Query
 from repro.engine.serving import ServingConfig, ServingFrontEnd
 from repro.errors import (
     ConfigError,
@@ -73,6 +73,14 @@ def _assert_matches_sequential(system, answer):
     assert list(answer.groups.keys()) == list(sequential.keys())
     for key in sequential:
         assert answer.groups[key].tobytes() == sequential[key].tobytes()
+
+
+def _assert_same_answer(answer, expected):
+    """``answer`` has ``expected``'s selection and answer bytes."""
+    assert answer.selection.selection == expected.selection.selection
+    assert list(answer.groups) == list(expected.groups)
+    for key, value in expected.groups.items():
+        assert answer.groups[key].tobytes() == value.tobytes()
 
 
 @contextmanager
@@ -160,80 +168,137 @@ class TestPoisonedPick:
         assert front.health().last_error is not None
 
 
-class TestSweepRetry:
-    """Fault point: the batch sweep raises a transient error."""
+class TestExecutionFailure:
+    """Fault point: one request's execution raises (a division by zero)."""
 
-    def test_transient_eio_retried_bit_identical(self, served_system):
+    def test_fails_only_its_own_future(self, served_system):
         system, test = served_system
-        faults = ServingFaults(fail_sweeps=2)
-        config = ServingConfig(
-            max_batch_size=3, sweep_retries=2, retry_backoff_seconds=0.0
-        )
-        with ServingFrontEnd(system, config, faults=faults) as front:
+        dividing = Query([sum_of(col("src_bytes") / col("urgent"))])
+        expected = system.query_many([test[0]], budget_partitions=3)[0]
+        with ServingFrontEnd(system, ServingConfig(max_batch_size=2)) as front:
             with plugged(front):
-                futures = [
-                    front.submit(test[i], budget_partitions=3)
-                    for i in range(3)
-                ]
-            for future in futures:
-                _assert_matches_sequential(system, future.result(timeout=30))
-        assert front.stats.sweep_retries == 2
-        assert front.stats.failures == 0
+                bad = front.submit(dividing, budget_partitions=3)
+                good = front.submit(test[0], budget_partitions=3)
+            with pytest.raises(ExecutionError):
+                bad.result(timeout=30)
+            _assert_same_answer(good.result(timeout=30), expected)
+            # The worker survived the failure and keeps answering.
+            _assert_matches_sequential(
+                system, front.query(test[1], budget_partitions=3)
+            )
+        assert front.stats.failures == 1
         assert front.stats.worker_restarts == 0
-        assert faults.sweeps == 3  # two injected failures + the success
 
-    def test_injected_execution_error_retried(self, served_system):
+    def test_failing_request_between_batch_mates(self, served_system):
         system, test = served_system
-        faults = ServingFaults(
-            fail_sweeps=1, sweep_error=lambda: ExecutionError("injected")
-        )
-        config = ServingConfig(
-            max_batch_size=2, sweep_retries=1, retry_backoff_seconds=0.0
-        )
-        with ServingFrontEnd(system, config, faults=faults) as front:
-            answer = front.query(test[0], budget_partitions=3)
-        _assert_matches_sequential(system, answer)
-        assert front.stats.sweep_retries == 1
+        dividing = Query([sum_of(col("src_bytes") / col("urgent"))])
+        expected = system.query_many(test[:2], budget_partitions=3)
+        with ServingFrontEnd(system, ServingConfig(max_batch_size=3)) as front:
+            with plugged(front):
+                first = front.submit(test[0], budget_partitions=3)
+                bad = front.submit(dividing, budget_partitions=3)
+                last = front.submit(test[1], budget_partitions=3)
+            with pytest.raises(ExecutionError):
+                bad.result(timeout=30)
+            for future, want in zip((first, last), expected):
+                _assert_same_answer(future.result(timeout=30), want)
+        assert front.stats.largest_batch == 3
+        assert front.stats.failures == 1
+        assert front.stats.worker_restarts == 0
 
-    def test_exhausted_retries_fail_batch_not_worker(self, served_system):
+    def test_each_failing_request_fails_on_its_own(self, served_system):
         system, test = served_system
-        faults = ServingFaults(fail_sweeps=3)
-        config = ServingConfig(
-            max_batch_size=2, sweep_retries=2, retry_backoff_seconds=0.0
-        )
-        with ServingFrontEnd(system, config, faults=faults) as front:
+        dividing = [
+            Query([sum_of(col("src_bytes") / col("urgent"))]),
+            Query([sum_of(col("dst_bytes") / col("urgent"))]),
+        ]
+        expected = system.query_many([test[0]], budget_partitions=3)[0]
+        with ServingFrontEnd(system, ServingConfig(max_batch_size=3)) as front:
+            with plugged(front):
+                bad = [
+                    front.submit(query, budget_partitions=3)
+                    for query in dividing
+                ]
+                good = front.submit(test[0], budget_partitions=3)
+            errors = []
+            for future in bad:
+                with pytest.raises(ExecutionError) as info:
+                    future.result(timeout=30)
+                errors.append(info.value)
+            _assert_same_answer(good.result(timeout=30), expected)
+        # Each future carries the error its own execution raised.
+        assert errors[0] is not errors[1]
+        assert front.stats.failures == 2
+        assert front.stats.worker_restarts == 0
+
+    def test_each_request_executes_once(self, served_system, monkeypatch):
+        """No retry: a failing execution runs once, like its batch-mates,
+        and each request's execution holds that request alone."""
+        import repro.engine.serving as serving
+
+        system, test = served_system
+        dividing = Query([sum_of(col("src_bytes") / col("urgent"))])
+        calls = []
+        answer_selections = serving.answer_selections
+
+        def counting(ptable, pairs):
+            calls.append([query for query, __ in pairs])
+            return answer_selections(ptable, pairs)
+
+        monkeypatch.setattr(serving, "answer_selections", counting)
+        with ServingFrontEnd(system, ServingConfig(max_batch_size=3)) as front:
+            with plugged(front):
+                bad = front.submit(dividing, budget_partitions=3)
+                good = [
+                    front.submit(test[i], budget_partitions=3)
+                    for i in range(2)
+                ]
+            with pytest.raises(ExecutionError):
+                bad.result(timeout=30)
+            for future in good:
+                _assert_matches_sequential(system, future.result(timeout=30))
+        assert calls == [[dividing], [test[0]], [test[1]]]
+        snap = front.registry.snapshot()
+        # One sweep span for the batch (the plug picked nothing).
+        assert snap["counters"]["serving.sweep.calls"] == 1
+        assert snap["counters"]["serving.failures"] == 1
+
+    def test_crash_during_execution_reaches_supervisor(
+        self, served_system, monkeypatch
+    ):
+        """A BaseException-grade crash inside execution is a worker
+        death, not a request failure: the supervisor fails the batch's
+        futures, restarts the worker, and later answers are exact."""
+        import repro.engine.serving as serving
+
+        system, test = served_system
+        answer_selections = serving.answer_selections
+        crashes = []
+
+        def crash_once(ptable, pairs):
+            if not crashes:
+                crashes.append(pairs)
+                raise SimulatedWorkerCrash("injected crash in execution")
+            return answer_selections(ptable, pairs)
+
+        monkeypatch.setattr(serving, "answer_selections", crash_once)
+        with ServingFrontEnd(system, ServingConfig(max_batch_size=2)) as front:
             with plugged(front):
                 futures = [
                     front.submit(test[i], budget_partitions=3)
                     for i in range(2)
                 ]
             for future in futures:
-                with pytest.raises(OSError):
+                with pytest.raises(ServingError):
                     future.result(timeout=30)
-            # The worker survived (batch failed, not crashed) and the
-            # next batch succeeds once the fault budget is spent.
-            answer = front.query(test[0], budget_partitions=3)
-            _assert_matches_sequential(system, answer)
-        assert front.stats.worker_restarts == 0
-        assert front.stats.failures == 2
-
-    def test_non_transient_oserror_fails_immediately(self, served_system):
-        import errno
-
-        system, test = served_system
-        faults = ServingFaults(
-            fail_sweeps=5,
-            sweep_error=lambda: OSError(errno.ENOENT, "not transient"),
-        )
-        config = ServingConfig(
-            max_batch_size=1, sweep_retries=3, retry_backoff_seconds=0.0
-        )
-        with ServingFrontEnd(system, config, faults=faults) as front:
-            future = front.submit(test[0], budget_partitions=3)
-            with pytest.raises(OSError):
-                future.result(timeout=30)
-        assert front.stats.sweep_retries == 0  # no retry burned on ENOENT
-        assert faults.sweeps == 1
+            health = front.health()
+            assert health.healthy
+            assert "SimulatedWorkerCrash" in health.last_error
+            _assert_matches_sequential(
+                system, front.query(test[0], budget_partitions=3)
+            )
+        assert len(crashes) == 1
+        assert front.stats.worker_restarts == 1
 
 
 class TestCrashMidScatter:

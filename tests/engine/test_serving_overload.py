@@ -26,10 +26,10 @@ import pytest
 
 from dict_walk import combine_answers, finalize_answer
 from scalar_oracle import execute_on_partition
+from serving_faults import ServingFaults
 
 from repro.api import PS3
 from repro.datasets.registry import get_dataset
-from repro.engine.faults import ServingFaults
 from repro.engine.serving import ServingConfig, ServingFrontEnd
 from repro.errors import (
     ServingError,

@@ -3,8 +3,8 @@
 The storage plane proves its crash-safety claims by enumeration
 (:mod:`repro.storage.faults`: kill every filesystem op once, check the
 recovered state). This module is the same discipline applied to the
-*query path*: every serving-side failure mode — a poisoned pick, a sick
-sweep, a worker crash mid-scatter, a wedged batch — is injectable at a
+*query path*: every serving-side failure mode — a poisoned pick, a
+worker crash mid-scatter, a wedged batch — is injectable at a
 deterministic point, so tests can enumerate fault points and assert the
 front end's isolation invariants (a poisoned request fails only its own
 future; a crash never strands batch-mates; recovery restores
@@ -20,11 +20,10 @@ Two injection vehicles:
   ``PS3Picker`` anywhere.
 * :class:`ServingFaults` is handed to
   :class:`~repro.engine.serving.ServingFrontEnd` and hooks the worker's
-  batch / sweep / scatter steps: crash at the Nth batch
+  batch and scatter steps (its duck-typed ``on_batch`` / ``on_scatter``
+  calls): crash at the Nth batch
   (``crash_at_batch`` — worker death with the whole batch in flight),
-  fail the first k sweep attempts (``fail_sweeps`` — exercises the
-  transient-retry path; default fault is the ``EIO`` a sick disk
-  read surfaces), crash between the Nth and (N+1)th future completion
+  crash between the Nth and (N+1)th future completion
   (``crash_at_scatter`` — the mid-scatter death that must not strand
   the not-yet-answered batch-mates), and sleep per batch
   (``slow_batch_seconds`` — makes deadlines expire at pick time).
@@ -33,11 +32,13 @@ Two injection vehicles:
 like :class:`repro.storage.faults.SimulatedCrash`: no per-request
 ``except Exception`` guard may swallow it — it must escape to the
 worker's supervisor, as a real crash would.
+
+Import it as ``from serving_faults import ServingFaults``: ``tests/`` is
+on the path through its root ``conftest.py``.
 """
 
 from __future__ import annotations
 
-import errno
 import time
 
 from repro.errors import ExecutionError
@@ -46,22 +47,11 @@ from repro.errors import ExecutionError
 class SimulatedWorkerCrash(BaseException):
     """The injected serving-worker death.
 
-    Derives from ``BaseException`` so the per-request and per-batch
-    ``except Exception`` isolation guards cannot swallow it: it
+    Derives from ``BaseException`` so the per-request pick and
+    execution ``except Exception`` guards cannot swallow it: it
     propagates out of the worker loop into the supervisor, which must
     fail the in-flight futures and restart the worker.
     """
-
-
-def transient_eio() -> OSError:
-    """The default injected sweep fault: a transient ``EIO`` read error.
-
-    This is what a read surfaces when the disk has a sick moment — the
-    serving sweep must retry it with capped backoff (mirroring
-    ``storage/atomic.py``'s ``read_with_retry``), not fail the whole
-    batch.
-    """
-    return OSError(errno.EIO, "injected transient EIO")
 
 
 class FaultyPicker:
@@ -112,7 +102,7 @@ class FaultyPicker:
 class ServingFaults:
     """Deterministic fault hooks for the serving worker's batch loop.
 
-    Counters (``batches``/``sweeps``/``scatters``) record how many times
+    Counters (``batches``/``scatters``) record how many times
     each hook fired, so a test can learn the op count of a clean run and
     then sweep the crash index over the whole range — the same
     run-once-then-enumerate pattern as
@@ -124,18 +114,12 @@ class ServingFaults:
         *,
         crash_at_batch: int | None = None,
         crash_at_scatter: int | None = None,
-        fail_sweeps: int = 0,
-        sweep_error=transient_eio,
         slow_batch_seconds: float = 0.0,
     ) -> None:
         self.crash_at_batch = crash_at_batch
         self.crash_at_scatter = crash_at_scatter
-        self.fail_sweeps = fail_sweeps
-        self.sweep_error = sweep_error
         self.slow_batch_seconds = slow_batch_seconds
         self.batches = 0
-        self.sweeps = 0
-        self.sweeps_failed = 0
         self.scatters = 0
 
     # -- hooks (called by ServingFrontEnd's worker) --------------------------
@@ -148,13 +132,6 @@ class ServingFaults:
             time.sleep(self.slow_batch_seconds)
         if self.crash_at_batch is not None and batch == self.crash_at_batch:
             raise SimulatedWorkerCrash(f"injected crash at batch {batch}")
-
-    def on_sweep(self) -> None:
-        """Before each sweep *attempt* (retries re-enter this hook)."""
-        self.sweeps += 1
-        if self.sweeps_failed < self.fail_sweeps:
-            self.sweeps_failed += 1
-            raise self.sweep_error()
 
     def on_scatter(self) -> None:
         """Before each future completion in the scatter loop."""
