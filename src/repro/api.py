@@ -74,11 +74,7 @@ class StalenessReport:
 class ApproximateAnswer:
     """An approximate query answer with full provenance.
 
-    ``budget`` is the resolved request budget; ``effective_budget`` is
-    what the pick actually ran with after any overload degradation by
-    the serving front end (``degraded`` flags the difference, so callers
-    see the accuracy-for-latency trade). Outside the degrade path the
-    two are equal.
+    ``budget`` is the resolved request budget the pick ran with.
     """
 
     query: Query
@@ -86,12 +82,11 @@ class ApproximateAnswer:
     selection: PickerSelection
     budget: int
     num_partitions: int
-    effective_budget: int | None = None
-    degraded: bool = False
 
-    def __post_init__(self) -> None:
-        if self.effective_budget is None:
-            self.effective_budget = self.budget
+    @property
+    def effective_budget(self) -> int:
+        """The budget the pick ran with: always ``budget``."""
+        return self.budget
 
     def aggregate_labels(self) -> tuple[str, ...]:
         return tuple(a.label() for a in self.query.aggregates)

@@ -87,24 +87,10 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    # Persist the columnar index and warm plan keys next to the sketches
-    # so reloads skip the sketch-object -> array export. The keys come
-    # from this deployment's own training workload, not the process-wide
-    # shared plan cache, which may hold other deployments' predicates.
-    plan_keys = tuple(
-        sorted(
-            {
-                repr(query.predicate)
-                for query in train_queries
-                if query.predicate is not None
-            }
-        )
-    )
+    # Persist the columnar index next to the sketches so reloads skip
+    # the sketch-object -> array export.
     save_statistics(
-        system.statistics,
-        out / _STATS,
-        index=system.feature_builder.sketch_index,
-        plan_cache_keys=plan_keys,
+        system.statistics, out / _STATS, index=system.feature_builder.sketch_index
     )
     save_model(system.model, out / _MODEL)
     (out / _MANIFEST).write_text(
@@ -233,9 +219,7 @@ def _cmd_checkpoint(args: argparse.Namespace) -> int:
     atomic_write_bytes(
         directory / _MANIFEST, json.dumps(manifest, indent=2).encode("utf-8")
     )
-    applied = store.checkpoint(
-        statistics, index=index, plan_cache_keys=bundle.plan_cache_keys
-    )
+    applied = store.checkpoint(statistics, index=index)
     print(
         f"folded {len(batches)} journaled batches into {directory / _STATS} "
         f"(stamped wal_applied_seq={applied}); journal truncated"

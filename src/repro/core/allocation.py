@@ -10,6 +10,8 @@ slots from capped groups spill toward the most important groups first.
 
 from __future__ import annotations
 
+import math
+
 from repro.errors import ConfigError
 
 
@@ -24,8 +26,8 @@ def allocate_samples(
     stratum is starved entirely. Plain float arithmetic: a funnel has a
     handful of groups, and as numpy calls this cost 0.3 ms per pick.
     """
-    if alpha < 1.0:
-        raise ConfigError("alpha must be >= 1")
+    if not (math.isfinite(alpha) and alpha >= 1.0):
+        raise ConfigError(f"alpha must be finite and >= 1, got {alpha!r}")
     if budget < 0:
         raise ConfigError("budget must be non-negative")
     sizes = [float(size) for size in group_sizes]

@@ -18,9 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 
-def labels_for_query(
-    contributions: np.ndarray, threshold: float, c: float = 1.0
-) -> np.ndarray:
+def labels_for_query(contributions: np.ndarray, threshold: float) -> np.ndarray:
     """Scaled regression labels for one query at one contribution threshold.
 
     Degenerate queries (all partitions positive, or none) produce
@@ -32,10 +30,10 @@ def labels_for_query(
     positives = int(positive_mask.sum())
     out = np.zeros(n, dtype=np.float64)
     if positives:
-        out[positive_mask] = np.sqrt(c / positives)
+        out[positive_mask] = np.sqrt(1.0 / positives)
     negatives = n - positives
     if negatives:
-        out[~positive_mask] = -np.sqrt(c / negatives)
+        out[~positive_mask] = -np.sqrt(1.0 / negatives)
     return out
 
 

@@ -34,12 +34,18 @@ feature matrix.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.core.allocation import allocate_samples
-from repro.core.cluster_sampler import cluster_sample, random_sample
+from repro.core.cluster_sampler import (
+    CLUSTER_ALGORITHMS,
+    cluster_sample,
+    random_sample,
+)
 from repro.core.importance import importance_groups
 from repro.core.outliers import OutlierConfig, find_outliers
 from repro.core.training import PickerModel
@@ -51,25 +57,47 @@ from repro.stats.features import NUM_SELECTIVITY, QueryFeatures
 
 #: Pure picks remembered per statistics generation (see the module doc).
 PICK_MEMO_LIMIT = 256
+#: Share of the budget reserved for outliers, "up to 10%" (section 4.4).
+OUTLIER_BUDGET_FRACTION = 0.10
+#: Predicates with more clauses sample uniformly (Appendix B.1).
+MAX_CLAUSES_FOR_CLUSTERING = 10
 
 
 @dataclass(frozen=True)
 class PickerConfig:
-    """Online-picker knobs (paper defaults: k=4 via the model, alpha=2)."""
+    """Online-picker knobs (paper defaults: k=4 via the model, alpha=2).
+
+    ``alpha`` is a finite real ``>= 1``, ``exemplar`` one of ``median``
+    and ``random``, ``clustering_algorithm`` one of
+    :data:`~repro.core.cluster_sampler.CLUSTER_ALGORITHMS` and ``seed`` a
+    non-bool integer; anything else is a :class:`ConfigError`.
+    """
 
     alpha: float = 2.0
-    outlier_budget_fraction: float = 0.10
     clustering_algorithm: str = "kmeans"
     exemplar: str = "median"
-    max_clauses_for_clustering: int = 10
     use_clustering: bool = True
     use_outliers: bool = True
     use_regressors: bool = True
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.outlier_budget_fraction <= 1.0:
-            raise ConfigError("outlier_budget_fraction must be in [0, 1]")
+        alpha = self.alpha
+        if isinstance(alpha, bool) or not isinstance(alpha, numbers.Real):
+            raise ConfigError(f"alpha must be a real number, got {alpha!r}")
+        if not (math.isfinite(alpha) and alpha >= 1.0):
+            raise ConfigError(f"alpha must be finite and >= 1, got {alpha!r}")
+        if self.exemplar not in ("median", "random"):
+            raise ConfigError(
+                f"exemplar must be 'median' or 'random', got {self.exemplar!r}"
+            )
+        if self.clustering_algorithm not in CLUSTER_ALGORITHMS:
+            raise ConfigError(
+                f"unknown clustering algorithm {self.clustering_algorithm!r}; "
+                f"choose from {CLUSTER_ALGORITHMS}"
+            )
+        if isinstance(self.seed, bool) or not isinstance(self.seed, numbers.Integral):
+            raise ConfigError(f"seed must be an integer, got {self.seed!r}")
 
 
 def _merge_unsampled_groups(
@@ -272,7 +300,7 @@ class PS3Picker:
             )
             # "Up to 10% of the sampling budget" (section 4.4): floor, so
             # tiny budgets are not halved by a single outlier read.
-            cap = int(np.floor(self.config.outlier_budget_fraction * budget))
+            cap = int(np.floor(OUTLIER_BUDGET_FRACTION * budget))
             outliers = candidates[:cap]
         selection = [WeightedChoice(int(p), 1.0) for p in outliers]
         # Both arrays are already unique (`passing` is sorted indices from
@@ -299,8 +327,7 @@ class PS3Picker:
         # Step 4: per-group sample selection.
         clustering_ok = (
             self.config.use_clustering
-            and query.num_predicate_clauses()
-            <= self.config.max_clauses_for_clustering
+            and query.num_predicate_clauses() <= MAX_CLAUSES_FOR_CLUSTERING
         )
         # One gather per select: every group clusters in the query's live
         # subspace (the other columns are zero for every partition).

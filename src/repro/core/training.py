@@ -33,7 +33,6 @@ class TrainingConfig:
 
     num_models: int = 4  # k regressors in the funnel
     top_fraction: float = 0.01  # last model targets the top 1%
-    label_scale: float = 1.0  # c in Algorithm 4
     gbrt_trees: int = 30
     gbrt_depth: int = 3
     gbrt_learning_rate: float = 0.3
@@ -148,7 +147,7 @@ def train_picker_model(
     for model_index, threshold in enumerate(thresholds):
         labels = np.concatenate(
             [
-                labels_for_query(c, float(threshold), config.label_scale)
+                labels_for_query(c, float(threshold))
                 for c in data.contributions
             ]
         )

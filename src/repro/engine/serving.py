@@ -37,22 +37,18 @@ requests in admission order. Distinct queries are *not* fused into one
 sweep: at serving batch sizes that shared nothing and cost more than
 the per-query pass (measured in CHANGES.md, PR 15).
 
-**Overload resilience.** An approximate engine has a degradation lever
-most systems lack: the sampling budget. Under the ``"degrade"`` shed
-policy the controller scales each request's resolved budget down as
-queue pressure rises (floored by ``min_degraded_fraction``), returning
-faster, wider-error answers instead of queueing or failing — the answer
-reports ``effective_budget``/``degraded`` so callers see the trade.
-Requests carry per-request **deadlines** (plus a config default); a
-request already expired at admission or pick time fails fast with
-:class:`ServingTimeoutError` instead of being swept. The batch loop
-runs under a **supervisor**: a worker crash fails the in-flight futures
-(never stranding batch-mates) and restarts the loop, up to
-``max_worker_restarts``. :meth:`ServingFrontEnd.health` snapshots the
-whole picture. The worker calls duck-typed ``faults.on_batch`` /
-``faults.on_scatter`` hooks when given a fault set, so the test tree can
-inject a crash at every batch and scatter point and prove isolation by
-enumeration.
+**Overload resilience.** The bounded queue sheds what it cannot hold
+with :class:`ServingOverloadError`; every admitted request runs at its
+own resolved budget. A request may carry a **deadline**
+(``deadline_seconds``); one already expired at admission or pick time
+fails fast with :class:`ServingTimeoutError` instead of being swept.
+The batch loop runs under a **supervisor**: a worker crash fails the
+in-flight futures (never stranding batch-mates) and restarts the loop,
+up to :data:`MAX_WORKER_RESTARTS` times. :meth:`ServingFrontEnd.health`
+snapshots the whole picture. The worker calls duck-typed
+``faults.on_batch`` / ``faults.on_scatter`` hooks when given a fault
+set, so the test tree can inject a crash at every batch and scatter
+point and prove isolation by enumeration.
 
 The front end exposes three client shapes: blocking
 (:meth:`ServingFrontEnd.query`), future-based
@@ -89,9 +85,14 @@ from repro.errors import (
 )
 
 
+#: Worker restarts after a crash per :meth:`ServingFrontEnd.start`;
+#: past this the front end fails permanently.
+MAX_WORKER_RESTARTS = 2
+
+
 @dataclass(frozen=True)
 class ServingConfig:
-    """Admission-batching and overload-resilience knobs.
+    """The front end's two capacity settings.
 
     **Batching.** A batch is the request the worker dequeued plus
     whatever else is already queued when it does, capped at
@@ -99,62 +100,27 @@ class ServingConfig:
     as large as the backlog that builds up during a sweep.
 
     **Admission control.** ``max_queue_depth`` bounds the admission
-    queue (``None`` = unbounded, the pre-resilience behavior). At
-    capacity, ``submit`` sheds the request with
-    :class:`ServingOverloadError`. ``shed_policy`` chooses what happens
-    *before* that hard backstop: ``"reject"`` does nothing (plain
-    bounded queue), ``"degrade"`` turns on the budget-degradation
-    controller — as queue pressure rises, each request's resolved
-    sampling budget is scaled down (linearly in pressure, floored at
-    ``min_degraded_fraction`` of the resolved budget), so the system
-    sheds *accuracy* instead of requests and the queue drains faster.
+    queue (``None`` = unbounded). At capacity, ``submit`` sheds the
+    request with :class:`ServingOverloadError`.
 
-    **Deadlines.** ``default_deadline_seconds`` applies to requests that
-    do not pass their own ``deadline_seconds``. An expired request fails
-    fast with :class:`ServingTimeoutError` at admission or pick time
-    rather than wasting sweep work.
-
-    **Supervision.** The worker loop is restarted after a crash up to
-    ``max_worker_restarts`` times per :meth:`~ServingFrontEnd.start`;
-    past the cap the front end fails permanently (pending futures are
-    failed, new submits raise :class:`ServingStoppedError`). A request
-    whose pick or execution raises is not retried: it fails its own
-    future, and the worker carries on with the rest of the batch.
-
-    Counts are non-bool integers and times and fractions finite, non-bool
-    real numbers; anything else is a :class:`ConfigError`.
+    Both are non-bool integers ``>= 1``; anything else is a
+    :class:`ConfigError`. A crashed worker restarts up to
+    :data:`MAX_WORKER_RESTARTS` times per :meth:`~ServingFrontEnd.start`,
+    then the front end fails permanently (pending futures are failed,
+    new submits raise :class:`ServingStoppedError`).
     """
 
     max_batch_size: int = 32
     max_queue_depth: int | None = 1024
-    shed_policy: str = "reject"
-    default_deadline_seconds: float | None = None
-    min_degraded_fraction: float = 0.25
-    max_worker_restarts: int = 2
 
     def __post_init__(self) -> None:
-        for name in ("max_batch_size", "max_worker_restarts"):
-            _check_number(name, getattr(self, name), integer=True)
-        _check_number("min_degraded_fraction", self.min_degraded_fraction)
+        _check_number("max_batch_size", self.max_batch_size, integer=True)
         if self.max_queue_depth is not None:
             _check_number("max_queue_depth", self.max_queue_depth, integer=True)
-        if self.default_deadline_seconds is not None:
-            _check_number("default_deadline_seconds", self.default_deadline_seconds)
         if self.max_batch_size < 1:
             raise ConfigError("max_batch_size must be >= 1")
         if self.max_queue_depth is not None and self.max_queue_depth < 1:
             raise ConfigError("max_queue_depth must be >= 1 (or None)")
-        if self.shed_policy not in ("reject", "degrade"):
-            raise ConfigError('shed_policy must be "reject" or "degrade"')
-        if (
-            self.default_deadline_seconds is not None
-            and self.default_deadline_seconds <= 0
-        ):
-            raise ConfigError("default_deadline_seconds must be > 0 (or None)")
-        if not 0.0 < self.min_degraded_fraction <= 1.0:
-            raise ConfigError("min_degraded_fraction must be in (0, 1]")
-        if self.max_worker_restarts < 0:
-            raise ConfigError("max_worker_restarts must be >= 0")
 
 
 class ServingStats:
@@ -174,15 +140,13 @@ class ServingStats:
     but not yet dequeued by the worker (``queue_peak`` is its high-water
     mark). ``batched_queries`` counts queries admitted in a batch of two
     or more (nothing is shared between them). ``shed`` counts requests
-    rejected at admission by the bounded queue; ``degraded`` counts
-    requests answered below their resolved budget by the degradation
-    controller; ``deadline_misses`` counts requests that expired before
-    an answer (at admission, at pick time, or in a blocking ``query``
-    wait); ``cancelled_skips`` counts futures the client cancelled
-    before the worker could complete them; ``worker_restarts`` counts
-    supervisor restarts after a worker crash; ``failures`` counts
-    requests whose pick or execution raised, plus those in flight at a
-    crash.
+    rejected at admission by the bounded queue; ``deadline_misses``
+    counts requests that expired before an answer (at admission, at pick
+    time, or in a blocking ``query`` wait); ``cancelled_skips`` counts
+    futures the client cancelled before the worker could complete them;
+    ``worker_restarts`` counts supervisor restarts after a worker crash;
+    ``failures`` counts requests whose pick or execution raised, plus
+    those in flight at a crash.
     """
 
     _COUNTER_NAMES = (
@@ -191,7 +155,6 @@ class ServingStats:
         "batched_queries",  # queries admitted in a batch of >= 2
         "failures",
         "shed",
-        "degraded",
         "deadline_misses",
         "cancelled_skips",
         "worker_restarts",
@@ -460,7 +423,7 @@ class ServingFrontEnd:
                 and not self._stopping
                 and not self._failed
             )
-            remaining = max(0, self.config.max_worker_restarts - self._crashes)
+            remaining = max(0, MAX_WORKER_RESTARTS - self._crashes)
             return ServingHealth(
                 running=running,
                 worker_alive=worker_alive,
@@ -490,22 +453,20 @@ class ServingFrontEnd:
         fraction) raise immediately in the caller; the partition count
         itself is resolved at pick time against the table the batch
         snapshots, so appends between submit and answer are honoured.
-        ``deadline_seconds`` (or the config default) bounds how long the
-        request may wait for an answer; a full admission queue sheds the
-        request with :class:`ServingOverloadError`.
+        ``deadline_seconds`` bounds how long the request may wait for an
+        answer; a full admission queue sheds the request with
+        :class:`ServingOverloadError`.
         """
         check_budget_shape(budget_partitions, budget_fraction)
-        deadline_seconds = self._deadline_seconds(deadline_seconds)
-        if deadline_seconds is not None and deadline_seconds <= 0:
-            # Fail fast: the client's remaining time is already gone.
-            raise ServingTimeoutError(
-                f"deadline_seconds={deadline_seconds} already expired at submit"
-            )
-        deadline = (
-            time.monotonic() + deadline_seconds
-            if deadline_seconds is not None
-            else None
-        )
+        deadline = None
+        if deadline_seconds is not None:
+            _check_number("deadline_seconds", deadline_seconds)
+            if deadline_seconds <= 0:
+                # Fail fast: the client's remaining time is already gone.
+                raise ServingTimeoutError(
+                    f"deadline_seconds={deadline_seconds} already expired at submit"
+                )
+            deadline = time.monotonic() + deadline_seconds
         with self._lifecycle:
             if self._failed:
                 raise ServingStoppedError(
@@ -539,30 +500,25 @@ class ServingFrontEnd:
     ):
         """Blocking submit: the ``ApproximateAnswer`` (or the failure).
 
-        Honors the request deadline (explicit or config default) on the
-        *wait* as well: if the worker is wedged past the deadline, the
-        call raises :class:`ServingTimeoutError` instead of blocking
-        forever (the future is cancelled so the worker skips it). With
+        Honors ``deadline_seconds`` on the *wait* as well: if the worker
+        is wedged past the deadline, the call raises
+        :class:`ServingTimeoutError` instead of blocking forever (the
+        future is cancelled so the worker skips it). With
         no deadline, a worker crash still fails the future via the
         supervisor, so the wait can never hang on a dead worker.
         """
-        deadline_seconds = self._deadline_seconds(deadline_seconds)
-        deadline = (
-            time.monotonic() + deadline_seconds
-            if deadline_seconds is not None
-            else None
-        )
+        start = time.monotonic()
         future = self.submit(
             query,
             budget_partitions,
             budget_fraction,
             deadline_seconds=deadline_seconds,
         )
-        if deadline is None:
+        if deadline_seconds is None:
             return future.result()
         try:
             return future.result(
-                timeout=max(0.0, deadline - time.monotonic())
+                timeout=max(0.0, start + deadline_seconds - time.monotonic())
             )
         except FutureTimeoutError:
             future.cancel()
@@ -570,13 +526,6 @@ class ServingFrontEnd:
             raise ServingTimeoutError(
                 f"request missed its {deadline_seconds}s deadline"
             ) from None
-
-    def _deadline_seconds(self, deadline_seconds: float | None) -> float | None:
-        """A request's own deadline, else the config default; checked."""
-        if deadline_seconds is None:
-            return self.config.default_deadline_seconds
-        _check_number("deadline_seconds", deadline_seconds)
-        return deadline_seconds
 
     async def submit_async(
         self,
@@ -603,7 +552,7 @@ class ServingFrontEnd:
         ``BaseException``-derived injected crashes) must never strand a
         future: every request of the batch being processed is failed
         with a :class:`ServingError` carrying the crash, then the loop
-        restarts — up to ``max_worker_restarts`` times, after which the
+        restarts — up to :data:`MAX_WORKER_RESTARTS` times, after which the
         front end fails permanently and drains its queue.
         """
         while True:
@@ -621,7 +570,7 @@ class ServingFrontEnd:
                 with self._lifecycle:
                     self._last_error = exc
                     self._crashes += 1
-                    give_up = self._crashes > self.config.max_worker_restarts
+                    give_up = self._crashes > MAX_WORKER_RESTARTS
                     if not give_up:
                         self.stats.count("worker_restarts")
                     else:
@@ -707,29 +656,6 @@ class ServingFrontEnd:
 
     # -- batch processing ----------------------------------------------------
 
-    def _degraded_budget(self, budget: int, pressure: float) -> int:
-        """Scale a resolved budget down under queue pressure.
-
-        Linear controller: at zero pressure the budget is untouched; at
-        full pressure it is ``min_degraded_fraction`` of the resolved
-        budget (never below one partition). Active only under the
-        ``"degrade"`` shed policy.
-        """
-        if pressure <= 0.0:
-            return budget
-        factor = 1.0 - pressure * (1.0 - self.config.min_degraded_fraction)
-        return max(1, min(budget, int(round(budget * factor))))
-
-    def _pressure(self) -> float:
-        if (
-            self.config.shed_policy != "degrade"
-            or self.config.max_queue_depth is None
-        ):
-            return 0.0
-        return min(
-            1.0, max(0, self.stats.queue_depth) / self.config.max_queue_depth
-        )
-
     def _process(self, batch: list[_Request]) -> None:
         # Imported lazily: api sits above engine in the layering; only
         # the answer container is needed here.
@@ -739,9 +665,6 @@ class ServingFrontEnd:
         if faults is not None:
             faults.on_batch()
         system = self.system
-        # Queue pressure is sampled once per batch, so batch-mates share
-        # one degradation factor.
-        pressure = self._pressure()
         # Pick under the system's state lock: the picker's rng and pick
         # memo are shared, selections see a consistent (table,
         # statistics, picker) generation, and the snapshot table keeps
@@ -753,7 +676,7 @@ class ServingFrontEnd:
         ), system._state_lock:
             ptable = system.ptable
             num_partitions = ptable.num_partitions
-            picked: list[tuple[_Request, int, int, object]] = []
+            picked: list[tuple[_Request, int, object]] = []
             for request in batch:
                 # Marking the future RUNNING wins the race against
                 # client-side cancellation: from here on, set_result/
@@ -775,8 +698,7 @@ class ServingFrontEnd:
                     budget = system._resolve_budget(
                         request.budget_partitions, request.budget_fraction
                     )
-                    effective = self._degraded_budget(budget, pressure)
-                    selection = system.picker.select(request.query, effective)
+                    selection = system.picker.select(request.query, budget)
                 except Exception as exc:  # noqa: BLE001 - forwarded
                     # Ordinary per-request failures (bad column, bad
                     # budget, injected pick poison) fail only this
@@ -786,15 +708,13 @@ class ServingFrontEnd:
                     self.stats.count("failures")
                     self._fail_request(request, exc)
                 else:
-                    if effective < budget:
-                        self.stats.count("degraded")
-                    picked.append((request, budget, effective, selection))
+                    picked.append((request, budget, selection))
         self.stats.note_batch(len(batch))
         if not picked:
             return
         answered = []
         with trace_span("serving.sweep", registry=self.registry, requests=len(picked)):
-            for request, budget, effective, selection in picked:
+            for request, budget, selection in picked:
                 try:
                     (groups,) = answer_selections(
                         ptable, [(request.query, selection.selection)]
@@ -805,11 +725,11 @@ class ServingFrontEnd:
                     self.stats.count("failures")
                     self._fail_request(request, exc)
                 else:
-                    answered.append((request, budget, effective, selection, groups))
+                    answered.append((request, budget, selection, groups))
         with trace_span(
             "serving.scatter", registry=self.registry, requests=len(answered)
         ):
-            for request, budget, effective, selection, groups in answered:
+            for request, budget, selection, groups in answered:
                 if faults is not None:
                     faults.on_scatter()
                 self._complete_request(
@@ -820,7 +740,5 @@ class ServingFrontEnd:
                         selection=selection,
                         budget=budget,
                         num_partitions=num_partitions,
-                        effective_budget=effective,
-                        degraded=effective < budget,
                     ),
                 )

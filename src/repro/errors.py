@@ -57,10 +57,8 @@ class ServingOverloadError(ServingError):
     """A request was shed at admission because the queue was full.
 
     Raised by ``submit``/``query`` when the bounded admission queue
-    (``ServingConfig.max_queue_depth``) is at capacity. Under the
-    ``"degrade"`` shed policy the controller first shrinks sampling
-    budgets to drain faster; this error is the hard backstop when even
-    degraded service cannot keep up.
+    (``ServingConfig.max_queue_depth``) is at capacity; an admitted
+    request always runs at its own resolved budget.
     """
 
 

@@ -1,9 +1,9 @@
 """Thread-safe metrics registry: counters, gauges, fixed-bucket histograms.
 
 The registry is the one data structure every plane reports into: serving
-(admission wait, pick/sweep/scatter latency, queue depth, shed/degrade
-counts), engine (sweep timings, plan-cache hit rates), and storage (WAL
-append/fsync latency, checkpoint duration). It is
+(admission wait, pick/sweep/scatter latency, queue depth, shed and
+failure counts), engine (sweep timings, plan-cache hit rates), and
+storage (WAL append/fsync latency, checkpoint duration). It is
 deliberately dependency-free — stdlib plus nothing — so the storage and
 stats layers at the bottom of the import graph can use it.
 

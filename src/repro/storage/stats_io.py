@@ -10,19 +10,15 @@ and column the (offset, length) of each sketch encoding inside the blob.
 Sketch bytes are exactly the ``to_bytes`` encodings the sketches define,
 so storage accounting matches what Table 4 measures.
 
-Version 2 adds two optional cold-start artifacts, both backward- and
-forward-compatible with the sketch blob:
-
-* the :class:`~repro.sketches.columnar.ColumnarSketchIndex` arrays, so
-  ``load_statistics_bundle`` rehydrates the columnar index directly from
-  disk instead of re-exporting every sketch object (the dominant cold
-  start cost at high partition counts); each array is stored raw in the
-  blob with its dtype/shape in the manifest;
-* the predicate-plan keys of the saved workload (``repr`` strings) —
-  diagnostic metadata recording which compiled plans the deployment's
-  training workload exercised. They are not consumed on load (plans
-  recompile from predicates in milliseconds); they exist so tooling can
-  inspect a deployment without replaying its workload.
+Version 2 adds an optional cold-start artifact, backward- and
+forward-compatible with the sketch blob: the
+:class:`~repro.sketches.columnar.ColumnarSketchIndex` arrays, so
+``load_statistics_bundle`` rehydrates the columnar index directly from
+disk instead of re-exporting every sketch object (the dominant cold
+start cost at high partition counts); each array is stored raw in the
+blob with its dtype/shape in the manifest. Files written by older trees
+may also carry ``plan_cache_keys`` (predicate ``repr`` strings of the
+training workload); loads ignore the key and nothing writes it.
 
 Version 3 makes the file trustworthy after a crash or silent bit-rot:
 
@@ -206,16 +202,13 @@ class StatisticsBundle:
 
     ``index`` is ``None`` for version-1 files or files saved without an
     index — callers fall back to the sketch-object export
-    (``ColumnarSketchIndex.build``). ``plan_cache_keys`` is a diagnostic
-    record of the predicate plans the saved workload exercised (``repr``
-    strings; not consumed on load). ``wal_applied_seq`` is the highest
+    (``ColumnarSketchIndex.build``). ``wal_applied_seq`` is the highest
     WAL sequence number folded into this bundle (0 = none); replay skips
     records at or below it, making checkpoints idempotent.
     """
 
     statistics: DatasetStatistics
     index: ColumnarSketchIndex | None = None
-    plan_cache_keys: tuple[str, ...] = ()
     wal_applied_seq: int = 0
 
 
@@ -224,7 +217,6 @@ def save_statistics(
     path: str | Path,
     *,
     index: ColumnarSketchIndex | None = None,
-    plan_cache_keys: tuple[str, ...] = (),
     wal_applied_seq: int = 0,
     io: FileIO | None = None,
 ) -> None:
@@ -287,8 +279,6 @@ def save_statistics(
                 for name, column_state in index.array_state().items()
             },
         }
-    if plan_cache_keys:
-        tail["plan_cache_keys"] = list(plan_cache_keys)
     # Per-section CRC32s: the sketch region and the (optional) index
     # region are verified independently at load, so index bit-rot can
     # degrade to a rebuild while sketch bit-rot is a hard error.
@@ -486,7 +476,6 @@ def load_statistics_bundle(
     return StatisticsBundle(
         statistics=_statistics_from_manifest(manifest, blob),
         index=_index_from_manifest(manifest, blob),
-        plan_cache_keys=tuple(manifest.get("plan_cache_keys", ())),
         wal_applied_seq=int(manifest.get("wal_applied_seq", 0)),
     )
 

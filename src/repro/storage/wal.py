@@ -326,7 +326,6 @@ class StatisticsStore:
         stats: DatasetStatistics,
         *,
         index: ColumnarSketchIndex | None = None,
-        plan_cache_keys: tuple[str, ...] = (),
     ) -> int:
         """Fold the journal into a fresh bundle; returns the stamped seq.
 
@@ -343,7 +342,6 @@ class StatisticsStore:
                 stats,
                 self.stats_path,
                 index=index,
-                plan_cache_keys=plan_cache_keys,
                 wal_applied_seq=applied,
                 io=self.io,
             )

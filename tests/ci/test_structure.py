@@ -58,7 +58,8 @@
   comes from, persisted state becomes a system through ``PS3.open`` and
   nowhere else, and the CLI is one more caller of ``PS3.query``.
 * ``save_statistics``, ``StatisticsStore.checkpoint`` and
-  ``PS3.checkpoint`` keep their parameters, and a sketch's ``to_bytes``
+  ``PS3.checkpoint`` keep their parameters (less ``plan_cache_keys``,
+  which nothing read), and a sketch's ``to_bytes``
   is called from one function under ``repro.storage``,
   ``stats_io._encode_partition``: a sealed partition is encoded once
   and memoized on itself, with no switch to turn that off and no second
@@ -85,6 +86,14 @@
   deterministic ``ExecutionError``, which fails its own request and no
   other. ``repro.engine.faults`` no longer imports (the serving fault
   plane is ``tests/serving_faults.py``).
+* A setting nothing outside the tests sets is a constant, not a field:
+  ``ServingConfig`` keeps its two capacity settings (no degrade
+  controller, no config-default deadline; the restart cap is
+  ``MAX_WORKER_RESTARTS``), ``PickerConfig`` has no outlier share or
+  clause limit, ``TrainingConfig`` no label scale, ``ApproximateAnswer``
+  no ``degraded``, and no bundle writer takes ``plan_cache_keys``, which
+  a bundle written by an older tree may still carry and which loads
+  ignore.
 * Every ``(module, attribute path)`` the benchmark's tracer patches
   (``TRACED`` in ``benchmarks/e2e/layers.py``, read here, never edited)
   resolves the way the tracer resolves it. A rename would otherwise show
@@ -94,6 +103,7 @@
 from __future__ import annotations
 
 import ast
+import dataclasses
 import importlib
 import importlib.util
 import inspect
@@ -443,6 +453,67 @@ def test_serving_sweep_has_no_retry():
     assert not hasattr(serving, "_TRANSIENT_ERRNOS")
 
 
+def test_one_value_in_use_is_a_constant():
+    """Values nothing outside the tests set are constants, not fields."""
+    import repro.engine.serving as serving
+    from repro.api import ApproximateAnswer
+    from repro.core.labels import labels_for_query
+    from repro.core.picker import PickerConfig
+    from repro.core.training import TrainingConfig
+    from repro.storage.stats_io import StatisticsBundle, save_statistics
+    from repro.storage.wal import StatisticsStore
+
+    def fields(cls):
+        return {field.name for field in dataclasses.fields(cls)}
+
+    assert fields(serving.ServingConfig) == {"max_batch_size", "max_queue_depth"}
+    assert fields(PickerConfig) == {
+        "alpha",
+        "clustering_algorithm",
+        "exemplar",
+        "use_clustering",
+        "use_outliers",
+        "use_regressors",
+        "seed",
+    }
+    assert fields(TrainingConfig) == {
+        "num_models",
+        "top_fraction",
+        "gbrt_trees",
+        "gbrt_depth",
+        "gbrt_learning_rate",
+        "gbrt_colsample",
+        "seed",
+    }
+    assert list(inspect.signature(labels_for_query).parameters) == [
+        "contributions",
+        "threshold",
+    ]
+    for name in ("_pressure", "_degraded_budget"):
+        assert not hasattr(serving.ServingFrontEnd, name), name
+    assert "degraded" not in serving.ServingStats._COUNTER_NAMES
+    assert "degraded" not in fields(ApproximateAnswer)
+    assert "plan_cache_keys" not in fields(StatisticsBundle)
+    for writer in (save_statistics, StatisticsStore.checkpoint):
+        assert "plan_cache_keys" not in inspect.signature(writer).parameters
+
+
+def test_bundle_carrying_plan_keys_still_loads():
+    """The frozen v2 fixture was written with plan keys: they are ignored."""
+    import json
+
+    from repro.storage import load_statistics_bundle
+    from repro.storage.stats_io import _read_manifest
+
+    fixtures = TESTS / "storage" / "fixtures"
+    manifest, __ = _read_manifest(fixtures / "v2.ps3stats", io=None)
+    assert manifest["plan_cache_keys"] == ["frozen-plan-key"]
+    bundle = load_statistics_bundle(fixtures / "v2.ps3stats")
+    expected = json.loads((fixtures / "expected.json").read_text())
+    assert bundle.statistics.num_partitions == expected["num_partitions"]
+    assert bundle.index is not None
+
+
 def _to_bytes_callers(sources: Path) -> set[str]:
     """``module.function`` of every ``<expr>.to_bytes(...)`` call (a call
     outside any function counts as ``module.<module>``)."""
@@ -477,8 +548,8 @@ def test_one_partition_encoder_no_checkpoint_switch(tmp_path):
         api.PS3.checkpoint,
     )
     assert [set(inspect.signature(fn).parameters) for fn in checkpoints] == [
-        {"stats", "path", "index", "plan_cache_keys", "wal_applied_seq", "io"},
-        {"self", "stats", "index", "plan_cache_keys"},
+        {"stats", "path", "index", "wal_applied_seq", "io"},
+        {"self", "stats", "index"},
         {"self"},
     ]
     storage = Path(repro.storage.__file__).resolve().parent

@@ -85,6 +85,13 @@ class TestValidation:
         with pytest.raises(ConfigError):
             allocate_samples([1], 1, alpha=0.5)
 
+    @pytest.mark.parametrize("alpha", [float("nan"), float("inf")])
+    def test_non_finite_alpha_rejected(self, alpha):
+        # Both used to pass the ``alpha < 1`` check and return [0, 10, 0]:
+        # the most important group got no read.
+        with pytest.raises(ConfigError, match="alpha"):
+            allocate_samples([50, 30, 20], 10, alpha)
+
     def test_negative_budget_rejected(self):
         with pytest.raises(ConfigError):
             allocate_samples([1], -1, alpha=2.0)

@@ -30,10 +30,6 @@ class TestLabels:
         labels = labels_for_query(np.ones(4), threshold=0.5)
         assert np.all(labels > 0)
 
-    def test_custom_scale(self):
-        labels = labels_for_query(np.array([1.0, 0.0]), 0.5, c=4.0)
-        assert labels[0] == pytest.approx(2.0)
-
 
 class TestThresholds:
     def test_first_threshold_is_zero(self):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.cluster_sampler import CLUSTER_ALGORITHMS
 from repro.core.picker import PickerConfig, PS3Picker
 from repro.engine.aggregates import count_star, sum_of
 from repro.engine.expressions import col
@@ -118,6 +119,29 @@ class TestDiagnostics:
         result = picker.select(grouped_query, budget=10)
         assert len(result.outliers) <= int(np.ceil(0.1 * 10))
 
-    def test_config_validation(self):
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"alpha": float("nan")},
+            {"alpha": float("inf")},
+            {"alpha": 0.5},
+            {"alpha": True},
+            {"alpha": "2"},
+            {"exemplar": "bogus"},
+            {"clustering_algorithm": "nope"},
+            {"seed": True},
+            {"seed": 1.5},
+        ],
+        ids=lambda kwargs: "{}={!r}".format(*next(iter(kwargs.items()))),
+    )
+    def test_config_validation(self, kwargs):
+        # Each used to pass construction: a non-finite alpha starved the
+        # most important group, the others failed at the first pick
+        # that read them.
         with pytest.raises(ConfigError):
-            PickerConfig(outlier_budget_fraction=1.5)
+            PickerConfig(**kwargs)
+
+    def test_config_defaults_valid(self):
+        for algorithm in CLUSTER_ALGORITHMS:
+            PickerConfig(clustering_algorithm=algorithm, exemplar="random", alpha=1)
+        PickerConfig(alpha=np.float64(3.0), seed=np.int64(7))

@@ -36,7 +36,11 @@ from repro.datasets.registry import get_dataset
 from repro.engine.aggregates import sum_of
 from repro.engine.expressions import col
 from repro.engine.query import Query
-from repro.engine.serving import ServingConfig, ServingFrontEnd
+from repro.engine.serving import (
+    MAX_WORKER_RESTARTS,
+    ServingConfig,
+    ServingFrontEnd,
+)
 from repro.errors import (
     ConfigError,
     ExecutionError,
@@ -372,15 +376,40 @@ class TestWorkerDeath:
                 system, front.query(test[0], budget_partitions=3)
             )
 
+    def test_restarts_remaining_counts_down(self, served_system):
+        system, test = served_system
+        front = ServingFrontEnd(
+            system, ServingConfig(max_batch_size=1), faults=self._AlwaysCrash()
+        ).start()
+        try:
+            assert front.health().restarts_remaining == MAX_WORKER_RESTARTS
+            for crashes in range(1, MAX_WORKER_RESTARTS + 1):
+                with pytest.raises(ServingError):
+                    front.query(test[0], budget_partitions=3)
+                deadline = time.monotonic() + 10
+                while (
+                    front.health().worker_restarts < crashes
+                    and time.monotonic() < deadline
+                ):
+                    time.sleep(0.005)
+                health = front.health()
+                assert health.worker_restarts == crashes
+                assert health.restarts_remaining == (
+                    MAX_WORKER_RESTARTS - crashes
+                )
+        finally:
+            front.stop()
+
     def test_restart_cap_fails_permanently(self, served_system):
         system, test = served_system
-        config = ServingConfig(max_batch_size=2, max_worker_restarts=1)
+        config = ServingConfig(max_batch_size=2)
         front = ServingFrontEnd(
             system, config, faults=self._AlwaysCrash()
         ).start()
         try:
-            # Crash 1: restarted. Crash 2: past the cap, permanent.
-            for __ in range(2):
+            # Crashes up to the cap restart the worker; one more is
+            # permanent.
+            for __ in range(MAX_WORKER_RESTARTS + 1):
                 future = front.submit(test[0], budget_partitions=3)
                 with pytest.raises(ServingError):
                     future.result(timeout=30)
@@ -391,7 +420,7 @@ class TestWorkerDeath:
             assert not health.running
             assert not health.healthy
             assert health.restarts_remaining == 0
-            assert front.stats.worker_restarts == 1
+            assert front.stats.worker_restarts == MAX_WORKER_RESTARTS
             with pytest.raises(ServingStoppedError):
                 front.submit(test[0], budget_partitions=3)
         finally:
@@ -400,15 +429,17 @@ class TestWorkerDeath:
     def test_blocking_query_never_hangs_on_worker_death(self, served_system):
         """Regression: `query` used to block forever on a dead worker."""
         system, test = served_system
-        config = ServingConfig(max_batch_size=1, max_worker_restarts=0)
+        config = ServingConfig(max_batch_size=1)
         front = ServingFrontEnd(
             system, config, faults=self._AlwaysCrash()
         ).start()
         try:
-            started = time.monotonic()
-            with pytest.raises(ServingError):
-                front.query(test[0], budget_partitions=3)
-            assert time.monotonic() - started < 10
+            # The last crash is past the cap: the worker stays dead.
+            for __ in range(MAX_WORKER_RESTARTS + 1):
+                started = time.monotonic()
+                with pytest.raises(ServingError):
+                    front.query(test[0], budget_partitions=3)
+                assert time.monotonic() - started < 10
         finally:
             front.stop()
 
@@ -424,15 +455,6 @@ class TestWorkerDeath:
                 front.query(test[0], budget_partitions=3, deadline_seconds=0.05)
             assert time.monotonic() - started < 0.4
         assert front.stats.deadline_misses >= 1
-
-    def test_blocking_query_default_config_deadline(self, served_system):
-        """The config default deadline applies when none is passed."""
-        system, test = served_system
-        faults = ServingFaults(slow_batch_seconds=0.5)
-        config = ServingConfig(max_batch_size=1, default_deadline_seconds=0.05)
-        with ServingFrontEnd(system, config, faults=faults) as front:
-            with pytest.raises(ServingTimeoutError):
-                front.query(test[0], budget_partitions=3)
 
 
 class TestDeadlines:
@@ -471,6 +493,24 @@ class TestDeadlines:
                 front.query(test[0], budget_partitions=3, deadline_seconds=nan)
         assert front.stats.queue_peak == 0
 
+    @pytest.mark.parametrize(
+        "deadline", [float("inf"), True, "1"], ids=["inf", "bool", "str"]
+    )
+    def test_non_real_deadline_is_a_config_error(self, served_system, deadline):
+        # A deadline is a finite non-bool real: inf never expires and a
+        # bool or string is a caller's slip, so each fails at submit.
+        system, test = served_system
+        with ServingFrontEnd(system, ServingConfig(max_batch_size=2)) as front:
+            with pytest.raises(ConfigError, match="deadline_seconds"):
+                front.submit(
+                    test[0], budget_partitions=3, deadline_seconds=deadline
+                )
+            with pytest.raises(ConfigError, match="deadline_seconds"):
+                front.query(
+                    test[0], budget_partitions=3, deadline_seconds=deadline
+                )
+        assert front.stats.queue_peak == 0
+
     def test_generous_deadline_answers_normally(self, served_system):
         system, test = served_system
         with ServingFrontEnd(system, ServingConfig(max_batch_size=2)) as front:
@@ -478,7 +518,6 @@ class TestDeadlines:
                 test[0], budget_partitions=3, deadline_seconds=30.0
             )
         _assert_matches_sequential(system, answer)
-        assert answer.degraded is False
         assert answer.effective_budget == answer.budget
 
 

@@ -6,11 +6,8 @@ contract end to end:
 
 * the admission queue stays *bounded* (`queue_peak <= max_queue_depth`)
   and sheds are accounted (`stats.shed` == client-observed rejections);
-* under the ``"degrade"`` policy the controller shrinks budgets instead
-  of shedding everything — degraded answers report
-  ``effective_budget``/``degraded`` and respect the
-  ``min_degraded_fraction`` floor, and every answer (degraded or not)
-  stays bit-identical to the sequential combine walk for its own
+* every admitted request runs at its own resolved budget, and its
+  answer stays bit-identical to the sequential combine walk for its own
   selection;
 * a deadlined request trapped behind the backlog fails fast with
   ``ServingTimeoutError`` instead of waiting out the queue;
@@ -109,11 +106,7 @@ def _throttled(slow=0.005):
 class TestBoundedQueue:
     def test_depth_bounded_and_sheds_accounted(self, served_system):
         system, test = served_system
-        config = ServingConfig(
-            max_batch_size=2,
-            max_queue_depth=6,
-            shed_policy="reject",
-        )
+        config = ServingConfig(max_batch_size=2, max_queue_depth=6)
         front = ServingFrontEnd(system, config, faults=_throttled()).start()
         try:
             futures, sheds = _flood(front, test, clients=4, per_client=20)
@@ -125,10 +118,10 @@ class TestBoundedQueue:
         assert front.stats.shed == sheds
         assert front.stats.queue_peak <= 6
         assert len(answers) + sheds == 80
+        budget = system.query(test[0], budget_fraction=0.75).budget
         for answer in answers:
             _assert_matches_sequential(system, answer)
-            assert answer.degraded is False  # reject policy never degrades
-        assert front.stats.degraded == 0
+            assert answer.budget == budget  # load never shrinks a budget
 
     def test_unbounded_queue_never_sheds(self, served_system):
         system, test = served_system
@@ -142,55 +135,6 @@ class TestBoundedQueue:
             front.stop()
         assert sheds == 0
         assert len(futures) == 40
-
-
-class TestDegradePolicy:
-    def test_budgets_shrink_under_pressure(self, served_system):
-        system, test = served_system
-        config = ServingConfig(
-            max_batch_size=2,
-            max_queue_depth=8,
-            shed_policy="degrade",
-            min_degraded_fraction=0.25,
-        )
-        front = ServingFrontEnd(system, config, faults=_throttled()).start()
-        try:
-            futures, sheds = _flood(
-                front, test, clients=4, per_client=16, budget_fraction=0.75
-            )
-            answers = [f.result(timeout=60) for f in futures]
-        finally:
-            front.stop()
-        assert front.stats.queue_peak <= 8
-        assert front.stats.degraded > 0
-        degraded = [a for a in answers if a.degraded]
-        assert len(degraded) == front.stats.degraded
-        for answer in answers:
-            # The degradation trade is visible and floored.
-            assert 1 <= answer.effective_budget <= answer.budget
-            floor = max(
-                1, round(answer.budget * config.min_degraded_fraction)
-            )
-            assert answer.effective_budget >= floor
-            assert answer.degraded == (
-                answer.effective_budget < answer.budget
-            )
-            assert len(answer.selection.selection) <= answer.effective_budget
-            # Degraded or not, the answer is bit-identical to the
-            # sequential combine walk for its own selection.
-            _assert_matches_sequential(system, answer)
-
-    def test_no_pressure_means_no_degradation(self, served_system):
-        system, test = served_system
-        config = ServingConfig(
-            max_queue_depth=64,
-            shed_policy="degrade",
-        )
-        with ServingFrontEnd(system, config) as front:
-            answer = front.query(test[0], budget_fraction=0.75)
-        assert answer.degraded is False
-        assert answer.effective_budget == answer.budget
-        _assert_matches_sequential(system, answer)
 
 
 class TestDeadlinesUnderLoad:

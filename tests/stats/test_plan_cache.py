@@ -186,11 +186,11 @@ class TestThreadSafety:
 
 
 class TestPersistedKeys:
-    """Predicate ``repr``s back the persisted ``plan_cache_keys``."""
+    """Predicate ``repr``s, which older bundles persisted as plan keys."""
 
     def test_inset_repr_independent_of_value_order(self):
-        # repr goes through label(), which sorts the frozenset — the
-        # persisted keys must not depend on hash randomization.
+        # repr goes through label(), which sorts the frozenset — a
+        # printed predicate must not depend on hash randomization.
         assert repr(InSet("c", ["b", "a", "z"])) == repr(
             InSet("c", ["z", "a", "b"])
         )

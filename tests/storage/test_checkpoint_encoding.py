@@ -83,9 +83,7 @@ def reference_sketch_region(stats) -> tuple[list, bytes]:
     return partitions, bytes(blob)
 
 
-def reference_header(
-    stats, *, index=None, plan_cache_keys=(), wal_applied_seq=0
-) -> bytes:
+def reference_header(stats, *, index=None, wal_applied_seq=0) -> bytes:
     """The manifest assembled as one dict and dumped once, as every
     save did before entries were memoized as text."""
     partitions, sketches = reference_sketch_region(stats)
@@ -118,8 +116,6 @@ def reference_header(
                 for name, column_state in index.array_state().items()
             },
         }
-    if plan_cache_keys:
-        manifest["plan_cache_keys"] = list(plan_cache_keys)
     sections = {"sketches": [0, len(sketches), zlib.crc32(sketches)]}
     if len(blob) > len(sketches):
         sections["index"] = [
@@ -143,7 +139,6 @@ def assert_matches_reference(stats, path: Path, index=None, wal_applied_seq=0):
     assert saved_header(path) == reference_header(
         stats,
         index=index,
-        plan_cache_keys=tuple(manifest.get("plan_cache_keys", ())),
         wal_applied_seq=wal_applied_seq,
     )
     partitions, sketches = reference_sketch_region(stats)
@@ -158,7 +153,6 @@ def assert_matches_reference(stats, path: Path, index=None, wal_applied_seq=0):
         unmemoized,
         fresh,
         index=index,
-        plan_cache_keys=tuple(manifest.get("plan_cache_keys", ())),
         wal_applied_seq=wal_applied_seq,
     )
     assert fresh.read_bytes() == path.read_bytes()
@@ -246,7 +240,7 @@ def test_fresh_build(tiny_ptable, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "case", ["zero partitions", "no index", "index", "plan cache keys"]
+    "case", ["zero partitions", "no index", "index", "journal stamp"]
 )
 def test_header_is_one_dumps_of_the_manifest(case, tiny_ptable, tmp_path):
     system = PS3(tiny_ptable, WORKLOAD)
@@ -258,10 +252,9 @@ def test_header_is_one_dumps_of_the_manifest(case, tiny_ptable, tmp_path):
             partitions=[],
             global_heavy_hitters=stats.global_heavy_hitters,
         )
-    if case in ("index", "plan cache keys"):
+    if case in ("index", "journal stamp"):
         options["index"] = system.feature_builder.sketch_index
-    if case == "plan cache keys":
-        options["plan_cache_keys"] = ("Range(x, 1.0, 2.0)", "InSet(cat, {'ünï'})")
+    if case == "journal stamp":
         options["wal_applied_seq"] = 7
     path = tmp_path / "bundle.ps3stats"
     save_statistics(stats, path, **options)
@@ -383,12 +376,7 @@ def test_resave_folds_a_pre_rule_heavy_hitter_payload(
 def test_frozen_fixtures_reopened_and_resaved(name, tmp_path):
     bundle = load_statistics_bundle(FIXTURES / name)
     path = tmp_path / name
-    save_statistics(
-        bundle.statistics,
-        path,
-        index=bundle.index,
-        plan_cache_keys=bundle.plan_cache_keys,
-    )
+    save_statistics(bundle.statistics, path, index=bundle.index)
     assert_matches_reference(bundle.statistics, path, index=bundle.index)
 
 

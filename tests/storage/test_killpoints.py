@@ -58,17 +58,17 @@ class TestSaveStatisticsSweep:
         self, tiny_stats, tmp_path
     ):
         path = tmp_path / "stats.ps3stats"
-        save_statistics(tiny_stats, path, plan_cache_keys=("old-gen",))
+        save_statistics(tiny_stats, path, wal_applied_seq=1)
         old = path.read_bytes()
         save_statistics(
-            tiny_stats, tmp_path / "ref.ps3stats", plan_cache_keys=("new-gen",)
+            tiny_stats, tmp_path / "ref.ps3stats", wal_applied_seq=2
         )
         new = (tmp_path / "ref.ps3stats").read_bytes()
         assert old != new
 
         def action(io):
             save_statistics(
-                tiny_stats, path, plan_cache_keys=("new-gen",), io=io
+                tiny_stats, path, wal_applied_seq=2, io=io
             )
 
         def check(io):
@@ -90,20 +90,20 @@ class TestSaveStatisticsSweep:
         path = tmp_path / "stats.ps3stats"
         index = ColumnarSketchIndex.build(tiny_stats)
         save_statistics(
-            tiny_stats, path, index=index, plan_cache_keys=("old-gen",)
+            tiny_stats, path, index=index, wal_applied_seq=1
         )
         old = path.read_bytes()
         save_statistics(
             tiny_stats,
             tmp_path / "ref.ps3stats",
             index=index,
-            plan_cache_keys=("new-gen",),
+            wal_applied_seq=2,
         )
         new = (tmp_path / "ref.ps3stats").read_bytes()
 
         def action(io):
             save_statistics(
-                tiny_stats, path, index=index, plan_cache_keys=("new-gen",), io=io
+                tiny_stats, path, index=index, wal_applied_seq=2, io=io
             )
 
         def check(io):
@@ -118,9 +118,9 @@ class TestSaveStatisticsSweep:
 
     def test_backup_generation_survives_the_overwrite(self, tiny_stats, tmp_path):
         path = tmp_path / "stats.ps3stats"
-        save_statistics(tiny_stats, path, plan_cache_keys=("old-gen",))
+        save_statistics(tiny_stats, path, wal_applied_seq=1)
         old = path.read_bytes()
-        save_statistics(tiny_stats, path, plan_cache_keys=("new-gen",))
+        save_statistics(tiny_stats, path, wal_applied_seq=2)
         assert backup_path(path).read_bytes() == old
 
 
@@ -269,7 +269,7 @@ class TestFlippedBytes:
             tiny_stats,
             path,
             index=ColumnarSketchIndex.build(tiny_stats),
-            plan_cache_keys=("k-1",),
+            wal_applied_seq=1,
         )
         reference = _serialize(
             tiny_stats, path.with_name("reference.ps3stats")
@@ -295,8 +295,8 @@ class TestFlippedBytes:
 class TestBakFallback:
     def test_corrupt_bundle_recovers_from_backup(self, tiny_stats, tmp_path):
         path = tmp_path / "stats.ps3stats"
-        save_statistics(tiny_stats, path, plan_cache_keys=("gen-1",))
-        save_statistics(tiny_stats, path, plan_cache_keys=("gen-2",))
+        save_statistics(tiny_stats, path, wal_applied_seq=1)
+        save_statistics(tiny_stats, path, wal_applied_seq=2)
         raw = bytearray(path.read_bytes())
         raw[30] ^= 0x40  # rot inside the manifest
         path.write_bytes(bytes(raw))
@@ -304,14 +304,14 @@ class TestBakFallback:
         with pytest.warns(DegradedLoadWarning) as caught:
             bundle = recover_statistics_bundle(path)
         assert caught[0].message.reason == "bak-fallback"
-        assert bundle.plan_cache_keys == ("gen-1",)
+        assert bundle.wal_applied_seq == 1
 
     def test_both_generations_corrupt_raises_the_primary_error(
         self, tiny_stats, tmp_path
     ):
         path = tmp_path / "stats.ps3stats"
         save_statistics(tiny_stats, path)
-        save_statistics(tiny_stats, path, plan_cache_keys=("gen-2",))
+        save_statistics(tiny_stats, path, wal_applied_seq=2)
         for victim in (path, backup_path(path)):
             raw = bytearray(victim.read_bytes())
             raw[30] ^= 0x40
@@ -322,7 +322,7 @@ class TestBakFallback:
 
 @pytest.mark.slow
 class TestSweepWithIndex:
-    """Exhaustive variant: the full bundle (index + plan keys) swept."""
+    """Exhaustive variant: the full bundle (index + journal stamp) swept."""
 
     def test_save_with_index_killpoints(self, tiny_stats, tmp_path):
         index = ColumnarSketchIndex.build(tiny_stats)
@@ -333,13 +333,13 @@ class TestSweepWithIndex:
             tiny_stats,
             tmp_path / "ref.ps3stats",
             index=index,
-            plan_cache_keys=("new",),
+            wal_applied_seq=1,
         )
         new = (tmp_path / "ref.ps3stats").read_bytes()
 
         def action(io):
             save_statistics(
-                tiny_stats, path, index=index, plan_cache_keys=("new",), io=io
+                tiny_stats, path, index=index, wal_applied_seq=1, io=io
             )
 
         def check(io):

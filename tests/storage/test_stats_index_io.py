@@ -51,9 +51,7 @@ _FOOTER_MAGIC = b"PS3C"
 def saved_with_index(tiny_stats, tmp_path_factory):
     path = tmp_path_factory.mktemp("stats_v3") / "tiny.ps3stats"
     index = ColumnarSketchIndex.build(tiny_stats)
-    save_statistics(
-        tiny_stats, path, index=index, plan_cache_keys=("p-a", "p-b")
-    )
+    save_statistics(tiny_stats, path, index=index)
     return path, index
 
 
@@ -105,10 +103,6 @@ class TestIndexRoundtrip:
                     loaded[key], arr, err_msg=f"{name}.{key}"
                 )
 
-    def test_plan_cache_keys_roundtrip(self, saved_with_index):
-        path, __ = saved_with_index
-        assert load_statistics_bundle(path).plan_cache_keys == ("p-a", "p-b")
-
     def test_loaded_index_drives_identical_features(
         self, saved_with_index, tiny_stats
     ):
@@ -127,7 +121,6 @@ class TestIndexRoundtrip:
         save_statistics(tiny_stats, path)
         bundle = load_statistics_bundle(path)
         assert bundle.index is None
-        assert bundle.plan_cache_keys == ()
 
     def test_mismatched_index_rejected_at_save(self, tiny_stats):
         index = ColumnarSketchIndex.build(tiny_stats)
@@ -153,7 +146,6 @@ class TestOldFormatFallback:
         def downgrade(manifest):
             manifest["version"] = 1
             manifest.pop("index", None)
-            manifest.pop("plan_cache_keys", None)
             manifest.pop("sections", None)
             manifest.pop("wal_applied_seq", None)
 

@@ -45,11 +45,13 @@ def _assert_statistics_match(stats, expected):
 
 class TestFrozenV2:
     def test_loads_with_index_and_plan_keys(self, expected):
+        """The file carries plan keys from older trees; they are ignored."""
+        manifest, __ = _read_manifest(FIXTURES / "v2.ps3stats", io=None)
+        assert manifest["plan_cache_keys"] == ["frozen-plan-key"]
         bundle = load_statistics_bundle(FIXTURES / "v2.ps3stats")
         _assert_statistics_match(bundle.statistics, expected)
         assert bundle.index is not None
         assert bundle.index.num_partitions == expected["num_partitions"]
-        assert bundle.plan_cache_keys == ("frozen-plan-key",)
         # Pre-v3 bundles predate the journal: the stamp defaults to 0.
         assert bundle.wal_applied_seq == 0
 
@@ -64,7 +66,6 @@ class TestFrozenV1:
         bundle = load_statistics_bundle(FIXTURES / "v1.ps3stats")
         _assert_statistics_match(bundle.statistics, expected)
         assert bundle.index is None
-        assert bundle.plan_cache_keys == ()
 
 
 class TestV3Roundtrip:
@@ -72,20 +73,10 @@ class TestV3Roundtrip:
         """v2 bytes upgraded to v3 round-trip deterministically."""
         bundle = load_statistics_bundle(FIXTURES / "v2.ps3stats")
         first = tmp_path / "first.ps3stats"
-        save_statistics(
-            bundle.statistics,
-            first,
-            index=bundle.index,
-            plan_cache_keys=bundle.plan_cache_keys,
-        )
+        save_statistics(bundle.statistics, first, index=bundle.index)
         reloaded = load_statistics_bundle(first)
         second = tmp_path / "second.ps3stats"
-        save_statistics(
-            reloaded.statistics,
-            second,
-            index=reloaded.index,
-            plan_cache_keys=reloaded.plan_cache_keys,
-        )
+        save_statistics(reloaded.statistics, second, index=reloaded.index)
         assert first.read_bytes() == second.read_bytes()
         manifest, __ = _read_manifest(first, io=None)
         assert manifest["version"] == 3
@@ -95,14 +86,8 @@ class TestV3Roundtrip:
         """Old bytes -> store checkpoint -> recovery: still bit-stable."""
         bundle = load_statistics_bundle(FIXTURES / "v2.ps3stats")
         store = StatisticsStore(tmp_path)
-        store.checkpoint(
-            bundle.statistics,
-            index=bundle.index,
-            plan_cache_keys=bundle.plan_cache_keys,
-        )
+        store.checkpoint(bundle.statistics, index=bundle.index)
         first = (tmp_path / "stats.ps3stats").read_bytes()
         stats, index = StatisticsStore(tmp_path).load_statistics()
-        StatisticsStore(tmp_path).checkpoint(
-            stats, index=index, plan_cache_keys=bundle.plan_cache_keys
-        )
+        StatisticsStore(tmp_path).checkpoint(stats, index=index)
         assert (tmp_path / "stats.ps3stats").read_bytes() == first

@@ -21,11 +21,11 @@ from repro.errors import (
 from repro.storage import (
     StatisticsStore,
     WriteAheadLog,
-    load_statistics_bundle,
     save_model,
     save_statistics,
 )
 from repro.storage.atomic import FileIO
+from repro.storage.stats_io import _read_manifest
 from repro.workload import QueryGenerator
 from repro.workload.spec import WorkloadSpec
 
@@ -353,7 +353,8 @@ class TestDurableAppend:
         )
         assert len(system.feature_builder.plan_cache) > 0
         system.checkpoint()
-        assert load_statistics_bundle(store.stats_path).plan_cache_keys == ()
+        manifest, __ = _read_manifest(store.stats_path, io=None)
+        assert "plan_cache_keys" not in manifest
 
 
 class TestOpenEqualsNeverCrashed:

@@ -320,28 +320,3 @@ class TestAppendCheckpoint:
         assert main(["checkpoint", "--deploy", str(deploy)]) == 0
         capsys.readouterr()
         assert self._count_answer(capsys, deploy)
-
-
-class TestPersistedPlanKeys:
-    """`train` scopes the saved plan keys to its own workload."""
-
-    def test_keys_match_training_workload_only(self, deployment):
-        from repro.datasets import get_dataset
-        from repro.storage import load_statistics_bundle
-        from repro.workload.generator import QueryGenerator
-
-        bundle = load_statistics_bundle(deployment / "stats.ps3stats")
-        spec = get_dataset("kdd")
-        ptable = spec.build(3000, 12, spec.default_layout, seed=4)
-        generator = QueryGenerator(spec.workload(), ptable.table, seed=5)
-        expected = sorted(
-            {
-                repr(query.predicate)
-                for query in generator.sample_queries(8)
-                if query.predicate is not None
-            }
-        )
-        assert list(bundle.plan_cache_keys) == expected
-        # Not the process-global shared cache: the fixture's training run
-        # compiled plans into SHARED_PLAN_CACHE from other suites too.
-        assert bundle.plan_cache_keys
