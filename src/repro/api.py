@@ -432,7 +432,7 @@ class PS3:
         """A point-in-time, JSON-serializable observability snapshot.
 
         Merges the process-wide registry (engine sweeps / grid scoring,
-        plan- and mask-cache hit rates, WAL append/fsync latency,
+        plan-cache hit rates, WAL append/fsync latency,
         checkpoint duration — everything the engine and storage planes
         record via :func:`repro.obs.get_registry`) with the most recent
         :meth:`serve` front end's private registry (``serving.*``

@@ -13,6 +13,7 @@ procedure, and several benchmarks reuse them.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,10 +41,20 @@ class TrainingConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.num_models < 1:
-            raise ConfigError("num_models must be >= 1")
-        if not 0.0 < self.top_fraction <= 1.0:
-            raise ConfigError("top_fraction must be in (0, 1]")
+        # Non-bool integers and finite reals, checked here rather than
+        # deep inside ``fit``; NaN fails every range comparison.
+        for name in ("num_models", "gbrt_trees", "gbrt_depth", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+            if name != "seed" and value < 1:
+                raise ConfigError(f"{name} must be >= 1, got {value!r}")
+        for name in ("top_fraction", "gbrt_learning_rate", "gbrt_colsample"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ConfigError(f"{name} must be a real number, got {value!r}")
+            if not 0.0 < value <= 1.0:
+                raise ConfigError(f"{name} must be in (0, 1], got {value!r}")
 
 
 @dataclass

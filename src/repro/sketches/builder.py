@@ -50,6 +50,7 @@ from repro.engine.schema import Column, Schema
 from repro.engine.table import Partition, PartitionedTable
 from repro.sketches.akmv import AKMVSketch
 from repro.sketches.exact_dict import ExactDictionary
+from repro.sketches.hashing import hash_distinct
 from repro.sketches.heavy_hitter import HeavyHitterSketch
 from repro.sketches.histogram import EquiDepthHistogram
 from repro.sketches.measures import MeasuresSketch
@@ -322,9 +323,6 @@ def build_dataset_statistics(
     return dataset
 
 
-_HASH_CHUNK = 8192  # distinct values hashed per joined digest buffer
-
-
 @dataclass(frozen=True)
 class _SegmentedDistincts:
     """Every segment's sorted distinct values, stacked.
@@ -344,42 +342,6 @@ class _SegmentedDistincts:
     def values(self) -> np.ndarray:
         """The distinct values themselves (segment-sorted)."""
         return self.uniques[self.codes]
-
-    def hashes(self) -> np.ndarray:
-        """Stable 64-bit hash of each global distinct value.
-
-        Hashing is per distinct of all segments — the scalar plane's
-        ``hash_array`` hashes each distinct once per segment it appears
-        in. The digests are the same blake2b-64 as ``hash_value``, with
-        the per-value payload packing batched.
-        """
-        import hashlib
-
-        from repro.sketches.hashing import hash_value
-
-        uniques = self.uniques
-        if uniques.dtype.kind in "fiu":
-            # Each float64 as its 8 packed bytes, identical to the
-            # per-value struct.pack("<d", ...) in hash_value; the digests
-            # are joined and read back as little-endian uint64, a chunk
-            # at a time so the temporaries stay bounded.
-            packed = np.ascontiguousarray(uniques, dtype="<f8").view("V8")
-            blake2b = hashlib.blake2b
-            out = np.empty(len(packed), dtype=np.uint64)
-            for start in range(0, len(packed), _HASH_CHUNK):
-                chunk = packed[start : start + _HASH_CHUNK].tolist()
-                digests = b"".join([blake2b(v, digest_size=8).digest() for v in chunk])
-                out[start : start + len(chunk)] = np.frombuffer(digests, "<u8")
-            return out
-        # Strings, bytes, everything else: defer to hash_value per global
-        # distinct, so the payload rules (np.str_ -> utf-8, any other
-        # scalar -> float pack) can never drift from the scalar plane's
-        # hash_array — including its failure mode on unconvertible values.
-        return np.fromiter(
-            (hash_value(value) for value in uniques),
-            dtype=np.uint64,
-            count=len(uniques),
-        )
 
 
 def _segment_column(
@@ -425,16 +387,17 @@ def _merge_equal_runs(
 
 
 def _sort_segments_by_hash(
-    seg: _SegmentedDistincts, hashes: np.ndarray
+    seg: _SegmentedDistincts,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Each partition's distinct hashes sorted ascending, collisions merged.
 
     Mirrors ``np.unique(hash_array(slice), return_counts=True)`` per
     partition: distinct values re-keyed by hash, re-sorted within the
-    segment, equal hashes (collisions) summed.
+    segment, equal hashes (collisions) summed. Each global distinct is
+    hashed once, not once per segment it appears in.
     """
     n = len(seg.offsets) - 1
-    entry_hashes = hashes[seg.codes]
+    entry_hashes = hash_distinct(seg.uniques)[seg.codes]
     part_ids = np.repeat(np.arange(n, dtype=np.int64), np.diff(seg.offsets))
     order = np.lexsort((entry_hashes, part_ids))
     sorted_hashes = entry_hashes[order]
@@ -460,80 +423,65 @@ def build_column_statistics_batch(
     n = len(offsets) - 1
     if n == 0:
         return []
-    if columns[0].is_categorical:
-        seg, heavy_hitters = _segment_column(values, offsets, config)
-        hashes = seg.hashes()
-        hashed_keys, hashed_counts, hashed_offsets = _sort_segments_by_hash(
-            seg, hashes
-        )
-        float_keys, float_counts, float_offsets = _merge_equal_runs(
-            hashed_keys.astype(np.float64), hashed_counts, hashed_offsets
-        )
+    categorical = columns[0].is_categorical
+    if not categorical:
+        values = values.astype(np.float64)
+        if _breaks_dedup(values):
+            # Two float families break the "same value, same bits" premise
+            # of a dataset-global dedup: -0.0 compares equal to 0.0 but has
+            # different bits (np.unique's run representative depends on
+            # sort internals), and NaNs never compare equal yet np.unique
+            # collapses them to one representative regardless of payload
+            # bits. Either way the global pass cannot replay each
+            # partition's per-slice np.unique pick; both are rare enough to
+            # hand the whole column to the scalar oracle instead of
+            # guessing.
+            return [
+                build_column_statistics(
+                    columns[p], values[offsets[p] : offsets[p + 1]], config
+                )
+                for p in range(n)
+            ]
+    seg, heavy_hitters = _segment_column(values, offsets, config)
+    hashed_keys, hashed_counts, hashed_offsets = _sort_segments_by_hash(seg)
+    distinct_values = seg.values()
+    if categorical:
+        # Hashed histograms are built on the float64 cast of the hashes,
+        # under which distinct uint64 hashes can become equal.
         histograms = EquiDepthHistogram.build_segmented(
-            float_keys,
-            float_counts,
-            float_offsets,
+            *_merge_equal_runs(
+                hashed_keys.astype(np.float64), hashed_counts, hashed_offsets
+            ),
             buckets=config.histogram_buckets,
             hashed=True,
         )
-        distinct_values = seg.values()
-        out = []
-        for p in range(n):
-            stats = ColumnStatistics(column=columns[p])
-            stats.histogram = histograms[p]
-            lo, hi = int(hashed_offsets[p]), int(hashed_offsets[p + 1])
-            stats.akmv = AKMVSketch.from_hash_counts(
-                hashed_keys[lo:hi], hashed_counts[lo:hi], k=config.akmv_k
-            )
-            stats.heavy_hitter = heavy_hitters[p]
-            if columns[p].low_cardinality:
-                dlo, dhi = int(seg.offsets[p]), int(seg.offsets[p + 1])
-                stats.exact_dict = ExactDictionary.from_distinct_counts(
-                    distinct_values[dlo:dhi],
-                    seg.counts[dlo:dhi],
-                    limit=config.exact_dict_limit,
-                )
-            out.append(stats)
-        return out
-
-    numeric = values.astype(np.float64)
-    if _breaks_dedup(numeric):
-        # Two float families break the "same value, same bits" premise of
-        # a dataset-global dedup: -0.0 compares equal to 0.0 but has
-        # different bits (np.unique's run representative depends on sort
-        # internals), and NaNs never compare equal yet np.unique
-        # collapses them to one representative regardless of payload
-        # bits. Either way the global pass cannot replay each
-        # partition's per-slice np.unique pick; both are rare enough to
-        # hand the whole column to the scalar oracle instead of
-        # guessing.
-        return [
-            build_column_statistics(
-                columns[p], numeric[offsets[p] : offsets[p + 1]], config
-            )
-            for p in range(n)
-        ]
-    seg, heavy_hitters = _segment_column(numeric, offsets, config)
-    measures = MeasuresSketch.build_segmented(
-        numeric, offsets, track_log=[c.positive for c in columns]
-    )
-    distinct_values = seg.values()
-    histograms = EquiDepthHistogram.build_segmented(
-        distinct_values, seg.counts, seg.offsets, buckets=config.histogram_buckets
-    )
-    hashed_keys, hashed_counts, hashed_offsets = _sort_segments_by_hash(
-        seg, seg.hashes()
-    )
+        measures = [None] * n
+    else:
+        histograms = EquiDepthHistogram.build_segmented(
+            distinct_values, seg.counts, seg.offsets, buckets=config.histogram_buckets
+        )
+        measures = MeasuresSketch.build_segmented(
+            values, offsets, track_log=[c.positive for c in columns]
+        )
     out = []
     for p in range(n):
-        stats = ColumnStatistics(column=columns[p])
-        stats.measures = measures[p]
-        stats.histogram = histograms[p]
         lo, hi = int(hashed_offsets[p]), int(hashed_offsets[p + 1])
-        stats.akmv = AKMVSketch.from_hash_counts(
-            hashed_keys[lo:hi], hashed_counts[lo:hi], k=config.akmv_k
+        stats = ColumnStatistics(
+            column=columns[p],
+            measures=measures[p],
+            histogram=histograms[p],
+            akmv=AKMVSketch.from_hash_counts(
+                hashed_keys[lo:hi], hashed_counts[lo:hi], k=config.akmv_k
+            ),
+            heavy_hitter=heavy_hitters[p],
         )
-        stats.heavy_hitter = heavy_hitters[p]
+        if columns[p].low_cardinality:  # categorical columns only
+            dlo, dhi = int(seg.offsets[p]), int(seg.offsets[p + 1])
+            stats.exact_dict = ExactDictionary.from_distinct_counts(
+                distinct_values[dlo:dhi],
+                seg.counts[dlo:dhi],
+                limit=config.exact_dict_limit,
+            )
         out.append(stats)
     return out
 

@@ -193,3 +193,15 @@ def test_byte_identity_goldens_are_a_named_tier1_gate(jobs):
     assert "Byte-identity goldens" in header
     for suite in BYTE_IDENTITY_SUITES:
         assert suite in header, suite
+
+
+def test_accuracy_gate_is_a_named_slow_step(jobs):
+    """The accuracy gate runs as its own step of the slow job, so a
+    bit-changing optimisation that costs accuracy is a red gate of its
+    own; the blanket slow run leaves it out instead of running it twice."""
+    steps = {step.get("name"): step for step in jobs["slow"]["steps"]}
+    gate = steps["Accuracy gate"]["run"]
+    assert gate == (
+        "PYTHONPATH=src python -m pytest -x -q tests/accuracy/test_accuracy_gate.py"
+    )
+    assert "--ignore=tests/accuracy" in steps["Slow suites"]["run"]

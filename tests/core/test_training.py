@@ -127,6 +127,42 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             TrainingConfig(top_fraction=0.0)
 
+    # Each of these used to construct fine and fail only inside ``fit``
+    # (GBRT's ConfigError, or numpy's TypeError for the seed).
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("gbrt_trees", 0),
+            ("gbrt_trees", 2.0),
+            ("gbrt_depth", 0),
+            ("gbrt_depth", -1),
+            ("gbrt_learning_rate", float("nan")),
+            ("gbrt_learning_rate", 0.0),
+            ("gbrt_learning_rate", 1.5),
+            ("gbrt_learning_rate", float("inf")),
+            ("gbrt_colsample", 0.0),
+            ("gbrt_colsample", float("nan")),
+            ("gbrt_colsample", 1.01),
+            ("seed", 1.5),
+            ("seed", True),
+            ("num_models", True),
+            ("top_fraction", "0.1"),
+        ],
+    )
+    def test_rejected_at_construction(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            TrainingConfig(**{field: value})
+
+    def test_edges_and_numpy_scalars_accepted(self):
+        config = TrainingConfig(
+            gbrt_trees=np.int64(1),
+            gbrt_depth=1,
+            gbrt_learning_rate=1.0,
+            gbrt_colsample=np.float64(1.0),
+            seed=np.int32(-3),
+        )
+        assert config.gbrt_trees == 1
+
 
 class TestFunnelLabels:
     @pytest.mark.xfail(
