@@ -24,7 +24,11 @@ the block's width or column order:
   id (two members are equidistant from their midpoint by construction).
   In a larger one, members whose distance to the median is within a
   relative ``1e-12`` of the smallest tie, and the lowest partition id
-  wins. (Assignment ties in KMeans are ``argmin``'s: lowest cluster index.)
+  wins. KMeans seeds tie within a relative ``1e-9``: of rows that far
+  from the mean, the lowest candidate position gives the direction, and
+  ranked projections share a key while each is within ``1e-9`` of the
+  largest |projection| of the one before; a key's lowest row seeds, and
+  no key seeds twice. (Its assignment ties are ``argmin``'s.)
 * **Non-finite features.** One NaN in a numeric column gives a partition
   NaN / ±inf measure statistics. Non-finite entries of the candidates'
   block are replaced by ``0.0``, the value a masked statistic has, so
@@ -46,9 +50,7 @@ CLUSTER_ALGORITHMS = ("kmeans", "hac-ward", "hac-single", "hac-complete", "hac-a
 TIE_RTOL = 1e-12
 
 
-def _cluster_labels(
-    matrix: np.ndarray, n_clusters: int, algorithm: str, seed: int
-) -> np.ndarray:
+def _cluster_labels(matrix: np.ndarray, n_clusters: int, algorithm: str) -> np.ndarray:
     if algorithm not in CLUSTER_ALGORITHMS:
         raise ConfigError(
             f"unknown clustering algorithm {algorithm!r}; "
@@ -57,7 +59,7 @@ def _cluster_labels(
     if n_clusters == 1:  # one stratum: nothing to seed, merge or iterate
         return np.zeros(matrix.shape[0], dtype=np.intp)
     if algorithm == "kmeans":
-        return KMeans(n_clusters=n_clusters, seed=seed).fit_predict(matrix)
+        return KMeans(n_clusters).fit_predict(matrix)
     return agglomerative(matrix, n_clusters, linkage=algorithm[4:])
 
 
@@ -117,7 +119,7 @@ def cluster_sample(
     finite = np.isfinite(sub)
     if not finite.all():
         sub = np.where(finite, sub, 0.0)
-    labels = _cluster_labels(sub, budget, algorithm, seed)
+    labels = _cluster_labels(sub, budget, algorithm)
     # Members of each cluster, ascending cluster id, in candidate order.
     by_cluster = np.argsort(labels, kind="stable")
     selection: list[WeightedChoice] = []

@@ -103,7 +103,6 @@ class ClusteringErrorEvaluator:
                     passing,
                     max(1, int(round(fraction * num_partitions))),
                     algorithm=self.algorithm,
-                    seed=self.seed,
                 )
                 for fraction in self.budget_fractions
             ]

@@ -217,7 +217,6 @@ class PS3Picker:
         block: np.ndarray | None,
         members: np.ndarray,
         budget: int,
-        seed: int,
     ) -> list[WeightedChoice]:
         """Weighted choices for one importance group; ``block`` is the
         select's live clustering columns, ``None`` to sample uniformly."""
@@ -231,7 +230,6 @@ class PS3Picker:
             budget,
             algorithm=self.config.clustering_algorithm,
             exemplar=self.config.exemplar,
-            seed=seed,
             rng=self._rng,
         )
 
@@ -334,16 +332,9 @@ class PS3Picker:
         clustered = (
             block[:, np.flatnonzero(self._clusterable[live])] if clustering_ok else None
         )
-        for group_index, (members, group_budget) in enumerate(
-            zip(groups, group_budgets)
-        ):
+        for members, group_budget in zip(groups, group_budgets):
             selection.extend(
-                self._sample_within_group(
-                    clustered,
-                    members,
-                    group_budget,
-                    seed=self.config.seed + group_index,
-                )
+                self._sample_within_group(clustered, members, group_budget)
             )
 
         return PickerSelection(

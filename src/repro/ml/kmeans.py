@@ -1,11 +1,23 @@
-"""KMeans clustering (k-means++ initialization + Lloyd iterations).
+"""KMeans clustering: projection-quantile seeds, then at most two Lloyd
+passes (paper section 4.2's clustering; Table 6 finds it and ward HAC
+interchangeable, and both are benchmarked). A fit draws no random number
+and makes at most three assignment passes, whatever ``k``:
 
-Used by PS3's sample-via-clustering component (paper section 4.2). The
-paper found KMeans and ward-linkage HAC interchangeable (Table 6); both
-are provided and benchmarked.
+* **Seed.** The row farthest from the block's mean (within a relative
+  ``SEED_RTOL``, the lowest row) gives a direction. The rows, ranked by
+  their centered projection onto it, share a key while the gap to the
+  previous projection is at most ``SEED_RTOL`` of the largest |projection|;
+  the seeds are the lowest rows of the *distinct* keys, ranked, at the
+  mid-quantiles ``(2i + 1) / 2k`` (all of them when there are fewer).
+* **Refine.** Assign, then up to ``LLOYD_PASSES`` Lloyd passes (member
+  means from one one-hot matmul), stopping early on unchanged labels.
+* **Re-seed.** After every assignment an empty cluster is dropped (later
+  ones shift down), and while fewer than k remain a new last cluster
+  takes the row farthest from its own center, with every row strictly
+  closer to that row than to its own. Exact differences, 0 on a row
+  equal to its center, make that exactly ``min(k, distinct rows)``.
 
-Assignment ties are ``argmin``'s: a point equidistant from several
-centers joins the one with the lowest cluster index.
+Assignment ties are ``argmin``'s: the lowest cluster index.
 """
 
 from __future__ import annotations
@@ -16,6 +28,11 @@ import numpy as np
 
 from repro.errors import ConfigError, NotFittedError
 
+#: Relative gap within which seed distances and projections are equal.
+SEED_RTOL = 1e-9
+#: Lloyd passes after the first assignment.
+LLOYD_PASSES = 2
+
 
 def _sq_norms(rows: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", rows, rows)
@@ -24,95 +41,84 @@ def _sq_norms(rows: np.ndarray) -> np.ndarray:
 def _pairwise_sq_dist(
     points: np.ndarray, norms: np.ndarray, centers: np.ndarray
 ) -> np.ndarray:
-    """Squared Euclidean distances, shape (n_points, n_centers).
-
-    ``norms`` is ``_sq_norms(points)``: the points do not move between
-    Lloyd iterations, so a fit computes it once.
-    """
+    """Squared distances, (n_points, n_centers); ``norms`` is
+    ``_sq_norms(points)``, computed once per fit."""
     cross = points @ centers.T
     return np.maximum(norms[:, None] + _sq_norms(centers) - 2.0 * cross, 0.0)
 
 
+def _seed_rows(X: np.ndarray, k: int) -> np.ndarray:
+    """Rows of the k seeds, as the module docstring states."""
+    centered = X - X.mean(axis=0)
+    spread = _sq_norms(centered)
+    farthest = int(np.argmax(spread >= spread.max() * (1.0 - SEED_RTOL)))
+    projection = centered @ centered[farthest]
+    order = np.argsort(projection, kind="stable")
+    gaps = np.diff(projection[order]) > np.abs(projection).max() * SEED_RTOL
+    keys = np.flatnonzero(np.concatenate(([True], gaps)))  # each key's first rank
+    distinct = np.minimum.reduceat(order, keys)
+    if distinct.size <= k:  # every distinct key is a mid-quantile
+        return distinct
+    return distinct[(2 * np.arange(k) + 1) * distinct.size // (2 * k)]
+
+
+def _reseed(
+    X: np.ndarray, labels: np.ndarray, centers: np.ndarray, k: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """``labels`` and ``centers`` re-seeded as the module docstring states."""
+    counts = np.bincount(labels, minlength=centers.shape[0])
+    if counts.size == k and counts.all():
+        return labels, centers
+    own = _sq_norms(X - centers[labels])
+    while True:
+        filled = counts > 0
+        centers, labels = centers[filled], (filled.cumsum() - 1)[labels]
+        row = int(own.argmax())
+        if centers.shape[0] == k or not own[row] > 0.0:  # NaN: no farther row
+            return labels, centers
+        near = _sq_norms(X - X[row])
+        closer = near < own
+        closer[row] = True  # even when an inf makes ``near[row]`` NaN
+        labels[closer], own[closer] = centers.shape[0], near[closer]
+        centers = np.vstack([centers, X[row]])
+        counts = np.bincount(labels, minlength=centers.shape[0])
+
+
 @dataclass
 class KMeans:
-    """Lloyd's algorithm with k-means++ seeding.
-
-    ``n_clusters`` larger than the number of points degrades gracefully to
-    one point per cluster.
-    """
+    """Bounded, rng-free k-means (module docstring); ``n_clusters`` above
+    the number of points gives one point per cluster."""
 
     n_clusters: int
-    max_iter: int = 50
-    tol: float = 1e-6
-    seed: int = 0
-    labels_: np.ndarray | None = field(default=None, repr=False)
-    centers_: np.ndarray | None = field(default=None, repr=False)
-    inertia_: float = field(default=np.inf, repr=False)
+    labels_: np.ndarray | None = field(default=None, init=False, repr=False)
+    centers_: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.n_clusters < 1:
             raise ConfigError("n_clusters must be >= 1")
-
-    def _init_centers(
-        self, X: np.ndarray, norms: np.ndarray, k: int, rng
-    ) -> np.ndarray:
-        n = X.shape[0]
-        centers = np.empty((k, X.shape[1]), dtype=np.float64)
-        centers[0] = X[rng.integers(n)]
-        closest = _pairwise_sq_dist(X, norms, centers[:1]).ravel()
-        for i in range(1, k):
-            total = closest.sum()
-            if total <= 0.0:
-                centers[i:] = X[rng.integers(n, size=k - i)]
-                break
-            # ``rng.choice(n, p=closest / total)``'s own inverse-CDF draw,
-            # without its per-call validation of ``p``.
-            cdf = (closest / total).cumsum()
-            cdf /= cdf[-1]
-            centers[i] = X[cdf.searchsorted(rng.random(), side="right")]
-            dist = _pairwise_sq_dist(X, norms, centers[i : i + 1]).ravel()
-            np.minimum(closest, dist, out=closest)
-        return centers
 
     def fit(self, X: np.ndarray) -> KMeans:
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2 or X.shape[0] == 0:
             raise ConfigError(f"bad input shape {X.shape}")
         k = min(self.n_clusters, X.shape[0])
-        rng = np.random.default_rng(self.seed)
         norms = _sq_norms(X)
-        centers = self._init_centers(X, norms, k, rng)
-        # Assign, stop or move, repeat: every exit leaves ``labels`` the
-        # assignment to the final ``centers``. Unchanged labels would
-        # move no center, so that assignment is already the final one.
-        labels, settled = np.full(X.shape[0], -1), False
-        for moves in range(self.max_iter + 1):
-            distances = _pairwise_sq_dist(X, norms, centers)
-            previous, labels = labels, distances.argmin(axis=1)
-            if settled or moves == self.max_iter or (previous == labels).all():
+        centers, labels = X[_seed_rows(X, k)], None
+        for moves in range(LLOYD_PASSES + 1):
+            if moves:
+                members = (labels[:, None] == np.arange(len(centers))).astype(float)
+                centers = (members.T @ X) / np.bincount(labels)[:, None]
+            previous = labels
+            labels = _pairwise_sq_dist(X, norms, centers).argmin(axis=1)
+            labels, centers = _reseed(X, labels, centers, k)
+            if np.array_equal(previous, labels):
                 break
-            # Member means: one segment reduction over label-sorted rows.
-            counts = np.bincount(labels, minlength=k)
-            filled = counts > 0
-            moved = np.empty_like(centers)
-            moved[filled] = np.add.reduceat(
-                X[labels.argsort(kind="stable")],
-                (counts.cumsum() - counts)[filled],
-                axis=0,
-            ) / counts[filled, None]
-            if not filled.all():  # re-seed empty clusters at the farthest point
-                moved[~filled] = X[distances.min(axis=1).argmax()]
-            settled = np.abs(moved - centers).max() <= self.tol
-            centers = moved
         self.labels_ = labels
         self.centers_ = centers
-        self.inertia_ = float(distances.min(axis=1).sum())
         return self
 
     def fit_predict(self, X: np.ndarray) -> np.ndarray:
-        self.fit(X)
-        assert self.labels_ is not None
-        return self.labels_
+        return self.fit(X).labels_
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         if self.centers_ is None:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import repro.core.cluster_sampler as sampler_module
 from repro.core.cluster_sampler import cluster_sample, random_sample
 from repro.errors import ConfigError
 
@@ -112,8 +113,9 @@ def widened(matrix, width, seed):
 
 
 class TestTieRule:
-    """The exemplar is a function of the points, not of how wide the
-    block is, what order its columns are in, or last-digit rounding."""
+    """The exemplar and the KMeans seeds are functions of the points, not
+    of how wide the block is, what order its columns are in, or
+    last-digit rounding."""
 
     LAYOUTS = [(7, 0), (7, 1), (60, 2), (478, 3), (478, 4)]
 
@@ -172,6 +174,92 @@ class TestTieRule:
                 widened(matrix, width, seed), candidates, budget=1, seed=0
             )
             assert [(c.partition, c.weight) for c in selection] == [(2, 4.0)]
+
+    # KMeans' seeds are a function of the points too: equal rows at a
+    # mid-quantile seed once, from the lowest position, and ranked
+    # projections share a key while each gap is at most 1e-9 of the
+    # largest, whatever the layout's rounding.
+
+    def test_seeds_duplicate_rows_at_a_quantile_position_once(self, monkeypatch):
+        # Distinct positions 0 1 2 6 7 12 13: the mid-quantiles of three
+        # seeds are 1, 6 and 12, and 6 and 12 are duplicated rows.
+        positions = [12, 0, 6, 0, 13, 1, 6, 0, 7, 2, 12]
+        matrix, candidates = on_a_line(positions, 0.0, seed=11)
+        picks, labels = picks_under_layouts(matrix, candidates, 3, monkeypatch)
+        strata = {0: 0, 1: 0, 2: 0, 6: 1, 7: 1, 12: 2, 13: 2}
+        # Seeded in quantile order: cluster ids follow the positions.
+        assert labels == tuple(strata[p] for p in positions)
+        lowest = [
+            min(c for c, p in zip(candidates, positions) if p == at)
+            for at in (0, 6, 12)
+        ]
+        assert picks == [(lowest[0], 5.0), (lowest[1], 3.0), (lowest[2], 3.0)]
+
+    def test_seed_projections_within_the_tolerance_share_a_key(self, monkeypatch):
+        # Each position's rows differ by noise 1e-13 of the spread: one
+        # key each, so the seeds are the rows at positions 0, 8 and 9.
+        positions = [8, 0, 3, 9, 0, 8, 3, 0, 8, 3, 8, 0]
+        matrix, candidates = on_a_line(positions, 1e-12, seed=12)
+        picks, labels = picks_under_layouts(matrix, candidates, 3, monkeypatch)
+        strata = {0: 0, 3: 0, 8: 1, 9: 2}
+        assert labels == tuple(strata[p] for p in positions)
+        assert [weight for __, weight in picks] == [7.0, 4.0, 1.0]
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("budget", [3, 4, 6])
+    def test_rows_tied_in_projection_seed_from_the_lowest_row(
+        self, seed, budget, monkeypatch
+    ):
+        # Distinct rows whose projections differ only by rounding share
+        # one key; seeding it from its lowest row, not from whichever
+        # projection a layout rounds lowest, keeps every layout's fit.
+        rng = np.random.default_rng(seed)
+        direction = rng.normal(0.0, 1.0, 7)
+        spokes = rng.normal(0.0, 1.0, (6, 7))
+        spokes -= np.outer(spokes @ direction / (direction @ direction), direction)
+        rows = np.vstack([spokes, -spokes, np.tile(10.0 * direction, (3, 1))])
+        candidates = rng.permutation(rows.shape[0] + 4)[: rows.shape[0]]
+        matrix = np.zeros((rows.shape[0] + 4, 7))
+        matrix[candidates] = rows[rng.permutation(rows.shape[0])]
+        picks, __ = picks_under_layouts(matrix, candidates, budget, monkeypatch)
+        assert len(picks) == budget
+
+    def test_equal_rows_seed_one_cluster(self, monkeypatch):
+        matrix, candidates = on_a_line([4] * 9, 0.0, seed=13)
+        picks, labels = picks_under_layouts(matrix, candidates, 3, monkeypatch)
+        assert labels == (0,) * 9
+        assert picks == [(int(candidates.min()), 9.0)]
+
+
+def on_a_line(positions, noise, seed):
+    """Rows at ``positions`` along one direction of 7 columns, plus
+    ``noise`` (scale) in every column; the rows go to a shuffled set of
+    partition ids. Returns the matrix and the candidates in row order."""
+    rng = np.random.default_rng(seed)
+    direction = rng.normal(0.0, 1.0, 7)
+    rows = np.outer(positions, direction) + rng.normal(0.0, noise, (len(positions), 7))
+    candidates = rng.permutation(len(positions) + 4)[: len(positions)]
+    matrix = np.zeros((len(positions) + 4, 7))
+    matrix[candidates] = rows
+    return matrix, candidates
+
+
+def picks_under_layouts(matrix, candidates, budget, monkeypatch):
+    """The one selection and the one labelling every layout gives."""
+    picks, labellings = set(), set()
+    original = sampler_module._cluster_labels
+
+    def recording(*args):
+        labels = original(*args)
+        labellings.add(tuple(labels.tolist()))
+        return labels
+
+    monkeypatch.setattr(sampler_module, "_cluster_labels", recording)
+    for width, seed in TestTieRule.LAYOUTS:
+        selection = cluster_sample(widened(matrix, width, seed), candidates, budget)
+        picks.add(tuple((c.partition, c.weight) for c in selection))
+    assert len(picks) == 1 and len(labellings) == 1
+    return list(picks.pop()), labellings.pop()
 
 
 class TestNonFiniteFeatures:

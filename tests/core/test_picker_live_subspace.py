@@ -9,6 +9,13 @@ gathered the live columns. Memberships and weights must be identical;
 exemplars too, except where the tie rule of
 :mod:`repro.core.cluster_sampler` says the choice was a tie, and any
 other difference is printed with its distance gap.
+
+Every recorded call is also held to the budget-use contract of a pick
+(``spends_its_budget``): the weights sum to the passing count, and a
+group that clusters yields ``min(group budget, distinct rows)``
+exemplars, so a k-means fit that leaves a cluster empty, and reads fewer
+partitions than it was given, fails here; duplicate-heavy synthetic
+blocks are held to it too (``TestBudgetUseOnDuplicateHeavyBlocks``).
 """
 
 import numpy as np
@@ -62,6 +69,26 @@ def median_distance(block, members, partition):
     return float(np.sqrt(gap @ gap))
 
 
+def distinct_rows(block: np.ndarray, members: np.ndarray) -> int:
+    """Distinct feature rows among ``members``, non-finite entries as
+    ``cluster_sample`` clusters them (as ``0.0``)."""
+    sub = block[members]
+    return np.unique(np.where(np.isfinite(sub), sub, 0.0), axis=0).shape[0]
+
+
+def spends_its_budget(block, members, budget, chosen) -> bool:
+    """Asserts the budget-use contract of one group; whether it clustered."""
+    partitions = [c.partition for c in chosen]
+    assert len(set(partitions)) == len(partitions)
+    assert set(partitions) <= set(members.tolist())
+    assert sum(c.weight for c in chosen) == members.size
+    if budget >= members.size:
+        assert len(chosen) == members.size
+        return False
+    assert len(chosen) == min(budget, distinct_rows(block, members))
+    return True
+
+
 def compare_picks(system, queries, budgets, monkeypatch):
     """Counts of (cluster_sample calls, clusters, exemplars that differ on
     a tie); raises on any other difference."""
@@ -79,10 +106,12 @@ def compare_picks(system, queries, budgets, monkeypatch):
     compared = clusters = ties = 0
     problems = []
     for query in queries:
-        live = builder.features_for_query(query).live_columns
+        features = builder.features_for_query(query)
+        live, passing = features.live_columns, features.passing_partitions().size
         for budget in budgets:
             del calls[:]
-            picker.select(query, budget)
+            picked = picker.select(query, budget).selection
+            assert sum(c.weight for c in picked) == passing
             for block, members, group_budget, kwargs in calls:
                 assert block.shape[1] == live.size < dimension
                 padded = np.zeros((block.shape[0], dimension))
@@ -93,6 +122,7 @@ def compare_picks(system, queries, budgets, monkeypatch):
                 wide, wide_labels = labelled(
                     monkeypatch, padded, members, group_budget, **kwargs
                 )
+                spends_its_budget(block, members, group_budget, narrow)
                 compared += 1
                 clusters += len(narrow)
                 if labels is not None and not np.array_equal(labels, wide_labels):
@@ -123,17 +153,51 @@ def compare_picks(system, queries, budgets, monkeypatch):
 class TestLiveBlockAgainstFullWidth:
     def test_kdd_picks(self, kdd_system, monkeypatch):
         system, queries = kdd_system
-        compared, clusters, __ = compare_picks(system, queries, (2, 5), monkeypatch)
+        compared, clusters, __ = compare_picks(system, queries, (2, 5, 14), monkeypatch)
         assert compared >= 400 and clusters >= 1000
 
     def test_tpch_picks(self, tpch_system, monkeypatch):
         system, queries = tpch_system
-        compared, clusters, __ = compare_picks(system, queries, (3, 6), monkeypatch)
+        compared, clusters, __ = compare_picks(system, queries, (3, 6, 10), monkeypatch)
         assert compared >= 300 and clusters >= 800
 
     def test_the_corpus_is_as_large_as_it_says(self, kdd_system, tpch_system):
         assert len(kdd_system[1]) + len(tpch_system[1]) >= 500
         assert len(set(kdd_system[1])) + len(set(tpch_system[1])) >= 400
+
+
+def fan(rng, width):
+    """A duplicate-heavy block whose rows tie in projection: a few equal
+    far rows set the KMeans seed direction along column 0, and the other
+    rows, drawn with repetition from a few spokes and mirrored, differ
+    only across it. Returns the block and the far rows' positions."""
+    spokes = rng.normal(0.0, 1.0, (int(rng.integers(2, 9)), width))
+    spokes[:, 0] = 0.0
+    drawn = spokes[rng.integers(spokes.shape[0], size=int(rng.integers(4, 50)))]
+    far = np.zeros((int(rng.integers(2, 6)), width))
+    far[:, 0] = 40.0
+    rows = np.vstack([drawn, -drawn, far])
+    order = rng.permutation(rows.shape[0])
+    return rows[order], np.flatnonzero(order >= 2 * drawn.shape[0])
+
+
+class TestBudgetUseOnDuplicateHeavyBlocks:
+    """The picker's default, KMeans (ward HAC merges down to exactly the
+    budget and may split equal rows)."""
+
+    @pytest.mark.parametrize("seed", range(16))
+    def test_every_exemplar_is_spent(self, seed):
+        rng = np.random.default_rng(seed)
+        rows, far = fan(rng, int(rng.integers(2, 9)))
+        block = np.zeros((rows.shape[0] + 5, rows.shape[1]))
+        candidates = rng.permutation(block.shape[0])[: rows.shape[0]]
+        block[candidates] = rows
+        block[candidates[far[:2]], -1] = np.nan  # clusters as 0.0, as they are
+        clustered = 0
+        for budget in (2, 3, 5, 8, 13, 21, rows.shape[0] - 1):
+            chosen = cluster_sample(block, candidates, budget)
+            clustered += spends_its_budget(block, candidates, budget, chosen)
+        assert clustered >= 6
 
 
 class TestNonFiniteStatistics:

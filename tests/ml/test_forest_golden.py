@@ -12,7 +12,10 @@ sketches moved from blake2b to the splitmix64 mix, the distinct-value
 features of numeric columns moved with them, and the digests of the
 three shapes whose partitions hold more than k = 128 distinct numbers
 were re-recorded (``pick_heavy``'s 125-row partitions keep exact AKMV
-statistics, and its digests did not move).
+statistics, and its digests did not move). When the k-means fit became
+rng-free (projection-quantile seeds, at most two Lloyd passes) every
+``GOLDEN_SELECTIONS`` digest was re-recorded and no forest moved:
+training does not cluster.
 """
 
 from __future__ import annotations
@@ -46,10 +49,10 @@ GOLDEN_FORESTS = {
     "ingest_mixed": "e9cfd57811211f5ad0037631c7a068063742be4aad1384833253db651c1b3d02",
 }
 GOLDEN_SELECTIONS = {
-    "scan_heavy": "36e8c6ff5fb2d46cbfbe23fbac2b6ca1e38c4c82857c87a0849040e82ef80c40",
-    "pick_heavy": "db739f8be1b0ff47cfd1c2c84d105934bbad40d7889e9ada97184e4e0003fe49",
-    "served_open": "dd4a089a9e76ce58075b1790e25944d3b6f9368c9417fd87b3554eb53f5096ad",
-    "ingest_mixed": "1c85657217039de93db5f902cd0e73a43e08aa7580f3438cb1daf8358957f3b5",
+    "scan_heavy": "fd38d2c707b96e131da193328cb27a6f2b42083816a46aba5d88996b5a59dc68",
+    "pick_heavy": "2c0fdfcbe6e5f9a4eeef78314957fb2e80fbd4f22df47f49639846b9e48ffb6b",
+    "served_open": "e647bd3ad775d60ae12085df9bee3a03fa436e79c63c094fa0efe0d0195db5b4",
+    "ingest_mixed": "ac20ae8786dbc6642bfd94fa69e6367a061fd139b954421755ad32040e2939af",
 }
 
 
