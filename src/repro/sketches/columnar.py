@@ -32,6 +32,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -140,73 +142,114 @@ class HistogramArrays:
             np.concatenate([self.has, other.has]),
         )
 
+    @cached_property
+    def _probe(self) -> SimpleNamespace:
+        """What the kernels read, derived once per block (so per
+        generation: ``concat`` and ``from_array_state`` make new blocks)
+        and never persisted. Buckets are flat, row ``i``'s bucket ``j``
+        at ``offsets[i] + j``; each row ends in a sentinel bucket with a
+        NaN high edge, where a probe at or above every edge stops, at
+        the estimate 1. ``cum`` is the depth before each bucket: depths
+        are integer counts, so the prefix sum is exact, like the walk's.
+        """
+        edges, (n, width) = self.edges, self.depths.shape
+        his, first, last = edges[:, 1:], edges[:, 0], edges[:, -1]
+        # The first bucket not below a probe is the only one that can
+        # hold it only while each row's high edges ascend, NaN last.
+        nan = np.isnan(his)
+        if ((his[:, 1:] < his[:, :-1]) | (nan[:, :-1] & ~nan[:, 1:])).any():
+            raise ConfigError("histogram edges must ascend, NaN only at the end")
+        total1 = np.maximum(self.totals, 1.0)
+
+        def rows(body: np.ndarray, sentinel) -> np.ndarray:
+            out = np.empty((n, width + 1), dtype=body.dtype)
+            out[:, :width], out[:, width] = body, sentinel
+            return out
+
+        highs = rows(his, np.nan)
+        lo = rows(edges[:, :-1], last).ravel()
+        depth, dist = rows(self.depths, 0.0).ravel(), rows(self.distincts, 0.0).ravel()
+        with np.errstate(invalid="ignore"):  # inf - inf on infinite edges
+            span = highs.ravel() - lo
+        ends = {  # (+inf?, inclusive): rows where the primitive is 1 / 0
+            (True, True): np.inf >= last,
+            (True, False): np.inf > last,
+            (False, True): -np.inf < first,
+            (False, False): -np.inf <= first,
+        }
+        return SimpleNamespace(
+            highs=highs,
+            first=first.copy(),
+            offsets=np.arange(n) * (width + 1),
+            lo=lo,
+            hi=highs.ravel(),
+            depth=depth,
+            cum=rows(np.cumsum(self.depths, axis=1) - self.depths, total1).ravel(),
+            interp=(dist > 1) & (span > 0),
+            span=np.where(span > 0, span, 1.0),
+            single=dist == 1,
+            mass=depth / np.repeat(total1, width + 1) / np.maximum(dist, 1.0),
+            empty=self.totals == 0,
+            total1=total1,
+            floor=1.0 / total1,
+            complete=bool(self.has.all()),
+            ends={
+                key: np.full(n, float(key[0])) if closed.all() else None
+                for key, closed in ends.items()
+            },
+        )
+
     # -- vectorized selectivity primitives ---------------------------------
     # Valid only where ``has``; callers substitute 1.0 elsewhere, mirroring
-    # the scalar estimators' ``hist is None`` fallbacks.
+    # the scalar estimators' ``hist is None`` fallbacks (``or_full``).
+
+    def or_full(self, values: np.ndarray) -> np.ndarray:
+        """``values`` where a partition has a histogram, 1.0 elsewhere."""
+        return values if self._probe.complete else np.where(self.has, values, 1.0)
 
     def fraction_leq(self, value: float) -> np.ndarray:
         """Per-partition estimated fraction with ``x <= value``."""
-        n = self.num_partitions
-        his = self.edges[:, 1:]
-        zero = (self.totals == 0) | (value < self.edges[:, 0])
-        full = value >= self.edges[:, -1]
-        # Whole buckets below the probe: depths are exact integer counts,
-        # so this sum is exact regardless of summation order.
-        cumulative = np.sum(self.depths * (value >= his), axis=1)
-        rows = np.arange(n)
-        # The bucket the scalar walk stops in: the first not below the
-        # probe. Spelled ``~(value >= hi)``, not ``value < hi``, so a NaN
-        # last edge stops it there (no interpolation), not at bucket 0.
-        j = np.argmax(~(value >= his), axis=1)
-        lo_j = self.edges[rows, j]
-        hi_j = his[rows, j]
-        span = hi_j - lo_j
-        interp = (self.distincts[rows, j] > 1) & (span > 0)
-        with np.errstate(invalid="ignore"):
-            partial = np.where(
-                interp,
-                self.depths[rows, j]
-                * (value - lo_j)
-                / np.where(span > 0, span, 1.0),
-                0.0,
-            )
-        est = np.minimum(
-            np.maximum(cumulative + partial, 1.0) / np.maximum(self.totals, 1.0),
-            1.0,
-        )
-        return np.where(zero, 0.0, np.where(full, 1.0, est))
-
-    def fraction_eq(self, value: float) -> np.ndarray:
-        """Per-partition estimated fraction with ``x == value``."""
-        n = self.num_partitions
-        los = self.edges[:, :-1]
-        his = self.edges[:, 1:]
-        out_of_range = (
-            (self.totals == 0)
-            | (value < self.edges[:, 0])
-            | (value > self.edges[:, -1])
-        )
-        inside = (los < value) & (value <= his)
-        # Bucket 0 is inclusive on its lower edge (scalar bucket rule).
-        inside[:, 0] = (los[:, 0] <= value) & (value <= his[:, 0])
-        hit = inside.any(axis=1)
-        rows = np.arange(n)
-        j = np.argmax(inside, axis=1)  # first matching bucket, as in the loop
-        depth_fraction = self.depths[rows, j] / np.maximum(self.totals, 1.0)
-        dist = self.distincts[rows, j]
-        est = np.where(
-            dist == 1,
-            np.where(his[rows, j] == value, depth_fraction, 0.0),
-            depth_fraction / np.maximum(dist, 1.0),
-        )
-        return np.where(out_of_range | ~hit, 0.0, est)
+        return self._below(value, True)
 
     def fraction_lt(self, value: float) -> np.ndarray:
         """Per-partition estimated fraction with ``x < value``."""
-        zero = (self.totals == 0) | (value <= self.edges[:, 0])
-        base = self.fraction_leq(value) - self.fraction_eq(value)
-        est = np.maximum(base, 1.0 / np.maximum(self.totals, 1.0))
-        return np.where(zero, 0.0, est)
+        return self._below(value, False)
+
+    def fraction_eq(self, value: float) -> np.ndarray:
+        """Per-partition estimated fraction with ``x == value``."""
+        p = self._probe
+        hit, mass = self._point(value, p)
+        return np.where(hit & ~(p.empty | (value < p.first)), mass, 0.0)
+
+    def _point(self, value: float, p: SimpleNamespace) -> tuple:
+        """``(hit, mass)`` of the scalar ``fraction_eq`` walk, less its
+        ``total == 0`` and first-edge tests: the first bucket whose high
+        edge is not below the probe is the only one that can hold it,
+        and a single-distinct bucket holds only its high edge."""
+        k = p.offsets + (value <= p.highs).argmax(axis=1)
+        hi = p.hi.take(k)
+        return np.where(p.single.take(k), hi == value, value <= hi), p.mass.take(k)
+
+    def _below(self, value: float, inclusive: bool) -> np.ndarray:
+        """``fraction_leq(value)``, or ``fraction_lt(value)`` in the same
+        pass (the ``leq`` and ``eq`` range tests zero only rows the
+        ``lt`` test zeroes too)."""
+        p = self._probe
+        # The bucket the scalar walk stops in: the first whose high edge
+        # the probe is not ``>=`` (a NaN probe or edge stops it).
+        k = p.offsets + (value >= p.highs).argmin(axis=1)
+        with np.errstate(invalid="ignore"):
+            partial = np.where(
+                p.interp.take(k),
+                p.depth.take(k) * (value - p.lo.take(k)) / p.span.take(k),
+                0.0,
+            )
+        est = np.minimum(np.maximum(p.cum.take(k) + partial, 1.0) / p.total1, 1.0)
+        if inclusive:
+            return np.where(p.empty | (value < p.first), 0.0, est)
+        hit, mass = self._point(value, p)
+        zero = p.empty | (value <= p.first)
+        return np.where(zero, 0.0, np.maximum(est - np.where(hit, mass, 0.0), p.floor))
 
     def fraction_in_interval(
         self,
@@ -216,38 +259,26 @@ class HistogramArrays:
         high_inclusive: bool = True,
     ) -> np.ndarray:
         """Per-partition estimated fraction of rows in an interval."""
-        n = self.num_partitions
         if low > high:
-            return np.zeros(n, dtype=np.float64)
+            return np.zeros(self.num_partitions, dtype=np.float64)
         upper = self._fraction_below(high, high_inclusive)
         lower = self._fraction_below(low, not low_inclusive)
-        return np.where(
-            self.totals == 0, 0.0, np.clip(upper - lower, 0.0, 1.0)
-        )
+        return np.where(self._probe.empty, 0.0, (upper - lower).clip(0.0, 1.0))
 
     def _fraction_below(self, value: float, inclusive: bool) -> np.ndarray:
         """``fraction_leq(value)`` if ``inclusive``, else ``fraction_lt``.
 
         An infinite ``value`` — the open side of a one-sided range —
-        takes its closed form, 1 at ``+inf`` and 0 at ``-inf``, in every
-        row where the primitive's own range test returns exactly that:
-        ``+inf >= last edge`` (``>`` for ``lt``, which estimates the
-        equality mass at an infinite last edge) and ``-inf < first edge``
-        (``<=`` for ``lt``). NaN and equal-infinite end edges fail those
-        tests and take the primitive. Rows with ``totals == 0`` differ,
-        but :meth:`fraction_in_interval` zeroes them.
+        takes its closed form, 1 at ``+inf`` and 0 at ``-inf``, when
+        every row's own range test returns exactly that: ``+inf >= last
+        edge`` (``>`` for ``lt``, which estimates the equality mass at an
+        infinite last edge) and ``-inf < first edge`` (``<=`` for
+        ``lt``). NaN and equal-infinite end edges fail those tests. Rows
+        with ``totals == 0`` differ, but :meth:`fraction_in_interval`
+        zeroes them.
         """
-        primitive = self.fraction_leq if inclusive else self.fraction_lt
-        if not math.isinf(value):
-            return primitive(value)
-        if value > 0:
-            edge = self.edges[:, -1]
-            closed = value >= edge if inclusive else value > edge
-        else:
-            edge = self.edges[:, 0]
-            closed = value < edge if inclusive else value <= edge
-        form = np.full(self.num_partitions, 1.0 if value > 0 else 0.0)
-        return form if closed.all() else np.where(closed, form, primitive(value))
+        form = self._probe.ends[value > 0, inclusive] if math.isinf(value) else None
+        return self._below(value, inclusive) if form is None else form
 
 
 @dataclass
@@ -289,8 +320,8 @@ class KeyedFrequencyTable:
         out = np.zeros(num_partitions, dtype=np.float64)
         found = np.zeros(num_partitions, dtype=bool)
         probe = np.uint64(key)
-        lo = int(np.searchsorted(self.keys, probe, side="left"))
-        hi = int(np.searchsorted(self.keys, probe, side="right"))
+        lo = int(self.keys.searchsorted(probe, side="left"))
+        hi = int(self.keys.searchsorted(probe, side="right"))
         if hi > lo:
             hits = self.parts[lo:hi]
             out[hits] = self.values[lo:hi]
@@ -439,6 +470,12 @@ class ColumnIndex:
     @property
     def num_partitions(self) -> int:
         return self.stats.shape[0]
+
+    @cached_property
+    def exact_everywhere(self) -> bool:
+        """Every partition's exact dictionary is usable, so it alone
+        answers an ``IN`` or ``Contains`` clause on this column."""
+        return bool(self.ed_usable.all())
 
     def concat(self, other: ColumnIndex) -> ColumnIndex:
         """Append another block (whose parts continue this one's range)."""

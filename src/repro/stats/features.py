@@ -204,6 +204,10 @@ class QueryFeatures:
         return np.flatnonzero(self.selectivity_upper > 0.0)
 
 
+def _indices(block: slice) -> np.ndarray:
+    return np.arange(block.start, block.stop)
+
+
 class FeatureBuilder:
     """Builds per-query feature matrices from dataset statistics.
 
@@ -258,6 +262,14 @@ class FeatureBuilder:
         self._static = self._static_rows(0, dataset.num_partitions)
         self._static.flags.writeable = False  # shared with every QueryFeatures
         self._live_memo: dict[tuple, np.ndarray] = {}
+        # Each column's feature indices, concatenated for masks the memo
+        # misses (most of a stream of ad-hoc queries).
+        schema = self.schema
+        self._stat_columns = {c: _indices(schema.stat_slice(c)) for c in schema.columns}
+        self._bitmap_columns = {
+            c: _indices(schema.bitmap_slice(c)) for c in schema.groupby_columns
+        }
+        self._selectivity_columns = _indices(schema.selectivity_slice())
 
     def _static_rows(self, start: int, stop: int) -> np.ndarray:
         """Static feature rows for partitions ``[start, stop)``."""
@@ -322,14 +334,10 @@ class FeatureBuilder:
         used, group_by = query.columns(), frozenset(query.group_by)
         live = self._live_memo.get((used, group_by))
         if live is None:
-            schema = self.schema
-            blocks = [schema.stat_slice(c) for c in schema.columns if c in used]
-            blocks += [
-                schema.bitmap_slice(c)
-                for c in schema.groupby_columns
-                if c in group_by
-            ]
-            live = np.r_[(*blocks, schema.selectivity_slice())]
+            blocks = [a for c, a in self._stat_columns.items() if c in used]
+            blocks += [a for c, a in self._bitmap_columns.items() if c in group_by]
+            blocks.append(self._selectivity_columns)
+            live = np.concatenate(blocks)
             live.flags.writeable = False
             if len(self._live_memo) >= 1024:  # ad-hoc signatures: stay bounded
                 self._live_memo.clear()

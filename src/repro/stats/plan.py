@@ -71,6 +71,7 @@ class _JointIntervalOp:
     high_inclusive: bool
     point: float | None
     point_inside: bool  # interval membership of the point (scalar check)
+    nan_bound: bool  # a range constant is NaN: no row passes
     clauses: tuple[tuple[str, float], ...]  # the individual (op, value) leaves
 
 
@@ -119,12 +120,9 @@ class _BatchResult:
 
 
 def _clip(values: np.ndarray) -> np.ndarray:
-    return np.clip(values, 0.0, 1.0)
-
-
-def _hist_or_full(column: ColumnIndex, values: np.ndarray) -> np.ndarray:
-    """Apply the scalar estimators' ``hist is None -> 1.0`` fallback."""
-    return np.where(column.hist.has, values, 1.0)
+    # The method skips ``np.clip``'s Python wrapper and keeps its -0.0
+    # and NaN results, which ``minimum(maximum(...))`` would not.
+    return values.clip(0.0, 1.0)
 
 
 def _comparison_batch(column: ColumnIndex, op: str, value: float) -> np.ndarray:
@@ -133,6 +131,8 @@ def _comparison_batch(column: ColumnIndex, op: str, value: float) -> np.ndarray:
         est = hist.fraction_eq(value)
     elif op == "!=":
         est = _clip(1.0 - hist.fraction_eq(value))
+    elif math.isnan(value):  # no row compares true against NaN
+        return np.zeros(hist.num_partitions, dtype=np.float64)
     else:
         interval = _Interval()
         interval.add(op, value)
@@ -142,11 +142,13 @@ def _comparison_batch(column: ColumnIndex, op: str, value: float) -> np.ndarray:
             interval.low_inclusive,
             interval.high_inclusive,
         )
-    return _hist_or_full(column, est)
+    return hist.or_full(est)
 
 
 def _joint_interval_batch(column: ColumnIndex, op: _JointIntervalOp) -> np.ndarray:
     hist = column.hist
+    if op.nan_bound:
+        return np.zeros(hist.num_partitions, dtype=np.float64)
     if op.point is not None:
         if math.isnan(op.point) or not op.point_inside:
             est = np.zeros(hist.num_partitions, dtype=np.float64)
@@ -156,7 +158,7 @@ def _joint_interval_batch(column: ColumnIndex, op: _JointIntervalOp) -> np.ndarr
         est = hist.fraction_in_interval(
             op.low, op.high, op.low_inclusive, op.high_inclusive
         )
-    return _hist_or_full(column, est)
+    return hist.or_full(est)
 
 
 def _categorical_eq_batch(
@@ -165,10 +167,12 @@ def _categorical_eq_batch(
     """Batch twin of ``_categorical_eq_estimate`` (same fallback chain)."""
     ed_key, hh_key, hist_probe = probe
     n = column.num_partitions
-    out = _hist_or_full(column, column.hist.fraction_eq(hist_probe))
+    ed_frac, ed_found = column.ed_lookup.lookup(ed_key, n)
+    if column.exact_everywhere:  # 0.0 where absent: the whole answer
+        return ed_frac
+    out = column.hist.or_full(column.hist.fraction_eq(hist_probe))
     hh_freq, hh_found = column.hh_lookup.lookup(hh_key, n)
     out = np.where(hh_found, hh_freq, out)
-    ed_frac, ed_found = column.ed_lookup.lookup(ed_key, n)
     return np.where(
         column.ed_usable, np.where(ed_found, ed_frac, 0.0), out
     )
@@ -185,6 +189,8 @@ def _contains_batch(
     exact = np.where(
         column.ed_totals > 0, ed_counts / np.maximum(column.ed_totals, 1.0), 0.0
     )
+    if column.exact_everywhere:
+        return exact, exact
     # Heavy-hitter path: matched mass is the estimate, and the mass not
     # covered by any heavy hitter could all match, bounding the upper.
     matched = column.hh_strings.matched_weight(text, n)
@@ -427,6 +433,7 @@ def _compile_joint_groups(
                 high_inclusive=interval.high_inclusive,
                 point=interval.point,
                 point_inside=point_inside,
+                nan_bound=interval.nan_bound,
                 clauses=tuple((c.op, c.value) for c in clauses),
             )
         )
@@ -437,17 +444,13 @@ def _compile_leaf(node: Predicate):
     if isinstance(node, Comparison):
         return _ComparisonOp(node.column, node.op, node.value)
     if isinstance(node, InSet):
-        probes = tuple(
-            (
-                hash_value(str(value)),  # exact dictionaries key on str()
-                hash_value(value),
-                float(hash_value(value)),  # hashed-histogram probe
-            )
-            # Sorted: a set of strings iterates in an order that changes
-            # with the process's hash seed, and the sum over members follows it.
-            for value in sorted(node.values)
-        )
-        return _InSetOp(node.column, probes)
+        # Members are str (``InSet`` normalizes them), so one hash is the
+        # exact-dictionary key (on ``str(value)``), the heavy-hitter key
+        # and, as a float, the hashed-histogram probe. Sorted: a set of
+        # strings iterates in an order that changes with the process's
+        # hash seed, and the sum over members follows it.
+        keys = [hash_value(value) for value in sorted(node.values)]
+        return _InSetOp(node.column, tuple((k, k, float(k)) for k in keys))
     if isinstance(node, Contains):
         return _ContainsOp(node.column, node.text)
     raise QueryScopeError(f"unsupported clause {type(node).__name__}")

@@ -70,10 +70,14 @@ class _Interval:
     low_inclusive: bool = True
     high_inclusive: bool = True
     point: float | None = None  # set by an equality clause
+    nan_bound: bool = False  # a range constant is NaN: no row passes
 
     def add(self, op: str, value: float) -> None:
         if op == "==":
             self.point = value if self.point in (None, value) else math.nan
+            return
+        if math.isnan(value):
+            self.nan_bound = True
             return
         if op in ("<", "<="):
             if value < self.high or (value == self.high and op == "<"):
@@ -85,6 +89,8 @@ class _Interval:
                 self.low_inclusive = op == ">="
 
     def estimate(self, stats: ColumnStatistics) -> float:
+        if self.nan_bound:
+            return 0.0
         hist = stats.histogram
         if hist is None:
             return 1.0
@@ -107,7 +113,7 @@ class _Interval:
 
 def _comparison_estimate(clause: Comparison, stats: ColumnStatistics) -> float:
     hist = stats.histogram
-    if hist is None:
+    if hist is None and clause.op in ("==", "!="):  # ranges: _Interval.estimate
         return 1.0
     if clause.op == "==":
         return hist.fraction_eq(clause.value)

@@ -172,13 +172,18 @@ BYTE_IDENTITY_SUITES = (
     "tests/engine/test_subset_range_reads.py",
     "tests/test_exact_answers.py",
     "tests/engine/test_served_equals_query_many.py",
+    "tests/stats/test_plan.py",
+    "tests/stats/test_plan_nonfinite.py",
+    "tests/sketches/test_histogram_kernels.py",
 )
 
 
 def test_byte_identity_goldens_are_a_named_tier1_gate(jobs):
     """The suites that pin sketch, bundle and forest bytes, memoized
     selections, cold picks, online answers, subset executions, exact
-    answers and served batches run as one named step of the fast gate,
+    answers, served batches and the selectivity plan against its scalar
+    oracle (the histogram kernels included) run as one named step of the
+    fast gate,
     so a speed-up that drifts a byte or a pick is its own red gate; the
     workflow header names each."""
     steps = {step.get("name"): step for step in jobs["tier-1"]["steps"]}

@@ -4,10 +4,15 @@ A histogram's first edge is a partition's minimum and its last edge the
 maximum, so ``-inf`` / ``+inf`` rows put infinite end edges into the
 index and a NaN row (``np.unique`` sorts it last) a NaN last edge. Range
 clauses reach the histogram primitives with infinite bounds — ``x > v``
-is the interval ``(v, +inf]``, ``x < NaN`` the whole line — so these are
-the inputs on which a closed form for an infinite bound can disagree
-with the primitive it stands in for. Every estimate must equal the
-scalar ``estimate_selectivity`` walk exactly, NaN for NaN.
+is the interval ``(v, +inf]`` — so these are the inputs on which a
+closed form for an infinite bound can disagree with the primitive it
+stands in for. Every estimate must equal the scalar
+``estimate_selectivity`` walk exactly, NaN for NaN.
+
+A range clause against a NaN constant (``x < NaN``, alone or in a joint
+interval) passes no row, so both paths estimate it as exactly 0 without
+probing a histogram; negated, it passes every row, and a full budget
+must answer it as ``execute_exact`` does.
 """
 
 from __future__ import annotations
@@ -18,10 +23,16 @@ import math
 import numpy as np
 import pytest
 
+from repro.api import PS3
+from repro.core.training import TrainingConfig
 from repro.datasets.registry import get_dataset
+from repro.engine.aggregates import count_star, sum_of
+from repro.engine.expressions import col
 from repro.engine.layout import partition_evenly
 from repro.engine.predicates import And, Comparison, Not
+from repro.engine.query import Query
 from repro.engine.table import Table
+from repro.workload import QueryGenerator
 from repro.sketches.builder import build_dataset_statistics
 from repro.sketches.columnar import ColumnarSketchIndex
 from repro.stats.plan import PredicatePlan
@@ -112,3 +123,37 @@ def test_plan_equals_the_scalar_walk_exactly(statistics):
         if not np.array_equal(planned, scalar, equal_nan=True):
             mismatches.append(predicate.label())
     assert mismatches == []
+
+
+def _nan_ranges():
+    """Every range op against NaN, alone and beside a passing bound."""
+    for op in ("<", "<=", ">", ">="):
+        yield Comparison("duration", op, NAN)
+        yield And([Comparison("duration", ">", -1.0), Comparison("duration", op, NAN)])
+
+
+def test_a_range_against_nan_is_estimated_as_no_row(statistics):
+    stats, index, __ = statistics
+    for predicate in _nan_ranges():
+        planned = PredicatePlan.compile(predicate).evaluate(index)
+        assert (planned[:, :3] == 0.0).all(), predicate.label()  # upper, lower, indep
+        negated = PredicatePlan.compile(Not(predicate)).evaluate(index)
+        assert (negated[:, 0] == 1.0).all(), predicate.label()
+
+
+def test_a_full_budget_answers_a_negated_nan_range_exactly():
+    spec = get_dataset("kdd")
+    ptable = spec.build(PARTITIONS * ROWS_PER_PARTITION, PARTITIONS, seed=7)
+    workload = spec.workload()
+    train = QueryGenerator(workload, ptable.table, seed=7).sample_queries(6)
+    ps3 = PS3(ptable, workload).fit(train, TrainingConfig(num_models=1, gbrt_trees=2))
+    measure = workload.aggregate_columns[0]
+    for predicate in _nan_ranges():
+        for clause in (predicate, Not(predicate)):
+            query = Query([sum_of(col(measure)), count_star()], clause)
+            exact = ps3.execute_exact(query)
+            full = ps3.query(query, budget_fraction=1.0).groups
+            assert bool(exact) == isinstance(clause, Not), clause.label()
+            assert repr(list(full)) == repr(list(exact)), clause.label()
+            for key in full:
+                assert full[key].tobytes() == exact[key].tobytes(), clause.label()
