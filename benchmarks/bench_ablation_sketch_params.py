@@ -65,7 +65,7 @@ def sweep(profile):
             p.evaluate(picker.select(p.query, budget).selection) for p in prepared
         ]
         rows[label] = (
-            statistics.average_partition_size_bytes() / 1024.0,
+            statistics.sizes.sum(axis=1).mean() / 1024.0,
             mean_report(reports).avg_relative_error,
         )
     return rows, budget

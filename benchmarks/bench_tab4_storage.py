@@ -3,8 +3,9 @@
 Paper: totals range from 12KB (KDD) to 103KB (TPC-DS*) per partition,
 with AKMV the largest sketch family everywhere; KDD's many binary columns
 shrink its AKMV footprint despite having more columns than Aria. The
-reproduction measures real serialized bytes of the same sketch set; scale
-differences shift absolute numbers but the orderings should hold:
+reproduction counts the encoded bytes of the same sketch set, which the
+seal records per partition and family (``DatasetStatistics.sizes``);
+scale differences shift absolute numbers but the orderings should hold:
 AKMV dominant, total well under ~100KB/partition.
 """
 
@@ -14,25 +15,27 @@ import pytest
 
 from repro.bench.reporting import emit, format_table
 from repro.bench.runner import get_context
-from repro.sketches.builder import build_partition_statistics
+from repro.sketches.builder import SketchConfig, seal_partition
 
 DATASETS = ("tpch", "tpcds", "aria", "kdd")
 KINDS = ("histogram", "hh", "akmv", "measure")
 
 
+def storage_kb(statistics) -> dict[str, float]:
+    """Mean encoded KB per partition of each sketch family, and in all."""
+    n = statistics.num_partitions
+    by_kind = statistics.size_by_kind()
+    out = {kind: int(by_kind[kind].sum()) / n / 1024.0 for kind in KINDS}
+    out["total"] = sum(out.values())
+    return out
+
+
 @pytest.fixture(scope="module")
 def storage(profile):
-    out = {}
-    for dataset in DATASETS:
-        ctx = get_context(dataset, profile=profile)
-        totals = {kind: 0.0 for kind in KINDS}
-        for pstats in ctx.statistics.partitions:
-            for kind, size in pstats.size_by_kind().items():
-                totals[kind] += size
-        n = ctx.statistics.num_partitions
-        out[dataset] = {kind: totals[kind] / n / 1024.0 for kind in KINDS}
-        out[dataset]["total"] = sum(out[dataset].values())
-    return out
+    return {
+        dataset: storage_kb(get_context(dataset, profile=profile).statistics)
+        for dataset in DATASETS
+    }
 
 
 def test_tab4_storage_overhead(storage, benchmark, profile):
@@ -65,4 +68,8 @@ def test_tab4_storage_overhead(storage, benchmark, profile):
 
     ctx = get_context("tpch", profile=profile)
     partition = ctx.ptable[0]
-    benchmark(lambda: build_partition_statistics(partition))
+    benchmark(
+        lambda: seal_partition(
+            partition.table.schema, partition.columns, 0, SketchConfig()
+        )
+    )

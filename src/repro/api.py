@@ -151,9 +151,12 @@ class PS3:
         the table too; nothing is journaled again) and the store stays
         attached, so ``query`` / ``serve`` / ``append`` / ``checkpoint``
         continue the pre-crash timeline; :meth:`staleness` counts from
-        the checkpoint. A table of another partition count, a model for
-        other statistics or another workload, or a missing model file
-        is a :class:`ConfigError`; damage a ``StorageError``.
+        the partitions the model was trained on (from the checkpoint for
+        a model file that predates that record) and reads the running
+        global heavy hitters the bundle carries, as the live system did.
+        A table of another partition count, a model for other statistics
+        or another workload, or a missing model file is a
+        :class:`ConfigError`; damage a ``StorageError``.
         """
         from repro.storage import StatisticsStore, load_model
 
@@ -167,7 +170,7 @@ class PS3:
                 f"partitions but the table has {ptable.num_partitions}"
             )
         try:
-            model = load_model(model_path, statistics, index=bundle.index, io=io)
+            model = load_model(model_path, statistics, io=io)
         except FileNotFoundError:
             raise ConfigError(f"no picker model at {model_path}") from None
         groupby = model.feature_builder.schema.groupby_columns
@@ -178,6 +181,8 @@ class PS3:
             )
         system = cls.__new__(cls)
         system._bind(ptable, workload, picker_config, model.feature_builder)
+        if model.trained_partitions is not None:
+            system._trained_on = model.trained_partitions
         system.model = model
         system._picker = PS3Picker(model, system.picker_config)
         system._store = store
@@ -213,16 +218,12 @@ class PS3:
         """Fold journaled appends into a fresh atomic statistics bundle.
 
         Returns the journal sequence number the bundle is stamped with.
-        The persisted columnar index rides along, so recovery cold-starts
-        without re-exporting sketches. Holds the state lock, as
-        :meth:`append` does from validation to apply: a batch journaled
-        while the bundle is written would be in neither the bundle nor
-        the truncated journal.
+        Holds the state lock, as :meth:`append` does from validation to
+        apply: a batch journaled while the bundle is written would be in
+        neither the bundle nor the truncated journal.
         """
         with self._state_lock:
-            return self.store.checkpoint(
-                self.statistics, index=self.feature_builder.sketch_index
-            )
+            return self.store.checkpoint(self.statistics)
 
     # -- training --------------------------------------------------------------
 
@@ -404,7 +405,8 @@ class PS3:
 
         added = self.statistics.num_partitions - self._trained_on
         fraction_new = added / max(self.statistics.num_partitions, 1)
-
+        # The running global sketch has merged every sealed partition, the
+        # checkpointed and replayed ones included.
         fresh = recompute_global_heavy_hitters(self.statistics)
         drifts = []
         for column, frozen in self.statistics.global_heavy_hitters.items():
@@ -425,8 +427,10 @@ class PS3:
     # -- introspection -------------------------------------------------------
 
     def storage_overhead_bytes(self) -> float:
-        """Average per-partition sketch footprint (paper Table 4)."""
-        return self.statistics.average_partition_size_bytes()
+        """Average per-partition sketch footprint in bytes (paper Table 4):
+        the encoded size of every sketch the seal computed."""
+        totals = self.statistics.sizes.sum(axis=1)
+        return float(totals.mean()) if totals.size else 0.0
 
     def metrics(self) -> dict:
         """A point-in-time, JSON-serializable observability snapshot.

@@ -87,11 +87,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    # Persist the columnar index next to the sketches so reloads skip
-    # the sketch-object -> array export.
-    save_statistics(
-        system.statistics, out / _STATS, index=system.feature_builder.sketch_index
-    )
+    save_statistics(system.statistics, out / _STATS)
     save_model(system.model, out / _MODEL)
     (out / _MANIFEST).write_text(
         json.dumps(
@@ -186,7 +182,7 @@ def _cmd_checkpoint(args: argparse.Namespace) -> int:
     manifest = json.loads((directory / _MANIFEST).read_text())
     store = StatisticsStore(directory)
     bundle, batches = store.load()  # for the batches' seq and meta
-    statistics, index = store.load_statistics()
+    statistics, __ = store.load_statistics()
     # Reconcile the manifest before truncating the journal: an append
     # that crashed between its WAL record and its manifest entry must
     # get the entry now, while the batch metadata is still journaled.
@@ -219,7 +215,7 @@ def _cmd_checkpoint(args: argparse.Namespace) -> int:
     atomic_write_bytes(
         directory / _MANIFEST, json.dumps(manifest, indent=2).encode("utf-8")
     )
-    applied = store.checkpoint(statistics, index=index)
+    applied = store.checkpoint(statistics)
     print(
         f"folded {len(batches)} journaled batches into {directory / _STATS} "
         f"(stamped wal_applied_seq={applied}); journal truncated"

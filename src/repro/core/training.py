@@ -79,6 +79,9 @@ class PickerModel:
     regressors: list[GBRTRegressor]
     thresholds: np.ndarray
     excluded_families: frozenset[str] = field(default_factory=frozenset)
+    # Partitions the statistics held at training: staleness counts the
+    # appends since (``None`` for a model saved before it was recorded).
+    trained_partitions: int | None = None
 
     def clustering_feature_indices(self) -> np.ndarray:
         """Feature columns the clustering component uses.
@@ -177,6 +180,7 @@ def train_picker_model(
         normalizer=normalizer,
         regressors=regressors,
         thresholds=thresholds,
+        trained_partitions=feature_builder.dataset.num_partitions,
     )
     return model, data
 

@@ -11,7 +11,7 @@ The supported clause forms follow the paper's scope (section 2.2):
 
 Predicates evaluate to boolean row masks over a partition's columns, and
 expose their leaf clauses so the selectivity estimator can combine
-per-clause estimates (``repro.stats.selectivity``).
+per-clause estimates (``repro.stats.plan``).
 """
 
 from __future__ import annotations

@@ -85,6 +85,11 @@ class CorruptBundleError(StorageError):
     """A persisted bundle failed a checksum or structural integrity check."""
 
 
+class UnsupportedBundleError(StorageError):
+    """A statistics bundle is in a format version this tree does not read
+    (versions 1 and 2, which stored only sketch encodings)."""
+
+
 class WalReplayError(StorageError):
     """The write-ahead log is damaged beyond its torn-tail tolerance.
 
@@ -97,8 +102,8 @@ class WalReplayError(StorageError):
 class DegradedLoadWarning(UserWarning):
     """A load succeeded, but in degraded mode (fallback or partial data).
 
-    Carries a machine-readable ``reason`` (e.g. ``"index-corrupt"``,
-    ``"bak-fallback"``, ``"wal-torn-tail"``) so services can alert on
+    Carries a machine-readable ``reason`` (e.g. ``"bak-fallback"``,
+    ``"wal-torn-tail"``) so services can alert on
     specific degradations instead of string-matching messages.
     """
 

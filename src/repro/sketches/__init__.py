@@ -14,24 +14,22 @@ dictionary for low-cardinality string columns (section 3.2):
 * :class:`~repro.sketches.exact_dict.ExactDictionary` — exact value/count
   dictionary for low-cardinality strings, enabling substring filters.
 
-All sketches are constructed in one pass per partition, support ``merge``
-(bulk-append stores seal partitions independently, and global heavy hitters
-are built by merging per-partition sketches), and serialize to bytes so
-storage overhead (paper Table 4) is measured on real encodings.
-
-:class:`~repro.sketches.columnar.ColumnarSketchIndex` re-exports the
-per-partition sketch state in struct-of-arrays form so the feature plane
-can evaluate predicates across all partitions with array passes.
+The seal (:mod:`repro.sketches.builder`) computes every family for all
+segments of a column at once and writes the results straight into the
+one statistics form, the
+:class:`~repro.sketches.columnar.ColumnarSketchIndex` arrays, with each
+partition's Table 4 byte count per family (the size of each sketch's
+encoding). Only the heavy-hitter sketch lives on as an object: one
+running global sketch per column, into which every sealed partition's
+automaton is merged. The classes' scalar constructors and encodings are
+what the tests' oracle builds partition by partition.
 """
 
 from repro.sketches.akmv import AKMVSketch
 from repro.sketches.builder import (
-    ColumnStatistics,
     DatasetStatistics,
-    PartitionStatistics,
     SketchConfig,
     build_dataset_statistics,
-    build_partition_statistics,
 )
 from repro.sketches.columnar import ColumnarSketchIndex
 from repro.sketches.exact_dict import ExactDictionary
@@ -42,14 +40,11 @@ from repro.sketches.measures import MeasuresSketch
 __all__ = [
     "AKMVSketch",
     "ColumnarSketchIndex",
-    "ColumnStatistics",
     "DatasetStatistics",
     "EquiDepthHistogram",
     "ExactDictionary",
     "HeavyHitterSketch",
     "MeasuresSketch",
-    "PartitionStatistics",
     "SketchConfig",
     "build_dataset_statistics",
-    "build_partition_statistics",
 ]

@@ -1,7 +1,7 @@
-"""Statistics builder: one pass over each partition at seal time.
+"""Statistics builder: the seal, one pass over each partition.
 
 This is the offline half of PS3's statistics builder (paper Figure 1 and
-section 2.3.1). For every partition and every column it constructs the
+section 2.3.1). For every partition and every column it computes the
 applicable sketches:
 
 ==============  ======================================  =====================
@@ -14,33 +14,36 @@ categorical     histogram (hashed), AKMV, heavy hitter, exact dictionary iff
                 exact dictionary                        low_cardinality
 ==============  ======================================  =====================
 
-It also assembles dataset-level artifacts: the *global* heavy hitters per
-column (merging per-partition sketches), capped at ``bitmap_k`` values,
-which back the occurrence-bitmap features (section 3.2).
+and writes them straight into the one form everything reads: the rows of
+the columnar index (:class:`~repro.sketches.columnar.ColumnIndex`, the 17
+Table 2 statistics plus the histogram, heavy-hitter and exact-dictionary
+tables), each partition's row count, and its Table 4 byte count per
+sketch family (the size of each sketch's encoding). No per-partition
+sketch object outlives its seal: each partition's heavy-hitter automaton
+is merged into one running global :class:`HeavyHitterSketch` per column
+and dropped. The running sketch's top values, frozen when the dataset is
+built, are the *global* heavy hitters behind the occurrence bitmaps
+(section 3.2); :func:`recompute_global_heavy_hitters` reads its current
+top values to measure drift.
 
-There is one seal plane. ``build_column_statistics_batch`` builds the
-sketches of any number of segments in one chunked numpy pass over their
-concatenation: a single counting pass
-(``HeavyHitterSketch.build_segmented``) yields every segment's sorted
-distinct values *and* its lossy-counting sketch, whatever the segment
-length; each distinct value is hashed once per call (not once per
-segment it appears in), and the per-sketch batch constructors
-(``EquiDepthHistogram.build_segmented``, ``AKMVSketch.from_hash_counts``,
-``ExactDictionary.from_distinct_counts``, ``MeasuresSketch
-.build_segmented``) replay the per-segment constructions bit for bit.
-In the offline build (``build_dataset_statistics``) the segments are one
+There is one seal plane. ``build_column_statistics_batch`` seals any
+number of segments in one chunked numpy pass over their concatenation: a
+single counting pass (``segmented_hitters``) yields every segment's
+sorted distinct values *and* its lossy-counting automaton, whatever the
+segment length; each distinct value is hashed once per call. In the
+offline build (``build_dataset_statistics``) the segments are one
 column's partitions; in a seal (``seal_appended_columns``, which
 ``PS3.append`` and WAL replay both call) they are one partition's
-columns, stacked by kind. Build, append and recovery seal identically.
-
-The scalar ``build_column_statistics`` constructs every sketch of one
-partition slice on its own. The plane hands it the columns a
-dataset-global dedup cannot replay (NaN, ``-0.0``); the differential
-tests compose it into the reference the plane must equal.
+columns, stacked by kind. Build, append and recovery seal identically. A
+float column holding NaN or ``-0.0`` is deduplicated one segment at a
+time, on the slice's own ``np.unique``, since a dataset-global dedup
+cannot replay which NaN payload or zero sign each slice keeps.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import struct
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
@@ -48,12 +51,36 @@ import numpy as np
 
 from repro.engine.schema import Column, Schema
 from repro.engine.table import Partition, PartitionedTable
-from repro.sketches.akmv import AKMVSketch
-from repro.sketches.exact_dict import ExactDictionary
-from repro.sketches.hashing import hash_distinct
-from repro.sketches.heavy_hitter import HeavyHitterSketch
-from repro.sketches.histogram import EquiDepthHistogram
+from repro.sketches.columnar import (
+    NUM_COLUMN_STATS,
+    ColumnarSketchIndex,
+    ColumnIndex,
+    HistogramArrays,
+    KeyedFrequencyTable,
+    SubstringTable,
+)
+from repro.sketches.hashing import hash_distinct, hash_value, normalize_hashes
+from repro.sketches.heavy_hitter import (
+    HeavyHitterSketch,
+    SegmentedHitters,
+    segmented_hitters,
+)
+from repro.sketches.histogram import segmented_histograms
 from repro.sketches.measures import MeasuresSketch
+
+#: Table 4's sketch families, the columns of ``DatasetStatistics.sizes``
+#: (an exact dictionary counts with the heavy hitters).
+FAMILIES = ("measure", "histogram", "akmv", "hh")
+
+# Encoded sizes, as each sketch's ``size_bytes`` counts them: fixed
+# headers plus per-bucket, per-hash and per-entry bytes.
+_MEASURE_BYTES = struct.calcsize("<Q10d?")
+_HISTOGRAM_HEADER = struct.calcsize("<QI?")
+_AKMV_HEADER = struct.calcsize("<II")
+_HH_HEADER = struct.calcsize("<ddQI")
+_HH_ENTRY = struct.calcsize("<Id") + 1  # + a one-byte type tag
+_ED_HEADER = struct.calcsize("<IQ?I")
+_ED_ENTRY = struct.calcsize("<IQ")
 
 
 @dataclass(frozen=True)
@@ -67,297 +94,219 @@ class SketchConfig:
     exact_dict_limit: int = 256
     bitmap_k: int = 25  # cap on global heavy hitters per column (section 3.2)
 
-
-@dataclass
-class ColumnStatistics:
-    """All sketches for one column of one partition."""
-
-    column: Column
-    measures: MeasuresSketch | None = None
-    histogram: EquiDepthHistogram | None = None
-    akmv: AKMVSketch | None = None
-    heavy_hitter: HeavyHitterSketch | None = None
-    exact_dict: ExactDictionary | None = None
-
-    def size_bytes(self) -> int:
-        """Serialized storage footprint of this column's sketches."""
-        sketches = (
-            self.measures,
-            self.histogram,
-            self.akmv,
-            self.heavy_hitter,
-            self.exact_dict,
-        )
-        return sum(s.size_bytes() for s in sketches if s is not None)
-
-    def size_by_kind(self) -> dict[str, int]:
-        """Per-sketch-family sizes (Table 4 breakdown)."""
-        out = {"measure": 0, "histogram": 0, "akmv": 0, "hh": 0}
-        if self.measures is not None:
-            out["measure"] += self.measures.size_bytes()
-        if self.histogram is not None:
-            out["histogram"] += self.histogram.size_bytes()
-        if self.akmv is not None:
-            out["akmv"] += self.akmv.size_bytes()
-        if self.heavy_hitter is not None:
-            out["hh"] += self.heavy_hitter.size_bytes()
-        if self.exact_dict is not None:
-            out["hh"] += self.exact_dict.size_bytes()  # dict rides with HH
-        return out
-
-
-@dataclass
-class PartitionStatistics:
-    """Sketches for every column of one partition."""
-
-    partition_index: int
-    num_rows: int
-    columns: dict[str, ColumnStatistics]
-    # The persisted form, memoized by ``repro.storage.stats_io``: a sealed
-    # partition never changes, so it is encoded at most once.
-    encoded: tuple | None = field(default=None, init=False, compare=False, repr=False)
-
-    def size_bytes(self) -> int:
-        return sum(cs.size_bytes() for cs in self.columns.values())
-
-    def size_by_kind(self) -> dict[str, int]:
-        total = {"measure": 0, "histogram": 0, "akmv": 0, "hh": 0}
-        for cs in self.columns.values():
-            for kind, size in cs.size_by_kind().items():
-                total[kind] += size
-        return total
+    def heavy_hitter_sketch(self) -> HeavyHitterSketch:
+        """An empty heavy-hitter sketch at these parameters."""
+        return HeavyHitterSketch(support=self.hh_support, epsilon=self.hh_epsilon)
 
 
 @dataclass
 class DatasetStatistics:
-    """Per-partition statistics plus dataset-level artifacts."""
+    """A dataset's statistics: the columnar index plus dataset artifacts.
+
+    ``num_rows`` and ``sizes`` have a row per partition; ``sizes`` holds
+    each partition's encoded sketch bytes per :data:`FAMILIES` entry.
+    ``global_heavy_hitters`` (column -> values, most frequent first,
+    capped at ``config.bitmap_k``) are frozen when the dataset is built,
+    so feature schemas and trained models stay valid across appends;
+    ``running_heavy_hitters`` keeps merging every sealed partition.
+    """
 
     schema: Schema
     config: SketchConfig
-    partitions: list[PartitionStatistics]
-    # column -> ordered tuple of global heavy-hitter values (most frequent
-    # first, capped at config.bitmap_k). Basis of occurrence bitmaps.
+    index: ColumnarSketchIndex
+    num_rows: np.ndarray  # (N,) int64
+    sizes: np.ndarray  # (N, len(FAMILIES)) int64
     global_heavy_hitters: dict[str, tuple] = field(default_factory=dict)
+    running_heavy_hitters: dict[str, HeavyHitterSketch] = field(default_factory=dict)
 
     @property
     def num_partitions(self) -> int:
-        return len(self.partitions)
+        return self.index.num_partitions
 
-    def average_partition_size_bytes(self) -> float:
-        if not self.partitions:
-            return 0.0
-        return float(np.mean([p.size_bytes() for p in self.partitions]))
-
-
-def build_column_statistics(
-    column: Column, values: np.ndarray, config: SketchConfig
-) -> ColumnStatistics:
-    """Construct every applicable sketch for one column of one partition."""
-    stats = ColumnStatistics(column=column)
-    if column.is_categorical:
-        stats.histogram = EquiDepthHistogram.build_for_strings(
-            values, buckets=config.histogram_buckets
-        )
-        stats.akmv = AKMVSketch.build(values, k=config.akmv_k)
-        stats.heavy_hitter = HeavyHitterSketch.build(
-            values, support=config.hh_support, epsilon=config.hh_epsilon
-        )
-        if column.low_cardinality:
-            stats.exact_dict = ExactDictionary.build(
-                values, limit=config.exact_dict_limit
-            )
-        return stats
-
-    numeric = values.astype(np.float64)
-    stats.measures = MeasuresSketch(track_log=column.positive)
-    stats.measures.update(numeric)
-    stats.histogram = EquiDepthHistogram.build(
-        numeric, buckets=config.histogram_buckets
-    )
-    stats.akmv = AKMVSketch.build(numeric, k=config.akmv_k)
-    stats.heavy_hitter = HeavyHitterSketch.build(
-        numeric, support=config.hh_support, epsilon=config.hh_epsilon
-    )
-    return stats
+    def size_by_kind(self) -> dict[str, np.ndarray]:
+        """Per-partition encoded bytes of each sketch family (Table 4)."""
+        return {kind: self.sizes[:, i] for i, kind in enumerate(FAMILIES)}
 
 
-def _breaks_dedup(numeric: np.ndarray) -> bool:
-    """Whether a float column holds NaN or ``-0.0`` (see the kernel)."""
-    return bool(
-        np.any((numeric == 0.0) & np.signbit(numeric)) or np.isnan(numeric).any()
-    )
+def top_heavy_hitters(sketch: HeavyHitterSketch, k: int) -> tuple:
+    """A merged sketch's ``k`` most frequent values (ties: entry order)."""
+    ranked = sorted(sketch.items().items(), key=lambda kv: -kv[1])
+    return tuple(value for value, __ in ranked[:k])
 
 
-def _seal_columns(
-    schema: Schema, columns: dict[str, np.ndarray], index: int, config: SketchConfig
-) -> PartitionStatistics:
-    """Sketches for every column of one partition's rows.
-
-    The columns are stacked as the segments of one
-    :func:`build_column_statistics_batch` call per kind: numeric and date
-    columns as float64, categorical columns by string dtype kind. A float
-    column holding NaN or ``-0.0`` is sealed alone, so only it goes to
-    the scalar oracle.
-    """
-    num_rows = len(columns[schema.names[0]])
-    groups: dict[object, list[Column]] = {}
-    for column in schema:
-        values = columns[column.name]
-        if column.is_categorical:
-            key: object = values.dtype.kind
-        elif values.dtype.kind == "f" and _breaks_dedup(values):
-            key = (column.name,)
-        else:
-            key = "numeric"
-        groups.setdefault(key, []).append(column)
-    sealed: dict[str, ColumnStatistics] = {}
-    for group in groups.values():
-        values = np.concatenate(
-            [columns[column.name] for column in group],
-            dtype=None if group[0].is_categorical else np.float64,
-        )
-        offsets = np.arange(len(group) + 1, dtype=np.int64) * num_rows
-        batch = build_column_statistics_batch(group, values, offsets, config)
-        sealed.update(zip([column.name for column in group], batch))
-    return PartitionStatistics(
-        partition_index=index,
-        num_rows=num_rows,
-        columns={name: sealed[name] for name in schema.names},
-    )
-
-
-def build_partition_statistics(
-    partition: Partition, config: SketchConfig | None = None
-) -> PartitionStatistics:
-    """One pass over a partition: sketches for every column."""
-    return _seal_columns(
-        partition.table.schema,
-        partition.columns,
-        partition.index,
-        config or SketchConfig(),
-    )
-
-
-def _global_heavy_hitters(
-    stats: list[PartitionStatistics], column: str, config: SketchConfig
-) -> tuple:
-    """Combine per-partition HH sketches into the top global values."""
-    sketches = [
-        sketch
-        for pstats in stats
-        if (sketch := pstats.columns[column].heavy_hitter) is not None
-    ]
-    if not sketches:
-        return ()
-    merged = HeavyHitterSketch(
-        support=sketches[0].support, epsilon=sketches[0].epsilon
-    )
-    merged.merge(*sketches)
-    ranked = sorted(merged.items().items(), key=lambda kv: -kv[1])
-    return tuple(value for value, __ in ranked[: config.bitmap_k])
-
-
-def seal_appended_columns(
-    dataset: DatasetStatistics, columns: dict[str, np.ndarray]
-) -> PartitionStatistics:
-    """Seal one validated batch of rows as the dataset's next partition.
-
-    The one place an appended batch becomes statistics: a live append
-    (:func:`append_partition_statistics`) and journal replay both end
-    here. The new partition's sketches are added to the dataset; the
-    *global* heavy hitters are deliberately left frozen so feature
-    schemas (and hence trained models) stay valid. Use
-    :func:`recompute_global_heavy_hitters` to measure drift and decide on
-    retraining.
-    """
-    pstats = _seal_columns(
-        dataset.schema, columns, dataset.num_partitions, dataset.config
-    )
-    dataset.partitions.append(pstats)
-    return pstats
-
-
-def append_partition_statistics(
-    dataset: DatasetStatistics, partition: Partition
-) -> PartitionStatistics:
-    """Seal a table's newly appended partition (the live append call)."""
-    return seal_appended_columns(dataset, partition.columns)
-
-
-def recompute_global_heavy_hitters(
-    dataset: DatasetStatistics,
-) -> dict[str, tuple]:
-    """Fresh global heavy hitters over *all* current partitions.
+def recompute_global_heavy_hitters(dataset: DatasetStatistics) -> dict[str, tuple]:
+    """Current global heavy hitters over *all* sealed partitions.
 
     Returned instead of applied: callers compare against the frozen
     ``dataset.global_heavy_hitters`` to quantify drift (``PS3.staleness``)
     and only swap them in when retraining.
     """
+    k = dataset.config.bitmap_k
     return {
-        column.name: _global_heavy_hitters(
-            dataset.partitions, column.name, dataset.config
-        )
-        for column in dataset.schema
+        name: top_heavy_hitters(sketch, k)
+        for name, sketch in dataset.running_heavy_hitters.items()
     }
 
 
-def build_dataset_statistics(
-    ptable: PartitionedTable,
-    config: SketchConfig | None = None,
-) -> DatasetStatistics:
-    """Build statistics for every partition plus global artifacts.
+@dataclass
+class SealedSegments:
+    """What one seal kernel call emits, a row per segment.
 
-    Each column's sketches are built for all partitions in one chunked
-    numpy pass over the fused table view — bit-identical to
-    :func:`build_column_statistics` per partition slice.
+    Per-segment arrays are indexed by segment; entry arrays (``hh_*``,
+    ``ed_*``) list every segment's entries, segment after segment, in
+    the order the scalar sketches would iterate them. :meth:`block`
+    lays a run of segments out as a :class:`ColumnIndex`.
     """
-    config = config or SketchConfig()
-    partitions = _build_partitions(ptable, config)
-    dataset = DatasetStatistics(
-        schema=ptable.schema, config=config, partitions=partitions
-    )
-    for column in ptable.schema:
-        dataset.global_heavy_hitters[column.name] = _global_heavy_hitters(
-            partitions, column.name, config
+
+    stats: np.ndarray  # (n, NUM_COLUMN_STATS)
+    edges: np.ndarray  # (n, W+1) histogram edges, padded
+    depths: np.ndarray  # (n, W)
+    distincts: np.ndarray  # (n, W)
+    buckets: np.ndarray  # (n,) real buckets per histogram
+    totals: np.ndarray  # (n,) rows per segment
+    hh_rows: np.ndarray  # (H,) segment of each reported heavy hitter
+    hh_keys: np.ndarray  # (H,) blake2b key
+    hh_freqs: np.ndarray  # (H,) fraction of the segment's rows
+    hh_text: list  # the values as ``str`` for categorical columns, else []
+    hh_covered: np.ndarray  # (n,) summed reported fractions
+    ed_usable: np.ndarray  # (n,) bool
+    ed_rows: np.ndarray  # (D,) segment of each exact-dictionary entry
+    ed_keys: np.ndarray  # (D,)
+    ed_fracs: np.ndarray  # (D,)
+    ed_text: list  # (D,) the values
+    ed_counts: np.ndarray  # (D,) float64 row counts
+    sizes: np.ndarray  # (n, len(FAMILIES)) int64 encoded bytes
+    hitters: list[HeavyHitterSketch]  # each segment's automaton
+
+    def block(self, name: str, lo: int, hi: int, first_part: int) -> ColumnIndex:
+        """Segments ``[lo, hi)`` as the index rows of partitions
+        ``first_part, first_part + 1, ...``."""
+        ha, hb = np.searchsorted(self.hh_rows, [lo, hi])
+        ea, eb = np.searchsorted(self.ed_rows, [lo, hi])
+        hh_parts = self.hh_rows[ha:hb] - lo + first_part
+        ed_parts = self.ed_rows[ea:eb] - lo + first_part
+        width = int(self.buckets[lo:hi].max(initial=1))
+        usable = self.ed_usable[lo:hi]
+        return ColumnIndex(
+            name=name,
+            stats=self.stats[lo:hi],
+            hist=HistogramArrays(
+                self.edges[lo:hi, : width + 1],
+                self.depths[lo:hi, :width].astype(np.float64),
+                self.distincts[lo:hi, :width].astype(np.float64),
+                self.totals[lo:hi].astype(np.float64),
+                np.ones(hi - lo, dtype=bool),
+            ),
+            hh_lookup=KeyedFrequencyTable.build(
+                self.hh_keys[ha:hb], hh_parts, self.hh_freqs[ha:hb]
+            ),
+            hh_strings=SubstringTable.build(
+                self.hh_text[ha:hb],
+                hh_parts if self.hh_text else [],
+                self.hh_freqs[ha:hb] if self.hh_text else [],
+            ),
+            hh_covered=self.hh_covered[lo:hi],
+            ed_usable=usable,
+            ed_totals=np.where(usable, self.totals[lo:hi], 0).astype(np.float64),
+            ed_lookup=KeyedFrequencyTable.build(
+                self.ed_keys[ea:eb], ed_parts, self.ed_fracs[ea:eb]
+            ),
+            ed_strings=SubstringTable.build(
+                self.ed_text[ea:eb], ed_parts, self.ed_counts[ea:eb]
+            ),
         )
-    return dataset
+
+
+def _breaks_dedup(numeric: np.ndarray) -> bool:
+    """Whether a float column holds NaN or ``-0.0`` (see the module doc)."""
+    return bool(
+        np.any((numeric == 0.0) & np.signbit(numeric)) or np.isnan(numeric).any()
+    )
 
 
 @dataclass(frozen=True)
 class _SegmentedDistincts:
     """Every segment's sorted distinct values, stacked.
 
-    ``uniques`` holds the distinct values of all segments (sorted); each
-    segment's distincts are ``codes[offsets[p]:offsets[p+1]]`` indexed
-    into it, sorted ascending within the segment, with exact
-    multiplicities in ``counts``. One segmented-unique pass replaces the
-    per-segment ``np.unique`` calls of every sketch constructor.
+    Segment ``p``'s distincts are ``uniques[codes[offsets[p]:offsets[p+1]]]``,
+    ascending, with exact multiplicities in ``counts``. ``uniques`` is
+    the sorted dataset-global dedup, or (NaN / ``-0.0`` columns) each
+    segment's own dedup one after the other.
     """
 
-    uniques: np.ndarray  # (G,) global distinct values, sorted
-    codes: np.ndarray  # (D,) per-partition distinct entries -> uniques
+    uniques: np.ndarray  # (G,) distinct values
+    codes: np.ndarray  # (D,) per-segment distinct entries -> uniques
     counts: np.ndarray  # (D,) int64 multiplicities
-    offsets: np.ndarray  # (N+1,) partition boundaries into codes/counts
+    offsets: np.ndarray  # (N+1,) segment boundaries into codes/counts
+    # The histograms' distinct values where they may differ from
+    # ``uniques[codes]``: a scalar histogram dedups with ``np.unique``'s
+    # sort, not its argsort, and keeps that pass's NaN and zero picks.
+    sorted_values: np.ndarray | None = None
 
     def values(self) -> np.ndarray:
         """The distinct values themselves (segment-sorted)."""
         return self.uniques[self.codes]
 
+    def histogram_values(self) -> np.ndarray:
+        """The distinct values the histograms are built on."""
+        return self.values() if self.sorted_values is None else self.sorted_values
+
 
 def _segment_column(
     values: np.ndarray, offsets: np.ndarray, config: SketchConfig
-) -> tuple[_SegmentedDistincts, list[HeavyHitterSketch]]:
-    """One pass: per-partition sorted distincts with counts, and the
-    per-partition heavy hitters counted on the same keys."""
+) -> tuple[_SegmentedDistincts, SegmentedHitters]:
+    """One pass: per-segment sorted distincts with counts, and the
+    per-segment heavy-hitter automata counted on the same keys."""
+    alone = values.dtype.kind == "f" and _breaks_dedup(values)
+    if len(offsets) > 2 and alone:
+        return _stitch(
+            [
+                _segment_column(values[lo:hi], np.array([0, hi - lo]), config)
+                for lo, hi in zip(offsets[:-1], offsets[1:])
+            ]
+        )
     uniques, inverse = np.unique(values, return_inverse=True)
-    heavy_hitters, distincts = HeavyHitterSketch.build_segmented(
-        uniques,
-        inverse,
-        offsets,
-        support=config.hh_support,
-        epsilon=config.hh_epsilon,
+    hitters, distincts = segmented_hitters(
+        uniques, inverse, offsets, config.hh_support, config.hh_epsilon
     )
-    return _SegmentedDistincts(uniques, *distincts), heavy_hitters
+    seg = _SegmentedDistincts(uniques, *distincts)
+    if alone:
+        seg = dataclasses.replace(seg, sorted_values=np.unique(values))
+    return seg, hitters
+
+
+def _stitch(
+    pieces: list[tuple[_SegmentedDistincts, SegmentedHitters]],
+) -> tuple[_SegmentedDistincts, SegmentedHitters]:
+    """Single-segment passes laid end to end, codes rebased (``uniques``
+    then repeat values across segments; nothing reads them sorted)."""
+    bases = np.cumsum([0] + [len(seg.uniques) for seg, __ in pieces])
+
+    def cat(arrays, rebase=None):
+        if rebase is not None:
+            arrays = [a + base for a, base in zip(arrays, rebase)]
+        return np.concatenate(arrays)
+
+    def bounds(sizes):
+        return np.concatenate(([0], np.cumsum(sizes))).astype(np.int64)
+
+    segs, hits = zip(*pieces)
+    return (
+        _SegmentedDistincts(
+            cat([s.uniques for s in segs]),
+            cat([s.codes for s in segs], bases),
+            cat([s.counts for s in segs]),
+            bounds([len(s.codes) for s in segs]),
+            cat([s.histogram_values() for s in segs]),
+        ),
+        SegmentedHitters(
+            cat([h.codes for h in hits], bases),
+            cat([h.counts for h in hits]),
+            cat([h.deltas for h in hits]),
+            bounds([len(h.codes) for h in hits]),
+            cat([h.totals for h in hits]),
+        ),
+    )
 
 
 def _merge_equal_runs(
@@ -387,22 +336,59 @@ def _merge_equal_runs(
 
 
 def _sort_segments_by_hash(
-    seg: _SegmentedDistincts,
+    seg: _SegmentedDistincts, hashes: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Each partition's distinct hashes sorted ascending, collisions merged.
+    """Each segment's distinct hashes sorted ascending, collisions merged.
 
     Mirrors ``np.unique(hash_array(slice), return_counts=True)`` per
-    partition: distinct values re-keyed by hash, re-sorted within the
-    segment, equal hashes (collisions) summed. Each global distinct is
-    hashed once, not once per segment it appears in.
+    segment; ``hashes`` are ``hash_distinct(seg.uniques)``.
     """
     n = len(seg.offsets) - 1
-    entry_hashes = hash_distinct(seg.uniques)[seg.codes]
+    entry_hashes = hashes[seg.codes]
     part_ids = np.repeat(np.arange(n, dtype=np.int64), np.diff(seg.offsets))
     order = np.lexsort((entry_hashes, part_ids))
-    sorted_hashes = entry_hashes[order]
-    sorted_counts = seg.counts[order]
-    return _merge_equal_runs(sorted_hashes, sorted_counts, seg.offsets)
+    return _merge_equal_runs(entry_hashes[order], seg.counts[order], seg.offsets)
+
+
+def _akmv_rows(
+    hashes: np.ndarray, counts: np.ndarray, offsets: np.ndarray, k: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Table 2's five AKMV statistics per segment, and the encoded size.
+
+    Each segment keeps its ``k`` smallest distinct hashes. The counts are
+    integers, so their sums are exact in any order.
+    """
+    n = len(offsets) - 1
+    held = np.diff(offsets)
+    kept = np.minimum(held, k)
+    seg = np.repeat(np.arange(n), held)
+    take = np.arange(len(hashes)) - offsets[seg] < k
+    tracked = counts[take].astype(np.float64)
+    out = np.zeros((n, 5), dtype=np.float64)
+    out[:, 4] = np.bincount(seg[take], weights=tracked, minlength=n)
+    some = kept > 0
+    starts = np.concatenate(([0], np.cumsum(kept)))[:-1][some]
+    if starts.size:
+        out[some, 2] = np.maximum.reduceat(tracked, starts)
+        out[some, 3] = np.minimum.reduceat(tracked, starts)
+        out[some, 1] = out[some, 4] / kept[some]
+    out[:, 0] = kept
+    full = kept == k
+    if full.any():
+        kth = normalize_hashes(hashes[offsets[:-1][full] + k - 1])
+        out[full, 0] = np.where(kth <= 0.0, float(k), (k - 1) / kth)
+    return out, _AKMV_HEADER + 16 * kept
+
+
+def _blake_keys(uniques: np.ndarray, codes: np.ndarray) -> np.ndarray:
+    """``hash_value`` of each ``uniques[codes]``, once per distinct code."""
+    needed, inverse = np.unique(codes, return_inverse=True)
+    keys = np.fromiter(
+        (hash_value(v) for v in uniques[needed].tolist()),
+        dtype=np.uint64,
+        count=len(needed),
+    )
+    return keys[inverse]
 
 
 def build_column_statistics_batch(
@@ -410,105 +396,227 @@ def build_column_statistics_batch(
     values: np.ndarray,
     offsets: np.ndarray,
     config: SketchConfig,
-) -> list[ColumnStatistics]:
-    """Every segment's :class:`ColumnStatistics`.
+) -> SealedSegments:
+    """Seal every segment: its index row, sizes and automaton.
 
     ``values`` is the concatenation of the segments, ``offsets`` their
     boundaries and ``columns`` the column of each segment: one column's
     partitions in the offline build, one partition's columns in a seal
-    (all categorical, or none). Bit-identical to calling
-    :func:`build_column_statistics` per segment.
+    (all categorical, or none).
     """
     offsets = np.asarray(offsets, dtype=np.int64)
     n = len(offsets) - 1
-    if n == 0:
-        return []
     categorical = columns[0].is_categorical
     if not categorical:
         values = values.astype(np.float64)
-        if _breaks_dedup(values):
-            # Two float families break the "same value, same bits" premise
-            # of a dataset-global dedup: -0.0 compares equal to 0.0 but has
-            # different bits (np.unique's run representative depends on
-            # sort internals), and NaNs never compare equal yet np.unique
-            # collapses them to one representative regardless of payload
-            # bits. Either way the global pass cannot replay each
-            # partition's per-slice np.unique pick; both are rare enough to
-            # hand the whole column to the scalar oracle instead of
-            # guessing.
-            return [
-                build_column_statistics(
-                    columns[p], values[offsets[p] : offsets[p + 1]], config
-                )
-                for p in range(n)
-            ]
-    seg, heavy_hitters = _segment_column(values, offsets, config)
-    hashed_keys, hashed_counts, hashed_offsets = _sort_segments_by_hash(seg)
-    distinct_values = seg.values()
+    seg, hitters = _segment_column(values, offsets, config)
+    hashes = hash_distinct(seg.uniques)
+    hashed_keys, hashed_counts, hashed_offsets = _sort_segments_by_hash(seg, hashes)
+    rows = np.diff(offsets)
+    stats = np.zeros((n, NUM_COLUMN_STATS), dtype=np.float64)
+    sizes = np.zeros((n, len(FAMILIES)), dtype=np.int64)
     if categorical:
         # Hashed histograms are built on the float64 cast of the hashes,
         # under which distinct uint64 hashes can become equal.
-        histograms = EquiDepthHistogram.build_segmented(
+        histograms = segmented_histograms(
             *_merge_equal_runs(
                 hashed_keys.astype(np.float64), hashed_counts, hashed_offsets
             ),
             buckets=config.histogram_buckets,
-            hashed=True,
         )
-        measures = [None] * n
     else:
-        histograms = EquiDepthHistogram.build_segmented(
-            distinct_values, seg.counts, seg.offsets, buckets=config.histogram_buckets
+        histograms = segmented_histograms(
+            seg.histogram_values(),
+            seg.counts,
+            seg.offsets,
+            buckets=config.histogram_buckets,
         )
         measures = MeasuresSketch.build_segmented(
             values, offsets, track_log=[c.positive for c in columns]
         )
-    out = []
-    for p in range(n):
-        lo, hi = int(hashed_offsets[p]), int(hashed_offsets[p + 1])
-        stats = ColumnStatistics(
-            column=columns[p],
-            measures=measures[p],
-            histogram=histograms[p],
-            akmv=AKMVSketch.from_hash_counts(
-                hashed_keys[lo:hi], hashed_counts[lo:hi], k=config.akmv_k
-            ),
-            heavy_hitter=heavy_hitters[p],
+        stats[:, :9] = [sketch.table2() for sketch in measures]
+        sizes[:, 0] = _MEASURE_BYTES
+    edges, depths, distincts, buckets = histograms
+    sizes[:, 1] = _HISTOGRAM_HEADER + 8 * (buckets + 1) + 16 * buckets
+    stats[:, 9:14], sizes[:, 2] = _akmv_rows(
+        hashed_keys, hashed_counts, hashed_offsets, config.akmv_k
+    )
+
+    # Reported heavy hitters: entries at the support level (``items()``).
+    sketch = config.heavy_hitter_sketch()
+    entry_rows = np.repeat(np.arange(n), np.diff(hitters.bounds))
+    floor = (sketch.support - sketch.epsilon) * hitters.totals[entry_rows]
+    keep = hitters.counts >= floor
+    hh_rows, hh_codes = entry_rows[keep], hitters.codes[keep]
+    hh_freqs = hitters.counts[keep] / hitters.totals[hh_rows]
+    # Strings encode as utf-8; anything else (numbers, bytes) as a float.
+    text = seg.uniques.dtype.kind == "U"
+    hh_keys = hashes[hh_codes] if categorical else _blake_keys(seg.uniques, hh_codes)
+    hh_text = seg.uniques[hh_codes].tolist() if text else []
+    hh_bytes = (
+        [_HH_ENTRY + len(value.encode("utf-8")) for value in hh_text]
+        if text
+        else np.full(len(hh_rows), _HH_ENTRY + 8)
+    )
+    sizes[:, 3] = _HH_HEADER + np.bincount(hh_rows, hh_bytes, n).astype(np.int64)
+    covered = np.zeros(n, dtype=np.float64)
+    bounds = np.searchsorted(hh_rows, np.arange(n + 1))
+    for p in np.flatnonzero(np.diff(bounds)):
+        freqs = hh_freqs[bounds[p] : bounds[p + 1]]
+        stats[p, 14:] = (len(freqs), float(np.mean(freqs)), float(np.max(freqs)))
+        covered[p] = sum(freqs.tolist())
+
+    # Exact dictionaries: every distinct value of a low-cardinality
+    # categorical segment, unless it holds more than the limit.
+    low = np.array([c.low_cardinality for c in columns], dtype=bool) & categorical
+    held = np.diff(seg.offsets)
+    usable = low & (held <= config.exact_dict_limit)
+    in_dict = usable[np.repeat(np.arange(n), held)]
+    ed_rows = np.repeat(np.arange(n), held)[in_dict]
+    ed_codes = seg.codes[in_dict]
+    ed_counts = seg.counts[in_dict]
+    ed_text = [str(value) for value in seg.uniques[ed_codes].tolist()]
+    ed_bytes = [_ED_ENTRY + len(value.encode("utf-8")) for value in ed_text]
+    sizes[:, 3] += np.where(
+        low, _ED_HEADER + np.bincount(ed_rows, ed_bytes, n).astype(np.int64), 0
+    )
+    return SealedSegments(
+        stats=stats,
+        edges=edges,
+        depths=depths,
+        distincts=distincts,
+        buckets=buckets,
+        totals=rows,
+        hh_rows=hh_rows,
+        hh_keys=hh_keys,
+        hh_freqs=hh_freqs,
+        hh_text=hh_text,
+        hh_covered=covered,
+        ed_usable=usable,
+        ed_rows=ed_rows,
+        ed_keys=(
+            hashes[ed_codes]
+            if text
+            else np.fromiter(map(hash_value, ed_text), np.uint64, len(ed_text))
+        ),
+        ed_fracs=ed_counts / rows[ed_rows],
+        ed_text=ed_text,
+        ed_counts=ed_counts.astype(np.float64),
+        sizes=sizes,
+        hitters=hitters.sketches(seg.uniques, sketch.support, sketch.epsilon),
+    )
+
+
+@dataclass
+class PartitionSeal:
+    """One partition's sealed statistics, ready to append."""
+
+    blocks: dict[str, ColumnIndex]  # column -> its one index row
+    sizes: np.ndarray  # (len(FAMILIES),) encoded bytes
+    hitters: dict[str, HeavyHitterSketch]  # column -> automaton
+    num_rows: int
+
+
+def seal_partition(
+    schema: Schema, columns: dict[str, np.ndarray], part: int, config: SketchConfig
+) -> PartitionSeal:
+    """Seal one partition's rows as partition ``part``.
+
+    The columns are stacked as the segments of one
+    :func:`build_column_statistics_batch` call per kind: numeric and date
+    columns as float64, categorical columns by string dtype kind. A float
+    column holding NaN or ``-0.0`` is sealed alone.
+    """
+    num_rows = len(columns[schema.names[0]])
+    groups: dict[object, list[Column]] = {}
+    for column in schema:
+        values = columns[column.name]
+        if column.is_categorical:
+            key: object = values.dtype.kind
+        elif values.dtype.kind == "f" and _breaks_dedup(values):
+            key = (column.name,)
+        else:
+            key = "numeric"
+        groups.setdefault(key, []).append(column)
+    blocks, hitters = {}, {}
+    sizes = np.zeros(len(FAMILIES), dtype=np.int64)
+    for group in groups.values():
+        values = np.concatenate(
+            [columns[column.name] for column in group],
+            dtype=None if group[0].is_categorical else np.float64,
         )
-        if columns[p].low_cardinality:  # categorical columns only
-            dlo, dhi = int(seg.offsets[p]), int(seg.offsets[p + 1])
-            stats.exact_dict = ExactDictionary.from_distinct_counts(
-                distinct_values[dlo:dhi],
-                seg.counts[dlo:dhi],
-                limit=config.exact_dict_limit,
-            )
-        out.append(stats)
-    return out
+        offsets = np.arange(len(group) + 1, dtype=np.int64) * num_rows
+        sealed = build_column_statistics_batch(group, values, offsets, config)
+        for i, column in enumerate(group):
+            blocks[column.name] = sealed.block(column.name, i, i + 1, part)
+            hitters[column.name] = sealed.hitters[i]
+        sizes += sealed.sizes.sum(axis=0)
+    return PartitionSeal(
+        blocks={name: blocks[name] for name in schema.names},
+        sizes=sizes,
+        hitters=hitters,
+        num_rows=num_rows,
+    )
 
 
-def _build_partitions(
-    ptable: PartitionedTable, config: SketchConfig
-) -> list[PartitionStatistics]:
-    """All partitions' statistics via per-column chunked passes."""
-    # Imported lazily: the engine package pulls in stats.plan -> columnar,
-    # which imports this module.
+def seal_appended_columns(
+    dataset: DatasetStatistics, columns: dict[str, np.ndarray]
+) -> int:
+    """Seal one validated batch of rows as the dataset's next partition.
+
+    The one place an appended batch becomes statistics: a live append
+    (:func:`append_partition_statistics`) and journal replay both end
+    here. The new rows join the index, row counts and sizes, and each
+    column's automaton joins its running global sketch; the *frozen*
+    global heavy hitters stay as they are, so feature schemas (and hence
+    trained models) stay valid. Returns the new partition's index.
+    """
+    part = dataset.num_partitions
+    sealed = seal_partition(dataset.schema, columns, part, dataset.config)
+    dataset.index.append(sealed.blocks, 1)
+    dataset.num_rows = np.append(dataset.num_rows, sealed.num_rows)
+    dataset.sizes = np.vstack([dataset.sizes, sealed.sizes])
+    for name, sketch in sealed.hitters.items():
+        dataset.running_heavy_hitters[name].merge(sketch)
+    return part
+
+
+def append_partition_statistics(
+    dataset: DatasetStatistics, partition: Partition
+) -> int:
+    """Seal a table's newly appended partition (the live append call)."""
+    return seal_appended_columns(dataset, partition.columns)
+
+
+def build_dataset_statistics(
+    ptable: PartitionedTable,
+    config: SketchConfig | None = None,
+) -> DatasetStatistics:
+    """Seal every partition: one chunked numpy pass per column over the
+    fused table view, then the global heavy hitters."""
+    # Imported lazily: the engine package pulls in stats.plan -> columnar.
     from repro.engine.batch_executor import fused_view
 
+    config = config or SketchConfig()
     view = fused_view(ptable)
-    offsets = view.offsets
-    schema = ptable.schema
-    by_column = {
-        column.name: build_column_statistics_batch(
-            [column] * ptable.num_partitions, view.columns[column.name], offsets, config
+    n = ptable.num_partitions
+    columns, running = {}, {}
+    sizes = np.zeros((n, len(FAMILIES)), dtype=np.int64)
+    for column in ptable.schema:
+        sealed = build_column_statistics_batch(
+            [column] * n, view.columns[column.name], view.offsets, config
         )
-        for column in schema
-    }
-    sizes = np.diff(offsets)
-    return [
-        PartitionStatistics(
-            partition_index=p,
-            num_rows=int(sizes[p]),
-            columns={column.name: by_column[column.name][p] for column in schema},
-        )
-        for p in range(ptable.num_partitions)
-    ]
+        columns[column.name] = sealed.block(column.name, 0, n, 0)
+        sizes += sealed.sizes
+        running[column.name] = config.heavy_hitter_sketch()
+        running[column.name].merge(*sealed.hitters)
+    dataset = DatasetStatistics(
+        schema=ptable.schema,
+        config=config,
+        index=ColumnarSketchIndex(columns, n),
+        num_rows=np.diff(view.offsets).astype(np.int64),
+        sizes=sizes,
+        running_heavy_hitters=running,
+    )
+    dataset.global_heavy_hitters = recompute_global_heavy_hitters(dataset)
+    return dataset

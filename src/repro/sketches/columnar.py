@@ -1,17 +1,15 @@
-"""Columnar (struct-of-arrays) export of per-partition sketches.
+"""Columnar (struct-of-arrays) sketch state: the one statistics form.
 
-The scalar selectivity estimator walks Python sketch objects once per
-partition per query; at thousands of partitions that Python loop is the
-picker's dominant cost. :class:`ColumnarSketchIndex` transposes the
-per-partition sketch state into per-column arrays once per dataset —
-and incrementally on append — so a whole clause can be evaluated across
-all N partitions with a handful of numpy operations:
+The seal (:mod:`repro.sketches.builder`) writes each partition's
+statistics straight into these per-column arrays, and queries, features,
+outliers and the statistics bundle read nothing else, so a whole clause
+is evaluated across all N partitions with a handful of numpy operations:
 
 * equi-depth histograms stack into padded ``(N, B+1)`` edge / ``(N, B)``
   depth and distinct-count matrices (:class:`HistogramArrays`), with the
-  four selectivity primitives reimplemented as array passes that match
-  the scalar :class:`~repro.sketches.histogram.EquiDepthHistogram`
-  methods value-for-value;
+  four selectivity primitives as array passes that match the scalar
+  :class:`~repro.sketches.histogram.EquiDepthHistogram` methods
+  value-for-value;
 * heavy-hitter and exact-dictionary tables flatten into hashed
   key / partition / value triples sorted by key
   (:class:`KeyedFrequencyTable`), so one binary search resolves a probe
@@ -24,8 +22,8 @@ all N partitions with a handful of numpy operations:
   plain array assignments.
 
 Hash collisions (blake2b-64 over distinct in-partition values) are the
-only semantic difference from the dict-backed scalar path and are
-negligible at these cardinalities.
+only semantic difference from a dict-backed walk and are negligible at
+these cardinalities.
 """
 
 from __future__ import annotations
@@ -38,41 +36,11 @@ from types import SimpleNamespace
 import numpy as np
 
 from repro.errors import ConfigError, QueryScopeError
-from repro.sketches.builder import ColumnStatistics, DatasetStatistics
 from repro.sketches.hashing import hash_value
 
 #: Width of the per-column statistic block (must match
 #: ``repro.stats.features.NUM_STATS``; asserted there on import).
 NUM_COLUMN_STATS = 17
-
-
-def column_stat_vector(cstats: ColumnStatistics) -> np.ndarray:
-    """The 17 per-column statistics of one partition (Table 2)."""
-    out = np.zeros(NUM_COLUMN_STATS, dtype=np.float64)
-    measures = cstats.measures
-    if measures is not None:
-        out[0] = measures.mean
-        out[1] = measures.mean_sq
-        out[2] = measures.std
-        out[3] = measures.min_value()
-        out[4] = measures.max_value()
-        out[5] = measures.log_mean
-        out[6] = measures.log_mean_sq
-        out[7] = measures.log_min_value()
-        out[8] = measures.log_max_value()
-    if cstats.akmv is not None:
-        avg, mx, mn, total = cstats.akmv.freq_stats()
-        out[9] = cstats.akmv.distinct_estimate()
-        out[10] = avg
-        out[11] = mx
-        out[12] = mn
-        out[13] = total
-    if cstats.heavy_hitter is not None:
-        count, avg, mx = cstats.heavy_hitter.stats()
-        out[14] = count
-        out[15] = avg
-        out[16] = mx
-    return out
 
 
 @dataclass
@@ -92,30 +60,6 @@ class HistogramArrays:
     distincts: np.ndarray  # (N, B) float64, zero-padded
     totals: np.ndarray  # (N,) float64
     has: np.ndarray  # (N,) bool — partition has a histogram at all
-
-    @classmethod
-    def build(cls, stats_list: list[ColumnStatistics]) -> HistogramArrays:
-        n = len(stats_list)
-        hists = [cs.histogram for cs in stats_list]
-        max_buckets = max(
-            (h.num_buckets for h in hists if h is not None), default=1
-        )
-        edges = np.zeros((n, max_buckets + 1), dtype=np.float64)
-        depths = np.zeros((n, max_buckets), dtype=np.float64)
-        distincts = np.zeros((n, max_buckets), dtype=np.float64)
-        totals = np.zeros(n, dtype=np.float64)
-        has = np.zeros(n, dtype=bool)
-        for i, hist in enumerate(hists):
-            if hist is None:
-                continue
-            has[i] = True
-            b = hist.num_buckets
-            edges[i, : b + 1] = hist.edges
-            edges[i, b + 1 :] = hist.edges[-1]
-            depths[i, :b] = hist.depths
-            distincts[i, :b] = hist.distincts
-            totals[i] = hist.total
-        return cls(edges, depths, distincts, totals, has)
 
     @property
     def num_partitions(self) -> int:
@@ -177,17 +121,30 @@ class HistogramArrays:
             (False, True): -np.inf < first,
             (False, False): -np.inf <= first,
         }
+        head = np.zeros((n, width + 1), dtype=bool)
+        head[:, 0] = True
+        interp = (dist > 1) & (span > 0)
+        unbounded = interp & (lo == -np.inf)
+        # A NaN high edge tops a bucket of NaN rows (one distinct) and
+        # values above its low edge (``EquiDepthHistogram.fraction_leq``).
+        nan_top = np.isnan(highs.ravel()) & (dist > 0)
         return SimpleNamespace(
             highs=highs,
+            eq_highs=np.where((nan_top & (dist > 1)).reshape(n, -1), np.inf, highs),
             first=first.copy(),
             offsets=np.arange(n) * (width + 1),
             lo=lo,
             hi=highs.ravel(),
             depth=depth,
             cum=rows(np.cumsum(self.depths, axis=1) - self.depths, total1).ravel(),
-            interp=(dist > 1) & (span > 0),
+            interp=interp,
+            # Buckets spanning from -inf count whole (see ``_below``).
+            unbounded=unbounded if unbounded.any() else None,
+            unbounded_head=unbounded & head.ravel(),
+            nan_top=nan_top if nan_top.any() else None,
             span=np.where(span > 0, span, 1.0),
             single=dist == 1,
+            dist=dist,
             mass=depth / np.repeat(total1, width + 1) / np.maximum(dist, 1.0),
             empty=self.totals == 0,
             total1=total1,
@@ -226,9 +183,11 @@ class HistogramArrays:
         ``total == 0`` and first-edge tests: the first bucket whose high
         edge is not below the probe is the only one that can hold it,
         and a single-distinct bucket holds only its high edge."""
-        k = p.offsets + (value <= p.highs).argmax(axis=1)
-        hi = p.hi.take(k)
-        return np.where(p.single.take(k), hi == value, value <= hi), p.mass.take(k)
+        k = p.offsets + (value <= p.eq_highs).argmax(axis=1)
+        hit = np.where(
+            p.single.take(k), p.hi.take(k) == value, value <= p.eq_highs.ravel().take(k)
+        )
+        return hit, p.mass.take(k)
 
     def _below(self, value: float, inclusive: bool) -> np.ndarray:
         """``fraction_leq(value)``, or ``fraction_lt(value)`` in the same
@@ -244,6 +203,18 @@ class HistogramArrays:
                 p.depth.take(k) * (value - p.lo.take(k)) / p.span.take(k),
                 0.0,
             )
+        if p.unbounded is not None:
+            # No interpolation from -inf: the whole bucket counts, save a
+            # -inf probe past the first (the only inclusive) bucket.
+            whole = p.unbounded if value > -np.inf else p.unbounded_head
+            partial = np.where(
+                p.unbounded.take(k), p.depth.take(k) * whole.take(k), partial
+            )
+        if p.nan_top is not None and value == np.inf:
+            dist = p.dist.take(k)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                share = p.depth.take(k) * (dist - 1) / dist
+            partial = np.where(p.nan_top.take(k), share, partial)
         est = np.minimum(np.maximum(p.cum.take(k) + partial, 1.0) / p.total1, 1.0)
         if inclusive:
             return np.where(p.empty | (value < p.first), 0.0, est)
@@ -407,66 +378,6 @@ class ColumnIndex:
     ed_lookup: KeyedFrequencyTable  # hash(str(value)) -> exact fraction
     ed_strings: SubstringTable  # dictionary values, raw count weights
 
-    @classmethod
-    def build(
-        cls, name: str, stats_list: list[ColumnStatistics], part_offset: int = 0
-    ) -> ColumnIndex:
-        n = len(stats_list)
-        stats = np.zeros((n, NUM_COLUMN_STATS), dtype=np.float64)
-        hh_keys: list[int] = []
-        hh_parts: list[int] = []
-        hh_freqs: list[float] = []
-        hhs_values: list[str] = []
-        hhs_parts: list[int] = []
-        hhs_freqs: list[float] = []
-        hh_covered = np.zeros(n, dtype=np.float64)
-        ed_usable = np.zeros(n, dtype=bool)
-        ed_totals = np.zeros(n, dtype=np.float64)
-        ed_keys: list[int] = []
-        ed_parts: list[int] = []
-        ed_fracs: list[float] = []
-        eds_values: list[str] = []
-        eds_parts: list[int] = []
-        eds_counts: list[float] = []
-        for i, cstats in enumerate(stats_list):
-            part = part_offset + i
-            stats[i] = column_stat_vector(cstats)
-            if cstats.heavy_hitter is not None:
-                freqs = cstats.heavy_hitter.frequencies()
-                hh_covered[i] = sum(freqs.values())
-                for value, freq in freqs.items():
-                    hh_keys.append(hash_value(value))
-                    hh_parts.append(part)
-                    hh_freqs.append(freq)
-                    if isinstance(value, str):
-                        hhs_values.append(value)
-                        hhs_parts.append(part)
-                        hhs_freqs.append(freq)
-            dictionary = cstats.exact_dict
-            if dictionary is not None and dictionary.usable:
-                ed_usable[i] = True
-                ed_totals[i] = dictionary.total
-                for value, fraction in dictionary.fractions().items():
-                    ed_keys.append(hash_value(value))
-                    ed_parts.append(part)
-                    ed_fracs.append(fraction)
-                for value, count in dictionary.counts.items():
-                    eds_values.append(value)
-                    eds_parts.append(part)
-                    eds_counts.append(float(count))
-        return cls(
-            name=name,
-            stats=stats,
-            hist=HistogramArrays.build(stats_list),
-            hh_lookup=KeyedFrequencyTable.build(hh_keys, hh_parts, hh_freqs),
-            hh_strings=SubstringTable.build(hhs_values, hhs_parts, hhs_freqs),
-            hh_covered=hh_covered,
-            ed_usable=ed_usable,
-            ed_totals=ed_totals,
-            ed_lookup=KeyedFrequencyTable.build(ed_keys, ed_parts, ed_fracs),
-            ed_strings=SubstringTable.build(eds_values, eds_parts, eds_counts),
-        )
-
     @property
     def num_partitions(self) -> int:
         return self.stats.shape[0]
@@ -589,7 +500,7 @@ class ColumnIndex:
     ) -> np.ndarray:
         """0/1 matrix: value j is a local heavy hitter of partition i.
 
-        Matches :func:`repro.stats.bitmap.occurrence_bitmaps` (membership
+        Matches the scalar occurrence bitmaps (membership
         in the partition's reported heavy-hitter set) via hashed lookup.
         Restricted to partitions ``[start, stop)`` so incremental refresh
         only pays for the appended rows.
@@ -610,7 +521,7 @@ class ColumnIndex:
 
 
 class ColumnarSketchIndex:
-    """Columnar view of a :class:`DatasetStatistics` for batch estimation."""
+    """Every column's :class:`ColumnIndex`: a dataset's statistics."""
 
     def __init__(self, columns: dict[str, ColumnIndex], num_partitions: int) -> None:
         self.columns = columns
@@ -618,17 +529,6 @@ class ColumnarSketchIndex:
         # column -> (hitters, bitmap bytes -> code, codes so far): derived
         # in memory by ``signature_codes``, never part of ``array_state``.
         self._signatures: dict[str, tuple] = {}
-
-    @classmethod
-    def build(cls, dataset: DatasetStatistics) -> ColumnarSketchIndex:
-        columns = {
-            column.name: ColumnIndex.build(
-                column.name,
-                [p.columns[column.name] for p in dataset.partitions],
-            )
-            for column in dataset.schema
-        }
-        return cls(columns, dataset.num_partitions)
 
     def column(self, name: str) -> ColumnIndex:
         try:
@@ -642,7 +542,7 @@ class ColumnarSketchIndex:
         Partitions share a code exactly when ``occurrence_matrix(hitters)``
         gives them the same row; codes count the distinct rows in order of
         first appearance, so build-at-once and build-then-append agree.
-        Kept per column for ``find_outliers`` and, after :meth:`extend`,
+        Kept per column for ``find_outliers`` and, after :meth:`append`,
         caught up from the appended partitions only.
         """
         known = self._signatures.get(column)
@@ -673,7 +573,7 @@ class ColumnarSketchIndex:
         """Rebuild an index from persisted :meth:`array_state` arrays.
 
         The arrays are adopted as-is. Nothing in the index mutates its
-        arrays in place: queries only read, and :meth:`extend` goes
+        arrays in place: queries only read, and :meth:`append` goes
         through :meth:`ColumnIndex.concat`, which stacks into fresh
         arrays (copy-on-append; string dictionaries are merged into a
         fresh union and both code vectors remapped into it, never edited
@@ -685,28 +585,16 @@ class ColumnarSketchIndex:
         }
         return cls(columns, num_partitions)
 
-    def extend(self, dataset: DatasetStatistics) -> int:
-        """Absorb partitions appended to ``dataset`` since the last build.
+    def append(self, blocks: dict[str, ColumnIndex], added: int) -> None:
+        """Absorb ``added`` sealed partitions, one block per column.
 
-        Only the new partitions' sketches are visited — the existing
-        arrays are padded/stacked into *new* arrays, not recomputed or
-        written in place (older generations and non-writeable
-        dictionaries rely on it). Signature codes catch up on their next
-        lookup. Returns the number of partitions added.
+        The existing arrays are padded/stacked into *new* arrays, never
+        written in place (older generations and non-writeable arrays
+        rely on it). Signature codes catch up on their next lookup.
         """
-        added = dataset.num_partitions - self.num_partitions
-        if added <= 0:
-            return 0
-        new_slice = dataset.partitions[self.num_partitions :]
-        for column in dataset.schema:
-            block = ColumnIndex.build(
-                column.name,
-                [p.columns[column.name] for p in new_slice],
-                part_offset=self.num_partitions,
-            )
-            self.columns[column.name] = self.columns[column.name].concat(block)
-        self.num_partitions = dataset.num_partitions
-        return added
+        for name, block in blocks.items():
+            self.columns[name] = self.columns[name].concat(block)
+        self.num_partitions += added
 
 
 def _pad_edges(edges: np.ndarray, width: int) -> np.ndarray:

@@ -57,31 +57,6 @@ class ExactDictionary:
             self.counts.clear()
             self.overflowed = True
 
-    @classmethod
-    def from_distinct_counts(
-        cls, uniques: np.ndarray, counts: np.ndarray, limit: int = 256
-    ) -> ExactDictionary:
-        """Build from a partition's pre-aggregated distinct values.
-
-        ``uniques``/``counts`` are what ``np.unique(values,
-        return_counts=True)`` yields for the partition; matches
-        ``build(values, limit)`` bit for bit, including the overflow rule
-        (dictionary disabled, total still recorded) and the sorted
-        insertion order of ``counts``.
-        """
-        dictionary = cls(limit=limit)
-        total = int(np.sum(counts)) if len(counts) else 0
-        dictionary.total = total
-        if total == 0:
-            return dictionary
-        if len(uniques) > limit:
-            dictionary.overflowed = True
-            return dictionary
-        dictionary.counts = {
-            str(value): int(count) for value, count in zip(uniques, counts)
-        }
-        return dictionary
-
     def merge(self, other: ExactDictionary) -> None:
         self._fraction_cache = None
         self.total += other.total

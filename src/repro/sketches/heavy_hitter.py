@@ -15,8 +15,8 @@ bucket) forward every entry with ``count + delta <= bucket`` is pruned.
 a whole column — all partitions, all blocks, one integer sort (or a dense
 ``bincount`` when the key space is small) — and :func:`_walk` advances
 block 0, 1, 2, … *of every partition at once* on :class:`_Automaton`
-arrays. ``HeavyHitterSketch.build_segmented`` is that kernel over a
-column's partitions, ``build`` / ``update`` are the same kernel over one
+arrays. :func:`segmented_hitters` is that kernel over a column's
+partitions, ``build`` / ``update`` are the same kernel over one
 segment, and ``merge`` runs the automaton's add-then-prune step over
 whole sketches (the global heavy hitters of section 3.2).
 
@@ -25,7 +25,7 @@ Two written rules:
 * **Insertion order.** A sketch keeps its entries in the order a
   dictionary would: by the block (or merge step) of their last
   insertion, then by value order within it. ``items()`` iterates in
-  that order, ``to_bytes`` persists it, and a merge breaks count ties
+  that order, a statistics bundle persists it, and a merge breaks count ties
   with it, so it is part of the state.
 * **NaN is one value.** ``np.unique`` collapses NaNs within a block; the
   same holds across blocks, ``update`` calls and merges: NaN counts add
@@ -247,6 +247,10 @@ class HeavyHitterSketch:
             zip(self._values.tolist(), self._counts.tolist(), self._deltas.tolist())
         )
 
+    def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Raw automaton state as ``(values, counts, deltas)`` arrays."""
+        return self._values, self._counts, self._deltas
+
     def _adopt(self, values: np.ndarray, automaton: _Automaton) -> None:
         live = automaton.live
         self._values = values[live]
@@ -261,48 +265,6 @@ class HeavyHitterSketch:
         sketch = cls(support=support, epsilon=epsilon)
         sketch.update(values)
         return sketch
-
-    @classmethod
-    def build_segmented(
-        cls,
-        uniques: np.ndarray,
-        inverse: np.ndarray,
-        offsets: np.ndarray,
-        support: float = 0.01,
-        epsilon: float | None = None,
-    ) -> tuple[list[HeavyHitterSketch], tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """Every partition's sketch of one column, from one counting pass.
-
-        ``uniques, inverse = np.unique(column, return_inverse=True)`` over
-        the fused column and ``offsets`` are the partition boundaries.
-        Sketch ``p`` equals ``build(column[offsets[p]:offsets[p + 1]])``
-        entry for entry. The per-partition distincts the pass counted on
-        the way come back for the other sketch families as ``(codes,
-        counts, bounds)``: partition ``p`` holds the values
-        ``uniques[codes[bounds[p]:bounds[p + 1]]]``, ascending, with those
-        multiplicities.
-        """
-        width = cls(support=support, epsilon=epsilon)._width
-        counted = _count_blocks(inverse, offsets, width, len(uniques))
-        automaton = _Automaton(counted.parts)
-        _walk(automaton, counted, np.zeros(len(counted.sizes), dtype=np.int64))
-        live = automaton.live
-        live = live[np.argsort(counted.parts[live], kind="stable")]
-        bounds = np.searchsorted(counted.parts[live], np.arange(len(offsets)))
-        values = uniques[counted.codes[live]]
-        counts, deltas = automaton.count[live], automaton.delta[live]
-        sketches = [
-            cls(
-                support=support,
-                epsilon=epsilon,
-                total=int(size),
-                _values=values[lo:hi],
-                _counts=counts[lo:hi],
-                _deltas=deltas[lo:hi],
-            )
-            for size, lo, hi in zip(counted.sizes, bounds[:-1], bounds[1:])
-        ]
-        return sketches, (counted.codes, counted.counts, counted.offsets)
 
     def update(self, values: np.ndarray) -> None:
         """Stream a batch of values through the lossy-counting automaton.
@@ -330,8 +292,9 @@ class HeavyHitterSketch:
         """Merge other sketches, left to right (counts add; deltas take
         the max; every step prunes at the merged bucket).
 
-        Used to assemble *global* heavy hitters for a column by combining
-        per-partition sketches (paper section 3.2, occurrence bitmaps).
+        Keeps a column's running *global* heavy hitters (paper section
+        3.2, occurrence bitmaps): each sealed partition's automaton merges
+        in as it is sealed, which equals one merge of them all.
         """
         uniques, inverse = _unique_values(
             [self._values, *(other._values for other in others)]
@@ -423,6 +386,73 @@ class HeavyHitterSketch:
             sketch._values, sketch._counts = values, counts
             sketch._deltas = np.zeros(len(counts), dtype=np.float64)
         return sketch
+
+
+class SegmentedHitters(NamedTuple):
+    """Every segment's lossy-counting automaton, as flat arrays.
+
+    Segment ``p``'s entries are ``bounds[p]:bounds[p + 1]``, in the
+    insertion order of the module docstring; ``codes`` index the
+    ``uniques`` the pass counted on.
+    """
+
+    codes: np.ndarray  # (E,) value code of each entry
+    counts: np.ndarray  # (E,) float64
+    deltas: np.ndarray  # (E,) float64
+    bounds: np.ndarray  # (N+1,) segment boundaries into the entries
+    totals: np.ndarray  # (N,) rows per segment
+
+    def sketches(
+        self, uniques: np.ndarray, support: float, epsilon: float | None
+    ) -> list[HeavyHitterSketch]:
+        """One :class:`HeavyHitterSketch` per segment."""
+        values = uniques[self.codes]
+        bounds = self.bounds
+        return [
+            HeavyHitterSketch(
+                support=support,
+                epsilon=epsilon,
+                total=int(size),
+                _values=values[lo:hi],
+                _counts=self.counts[lo:hi],
+                _deltas=self.deltas[lo:hi],
+            )
+            for size, lo, hi in zip(self.totals, bounds[:-1], bounds[1:])
+        ]
+
+
+def segmented_hitters(
+    uniques: np.ndarray,
+    inverse: np.ndarray,
+    offsets: np.ndarray,
+    support: float = 0.01,
+    epsilon: float | None = None,
+) -> tuple[SegmentedHitters, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Every segment's automaton of one column, from one counting pass.
+
+    ``uniques, inverse = np.unique(column, return_inverse=True)`` over
+    the fused column and ``offsets`` are the segment boundaries; segment
+    ``p``'s automaton equals ``HeavyHitterSketch.build(column[offsets[p]:
+    offsets[p + 1]])`` entry for entry. The per-segment distincts the
+    pass counted on the way come back for the other sketch families as
+    ``(codes, counts, bounds)``: segment ``p`` holds the values
+    ``uniques[codes[bounds[p]:bounds[p + 1]]]``, ascending, with those
+    multiplicities.
+    """
+    width = HeavyHitterSketch(support=support, epsilon=epsilon)._width
+    counted = _count_blocks(inverse, offsets, width, len(uniques))
+    automaton = _Automaton(counted.parts)
+    _walk(automaton, counted, np.zeros(len(counted.sizes), dtype=np.int64))
+    live = automaton.live
+    live = live[np.argsort(counted.parts[live], kind="stable")]
+    hitters = SegmentedHitters(
+        counted.codes[live],
+        automaton.count[live],
+        automaton.delta[live],
+        np.searchsorted(counted.parts[live], np.arange(len(offsets))),
+        counted.sizes,
+    )
+    return hitters, (counted.codes, counted.counts, counted.offsets)
 
 
 def _encode_value(value: object) -> bytes:

@@ -97,105 +97,6 @@ class EquiDepthHistogram:
             hash_array(values).astype(np.float64), buckets=buckets, hashed=True
         )
 
-    @classmethod
-    def build_segmented(
-        cls,
-        values: np.ndarray,
-        counts: np.ndarray,
-        seg_offsets: np.ndarray,
-        buckets: int = 10,
-        hashed: bool = False,
-    ) -> list[EquiDepthHistogram]:
-        """Histograms for many partitions from per-partition sorted distincts.
-
-        ``values`` and ``counts`` hold every partition's distinct values
-        (sorted ascending within each partition, each with multiplicity
-        >= 1); partition ``p`` owns ``seg_offsets[p]:seg_offsets[p+1]``.
-        Matches ``build(partition_values, buckets)`` bit for bit: the
-        greedy bucket-closing walk is replayed with one vectorized
-        ``searchsorted`` per bucket level across *all* partitions instead
-        of a per-distinct Python loop per partition — the cumulative
-        count vector is strictly increasing globally, so "first distinct
-        where the running count reaches the target" is a binary search.
-        """
-        if buckets < 1:
-            raise ConfigError("histogram needs at least one bucket")
-        seg_offsets = np.asarray(seg_offsets, dtype=np.int64)
-        n = len(seg_offsets) - 1
-        if n == 0:
-            return []
-        values = np.asarray(values, dtype=np.float64)
-        counts = np.asarray(counts, dtype=np.int64)
-        starts = seg_offsets[:-1]
-        ends = seg_offsets[1:]
-        ndistinct = ends - starts
-        cum = np.cumsum(counts)
-        cum0 = np.concatenate(([0], cum))
-        base = cum0[starts]
-        totals = cum0[ends] - base
-        targets = np.maximum(
-            np.ceil(totals / buckets).astype(np.int64), 1
-        )
-        # Replay the greedy walk, one bucket level at a time: every still-
-        # building partition finds its next closing distinct via one shared
-        # searchsorted over the global cumulative-count vector.
-        closes = np.full((n, buckets), -1, dtype=np.int64)
-        n_closes = np.zeros(n, dtype=np.int64)
-        threshold = base + targets
-        active = np.flatnonzero((ndistinct >= 2) & (totals > 0))
-        while active.size:
-            j = np.searchsorted(cum, threshold[active], side="left")
-            within = j < ends[active]
-            closed = active[within]
-            jc = j[within]
-            closes[closed, n_closes[closed]] = jc
-            n_closes[closed] += 1
-            threshold[closed] = cum[jc] + targets[closed]
-            active = closed[jc < ends[closed] - 1]
-        out = []
-        for p in range(n):
-            total = int(totals[p])
-            if total == 0:
-                out.append(
-                    cls(
-                        np.zeros(2),
-                        np.zeros(1, np.int64),
-                        np.zeros(1, np.int64),
-                        0,
-                        hashed,
-                    )
-                )
-                continue
-            s, e = int(starts[p]), int(ends[p])
-            if ndistinct[p] == 1:
-                value = values[s]
-                out.append(
-                    cls(
-                        np.array([value, value]),
-                        np.array([total], np.int64),
-                        np.array([1], np.int64),
-                        total,
-                        hashed,
-                    )
-                )
-                continue
-            js = closes[p, : int(n_closes[p])]
-            if js.size == 0 or js[-1] != e - 1:  # leftover rows after last close
-                js = np.concatenate([js, [e - 1]])
-            edges = np.concatenate([values[s : s + 1], values[js]])
-            depths = np.diff(np.concatenate(([base[p]], cum[js])))
-            distincts = np.diff(np.concatenate(([s - 1], js)))
-            out.append(
-                cls(
-                    edges.astype(np.float64),
-                    depths.astype(np.int64),
-                    distincts.astype(np.int64),
-                    total,
-                    hashed,
-                )
-            )
-        return out
-
     @property
     def num_buckets(self) -> int:
         return len(self.depths)
@@ -222,7 +123,8 @@ class EquiDepthHistogram:
         """Estimated fraction of rows with ``x <= value``.
 
         Recall-safe: ``value >= min`` guarantees the minimum row
-        qualifies, so the estimate is floored at ``1/total``.
+        qualifies, so the estimate is floored at ``1/total``. Never NaN,
+        infinite and NaN edges included.
         """
         if self.total == 0 or value < self.edges[0]:
             return 0.0
@@ -236,9 +138,19 @@ class EquiDepthHistogram:
                 cumulative += depth
                 continue
             # value inside this bucket: interpolate, except single-distinct
-            # buckets whose mass sits entirely at hi.
-            if self.distincts[i] > 1 and hi > lo:
-                cumulative += depth * (value - lo) / (hi - lo)
+            # buckets whose mass sits entirely at hi. A span from -inf has
+            # no interpolation: the whole bucket counts, save the -inf
+            # probe itself past the first (the only inclusive) bucket. A
+            # NaN high edge tops a bucket of NaN rows (one distinct) and
+            # values above lo, which only +inf is sure to cover.
+            if hi != hi:
+                if value == np.inf:
+                    cumulative += depth * (self.distincts[i] - 1) / self.distincts[i]
+            elif self.distincts[i] > 1 and hi > lo:
+                if lo == -np.inf:
+                    cumulative += depth if (value > lo or i == 0) else 0.0
+                else:
+                    cumulative += depth * (value - lo) / (hi - lo)
             break
         return min(max(cumulative, 1.0) / self.total, 1.0)
 
@@ -248,6 +160,8 @@ class EquiDepthHistogram:
             return 0.0
         for i in range(self.num_buckets):
             lo, hi, lo_inclusive = self._bucket_bounds(i)
+            if hi != hi and self.distincts[i] > 1:
+                hi = np.inf  # a NaN high edge: NaN rows and values above lo
             inside = (lo < value <= hi) or (lo_inclusive and lo <= value <= hi)
             if not inside:
                 continue
@@ -318,3 +232,76 @@ class EquiDepthHistogram:
         ).copy()
         distincts = np.frombuffer(body[offset + 8 * num_buckets :], dtype="<i8").copy()
         return cls(edges, depths, distincts, int(total), bool(hashed))
+
+
+def segmented_histograms(
+    values: np.ndarray,
+    counts: np.ndarray,
+    seg_offsets: np.ndarray,
+    buckets: int = 10,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Many partitions' histograms from per-partition sorted distincts.
+
+    ``values`` and ``counts`` hold every partition's distinct values
+    (sorted ascending within each partition, each with multiplicity
+    >= 1); partition ``p`` owns ``seg_offsets[p]:seg_offsets[p+1]``.
+    Returns ``(edges, depths, distincts, num_buckets)``: row ``p`` holds
+    ``EquiDepthHistogram.build``'s edges, depths and distinct counts for
+    that partition bit for bit, padded to the widest row (edges repeat
+    the last real edge, depths and distincts pad with zero). The greedy
+    bucket-closing walk is replayed with one vectorized ``searchsorted``
+    per bucket level across *all* partitions: the cumulative count
+    vector is strictly increasing globally, so "first distinct where
+    the running count reaches the target" is a binary search.
+    """
+    if buckets < 1:
+        raise ConfigError("histogram needs at least one bucket")
+    seg_offsets = np.asarray(seg_offsets, dtype=np.int64)
+    n = len(seg_offsets) - 1
+    values = np.asarray(values, dtype=np.float64)
+    counts = np.asarray(counts, dtype=np.int64)
+    starts, ends = seg_offsets[:-1], seg_offsets[1:]
+    ndistinct = ends - starts
+    cum = np.cumsum(counts)
+    cum0 = np.concatenate(([0], cum))
+    base = cum0[starts]
+    totals = cum0[ends] - base
+    targets = np.maximum(np.ceil(totals / buckets).astype(np.int64), 1)
+    # Replay the greedy walk, one bucket level at a time: every still-
+    # building partition finds its next closing distinct via one shared
+    # searchsorted over the global cumulative-count vector.
+    closes = np.full((n, buckets), -1, dtype=np.int64)
+    n_closes = np.zeros(n, dtype=np.int64)
+    threshold = base + targets
+    active = np.flatnonzero((ndistinct >= 2) & (totals > 0))
+    while active.size:
+        j = np.searchsorted(cum, threshold[active], side="left")
+        within = j < ends[active]
+        closed = active[within]
+        jc = j[within]
+        closes[closed, n_closes[closed]] = jc
+        n_closes[closed] += 1
+        threshold[closed] = cum[jc] + targets[closed]
+        active = closed[jc < ends[closed] - 1]
+    # Each partition's closing distincts, then its last distinct when rows
+    # are left after the last close (a single-distinct partition has only
+    # that one); the padding repeats the last distinct.
+    last = np.maximum(ends - 1, 0)
+    rows = np.arange(n)
+    tail = closes[rows, np.maximum(n_closes - 1, 0)]
+    num_buckets = n_closes + ((n_closes == 0) | (tail != ends - 1))
+    empty = totals == 0
+    num_buckets[empty] = 1
+    width = int(num_buckets.max(initial=1))
+    js = np.repeat(last[:, None], width, axis=1)
+    held = np.arange(width)[None, :] < n_closes[:, None]
+    js[held] = closes[:, :width][held]
+    if len(values):
+        edges = values[np.column_stack((np.minimum(starts, last), js))]
+        depths = np.diff(np.column_stack((base, cum[js])), axis=1)
+    else:
+        edges = np.zeros((n, width + 1))
+        depths = np.zeros((n, width), dtype=np.int64)
+    distincts = np.diff(np.column_stack((starts - 1, js)), axis=1)
+    edges[empty], depths[empty], distincts[empty] = 0.0, 0, 0
+    return edges, depths, distincts, num_buckets

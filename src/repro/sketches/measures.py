@@ -114,6 +114,20 @@ class MeasuresSketch:
     def log_max_value(self) -> float:
         return self.log_maximum if (self.track_log and self.count) else 0.0
 
+    def table2(self) -> tuple[float, ...]:
+        """The nine measure statistics of paper Table 2, in feature order."""
+        return (
+            self.mean,
+            self.mean_sq,
+            self.std,
+            self.min_value(),
+            self.max_value(),
+            self.log_mean,
+            self.log_mean_sq,
+            self.log_min_value(),
+            self.log_max_value(),
+        )
+
     # -- batch construction ------------------------------------------------
 
     @classmethod

@@ -1,21 +1,19 @@
 """Summary statistics as features (paper section 3.2).
 
-Turns per-partition sketches into the feature vectors PS3's picker
+Turns the columnar sketch index into the feature vectors PS3's picker
 consumes: pre-computed per-column statistics (measures, distinct values,
 heavy hitters, occurrence bitmaps) combined at query time with
 query-specific selectivity estimates, under a query-dependent column mask.
 
-Selectivity features have two implementations: the scalar per-partition
-:func:`estimate_selectivity` (the reference oracle) and the vectorized
-:class:`PredicatePlan`, which compiles a predicate once and evaluates it
-across all partitions against the columnar sketch index.
+Selectivity features come from the vectorized :class:`PredicatePlan`,
+which compiles a predicate once and evaluates it across all partitions
+against the index. The scalar per-partition estimator and occurrence
+bitmaps over sketch objects are the tests' oracle and live with them.
 """
 
-from repro.stats.bitmap import occurrence_bitmaps
 from repro.stats.features import FeatureBuilder, FeatureSchema, QueryFeatures
 from repro.stats.normalization import Normalizer
 from repro.stats.plan import PredicatePlan
-from repro.stats.selectivity import SelectivityEstimate, estimate_selectivity
 
 __all__ = [
     "FeatureBuilder",
@@ -23,7 +21,4 @@ __all__ = [
     "Normalizer",
     "PredicatePlan",
     "QueryFeatures",
-    "SelectivityEstimate",
-    "estimate_selectivity",
-    "occurrence_bitmaps",
 ]

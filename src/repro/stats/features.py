@@ -24,12 +24,12 @@ partition. A query's features are therefore its selectivity block
 N x M matrix (:attr:`QueryFeatures.matrix`) is composed only when a
 caller reads it (training, LSS), never by a pick.
 
-The builder is backed by a :class:`ColumnarSketchIndex`: the static block
-is assembled from per-column array stacks rather than per-partition
-Python calls, and selectivity features come from a compiled
-:class:`~repro.stats.plan.PredicatePlan` evaluated across all partitions
-at once. The scalar :func:`~repro.stats.selectivity.estimate_selectivity`
-walk, one partition at a time, is the oracle the tests hold the plan to.
+The builder reads the statistics' :class:`ColumnarSketchIndex`: the
+static block is assembled from per-column array stacks, and selectivity
+features come from a compiled :class:`~repro.stats.plan.PredicatePlan`
+evaluated across all partitions at once. A scalar walk over sketch
+objects, one partition at a time, is the oracle the tests hold the plan
+to; it lives with the tests.
 """
 
 from __future__ import annotations
@@ -216,10 +216,8 @@ class FeatureBuilder:
     ``features_for_query`` applies the query mask and appends fresh
     selectivity estimates from a compiled predicate plan.
 
-    Passing ``index`` (e.g. the one
-    ``repro.storage.load_statistics_bundle`` rehydrated from disk) skips
-    the sketch-object -> array export entirely — the cold-start saving
-    the persisted-index format exists for.
+    ``index``, when given, must be ``dataset.index`` (the one index a
+    dataset has); anything else is a :class:`ConfigError`.
     """
 
     def __init__(
@@ -249,16 +247,12 @@ class FeatureBuilder:
             groupby_columns=tuple(groupby_columns),
             bitmap_widths=widths,
         )
-        if index is not None:
-            if index.num_partitions != dataset.num_partitions:
-                raise ConfigError(
-                    "persisted columnar index covers "
-                    f"{index.num_partitions} partitions but the statistics "
-                    f"have {dataset.num_partitions}; rebuild or re-save it"
-                )
-            self._index = index
-        else:
-            self._index = ColumnarSketchIndex.build(dataset)
+        if index is not None and index is not dataset.index:
+            raise ConfigError(
+                "FeatureBuilder reads the statistics' own index; pass "
+                "index=None or index=dataset.index"
+            )
+        self._index = dataset.index
         self._static = self._static_rows(0, dataset.num_partitions)
         self._static.flags.writeable = False  # shared with every QueryFeatures
         self._live_memo: dict[tuple, np.ndarray] = {}
@@ -308,9 +302,9 @@ class FeatureBuilder:
     def refresh(self) -> None:
         """Extend static features after partitions were appended.
 
-        Incremental: just the appended partitions' sketches are exported
-        into the columnar index and appended as new static rows;
-        existing rows are never recomputed. Statistics only grow, and
+        Incremental: the seal already wrote the appended partitions'
+        index rows; just their static rows are appended, existing rows
+        are never recomputed. Statistics only grow, and
         whoever grows them (``PS3.append``, journal replay) calls this
         before the next query. The feature *schema* (including bitmap
         widths, which derive from the global heavy hitters frozen at
@@ -320,7 +314,6 @@ class FeatureBuilder:
         built = self._static.shape[0]
         n = self.dataset.num_partitions
         if n > built:
-            self._index.extend(self.dataset)
             self._static = np.vstack([self._static, self._static_rows(built, n)])
             self._static.flags.writeable = False
 

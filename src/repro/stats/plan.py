@@ -1,9 +1,8 @@
 """Compile-once predicate plans evaluated across all partitions at once.
 
-:func:`repro.stats.selectivity.estimate_selectivity` walks the predicate
-AST against one partition's Python sketch objects; the picker calls it
-once per partition per query, which makes featurization O(N) Python AST
-walks. :class:`PredicatePlan` removes that loop:
+A scalar estimator walking the predicate AST against one partition's
+sketch objects costs O(N) Python AST walks per query (the tests keep
+that walk as the oracle). :class:`PredicatePlan` removes the loop:
 
 * **compile** (once per distinct predicate, partition-count independent):
   the AST is lowered into a flat post-order list of clause ops. All
@@ -21,8 +20,7 @@ walks. :class:`PredicatePlan` removes that loop:
 Every combination rule (Fréchet bounds, the paper's OR-independence rule,
 exact-dictionary / heavy-hitter / hashed-histogram fallbacks for
 categoricals) mirrors the scalar estimator's expressions and evaluation
-order, so the two paths agree to floating-point identity; the scalar
-path remains in place as the reference oracle.
+order, so the two paths agree to floating-point identity.
 """
 
 from __future__ import annotations
@@ -46,7 +44,34 @@ from repro.errors import QueryScopeError
 from repro.obs import get_registry
 from repro.sketches.columnar import ColumnarSketchIndex, ColumnIndex
 from repro.sketches.hashing import hash_value
-from repro.stats.selectivity import _Interval
+
+
+@dataclass
+class _Interval:
+    """Conjunction of numeric comparisons on one column."""
+
+    low: float = -math.inf
+    high: float = math.inf
+    low_inclusive: bool = True
+    high_inclusive: bool = True
+    point: float | None = None  # set by an equality clause
+    nan_bound: bool = False  # a range constant is NaN: no row passes
+
+    def add(self, op: str, value: float) -> None:
+        if op == "==":
+            self.point = value if self.point in (None, value) else math.nan
+            return
+        if math.isnan(value):
+            self.nan_bound = True
+            return
+        if op in ("<", "<="):
+            if value < self.high or (value == self.high and op == "<"):
+                self.high = value
+                self.high_inclusive = op == "<="
+        elif op in (">", ">="):
+            if value > self.low or (value == self.low and op == ">"):
+                self.low = value
+                self.low_inclusive = op == ">="
 
 # -- compiled ops ----------------------------------------------------------
 

@@ -6,10 +6,11 @@ process restarts and live next to — not inside — the data. This package
 provides pickle-free, crash-safe on-disk formats:
 
 * :mod:`~repro.storage.stats_io` — a single binary statistics file per
-  (dataset, layout): JSON manifest + concatenated sketch encodings,
-  byte-for-byte the same encodings Table 4 measures. Format v3 adds
-  per-section CRC32s and a manifest footer checksum so bit-rot is
-  detected at load instead of surfacing as wrong answers;
+  (dataset, layout): JSON manifest + the columnar index, row counts,
+  Table 4 sizes and running global heavy-hitter sketches as raw arrays
+  (format v4), with a blob CRC32 and a manifest footer checksum so
+  bit-rot is detected at load instead of surfacing as wrong answers;
+  v3 files upgrade on load, v1 / v2 files are refused;
 * :mod:`~repro.storage.model_io` — a JSON model file capturing the
   normalizer, the regressor funnel (tree arrays + bin edges), thresholds,
   and excluded clustering families, with a payload self-checksum;

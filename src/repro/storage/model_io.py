@@ -2,9 +2,11 @@
 
 A model file is plain JSON: the normalizer scale vector, the thresholds,
 the excluded clustering feature families, the group-by universe the
-feature builder was constructed with, and the full regressor funnel via
-:meth:`repro.ml.gbrt.GBRTRegressor.to_state`. Loading re-binds the model
-to a :class:`~repro.sketches.builder.DatasetStatistics` (statistics are
+feature builder was constructed with, the partition count it was
+trained on (files written before it was recorded lack it), and the full
+regressor funnel via :meth:`repro.ml.gbrt.GBRTRegressor.to_state`.
+Loading re-binds the model to a
+:class:`~repro.sketches.builder.DatasetStatistics` (statistics are
 stored separately — they change when partitions are appended; the model
 only changes on retraining).
 
@@ -28,7 +30,6 @@ from repro.core.training import PickerModel
 from repro.errors import ConfigError, CorruptBundleError
 from repro.ml.gbrt import GBRTRegressor
 from repro.sketches.builder import DatasetStatistics
-from repro.sketches.columnar import ColumnarSketchIndex
 from repro.stats.features import FeatureBuilder
 from repro.stats.normalization import Normalizer
 from repro.storage.atomic import FileIO, atomic_write_bytes, read_with_retry
@@ -57,6 +58,8 @@ def save_model(
         "excluded_families": sorted(model.excluded_families),
         "regressors": [regressor.to_state() for regressor in model.regressors],
     }
+    if model.trained_partitions is not None:
+        payload["trained_partitions"] = model.trained_partitions
     payload["crc32"] = _payload_crc(payload)
     atomic_write_bytes(path, json.dumps(payload).encode("utf-8"), io=io)
 
@@ -64,7 +67,6 @@ def save_model(
 def load_model(
     path: str | Path,
     statistics: DatasetStatistics,
-    index: ColumnarSketchIndex | None = None,
     *,
     io: FileIO | None = None,
 ) -> PickerModel:
@@ -73,9 +75,6 @@ def load_model(
     The statistics must describe the same dataset/workload the model was
     trained for; the feature dimension is cross-checked to catch obvious
     mismatches (schema drift requires retraining, paper section 7).
-    Passing the persisted columnar ``index`` (from
-    ``load_statistics_bundle``) lets the rebound feature builder skip
-    the sketch-object export on cold start.
     """
     try:
         payload = json.loads(read_with_retry(path, io=io).decode("utf-8"))
@@ -91,9 +90,7 @@ def load_model(
         )
     if payload.get("version") != _MAGIC_VERSION:
         raise ConfigError(f"unsupported model file version {payload.get('version')!r}")
-    feature_builder = FeatureBuilder(
-        statistics, tuple(payload["groupby_columns"]), index=index
-    )
+    feature_builder = FeatureBuilder(statistics, tuple(payload["groupby_columns"]))
     if feature_builder.schema.dimension != payload["feature_dimension"]:
         raise ConfigError(
             "statistics do not match the model: feature dimension "
@@ -111,4 +108,5 @@ def load_model(
         ],
         thresholds=np.asarray(payload["thresholds"], dtype=np.float64),
         excluded_families=frozenset(payload["excluded_families"]),
+        trained_partitions=payload.get("trained_partitions"),
     )

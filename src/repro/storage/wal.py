@@ -13,15 +13,15 @@ this codebase:
 * :class:`StatisticsStore` — a checkpoint bundle + journal pair in one
   directory. ``load`` recovers the last checkpoint (``.bak`` fallback
   included) plus the journal records not yet folded into it;
-  ``checkpoint`` atomically writes a fresh v3 bundle stamped with the
+  ``checkpoint`` atomically writes a fresh v4 bundle stamped with the
   journal position (``wal_applied_seq``) and then truncates the
   journal. A crash between those two steps is harmless: replay skips
   records at or below the stamp, so batches are never applied twice.
 * :func:`replay_batch_into_statistics` — applies one journal batch via
   the exact machinery live appends use (``validate_batch``, then
-  ``seal_appended_columns`` + ``ColumnarSketchIndex.extend``), so
-  append → crash → replay is bit-identical to append without a crash —
-  the property the kill-point suite asserts, differentially.
+  ``seal_appended_columns``), so append → crash → replay is
+  bit-identical to append without a crash — the property the
+  kill-point suite asserts, differentially.
 
 Journal file layout::
 
@@ -276,21 +276,16 @@ class WriteAheadLog:
 
 
 def replay_batch_into_statistics(
-    stats: DatasetStatistics,
-    columns: dict[str, np.ndarray],
-    index: ColumnarSketchIndex | None = None,
+    stats: DatasetStatistics, columns: dict[str, np.ndarray]
 ) -> None:
     """Apply one journaled batch to in-memory statistics.
 
     Runs what a live ``PS3.append`` runs — ``validate_batch``, then
-    ``seal_appended_columns`` and ``ColumnarSketchIndex.extend`` — so
-    recovered statistics are bit-identical to the never-crashed
-    timeline, and a batch a live append would reject raises the same
-    typed error here.
+    ``seal_appended_columns`` — so recovered statistics are bit-identical
+    to the never-crashed timeline, and a batch a live append would
+    reject raises the same typed error here.
     """
     seal_appended_columns(stats, validate_batch(stats.schema, columns))
-    if index is not None:
-        index.extend(stats)
 
 
 class StatisticsStore:
@@ -321,12 +316,7 @@ class StatisticsStore:
         """Journal a batch before the caller mutates in-memory state."""
         return self.wal.append(columns, meta)
 
-    def checkpoint(
-        self,
-        stats: DatasetStatistics,
-        *,
-        index: ColumnarSketchIndex | None = None,
-    ) -> int:
+    def checkpoint(self, stats: DatasetStatistics) -> int:
         """Fold the journal into a fresh bundle; returns the stamped seq.
 
         Ordering is the crash-safety argument: the bundle (carrying
@@ -339,11 +329,7 @@ class StatisticsStore:
         ):
             applied = self.wal.last_seq
             save_statistics(
-                stats,
-                self.stats_path,
-                index=index,
-                wal_applied_seq=applied,
-                io=self.io,
+                stats, self.stats_path, wal_applied_seq=applied, io=self.io
             )
             self.wal.truncate()
             return applied
@@ -378,10 +364,10 @@ class StatisticsStore:
 
     def load_statistics(
         self,
-    ) -> tuple[DatasetStatistics, ColumnarSketchIndex | None]:
-        """Recover fully-replayed statistics (and index) in one call."""
+    ) -> tuple[DatasetStatistics, ColumnarSketchIndex]:
+        """Recover fully-replayed statistics and their index in one call."""
         bundle, batches = self.load()
         stats = bundle.statistics
         for batch in batches:
-            replay_batch_into_statistics(stats, batch.columns, bundle.index)
-        return stats, bundle.index
+            replay_batch_into_statistics(stats, batch.columns)
+        return stats, stats.index

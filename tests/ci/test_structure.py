@@ -58,12 +58,20 @@
   comes from, persisted state becomes a system through ``PS3.open`` and
   nowhere else, and the CLI is one more caller of ``PS3.query``.
 * ``save_statistics``, ``StatisticsStore.checkpoint`` and
-  ``PS3.checkpoint`` keep their parameters (less ``plan_cache_keys``,
-  which nothing read), and a sketch's ``to_bytes``
-  is called from one function under ``repro.storage``,
-  ``stats_io._encode_partition``: a sealed partition is encoded once
-  and memoized on itself, with no switch to turn that off and no second
-  encoder beside it.
+  ``PS3.checkpoint`` take no ``index`` (nor ``plan_cache_keys``, which
+  nothing read), ``StatisticsBundle`` holds the statistics and the
+  journal stamp only, and ``load_statistics_bundle`` takes a path and
+  the fault seam: a v4 bundle stores the statistics once, as the
+  columnar index arrays queries read, and loads one way. A v1 / v2
+  bundle is refused with a typed error.
+* One statistics representation: no module under ``src/repro``
+  defines or imports ``ColumnStatistics`` / ``PartitionStatistics`` or
+  calls a sketch's ``to_bytes``; ``ColumnIndex.build``,
+  ``column_stat_vector``, ``HistogramArrays.build`` and
+  ``ColumnarSketchIndex.build`` / ``.extend`` are gone (the seal writes
+  the index rows); ``from_bytes`` is called only by the v3 upgrade, on
+  heavy-hitter payloads. The object layer and the transposition are
+  ``tests/sketch_oracle.py``.
 * ``PS3Picker.__init__``, ``PS3Picker.select`` and ``PickerConfig`` take
   no parameter naming a memo or a cache: pure picks are memoized per
   statistics generation always, under a constant bound.
@@ -498,25 +506,30 @@ def test_one_value_in_use_is_a_constant():
         assert "plan_cache_keys" not in inspect.signature(writer).parameters
 
 
-def test_bundle_carrying_plan_keys_still_loads():
-    """The frozen v2 fixture was written with plan keys: they are ignored."""
-    import json
-
-    from repro.storage import load_statistics_bundle
-    from repro.storage.stats_io import _read_manifest
+def test_one_bundle_load_refuses_v1_and_v2():
+    """The frozen v2 fixture (which carries plan keys) and its v1 sibling
+    are refused; a bundle loads one way."""
+    from repro.errors import UnsupportedBundleError
+    from repro.storage import StatisticsBundle, load_statistics_bundle
 
     fixtures = TESTS / "storage" / "fixtures"
-    manifest, __ = _read_manifest(fixtures / "v2.ps3stats", io=None)
-    assert manifest["plan_cache_keys"] == ["frozen-plan-key"]
-    bundle = load_statistics_bundle(fixtures / "v2.ps3stats")
-    expected = json.loads((fixtures / "expected.json").read_text())
-    assert bundle.statistics.num_partitions == expected["num_partitions"]
-    assert bundle.index is not None
+    for name in ("v1.ps3stats", "v2.ps3stats"):
+        with pytest.raises(UnsupportedBundleError):
+            load_statistics_bundle(fixtures / name)
+    assert {field.name for field in dataclasses.fields(StatisticsBundle)} == {
+        "statistics",
+        "wal_applied_seq",
+    }
+    assert set(inspect.signature(load_statistics_bundle).parameters) == {
+        "path",
+        "io",
+    }
 
 
-def _to_bytes_callers(sources: Path) -> set[str]:
-    """``module.function`` of every ``<expr>.to_bytes(...)`` call (a call
-    outside any function counts as ``module.<module>``)."""
+def _calls_of(sources: Path, method: str) -> set[str]:
+    """``module.function`` of every ``<expr>.<method>(...)`` call (a call
+    outside any function counts as ``module.<module>``), ``int.<method>``
+    aside: ``int.from_bytes`` decodes a digest, not a sketch."""
     callers = set()
     for path in sorted(sources.rglob("*.py")):
         module = path.relative_to(sources).with_suffix("").as_posix()
@@ -527,7 +540,11 @@ def _to_bytes_callers(sources: Path) -> set[str]:
             if (
                 isinstance(node, ast.Call)
                 and isinstance(node.func, ast.Attribute)
-                and node.func.attr == "to_bytes"
+                and node.func.attr == method
+                and not (
+                    isinstance(node.func.value, ast.Name)
+                    and node.func.value.id == "int"
+                )
             ):
                 callers.add(f"{module}.{owner}")
             for child in ast.iter_child_nodes(node):
@@ -537,7 +554,7 @@ def _to_bytes_callers(sources: Path) -> set[str]:
     return callers
 
 
-def test_one_partition_encoder_no_checkpoint_switch(tmp_path):
+def test_one_bundle_format_no_checkpoint_switch(tmp_path):
     import repro.api as api
     import repro.storage.stats_io as stats_io
     import repro.storage.wal as wal
@@ -548,12 +565,10 @@ def test_one_partition_encoder_no_checkpoint_switch(tmp_path):
         api.PS3.checkpoint,
     )
     assert [set(inspect.signature(fn).parameters) for fn in checkpoints] == [
-        {"stats", "path", "index", "wal_applied_seq", "io"},
-        {"self", "stats", "index"},
+        {"stats", "path", "wal_applied_seq", "io"},
+        {"self", "stats"},
         {"self"},
     ]
-    storage = Path(repro.storage.__file__).resolve().parent
-    assert _to_bytes_callers(storage) == {"stats_io._encode_partition"}
     # Each pin is only a guard if its walk reaches what it is about: the
     # public-callable walk the three checkpoints, the call walk every call
     # site — nested, in a method, or at module level.
@@ -573,10 +588,56 @@ def test_one_partition_encoder_no_checkpoint_switch(tmp_path):
         "class Writer:\n"
         "    def save(self, sketches):\n"
         "        def one(s):\n"
-        "            return s.to_bytes()\n"
+        "            return s.from_bytes(s)\n"
         "        return [one(s) for s in sketches]\n"
     )
-    assert _to_bytes_callers(tmp_path) == {"pkg/mod.<module>", "pkg/mod.one"}
+    assert _calls_of(tmp_path, "to_bytes") == {"pkg/mod.<module>"}
+    assert _calls_of(tmp_path, "from_bytes") == {"pkg/mod.one"}
+
+
+def _names_used(sources: Path) -> dict[str, set[str]]:
+    """Module -> every class defined and every name imported under
+    ``sources``."""
+    used: dict[str, set[str]] = {}
+    for path in sorted(sources.rglob("*.py")):
+        names = used.setdefault(path.relative_to(sources).as_posix(), set())
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef):
+                names.add(node.name)
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names |= {alias.name.split(".")[-1] for alias in node.names}
+    return used
+
+
+def test_one_statistics_representation():
+    """The seal writes the columnar index; no sketch object outlives it."""
+    from repro.sketches.columnar import (
+        ColumnarSketchIndex,
+        ColumnIndex,
+        HistogramArrays,
+    )
+    from repro.stats.features import FeatureBuilder
+
+    sources = Path(repro.__file__).resolve().parent
+    objects = {"ColumnStatistics", "PartitionStatistics"}
+    used = _names_used(sources)
+    assert "sketches/builder.py" in used and "DatasetStatistics" in used[
+        "sketches/builder.py"
+    ]
+    assert {module for module, names in used.items() if names & objects} == set()
+    assert _calls_of(sources, "to_bytes") == set()
+    assert _calls_of(sources, "from_bytes") == {"storage/stats_io._v3_arrays"}
+    import repro.sketches.columnar as columnar
+
+    assert not hasattr(columnar, "column_stat_vector")
+    for owner, name in (
+        (ColumnIndex, "build"),
+        (HistogramArrays, "build"),
+        (ColumnarSketchIndex, "build"),
+        (ColumnarSketchIndex, "extend"),
+    ):
+        assert name not in vars(owner), (owner.__name__, name)
+    assert "index" in inspect.signature(FeatureBuilder).parameters
 
 
 def test_walk_sees_the_callables_a_subspace_mode_would_land_on():

@@ -13,6 +13,7 @@ import dataclasses
 import numpy as np
 import pytest
 from dict_walk import estimate
+from sketch_oracle import estimate_selectivity, oracle_dataset
 
 from repro.api import PS3
 from repro.core.metrics import evaluate_errors
@@ -24,7 +25,6 @@ from repro.engine.schema import Column, ColumnKind, Schema
 from repro.engine.table import Table
 from repro.sketches.builder import build_dataset_statistics
 from repro.stats.features import NUM_SELECTIVITY, FeatureBuilder, QueryFeatures
-from repro.stats.selectivity import estimate_selectivity
 from repro.workload.generator import QueryGenerator
 
 
@@ -70,6 +70,12 @@ def tiny_ptable(tiny_table):
 @pytest.fixture(scope="session")
 def tiny_stats(tiny_ptable):
     return build_dataset_statistics(tiny_ptable)
+
+
+@pytest.fixture(scope="session")
+def tiny_oracle(tiny_ptable):
+    """The tiny table's per-partition sketch objects (the scalar oracle)."""
+    return oracle_dataset(tiny_ptable)
 
 
 @pytest.fixture(scope="session")
@@ -127,16 +133,17 @@ def _block_from_answers(query, partition_answers) -> QueryAnswerBlock:
     )
 
 
-def _scalar_features(builder: FeatureBuilder, query) -> QueryFeatures:
+def _scalar_features(builder: FeatureBuilder, query, oracle) -> QueryFeatures:
     """``builder.features_for_query(query)`` with the selectivity block
     recomputed by the scalar oracle: one ``estimate_selectivity`` AST
-    walk per partition against its Python sketch objects."""
+    walk per partition against the sketch objects of ``oracle`` (a
+    ``sketch_oracle.OracleDataset`` of the builder's table)."""
     # Through the class: a test may have shadowed the builder's own method
     # with this composition to drive a whole pick on the oracle.
     features = FeatureBuilder.features_for_query(builder, query)
     estimates = [
         dataclasses.astuple(estimate_selectivity(query.predicate, partition))
-        for partition in builder.dataset.partitions
+        for partition in oracle.partitions
     ]
     # The block every reader reads: a pick reads ``selectivity`` and
     # ``.matrix`` is composed from it, so both hold the oracle's values.
@@ -175,5 +182,5 @@ def block_from_answers():
 
 @pytest.fixture(scope="session")
 def scalar_features():
-    """``scalar_features(builder, query) -> QueryFeatures`` (the oracle)."""
+    """``scalar_features(builder, query, oracle) -> QueryFeatures``."""
     return _scalar_features

@@ -3,32 +3,31 @@
 ``find_outliers`` groups partitions by the signature codes of the
 columnar sketch index. Its reference is a composition kept here:
 :func:`scalar_find_outliers`, the per-partition
-:func:`~repro.stats.bitmap.bitmap_signature` loop. Every case checks the
+:func:`sketch_oracle.bitmap_signature` loop. Every case checks the
 production result against it.
 """
 
 import numpy as np
 import pytest
+from sketch_oracle import bitmap_signature, oracle_dataset, sketch_index
 
 from repro.core.outliers import OutlierConfig, find_outliers
 from repro.sketches.builder import build_dataset_statistics
-from repro.sketches.columnar import ColumnarSketchIndex
 from repro.engine.layout import partition_evenly
 from repro.engine.schema import Column, ColumnKind, Schema
 from repro.engine.table import Table
-from repro.stats.bitmap import bitmap_signature
 
 
-def scalar_find_outliers(stats, group_by, candidates, config=None):
+def scalar_find_outliers(oracle, group_by, candidates, config=None):
     """Section 4.4 one partition at a time: group the candidates by
     ``bitmap_signature``, keep the groups that are small absolutely and
     against the largest, rarest first (ties by first appearance)."""
     config = config or OutlierConfig()
-    columns = tuple(c for c in group_by if stats.global_heavy_hitters.get(c))
+    columns = tuple(c for c in group_by if oracle.global_heavy_hitters.get(c))
     groups: dict[tuple, list[int]] = {}
     if columns:
         for p in candidates:
-            signature = bitmap_signature(stats, int(p), columns)
+            signature = bitmap_signature(oracle, int(p), columns)
             groups.setdefault(signature, []).append(int(p))
     if not groups:
         return np.empty(0, dtype=np.intp)
@@ -43,11 +42,12 @@ def scalar_find_outliers(stats, group_by, candidates, config=None):
     return np.array([p for members in rare for p in members], dtype=np.intp)
 
 
-def checked_outliers(stats, index, group_by, candidates, config=None):
-    """``find_outliers`` through the index, equal to the scalar loop."""
-    found = find_outliers(stats, group_by, candidates, config, index=index)
+def checked_outliers(stats, oracle, group_by, candidates, config=None):
+    """``find_outliers`` through the index, equal to the scalar loop over
+    the ``oracle``'s sketch objects."""
+    found = find_outliers(stats, group_by, candidates, config, index=stats.index)
     np.testing.assert_array_equal(
-        found, scalar_find_outliers(stats, group_by, candidates, config)
+        found, scalar_find_outliers(oracle, group_by, candidates, config)
     )
     assert found.dtype == np.intp
     return found
@@ -74,86 +74,86 @@ def skewed_dataset():
 
 
 @pytest.fixture(scope="module")
-def index(skewed_dataset):
-    __, stats = skewed_dataset
-    return ColumnarSketchIndex.build(stats)
+def oracle(skewed_dataset):
+    ptable, __ = skewed_dataset
+    return oracle_dataset(ptable)
 
 
 class TestDetection:
-    def test_rare_partitions_found(self, skewed_dataset, index):
+    def test_rare_partitions_found(self, skewed_dataset, oracle):
         __, stats = skewed_dataset
         candidates = np.arange(24)
-        outliers = checked_outliers(stats, index, ("g",), candidates)
+        outliers = checked_outliers(stats, oracle, ("g",), candidates)
         assert set(outliers.tolist()) == {5, 17}
 
-    def test_rarest_signatures_first(self, skewed_dataset, index):
+    def test_rarest_signatures_first(self, skewed_dataset, oracle):
         __, stats = skewed_dataset
-        outliers = checked_outliers(stats, index, ("g",), np.arange(24))
+        outliers = checked_outliers(stats, oracle, ("g",), np.arange(24))
         assert outliers.size == 2  # both from the same rare signature
 
-    def test_candidates_restrict_search(self, skewed_dataset, index):
+    def test_candidates_restrict_search(self, skewed_dataset, oracle):
         __, stats = skewed_dataset
         # excludes 5, 17
-        outliers = checked_outliers(stats, index, ("g",), np.arange(5))
+        outliers = checked_outliers(stats, oracle, ("g",), np.arange(5))
         assert outliers.size == 0
 
-    def test_no_group_by_no_outliers(self, skewed_dataset, index):
+    def test_no_group_by_no_outliers(self, skewed_dataset, oracle):
         __, stats = skewed_dataset
-        assert checked_outliers(stats, index, (), np.arange(24)).size == 0
+        assert checked_outliers(stats, oracle, (), np.arange(24)).size == 0
 
-    def test_empty_candidates(self, skewed_dataset, index):
+    def test_empty_candidates(self, skewed_dataset, oracle):
         __, stats = skewed_dataset
         none = np.empty(0, dtype=np.intp)
-        assert checked_outliers(stats, index, ("g",), none).size == 0
+        assert checked_outliers(stats, oracle, ("g",), none).size == 0
 
 
 class TestThresholds:
-    def test_relative_threshold(self, skewed_dataset, index):
+    def test_relative_threshold(self, skewed_dataset, oracle):
         """Paper example: many small equal groups -> none are outlying."""
         __, stats = skewed_dataset
         # With max_relative_size tiny, even the 2-partition group fails
         # the relative test (2 >= 0.01 * 22).
         config = OutlierConfig(max_absolute_size=10, max_relative_size=0.01)
-        outliers = checked_outliers(stats, index, ("g",), np.arange(24), config)
+        outliers = checked_outliers(stats, oracle, ("g",), np.arange(24), config)
         assert outliers.size == 0
 
-    def test_absolute_threshold(self, skewed_dataset, index):
+    def test_absolute_threshold(self, skewed_dataset, oracle):
         __, stats = skewed_dataset
         config = OutlierConfig(max_absolute_size=2, max_relative_size=0.5)
-        outliers = checked_outliers(stats, index, ("g",), np.arange(24), config)
+        outliers = checked_outliers(stats, oracle, ("g",), np.arange(24), config)
         assert outliers.size == 0  # group of size 2 is not < 2
 
-    def test_column_without_heavy_hitters_skipped(self, skewed_dataset, index):
+    def test_column_without_heavy_hitters_skipped(self, skewed_dataset, oracle):
         __, stats = skewed_dataset
         stats.global_heavy_hitters["v"] = ()
-        assert checked_outliers(stats, index, ("v",), np.arange(24)).size == 0
+        assert checked_outliers(stats, oracle, ("v",), np.arange(24)).size == 0
 
 
 class TestIndexParity:
     """The occurrence-matrix path must match the scalar bitmap loop."""
 
-    def test_parity_over_candidate_subsets(self, skewed_dataset, index):
+    def test_parity_over_candidate_subsets(self, skewed_dataset, oracle):
         __, stats = skewed_dataset
         rng = np.random.default_rng(3)
         for __unused in range(10):
             size = int(rng.integers(1, 24))
             candidates = np.sort(rng.choice(24, size=size, replace=False))
-            checked_outliers(stats, index, ("g",), candidates)
+            checked_outliers(stats, oracle, ("g",), candidates)
 
-    def test_parity_under_custom_thresholds(self, skewed_dataset, index):
+    def test_parity_under_custom_thresholds(self, skewed_dataset, oracle):
         __, stats = skewed_dataset
         for config in (
             OutlierConfig(max_absolute_size=2, max_relative_size=0.5),
             OutlierConfig(max_absolute_size=10, max_relative_size=0.01),
             OutlierConfig(max_absolute_size=30, max_relative_size=1.5),
         ):
-            checked_outliers(stats, index, ("g",), np.arange(24), config)
+            checked_outliers(stats, oracle, ("g",), np.arange(24), config)
 
 
 class TestIndexParityOnKdd:
     """Index-backed signature codes against the scalar loop on real group-by
     universes: several columns, unsorted candidates, and an index that
-    grew by ``extend`` against one built at once."""
+    grew by appends against one transposed at once."""
 
     @pytest.fixture(scope="class")
     def kdd(self):
@@ -165,15 +165,15 @@ class TestIndexParityOnKdd:
         stats = build_dataset_statistics(full)
         head = partition_evenly(full.table.take(np.arange(3_000)), 30)
         grown = build_dataset_statistics(head)
-        index = ColumnarSketchIndex.build(grown)
+        oracle = oracle_dataset(head)
         universe = spec.workload().groupby_universe
         for column in universe:  # codes exist before the index grows
             if grown.global_heavy_hitters.get(column):
-                index.signature_codes(column, grown.global_heavy_hitters[column])
+                grown.index.signature_codes(column, grown.global_heavy_hitters[column])
         for partition in list(full)[30:]:
             append_partition_statistics(grown, partition)
-            index.extend(grown)
-        return stats, grown, index, universe
+            oracle.append(partition)
+        return stats, grown, oracle, universe
 
     def column_sets(self, universe):
         sets = [(c,) for c in universe]
@@ -181,7 +181,7 @@ class TestIndexParityOnKdd:
         return sets + [universe, universe[::-1]]
 
     def test_same_outliers_as_the_scalar_loop_after_appends(self, kdd):
-        __, grown, index, universe = kdd
+        __, grown, oracle, universe = kdd
         rng = np.random.default_rng(7)
         found = 0
         config = OutlierConfig(max_absolute_size=6, max_relative_size=0.5)
@@ -190,17 +190,17 @@ class TestIndexParityOnKdd:
                 size = int(rng.integers(2, grown.num_partitions + 1))
                 candidates = rng.permutation(grown.num_partitions)[:size]
                 found += checked_outliers(
-                    grown, index, columns, candidates, config
+                    grown, oracle, columns, candidates, config
                 ).size
         assert found > 20  # the comparison is not between empty arrays
 
     def test_append_then_build_parity_of_the_codes(self, kdd):
-        __, grown, index, universe = kdd
-        fresh = ColumnarSketchIndex.build(grown)
+        __, grown, oracle, universe = kdd
+        fresh = sketch_index(oracle)
         for column in universe:
             hitters = grown.global_heavy_hitters.get(column)
             if hitters:
-                extended, distinct = index.signature_codes(column, hitters)
+                extended, distinct = grown.index.signature_codes(column, hitters)
                 built, built_distinct = fresh.signature_codes(column, hitters)
                 np.testing.assert_array_equal(extended, built)
                 assert extended.size == grown.num_partitions
@@ -209,12 +209,13 @@ class TestIndexParityOnKdd:
     def test_a_wide_group_by_cannot_wrap_the_combined_code(self, kdd, monkeypatch):
         from repro.core import outliers
 
-        __, grown, index, universe = kdd
+        __, grown, oracle, universe = kdd
         candidates = np.arange(grown.num_partitions)[::-1]
         config = OutlierConfig(max_absolute_size=30, max_relative_size=1.5)
-        expected = scalar_find_outliers(grown, universe, candidates, config)
+        expected = scalar_find_outliers(oracle, universe, candidates, config)
         assert expected.size > 10
         monkeypatch.setattr(outliers, "_MAX_CODE", 4)  # re-rank at every column
         np.testing.assert_array_equal(
-            find_outliers(grown, universe, candidates, config, index=index), expected
+            find_outliers(grown, universe, candidates, config, index=grown.index),
+            expected,
         )

@@ -9,6 +9,7 @@ scalar per-partition estimator (``scalar_features`` in
 
 import numpy as np
 import pytest
+from sketch_oracle import oracle_dataset
 
 from repro.core.picker import PickerConfig, PS3Picker
 
@@ -16,15 +17,15 @@ from repro.core.picker import PickerConfig, PS3Picker
 @pytest.fixture(scope="module")
 def parity_setup(trained_ps3, tpch_queries):
     __, test = tpch_queries
-    return trained_ps3.model, trained_ps3.statistics, test
+    return trained_ps3.model, oracle_dataset(trained_ps3.ptable), test
 
 
-def _select(model, statistics, query, budget, featurize=None):
-    """One pick; ``featurize(builder, query)`` replaces the builder's own
-    ``features_for_query`` for its duration."""
+def _select(model, oracle, query, budget, featurize=None):
+    """One pick; ``featurize(builder, query, oracle)`` replaces the
+    builder's own ``features_for_query`` for its duration."""
     builder = model.feature_builder
     if featurize is not None:
-        builder.features_for_query = lambda q: featurize(builder, q)
+        builder.features_for_query = lambda q: featurize(builder, q, oracle)
     try:
         picker = PS3Picker(model, PickerConfig(seed=1234))
         return picker.select(query, budget)
@@ -34,12 +35,12 @@ def _select(model, statistics, query, budget, featurize=None):
 
 class TestPickerPathParity:
     def test_selections_identical_across_paths(self, parity_setup, scalar_features):
-        model, statistics, test = parity_setup
+        model, oracle, test = parity_setup
         budgets = (3, 8, 16)
         for query in test[:5]:
             for budget in budgets:
-                fast = _select(model, statistics, query, budget)
-                slow = _select(model, statistics, query, budget, scalar_features)
+                fast = _select(model, oracle, query, budget)
+                slow = _select(model, oracle, query, budget, scalar_features)
                 assert fast.selection == slow.selection
                 assert fast.outliers == slow.outliers
                 assert fast.group_sizes == slow.group_sizes
@@ -48,9 +49,9 @@ class TestPickerPathParity:
     def test_feature_matrices_identical_across_paths(
         self, parity_setup, scalar_features
     ):
-        model, __, test = parity_setup
+        model, oracle, test = parity_setup
         builder = model.feature_builder
         for query in test:
             fast = builder.features_for_query(query)
-            slow = scalar_features(builder, query)
+            slow = scalar_features(builder, query, oracle)
             np.testing.assert_array_equal(fast.matrix, slow.matrix)

@@ -16,15 +16,14 @@ import dataclasses
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sketch_oracle import estimate_selectivity, oracle_dataset
 
 from repro.engine.layout import partition_evenly
 from repro.engine.predicates import And, Comparison, Contains, InSet, Not, Or
 from repro.engine.schema import Column, ColumnKind, Schema
 from repro.engine.table import Table
 from repro.sketches.builder import SketchConfig, build_dataset_statistics
-from repro.sketches.columnar import ColumnarSketchIndex
 from repro.stats.plan import PredicatePlan
-from repro.stats.selectivity import estimate_selectivity
 
 SCHEMA = Schema.of(
     Column("num", ColumnKind.NUMERIC),
@@ -121,11 +120,11 @@ def predicates_shallow(draw):
     return connective(children)
 
 
-def _scalar_matrix(predicate, dataset) -> np.ndarray:
+def _scalar_matrix(predicate, ptable, config=None) -> np.ndarray:
     return np.array(
         [
             dataclasses.astuple(estimate_selectivity(predicate, pstats))
-            for pstats in dataset.partitions
+            for pstats in oracle_dataset(ptable, config).partitions
         ]
     )
 
@@ -136,20 +135,17 @@ class TestPlanMatchesScalarOracle:
     def test_plan_equals_scalar_estimator(self, table, predicate, num_partitions):
         num_partitions = min(num_partitions, table.num_rows)
         ptable = partition_evenly(table, num_partitions)
-        dataset = build_dataset_statistics(
-            ptable, SketchConfig(histogram_buckets=4, akmv_k=8, exact_dict_limit=8)
-        )
-        index = ColumnarSketchIndex.build(dataset)
+        config = SketchConfig(histogram_buckets=4, akmv_k=8, exact_dict_limit=8)
+        index = build_dataset_statistics(ptable, config).index
         batch = PredicatePlan.compile(predicate).evaluate(index)
-        scalar = _scalar_matrix(predicate, dataset)
+        scalar = _scalar_matrix(predicate, ptable, config)
         np.testing.assert_allclose(batch, scalar, rtol=0.0, atol=1e-12)
 
     @given(tables(), predicates())
     @settings(max_examples=60, deadline=None)
     def test_plan_features_bounded_and_ordered(self, table, predicate):
         ptable = partition_evenly(table, 3)
-        dataset = build_dataset_statistics(ptable)
-        index = ColumnarSketchIndex.build(dataset)
+        index = build_dataset_statistics(ptable).index
         batch = PredicatePlan.compile(predicate).evaluate(index)
         assert np.all((batch >= 0.0) & (batch <= 1.0))
         assert np.all(batch[:, 1] <= batch[:, 0] + 1e-9)  # lower <= upper
@@ -159,8 +155,7 @@ class TestPlanMatchesScalarOracle:
     @settings(max_examples=40, deadline=None)
     def test_conflicting_equalities_and_tautologies(self, table, num_partitions):
         ptable = partition_evenly(table, min(num_partitions, table.num_rows))
-        dataset = build_dataset_statistics(ptable)
-        index = ColumnarSketchIndex.build(dataset)
+        index = build_dataset_statistics(ptable).index
         conflict = And(
             [Comparison("num", "==", 1.0), Comparison("num", "==", 2.0)]
         )
@@ -171,5 +166,5 @@ class TestPlanMatchesScalarOracle:
         )
         batch = PredicatePlan.compile(tautology).evaluate(index)
         np.testing.assert_allclose(
-            batch, _scalar_matrix(tautology, dataset), rtol=0.0, atol=1e-12
+            batch, _scalar_matrix(tautology, ptable), rtol=0.0, atol=1e-12
         )

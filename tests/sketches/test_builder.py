@@ -1,12 +1,14 @@
-"""Unit tests for the per-partition statistics builder."""
+"""Unit tests for the statistics builder and its scalar oracle.
 
-import pytest
+The per-partition sketch objects are the oracle's (``sketch_oracle``);
+the seal's sizes, row counts and global heavy hitters must equal what
+those objects give.
+"""
 
-from repro.sketches.builder import (
-    SketchConfig,
-    build_dataset_statistics,
-    build_partition_statistics,
-)
+import numpy as np
+from sketch_oracle import build_partition_statistics
+
+from repro.sketches.builder import FAMILIES, SketchConfig, build_dataset_statistics
 
 
 class TestPartitionStatistics:
@@ -42,8 +44,8 @@ class TestPartitionStatistics:
 
 
 class TestStorageAccounting:
-    def test_size_by_kind_sums_to_total(self, tiny_stats):
-        for pstats in tiny_stats.partitions:
+    def test_size_by_kind_sums_to_total(self, tiny_oracle):
+        for pstats in tiny_oracle.partitions:
             breakdown = pstats.size_by_kind()
             assert sum(breakdown.values()) == pstats.size_bytes()
 
@@ -58,8 +60,8 @@ class TestStorageAccounting:
         # header + 16 bytes per tracked value, at most k of them
         assert pstats.columns["tag"].akmv.size_bytes() <= 8 + 16 * 16
 
-    def test_hh_bounded_by_support(self, tiny_stats):
-        for pstats in tiny_stats.partitions:
+    def test_hh_bounded_by_support(self, tiny_oracle):
+        for pstats in tiny_oracle.partitions:
             hh = pstats.columns["cat"].heavy_hitter
             assert len(hh.items()) <= int(1 / hh.support) + 1
 
@@ -78,8 +80,20 @@ class TestDatasetStatistics:
         stats = build_dataset_statistics(tiny_ptable, config)
         assert len(stats.global_heavy_hitters["cat"]) <= 2
 
-    def test_average_size(self, tiny_stats):
-        average = tiny_stats.average_partition_size_bytes()
+    def test_average_size(self, tiny_stats, tiny_oracle):
+        average = float(tiny_stats.sizes.sum(axis=1).mean())
         assert average > 0
-        sizes = [p.size_bytes() for p in tiny_stats.partitions]
-        assert average == pytest.approx(sum(sizes) / len(sizes))
+        assert average == tiny_oracle.average_partition_size_bytes()
+
+    def test_sizes_and_rows_equal_the_oracle(
+        self, tiny_ptable, tiny_stats, tiny_oracle
+    ):
+        expected = [
+            [p.size_by_kind()[kind] for kind in FAMILIES]
+            for p in tiny_oracle.partitions
+        ]
+        assert tiny_stats.sizes.tolist() == expected
+        assert tiny_stats.num_rows.tolist() == [p.num_rows for p in tiny_ptable]
+        assert tiny_stats.global_heavy_hitters == tiny_oracle.global_heavy_hitters
+        by_kind = tiny_stats.size_by_kind()
+        assert np.array_equal(sum(by_kind.values()), tiny_stats.sizes.sum(axis=1))

@@ -1,14 +1,14 @@
-"""Differential suite: the batched seal plane vs the scalar reference.
+"""Differential suite: the seal plane vs the scalar reference.
 
 ``build_dataset_statistics`` must be *bit-identical* to the
-per-partition constructor loop — composed here, where it is the oracle,
-from ``build_column_statistics`` per column per partition slice plus
-``_global_heavy_hitters`` — in serialized sketch encodings, the raw
-lossy-counting entry state (including deltas and insertion order, which
-drive global-heavy-hitter merges), and the global heavy hitters, all
-compared exactly. The append path is pinned too: sealing partitions one
-at a time and extending the columnar index must agree bit for bit with a
-from-scratch build.
+per-partition constructor loop (``sketch_oracle.oracle_dataset``: every
+sketch built on its own partition slice) transposed into a columnar
+index: every index array byte for byte, the row counts, the Table 4
+sizes, the global heavy hitters, and the running global heavy-hitter
+sketch's raw entry state (values, counts, deltas, insertion order) equal
+to merging the oracle's per-partition sketches. The append path is
+pinned too: sealing partitions one at a time must agree bit for bit with
+a from-scratch build.
 """
 
 from __future__ import annotations
@@ -17,98 +17,53 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sketch_oracle import (
+    assert_entries_identical,
+    assert_indexes_identical,
+    merged_heavy_hitters,
+    oracle_dataset,
+    sketch_index,
+    values_identical,
+)
 
+from repro.datasets.registry import get_dataset
 from repro.engine.layout import append_rows, partition_evenly, sort_table
 from repro.engine.schema import Column, ColumnKind, Schema
 from repro.engine.table import Table
 from repro.sketches.builder import (
-    DatasetStatistics,
-    PartitionStatistics,
+    FAMILIES,
     SketchConfig,
-    _global_heavy_hitters,
     append_partition_statistics,
-    build_column_statistics,
     build_dataset_statistics,
 )
-from repro.sketches.columnar import ColumnarSketchIndex
-
-_SKETCH_FIELDS = ("measures", "histogram", "akmv", "heavy_hitter", "exact_dict")
 
 
-def scalar_reference(ptable, config=None) -> DatasetStatistics:
+def scalar_reference(ptable, config=None):
     """Every sketch built on its own partition slice — the oracle."""
-    config = config or SketchConfig()
-    partitions = [
-        PartitionStatistics(
-            partition_index=partition.index,
-            num_rows=partition.num_rows,
-            columns={
-                column.name: build_column_statistics(
-                    column, partition.column(column.name), config
-                )
-                for column in ptable.schema
-            },
-        )
-        for partition in ptable
-    ]
-    dataset = DatasetStatistics(
-        schema=ptable.schema, config=config, partitions=partitions
-    )
-    for column in ptable.schema:
-        dataset.global_heavy_hitters[column.name] = _global_heavy_hitters(
-            partitions, column.name, config
-        )
-    return dataset
-
-
-def _values_identical(a, b) -> bool:
-    """Equality that treats NaN as equal to itself (bitwise intent)."""
-    return a == b or (a != a and b != b)
+    return oracle_dataset(ptable, config)
 
 
 def assert_statistics_identical(expected, actual):
-    """Bitwise comparison of two DatasetStatistics."""
+    """Bitwise comparison of the seal's statistics with the oracle's."""
     assert actual.num_partitions == expected.num_partitions
     assert set(actual.global_heavy_hitters) == set(expected.global_heavy_hitters)
     for name, hitters in expected.global_heavy_hitters.items():
         other = actual.global_heavy_hitters[name]
         assert len(other) == len(hitters), name
-        assert all(map(_values_identical, hitters, other)), name
-    for p in range(expected.num_partitions):
-        pe, pa = expected.partitions[p], actual.partitions[p]
-        assert pa.partition_index == pe.partition_index
-        assert pa.num_rows == pe.num_rows
-        assert list(pa.columns) == list(pe.columns)
-        for name in pe.columns:
-            ce, ca = pe.columns[name], pa.columns[name]
-            for field in _SKETCH_FIELDS:
-                se, sa = getattr(ce, field), getattr(ca, field)
-                assert (se is None) == (sa is None), (p, name, field)
-                if se is not None:
-                    assert sa.to_bytes() == se.to_bytes(), (p, name, field)
-            he, ha = ce.heavy_hitter, ca.heavy_hitter
-            if he is not None:
-                # Raw automaton state, not just the reported items: the
-                # entry order and deltas feed the global-HH merge.
-                actual_entries, expected_entries = ha.entries(), he.entries()
-                assert len(actual_entries) == len(expected_entries), (p, name)
-                assert all(
-                    _values_identical(x, y)
-                    for a, e in zip(actual_entries, expected_entries)
-                    for x, y in zip(a, e)
-                ), (p, name)
-                assert ha.total == he.total and ha.bucket == he.bucket
-
-
-def assert_indexes_identical(expected, actual):
-    """Bitwise comparison of two ColumnarSketchIndex array sets."""
-    assert actual.num_partitions == expected.num_partitions
-    assert set(actual.columns) == set(expected.columns)
-    for name, column in expected.columns.items():
-        other = actual.columns[name].array_state()
-        for key, arr in column.array_state().items():
-            assert arr.dtype == other[key].dtype, (name, key)
-            np.testing.assert_array_equal(arr, other[key], err_msg=f"{name}.{key}")
+        assert all(map(values_identical, hitters, other)), name
+    assert actual.num_rows.tolist() == [p.num_rows for p in expected.partitions]
+    assert actual.sizes.tolist() == [
+        [p.size_by_kind()[kind] for kind in FAMILIES] for p in expected.partitions
+    ]
+    assert_indexes_identical(sketch_index(expected), actual.index)
+    for column in expected.schema:
+        # Raw automaton state, not just the reported items: the entry
+        # order and deltas feed staleness and the next merge.
+        merged = merged_heavy_hitters(
+            expected.partitions, column.name, expected.config
+        )
+        running = actual.running_heavy_hitters[column.name]
+        assert_entries_identical(merged, running, column.name)
 
 
 @pytest.fixture(scope="module")
@@ -276,15 +231,6 @@ class TestVectorizedBuilderParity:
                 build_dataset_statistics(ptable),
             )
 
-    def test_columnar_index_identical(self, tiny_ptable):
-        """The exported index is the same arrays under either plane."""
-        scalar = scalar_reference(tiny_ptable)
-        vector = build_dataset_statistics(tiny_ptable)
-        assert_indexes_identical(
-            ColumnarSketchIndex.build(scalar), ColumnarSketchIndex.build(vector)
-        )
-
-
 class TestAppendThenBuildParity:
     """Incremental sealing must agree with a from-scratch build."""
 
@@ -300,32 +246,24 @@ class TestAppendThenBuildParity:
         ptable, tail = self._split(skewed_table, 600, 6)
         stats = build_dataset_statistics(ptable)
         grown = append_rows(ptable, tail)
-        append_partition_statistics(stats, grown[grown.num_partitions - 1])
+        assert append_partition_statistics(stats, grown[grown.num_partitions - 1]) == 6
         # From-scratch build over the grown table, with the same
         # partition boundaries (6 even prefix partitions + 1 appended).
         scratch = build_dataset_statistics(grown)
-        # Global heavy hitters are deliberately frozen on append; compare
-        # per-partition sketches only.
-        assert stats.num_partitions == scratch.num_partitions
-        for p in range(stats.num_partitions):
-            for name in stats.partitions[p].columns:
-                a = stats.partitions[p].columns[name]
-                b = scratch.partitions[p].columns[name]
-                for field in _SKETCH_FIELDS:
-                    sa, sb = getattr(a, field), getattr(b, field)
-                    assert (sa is None) == (sb is None)
-                    if sa is not None:
-                        assert sa.to_bytes() == sb.to_bytes(), (p, name, field)
+        assert_indexes_identical(scratch.index, stats.index)
+        assert stats.sizes.tolist() == scratch.sizes.tolist()
+        assert stats.num_rows.tolist() == scratch.num_rows.tolist()
+        # Global heavy hitters are deliberately frozen on append; the
+        # running sketches merged the new partition.
+        for name, sketch in scratch.running_heavy_hitters.items():
+            assert_entries_identical(sketch, stats.running_heavy_hitters[name], name)
 
-    def test_extended_index_matches_scratch(self, skewed_table):
+    def test_appended_index_matches_the_oracle(self, skewed_table):
         ptable, tail = self._split(skewed_table, 600, 6)
         stats = build_dataset_statistics(ptable)
-        index = ColumnarSketchIndex.build(stats)
         grown = append_rows(ptable, tail)
         append_partition_statistics(stats, grown[grown.num_partitions - 1])
-        added = index.extend(stats)
-        assert added == 1
-        assert_indexes_identical(ColumnarSketchIndex.build(stats), index)
+        assert_indexes_identical(sketch_index(oracle_dataset(grown)), stats.index)
 
     def test_fused_view_extension_under_vectorized_builder(self, skewed_table):
         """The incremental fused view feeds the same build as a fresh one."""
@@ -416,3 +354,24 @@ class TestVectorizedBuilderProperty:
             scalar_reference(ptable, config),
             build_dataset_statistics(ptable, config),
         )
+
+
+class TestRunningHeavyHitters:
+    """The running global sketch merges each sealed partition's automaton
+    as it arrives; that must equal one ``merge(*sketches)`` over all of
+    them (values, counts, deltas and total), so build-time global heavy
+    hitters stay bit-identical and appends keep drift exact."""
+
+    @pytest.mark.parametrize("dataset", ["kdd", "tpch", "tpcds", "aria"])
+    def test_one_at_a_time_equals_one_merge(self, dataset):
+        spec = get_dataset(dataset)
+        ptable = spec.build(16 * 300, 16, seed=8)
+        head = partition_evenly(ptable.table.take(np.arange(8 * 300)), 8)
+        stats = build_dataset_statistics(head)
+        for partition in list(ptable)[8:]:
+            append_partition_statistics(stats, partition)
+        oracle = oracle_dataset(ptable)
+        for column in ptable.schema:
+            merged = merged_heavy_hitters(oracle.partitions, column.name, oracle.config)
+            running = stats.running_heavy_hitters[column.name]
+            assert_entries_identical(merged, running, (dataset, column.name))

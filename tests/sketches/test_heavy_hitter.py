@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigError
-from repro.sketches.heavy_hitter import HeavyHitterSketch
+from repro.sketches.heavy_hitter import HeavyHitterSketch, segmented_hitters
 
 
 def skewed_values(n: int = 10_000, seed: int = 0) -> np.ndarray:
@@ -303,9 +303,10 @@ class TestAgainstDictOracle:
         column = np.concatenate(partitions)
         offsets = np.concatenate(([0], np.cumsum([len(p) for p in partitions])))
         uniques, inverse = np.unique(column, return_inverse=True)
-        sketches, (codes, counts, bounds) = HeavyHitterSketch.build_segmented(
+        hitters, (codes, counts, bounds) = segmented_hitters(
             uniques, inverse, offsets, support=support, epsilon=epsilon
         )
+        sketches = hitters.sketches(uniques, support, epsilon)
         assert len(sketches) == len(partitions)
         for p, rows in enumerate(partitions):
             assert_matches_oracle(sketches[p], _oracle(support, epsilon, rows))

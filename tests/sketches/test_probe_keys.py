@@ -15,6 +15,7 @@ import struct
 
 import numpy as np
 import pytest
+from sketch_oracle import ColumnStatistics, histogram_arrays, oracle_dataset
 
 from repro.datasets.registry import get_dataset
 from repro.engine.layout import append_rows
@@ -24,7 +25,6 @@ from repro.sketches.builder import (
     append_partition_statistics,
     build_dataset_statistics,
 )
-from repro.sketches.columnar import ColumnarSketchIndex
 from repro.sketches.hashing import hash_value
 from repro.sketches.histogram import EquiDepthHistogram
 from repro.stats.plan import PredicatePlan
@@ -41,26 +41,24 @@ def blake2b64(value) -> int:
 
 @pytest.fixture(scope="module", params=["built", "appended"])
 def sealed(request):
-    """(table, statistics, index) of 8 kdd partitions, built whole or as
-    6 built + 2 appended."""
+    """(table, oracle, index) of 8 kdd partitions, built whole or as 6
+    built + 2 appended; ``oracle`` holds the partitions' sketch objects."""
     ptable = get_dataset("kdd").build(8 * 400, 8, seed=9)
+    oracle = oracle_dataset(ptable)
     if request.param == "built":
-        stats = build_dataset_statistics(ptable)
-        return ptable, stats, ColumnarSketchIndex.build(stats)
+        return ptable, oracle, build_dataset_statistics(ptable).index
     bounds, columns = ptable.boundaries, ptable.table.columns
     grown = PartitionedTable(
         Table(ptable.schema, {n: a[: bounds[6]] for n, a in columns.items()}),
         bounds[:7],
     )
     stats = build_dataset_statistics(grown)
-    index = ColumnarSketchIndex.build(stats)
     for p in (6, 7):
         grown = append_rows(
             grown, {n: a[bounds[p] : bounds[p + 1]] for n, a in columns.items()}
         )
         append_partition_statistics(stats, grown[p])
-        index.extend(stats)
-    return grown, stats, index
+    return grown, oracle, stats.index
 
 
 def test_heavy_hitter_lookup_keys(sealed):
@@ -92,20 +90,29 @@ def test_exact_dictionary_lookup_keys(sealed):
 
 
 def test_categorical_histograms_are_over_blake2b(sealed):
-    ptable, stats, __ = sealed
+    ptable, stats, index = sealed
     buckets = stats.config.histogram_buckets
     for column in stats.schema:
         if not column.is_categorical:
             continue
-        for p, pstats in enumerate(stats.partitions):
-            rows = ptable[p].columns[column.name]
-            expected = EquiDepthHistogram.build(
-                np.array([float(blake2b64(str(v))) for v in rows]),
-                buckets=buckets,
-                hashed=True,
-            )
-            histogram = pstats.columns[column.name].histogram
-            assert histogram.to_bytes() == expected.to_bytes(), (column.name, p)
+        expected = histogram_arrays(
+            [
+                ColumnStatistics(
+                    column,
+                    histogram=EquiDepthHistogram.build(
+                        np.array([float(blake2b64(str(v))) for v in rows]),
+                        buckets=buckets,
+                        hashed=True,
+                    ),
+                )
+                for rows in (partition.columns[column.name] for partition in ptable)
+            ]
+        )
+        actual = index.column(column.name).hist
+        for field in ("edges", "depths", "distincts", "totals"):
+            assert np.array_equal(
+                getattr(actual, field), getattr(expected, field)
+            ), (column.name, field)
 
 
 def test_inset_probes(sealed):

@@ -2,17 +2,19 @@
 
 * Golden digests of every sketch's bytes, the global heavy hitters and
   every columnar-index array of a multi-block table, built from scratch
-  and built as 8 partitions + 4 appends. A sketch-layer rewrite must not
-  move them. They were recorded before partitions were sealed in arrays
-  and re-recorded once, when numeric AKMV sketches moved from blake2b to
-  the splitmix64 mix; the digests of everything but those sketches and
-  the five index statistics they feed did not move then, and are pinned
-  on their own.
+  and built as 8 partitions + 4 appends. The sketch bytes are the scalar
+  oracle's (``sketch_oracle``), the heavy hitters and arrays the seal's.
+  A sketch-layer rewrite must not move them. They were recorded before
+  partitions were sealed in arrays and re-recorded once, when numeric
+  AKMV sketches moved from blake2b to the splitmix64 mix; the digests of
+  everything but those sketches and the five index statistics they feed
+  did not move then, and are pinned on their own.
 * Guards that go red if per-value Python objects or the per-partition
   streaming build come back.
 * A sealed partition stacks its columns into a few kernel calls; each
-  column's sketches must equal ``build_column_statistics`` on that
-  column alone, and only NaN / ``-0.0`` columns reach that oracle.
+  column's index row must equal the oracle's transposition of that
+  column's sketches alone, the NaN / ``-0.0`` columns included (sealed
+  alone, on their slice's own dedup).
 * Distinct numbers are hashed by the splitmix64 mix of their float64
   bits in bounded blocks; strings keep ``hash_value``'s blake2b.
 """
@@ -26,25 +28,30 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from sketch_oracle import (
+    assert_entries_identical,
+    assert_indexes_identical,
+    SKETCH_FIELDS,
+    build_column_statistics,
+    column_index,
+    oracle_dataset,
+)
 
 from repro.api import PS3
 from repro.datasets.registry import get_dataset
-from repro.engine.layout import append_rows, partition_evenly
+from repro.engine.layout import append_rows
 from repro.engine.schema import Column, ColumnKind, Schema
 from repro.engine.table import PartitionedTable, Table
 from repro.sketches import builder
 from repro.sketches.builder import (
     SketchConfig,
     append_partition_statistics,
-    build_column_statistics,
     build_dataset_statistics,
-    build_partition_statistics,
+    seal_partition,
 )
 from repro.sketches.columnar import ColumnarSketchIndex
 from repro.sketches.hashing import hash_distinct, hash_value
 from repro.sketches.heavy_hitter import HeavyHitterSketch
-
-_SKETCH_FIELDS = ("measures", "histogram", "akmv", "heavy_hitter", "exact_dict")
 
 #: width 200 -> four lossy-counting blocks per 700-row partition, the
 #: last one partial.
@@ -58,14 +65,15 @@ REST_APPENDED = "e768e5e8fb38a2f40168dd28712193c1419245666ded5dfa3a36412b94cd65b
 _AKMV_STATS = [9, 10, 11, 12, 13]
 
 
-def golden_digest(stats, index, numeric_akmv: bool = True) -> str:
-    """sha256 of the sketches and index; ``numeric_akmv=False`` leaves out
-    the AKMV sketches of numeric and date columns and what they feed."""
+def golden_digest(oracle, stats, numeric_akmv: bool = True) -> str:
+    """sha256 of the oracle's sketches and the seal's heavy hitters and
+    index; ``numeric_akmv=False`` leaves out the AKMV sketches of numeric
+    and date columns and what they feed."""
     categorical = {column.name for column in stats.schema if column.is_categorical}
     digest = hashlib.sha256()
-    for pstats in stats.partitions:
+    for pstats in oracle.partitions:
         for name, cstats in pstats.columns.items():
-            for field in _SKETCH_FIELDS:
+            for field in SKETCH_FIELDS:
                 sketch = getattr(cstats, field)
                 if field == "akmv" and not (numeric_akmv or name in categorical):
                     continue
@@ -73,7 +81,7 @@ def golden_digest(stats, index, numeric_akmv: bool = True) -> str:
                     digest.update(f"{pstats.partition_index}.{name}.{field}".encode())
                     digest.update(sketch.to_bytes())
     digest.update(repr(sorted(stats.global_heavy_hitters.items())).encode())
-    for name, state in sorted(index.array_state().items()):
+    for name, state in sorted(stats.index.array_state().items()):
         for key, arr in sorted(state.items()):
             if key == "stats" and not (numeric_akmv or name in categorical):
                 arr = np.delete(arr, _AKMV_STATS, axis=1)
@@ -89,15 +97,15 @@ def golden_ptable():
 
 class TestGoldenDigests:
     def test_scratch_build(self, golden_ptable):
-        stats = build_dataset_statistics(golden_ptable, GOLDEN_CONFIG)
+        oracle = oracle_dataset(golden_ptable, GOLDEN_CONFIG)
         widths = {
             cstats.heavy_hitter._width
-            for cstats in stats.partitions[0].columns.values()
+            for cstats in oracle.partitions[0].columns.values()
         }
         assert widths == {200}
-        index = ColumnarSketchIndex.build(stats)
-        assert golden_digest(stats, index) == GOLDEN_SCRATCH
-        assert golden_digest(stats, index, numeric_akmv=False) == REST_SCRATCH
+        stats = build_dataset_statistics(golden_ptable, GOLDEN_CONFIG)
+        assert golden_digest(oracle, stats) == GOLDEN_SCRATCH
+        assert golden_digest(oracle, stats, numeric_akmv=False) == REST_SCRATCH
 
     def test_eight_partitions_then_four_appends(self, golden_ptable):
         bounds = golden_ptable.boundaries
@@ -110,16 +118,15 @@ class TestGoldenDigests:
             bounds[:9],
         )
         stats = build_dataset_statistics(grown, GOLDEN_CONFIG)
-        index = ColumnarSketchIndex.build(stats)
         for p in range(8, 12):
             grown = append_rows(
                 grown,
                 {name: arr[bounds[p] : bounds[p + 1]] for name, arr in columns.items()},
             )
             append_partition_statistics(stats, grown[grown.num_partitions - 1])
-            index.extend(stats)
-        assert golden_digest(stats, index) == GOLDEN_APPENDED
-        assert golden_digest(stats, index, numeric_akmv=False) == REST_APPENDED
+        oracle = oracle_dataset(golden_ptable, GOLDEN_CONFIG)
+        assert golden_digest(oracle, stats) == GOLDEN_APPENDED
+        assert golden_digest(oracle, stats, numeric_akmv=False) == REST_APPENDED
 
 
 class TestNoPerValueObjects:
@@ -128,19 +135,16 @@ class TestNoPerValueObjects:
         one Python object per survivor (the parent's ``_Entry``) would grow
         the gc-tracked population by 16 000."""
         rows = 16_000
-        table = Table(
-            Schema.of(Column("v", ColumnKind.NUMERIC)),
-            {"v": np.random.default_rng(0).permutation(rows).astype(np.float64)},
-        )
-        partition = partition_evenly(table, 1)[0]
+        schema = Schema.of(Column("v", ColumnKind.NUMERIC))
+        columns = {"v": np.random.default_rng(0).permutation(rows).astype(np.float64)}
         config = SketchConfig(hh_support=0.0005)  # width 20 000: one block
         gc.collect()
         before = len(gc.get_objects())
-        pstats = build_partition_statistics(partition, config)
+        sealed = seal_partition(schema, columns, 0, config)
         gc.collect()
         grown = len(gc.get_objects()) - before
         assert grown < 1_000, grown
-        assert len(pstats.columns["v"].heavy_hitter.entries()) == rows
+        assert len(sealed.hitters["v"].entries()) == rows
 
 
 class TestOnePlane:
@@ -159,7 +163,7 @@ class TestOnePlane:
 
     def test_dataset_build_never_streams_a_partition(self, golden_ptable, build_calls):
         stats = build_dataset_statistics(golden_ptable, GOLDEN_CONFIG)
-        assert stats.partitions[0].columns["service"].heavy_hitter.bucket == 4
+        assert stats.running_heavy_hitters["service"].total == 12 * 700
         assert build_calls == []
 
     def test_append_never_streams_a_partition(self, build_calls):
@@ -168,21 +172,28 @@ class TestOnePlane:
         ps3 = PS3(ptable, dataset.workload())
         tail = {name: arr[:2500] for name, arr in ptable.table.columns.items()}
         index = ps3.append(tail)
-        sealed = ps3.statistics.partitions[index].columns["service"].heavy_hitter
-        assert sealed.total == 2500 and sealed.bucket == 3  # default width 1000
+        assert index == 4 and ps3.statistics.num_rows.tolist()[-1] == 2500
+        running = ps3.statistics.running_heavy_hitters["service"]
+        assert running.total == 4 * 1500 + 2500
         assert build_calls == []
 
     def test_partition_seal_is_the_one_segment_batch_build(self, golden_ptable):
         stats = build_dataset_statistics(golden_ptable, GOLDEN_CONFIG)
-        sealed = build_partition_statistics(golden_ptable[5], GOLDEN_CONFIG)
-        for name, cstats in stats.partitions[5].columns.items():
-            other = sealed.columns[name]
-            for field in _SKETCH_FIELDS:
-                mine, theirs = getattr(cstats, field), getattr(other, field)
-                assert (mine is None) == (theirs is None)
-                if mine is not None:
-                    assert mine.to_bytes() == theirs.to_bytes(), (name, field)
-            assert cstats.heavy_hitter.entries() == other.heavy_hitter.entries()
+        oracle = oracle_dataset(golden_ptable, GOLDEN_CONFIG)
+        sealed = seal_partition(
+            golden_ptable.schema, golden_ptable[5].columns, 5, GOLDEN_CONFIG
+        )
+        assert sealed.sizes.tolist() == stats.sizes[5].tolist()
+        expected = ColumnarSketchIndex(
+            {
+                name: column_index(name, [cstats], part_offset=5)
+                for name, cstats in oracle.partitions[5].columns.items()
+            },
+            1,
+        )
+        assert_indexes_identical(expected, ColumnarSketchIndex(sealed.blocks, 1))
+        for name, cstats in oracle.partitions[5].columns.items():
+            assert_entries_identical(cstats.heavy_hitter, sealed.hitters[name], name)
 
 
 #: A partition with every seal group: positive, non-positive and
@@ -235,60 +246,50 @@ def stacked_table(rows: int = 900) -> Table:
 
 class TestStackedSeal:
     @pytest.fixture
-    def spies(self, monkeypatch):
-        """Columns sent to the scalar oracle; segments per kernel call."""
-        oracle, kernel = [], []
-        scalar = builder.build_column_statistics
+    def kernel(self, monkeypatch):
+        """Segments per seal kernel call."""
+        calls = []
         batch = builder.build_column_statistics_batch
 
-        def oracle_spy(column, values, config):
-            oracle.append(column.name)
-            return scalar(column, values, config)
-
         def kernel_spy(columns, values, offsets, config):
-            kernel.append(len(offsets) - 1)
+            calls.append(len(offsets) - 1)
             return batch(columns, values, offsets, config)
 
-        monkeypatch.setattr(builder, "build_column_statistics", oracle_spy)
         monkeypatch.setattr(builder, "build_column_statistics_batch", kernel_spy)
-        return oracle, kernel
+        return calls
 
-    def test_every_column_equals_its_seal_alone(self, spies):
+    def test_every_column_equals_its_seal_alone(self, kernel):
         table = stacked_table()
         dtypes = {table.columns[name].dtype.str for name in ("c1", "c4", "c9", "id9")}
         assert dtypes == {"<U1", "<U4", "<U9"}
-        partition = partition_evenly(table, 1)[0]
-        sealed = build_partition_statistics(partition, GOLDEN_CONFIG)
-        oracle, kernel = spies
-        assert sorted(oracle) == ["nan", "negzero"]
+        sealed = seal_partition(STACKED_SCHEMA, table.columns, 0, GOLDEN_CONFIG)
         assert sorted(kernel) == [1, 1, 4, 6]
-        assert list(sealed.columns) == list(STACKED_SCHEMA.names)
+        assert list(sealed.blocks) == list(STACKED_SCHEMA.names)
         for column in STACKED_SCHEMA:
             alone = build_column_statistics(
                 column, table.columns[column.name], GOLDEN_CONFIG
             )
-            stacked = sealed.columns[column.name]
-            assert stacked.column == column
-            for field in _SKETCH_FIELDS:
-                mine, theirs = getattr(stacked, field), getattr(alone, field)
-                assert (mine is None) == (theirs is None), (column.name, field)
-                if mine is not None:
-                    assert mine.to_bytes() == theirs.to_bytes(), (column.name, field)
+            expected = ColumnarSketchIndex(
+                {column.name: column_index(column.name, [alone])}, 1
+            )
+            actual = ColumnarSketchIndex(
+                {column.name: sealed.blocks[column.name]}, 1
+            )
+            assert_indexes_identical(expected, actual)
             # repr: the NaN column's entries hold NaNs, which never compare equal.
-            assert repr(stacked.heavy_hitter.entries()) == repr(
+            assert repr(sealed.hitters[column.name].entries()) == repr(
                 alone.heavy_hitter.entries()
             )
-        assert not sealed.columns["not_pos"].measures.track_log
-        assert sealed.columns["pos"].measures.track_log
+        # The log channel: kept for ``pos``, disabled for ``not_pos``.
+        assert sealed.blocks["not_pos"].stats[0, 5:9].tolist() == [0.0] * 4
+        assert (sealed.blocks["pos"].stats[0, 5:9] != 0.0).all()
 
-    def test_a_kdd_partition_seals_in_a_few_kernel_calls(self, golden_ptable, spies):
+    def test_a_kdd_partition_seals_in_a_few_kernel_calls(self, golden_ptable, kernel):
         stats = build_dataset_statistics(golden_ptable, GOLDEN_CONFIG)
-        oracle, kernel = spies
         kernel.clear()  # the offline build: one call per column
         grown = append_rows(golden_ptable, golden_ptable[2].columns)
         append_partition_statistics(stats, grown[grown.num_partitions - 1])
         assert len(kernel) <= 4 and sum(kernel) == len(golden_ptable.schema) == 25
-        assert oracle == []
 
 
 #: Floats whose packed form ends in NUL bytes (zero, subnormals),

@@ -50,11 +50,11 @@ class TestStaticFeatures:
         measures = static[:, block][:, :9]  # first 9 stats are measures
         assert np.all(measures == 0.0)
 
-    def test_numeric_stats_match_sketches(self, tiny_feature_builder, tiny_stats):
+    def test_numeric_stats_match_sketches(self, tiny_feature_builder, tiny_oracle):
         schema = tiny_feature_builder.schema
         static = tiny_feature_builder.static_matrix
         block = schema.stat_slice("x")
-        sketch = tiny_stats.partitions[3].columns["x"].measures
+        sketch = tiny_oracle.partitions[3].columns["x"].measures
         assert static[3, block.start] == pytest.approx(sketch.mean)
         assert static[3, block.start + 4] == pytest.approx(sketch.max_value())
 

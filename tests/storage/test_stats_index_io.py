@@ -1,22 +1,22 @@
-"""Round-trips of the persisted columnar-index artifacts (formats v2/v3).
+"""Round-trips of the statistics bundle (format v4).
 
-The stats file may now carry the :class:`ColumnarSketchIndex` arrays and
-the warm plan-cache keys alongside the sketch blob. Pinned here:
+A bundle stores the statistics once, as the arrays queries read: the
+columnar index, row counts, Table 4 sizes and the running global
+heavy-hitter sketches. Pinned here:
 
-* saved index arrays reload bit-identical to a fresh sketch-object
-  export;
-* version-1 files (no index section) still load, with ``index=None`` as
-  the re-export fallback signal;
-* a corrupted index *section* degrades (``index=None`` plus a
-  :class:`~repro.errors.DegradedLoadWarning`) because the sketch blob
-  can rebuild it; unsupported versions raise
-  :class:`~repro.errors.CorruptBundleError`, a
-  :class:`~repro.errors.StorageError` and not a
-  :class:`~repro.errors.ConfigError`;
-* a cold start through the persisted index never touches the
-  sketch-object export path (spy test);
-* a cold-loaded index still accepts appended partitions, and ``extend``
-  never writes into the arrays it was given (copy-on-append).
+* everything reloads bit-identical to what was saved, and drives
+  identical features;
+* version-1 and version-2 files are refused with
+  :class:`~repro.errors.UnsupportedBundleError`; an unknown version or
+  any damage (an index array out of bounds, a bad dtype, a missing
+  array, a partition count that disagrees, a flipped byte, a torn file)
+  raises :class:`~repro.errors.CorruptBundleError` — a
+  :class:`~repro.errors.StorageError`, never a
+  :class:`~repro.errors.ConfigError`, and never a silent degrade;
+* a feature builder reads the statistics' own index and nothing else;
+* a cold-loaded index still accepts appended partitions without writing
+  into the arrays it was given (copy-on-append), and lands bit-identical
+  to the never-saved statistics.
 """
 
 from __future__ import annotations
@@ -27,14 +27,15 @@ import zlib
 
 import numpy as np
 import pytest
+from sketch_oracle import assert_entries_identical, assert_indexes_identical
 
 from repro.errors import (
     ConfigError,
     CorruptBundleError,
-    DegradedLoadWarning,
     StorageError,
+    UnsupportedBundleError,
 )
-from repro.sketches.columnar import ColumnarSketchIndex
+from repro.sketches.builder import build_dataset_statistics
 from repro.stats.features import FeatureBuilder
 from repro.storage import (
     load_model,
@@ -48,26 +49,26 @@ _FOOTER_MAGIC = b"PS3C"
 
 
 @pytest.fixture(scope="module")
-def saved_with_index(tiny_stats, tmp_path_factory):
-    path = tmp_path_factory.mktemp("stats_v3") / "tiny.ps3stats"
-    index = ColumnarSketchIndex.build(tiny_stats)
-    save_statistics(tiny_stats, path, index=index)
-    return path, index
+def saved(tiny_stats, tmp_path_factory):
+    path = tmp_path_factory.mktemp("stats_v4") / "tiny.ps3stats"
+    save_statistics(tiny_stats, path)
+    return path
 
 
-def _assert_indexes_identical(expected, actual):
-    """Bitwise comparison of two ColumnarSketchIndex array sets."""
-    assert actual.num_partitions == expected.num_partitions
-    assert set(actual.columns) == set(expected.columns)
-    for name, column in expected.columns.items():
-        other = actual.columns[name].array_state()
-        for key, arr in column.array_state().items():
-            assert arr.dtype == other[key].dtype, (name, key)
-            np.testing.assert_array_equal(arr, other[key], err_msg=f"{name}.{key}")
+def assert_statistics_equal(expected, actual) -> None:
+    """Two ``DatasetStatistics`` hold the same bytes everywhere."""
+    assert actual.schema == expected.schema and actual.config == expected.config
+    assert_indexes_identical(expected.index, actual.index)
+    assert actual.num_rows.tolist() == expected.num_rows.tolist()
+    assert actual.sizes.tolist() == expected.sizes.tolist()
+    assert actual.global_heavy_hitters == expected.global_heavy_hitters
+    assert list(actual.running_heavy_hitters) == list(expected.running_heavy_hitters)
+    for name, sketch in expected.running_heavy_hitters.items():
+        assert_entries_identical(sketch, actual.running_heavy_hitters[name], name)
 
 
 def _rewrite_manifest(path, out_path, mutate):
-    """Mutate the manifest while keeping the v3 integrity footer valid.
+    """Mutate the manifest while keeping the integrity footer valid.
 
     Recomputing the footer CRC makes the *mutation* the thing under
     test; without it every rewrite would trip the manifest checksum
@@ -76,93 +77,64 @@ def _rewrite_manifest(path, out_path, mutate):
     raw = path.read_bytes()
     header_size = int.from_bytes(raw[:8], "little")
     manifest = json.loads(raw[8 : 8 + header_size])
-    blob = raw[8 + header_size :]
-    had_footer = manifest.get("version", 1) >= 3
-    if had_footer:
-        blob = blob[:-8]
+    blob = raw[8 + header_size : -8]
     mutate(manifest)
     header = json.dumps(manifest).encode("utf-8")
-    if manifest.get("version", 1) >= 3:
-        blob = blob + _FOOTER_MAGIC + struct.pack("<I", zlib.crc32(header))
-    out_path.write_bytes(struct.pack("<Q", len(header)) + header + blob)
+    footer = _FOOTER_MAGIC + struct.pack("<I", zlib.crc32(header))
+    out_path.write_bytes(struct.pack("<Q", len(header)) + header + blob + footer)
     return out_path
 
 
-class TestIndexRoundtrip:
-    def test_arrays_bit_identical_to_fresh_export(self, saved_with_index):
-        path, saved_index = saved_with_index
-        bundle = load_statistics_bundle(path)
-        assert bundle.index is not None
-        fresh = ColumnarSketchIndex.build(bundle.statistics)
-        assert set(bundle.index.columns) == set(fresh.columns)
-        for name, column in fresh.columns.items():
-            loaded = bundle.index.columns[name].array_state()
-            for key, arr in column.array_state().items():
-                assert loaded[key].dtype == arr.dtype, (name, key)
-                np.testing.assert_array_equal(
-                    loaded[key], arr, err_msg=f"{name}.{key}"
-                )
+def _batch(rng, n):
+    return {
+        "x": rng.exponential(10.0, n) + 1.0,
+        "y": rng.normal(0.0, 5.0, n),
+        "d": rng.integers(0, 100, n),
+        "cat": rng.choice(["a", "b", "c", "dd"], n),
+        "tag": rng.choice([f"t{i:03d}" for i in range(300)], n),
+    }
 
-    def test_loaded_index_drives_identical_features(
-        self, saved_with_index, tiny_stats
-    ):
-        path, __ = saved_with_index
-        bundle = load_statistics_bundle(path)
-        from_index = FeatureBuilder(
-            bundle.statistics, ("cat", "d"), index=bundle.index
+
+class TestRoundtrip:
+    def test_everything_reloads_bit_identical(self, saved, tiny_stats):
+        bundle = load_statistics_bundle(saved)
+        assert_statistics_equal(tiny_stats, bundle.statistics)
+        assert bundle.wal_applied_seq == 0
+
+    def test_loaded_statistics_drive_identical_features(self, saved, tiny_stats):
+        bundle = load_statistics_bundle(saved)
+        loaded = FeatureBuilder(bundle.statistics, ("cat", "d"))
+        live = FeatureBuilder(tiny_stats, ("cat", "d"))
+        np.testing.assert_array_equal(loaded.static_matrix, live.static_matrix)
+
+    def test_resave_is_bit_identical(self, saved, tmp_path):
+        again = tmp_path / "again.ps3stats"
+        save_statistics(load_statistics_bundle(saved).statistics, again)
+        assert again.read_bytes() == saved.read_bytes()
+
+    def test_save_takes_no_index(self, tiny_stats):
+        with pytest.raises(TypeError):
+            save_statistics(tiny_stats, "/dev/null", index=tiny_stats.index)
+
+
+class TestRetiredFormats:
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_v1_and_v2_are_refused(self, saved, tmp_path, version):
+        old = _rewrite_manifest(
+            saved,
+            tmp_path / f"v{version}.ps3stats",
+            lambda manifest: manifest.update(version=version),
         )
-        from_export = FeatureBuilder(bundle.statistics, ("cat", "d"))
-        np.testing.assert_array_equal(
-            from_index.static_matrix, from_export.static_matrix
-        )
-
-    def test_save_without_index_loads_none(self, tiny_stats, tmp_path):
-        path = tmp_path / "noindex.ps3stats"
-        save_statistics(tiny_stats, path)
-        bundle = load_statistics_bundle(path)
-        assert bundle.index is None
-
-    def test_mismatched_index_rejected_at_save(self, tiny_stats):
-        index = ColumnarSketchIndex.build(tiny_stats)
-        index.num_partitions += 1
-        with pytest.raises(ConfigError, match="partitions"):
-            save_statistics(tiny_stats, "/dev/null", index=index)
-
-    def test_foreign_columns_rejected_at_save(self, tiny_stats):
-        """Same partition count, different dataset: caught at write time,
-        not as a misleading 'corrupt' error on every later load."""
-        index = ColumnarSketchIndex.build(tiny_stats)
-        index.columns["ghost"] = index.columns.pop(next(iter(index.columns)))
-        with pytest.raises(ConfigError, match="different dataset"):
-            save_statistics(tiny_stats, "/dev/null", index=index)
-
-
-class TestOldFormatFallback:
-    def test_version1_file_loads_without_index(
-        self, saved_with_index, tiny_stats, tmp_path
-    ):
-        path, __ = saved_with_index
-
-        def downgrade(manifest):
-            manifest["version"] = 1
-            manifest.pop("index", None)
-            manifest.pop("sections", None)
-            manifest.pop("wal_applied_seq", None)
-
-        v1 = _rewrite_manifest(path, tmp_path / "v1.ps3stats", downgrade)
-        bundle = load_statistics_bundle(v1)
-        assert bundle.index is None
-        assert bundle.statistics.num_partitions == tiny_stats.num_partitions
-        # The fallback is the pre-v2 export, and it still works.
-        rebuilt = ColumnarSketchIndex.build(bundle.statistics)
-        assert rebuilt.num_partitions == tiny_stats.num_partitions
+        with pytest.raises(UnsupportedBundleError, match=f"v{version}") as caught:
+            load_statistics_bundle(old)
+        assert isinstance(caught.value, StorageError)
+        assert not isinstance(caught.value, CorruptBundleError)
 
 
 class TestCorruption:
-    def test_unsupported_version_rejected(self, saved_with_index, tmp_path):
-        path, __ = saved_with_index
+    def test_unsupported_version_rejected(self, saved, tmp_path):
         bad = _rewrite_manifest(
-            path,
+            saved,
             tmp_path / "v99.ps3stats",
             lambda manifest: manifest.update(version=99),
         )
@@ -173,194 +145,110 @@ class TestCorruption:
         assert isinstance(caught.value, StorageError)
         assert not isinstance(caught.value, ConfigError)
 
-    def _assert_degrades(self, bad, tiny_stats):
-        """A damaged index section loads with index=None + a warning."""
-        with pytest.warns(DegradedLoadWarning) as caught:
-            bundle = load_statistics_bundle(bad)
-        assert bundle.index is None
-        assert caught[0].message.reason == "index-corrupt"
-        # The statistics themselves are intact — the index is a cache.
-        assert bundle.statistics.num_partitions == tiny_stats.num_partitions
+    @pytest.mark.parametrize(
+        "clobber",
+        [
+            lambda m: m["index"]["x"]["stats"].__setitem__(0, 10**9),
+            lambda m: m["index"]["x"]["stats"].__setitem__(2, "not-a-dtype"),
+            lambda m: m["index"]["x"].pop("hist.edges"),
+            lambda m: m.update(num_partitions=3),
+            lambda m: m["sizes"].__setitem__(3, [2, 4]),
+            lambda m: m["running_heavy_hitters"].pop("cat"),
+        ],
+        ids=[
+            "out-of-bounds",
+            "bad-dtype",
+            "missing-array",
+            "partition-count",
+            "sizes-shape",
+            "missing-running-sketch",
+        ],
+    )
+    def test_structural_damage_is_corruption(self, saved, tmp_path, clobber):
+        bad = _rewrite_manifest(saved, tmp_path / "bad.ps3stats", clobber)
+        with pytest.raises(CorruptBundleError):
+            load_statistics_bundle(bad)
 
-    def test_out_of_bounds_array_degrades(
-        self, saved_with_index, tiny_stats, tmp_path
-    ):
-        path, __ = saved_with_index
-
-        def clobber(manifest):
-            column = next(iter(manifest["index"]["columns"]))
-            manifest["index"]["columns"][column]["stats"][0] = 10**9
-
-        bad = _rewrite_manifest(path, tmp_path / "oob.ps3stats", clobber)
-        self._assert_degrades(bad, tiny_stats)
-
-    def test_bad_dtype_degrades(self, saved_with_index, tiny_stats, tmp_path):
-        path, __ = saved_with_index
-
-        def clobber(manifest):
-            column = next(iter(manifest["index"]["columns"]))
-            manifest["index"]["columns"][column]["stats"][2] = "not-a-dtype"
-
-        bad = _rewrite_manifest(path, tmp_path / "dtype.ps3stats", clobber)
-        self._assert_degrades(bad, tiny_stats)
-
-    def test_missing_field_degrades(
-        self, saved_with_index, tiny_stats, tmp_path
-    ):
-        path, __ = saved_with_index
-
-        def clobber(manifest):
-            column = next(iter(manifest["index"]["columns"]))
-            del manifest["index"]["columns"][column]["hist.edges"]
-
-        bad = _rewrite_manifest(path, tmp_path / "missing.ps3stats", clobber)
-        self._assert_degrades(bad, tiny_stats)
-
-    def test_partition_count_mismatch_degrades(
-        self, saved_with_index, tiny_stats, tmp_path
-    ):
-        path, __ = saved_with_index
-        bad = _rewrite_manifest(
-            path,
-            tmp_path / "count.ps3stats",
-            lambda manifest: manifest["index"].update(num_partitions=3),
-        )
-        self._assert_degrades(bad, tiny_stats)
-
-    def test_flipped_manifest_byte_rejected(self, saved_with_index, tmp_path):
+    def test_flipped_manifest_byte_rejected(self, saved, tmp_path):
         """Manifest bit-rot that the footer CRC must catch.
 
-        A flipped digit inside ``num_rows`` keeps the JSON perfectly
-        parseable — without the footer checksum this would load and
-        serve wrong numbers.
+        A flipped digit inside ``num_partitions`` keeps the JSON
+        perfectly parseable — without the footer checksum this would load
+        and serve wrong numbers.
         """
-        path, __ = saved_with_index
-        raw = bytearray(path.read_bytes())
+        raw = bytearray(saved.read_bytes())
         header_size = int.from_bytes(raw[:8], "little")
-        marker = raw[8 : 8 + header_size].find(b'"num_rows":')
+        marker = raw[8 : 8 + header_size].find(b'"num_partitions":')
         assert marker >= 0
-        digit = 8 + marker + len(b'"num_rows": ')
+        digit = 8 + marker + len(b'"num_partitions": ')
         raw[digit] = ord("9") if raw[digit] != ord("9") else ord("8")
         bad = tmp_path / "rot.ps3stats"
         bad.write_bytes(bytes(raw))
         with pytest.raises(CorruptBundleError, match="manifest checksum"):
             load_statistics_bundle(bad)
 
-    def test_flipped_sketch_blob_byte_rejected(
-        self, saved_with_index, tmp_path
-    ):
-        path, __ = saved_with_index
-        raw = bytearray(path.read_bytes())
+    def test_flipped_blob_byte_rejected(self, saved, tmp_path):
+        raw = bytearray(saved.read_bytes())
         header_size = int.from_bytes(raw[:8], "little")
-        raw[8 + header_size + 3] ^= 0x40  # inside the sketch region
+        raw[8 + header_size + 3] ^= 0x40  # inside the array blob
         bad = tmp_path / "blobrot.ps3stats"
         bad.write_bytes(bytes(raw))
-        with pytest.raises(CorruptBundleError, match="sketch section"):
+        with pytest.raises(CorruptBundleError, match="section checksum"):
             load_statistics_bundle(bad)
 
-    def test_truncated_file_rejected(self, saved_with_index, tmp_path):
-        path, __ = saved_with_index
-        raw = path.read_bytes()
+    def test_truncated_file_rejected(self, saved, tmp_path):
+        raw = saved.read_bytes()
         bad = tmp_path / "torn.ps3stats"
         bad.write_bytes(raw[: len(raw) // 2])
         with pytest.raises(CorruptBundleError):
             load_statistics_bundle(bad)
 
-    def test_stale_index_rejected_by_feature_builder(self, tiny_stats):
-        index = ColumnarSketchIndex.build(tiny_stats)
-        index.num_partitions -= 1
-        with pytest.raises(ConfigError, match="rebuild"):
-            FeatureBuilder(tiny_stats, ("cat", "d"), index=index)
 
+class TestOneIndex:
+    def test_feature_builder_reads_the_statistics_own_index(self, saved, tiny_stats):
+        bundle = load_statistics_bundle(saved)
+        stats = bundle.statistics
+        builder = FeatureBuilder(stats, ("cat", "d"), index=stats.index)
+        assert builder.sketch_index is stats.index
+        assert FeatureBuilder(stats, ("cat", "d")).sketch_index is stats.index
+        with pytest.raises(ConfigError, match="own index"):
+            FeatureBuilder(stats, ("cat", "d"), index=tiny_stats.index)
 
-class TestColdStartSkipsExport:
-    """Cold start via the persisted index must never export sketches."""
-
-    def test_feature_builder_does_not_export(
-        self, saved_with_index, monkeypatch
-    ):
-        path, __ = saved_with_index
-        bundle = load_statistics_bundle(path)
-
-        def boom(*args, **kwargs):  # pragma: no cover - failure path
-            raise AssertionError("sketch-object export ran on cold start")
-
-        monkeypatch.setattr(ColumnarSketchIndex, "build", boom)
-        builder = FeatureBuilder(
-            bundle.statistics, ("cat", "d"), index=bundle.index
-        )
-        assert builder.sketch_index is bundle.index
-
-    def test_model_cold_start_does_not_export(
-        self, trained_ps3, tmp_path, monkeypatch
-    ):
+    def test_model_cold_start_binds_the_loaded_index(self, trained_ps3, tmp_path):
         stats_path = tmp_path / "stats.ps3stats"
         model_path = tmp_path / "model.json"
-        save_statistics(
-            trained_ps3.statistics,
-            stats_path,
-            index=trained_ps3.feature_builder.sketch_index,
-        )
+        save_statistics(trained_ps3.statistics, stats_path)
         save_model(trained_ps3.model, model_path)
-        bundle = load_statistics_bundle(stats_path)
-        assert bundle.index is not None
-
-        def boom(*args, **kwargs):  # pragma: no cover - failure path
-            raise AssertionError("sketch-object export ran on cold start")
-
-        monkeypatch.setattr(ColumnarSketchIndex, "build", boom)
-        model = load_model(model_path, bundle.statistics, index=bundle.index)
-        features = model.feature_builder.features_for_query(
-            trained_ps3.training_data.queries[0]
+        statistics = load_statistics_bundle(stats_path).statistics
+        model = load_model(model_path, statistics)
+        assert model.feature_builder.sketch_index is statistics.index
+        query = trained_ps3.training_data.queries[0]
+        np.testing.assert_array_equal(
+            model.feature_builder.features_for_query(query).matrix,
+            trained_ps3.feature_builder.features_for_query(query).matrix,
         )
-        assert features.matrix.shape[0] == bundle.statistics.num_partitions
 
 
 class TestAppendAfterColdLoad:
     """Regression: appends must keep working after a cold load.
 
     The loaded arrays are frozen here, so any append path that wrote
-    into them in place would raise ``ValueError``;
-    ``ColumnarSketchIndex.extend`` must allocate fresh arrays
-    (copy-on-append: older generations keep reading theirs) and land
-    bit-identical to a from-scratch build."""
+    into them in place would raise ``ValueError``; the seal must append
+    into fresh arrays (copy-on-append: older generations keep reading
+    theirs) and land bit-identical to the statistics never saved."""
 
-    def test_extend_after_cold_load_matches_scratch_build(
-        self, saved_with_index, rng
+    def test_appends_after_cold_load_match_the_live_statistics(
+        self, saved, tiny_ptable, rng
     ):
-        path, __ = saved_with_index
-        bundle = load_statistics_bundle(path)
-        stats, index = bundle.statistics, bundle.index
-        for column in index.columns.values():
+        stats = load_statistics_bundle(saved).statistics
+        for column in stats.index.columns.values():
             for arr in column.array_state().values():
                 arr.flags.writeable = False
+        live = build_dataset_statistics(tiny_ptable)
         before = stats.num_partitions
-        n = 40
-        batch = {
-            "x": rng.exponential(10.0, n) + 1.0,
-            "y": rng.normal(0.0, 5.0, n),
-            "d": rng.integers(0, 100, n),
-            "cat": rng.choice(["a", "b", "c", "dd"], n),
-            "tag": rng.choice([f"t{i:03d}" for i in range(300)], n),
-        }
-        replay_batch_into_statistics(stats, batch, index)
-        assert stats.num_partitions == before + 1
-        assert index.num_partitions == stats.num_partitions
-        _assert_indexes_identical(ColumnarSketchIndex.build(stats), index)
-
-    def test_double_extend_stays_consistent(self, saved_with_index, rng):
-        """Two appends in a row: the second extends arrays the first
-        already copied — still bit-identical to scratch."""
-        path, __ = saved_with_index
-        bundle = load_statistics_bundle(path)
-        stats, index = bundle.statistics, bundle.index
-        for size in (25, 31):
-            batch = {
-                "x": rng.exponential(10.0, size) + 1.0,
-                "y": rng.normal(0.0, 5.0, size),
-                "d": rng.integers(0, 100, size),
-                "cat": rng.choice(["a", "b", "c", "dd"], size),
-                "tag": rng.choice([f"t{i:03d}" for i in range(300)], size),
-            }
-            replay_batch_into_statistics(stats, batch, index)
-        _assert_indexes_identical(ColumnarSketchIndex.build(stats), index)
+        for size in (40, 25, 31):
+            batch = _batch(rng, size)
+            replay_batch_into_statistics(stats, batch)
+            replay_batch_into_statistics(live, batch)
+        assert stats.num_partitions == stats.index.num_partitions == before + 3
+        assert_statistics_equal(live, stats)

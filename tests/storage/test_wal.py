@@ -20,7 +20,6 @@ from repro.errors import (
     WalReplayError,
 )
 from repro.sketches.builder import append_partition_statistics
-from repro.sketches.columnar import ColumnarSketchIndex
 from repro.storage import (
     WriteAheadLog,
     replay_batch_into_statistics,
@@ -41,8 +40,8 @@ def batch(rng):
     }
 
 
-def _bundle_bytes(stats, path, index=None):
-    save_statistics(stats, path, index=index)
+def _bundle_bytes(stats, path):
+    save_statistics(stats, path)
     return path.read_bytes()
 
 
@@ -155,28 +154,21 @@ class TestReplayParity:
         """Journal replay runs the same seal path as a live append."""
         live = copy.deepcopy(tiny_stats)
         recovered = copy.deepcopy(tiny_stats)
-        live_index = ColumnarSketchIndex.build(live)
-        recovered_index = ColumnarSketchIndex.build(recovered)
 
         # Live timeline: seal the batch exactly as PS3.append does.
         from repro.engine.layout import append_rows
 
         grown = append_rows(tiny_ptable, batch)
         append_partition_statistics(live, grown[grown.num_partitions - 1])
-        live_index.extend(live)
 
         # Crashed timeline: the batch went through the journal.
         wal = WriteAheadLog(tmp_path / "w.ps3wal")
         wal.append(batch)
         for replayed in WriteAheadLog(tmp_path / "w.ps3wal").replay():
-            replay_batch_into_statistics(
-                recovered, replayed.columns, recovered_index
-            )
+            replay_batch_into_statistics(recovered, replayed.columns)
 
-        assert _bundle_bytes(
-            live, tmp_path / "live.ps3stats", live_index
-        ) == _bundle_bytes(
-            recovered, tmp_path / "recovered.ps3stats", recovered_index
+        assert _bundle_bytes(live, tmp_path / "live.ps3stats") == _bundle_bytes(
+            recovered, tmp_path / "recovered.ps3stats"
         )
 
     @pytest.mark.parametrize(
@@ -209,10 +201,15 @@ class TestReplayParity:
     ):
         """A journaled partition longer than one lossy-counting block
         (700 rows at width 200: three full blocks and a partial one)
-        reloads with the raw heavy-hitter state a live append sealed —
-        replay, append and the offline build share one seal path."""
+        reloads with the index rows and running heavy-hitter state a live
+        append sealed — replay, append and the offline build share one
+        seal path."""
         from repro.engine.layout import append_rows
-        from repro.sketches.builder import SketchConfig, build_dataset_statistics
+        from repro.sketches.builder import (
+            SketchConfig,
+            build_dataset_statistics,
+            seal_partition,
+        )
         from repro.storage import StatisticsStore
 
         n = 700
@@ -229,16 +226,16 @@ class TestReplayParity:
         store.log_append(batch)
 
         grown = append_rows(tiny_ptable, batch)
-        sealed = append_partition_statistics(live, grown[grown.num_partitions - 1])
-        assert sealed.columns["tag"].heavy_hitter.bucket == 4
+        append_partition_statistics(live, grown[grown.num_partitions - 1])
+        sealed = seal_partition(live.schema, batch, 0, live.config)
+        assert sealed.hitters["tag"].bucket == 4
 
         recovered, __ = StatisticsStore(tmp_path).load_statistics()
         assert recovered.num_partitions == live.num_partitions
-        replayed = recovered.partitions[-1]
-        for name, cstats in sealed.columns.items():
-            theirs = replayed.columns[name].heavy_hitter
-            assert theirs.entries() == cstats.heavy_hitter.entries(), name
-            assert theirs.total == n and theirs.bucket == 4
+        for name, sketch in live.running_heavy_hitters.items():
+            theirs = recovered.running_heavy_hitters[name]
+            assert theirs.entries() == sketch.entries(), name
+            assert theirs.total == sketch.total
         assert _bundle_bytes(live, tmp_path / "live.ps3stats") == _bundle_bytes(
             recovered, tmp_path / "recovered.ps3stats"
         )

@@ -232,16 +232,15 @@ REJECTED = [
 ]
 
 
-def _bundle_bytes(statistics, index, path):
-    save_statistics(statistics, path, index=index)
+def _bundle_bytes(statistics, path):
+    save_statistics(statistics, path)
     return path.read_bytes()
 
 
 def _state_bytes(system, path):
-    """The statistics and index of a system, as their bundle bytes."""
-    return _bundle_bytes(
-        system.statistics, system.feature_builder.sketch_index, path
-    )
+    """The statistics (index included) of a system, as bundle bytes."""
+    assert system.feature_builder.sketch_index is system.statistics.index
+    return _bundle_bytes(system.statistics, path)
 
 
 @pytest.fixture
@@ -278,7 +277,7 @@ class TestDurableAppend:
             warnings.simplefilter("error")  # nothing to skip, nothing degraded
             recovered = StatisticsStore(store.directory).load_statistics()
             reopened = PS3.open(base, system.workload, store.directory, model_path)
-        assert _bundle_bytes(*recovered, tmp_path / "recovered.ps3stats") == live
+        assert _bundle_bytes(recovered[0], tmp_path / "recovered.ps3stats") == live
         assert _state_bytes(reopened, tmp_path / "reopened.ps3stats") == live
 
     @pytest.mark.parametrize("shape", [shape for shape, __ in REJECTED])
@@ -297,7 +296,7 @@ class TestDurableAppend:
         with pytest.warns(DegradedLoadWarning) as caught:
             recovered = StatisticsStore(store.directory).load_statistics()
         assert [w.message.reason for w in caught] == ["wal-rejected-batch"]
-        assert _bundle_bytes(*recovered, tmp_path / "recovered.ps3stats") == live
+        assert _bundle_bytes(recovered[0], tmp_path / "recovered.ps3stats") == live
         with pytest.warns(DegradedLoadWarning, match="skipping record 2"):
             reopened = PS3.open(base, system.workload, store.directory, model_path)
         assert _state_bytes(reopened, tmp_path / "reopened.ps3stats") == live
@@ -339,8 +338,9 @@ class TestDurableAppend:
         assert appended == [system.ptable.num_partitions - 1]
         stats, index = StatisticsStore(store.directory).load_statistics()
         assert stats.num_partitions == system.statistics.num_partitions
+        assert index is stats.index
         live = _state_bytes(system, tmp_path / "live.ps3stats")
-        assert _bundle_bytes(stats, index, tmp_path / "recovered.ps3stats") == live
+        assert _bundle_bytes(stats, tmp_path / "recovered.ps3stats") == live
 
     def test_checkpoint_persists_no_other_deployments_predicates(
         self, durable, trained_ps3
