@@ -53,6 +53,7 @@ from repro.engine.combiner import WeightedChoice
 from repro.engine.query import Query
 from repro.errors import ConfigError
 from repro.obs import get_registry
+from repro.rowbuffers import grow
 from repro.stats.features import NUM_SELECTIVITY, QueryFeatures
 
 #: Pure picks remembered per statistics generation (see the module doc).
@@ -166,7 +167,10 @@ class PS3Picker:
         # Pure picks of one statistics generation, least recently used first.
         self._memo: dict[tuple[Query, int], PickerSelection] = {}
         self._memo_generation = model.feature_builder.generation
-        self._normalized_static = self._normalize_static()
+        width = model.feature_builder.static_matrix.shape[1]
+        self._normalized_static = np.empty((0, width))
+        self._normalized_buffers = None
+        self._normalize_static()
         registry = get_registry()
         self._memo_hits = registry.counter("picker.memo.hits")
         self._memo_misses = registry.counter("picker.memo.misses")
@@ -174,11 +178,25 @@ class PS3Picker:
 
     # -- internals ------------------------------------------------------------
 
-    def _normalize_static(self) -> np.ndarray:
-        """The normalized static block of the current statistics
-        generation: what every pick of it gathers its live columns from."""
+    def _normalize_static(self) -> None:
+        """Normalize the static block of the current statistics
+        generation: what every pick of it gathers its live columns from.
+
+        Static rows never change once built and the transform is
+        elementwise, so only the rows a generation added are normalized,
+        written behind the older generations' (:func:`repro.rowbuffers
+        .grow`)."""
         static = self.model.feature_builder.static_matrix
-        return self.model.normalizer.transform(static, live=np.arange(static.shape[1]))
+        done = len(self._normalized_static)
+        rows = self.model.normalizer.transform(
+            static[done:], live=np.arange(static.shape[1])
+        )
+        grown, self._normalized_buffers = grow(
+            {"static": self._normalized_static},
+            {"static": rows},
+            self._normalized_buffers,
+        )
+        self._normalized_static = grown["static"]
 
     def _live_block(self, features: QueryFeatures) -> np.ndarray:
         """The query's live columns, normalized, then one ``+0.0`` column.
@@ -249,7 +267,7 @@ class PS3Picker:
         if generation != self._memo_generation:
             self._memo.clear()
             self._memo_generation = generation
-            self._normalized_static = self._normalize_static()
+            self._normalize_static()
         key = (query, budget)
         stored = self._memo.pop(key, None)
         if stored is not None:

@@ -16,8 +16,10 @@ captures that fact explicitly: zero-copy references to the fused column
 arrays, the partition-offset index (``offsets[p] .. offsets[p+1]`` is
 partition ``p``'s row range), and a per-row owning-partition id vector.
 The view is cached on the table (:func:`fused_view`) and extended
-incrementally when partitions are appended — only the new rows' ids are
-materialized, mirroring ``ColumnarSketchIndex.extend``.
+incrementally when partitions are appended: only the new rows' ids and
+codes are materialized, written behind the older view's rows in spare
+buffer rows (:mod:`repro.rowbuffers`), as the table's columns and the
+columnar index's rows are.
 
 The view also owns each column's one dictionary encoding per table
 generation (:meth:`FusedTableView.encoded`). Raw columns stay the source
@@ -96,6 +98,7 @@ from repro.engine.query import Query
 from repro.engine.table import PartitionedTable
 from repro.errors import ConfigError
 from repro.obs import get_registry, trace_span
+from repro.rowbuffers import grow
 
 #: Densest ``partitions x groups`` grid the dense bincount path may
 #: allocate, as a multiple of the (filtered) row count. Beyond this the
@@ -184,10 +187,15 @@ def factorize(encodings: list[tuple]) -> tuple[list[GroupKey], np.ndarray]:
     return list(zip(*reversed(parts))), gids
 
 
-def _encode(name: str, column: np.ndarray, prior: tuple | None = None) -> tuple:
-    """``(sorted uniques, int32 codes)`` of ``column``. ``prior`` encodes
-    its leading rows (the table before an append): only the rows after
-    them are looked up, and no array of ``prior`` is written."""
+def _encode(
+    name: str, column: np.ndarray, prior: tuple | None = None, buffers=None
+) -> tuple:
+    """``(sorted uniques, int32 codes, buffers)`` of ``column``. ``prior``
+    encodes its leading rows (the table before an append): only the rows
+    after them are looked up and written behind them, into ``buffers``
+    (the :class:`~repro.rowbuffers.RowBuffers` ``prior``'s codes view)
+    when they are the newest codes, and no row ``prior`` holds is
+    written."""
     count = get_registry().counter
     how = "built" if prior is None else "extended"
     with trace_span("engine.encode", column=name, rows=len(column), how=how) as span:
@@ -210,14 +218,17 @@ def _encode(name: str, column: np.ndarray, prior: tuple | None = None) -> tuple:
                     head = np.searchsorted(merged, uniques).astype(np.int32)[head]
                     uniques, at = merged, np.searchsorted(merged, tail)
                     count("engine.dictionary.remaps").inc()
-            codes = np.concatenate([head, at], dtype=np.int32)
+            grown, buffers = grow(
+                {"codes": head}, {"codes": at.astype(np.int32)}, buffers
+            )
+            codes = grown["codes"]
             count("engine.dictionary.extends").inc()
         if span is not None:  # None on the disabled-registry fast path
             span.tags["distinct"] = len(uniques)
     # Shared by every thread on this generation and, unless remapped, by
     # the next generation's pair: make "never written" structural.
     uniques.flags.writeable = codes.flags.writeable = False
-    return uniques, codes
+    return uniques, codes, buffers
 
 
 def read_rows(column: np.ndarray, rows) -> np.ndarray:
@@ -261,6 +272,8 @@ class FusedTableView:
     num_partitions: int
     # name -> (sorted uniques, int32 codes); a stored pair is never written.
     _encoded: dict = field(default_factory=dict, repr=False, compare=False)
+    # "ids" and each encoded column -> the RowBuffers its array views.
+    _buffers: dict = field(default_factory=dict, repr=False, compare=False)
 
     @classmethod
     def build(
@@ -269,14 +282,14 @@ class FusedTableView:
         """Fuse ``ptable``; reuse ``prior``'s work when it is a prefix.
 
         Passing the view of the table ``ptable`` was appended to extends
-        its partition-id vector and encodings incrementally (only the
-        appended rows are materialized and encoded), mirroring
-        ``ColumnarSketchIndex.extend``.
+        its partition-id vector and encodings incrementally: only the
+        appended rows are materialized and encoded, and written behind
+        ``prior``'s rows (:func:`repro.rowbuffers.grow`).
         """
         offsets = np.asarray(ptable.boundaries, dtype=np.int64)
         n = ptable.num_partitions
         columns = ptable.table.columns
-        encoded = {}
+        encoded, buffers = {}, {}
         if (
             prior is not None
             and 0 < prior.num_partitions <= n
@@ -286,15 +299,25 @@ class FusedTableView:
             new_ids = np.repeat(
                 np.arange(prior.num_partitions, n, dtype=np.intp), new_sizes
             )
-            partition_ids = np.concatenate([prior.partition_ids, new_ids])
+            grown, buffers["ids"] = grow(
+                {"ids": prior.partition_ids},
+                {"ids": new_ids},
+                prior._buffers.get("ids"),
+            )
+            partition_ids = grown["ids"]
             with TABLE_CACHE_LOCK:  # a reader may be encoding on ``prior``
                 carried = list(prior._encoded.items())
-            encoded = {name: _encode(name, columns[name], p) for name, p in carried}
+                held = dict(prior._buffers)
+            for name, pair in carried:
+                uniques, codes, buffers[name] = _encode(
+                    name, columns[name], pair, held.get(name)
+                )
+                encoded[name] = uniques, codes
         else:
             partition_ids = np.repeat(
                 np.arange(n, dtype=np.intp), np.diff(offsets)
             )
-        return cls(columns, offsets, partition_ids, n, encoded)
+        return cls(columns, offsets, partition_ids, n, encoded, buffers)
 
     @property
     def num_rows(self) -> int:
@@ -309,7 +332,7 @@ class FusedTableView:
             pair = self._encoded.get(name)
             if pair is None:
                 column = _column(self.columns, name)  # typed error when missing
-                pair = self._encoded[name] = _encode(name, column)
+                pair = self._encoded[name] = _encode(name, column)[:2]
             return pair
 
     def group_ids(self, group_by, rows=None) -> tuple[list[GroupKey], np.ndarray]:

@@ -9,13 +9,12 @@ split into N equal-row partitions.
 
 from __future__ import annotations
 
-import threading
-
 import numpy as np
 
 from repro.engine.schema import Schema
 from repro.engine.table import PartitionedTable, Table
 from repro.errors import ConfigError
+from repro.rowbuffers import grow
 
 
 def sort_table(table: Table, by: str | tuple[str, ...]) -> Table:
@@ -55,46 +54,6 @@ def partition_evenly(table: Table, num_partitions: int) -> PartitionedTable:
     return PartitionedTable(table, tuple(int(e) for e in edges))
 
 
-#: Spare rows allocated behind a table when an append has to copy it, as
-#: a share of its length; later appends write into the spare.
-_SPARE_SHARE = 0.5
-_TAIL_LOCK = threading.Lock()
-
-
-class _Tail:
-    """Column buffers with spare capacity that appended tables are prefix
-    views of.
-
-    Rows below ``used`` are never rewritten, so every table that shares
-    the buffers keeps reading exactly its own rows. Only the table whose
-    columns are the views of length ``used`` — the newest one — may be
-    extended in place; appending to an older one copies, as if there
-    were no spare.
-    """
-
-    def __init__(self, buffers: dict[str, np.ndarray], used: int) -> None:
-        self.buffers = buffers
-        self.used = used
-
-    def claim(
-        self, held: dict[str, np.ndarray], stop: int, new: dict[str, np.ndarray]
-    ) -> bool:
-        """Reserve rows ``used:stop`` for the caller when ``held`` are the
-        newest views, the rows fit, and ``new`` stores losslessly in the
-        buffers' dtypes."""
-        with _TAIL_LOCK:
-            fits = all(
-                held[name].base is buffer
-                and len(held[name]) == self.used
-                and stop <= len(buffer)
-                and np.result_type(buffer, new[name]) == buffer.dtype
-                for name, buffer in self.buffers.items()
-            )
-            if fits:
-                self.used = stop
-            return fits
-
-
 def validate_batch(
     schema: Schema, new_columns: dict[str, np.ndarray]
 ) -> dict[str, np.ndarray]:
@@ -125,29 +84,16 @@ def append_rows(
     become one fresh partition at the end; existing partitions and their
     statistics are untouched. The cost follows the batch, not the table:
     the returned table's columns are views of buffers with spare rows
-    behind them (see :class:`_Tail`), which the next append fills; the
-    whole table is copied only when the spare runs out.
+    behind them (:mod:`repro.rowbuffers`), which the next append fills;
+    the whole table is copied only when the spare runs out.
     """
     new = validate_batch(ptable.schema, new_columns)
-    start = ptable.table.num_rows
-    stop = start + len(next(iter(new.values())))
-    tail = getattr(ptable.table, "_tail", None)
-    if tail is None or not tail.claim(ptable.table.columns, stop, new):
-        buffers = {}
-        for name, values in new.items():
-            held = ptable.table.columns[name]
-            buffers[name] = np.empty(
-                stop + int(stop * _SPARE_SHARE), dtype=np.result_type(held, values)
-            )
-            buffers[name][:start] = held
-        tail = _Tail(buffers, stop)
-    for name, values in new.items():
-        tail.buffers[name][start:stop] = values
-    table = Table(
-        ptable.schema, {name: buffer[:stop] for name, buffer in tail.buffers.items()}
+    columns, buffers = grow(
+        ptable.table.columns, new, getattr(ptable.table, "_buffers", None)
     )
-    table._tail = tail
-    return PartitionedTable(table, ptable.boundaries + (stop,))
+    table = Table(ptable.schema, columns)
+    table._buffers = buffers
+    return PartitionedTable(table, ptable.boundaries + (table.num_rows,))
 
 
 def layout_and_partition(

@@ -16,13 +16,38 @@ per-clause estimates (``repro.stats.plan``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from repro.errors import ExecutionError, QueryScopeError
 
 _NUMERIC_OPS = ("<", "<=", ">", ">=", "==", "!=")
+
+
+def hash_once(cls):
+    """Make a frozen dataclass hash its compared fields once per object.
+
+    Plan caches and pick memos hash a query and its predicate tree on
+    every lookup; the fields never change, so the first hash is kept.
+    Copies and pickles drop it (string hashes differ between processes)
+    and hash afresh.
+    """
+    names = tuple(f.name for f in fields(cls) if f.compare)
+
+    def __hash__(self) -> int:
+        try:
+            return self.__dict__["_hash"]
+        except KeyError:
+            value = hash(tuple(getattr(self, name) for name in names))
+            object.__setattr__(self, "_hash", value)
+            return value
+
+    def __getstate__(self) -> dict:
+        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
+
+    cls.__hash__, cls.__getstate__ = __hash__, __getstate__
+    return cls
 
 
 class Predicate:
@@ -54,6 +79,7 @@ def _column(columns: dict[str, np.ndarray], name: str) -> np.ndarray:
         raise ExecutionError(f"column {name!r} missing at runtime") from None
 
 
+@hash_once
 @dataclass(frozen=True, repr=False)
 class Comparison(Predicate):
     """``column op value`` on a numeric or date column."""
@@ -90,6 +116,7 @@ class Comparison(Predicate):
         return f"{self.column} {self.op} {self.value!r}"
 
 
+@hash_once
 @dataclass(frozen=True, repr=False)
 class InSet(Predicate):
     """``column IN (v1, v2, ...)`` on a categorical column.
@@ -125,6 +152,7 @@ class InSet(Predicate):
         return f"{self.column} IN ({rendered})"
 
 
+@hash_once
 @dataclass(frozen=True, repr=False)
 class Contains(Predicate):
     """Substring filter on a categorical column (``LIKE '%text%'``)."""
@@ -150,6 +178,7 @@ class Contains(Predicate):
         return f"{self.column} LIKE '%{self.text}%'"
 
 
+@hash_once
 @dataclass(frozen=True, repr=False)
 class And(Predicate):
     """Conjunction of two or more predicates."""
@@ -177,6 +206,7 @@ class And(Predicate):
         return " AND ".join(f"({c.label()})" for c in self.children)
 
 
+@hash_once
 @dataclass(frozen=True, repr=False)
 class Or(Predicate):
     """Disjunction of two or more predicates."""
@@ -204,6 +234,7 @@ class Or(Predicate):
         return " OR ".join(f"({c.label()})" for c in self.children)
 
 
+@hash_once
 @dataclass(frozen=True, repr=False)
 class Not(Predicate):
     """Negation of a predicate."""

@@ -12,10 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.engine.aggregates import Aggregate, Component
-from repro.engine.predicates import Predicate
+from repro.engine.predicates import Predicate, hash_once
 from repro.errors import QueryScopeError
 
 
+@hash_once
 @dataclass(frozen=True)
 class Query:
     """A single-table aggregation query in PS3's scope.

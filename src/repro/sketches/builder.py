@@ -51,18 +51,18 @@ import numpy as np
 
 from repro.engine.schema import Column, Schema
 from repro.engine.table import Partition, PartitionedTable
+from repro.rowbuffers import RowBuffers, grow
 from repro.sketches.columnar import (
     NUM_COLUMN_STATS,
     ColumnarSketchIndex,
     ColumnIndex,
-    HistogramArrays,
-    KeyedFrequencyTable,
-    SubstringTable,
+    IndexRows,
 )
 from repro.sketches.hashing import hash_distinct, hash_value, normalize_hashes
 from repro.sketches.heavy_hitter import (
     HeavyHitterSketch,
     SegmentedHitters,
+    merge_pairwise,
     segmented_hitters,
 )
 from repro.sketches.histogram import segmented_histograms
@@ -118,6 +118,8 @@ class DatasetStatistics:
     sizes: np.ndarray  # (N, len(FAMILIES)) int64
     global_heavy_hitters: dict[str, tuple] = field(default_factory=dict)
     running_heavy_hitters: dict[str, HeavyHitterSketch] = field(default_factory=dict)
+    # What ``num_rows`` and ``sizes`` view once an append grew them.
+    _buffers: RowBuffers | None = field(default=None, repr=False, compare=False)
 
     @property
     def num_partitions(self) -> int:
@@ -154,16 +156,17 @@ class SealedSegments:
 
     Per-segment arrays are indexed by segment; entry arrays (``hh_*``,
     ``ed_*``) list every segment's entries, segment after segment, in
-    the order the scalar sketches would iterate them. :meth:`block`
-    lays a run of segments out as a :class:`ColumnIndex`.
+    the order the scalar sketches would iterate them. :meth:`rows`
+    cuts a run of segments out as the rows a :class:`ColumnIndex` grows
+    by.
     """
 
     stats: np.ndarray  # (n, NUM_COLUMN_STATS)
     edges: np.ndarray  # (n, W+1) histogram edges, padded
-    depths: np.ndarray  # (n, W)
-    distincts: np.ndarray  # (n, W)
+    depths: np.ndarray  # (n, W) float64
+    distincts: np.ndarray  # (n, W) float64
     buckets: np.ndarray  # (n,) real buckets per histogram
-    totals: np.ndarray  # (n,) rows per segment
+    totals: np.ndarray  # (n,) float64 rows per segment
     hh_rows: np.ndarray  # (H,) segment of each reported heavy hitter
     hh_keys: np.ndarray  # (H,) blake2b key
     hh_freqs: np.ndarray  # (H,) fraction of the segment's rows
@@ -178,42 +181,47 @@ class SealedSegments:
     sizes: np.ndarray  # (n, len(FAMILIES)) int64 encoded bytes
     hitters: list[HeavyHitterSketch]  # each segment's automaton
 
-    def block(self, name: str, lo: int, hi: int, first_part: int) -> ColumnIndex:
+    def __post_init__(self) -> None:
+        # What every ``rows`` call cuts from: a seal cuts a row per segment.
+        segments = np.arange(len(self.totals) + 1)
+        self._hh_bounds = np.searchsorted(self.hh_rows, segments).tolist()
+        self._ed_bounds = np.searchsorted(self.ed_rows, segments).tolist()
+        self._ed_totals = np.where(self.ed_usable, self.totals, 0.0)
+        self._has = np.ones(len(self.totals), dtype=bool)
+
+    def rows(self, lo: int, hi: int, first_part: int) -> IndexRows:
         """Segments ``[lo, hi)`` as the index rows of partitions
         ``first_part, first_part + 1, ...``."""
-        ha, hb = np.searchsorted(self.hh_rows, [lo, hi])
-        ea, eb = np.searchsorted(self.ed_rows, [lo, hi])
-        hh_parts = self.hh_rows[ha:hb] - lo + first_part
-        ed_parts = self.ed_rows[ea:eb] - lo + first_part
-        width = int(self.buckets[lo:hi].max(initial=1))
-        usable = self.ed_usable[lo:hi]
-        return ColumnIndex(
-            name=name,
-            stats=self.stats[lo:hi],
-            hist=HistogramArrays(
-                self.edges[lo:hi, : width + 1],
-                self.depths[lo:hi, :width].astype(np.float64),
-                self.distincts[lo:hi, :width].astype(np.float64),
-                self.totals[lo:hi].astype(np.float64),
-                np.ones(hi - lo, dtype=bool),
+        ha, hb = self._hh_bounds[lo], self._hh_bounds[hi]
+        ea, eb = self._ed_bounds[lo], self._ed_bounds[hi]
+        width = max(int(self.buckets[lo:hi].max()), 1)
+        hh = (
+            self.hh_keys[ha:hb],
+            self.hh_rows[ha:hb] + (first_part - lo),
+            self.hh_freqs[ha:hb],
+        )
+        ed_parts = self.ed_rows[ea:eb] + (first_part - lo)
+        return IndexRows(
+            rows={
+                "stats": self.stats[lo:hi],
+                "hist.edges": self.edges[lo:hi, : width + 1],
+                "hist.depths": self.depths[lo:hi, :width],
+                "hist.distincts": self.distincts[lo:hi, :width],
+                "hist.totals": self.totals[lo:hi],
+                "hist.has": self._has[lo:hi],
+                "hh_covered": self.hh_covered[lo:hi],
+                "ed_usable": self.ed_usable[lo:hi],
+                "ed_totals": self._ed_totals[lo:hi],
+            },
+            hh=hh,
+            # Only a column of string values has substring entries.
+            hh_strings=(
+                (self.hh_text[ha:hb], hh[1], hh[2])
+                if self.hh_text
+                else ([], hh[1][:0], hh[2][:0])
             ),
-            hh_lookup=KeyedFrequencyTable.build(
-                self.hh_keys[ha:hb], hh_parts, self.hh_freqs[ha:hb]
-            ),
-            hh_strings=SubstringTable.build(
-                self.hh_text[ha:hb],
-                hh_parts if self.hh_text else [],
-                self.hh_freqs[ha:hb] if self.hh_text else [],
-            ),
-            hh_covered=self.hh_covered[lo:hi],
-            ed_usable=usable,
-            ed_totals=np.where(usable, self.totals[lo:hi], 0).astype(np.float64),
-            ed_lookup=KeyedFrequencyTable.build(
-                self.ed_keys[ea:eb], ed_parts, self.ed_fracs[ea:eb]
-            ),
-            ed_strings=SubstringTable.build(
-                self.ed_text[ea:eb], ed_parts, self.ed_counts[ea:eb]
-            ),
+            ed=(self.ed_keys[ea:eb], ed_parts, self.ed_fracs[ea:eb]),
+            ed_strings=(self.ed_text[ea:eb], ed_parts, self.ed_counts[ea:eb]),
         )
 
 
@@ -265,7 +273,7 @@ def _segment_column(
                 for lo, hi in zip(offsets[:-1], offsets[1:])
             ]
         )
-    uniques, inverse = np.unique(values, return_inverse=True)
+    uniques, inverse = _unique_inverse(values)
     hitters, distincts = segmented_hitters(
         uniques, inverse, offsets, config.hh_support, config.hh_epsilon
     )
@@ -273,6 +281,22 @@ def _segment_column(
     if alone:
         seg = dataclasses.replace(seg, sorted_values=np.unique(values))
     return seg, hitters
+
+
+def _unique_inverse(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(values, return_inverse=True)``, sorting integers for
+    strings of at most nine ASCII characters: seven bits a character,
+    the first highest, pack each into one uint64 whose order is the
+    strings' (a shorter string is padded with NUL, as numpy compares)."""
+    if values.dtype.kind == "U" and len(values) and values.dtype.itemsize <= 36:
+        chars = np.ascontiguousarray(values).view(np.uint32).reshape(len(values), -1)
+        if chars.max() < 128:
+            keys = np.zeros(len(values), dtype=np.uint64)
+            for j in range(chars.shape[1]):
+                keys |= chars[:, j].astype(np.uint64) << np.uint64(56 - 7 * j)
+            __, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+            return values[first], inverse
+    return np.unique(values, return_inverse=True)
 
 
 def _stitch(
@@ -483,10 +507,10 @@ def build_column_statistics_batch(
     return SealedSegments(
         stats=stats,
         edges=edges,
-        depths=depths,
-        distincts=distincts,
+        depths=depths.astype(np.float64),
+        distincts=distincts.astype(np.float64),
         buckets=buckets,
-        totals=rows,
+        totals=rows.astype(np.float64),
         hh_rows=hh_rows,
         hh_keys=hh_keys,
         hh_freqs=hh_freqs,
@@ -511,7 +535,7 @@ def build_column_statistics_batch(
 class PartitionSeal:
     """One partition's sealed statistics, ready to append."""
 
-    blocks: dict[str, ColumnIndex]  # column -> its one index row
+    rows: dict[str, IndexRows]  # column -> its index row
     sizes: np.ndarray  # (len(FAMILIES),) encoded bytes
     hitters: dict[str, HeavyHitterSketch]  # column -> automaton
     num_rows: int
@@ -538,7 +562,7 @@ def seal_partition(
         else:
             key = "numeric"
         groups.setdefault(key, []).append(column)
-    blocks, hitters = {}, {}
+    rows, hitters = {}, {}
     sizes = np.zeros(len(FAMILIES), dtype=np.int64)
     for group in groups.values():
         values = np.concatenate(
@@ -548,11 +572,11 @@ def seal_partition(
         offsets = np.arange(len(group) + 1, dtype=np.int64) * num_rows
         sealed = build_column_statistics_batch(group, values, offsets, config)
         for i, column in enumerate(group):
-            blocks[column.name] = sealed.block(column.name, i, i + 1, part)
+            rows[column.name] = sealed.rows(i, i + 1, part)
             hitters[column.name] = sealed.hitters[i]
         sizes += sealed.sizes.sum(axis=0)
     return PartitionSeal(
-        blocks={name: blocks[name] for name in schema.names},
+        rows={name: rows[name] for name in schema.names},
         sizes=sizes,
         hitters=hitters,
         num_rows=num_rows,
@@ -566,18 +590,26 @@ def seal_appended_columns(
 
     The one place an appended batch becomes statistics: a live append
     (:func:`append_partition_statistics`) and journal replay both end
-    here. The new rows join the index, row counts and sizes, and each
-    column's automaton joins its running global sketch; the *frozen*
+    here. The new rows are written behind the index's rows, row counts
+    and sizes (:mod:`repro.rowbuffers`), and every column's automaton
+    joins its running global sketch in one pass
+    (:func:`~repro.sketches.heavy_hitter.merge_pairwise`); the *frozen*
     global heavy hitters stay as they are, so feature schemas (and hence
     trained models) stay valid. Returns the new partition's index.
     """
     part = dataset.num_partitions
     sealed = seal_partition(dataset.schema, columns, part, dataset.config)
-    dataset.index.append(sealed.blocks, 1)
-    dataset.num_rows = np.append(dataset.num_rows, sealed.num_rows)
-    dataset.sizes = np.vstack([dataset.sizes, sealed.sizes])
-    for name, sketch in sealed.hitters.items():
-        dataset.running_heavy_hitters[name].merge(sketch)
+    dataset.index.append(sealed.rows, 1)
+    grown, dataset._buffers = grow(
+        {"num_rows": dataset.num_rows, "sizes": dataset.sizes},
+        {"num_rows": np.array([sealed.num_rows]), "sizes": sealed.sizes[None]},
+        dataset._buffers,
+    )
+    dataset.num_rows, dataset.sizes = grown["num_rows"], grown["sizes"]
+    running = dataset.running_heavy_hitters
+    merge_pairwise(
+        [running[name] for name in sealed.hitters], list(sealed.hitters.values())
+    )
     return part
 
 
@@ -606,7 +638,9 @@ def build_dataset_statistics(
         sealed = build_column_statistics_batch(
             [column] * n, view.columns[column.name], view.offsets, config
         )
-        columns[column.name] = sealed.block(column.name, 0, n, 0)
+        columns[column.name] = ColumnIndex.empty(column.name).extended(
+            sealed.rows(0, n, 0)
+        )
         sizes += sealed.sizes
         running[column.name] = config.heavy_hitter_sketch()
         running[column.name].merge(*sealed.hitters)

@@ -29,13 +29,15 @@ these cardinalities.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 from types import SimpleNamespace
+from typing import NamedTuple
 
 import numpy as np
 
 from repro.errors import ConfigError, QueryScopeError
+from repro.rowbuffers import RowBuffers, grow
 from repro.sketches.hashing import hash_value
 
 #: Width of the per-column statistic block (must match
@@ -65,96 +67,60 @@ class HistogramArrays:
     def num_partitions(self) -> int:
         return len(self.totals)
 
-    def concat(self, other: HistogramArrays) -> HistogramArrays:
-        """Stack another block below this one (append-time extension)."""
-        width = max(self.edges.shape[1], other.edges.shape[1])
-        return HistogramArrays(
-            np.vstack([_pad_edges(self.edges, width), _pad_edges(other.edges, width)]),
-            np.vstack(
-                [
-                    _pad_zeros(self.depths, width - 1),
-                    _pad_zeros(other.depths, width - 1),
-                ]
-            ),
-            np.vstack(
-                [
-                    _pad_zeros(self.distincts, width - 1),
-                    _pad_zeros(other.distincts, width - 1),
-                ]
-            ),
-            np.concatenate([self.totals, other.totals]),
-            np.concatenate([self.has, other.has]),
-        )
+    # The probe rows an older generation derived over a prefix of these
+    # rows, as ``(rows, buffers)``: set by ``ColumnIndex.extended`` when
+    # the width holds, never persisted.
+    _grown_from: tuple | None = field(default=None, repr=False, compare=False)
+
+    def _probe_source(self) -> tuple | None:
+        """What a block extending this one grows its probe from: this
+        block's probe rows once derived, else what it grows from."""
+        return self.__dict__.get("_probe_rows", self._grown_from)
 
     @cached_property
     def _probe(self) -> SimpleNamespace:
-        """What the kernels read, derived once per block (so per
-        generation: ``concat`` and ``from_array_state`` make new blocks)
-        and never persisted. Buckets are flat, row ``i``'s bucket ``j``
-        at ``offsets[i] + j``; each row ends in a sentinel bucket with a
-        NaN high edge, where a probe at or above every edge stops, at
-        the estimate 1. ``cum`` is the depth before each bucket: depths
-        are integer counts, so the prefix sum is exact, like the walk's.
+        """What the kernels read, derived once per block and never
+        persisted. Buckets are flat, row ``i``'s bucket ``j`` at
+        ``offsets[i] + j``; each row ends in a sentinel bucket with a NaN
+        high edge, where a probe at or above every edge stops, at the
+        estimate 1. ``cum`` is the depth before each bucket: depths are
+        integer counts, so the prefix sum is exact, like the walk's.
+
+        Every array is row by row (:func:`_probe_rows`), so a block an
+        append extended derives only its new rows and writes them behind
+        the older generation's (:func:`repro.rowbuffers.grow`).
         """
-        edges, (n, width) = self.edges, self.depths.shape
-        his, first, last = edges[:, 1:], edges[:, 0], edges[:, -1]
-        # The first bucket not below a probe is the only one that can
-        # hold it only while each row's high edges ascend, NaN last.
-        nan = np.isnan(his)
-        if ((his[:, 1:] < his[:, :-1]) | (nan[:, :-1] & ~nan[:, 1:])).any():
-            raise ConfigError("histogram edges must ascend, NaN only at the end")
-        total1 = np.maximum(self.totals, 1.0)
-
-        def rows(body: np.ndarray, sentinel) -> np.ndarray:
-            out = np.empty((n, width + 1), dtype=body.dtype)
-            out[:, :width], out[:, width] = body, sentinel
-            return out
-
-        highs = rows(his, np.nan)
-        lo = rows(edges[:, :-1], last).ravel()
-        depth, dist = rows(self.depths, 0.0).ravel(), rows(self.distincts, 0.0).ravel()
-        with np.errstate(invalid="ignore"):  # inf - inf on infinite edges
-            span = highs.ravel() - lo
-        ends = {  # (+inf?, inclusive): rows where the primitive is 1 / 0
+        source, buffers = self._grown_from, None
+        start = 0 if source is None else len(source[0]["first"])
+        rows = _probe_rows(
+            self.edges[start:],
+            self.depths[start:],
+            self.distincts[start:],
+            self.totals[start:],
+            start,
+        )
+        if source is not None:
+            rows, buffers = grow(source[0], rows, source[1])
+        self._probe_rows, self._grown_from = (rows, buffers), None
+        probe = SimpleNamespace(**rows, hi=rows["highs"].ravel())
+        for key in _FLAT_PROBE_ROWS:
+            setattr(probe, key, rows[key].ravel())
+        # Buckets spanning from -inf count whole (see ``_below``).
+        probe.unbounded = probe.unbounded if probe.unbounded.any() else None
+        probe.nan_top = probe.nan_top if probe.nan_top.any() else None
+        probe.complete = bool(self.has.all())
+        first, last = probe.first, self.edges[:, -1]
+        closed = {  # (+inf?, inclusive): rows where the primitive is 1 / 0
             (True, True): np.inf >= last,
             (True, False): np.inf > last,
             (False, True): -np.inf < first,
             (False, False): -np.inf <= first,
         }
-        head = np.zeros((n, width + 1), dtype=bool)
-        head[:, 0] = True
-        interp = (dist > 1) & (span > 0)
-        unbounded = interp & (lo == -np.inf)
-        # A NaN high edge tops a bucket of NaN rows (one distinct) and
-        # values above its low edge (``EquiDepthHistogram.fraction_leq``).
-        nan_top = np.isnan(highs.ravel()) & (dist > 0)
-        return SimpleNamespace(
-            highs=highs,
-            eq_highs=np.where((nan_top & (dist > 1)).reshape(n, -1), np.inf, highs),
-            first=first.copy(),
-            offsets=np.arange(n) * (width + 1),
-            lo=lo,
-            hi=highs.ravel(),
-            depth=depth,
-            cum=rows(np.cumsum(self.depths, axis=1) - self.depths, total1).ravel(),
-            interp=interp,
-            # Buckets spanning from -inf count whole (see ``_below``).
-            unbounded=unbounded if unbounded.any() else None,
-            unbounded_head=unbounded & head.ravel(),
-            nan_top=nan_top if nan_top.any() else None,
-            span=np.where(span > 0, span, 1.0),
-            single=dist == 1,
-            dist=dist,
-            mass=depth / np.repeat(total1, width + 1) / np.maximum(dist, 1.0),
-            empty=self.totals == 0,
-            total1=total1,
-            floor=1.0 / total1,
-            complete=bool(self.has.all()),
-            ends={
-                key: np.full(n, float(key[0])) if closed.all() else None
-                for key, closed in ends.items()
-            },
-        )
+        probe.ends = {
+            key: np.full(len(first), float(key[0])) if mask.all() else None
+            for key, mask in closed.items()
+        }
+        return probe
 
     # -- vectorized selectivity primitives ---------------------------------
     # Valid only where ``has``; callers substitute 1.0 elsewhere, mirroring
@@ -252,6 +218,79 @@ class HistogramArrays:
         return self._below(value, inclusive) if form is None else form
 
 
+#: Per-bucket probe arrays the kernels read flat.
+_FLAT_PROBE_ROWS = (
+    "lo",
+    "depth",
+    "cum",
+    "interp",
+    "unbounded",
+    "unbounded_head",
+    "nan_top",
+    "span",
+    "single",
+    "dist",
+    "mass",
+)
+
+
+def _probe_rows(
+    edges: np.ndarray,
+    depths: np.ndarray,
+    distincts: np.ndarray,
+    totals: np.ndarray,
+    start: int,
+) -> dict[str, np.ndarray]:
+    """The probe arrays of histogram rows ``start, start + 1, ...``, a
+    row each (per-bucket ones with the sentinel bucket last)."""
+    (n, width) = depths.shape
+    his = edges[:, 1:]
+    # The first bucket not below a probe is the only one that can hold
+    # it only while each row's high edges ascend, NaN last.
+    nan = np.isnan(his)
+    if ((his[:, 1:] < his[:, :-1]) | (nan[:, :-1] & ~nan[:, 1:])).any():
+        raise ConfigError("histogram edges must ascend, NaN only at the end")
+    total1 = np.maximum(totals, 1.0)
+
+    def rows(body: np.ndarray, sentinel) -> np.ndarray:
+        out = np.empty((n, width + 1), dtype=body.dtype)
+        out[:, :width], out[:, width] = body, sentinel
+        return out
+
+    highs = rows(his, np.nan)
+    lo = rows(edges[:, :-1], edges[:, -1])
+    depth, dist = rows(depths, 0.0), rows(distincts, 0.0)
+    with np.errstate(invalid="ignore"):  # inf - inf on infinite edges
+        span = highs - lo
+    head = np.zeros((n, width + 1), dtype=bool)
+    head[:, 0] = True
+    interp = (dist > 1) & (span > 0)
+    unbounded = interp & (lo == -np.inf)
+    # A NaN high edge tops a bucket of NaN rows (one distinct) and
+    # values above its low edge (``EquiDepthHistogram.fraction_leq``).
+    nan_top = np.isnan(highs) & (dist > 0)
+    return {
+        "highs": highs,
+        "eq_highs": np.where(nan_top & (dist > 1), np.inf, highs),
+        "first": edges[:, 0].copy(),
+        "offsets": np.arange(start, start + n) * (width + 1),
+        "lo": lo,
+        "depth": depth,
+        "cum": rows(np.cumsum(depths, axis=1) - depths, total1),
+        "interp": interp,
+        "unbounded": unbounded,
+        "unbounded_head": unbounded & head,
+        "nan_top": nan_top,
+        "span": np.where(span > 0, span, 1.0),
+        "single": dist == 1,
+        "dist": dist,
+        "mass": depth / total1[:, None] / np.maximum(dist, 1.0),
+        "empty": totals == 0,
+        "total1": total1,
+        "floor": 1.0 / total1,
+    }
+
+
 @dataclass
 class KeyedFrequencyTable:
     """Flat ``hash(value) -> per-partition scalar`` lookup table.
@@ -265,26 +304,31 @@ class KeyedFrequencyTable:
     parts: np.ndarray  # (T,) intp — owning partition of each entry
     values: np.ndarray  # (T,) float64
 
-    @classmethod
-    def build(
-        cls, keys: list[int], parts: list[int], values: list[float]
+    def inserted(
+        self, keys: np.ndarray, parts: np.ndarray, values: np.ndarray
     ) -> KeyedFrequencyTable:
-        key_arr = np.asarray(keys, dtype=np.uint64)
-        order = np.argsort(key_arr, kind="stable")
-        return cls(
-            key_arr[order],
-            np.asarray(parts, dtype=np.intp)[order],
-            np.asarray(values, dtype=np.float64)[order],
-        )
-
-    def concat(self, other: KeyedFrequencyTable) -> KeyedFrequencyTable:
-        keys = np.concatenate([self.keys, other.keys])
+        """This table with more entries, in fresh arrays: each new key
+        lands after the entries already held under it, the new ones in
+        the order given, so the result equals a stable sort by key of the
+        old entries followed by the new. Nothing is sorted but the new
+        keys."""
+        if not len(keys):
+            return self
         order = np.argsort(keys, kind="stable")
-        return KeyedFrequencyTable(
-            keys[order],
-            np.concatenate([self.parts, other.parts])[order],
-            np.concatenate([self.values, other.values])[order],
-        )
+        keys = keys[order]
+        at = self.keys.searchsorted(keys, side="right") + np.arange(len(keys))
+        held = np.ones(len(self.keys) + len(keys), dtype=bool)
+        held[at] = False
+        out = []
+        for mine, theirs in (
+            (self.keys, keys),
+            (self.parts, parts[order]),
+            (self.values, values[order]),
+        ):
+            merged = np.empty(len(held), dtype=np.result_type(mine, theirs))
+            merged[held], merged[at] = mine, theirs
+            out.append(merged)
+        return KeyedFrequencyTable(*out)
 
     def lookup(self, key: int, num_partitions: int) -> tuple[np.ndarray, np.ndarray]:
         """``(values, found)`` arrays of length ``num_partitions``."""
@@ -315,42 +359,33 @@ class SubstringTable:
     parts: np.ndarray  # (T,) intp
     weights: np.ndarray  # (T,) float64
 
-    @classmethod
-    def build(
-        cls, values: list[str], parts: list[int], weights: list[float]
+    def extended(
+        self, values: list[str], parts: np.ndarray, weights: np.ndarray
     ) -> SubstringTable:
-        value_arr = np.asarray(values, dtype=np.str_)
-        if value_arr.size == 0:
-            uniques = np.asarray([], dtype=np.str_)
-            codes = np.asarray([], dtype=np.intp)
-        else:
-            uniques, codes = np.unique(value_arr, return_inverse=True)
-        return cls(
-            uniques,
-            codes.astype(np.intp),
-            np.asarray(parts, dtype=np.intp),
-            np.asarray(weights, dtype=np.float64),
-        )
+        """This table with more entries below, in fresh arrays; equal to
+        deduplicating the old values followed by the new at once.
 
-    def concat(self, other: SubstringTable) -> SubstringTable:
-        """Stack another table's entries below this one's.
-
-        The two sorted dictionaries merge and both code vectors are
-        remapped into the union, so only the distinct values are sorted,
-        never every entry. Equal to :meth:`build` over the concatenated
-        values, parts and weights.
+        The new values are looked up in the sorted dictionary; only a
+        value it lacks merges it into a fresh union (remapping the old
+        codes into it), so no entry is ever sorted.
         """
-        uniques = np.union1d(self.unique_values, other.unique_values)
+        if not values:
+            return self
+        value_arr = np.asarray(values, dtype=np.str_)
+        uniques, codes = self.unique_values, self.codes
+        at = np.searchsorted(uniques, value_arr)
+        known = at < len(uniques)
+        known[known] = uniques[at[known]] == value_arr[known]
+        if not known.all():
+            merged = np.union1d(uniques, value_arr[~known])
+            codes = np.searchsorted(merged, uniques)[codes]
+            uniques, at = merged, np.searchsorted(merged, value_arr)
         return SubstringTable(
             uniques,
-            np.concatenate([self._codes_into(uniques), other._codes_into(uniques)]),
-            np.concatenate([self.parts, other.parts]),
-            np.concatenate([self.weights, other.weights]),
+            np.concatenate([codes, at], dtype=np.intp),
+            np.concatenate([self.parts, parts], dtype=np.intp),
+            np.concatenate([self.weights, weights], dtype=np.float64),
         )
-
-    def _codes_into(self, uniques: np.ndarray) -> np.ndarray:
-        """This table's entry codes into a sorted superset dictionary."""
-        return np.searchsorted(uniques, self.unique_values)[self.codes]
 
     def matched_weight(self, text: str, num_partitions: int) -> np.ndarray:
         """Per-partition total weight of entries containing ``text``."""
@@ -361,6 +396,29 @@ class SubstringTable:
         return np.bincount(
             self.parts[mask], weights=self.weights[mask], minlength=num_partitions
         ).astype(np.float64)
+
+
+#: ``HistogramArrays`` fields in constructor order.
+_HIST_FIELDS = ("edges", "depths", "distincts", "totals", "has")
+
+
+class IndexRows(NamedTuple):
+    """Appended partitions' rows of one column's index, as the seal
+    emits them (:meth:`ColumnIndex.extended` lays them out).
+
+    ``rows`` holds the new rows of each :attr:`ColumnIndex.ROW_FIELDS`
+    array, histograms at their own width. The entry triples list the new
+    partitions' entries in partition order, unsorted: ``hh`` / ``ed`` as
+    (hashed key, partition, fraction of its rows) for the lookup tables,
+    ``hh_strings`` / ``ed_strings`` as (string value, partition, weight)
+    for the substring tables.
+    """
+
+    rows: dict[str, np.ndarray]
+    hh: tuple[np.ndarray, np.ndarray, np.ndarray]
+    hh_strings: tuple[list, np.ndarray, np.ndarray]
+    ed: tuple[np.ndarray, np.ndarray, np.ndarray]
+    ed_strings: tuple[list, np.ndarray, np.ndarray]
 
 
 @dataclass
@@ -377,6 +435,8 @@ class ColumnIndex:
     ed_totals: np.ndarray  # (N,) exact dictionary row totals
     ed_lookup: KeyedFrequencyTable  # hash(str(value)) -> exact fraction
     ed_strings: SubstringTable  # dictionary values, raw count weights
+    # The buffers the row arrays are views of, once an append grew them.
+    _buffers: RowBuffers | None = field(default=None, repr=False, compare=False)
 
     @property
     def num_partitions(self) -> int:
@@ -388,20 +448,86 @@ class ColumnIndex:
         answers an ``IN`` or ``Contains`` clause on this column."""
         return bool(self.ed_usable.all())
 
-    def concat(self, other: ColumnIndex) -> ColumnIndex:
-        """Append another block (whose parts continue this one's range)."""
+    @classmethod
+    def empty(cls, name: str) -> ColumnIndex:
+        """A column of no partitions, which a build extends by all of
+        them at once (the same layout as an append's)."""
+        floats, ids = np.empty(0, dtype=np.float64), np.empty(0, dtype=np.intp)
+        no_entries = KeyedFrequencyTable(np.empty(0, dtype=np.uint64), ids, floats)
+        no_strings = SubstringTable(np.empty(0, dtype=np.str_), ids, ids, floats)
+        return cls(
+            name=name,
+            stats=np.empty((0, NUM_COLUMN_STATS)),
+            hist=HistogramArrays(
+                np.empty((0, 1)),
+                np.empty((0, 0)),
+                np.empty((0, 0)),
+                floats,
+                np.empty(0, dtype=bool),
+            ),
+            hh_lookup=no_entries,
+            hh_strings=no_strings,
+            hh_covered=floats,
+            ed_usable=np.empty(0, dtype=bool),
+            ed_totals=floats,
+            ed_lookup=no_entries,
+            ed_strings=no_strings,
+        )
+
+    def extended(self, new: IndexRows) -> ColumnIndex:
+        """This column with the appended partitions' rows below.
+
+        The row arrays (:attr:`ROW_FIELDS`) grow into the spare rows of
+        this column's buffers (:func:`repro.rowbuffers.grow`): copied
+        only when the spare runs out, this is not the newest generation,
+        or a new histogram is wider than every held one (all rows are
+        then padded to it). Entry tables take the new entries in fresh
+        arrays. Nothing this column holds is written, so it keeps
+        reading its own rows; its histograms' probe rows carry over
+        while the width holds.
+        """
+        held = {key: self._field(key) for key in self.ROW_FIELDS}
+        rows = dict(new.rows)
+        width = max(held["hist.edges"].shape[1], rows["hist.edges"].shape[1])
+        for side in (held, rows):
+            side["hist.edges"] = _pad_edges(side["hist.edges"], width)
+            for key in ("hist.depths", "hist.distincts"):
+                side[key] = _pad_zeros(side[key], width - 1)
+        arrays, buffers = grow(held, rows, self._buffers)
+        hist = HistogramArrays(*(arrays[f"hist.{key}"] for key in _HIST_FIELDS))
+        if width == self.hist.edges.shape[1]:
+            hist._grown_from = self.hist._probe_source()
         return ColumnIndex(
             name=self.name,
-            stats=np.vstack([self.stats, other.stats]),
-            hist=self.hist.concat(other.hist),
-            hh_lookup=self.hh_lookup.concat(other.hh_lookup),
-            hh_strings=self.hh_strings.concat(other.hh_strings),
-            hh_covered=np.concatenate([self.hh_covered, other.hh_covered]),
-            ed_usable=np.concatenate([self.ed_usable, other.ed_usable]),
-            ed_totals=np.concatenate([self.ed_totals, other.ed_totals]),
-            ed_lookup=self.ed_lookup.concat(other.ed_lookup),
-            ed_strings=self.ed_strings.concat(other.ed_strings),
+            stats=arrays["stats"],
+            hist=hist,
+            hh_lookup=self.hh_lookup.inserted(*new.hh),
+            hh_strings=self.hh_strings.extended(*new.hh_strings),
+            hh_covered=arrays["hh_covered"],
+            ed_usable=arrays["ed_usable"],
+            ed_totals=arrays["ed_totals"],
+            ed_lookup=self.ed_lookup.inserted(*new.ed),
+            ed_strings=self.ed_strings.extended(*new.ed_strings),
+            _buffers=buffers,
         )
+
+    #: The arrays with a row per partition, which appends grow in place.
+    ROW_FIELDS = (
+        "stats",
+        "hist.edges",
+        "hist.depths",
+        "hist.distincts",
+        "hist.totals",
+        "hist.has",
+        "hh_covered",
+        "ed_usable",
+        "ed_totals",
+    )
+
+    def _field(self, key: str) -> np.ndarray:
+        """The array :attr:`ARRAY_FIELDS` names ``key``."""
+        owner, __, name = key.rpartition(".")
+        return getattr(getattr(self, owner) if owner else self, name)
 
     #: Flattened array fields, in serialization order. Keys are
     #: ``field`` or ``field.subfield`` for the nested array bundles.
@@ -438,14 +564,7 @@ class ColumnIndex:
         ``repro.storage.stats_io`` persists so cold starts can rehydrate
         the index without re-exporting the sketch objects.
         """
-        out: dict[str, np.ndarray] = {}
-        for key in self.ARRAY_FIELDS:
-            if "." in key:
-                owner_name, field = key.split(".", 1)
-                out[key] = getattr(getattr(self, owner_name), field)
-            else:
-                out[key] = getattr(self, key)
-        return out
+        return {key: self._field(key) for key in self.ARRAY_FIELDS}
 
     @classmethod
     def from_array_state(
@@ -509,15 +628,25 @@ class ColumnIndex:
             stop = self.num_partitions
         out = np.zeros((stop - start, len(values)), dtype=np.float64)
         table = self.hh_lookup
-        for j, value in enumerate(values):
-            probe = np.uint64(hash_value(value))
-            lo = int(np.searchsorted(table.keys, probe, side="left"))
-            hi = int(np.searchsorted(table.keys, probe, side="right"))
+        keys = _hitter_keys(values)
+        los = table.keys.searchsorted(keys, side="left").tolist()
+        his = table.keys.searchsorted(keys, side="right").tolist()
+        for j, (lo, hi) in enumerate(zip(los, his)):
             if hi > lo:
                 hits = table.parts[lo:hi]
                 hits = hits[(hits >= start) & (hits < stop)]
                 out[hits - start, j] = 1.0
         return out
+
+
+@lru_cache(maxsize=256)
+def _hitter_keys(values: tuple) -> np.ndarray:
+    """The heavy-hitter lookup keys of a (frozen) tuple of global heavy
+    hitters, hashed once: every refresh and outlier catch-up probes the
+    same few tuples."""
+    keys = np.fromiter(map(hash_value, values), dtype=np.uint64, count=len(values))
+    keys.flags.writeable = False
+    return keys
 
 
 class ColumnarSketchIndex:
@@ -572,12 +701,14 @@ class ColumnarSketchIndex:
     ) -> ColumnarSketchIndex:
         """Rebuild an index from persisted :meth:`array_state` arrays.
 
-        The arrays are adopted as-is. Nothing in the index mutates its
-        arrays in place: queries only read, and :meth:`append` goes
-        through :meth:`ColumnIndex.concat`, which stacks into fresh
-        arrays (copy-on-append; string dictionaries are merged into a
-        fresh union and both code vectors remapped into it, never edited
-        in place) — older generations keep reading theirs.
+        The arrays are adopted as-is and nothing writes them: queries
+        only read, and :meth:`append` grows the row arrays by the buffer
+        rule (:mod:`repro.rowbuffers`) — arrays that are no views of a
+        growth buffer, as these are, are copied into one with spare rows
+        on the first append, and later appends write only rows past
+        every older generation's views — while entry tables take new
+        entries in fresh arrays (a new string merges into a fresh
+        dictionary union). Older generations keep reading theirs.
         """
         columns = {
             name: ColumnIndex.from_array_state(name, column_state)
@@ -585,27 +716,28 @@ class ColumnarSketchIndex:
         }
         return cls(columns, num_partitions)
 
-    def append(self, blocks: dict[str, ColumnIndex], added: int) -> None:
-        """Absorb ``added`` sealed partitions, one block per column.
-
-        The existing arrays are padded/stacked into *new* arrays, never
-        written in place (older generations and non-writeable arrays
-        rely on it). Signature codes catch up on their next lookup.
-        """
-        for name, block in blocks.items():
-            self.columns[name] = self.columns[name].concat(block)
+    def append(self, rows: dict[str, IndexRows], added: int) -> None:
+        """Absorb ``added`` sealed partitions, their rows per column
+        (:meth:`ColumnIndex.extended`). Signature codes catch up on
+        their next lookup."""
+        for name, new in rows.items():
+            self.columns[name] = self.columns[name].extended(new)
         self.num_partitions += added
 
 
 def _pad_edges(edges: np.ndarray, width: int) -> np.ndarray:
+    """``edges`` widened to ``width`` by repeating each row's last edge."""
     if edges.shape[1] == width:
         return edges
-    pad = np.repeat(edges[:, -1:], width - edges.shape[1], axis=1)
-    return np.hstack([edges, pad])
+    out = np.empty((edges.shape[0], width), dtype=edges.dtype)
+    out[:, : edges.shape[1]], out[:, edges.shape[1] :] = edges, edges[:, -1:]
+    return out
 
 
 def _pad_zeros(matrix: np.ndarray, width: int) -> np.ndarray:
+    """``matrix`` widened to ``width`` with zero columns."""
     if matrix.shape[1] == width:
         return matrix
-    pad = np.zeros((matrix.shape[0], width - matrix.shape[1]), dtype=matrix.dtype)
-    return np.hstack([matrix, pad])
+    out = np.zeros((matrix.shape[0], width), dtype=matrix.dtype)
+    out[:, : matrix.shape[1]] = matrix
+    return out

@@ -18,7 +18,8 @@ block 0, 1, 2, … *of every partition at once* on :class:`_Automaton`
 arrays. :func:`segmented_hitters` is that kernel over a column's
 partitions, ``build`` / ``update`` are the same kernel over one
 segment, and ``merge`` runs the automaton's add-then-prune step over
-whole sketches (the global heavy hitters of section 3.2).
+whole sketches (the global heavy hitters of section 3.2);
+:func:`merge_pairwise` runs that step for many sketches at once.
 
 Two written rules:
 
@@ -386,6 +387,53 @@ class HeavyHitterSketch:
             sketch._values, sketch._counts = values, counts
             sketch._deltas = np.zeros(len(counts), dtype=np.float64)
         return sketch
+
+
+def merge_pairwise(
+    targets: list[HeavyHitterSketch], others: list[HeavyHitterSketch]
+) -> None:
+    """``target.merge(other)`` for each pair, in one automaton pass.
+
+    Each pair's values are deduplicated as its own merge would
+    (:func:`_unique_values`), then every pair's slots share one
+    :class:`_Automaton`, segmented by pair: the held entries enter, the
+    other sketches' add (deltas take the max) and every segment prunes
+    at its merged bucket. The insertion order within a segment is the
+    one merge's, so each target ends entry for entry as if merged alone.
+    """
+    held = [len(target._counts) for target in targets]
+    pairs = [
+        _unique_values([target._values, other._values])
+        for target, other in zip(targets, others)
+    ]
+    bases = np.cumsum([0] + [len(uniques) for uniques, __ in pairs])
+    automaton = _Automaton(
+        np.repeat(np.arange(len(pairs)), np.diff(bases)).astype(np.int64)
+    )
+    slots = [inverse + base for (__, inverse), base in zip(pairs, bases)]
+    automaton.add(
+        np.concatenate([s[:h] for s, h in zip(slots, held)]),
+        np.concatenate([target._counts for target in targets]),
+        np.concatenate([target._deltas for target in targets]),
+    )
+    automaton.add(
+        np.concatenate([s[h:] for s, h in zip(slots, held)]),
+        np.concatenate([other._counts for other in others]),
+        np.concatenate([other._deltas for other in others]),
+        raise_deltas=True,
+    )
+    for target, other in zip(targets, others):
+        target.total += other.total
+    automaton.prune(np.array([target.bucket for target in targets]))
+    live = automaton.live
+    live = live[np.argsort(automaton.segment[live], kind="stable")]
+    cuts = np.searchsorted(automaton.segment[live], np.arange(len(pairs) + 1))
+    for i, (target, (uniques, __)) in enumerate(zip(targets, pairs)):
+        mine = live[cuts[i] : cuts[i + 1]]
+        target._values = uniques[mine - bases[i]]
+        target._counts = automaton.count[mine]
+        target._deltas = automaton.delta[mine]
+        target._items_cache = target._freq_cache = None
 
 
 class SegmentedHitters(NamedTuple):

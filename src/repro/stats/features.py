@@ -42,6 +42,7 @@ import numpy as np
 from repro.engine.predicates import Predicate
 from repro.engine.query import Query
 from repro.errors import ConfigError
+from repro.rowbuffers import grow
 from repro.sketches.builder import DatasetStatistics
 from repro.sketches.columnar import NUM_COLUMN_STATS, ColumnarSketchIndex
 from repro.stats.plan import SHARED_PLAN_CACHE, PlanCache, PredicatePlan
@@ -255,6 +256,7 @@ class FeatureBuilder:
         self._index = dataset.index
         self._static = self._static_rows(0, dataset.num_partitions)
         self._static.flags.writeable = False  # shared with every QueryFeatures
+        self._static_buffers = None  # what ``_static`` views once grown
         self._live_memo: dict[tuple, np.ndarray] = {}
         # Each column's feature indices, concatenated for masks the memo
         # misses (most of a stream of ad-hoc queries).
@@ -303,8 +305,10 @@ class FeatureBuilder:
         """Extend static features after partitions were appended.
 
         Incremental: the seal already wrote the appended partitions'
-        index rows; just their static rows are appended, existing rows
-        are never recomputed. Statistics only grow, and
+        index rows; just their static rows are derived and written
+        behind the existing ones (:func:`repro.rowbuffers.grow`), which
+        are never recomputed or rewritten, so a ``QueryFeatures`` of an
+        older generation keeps reading its own. Statistics only grow, and
         whoever grows them (``PS3.append``, journal replay) calls this
         before the next query. The feature *schema* (including bitmap
         widths, which derive from the global heavy hitters frozen at
@@ -314,7 +318,12 @@ class FeatureBuilder:
         built = self._static.shape[0]
         n = self.dataset.num_partitions
         if n > built:
-            self._static = np.vstack([self._static, self._static_rows(built, n)])
+            grown, self._static_buffers = grow(
+                {"static": self._static},
+                {"static": self._static_rows(built, n)},
+                self._static_buffers,
+            )
+            self._static = grown["static"]
             self._static.flags.writeable = False
 
     def _plan_for(self, predicate: Predicate | None) -> PredicatePlan:

@@ -348,7 +348,10 @@ class PlanCache:
         self._hit_counter = registry.counter("plan_cache.hits")
         self._miss_counter = registry.counter("plan_cache.misses")
         self._eviction_counter = registry.counter("plan_cache.evictions")
-        self._plans: dict[Predicate | None, PredicatePlan] = {}
+        # hash(predicate) -> (predicate, plan), least recently used first.
+        # Keyed by the hash so a lookup hashes once; the predicate beside
+        # its plan confirms a hit (two predicates of one hash take turns).
+        self._plans: dict[int, tuple[Predicate | None, PredicatePlan]] = {}
         # The LRU refresh (pop + reinsert) and the at-capacity eviction
         # are multi-step dict mutations; two concurrent ``get``s on the
         # same predicate could interleave pop/reinsert and raise
@@ -379,13 +382,14 @@ class PlanCache:
         compile and identical plan objects, and the LRU bookkeeping
         never tears.
         """
+        key = hash(predicate)  # the lookup's one hash (nodes keep theirs)
         with self._lock:
-            plan = self._plans.get(predicate)
-            if plan is not None:
+            entry = self._plans.pop(key, None)
+            if entry is not None and (entry[0] is predicate or entry[0] == predicate):
                 self.hits += 1
                 self._hit_counter.inc()
-                self._plans[predicate] = self._plans.pop(predicate)
-                return plan
+                self._plans[key] = entry
+                return entry[1]
             self.misses += 1
             self._miss_counter.inc()
             plan = PredicatePlan.compile(predicate)
@@ -393,7 +397,7 @@ class PlanCache:
                 del self._plans[next(iter(self._plans))]
                 self.evictions += 1
                 self._eviction_counter.inc()
-            self._plans[predicate] = plan
+            self._plans[key] = (predicate, plan)
             return plan
 
 

@@ -640,6 +640,39 @@ def test_one_statistics_representation():
     assert "index" in inspect.signature(FeatureBuilder).parameters
 
 
+def test_one_way_to_grow_what_appends_extend():
+    """Appends grow buffer-held state through ``repro.rowbuffers.grow``
+    alone: the index types have no ``concat``, the seal no per-column
+    ``block``, the table no ``_Tail`` of its own, and no module an
+    append runs through stacks with ``vstack``."""
+    import repro.engine.layout as layout
+    from repro.sketches.builder import SealedSegments
+    from repro.sketches.columnar import (
+        ColumnIndex,
+        HistogramArrays,
+        KeyedFrequencyTable,
+        SubstringTable,
+    )
+
+    for owner in (ColumnIndex, HistogramArrays, KeyedFrequencyTable, SubstringTable):
+        assert "concat" not in vars(owner), owner.__name__
+    assert "block" not in vars(SealedSegments)
+    assert not {"_Tail", "_SPARE_SHARE"} & set(vars(layout))
+    growing = {
+        "api",
+        "core/picker",
+        "engine/batch_executor",
+        "engine/layout",
+        "sketches/builder",
+        "sketches/columnar",
+        "sketches/heavy_hitter",
+        "stats/features",
+    }
+    sources = Path(repro.__file__).resolve().parent
+    stacked = {caller.rsplit(".", 1)[0] for caller in _calls_of(sources, "vstack")}
+    assert stacked & growing == set()
+
+
 def test_walk_sees_the_callables_a_subspace_mode_would_land_on():
     seen = {
         f"{module_name}.{name}"

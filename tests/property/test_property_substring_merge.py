@@ -1,16 +1,20 @@
-"""``SubstringTable.concat`` merges dictionaries; it must equal a rebuild.
+"""``SubstringTable.extended`` merges dictionaries; it must equal a rebuild.
 
-Appends extend the columnar index by merging the two sorted string
-dictionaries and remapping both code vectors into the union, instead of
-re-deduplicating every entry. The merge must be indistinguishable from
-``SubstringTable.build`` over the concatenated values, parts and weights
-— same dictionary (``<U`` width included), codes, parts and weights,
-dtypes included — since those arrays are persisted and featurized.
+Appends extend the columnar index by looking the new values up in the
+sorted string dictionary — merging a value it lacks into a fresh union
+and remapping the old codes into it — instead of re-deduplicating every
+entry. The result must be indistinguishable from deduplicating the
+concatenated values, parts and weights at once (``substring_table`` in
+``tests/sketch_oracle.py``) — same dictionary (``<U`` width included),
+codes, parts and weights, dtypes included — since those arrays are
+persisted and featurized.
 """
 
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+
+from sketch_oracle import substring_table
 
 from repro.sketches.columnar import SubstringTable
 
@@ -40,6 +44,13 @@ def _concatenated(*entries):
     return tuple(sum((list(side[i]) for side in entries), []) for i in range(3))
 
 
+def _extend(table: SubstringTable, side) -> SubstringTable:
+    values, parts, weights = side
+    return table.extended(
+        values, np.asarray(parts, dtype=np.intp), np.asarray(weights, dtype=float)
+    )
+
+
 def assert_same_table(got: SubstringTable, want: SubstringTable) -> None:
     for field in ("unique_values", "codes", "parts", "weights"):
         ours, theirs = getattr(got, field), getattr(want, field)
@@ -54,13 +65,13 @@ def assert_same_table(got: SubstringTable, want: SubstringTable) -> None:
 @example([(["a"], [0], [1.0]), (["a", "wider", "a"], [1, 1, 2], [2.0, 3.0, 4.0])])
 @example([([""], [0], [1.0]), (["ω\x00x", ""], [1, 2], [2.0, 3.0])])
 @settings(max_examples=200, deadline=None)
-def test_concat_equals_build_over_the_concatenation(entries):
-    left, right = (SubstringTable.build(*side) for side in entries)
-    before = [arr.copy() for table in (left, right) for arr in vars(table).values()]
-    merged = left.concat(right)
-    assert_same_table(merged, SubstringTable.build(*_concatenated(*entries)))
-    # Nothing is written in place: both inputs read as they did.
-    after = [arr for table in (left, right) for arr in vars(table).values()]
+def test_extend_equals_build_over_the_concatenation(entries):
+    left = substring_table(*entries[0])
+    before = [arr.copy() for arr in vars(left).values()]
+    merged = _extend(left, entries[1])
+    assert_same_table(merged, substring_table(*_concatenated(*entries)))
+    # Nothing is written in place: the extended table reads as it did.
+    after = list(vars(left).values())
     for old, new in zip(before, after):
         assert old.dtype == new.dtype
         np.testing.assert_array_equal(old, new)
@@ -69,6 +80,7 @@ def test_concat_equals_build_over_the_concatenation(entries):
 @given(sides(count=3))
 @settings(max_examples=100, deadline=None)
 def test_a_chain_of_appends_equals_one_build(entries):
-    tables = [SubstringTable.build(*side) for side in entries]
-    chained = tables[0].concat(tables[1]).concat(tables[2])
-    assert_same_table(chained, SubstringTable.build(*_concatenated(*entries)))
+    chained = substring_table(*entries[0])
+    for side in entries[1:]:
+        chained = _extend(chained, side)
+    assert_same_table(chained, substring_table(*_concatenated(*entries)))

@@ -47,6 +47,7 @@ from repro.sketches.columnar import (
     ColumnarSketchIndex,
     ColumnIndex,
     HistogramArrays,
+    IndexRows,
     KeyedFrequencyTable,
     SubstringTable,
 )
@@ -338,13 +339,13 @@ def column_index(
         name=name,
         stats=stats,
         hist=histogram_arrays(stats_list),
-        hh_lookup=KeyedFrequencyTable.build(hh_keys, hh_parts, hh_freqs),
-        hh_strings=SubstringTable.build(hhs_values, hhs_parts, hhs_freqs),
+        hh_lookup=keyed_table(hh_keys, hh_parts, hh_freqs),
+        hh_strings=substring_table(hhs_values, hhs_parts, hhs_freqs),
         hh_covered=hh_covered,
         ed_usable=ed_usable,
         ed_totals=ed_totals,
-        ed_lookup=KeyedFrequencyTable.build(ed_keys, ed_parts, ed_fracs),
-        ed_strings=SubstringTable.build(eds_values, eds_parts, eds_counts),
+        ed_lookup=keyed_table(ed_keys, ed_parts, ed_fracs),
+        ed_strings=substring_table(eds_values, eds_parts, eds_counts),
     )
 
 def sketch_index(dataset: OracleDataset) -> ColumnarSketchIndex:
@@ -358,18 +359,74 @@ def sketch_index(dataset: OracleDataset) -> ColumnarSketchIndex:
     return ColumnarSketchIndex(columns, dataset.num_partitions)
 
 
+def keyed_table(keys, parts, values) -> KeyedFrequencyTable:
+    """Entries sorted by key at once (stable: partition order on ties)."""
+    key_arr = np.asarray(keys, dtype=np.uint64)
+    order = np.argsort(key_arr, kind="stable")
+    return KeyedFrequencyTable(
+        key_arr[order],
+        np.asarray(parts, dtype=np.intp)[order],
+        np.asarray(values, dtype=np.float64)[order],
+    )
+
+
+def substring_table(values, parts, weights) -> SubstringTable:
+    """String entries deduplicated at once by ``np.unique``."""
+    value_arr = np.asarray(values, dtype=np.str_)
+    if value_arr.size == 0:
+        uniques = np.asarray([], dtype=np.str_)
+        codes = np.asarray([], dtype=np.intp)
+    else:
+        uniques, codes = np.unique(value_arr, return_inverse=True)
+    return SubstringTable(
+        uniques,
+        codes.astype(np.intp),
+        np.asarray(parts, dtype=np.intp),
+        np.asarray(weights, dtype=np.float64),
+    )
+
+
 def extend_index(index: ColumnarSketchIndex, dataset: OracleDataset) -> None:
-    """Transpose the partitions appended since ``index`` was built."""
+    """Transpose the partitions appended since ``index`` was built and
+    append them through the index's own append."""
     start = index.num_partitions
-    blocks = {
-        column.name: column_index(
-            column.name,
-            [p.columns[column.name] for p in dataset.partitions[start:]],
-            part_offset=start,
+    rows = {
+        column.name: index_rows(
+            column_index(
+                column.name,
+                [p.columns[column.name] for p in dataset.partitions[start:]],
+                part_offset=start,
+            )
         )
         for column in dataset.schema
     }
-    index.append(blocks, dataset.num_partitions - start)
+    index.append(rows, dataset.num_partitions - start)
+
+
+def index_rows(block: ColumnIndex) -> IndexRows:
+    """A block's rows as the seal emits them, to extend a column by."""
+
+    def strings(table: SubstringTable) -> tuple:
+        values = table.unique_values[table.codes].tolist()
+        return values, table.parts, table.weights
+
+    lookups = block.hh_lookup, block.ed_lookup
+    hh, ed = ((t.keys, t.parts, t.values) for t in lookups)
+    return IndexRows(
+        rows={key: block.array_state()[key] for key in ColumnIndex.ROW_FIELDS},
+        hh=hh,
+        hh_strings=strings(block.hh_strings),
+        ed=ed,
+        ed_strings=strings(block.ed_strings),
+    )
+
+
+def seal_blocks(sealed) -> dict[str, ColumnIndex]:
+    """A :class:`PartitionSeal`'s rows laid out as one-partition columns."""
+    return {
+        name: ColumnIndex.empty(name).extended(rows)
+        for name, rows in sealed.rows.items()
+    }
 
 
 # -- the scalar selectivity walk ----------------------------------------------

@@ -13,6 +13,8 @@ a from-scratch build.
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -26,16 +28,28 @@ from sketch_oracle import (
     values_identical,
 )
 
+from repro.api import PS3
+from repro.core.training import TrainingConfig
 from repro.datasets.registry import get_dataset
-from repro.engine.layout import append_rows, partition_evenly, sort_table
+from repro.engine.layout import (
+    append_rows,
+    partition_evenly,
+    sort_table,
+    validate_batch,
+)
 from repro.engine.schema import Column, ColumnKind, Schema
 from repro.engine.table import Table
 from repro.sketches.builder import (
     FAMILIES,
     SketchConfig,
     append_partition_statistics,
+    _unique_inverse,
     build_dataset_statistics,
+    seal_partition,
 )
+from repro.sketches.heavy_hitter import HeavyHitterSketch, merge_pairwise
+from repro.storage import save_model
+from repro.workload import QueryGenerator
 
 
 def scalar_reference(ptable, config=None):
@@ -356,6 +370,25 @@ class TestVectorizedBuilderProperty:
         )
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.one_of(
+            st.text(st.characters(max_codepoint=127), max_size=9),
+            st.text(max_size=11),
+        ),
+        max_size=40,
+    )
+)
+def test_string_dedup_equals_np_unique(values):
+    """The seal's string dedup packs short ASCII strings into integers;
+    whatever it takes, it returns exactly ``np.unique``'s arrays."""
+    array = np.asarray(values, dtype=np.str_)
+    expected, actual = np.unique(array, return_inverse=True), _unique_inverse(array)
+    for mine, theirs in zip(actual, expected):
+        assert mine.dtype == theirs.dtype and mine.tobytes() == theirs.tobytes()
+
+
 class TestRunningHeavyHitters:
     """The running global sketch merges each sealed partition's automaton
     as it arrives; that must equal one ``merge(*sketches)`` over all of
@@ -375,3 +408,89 @@ class TestRunningHeavyHitters:
             merged = merged_heavy_hitters(oracle.partitions, column.name, oracle.config)
             running = stats.running_heavy_hitters[column.name]
             assert_entries_identical(merged, running, (dataset, column.name))
+
+    @pytest.mark.parametrize("dataset", ["kdd", "tpch", "tpcds", "aria"])
+    def test_one_fold_equals_a_merge_per_column(self, dataset):
+        """An append folds every column's automaton into its running
+        sketch in one segmented pass (``merge_pairwise``); that equals
+        merging each column's alone, bit for bit."""
+        spec = get_dataset(dataset)
+        ptable = spec.build(12 * 300, 12, seed=8)
+        head = partition_evenly(ptable.table.take(np.arange(8 * 300)), 8)
+        stats = build_dataset_statistics(head)
+        alone = copy.deepcopy(stats.running_heavy_hitters)
+        for partition in list(ptable)[8:]:
+            sealed = seal_partition(ptable.schema, partition.columns, 0, stats.config)
+            for name, sketch in sealed.hitters.items():
+                alone[name].merge(sketch)
+            append_partition_statistics(stats, partition)
+        for name, sketch in alone.items():
+            running = stats.running_heavy_hitters[name]
+            assert_bits_identical(sketch, running, (dataset, name))
+
+    def test_the_fold_is_a_merge_per_pair_on_uneven_sketches(self):
+        """Pairs of unequal totals (so unequal buckets), empty sides,
+        deltas on both sides and a string-valued pair beside numeric
+        ones: the one pass still equals a merge per pair."""
+        rng = np.random.default_rng(3)
+
+        def sketch(rows: int, distinct: int, text: bool = False):
+            values = rng.zipf(1.3, rows) % distinct
+            values = values.astype(str) if text else values.astype(np.float64)
+            return HeavyHitterSketch.build(values, support=0.02)
+
+        targets = [sketch(n, 400) for n in (0, 700, 3000, 12000)]
+        targets.append(sketch(4000, 90, text=True))
+        others = [sketch(n, 300) for n in (5000, 0, 2500, 900)]
+        others.append(sketch(6000, 120, text=True))
+        assert any(len(o.arrays()[2]) and o.arrays()[2].max() > 0 for o in others)
+        alone = copy.deepcopy(targets)
+        for target, other in zip(alone, others):
+            target.merge(other)
+        merge_pairwise(targets, others)
+        for i, (expected, actual) in enumerate(zip(alone, targets)):
+            assert_bits_identical(expected, actual, i)
+
+    def test_the_fold_through_checkpoint_open_and_staleness(self, tmp_path):
+        """Journal replay folds as a live append does: after checkpoint
+        → journaled appends → ``PS3.open``, the reopened and the live
+        running sketches both equal a merge per column, and so does the
+        staleness they report."""
+        spec = get_dataset("kdd")
+        ptable, workload = spec.build(8 * 300, 8, seed=8), spec.workload()
+        train, __ = QueryGenerator(workload, ptable.table, seed=4).train_test_split(
+            6, 1
+        )
+        live = PS3(ptable, workload).fit(
+            train, TrainingConfig(num_models=1, gbrt_trees=3, seed=0)
+        )
+        save_model(live.model, tmp_path / "model.json")
+        (tmp_path / "store").mkdir()
+        live.attach_store(tmp_path / "store")
+        live.checkpoint()
+        alone = copy.deepcopy(live.statistics.running_heavy_hitters)
+        for seed in range(3):
+            batch = validate_batch(ptable.schema, spec.generate(300, 50 + seed).columns)
+            sealed = seal_partition(ptable.schema, batch, 0, live.statistics.config)
+            for name, sketch in sealed.hitters.items():
+                alone[name].merge(sketch)
+            live.append(batch)
+        reopened = PS3.open(
+            ptable, workload, tmp_path / "store", tmp_path / "model.json"
+        )
+        for name, sketch in alone.items():
+            for system in (live, reopened):
+                running = system.statistics.running_heavy_hitters[name]
+                assert_bits_identical(sketch, running, name)
+        per_column = copy.copy(live)
+        per_column.statistics = copy.copy(live.statistics)
+        per_column.statistics.running_heavy_hitters = alone
+        assert reopened.staleness() == live.staleness() == per_column.staleness()
+
+
+def assert_bits_identical(expected, actual, label) -> None:
+    """Two heavy-hitter sketches' state arrays, byte for byte."""
+    for mine, theirs in zip(expected.arrays(), actual.arrays()):
+        assert mine.dtype == theirs.dtype, label
+        assert mine.tobytes() == theirs.tobytes(), label
+    assert expected.total == actual.total and expected.bucket == actual.bucket

@@ -7,7 +7,8 @@ the depths, and the per-bucket interpolation guard and equality mass.
 Each primitive must equal ``EquiDepthHistogram``'s own method row by row
 — NaN for NaN, and a ``-0.0`` where the scalar gives one — on the inputs
 where a shortcut goes wrong: rows padded to a wider block (and padded
-again by ``concat``), a NaN last edge, ``±inf`` edges, ``totals == 0``,
+again by an append's ``ColumnIndex.extended``, whose probe rows grow
+behind the head's), a NaN last edge, ``±inf`` edges, ``totals == 0``,
 partitions without a histogram, and probes that are NaN, ``±inf`` or
 equal to an edge. The compiled plan over the same statistics must equal
 ``estimate_selectivity`` in all five features, and neither is ever NaN:
@@ -30,6 +31,7 @@ from sketch_oracle import (
     column_index,
     estimate_selectivity,
     histogram_arrays,
+    index_rows,
 )
 
 from repro.engine.predicates import And, Comparison, Not
@@ -71,10 +73,15 @@ def _stats(hists):
 
 
 def _arrays(hists, split):
-    """The block built at once, or as two blocks joined by ``concat``."""
+    """The block built at once, or a head extended by the rest as an
+    append does, after the head derived its probe (so the tail's probe
+    rows grow behind the head's where the width holds)."""
     if 0 < split < len(hists):
-        head = histogram_arrays(_stats(hists[:split]))
-        return head.concat(histogram_arrays(_stats(hists[split:])))
+        stats = _stats(hists)
+        head = column_index(COLUMN.name, stats[:split])
+        head.hist.fraction_leq(0.0)
+        tail = column_index(COLUMN.name, stats[split:], split)
+        return head.extended(index_rows(tail)).hist
     return histogram_arrays(_stats(hists))
 
 
@@ -128,7 +135,7 @@ def test_plan_equals_estimate_selectivity(hists, split, extra):
     column = column_index("x", stats)
     if 0 < split < len(hists):
         head = column_index("x", stats[:split])
-        column = head.concat(column_index("x", stats[split:], split))
+        column = head.extended(index_rows(column_index("x", stats[split:], split)))
     index = ColumnarSketchIndex({"x": column}, len(hists))
     partitions = [
         PartitionStatistics(i, 0, {"x": cstats}) for i, cstats in enumerate(stats)

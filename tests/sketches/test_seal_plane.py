@@ -35,6 +35,7 @@ from sketch_oracle import (
     build_column_statistics,
     column_index,
     oracle_dataset,
+    seal_blocks,
 )
 
 from repro.api import PS3
@@ -191,7 +192,7 @@ class TestOnePlane:
             },
             1,
         )
-        assert_indexes_identical(expected, ColumnarSketchIndex(sealed.blocks, 1))
+        assert_indexes_identical(expected, ColumnarSketchIndex(seal_blocks(sealed), 1))
         for name, cstats in oracle.partitions[5].columns.items():
             assert_entries_identical(cstats.heavy_hitter, sealed.hitters[name], name)
 
@@ -264,7 +265,8 @@ class TestStackedSeal:
         assert dtypes == {"<U1", "<U4", "<U9"}
         sealed = seal_partition(STACKED_SCHEMA, table.columns, 0, GOLDEN_CONFIG)
         assert sorted(kernel) == [1, 1, 4, 6]
-        assert list(sealed.blocks) == list(STACKED_SCHEMA.names)
+        blocks = seal_blocks(sealed)
+        assert list(blocks) == list(STACKED_SCHEMA.names)
         for column in STACKED_SCHEMA:
             alone = build_column_statistics(
                 column, table.columns[column.name], GOLDEN_CONFIG
@@ -273,7 +275,7 @@ class TestStackedSeal:
                 {column.name: column_index(column.name, [alone])}, 1
             )
             actual = ColumnarSketchIndex(
-                {column.name: sealed.blocks[column.name]}, 1
+                {column.name: blocks[column.name]}, 1
             )
             assert_indexes_identical(expected, actual)
             # repr: the NaN column's entries hold NaNs, which never compare equal.
@@ -281,8 +283,8 @@ class TestStackedSeal:
                 alone.heavy_hitter.entries()
             )
         # The log channel: kept for ``pos``, disabled for ``not_pos``.
-        assert sealed.blocks["not_pos"].stats[0, 5:9].tolist() == [0.0] * 4
-        assert (sealed.blocks["pos"].stats[0, 5:9] != 0.0).all()
+        assert blocks["not_pos"].stats[0, 5:9].tolist() == [0.0] * 4
+        assert (blocks["pos"].stats[0, 5:9] != 0.0).all()
 
     def test_a_kdd_partition_seals_in_a_few_kernel_calls(self, golden_ptable, kernel):
         stats = build_dataset_statistics(golden_ptable, GOLDEN_CONFIG)

@@ -200,3 +200,42 @@ class TestPersistedKeys:
         assert repr(InSet("c", ["b", "a", "z"])) == repr(
             InSet("c", ["z", "a", "b"])
         )
+
+
+class TestHashOnce:
+    """Queries and predicate nodes hash once; a cache lookup hashes its
+    key once; copies and pickles hash afresh (string hashes are per
+    process)."""
+
+    def test_a_hit_hashes_its_key_once_and_no_node_again(self, monkeypatch):
+        cache = PlanCache()
+        predicate = And([Comparison("x", ">", 3.0), InSet("cat", {"a", "b"})])
+        cache.get(predicate)
+        calls = []
+        for node in (And, Comparison, InSet):
+            original = node.__hash__
+
+            def spy(self, original=original):
+                calls.append(type(self).__name__)
+                return original(self)
+
+            monkeypatch.setattr(node, "__hash__", spy)
+        # An equal tree built afresh: hashes its nodes once, on first use.
+        cache.get(And([Comparison("x", ">", 3.0), InSet("cat", {"b", "a"})]))
+        assert sorted(calls) == ["And", "Comparison", "InSet"]
+        calls.clear()
+        assert cache.get(predicate) is cache.get(predicate)
+        assert calls == ["And", "And"]
+        assert cache.hits == 3 and cache.misses == 1
+
+    def test_copies_and_pickles_drop_the_stored_hash(self):
+        import copy
+        import pickle
+
+        query = Query([count_star()], PREDICATE, ("cat",))
+        hash(query)
+        assert "_hash" in vars(query) and "_hash" in vars(PREDICATE)
+        for clone in (copy.deepcopy(query), pickle.loads(pickle.dumps(query))):
+            assert "_hash" not in vars(clone)
+            assert "_hash" not in vars(clone.predicate)
+            assert clone == query and hash(clone) == hash(query)

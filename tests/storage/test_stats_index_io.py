@@ -15,8 +15,9 @@ heavy-hitter sketches. Pinned here:
   :class:`~repro.errors.ConfigError`, and never a silent degrade;
 * a feature builder reads the statistics' own index and nothing else;
 * a cold-loaded index still accepts appended partitions without writing
-  into the arrays it was given (copy-on-append), and lands bit-identical
-  to the never-saved statistics.
+  into the arrays it was given (the buffer rule: arrays no growth buffer
+  holds are copied into one on the first append), and lands
+  bit-identical to the never-saved statistics.
 """
 
 from __future__ import annotations
@@ -233,9 +234,11 @@ class TestAppendAfterColdLoad:
     """Regression: appends must keep working after a cold load.
 
     The loaded arrays are frozen here, so any append path that wrote
-    into them in place would raise ``ValueError``; the seal must append
-    into fresh arrays (copy-on-append: older generations keep reading
-    theirs) and land bit-identical to the statistics never saved."""
+    into them in place would raise ``ValueError``; the seal must copy
+    them into growth buffers on the first append (the buffer rule of
+    ``repro.rowbuffers``: only rows past every older generation's views
+    are ever written) and land bit-identical to the statistics never
+    saved."""
 
     def test_appends_after_cold_load_match_the_live_statistics(
         self, saved, tiny_ptable, rng
