@@ -296,7 +296,7 @@ class PS3:
         budget_partitions: int | None = None,
         budget_fraction: float | None = None,
     ) -> list[ApproximateAnswer]:
-        """Answer a micro-batch of queries under one state-lock hold.
+        """Answer several queries, picked under one state-lock hold.
 
         Partitions are picked per query, sequentially in input order
         (exactly the selections back-to-back :meth:`query` calls would
@@ -305,7 +305,8 @@ class PS3:
         its own weights (:func:`~repro.engine.serving.answer_selections`,
         the same call every online route makes). ``budget`` applies to
         each query individually. The picks share the picker's rng and
-        memo, hence the lock.
+        memo, hence the lock. The serving front end calls :meth:`query`
+        once per request.
         """
         queries = list(queries)
         with self._state_lock:
@@ -329,13 +330,15 @@ class PS3:
     def serve(
         self, config: ServingConfig | None = None, *, faults=None
     ) -> ServingFrontEnd:
-        """Start a micro-batch serving front end over this system.
+        """Start a serving front end over this system.
 
         Returns the started :class:`~repro.engine.serving
         .ServingFrontEnd`; call its ``submit``/``query``/``submit_async``
         from any number of client threads or asyncio tasks, and ``stop``
-        it (or use it as a context manager) when done. ``faults`` takes
-        an ``on_batch`` / ``on_scatter`` hook set for deterministic
+        it (or use it as a context manager) when done. Its worker
+        answers one request at a time through :meth:`query`, so a
+        served answer is the one :meth:`query` gives. ``faults`` takes
+        an object with an ``on_scatter`` hook for deterministic
         fault-injection tests (see :class:`ServingFrontEnd`).
         """
         self.picker  # noqa: B018 - fail fast with NotFittedError
@@ -440,7 +443,7 @@ class PS3:
         checkpoint duration — everything the engine and storage planes
         record via :func:`repro.obs.get_registry`) with the most recent
         :meth:`serve` front end's private registry (``serving.*``
-        counters, admission-wait/pick/sweep/scatter histograms).
+        counters, admission-wait and ``serving.answer`` histograms).
         Instrument names are plane-prefixed, so the merge is
         collision-free. Feed two snapshots to
         :func:`repro.obs.snapshot_delta` for interval views.

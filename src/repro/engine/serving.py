@@ -1,61 +1,50 @@
-"""Micro-batch serving front end: group commit for approximate analytics.
+"""Serving front end: a bounded queue and one worker in front of ``PS3.query``.
 
 :func:`answer_selections` is the one online way to turn ``(query,
 weighted selection)`` pairs into answers — ``PS3.query``,
-``PS3.query_many``, ``answer_with_selection``, the CLI and the front end
-below all call it, so their answers are bit-identical by construction.
-The front end adds the database's classic group-commit move on top:
+``PS3.query_many``, ``answer_with_selection`` and the CLI all reach it,
+so their answers are bit-identical by construction.
 
-1. **admission** — the worker takes the request it dequeued plus
-   whatever is already queued, up to ``max_batch_size``, and never waits
-   for company: a lone request is swept on arrival, and under load
-   batches form from the backlog that builds up during a sweep (group
-   commit without a timer); the queue is *bounded*
+The front end answers one request per worker loop iteration, as the
+paper picks and combines partitions for each query on its own (section
+2.4):
+
+1. **admission** — ``submit`` checks the budget's shape in the caller's
+   thread and enqueues the request; the queue is *bounded*
    (``max_queue_depth``) — at capacity new requests are shed with
    :class:`ServingOverloadError` instead of growing an unbounded backlog;
-2. **pick** — each request's partitions are selected sequentially in
-   admission order under one hold of the system's state lock (the
-   picker's rng, pick memo and feature caches are shared mutable
-   state), one ``picker.select`` per request, exactly as back-to-back
-   ``PS3.query`` calls would pick; a pure pick repeated within or
-   across batches is a picker memo hit until the next append;
-3. **sweep** — :func:`answer_selections`, outside the lock, on the
-   table object captured under it (so every answer sees exactly one
-   table generation): per request, one
-   :meth:`BatchExecutor.partition_answers` subset pass over its own
-   selection, the paper's section 2.4 sum under its own weights over
-   that block's arrays (:func:`repro.engine.combiner.combine_answers`,
-   one ``np.bincount`` per component), and :func:`finalize_answer` over
-   the (groups x aggregates) plane; a request whose execution raises
-   (say, a division by zero) fails only its own future;
-4. **scatter** — each request's future is completed with its
-   ``ApproximateAnswer``.
+2. **answer** — the worker takes the next request, marks its future
+   running (or skips it if the client cancelled it) and calls
+   ``system.query(query, budget_partitions, budget_fraction)``: the pick
+   runs under the system's state lock, execution on the table
+   generation that pick saw. An ``Exception`` (an unknown column, a bad
+   budget, a division by zero) fails only that request's future;
+3. **complete** — the answer goes to the request's future.
 
-A micro-batch therefore buys one lock hold, and no answer depends on
-its batch-mates: a batch answers exactly as ``PS3.query_many`` over its
-requests in admission order. Distinct queries are *not* fused into one
-sweep: at serving batch sizes that shared nothing and cost more than
-the per-query pass (measured in CHANGES.md, PR 15).
+A served answer therefore *is* the ``PS3.query`` answer for the same
+request, picked in admission order. There is no micro-batch: under the
+repo benchmark's open-loop traffic, batches held 1.2 requests on average
+and serving one request at a time answered at the same rate (measured in
+CHANGES.md).
 
 **Overload resilience.** The bounded queue sheds what it cannot hold
 with :class:`ServingOverloadError`; every admitted request runs at its
 own resolved budget. A request may carry a **deadline**
-(``deadline_seconds``); one already expired at admission or pick time
-fails fast with :class:`ServingTimeoutError` instead of being swept.
-The batch loop runs under a **supervisor**: a worker crash fails the
-in-flight futures (never stranding batch-mates) and restarts the loop,
-up to :data:`MAX_WORKER_RESTARTS` times. :meth:`ServingFrontEnd.health`
-snapshots the whole picture. The worker calls duck-typed
-``faults.on_batch`` / ``faults.on_scatter`` hooks when given a fault
-set, so the test tree can inject a crash at every batch and scatter
-point and prove isolation by enumeration.
+(``deadline_seconds``); one already expired when the worker takes it
+fails fast with :class:`ServingTimeoutError` instead of being answered.
+The loop runs under a **supervisor**: a worker crash (a
+``BaseException`` escaping an answer) fails the in-flight request and
+restarts the loop, up to :data:`MAX_WORKER_RESTARTS` times.
+:meth:`ServingFrontEnd.health` snapshots the whole picture. The worker
+calls a duck-typed ``faults.on_scatter`` hook before each future
+completion when given a fault set, so the test tree can inject a crash
+at any completion.
 
 The front end exposes three client shapes: blocking
 (:meth:`ServingFrontEnd.query`), future-based
 (:meth:`ServingFrontEnd.submit`, for thread-pool clients), and
 asyncio-friendly (:meth:`ServingFrontEnd.submit_async`). ``PS3.serve()``
-constructs and starts one; ``PS3.query_many`` is steps 2-4 synchronously
-without threads.
+constructs and starts one.
 """
 
 from __future__ import annotations
@@ -92,125 +81,68 @@ MAX_WORKER_RESTARTS = 2
 
 @dataclass(frozen=True)
 class ServingConfig:
-    """The front end's two capacity settings.
+    """The front end's capacity setting.
 
-    **Batching.** A batch is the request the worker dequeued plus
-    whatever else is already queued when it does, capped at
-    ``max_batch_size``; nothing waits for batch-mates, so batches are
-    as large as the backlog that builds up during a sweep.
-
-    **Admission control.** ``max_queue_depth`` bounds the admission
-    queue (``None`` = unbounded). At capacity, ``submit`` sheds the
-    request with :class:`ServingOverloadError`.
-
-    Both are non-bool integers ``>= 1``; anything else is a
-    :class:`ConfigError`. A crashed worker restarts up to
-    :data:`MAX_WORKER_RESTARTS` times per :meth:`~ServingFrontEnd.start`,
-    then the front end fails permanently (pending futures are failed,
-    new submits raise :class:`ServingStoppedError`).
+    ``max_queue_depth`` bounds the admission queue (``None`` =
+    unbounded). At capacity, ``submit`` sheds the request with
+    :class:`ServingOverloadError`. It is a non-bool integer ``>= 1`` or
+    ``None``; anything else is a :class:`ConfigError`. A crashed worker
+    restarts up to :data:`MAX_WORKER_RESTARTS` times per
+    :meth:`~ServingFrontEnd.start`, then the front end fails permanently
+    (pending futures are failed, new submits raise
+    :class:`ServingStoppedError`).
     """
 
-    max_batch_size: int = 32
     max_queue_depth: int | None = 1024
 
     def __post_init__(self) -> None:
-        _check_number("max_batch_size", self.max_batch_size, integer=True)
         if self.max_queue_depth is not None:
             _check_number("max_queue_depth", self.max_queue_depth, integer=True)
-        if self.max_batch_size < 1:
-            raise ConfigError("max_batch_size must be >= 1")
-        if self.max_queue_depth is not None and self.max_queue_depth < 1:
-            raise ConfigError("max_queue_depth must be >= 1 (or None)")
+            if self.max_queue_depth < 1:
+                raise ConfigError("max_queue_depth must be >= 1 (or None)")
 
 
 class ServingStats:
-    """Observable counters for one front end (monotonic, not reset).
+    """A front end's counters and gauges (monotonic, not reset).
 
-    Since the obs plane landed, this is a *view* over a
-    :class:`~repro.obs.MetricsRegistry` rather than a bag of ints: every
-    count lives in a ``serving.``-prefixed registry instrument, and the
-    historical attributes (``front.stats.shed`` and friends) read
-    straight through to it — existing callers and tests see the same
-    integers they always did, while ``registry.snapshot()`` (and
-    ``PS3.metrics()``) see the same counts as structured metrics.
-    Each front end gets its *own* registry by default, so concurrent
-    front ends never mix their counts; pass ``registry=`` to aggregate.
+    Each attribute is a ``serving.``-prefixed instrument of
+    :attr:`registry`, read as ``.value`` (``front.stats.shed.value``), so
+    ``registry.snapshot()`` (and ``PS3.metrics()``) report the same
+    counts. Each front end gets its *own* registry by default, so
+    concurrent front ends never mix their counts; pass ``registry=`` to
+    aggregate.
 
+    ``queries`` counts requests the worker took off the queue and
+    ``batches`` its loop iterations: one of each per request.
     ``queue_depth`` is the one live gauge: requests currently admitted
-    but not yet dequeued by the worker (``queue_peak`` is its high-water
-    mark). ``batched_queries`` counts queries admitted in a batch of two
-    or more (nothing is shared between them). ``shed`` counts requests
-    rejected at admission by the bounded queue; ``deadline_misses``
-    counts requests that expired before an answer (at admission, at pick
-    time, or in a blocking ``query`` wait); ``cancelled_skips`` counts
-    futures the client cancelled before the worker could complete them;
-    ``worker_restarts`` counts supervisor restarts after a worker crash;
-    ``failures`` counts requests whose pick or execution raised, plus
-    those in flight at a crash.
+    but not yet taken by the worker (``queue_peak`` is its high-water
+    mark). ``shed`` counts requests rejected at admission by the bounded
+    queue; ``deadline_misses`` counts requests that expired before an
+    answer (at admission, when the worker took them, or in a blocking
+    ``query`` wait); ``cancelled_skips`` counts futures the client
+    cancelled before the worker could complete them; ``worker_restarts``
+    counts supervisor restarts after a worker crash; ``failures`` counts
+    requests whose answer raised, plus one in flight at a crash.
     """
-
-    _COUNTER_NAMES = (
-        "queries",
-        "batches",
-        "batched_queries",  # queries admitted in a batch of >= 2
-        "failures",
-        "shed",
-        "deadline_misses",
-        "cancelled_skips",
-        "worker_restarts",
-    )
-    _GAUGE_NAMES = ("queue_depth", "queue_peak", "largest_batch")
 
     def __init__(self, registry: MetricsRegistry | None = None) -> None:
         self.registry = registry if registry is not None else MetricsRegistry()
-        self._counters = {
-            name: self.registry.counter(f"serving.{name}")
-            for name in self._COUNTER_NAMES
-        }
-        self._gauges = {
-            name: self.registry.gauge(f"serving.{name}")
-            for name in self._GAUGE_NAMES
-        }
-
-    def __getattr__(self, name):
-        # Legacy integer views: front.stats.shed et al. read the
-        # registry instruments. (Only consulted for names not set in
-        # __init__, so the hot mutation path never lands here.)
-        instruments = self.__dict__.get("_counters")
-        if instruments is not None and name in instruments:
-            return instruments[name].value
-        instruments = self.__dict__.get("_gauges")
-        if instruments is not None and name in instruments:
-            return instruments[name].value
-        raise AttributeError(
-            f"{type(self).__name__!s} object has no attribute {name!r}"
-        )
-
-    def __repr__(self) -> str:
-        fields = ", ".join(
-            f"{name}={getattr(self, name)}"
-            for name in self._COUNTER_NAMES + self._GAUGE_NAMES
-        )
-        return f"ServingStats({fields})"
-
-    # -- mutation helpers (used by ServingFrontEnd only) ---------------------
-
-    def count(self, name: str, n: int = 1) -> None:
-        self._counters[name].inc(n)
+        counter, gauge = self.registry.counter, self.registry.gauge
+        self.queries = counter("serving.queries")
+        self.batches = counter("serving.batches")
+        self.failures = counter("serving.failures")
+        self.shed = counter("serving.shed")
+        self.deadline_misses = counter("serving.deadline_misses")
+        self.cancelled_skips = counter("serving.cancelled_skips")
+        self.worker_restarts = counter("serving.worker_restarts")
+        self.queue_depth = gauge("serving.queue_depth")
+        self.queue_peak = gauge("serving.queue_peak")
 
     def note_enqueue(self) -> None:
-        depth = self._gauges["queue_depth"].add(1)
-        self._gauges["queue_peak"].set_max(depth)
+        self.queue_peak.set_max(self.queue_depth.add(1))
 
     def note_dequeue(self) -> None:
-        self._gauges["queue_depth"].add(-1)
-
-    def note_batch(self, size: int) -> None:
-        self._counters["batches"].inc()
-        self._counters["queries"].inc(size)
-        self._gauges["largest_batch"].set_max(size)
-        if size > 1:
-            self._counters["batched_queries"].inc(size)
+        self.queue_depth.add(-1)
 
 
 @dataclass(frozen=True)
@@ -248,7 +180,8 @@ class _Request:
         return self.deadline is not None and time.monotonic() >= self.deadline
 
 
-#: Queue sentinel: the worker drains, answers what it holds, and exits.
+#: Queue sentinel: the worker exits when it reaches it, having answered
+#: everything queued before it.
 _SHUTDOWN = object()
 
 
@@ -288,6 +221,8 @@ def check_budget_shape(
             raise ConfigError("budget_partitions must be >= 1")
 
 
+
+
 def answer_selections(
     ptable: PartitionedTable, pairs: list[tuple[Query, list]]
 ) -> list[FinalAnswer]:
@@ -313,11 +248,11 @@ def answer_selections(
 
 
 class ServingFrontEnd:
-    """Admission-batching query server over one fitted ``PS3`` system.
+    """Query server over one fitted ``PS3`` system.
 
     Requests may arrive from any number of threads (or asyncio tasks via
-    :meth:`submit_async`); a single worker thread forms micro-batches
-    and answers each request in them on its own. Use as a context
+    :meth:`submit_async`); a single worker thread answers them one at a
+    time through ``PS3.query``, in admission order. Use as a context
     manager, or pair :meth:`start` with :meth:`stop`::
 
         with ServingFrontEnd(ps3) as front:
@@ -326,11 +261,10 @@ class ServingFrontEnd:
 
     Per-request failures (unknown columns, invalid budgets at pick time,
     an execution error such as a division by zero) fail only that
-    request's future; the worker and the rest of the batch keep going.
-    A worker *crash* fails the in-flight futures and restarts the loop
-    (capped; see :meth:`health`) — no future is ever stranded.
-    ``faults`` takes any object with ``on_batch()`` and ``on_scatter()``
-    hooks, called before each batch and each future completion, for
+    request's future; the worker keeps going. A worker *crash* fails the
+    in-flight request and restarts the loop (capped; see :meth:`health`)
+    — no future is ever stranded. ``faults`` takes any object with an
+    ``on_scatter()`` hook, called before each future completion, for
     deterministic fault-injection tests.
     """
 
@@ -353,7 +287,7 @@ class ServingFrontEnd:
         self._failed = False
         self._crashes = 0  # worker crashes since start() (not monotonic)
         self._last_error: BaseException | None = None
-        self._inflight: list[_Request] = []  # worker-thread only
+        self._inflight: _Request | None = None  # worker-thread only
         self._lifecycle = threading.Lock()
 
     # -- lifecycle -----------------------------------------------------------
@@ -366,7 +300,7 @@ class ServingFrontEnd:
             self._failed = False
             self._crashes = 0
             self._last_error = None
-            self._inflight = []
+            self._inflight = None
             self._worker = threading.Thread(
                 target=self._supervise, name="ps3-serving", daemon=True
             )
@@ -428,8 +362,8 @@ class ServingFrontEnd:
                 running=running,
                 worker_alive=worker_alive,
                 healthy=running and worker_alive,
-                queue_depth=self.stats.queue_depth,
-                worker_restarts=self.stats.worker_restarts,
+                queue_depth=self.stats.queue_depth.value,
+                worker_restarts=self.stats.worker_restarts.value,
                 restarts_remaining=remaining,
                 last_error=(
                     repr(self._last_error)
@@ -451,8 +385,8 @@ class ServingFrontEnd:
 
         Budget-shape errors (neither or both budgets, out-of-range
         fraction) raise immediately in the caller; the partition count
-        itself is resolved at pick time against the table the batch
-        snapshots, so appends between submit and answer are honoured.
+        itself is resolved at pick time against the table the pick
+        sees, so appends between submit and answer are honoured.
         ``deadline_seconds`` bounds how long the request may wait for an
         answer; a full admission queue sheds the request with
         :class:`ServingOverloadError`.
@@ -478,8 +412,8 @@ class ServingFrontEnd:
                     "serving front end is not running (call start())"
                 )
             limit = self.config.max_queue_depth
-            if limit is not None and self.stats.queue_depth >= limit:
-                self.stats.count("shed")
+            if limit is not None and self.stats.queue_depth.value >= limit:
+                self.stats.shed.inc()
                 raise ServingOverloadError(
                     f"admission queue full ({limit} requests); "
                     "request shed"
@@ -522,7 +456,7 @@ class ServingFrontEnd:
             )
         except FutureTimeoutError:
             future.cancel()
-            self.stats.count("deadline_misses")
+            self.stats.deadline_misses.inc()
             raise ServingTimeoutError(
                 f"request missed its {deadline_seconds}s deadline"
             ) from None
@@ -546,12 +480,12 @@ class ServingFrontEnd:
     # -- worker --------------------------------------------------------------
 
     def _supervise(self) -> None:
-        """Run the batch loop; fail in-flight futures and restart on crash.
+        """Run the worker loop; fail the in-flight request and restart on crash.
 
         A worker crash (anything escaping :meth:`_run`, including the
         ``BaseException``-derived injected crashes) must never strand a
-        future: every request of the batch being processed is failed
-        with a :class:`ServingError` carrying the crash, then the loop
+        future: the request being answered is failed with a
+        :class:`ServingError` carrying the crash, then the loop
         restarts — up to :data:`MAX_WORKER_RESTARTS` times, after which the
         front end fails permanently and drains its queue.
         """
@@ -562,24 +496,24 @@ class ServingFrontEnd:
             except BaseException as exc:  # noqa: BLE001 - supervisor
                 crash = ServingError(f"serving worker crashed: {exc!r}")
                 crash.__cause__ = exc
-                inflight, self._inflight = self._inflight, []
-                for request in inflight:
+                request, self._inflight = self._inflight, None
+                if request is not None:
                     if not request.future.done():
-                        self.stats.count("failures")
+                        self.stats.failures.inc()
                     self._fail_request(request, crash)
                 with self._lifecycle:
                     self._last_error = exc
                     self._crashes += 1
                     give_up = self._crashes > MAX_WORKER_RESTARTS
                     if not give_up:
-                        self.stats.count("worker_restarts")
+                        self.stats.worker_restarts.inc()
                     else:
                         self._failed = True
                 if give_up:
                     self._drain_queue(
                         ServingStoppedError(
                             "serving worker failed permanently after "
-                            f"{self.stats.worker_restarts} restarts "
+                            f"{self.stats.worker_restarts.value} restarts "
                             f"(last error: {exc!r})"
                         )
                     )
@@ -587,53 +521,65 @@ class ServingFrontEnd:
 
     def _run(self) -> None:
         while True:
-            item = self._queue.get()
-            if item is _SHUTDOWN:
+            request = self._queue.get()
+            if request is _SHUTDOWN:
                 return
-            self._note_dequeue(item)
-            self._inflight = [item]
-            batch, saw_shutdown = self._admit(item)
-            self._process(batch)
-            self._inflight = []
-            if saw_shutdown:
-                return
+            self._note_dequeue(request)
+            self._inflight = request
+            self._answer(request)
+            self._inflight = None
 
     def _note_dequeue(self, request: _Request) -> None:
         # Under _lifecycle so admission's depth check + increment stays
         # mutually exclusive with the decrement (exact bounded-queue
-        # semantics, as before the registry migration).
+        # semantics).
         with self._lifecycle:
             self.stats.note_dequeue()
         self.registry.histogram("serving.admission_wait_seconds").observe(
             time.monotonic() - request.submitted
         )
 
-    def _admit(self, first: _Request) -> tuple[list[_Request], bool]:
-        """One micro-batch: ``first`` plus whatever is already queued.
-
-        Takes queued requests with ``get_nowait`` until the queue is
-        empty or ``max_batch_size`` is reached, and never waits.
-        """
-        batch = [first]
-        while len(batch) < self.config.max_batch_size:
-            try:
-                item = self._queue.get_nowait()
-            except queue.Empty:
-                break
-            if item is _SHUTDOWN:
-                return batch, True
-            self._note_dequeue(item)
-            batch.append(item)
-            self._inflight.append(item)
-        return batch, False
-
-    # -- future completion (cancellation-safe) -------------------------------
+    def _answer(self, request: _Request) -> None:
+        stats, future = self.stats, request.future
+        stats.queries.inc()
+        stats.batches.inc()
+        # Marking the future RUNNING wins the race against client-side
+        # cancellation: from here on only this worker completes it.
+        if not future.set_running_or_notify_cancel():
+            stats.cancelled_skips.inc()
+            return
+        if request.expired():
+            stats.deadline_misses.inc()
+            future.set_exception(
+                ServingTimeoutError(
+                    "request expired before it was answered; failing fast"
+                )
+            )
+            return
+        try:
+            with trace_span("serving.answer", registry=self.registry):
+                answer = self.system.query(
+                    request.query,
+                    request.budget_partitions,
+                    request.budget_fraction,
+                )
+        except Exception as exc:  # noqa: BLE001 - forwarded
+            # Ordinary per-request failures (bad column, bad budget, a
+            # division by zero, injected pick poison) fail only this
+            # future. BaseException-grade crashes escape to the
+            # supervisor: that is a worker death, not a request bug.
+            stats.failures.inc()
+            future.set_exception(exc)
+            return
+        if self._faults is not None:
+            self._faults.on_scatter()
+        future.set_result(answer)
 
     def _fail_request(self, request: _Request, exc: BaseException) -> None:
         """Fail a future unless the client already cancelled/resolved it."""
         future = request.future
         if future.cancelled():
-            self.stats.count("cancelled_skips")
+            self.stats.cancelled_skips.inc()
             return
         if future.done():
             return
@@ -642,103 +588,4 @@ class ServingFrontEnd:
         except InvalidStateError:
             # Lost the race with a client-side cancel; never kill the
             # worker over a request nobody is waiting for.
-            self.stats.count("cancelled_skips")
-
-    def _complete_request(self, request: _Request, answer) -> None:
-        future = request.future
-        if future.cancelled():
-            self.stats.count("cancelled_skips")
-            return
-        try:
-            future.set_result(answer)
-        except InvalidStateError:
-            self.stats.count("cancelled_skips")
-
-    # -- batch processing ----------------------------------------------------
-
-    def _process(self, batch: list[_Request]) -> None:
-        # Imported lazily: api sits above engine in the layering; only
-        # the answer container is needed here.
-        from repro.api import ApproximateAnswer
-
-        faults = self._faults
-        if faults is not None:
-            faults.on_batch()
-        system = self.system
-        # Pick under the system's state lock: the picker's rng and pick
-        # memo are shared, selections see a consistent (table,
-        # statistics, picker) generation, and the snapshot table keeps
-        # this batch's execution consistent even if an append lands
-        # mid-sweep (appends build a *new* table object; the snapshot's
-        # fused view is never mutated).
-        with trace_span(
-            "serving.pick", registry=self.registry, batch=len(batch)
-        ), system._state_lock:
-            ptable = system.ptable
-            num_partitions = ptable.num_partitions
-            picked: list[tuple[_Request, int, object]] = []
-            for request in batch:
-                # Marking the future RUNNING wins the race against
-                # client-side cancellation: from here on, set_result/
-                # set_exception cannot hit a cancelled future.
-                if not request.future.set_running_or_notify_cancel():
-                    self.stats.count("cancelled_skips")
-                    continue
-                if request.expired():
-                    self.stats.count("deadline_misses")
-                    self._fail_request(
-                        request,
-                        ServingTimeoutError(
-                            "request expired before pick; failing fast "
-                            "instead of sweeping"
-                        ),
-                    )
-                    continue
-                try:
-                    budget = system._resolve_budget(
-                        request.budget_partitions, request.budget_fraction
-                    )
-                    selection = system.picker.select(request.query, budget)
-                except Exception as exc:  # noqa: BLE001 - forwarded
-                    # Ordinary per-request failures (bad column, bad
-                    # budget, injected pick poison) fail only this
-                    # future. BaseException-grade crashes escape to the
-                    # supervisor: that is a worker death, not a request
-                    # bug.
-                    self.stats.count("failures")
-                    self._fail_request(request, exc)
-                else:
-                    picked.append((request, budget, selection))
-        self.stats.note_batch(len(batch))
-        if not picked:
-            return
-        answered = []
-        with trace_span("serving.sweep", registry=self.registry, requests=len(picked)):
-            for request, budget, selection in picked:
-                try:
-                    (groups,) = answer_selections(
-                        ptable, [(request.query, selection.selection)]
-                    )
-                except Exception as exc:  # noqa: BLE001 - forwarded
-                    # Same isolation as the pick: an execution error
-                    # (say, a division by zero) fails only this future.
-                    self.stats.count("failures")
-                    self._fail_request(request, exc)
-                else:
-                    answered.append((request, budget, selection, groups))
-        with trace_span(
-            "serving.scatter", registry=self.registry, requests=len(answered)
-        ):
-            for request, budget, selection, groups in answered:
-                if faults is not None:
-                    faults.on_scatter()
-                self._complete_request(
-                    request,
-                    ApproximateAnswer(
-                        query=request.query,
-                        groups=groups,
-                        selection=selection,
-                        budget=budget,
-                        num_partitions=num_partitions,
-                    ),
-                )
+            self.stats.cancelled_skips.inc()

@@ -5,7 +5,7 @@ Every online answer combines on the answer block's arrays
 block's sequence view — one ``{group key: component vector}`` dict per
 partition, built on each ``__iter__`` / ``__getitem__`` — is for the
 tests' oracles only. Spies on both say so for ``PS3.query``,
-``query_many`` and a served micro-batch of repeated requests, each
+``query_many`` and a served burst of repeated requests, each
 executed and combined on its own.
 """
 
@@ -17,7 +17,6 @@ from serving_plug import plugged
 from repro.api import PS3
 from repro.datasets.registry import get_dataset
 from repro.engine.batch_executor import BatchExecutor, QueryAnswerBlock
-from repro.engine.serving import ServingConfig
 from repro.workload.generator import QueryGenerator
 
 
@@ -54,9 +53,8 @@ def test_online_answers_build_no_partition_dicts(system_and_queries, dict_views)
     answers = [system.query(q, budget_fraction=0.25) for q in queries]
     answers += system.query_many(queries, budget_fraction=0.5)
     repeated = [queries[0]] * 4 + [queries[1]] * 3
-    config = ServingConfig(max_batch_size=len(repeated))
-    with system.serve(config) as front:
-        with plugged(front):  # the repeats land in one batch
+    with system.serve() as front:
+        with plugged(front):  # the repeats queue up behind the plug
             futures = [front.submit(q, budget_fraction=0.25) for q in repeated]
         answers += [future.result(timeout=60) for future in futures]
     assert sum(bool(answer.groups) for answer in answers) >= len(answers) // 2

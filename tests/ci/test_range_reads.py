@@ -29,7 +29,6 @@ from repro.engine.batch_executor import BatchExecutor, fused_view, read_rows
 from repro.engine.expressions import col
 from repro.engine.layout import append_rows
 from repro.engine.query import Query
-from repro.engine.serving import ServingConfig
 from repro.workload.generator import QueryGenerator
 
 SELECTIONS = ([5, 0, 3], [2, 3, 4], [7, 7, 1], list(range(8))[::-1], [6], [])
@@ -187,7 +186,7 @@ def test_online_routes_read_ranges(system_and_queries, spy):
     for query in queries[:8]:
         system.query(query, budget_fraction=0.5)
     system.query_many(queries[8:16], budget_fraction=0.25)
-    with system.serve(ServingConfig(max_batch_size=4)) as front:
+    with system.serve() as front:
         futures = [front.submit(q, budget_fraction=0.5) for q in queries[16:]]
         for future in futures:
             future.result(timeout=60)

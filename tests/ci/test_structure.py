@@ -76,8 +76,13 @@
   no parameter naming a memo or a cache: pure picks are memoized per
   statistics generation always, under a constant bound.
 * No ``ServingConfig`` field names a hold, a window or a wait: the
-  serving worker batches what is already queued when it dequeues a
-  request and never waits for batch-mates, so there is no timer to set.
+  serving worker answers the request it dequeues and never waits for
+  another, so there is no timer to set.
+* The serving worker has no batch: ``ServingFrontEnd`` has no
+  ``_admit`` drain loop, ``ServingStats`` no ``note_batch``,
+  ``largest_batch`` or ``batched_queries``, and the test tree's
+  ``ServingFaults`` no ``on_batch``. One request per loop iteration is
+  answered through ``PS3.query``.
 * ``repro.engine.executor``, ``repro.core.diagnostics`` and
   ``repro.obs.profiling`` no longer import, ``CombinedAnswer`` has no
   ``of``, and ``repro.engine`` / ``repro.core`` / ``repro.obs`` export
@@ -95,9 +100,9 @@
   other. ``repro.engine.faults`` no longer imports (the serving fault
   plane is ``tests/serving_faults.py``).
 * A setting nothing outside the tests sets is a constant, not a field:
-  ``ServingConfig`` keeps its two capacity settings (no degrade
-  controller, no config-default deadline; the restart cap is
-  ``MAX_WORKER_RESTARTS``), ``PickerConfig`` has no outlier share or
+  ``ServingConfig`` keeps its one capacity setting, the queue bound (no
+  degrade controller, no config-default deadline, no batch size; the
+  restart cap is ``MAX_WORKER_RESTARTS``), ``PickerConfig`` has no outlier share or
   clause limit, ``TrainingConfig`` no label scale, ``ApproximateAnswer``
   no ``degraded``, and no bundle writer takes ``plan_cache_keys``, which
   a bundle written by an older tree may still carry and which loads
@@ -444,7 +449,7 @@ def test_serving_config_has_no_dedup():
     from repro.engine.serving import ServingConfig, ServingStats
 
     names = list(inspect.signature(ServingConfig).parameters)
-    names += ServingStats._COUNTER_NAMES
+    names += vars(ServingStats())
     assert [name for name in names if "dedup" in name] == []
 
 
@@ -456,9 +461,26 @@ def test_serving_sweep_has_no_retry():
 
     names = list(inspect.signature(serving.ServingConfig).parameters)
     assert [name for name in names if "retr" in name or "backoff" in name] == []
-    assert "sweep_retries" not in serving.ServingStats._COUNTER_NAMES
+    assert "sweep_retries" not in vars(serving.ServingStats())
     assert not hasattr(ServingFaults, "on_sweep")
     assert not hasattr(serving, "_TRANSIENT_ERRNOS")
+
+
+def test_serving_has_no_batch():
+    """The worker answers one request per loop iteration through
+    ``PS3.query``: nothing drains the queue into a batch, counts batch
+    sizes or hooks a batch start."""
+    import repro.engine.serving as serving
+    from serving_faults import ServingFaults
+
+    stats = vars(serving.ServingStats())
+    assert "queries" in stats  # the guard sees the instruments
+    for name in ("largest_batch", "batched_queries"):
+        assert name not in stats, name
+        assert not hasattr(serving.ServingStats, name), name
+    assert not hasattr(serving.ServingFrontEnd, "_admit")
+    assert not hasattr(serving.ServingStats, "note_batch")
+    assert not hasattr(ServingFaults, "on_batch")
 
 
 def test_one_value_in_use_is_a_constant():
@@ -474,7 +496,7 @@ def test_one_value_in_use_is_a_constant():
     def fields(cls):
         return {field.name for field in dataclasses.fields(cls)}
 
-    assert fields(serving.ServingConfig) == {"max_batch_size", "max_queue_depth"}
+    assert fields(serving.ServingConfig) == {"max_queue_depth"}
     assert fields(PickerConfig) == {
         "alpha",
         "clustering_algorithm",
@@ -499,7 +521,7 @@ def test_one_value_in_use_is_a_constant():
     ]
     for name in ("_pressure", "_degraded_budget"):
         assert not hasattr(serving.ServingFrontEnd, name), name
-    assert "degraded" not in serving.ServingStats._COUNTER_NAMES
+    assert "degraded" not in vars(serving.ServingStats())
     assert "degraded" not in fields(ApproximateAnswer)
     assert "plan_cache_keys" not in fields(StatisticsBundle)
     for writer in (save_statistics, StatisticsStore.checkpoint):

@@ -137,7 +137,7 @@ def test_every_route_matches_the_walk(system, name):
         single = [system.query(q, budget_partitions=BUDGET) for q in QUERIES]
         many = system.query_many(QUERIES, budget_partitions=BUDGET)
         with system.serve() as front:
-            with plugged(front):  # every query in one batch
+            with plugged(front):  # every query queued at once
                 futures = [front.submit(q, budget_partitions=BUDGET) for q in QUERIES]
             served = [future.result(timeout=60) for future in futures]
     finally:

@@ -1,12 +1,12 @@
-"""A served batch answers exactly as ``PS3.query_many`` does.
+"""A served burst answers exactly as ``PS3.query_many`` does.
 
-Two identical systems are fitted. A burst with repeats is submitted to
-one of them as a single micro-batch (queued behind ``plugged``); its
-twin answers the same burst with ``query_many``. Selections, group key
-order and every group's bytes must be equal, request by request, in
-admission order. With the random exemplar (the paper's Appendix D.1)
-each pick draws from the picker's rng, so a repeat is an independent
-draw on both routes: no batch-mate shares another's pick or execution.
+Two identical systems are fitted. A burst with repeats is queued behind
+``plugged`` on one of them; its twin answers the same burst with
+``query_many``. Selections, group key order and every group's bytes must
+be equal, request by request, in admission order. With the random
+exemplar (the paper's Appendix D.1) each pick draws from the picker's
+rng, so a repeat is an independent draw on both routes: no request
+shares another's pick or execution.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from serving_plug import plugged
 from repro.api import PS3
 from repro.core.picker import PickerConfig
 from repro.datasets.registry import get_dataset
-from repro.engine.serving import ServingConfig
 from repro.workload import QueryGenerator
 
 BUDGET = 3
@@ -46,11 +45,10 @@ def fitted_twins(picker_config: PickerConfig | None):
 def test_served_burst_equals_query_many(picker_config):
     (served, direct), test = fitted_twins(picker_config)
     burst = [test[0], test[1], test[0], test[2], test[0], test[1], test[3]] * 2
-    with served.serve(ServingConfig(max_batch_size=len(burst))) as front:
+    with served.serve() as front:
         with plugged(front):
             futures = [front.submit(q, budget_partitions=BUDGET) for q in burst]
         answers = [future.result(timeout=60) for future in futures]
-    assert front.stats.largest_batch == len(burst)  # one batch, repeats inside
     expected = direct.query_many(burst, budget_partitions=BUDGET)
     for answer, twin in zip(answers, expected, strict=True):
         assert answer.query == twin.query

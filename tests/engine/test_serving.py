@@ -1,7 +1,8 @@
 """Serving plane: ``query_many`` and the front end.
 
-:class:`ServingFrontEnd` — admission batching over threads — and
-``PS3.query_many`` must return answers bit-identical to the scalar
+:class:`ServingFrontEnd` — one worker answering queued requests through
+``PS3.query`` — and ``PS3.query_many`` must return answers bit-identical
+to the scalar
 composition (``execute_on_partition`` per chosen partition →
 ``combine_answers`` → ``finalize_answer``) for the same selections,
 isolate per-request failures, and stop cleanly. The differential suite
@@ -65,7 +66,6 @@ def build_table(num_rows: int, seed: int = 5) -> Table:
 class TestServingConfig:
     def test_defaults_valid(self):
         config = ServingConfig()
-        assert config.max_batch_size >= 1
         # The resilience defaults: bounded queue, restart headroom.
         assert config.max_queue_depth is not None
         assert MAX_WORKER_RESTARTS >= 1
@@ -73,28 +73,29 @@ class TestServingConfig:
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"max_batch_size": 0},
             {"max_queue_depth": 0},
-            # Counts are non-bool integers.
-            {"max_batch_size": 2.5},
+            # The depth is a non-bool integer.
             {"max_queue_depth": 2.5},
-            {"max_batch_size": True},
             {"max_queue_depth": True},
-            {"max_batch_size": -1},
             {"max_queue_depth": -1},
-            {"max_batch_size": "4"},
-            {"max_batch_size": None},
+            {"max_queue_depth": "4"},
             {"max_queue_depth": float("nan")},
+            {"max_queue_depth": float("inf")},
+            {"max_queue_depth": np.float64(4.0)},
         ],
     )
     def test_rejects_bad_knobs(self, kwargs):
         with pytest.raises(ConfigError):
             ServingConfig(**kwargs)
 
+    def test_removed_batch_knob_is_rejected(self):
+        # Serving answers one request per loop: no batch size to set.
+        with pytest.raises(TypeError):
+            ServingConfig(max_batch_size=4)
+
     def test_accepts_numpy_counts_and_unbounded_queue(self):
-        config = ServingConfig(max_batch_size=np.int64(4), max_queue_depth=None)
-        assert config.max_batch_size == 4
-        assert config.max_queue_depth is None
+        assert ServingConfig(max_queue_depth=np.int64(4)).max_queue_depth == 4
+        assert ServingConfig(max_queue_depth=None).max_queue_depth is None
 
 
 @pytest.fixture(scope="module")
@@ -152,10 +153,9 @@ class TestQueryMany:
 
 
 class TestServingFrontEnd:
-    def test_batched_answers_bit_identical(self, served_system):
+    def test_queued_answers_bit_identical(self, served_system):
         system, test = served_system
-        config = ServingConfig(max_batch_size=8)
-        with system.serve(config) as front:
+        with system.serve() as front:
             with plugged(front):
                 futures = [
                     front.submit(test[i % len(test)], budget_fraction=0.4)
@@ -164,11 +164,41 @@ class TestServingFrontEnd:
             answers = [f.result(timeout=30) for f in futures]
         for answer in answers:
             _assert_answer_matches_sequential(system, answer)
-        assert front.stats.queries == 16 + 1  # and the plug
-        # Queued behind the plug, the 16 form batches of max_batch_size.
-        assert front.stats.largest_batch >= 2
-        assert front.stats.batched_queries >= 2
-        assert front.stats.batches < 16
+        assert front.stats.queries.value == 16 + 1  # and the plug
+        # One loop iteration per request.
+        assert front.stats.batches.value == front.stats.queries.value
+
+    def test_each_request_is_answered_before_the_next_is_picked(
+        self, served_system
+    ):
+        """Requests queued together are answered one at a time: by the
+        time the second one is picked, the first one's future is done."""
+        system, test = served_system
+        done_at_pick = []
+        picker = system._picker
+
+        class _Spy:
+            def __getattr__(self, name):
+                return getattr(picker, name)
+
+            def select(self, query, budget):
+                if query is test[1]:
+                    done_at_pick.append(first.done())
+                return picker.select(query, budget)
+
+        with system.serve() as front:
+            with plugged(front):
+                first = front.submit(test[0], budget_partitions=3)
+                second = front.submit(test[1], budget_partitions=3)
+                system._picker = _Spy()
+            try:
+                for future in (first, second):
+                    _assert_answer_matches_sequential(
+                        system, future.result(timeout=30)
+                    )
+            finally:
+                system._picker = picker
+        assert done_at_pick == [True]
 
     def test_blocking_query_helper(self, served_system):
         system, test = served_system
@@ -207,19 +237,20 @@ class TestServingFrontEnd:
         with front:
             answer = front.query(test[0], budget_partitions=3)
         _assert_answer_matches_sequential(system, answer)
-        assert front.stats.batches == 1
-        assert len(timeouts) >= 2  # the idle wait and the batch scoop
+        assert front.stats.batches.value == 1
+        assert len(timeouts) >= 2  # the request and the shutdown sentinel
         assert [t for t in timeouts if t is not None and t > 0] == []
 
-    def test_burst_behind_a_busy_worker_is_one_batch(self, served_system):
+    def test_burst_behind_a_busy_worker_picks_as_query_many(
+        self, served_system
+    ):
         system, test = served_system
         burst = [test[0], test[1]] * 4
         with system.serve() as front:
             with plugged(front):
                 futures = [front.submit(q, budget_partitions=3) for q in burst]
             answers = [f.result(timeout=30) for f in futures]
-        assert front.stats.largest_batch == 8
-        assert front.stats.batches == 2  # the plug's, then the burst's
+        assert front.stats.batches.value == len(burst) + 1  # and the plug
         sequential = system.query_many(burst, budget_partitions=3)
         for answer, expected in zip(answers, sequential, strict=True):
             assert answer.selection.selection == expected.selection.selection
@@ -228,7 +259,7 @@ class TestServingFrontEnd:
     def test_per_request_failure_isolated(self, served_system):
         system, test = served_system
         bad = Query([count_star()], Comparison("no_such_column", ">", 1.0))
-        with system.serve(ServingConfig(max_batch_size=4)) as front:
+        with system.serve() as front:
             with plugged(front):
                 good_future = front.submit(test[0], budget_partitions=3)
                 bad_future = front.submit(bad, budget_partitions=3)
@@ -236,7 +267,7 @@ class TestServingFrontEnd:
             with pytest.raises(Exception):
                 bad_future.result(timeout=30)
         _assert_answer_matches_sequential(system, answer)
-        assert front.stats.failures == 1
+        assert front.stats.failures.value == 1
 
     def test_submit_validates_budget_shape_immediately(self, served_system):
         system, test = served_system
@@ -252,7 +283,7 @@ class TestServingFrontEnd:
             with pytest.raises(ConfigError):
                 front.submit(test[0], budget_partitions=0)
             # Raised in the caller's thread, before anything is enqueued.
-            assert front.stats.queue_peak == 0
+            assert front.stats.queue_peak.value == 0
 
     def test_stopped_front_end_rejects_submissions(self, served_system):
         system, test = served_system
@@ -315,8 +346,7 @@ class TestServingFrontEnd:
 
     def test_queue_gauge_returns_to_zero(self, served_system):
         system, test = served_system
-        config = ServingConfig(max_batch_size=8)
-        with system.serve(config) as front:
+        with system.serve() as front:
             with plugged(front):
                 futures = [
                     front.submit(test[i % len(test)], budget_fraction=0.4)
@@ -324,10 +354,10 @@ class TestServingFrontEnd:
                 ]
             for future in futures:
                 future.result(timeout=30)
-        assert front.stats.queue_depth == 0
-        assert front.stats.queue_peak >= 1
-        assert front.stats.shed == 0
-        assert front.stats.deadline_misses == 0
+        assert front.stats.queue_depth.value == 0
+        assert front.stats.queue_peak.value >= 1
+        assert front.stats.shed.value == 0
+        assert front.stats.deadline_misses.value == 0
 
 
 class TestCacheMemoizationRaces:

@@ -1,13 +1,12 @@
 """Serving-path observability: spans/stats consistency, PS3.metrics().
 
-The front end's ``stats`` object became a view over its private
-:class:`~repro.obs.MetricsRegistry`; these tests pin the contract that
-migration must not break — the legacy integer attributes
-(``front.stats.queries`` and friends) and the registry snapshot are two
-reads of the *same* counts — and that the span taxonomy
-(``serving.pick`` / ``serving.sweep`` / ``serving.scatter`` /
-``serving.admission_wait_seconds``) fires consistently with those
-counts. ``PS3.metrics()`` must merge all three planes.
+The front end's ``stats`` attributes are the instruments of its private
+:class:`~repro.obs.MetricsRegistry`; these tests pin that
+``front.stats.queries.value`` and friends and the registry snapshot are
+two reads of the *same* counts, and that the span taxonomy
+(``serving.answer`` / ``serving.admission_wait_seconds``) fires
+consistently with those counts. ``PS3.metrics()`` must merge all three
+planes.
 """
 
 from __future__ import annotations
@@ -35,7 +34,9 @@ def served_system():
 
 
 class TestStatsRegistryConsistency:
-    def test_legacy_views_equal_registry_counters(self, served_system):
+    def test_stats_attributes_are_the_registry_instruments(
+        self, served_system
+    ):
         system, test = served_system
         front = system.serve()
         try:
@@ -45,17 +46,17 @@ class TestStatsRegistryConsistency:
             front.stop()
         snap = front.registry.snapshot()
         stats = front.stats
-        assert stats.queries == len(test)
-        for name in ServingStats._COUNTER_NAMES:
-            assert snap["counters"][f"serving.{name}"] == getattr(
-                stats, name
-            ), name
-        for name in ServingStats._GAUGE_NAMES:
-            assert snap["gauges"][f"serving.{name}"] == getattr(
-                stats, name
-            ), name
+        assert stats.queries.value == len(test)
+        instruments = {
+            name: value for name, value in vars(stats).items() if name != "registry"
+        }
+        assert len(instruments) == 9
+        for name, instrument in instruments.items():
+            kind = "gauges" if name.startswith("queue_") else "counters"
+            assert instrument.name == f"serving.{name}"
+            assert snap[kind][instrument.name] == instrument.value, name
 
-    def test_spans_fire_consistently_with_batch_counts(self, served_system):
+    def test_answer_span_fires_once_per_answered_request(self, served_system):
         system, test = served_system
         front = system.serve()
         try:
@@ -64,22 +65,19 @@ class TestStatsRegistryConsistency:
         finally:
             front.stop()
         snap = front.registry.snapshot()
-        batches = front.stats.batches
-        assert batches >= 1
-        # One pick span per processed batch; one sweep and one scatter
-        # span per batch that had at least one picked request (all of
-        # them here — no failures were injected).
-        assert snap["counters"]["serving.pick.calls"] == batches
-        assert snap["counters"]["serving.sweep.calls"] == batches
-        assert snap["counters"]["serving.scatter.calls"] == batches
-        for stage in ("serving.pick", "serving.sweep", "serving.scatter"):
-            hist = snap["histograms"][f"{stage}.wall_seconds"]
-            assert hist["count"] == batches
-            assert hist["sum"] >= 0.0
-            assert hist["p50"] is not None
+        queries = front.stats.queries.value
+        assert queries == len(test)
+        # One loop iteration, one answer span per request (none failed
+        # or expired here).
+        assert front.stats.batches.value == queries
+        assert snap["counters"]["serving.answer.calls"] == queries
+        hist = snap["histograms"]["serving.answer.wall_seconds"]
+        assert hist["count"] == queries
+        assert hist["sum"] >= 0.0
+        assert hist["p50"] is not None
         # Every dequeued request recorded its admission wait.
         wait = snap["histograms"]["serving.admission_wait_seconds"]
-        assert wait["count"] == front.stats.queries
+        assert wait["count"] == queries
         assert wait["p50"] <= wait["p95"] <= wait["p99"]
 
     def test_stats_survive_stop_and_stay_readable(self, served_system):
@@ -87,9 +85,9 @@ class TestStatsRegistryConsistency:
         front = system.serve()
         front.query(test[0], budget_fraction=0.25)
         front.stop()
-        assert front.stats.queries == 1
-        assert front.stats.batches == 1
-        assert front.stats.queue_depth == 0
+        assert front.stats.queries.value == 1
+        assert front.stats.batches.value == 1
+        assert front.stats.queue_depth.value == 0
 
     def test_each_front_end_gets_its_own_registry(self, served_system):
         system, test = served_system
@@ -98,8 +96,8 @@ class TestStatsRegistryConsistency:
         with system.serve() as second:
             pass
         assert first.registry is not second.registry
-        assert first.stats.queries == 1
-        assert second.stats.queries == 0
+        assert first.stats.queries.value == 1
+        assert second.stats.queries.value == 0
 
     def test_explicit_registry_is_honored(self, served_system):
         system, test = served_system
@@ -113,31 +111,23 @@ class TestStatsRegistryConsistency:
         assert mine.snapshot()["counters"]["serving.queries"] == 1
 
     def test_mutation_helpers_update_both_views(self):
-        # The real shed/degrade paths are pinned in
-        # test_serving_overload.py (reading the same legacy views); here
-        # pin that every helper writes one count visible both ways.
+        # The real shed path is pinned in test_serving_overload.py; here
+        # pin that every write is one count visible both ways.
         stats = ServingStats()
-        stats.count("shed")
-        stats.count("failures", 3)
+        stats.shed.inc()
+        stats.failures.inc(3)
         stats.note_enqueue()
         stats.note_enqueue()
         stats.note_dequeue()
-        stats.note_batch(4)
-        stats.note_batch(1)
-        assert stats.shed == 1
-        assert stats.failures == 3
-        assert stats.queue_depth == 1
-        assert stats.queue_peak == 2
-        assert stats.batches == 2
-        assert stats.queries == 5
-        assert stats.largest_batch == 4
-        assert stats.batched_queries == 4
+        assert stats.shed.value == 1
+        assert stats.failures.value == 3
+        assert stats.queue_depth.value == 1
+        assert stats.queue_peak.value == 2
         snap = stats.registry.snapshot()
         assert snap["counters"]["serving.shed"] == 1
         assert snap["counters"]["serving.failures"] == 3
         assert snap["gauges"]["serving.queue_depth"] == 1
         assert snap["gauges"]["serving.queue_peak"] == 2
-        assert snap["gauges"]["serving.largest_batch"] == 4
         with pytest.raises(AttributeError):
             stats.nonexistent_counter
 
@@ -164,7 +154,7 @@ class TestPS3Metrics:
         snap = system.metrics()
         # Serving plane (from the front end's private registry).
         assert snap["counters"]["serving.queries"] >= 1
-        assert "serving.sweep.wall_seconds" in snap["histograms"]
+        assert "serving.answer.wall_seconds" in snap["histograms"]
         # Engine plane (process-global registry): the served query opened
         # exactly one engine.sweep span of its own — a delta, because
         # the registry is shared with whatever answered queries before.

@@ -1,8 +1,8 @@
 """Closed-loop overload hammer: offered load ≫ capacity.
 
 Floods the front end from several submitter threads while the worker is
-throttled (injected per-batch slow-op), and asserts the resilience
-contract end to end:
+throttled (an injected slow pick per request, ``SLOW_PICK``), and
+asserts the resilience contract end to end:
 
 * the admission queue stays *bounded* (`queue_peak <= max_queue_depth`)
   and sheds are accounted (`stats.shed` == client-observed rejections);
@@ -23,7 +23,7 @@ import pytest
 
 from dict_walk import combine_answers, finalize_answer
 from scalar_oracle import execute_on_partition
-from serving_faults import ServingFaults
+from serving_faults import poisoned_picker
 
 from repro.api import PS3
 from repro.datasets.registry import get_dataset
@@ -98,25 +98,25 @@ def _flood(front, test, *, clients, per_client, budget_fraction=0.75):
     return futures, sheds[0]
 
 
-#: Throttle the worker so the flood outpaces it by construction.
-def _throttled(slow=0.005):
-    return ServingFaults(slow_batch_seconds=slow)
+#: Per-pick sleep that makes the flood outpace the worker by construction.
+SLOW_PICK = 0.005
 
 
 class TestBoundedQueue:
     def test_depth_bounded_and_sheds_accounted(self, served_system):
         system, test = served_system
-        config = ServingConfig(max_batch_size=2, max_queue_depth=6)
-        front = ServingFrontEnd(system, config, faults=_throttled()).start()
-        try:
-            futures, sheds = _flood(front, test, clients=4, per_client=20)
-            answers = [f.result(timeout=60) for f in futures]
-        finally:
-            front.stop()
+        config = ServingConfig(max_queue_depth=6)
+        with poisoned_picker(system, slow_pick_seconds=SLOW_PICK):
+            front = ServingFrontEnd(system, config).start()
+            try:
+                futures, sheds = _flood(front, test, clients=4, per_client=20)
+                answers = [f.result(timeout=60) for f in futures]
+            finally:
+                front.stop()
         # Offered 80 ≫ capacity: the bound must have bitten.
         assert sheds > 0
-        assert front.stats.shed == sheds
-        assert front.stats.queue_peak <= 6
+        assert front.stats.shed.value == sheds
+        assert front.stats.queue_peak.value <= 6
         assert len(answers) + sheds == 80
         budget = system.query(test[0], budget_fraction=0.75).budget
         for answer in answers:
@@ -125,14 +125,15 @@ class TestBoundedQueue:
 
     def test_unbounded_queue_never_sheds(self, served_system):
         system, test = served_system
-        config = ServingConfig(max_batch_size=8, max_queue_depth=None)
-        front = ServingFrontEnd(system, config, faults=_throttled()).start()
-        try:
-            futures, sheds = _flood(front, test, clients=4, per_client=10)
-            for future in futures:
-                future.result(timeout=60)
-        finally:
-            front.stop()
+        config = ServingConfig(max_queue_depth=None)
+        with poisoned_picker(system, slow_pick_seconds=SLOW_PICK):
+            front = ServingFrontEnd(system, config).start()
+            try:
+                futures, sheds = _flood(front, test, clients=4, per_client=10)
+                for future in futures:
+                    future.result(timeout=60)
+            finally:
+                front.stop()
         assert sheds == 0
         assert len(futures) == 40
 
@@ -140,11 +141,11 @@ class TestBoundedQueue:
 class TestDeadlinesUnderLoad:
     def test_deadline_miss_fails_fast_behind_backlog(self, served_system):
         system, test = served_system
-        config = ServingConfig(max_batch_size=1, max_queue_depth=64)
-        front = ServingFrontEnd(
-            system, config, faults=_throttled(0.02)
-        ).start()
-        try:
+        config = ServingConfig(max_queue_depth=64)
+        with (
+            poisoned_picker(system, slow_pick_seconds=0.02),
+            ServingFrontEnd(system, config) as front,
+        ):
             # Trap a tightly-deadlined request in the middle of a
             # backlog: it must fail fast when the worker reaches it
             # (expired at pick time, no sweep spent on it), not wait
@@ -167,20 +168,17 @@ class TestDeadlinesUnderLoad:
             assert not all(f.done() for f in tail)
             for future in head + tail:
                 future.result(timeout=60)
-        finally:
-            front.stop()
-        assert front.stats.deadline_misses >= 1
+        assert front.stats.deadline_misses.value >= 1
 
 
 class TestStopUnderLoad:
     def test_zero_stranded_futures_after_stop(self, served_system):
         system, test = served_system
-        config = ServingConfig(max_batch_size=2, max_queue_depth=64)
-        front = ServingFrontEnd(
-            system, config, faults=_throttled(0.01)
-        ).start()
-        futures, __ = _flood(front, test, clients=4, per_client=10)
-        front.stop()  # mid-flood: much of the queue is still pending
+        config = ServingConfig(max_queue_depth=64)
+        with poisoned_picker(system, slow_pick_seconds=0.01):
+            front = ServingFrontEnd(system, config).start()
+            futures, __ = _flood(front, test, clients=4, per_client=10)
+            front.stop()  # mid-flood: much of the queue is still pending
         assert all(f.done() for f in futures)
         outcomes = {"answered": 0, "stopped": 0}
         for future in futures:
@@ -192,4 +190,4 @@ class TestStopUnderLoad:
                 assert isinstance(exc, ServingError)
                 outcomes["stopped"] += 1
         assert sum(outcomes.values()) == len(futures)
-        assert front.stats.queue_depth == 0
+        assert front.stats.queue_depth.value == 0

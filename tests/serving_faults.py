@@ -4,11 +4,11 @@ The storage plane proves its crash-safety claims by enumeration
 (:mod:`repro.storage.faults`: kill every filesystem op once, check the
 recovered state). This module is the same discipline applied to the
 *query path*: every serving-side failure mode — a poisoned pick, a
-worker crash mid-scatter, a wedged batch — is injectable at a
-deterministic point, so tests can enumerate fault points and assert the
-front end's isolation invariants (a poisoned request fails only its own
-future; a crash never strands batch-mates; recovery restores
-bit-identical answers) instead of sampling them.
+worker crash at a pick or at a future completion, a wedged worker — is
+injectable at a deterministic point, so tests can enumerate fault points
+and assert the front end's isolation invariants (a poisoned request
+fails only its own future; a crash never strands a queued request;
+recovery restores bit-identical answers) instead of sampling them.
 
 Two injection vehicles:
 
@@ -16,22 +16,23 @@ Two injection vehicles:
   step: raise at the Nth ``select`` call (``fail_at_pick``, an ordinary
   per-request failure), crash the worker at the Nth pick
   (``crash_at_pick``), or slow every pick (``slow_pick_seconds``, for
-  deadline tests). Attribute access passes through, so it drops in for
-  ``PS3Picker`` anywhere.
+  deadline and overload tests: a slow pick wedges the worker, and the
+  requests queued behind it expire or pile up). Attribute access passes
+  through, so it drops in for ``PS3Picker`` anywhere.
 * :class:`ServingFaults` is handed to
   :class:`~repro.engine.serving.ServingFrontEnd` and hooks the worker's
-  batch and scatter steps (its duck-typed ``on_batch`` / ``on_scatter``
-  calls): crash at the Nth batch
-  (``crash_at_batch`` — worker death with the whole batch in flight),
-  crash between the Nth and (N+1)th future completion
-  (``crash_at_scatter`` — the mid-scatter death that must not strand
-  the not-yet-answered batch-mates), and sleep per batch
-  (``slow_batch_seconds`` — makes deadlines expire at pick time).
+  future completion (its duck-typed ``on_scatter`` call): crash before
+  the Nth completion (``crash_at_scatter`` — the worker dies holding an
+  answered request, which must fail, while the requests queued behind
+  it are answered by the restarted worker).
 
 :class:`SimulatedWorkerCrash` derives from ``BaseException`` exactly
 like :class:`repro.storage.faults.SimulatedCrash`: no per-request
 ``except Exception`` guard may swallow it — it must escape to the
 worker's supervisor, as a real crash would.
+
+:func:`poisoned_picker` installs a :class:`FaultyPicker` on a fitted
+system for the length of a ``with`` block.
 
 Import it as ``from serving_faults import ServingFaults``: ``tests/`` is
 on the path through its root ``conftest.py``.
@@ -40,6 +41,7 @@ on the path through its root ``conftest.py``.
 from __future__ import annotations
 
 import time
+from contextlib import contextmanager
 
 from repro.errors import ExecutionError
 
@@ -99,42 +101,33 @@ class FaultyPicker:
         return getattr(self.inner, name)
 
 
-class ServingFaults:
-    """Deterministic fault hooks for the serving worker's batch loop.
+@contextmanager
+def poisoned_picker(system, **faults):
+    """Wrap ``system``'s fitted picker in a :class:`FaultyPicker` for the
+    block; yields the wrapper."""
+    original = system._picker
+    system._picker = FaultyPicker(original, **faults)
+    try:
+        yield system._picker
+    finally:
+        system._picker = original
 
-    Counters (``batches``/``scatters``) record how many times
-    each hook fired, so a test can learn the op count of a clean run and
-    then sweep the crash index over the whole range — the same
-    run-once-then-enumerate pattern as
+
+class ServingFaults:
+    """Deterministic fault hook for the serving worker's completions.
+
+    ``scatters`` records how many times the hook fired, so a test can
+    learn the op count of a clean run and then sweep the crash index
+    over the whole range — the same run-once-then-enumerate pattern as
     :func:`repro.storage.faults.sweep_kill_points`.
     """
 
-    def __init__(
-        self,
-        *,
-        crash_at_batch: int | None = None,
-        crash_at_scatter: int | None = None,
-        slow_batch_seconds: float = 0.0,
-    ) -> None:
-        self.crash_at_batch = crash_at_batch
+    def __init__(self, *, crash_at_scatter: int | None = None) -> None:
         self.crash_at_scatter = crash_at_scatter
-        self.slow_batch_seconds = slow_batch_seconds
-        self.batches = 0
         self.scatters = 0
 
-    # -- hooks (called by ServingFrontEnd's worker) --------------------------
-
-    def on_batch(self) -> None:
-        """Before a batch is picked: slow-op and worker-death faults."""
-        batch = self.batches
-        self.batches += 1
-        if self.slow_batch_seconds:
-            time.sleep(self.slow_batch_seconds)
-        if self.crash_at_batch is not None and batch == self.crash_at_batch:
-            raise SimulatedWorkerCrash(f"injected crash at batch {batch}")
-
     def on_scatter(self) -> None:
-        """Before each future completion in the scatter loop."""
+        """Before each future completion (called by the serving worker)."""
         scatter = self.scatters
         self.scatters += 1
         if (

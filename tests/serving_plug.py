@@ -1,18 +1,22 @@
-"""Deterministic serving batches without a timer.
+"""Deterministic serving queues without a timer.
 
-The front end's worker batches what is already queued when it dequeues a
-request and never waits for more. :func:`plugged` makes a burst land in
-one batch: it takes the system's state lock, submits a *plug* request
-and waits until the worker blocks on that lock in ``_process`` with the
-plug as its whole batch. Requests submitted while the plug holds queue
-up behind it; releasing the plug lets the worker finish the plug's
-batch and then take the burst as one batch (up to ``max_batch_size``).
+The front end's worker answers one request at a time, in admission
+order. :func:`plugged` makes a burst queue up before the worker reaches
+any of it: it takes the system's state lock, submits a *plug* request
+and waits until the worker, having marked the plug's future running,
+blocks on that lock inside ``PS3.query``. Requests submitted while the
+plug holds queue up behind it; releasing the plug lets the worker answer
+the plug and then the queued requests, one per loop iteration.
 
-The plug is cancelled before it is released, so it picks, sweeps and
-scatters nothing: picker-, sweep- and scatter-indexed faults count only
-the test's own requests. It does count one batch (``on_batch`` runs, so
-``crash_at_batch`` indices move by one), one query and one
-``cancelled_skips``.
+The plug is answered like any request: a ``COUNT(*)`` at a full budget,
+a pick that takes every passing partition at weight 1 and so draws
+nothing from the picker's rng (the requests behind it pick as they would
+without it). It moves every per-request counter once before the test's
+own requests: ``serving.queries`` and ``serving.batches``, one
+``serving.answer`` span, one pick (a ``FaultyPicker`` index, so
+``fail_at_pick`` / ``crash_at_pick`` indices move by one) and one future
+completion (a ``ServingFaults.on_scatter`` call, so ``crash_at_scatter``
+indices move by one).
 
 Import it as ``from serving_plug import plugged``: ``tests/`` is on the
 path through its root ``conftest.py``.
@@ -40,7 +44,7 @@ def plugged(front):
     blocked = threading.Event()
 
     class _Gate:
-        # The worker's ``with system._state_lock`` signals, then blocks.
+        # ``PS3.query``'s ``with self._state_lock`` signals, then blocks.
         def __enter__(self):
             blocked.set()
             return lock.__enter__()
@@ -60,11 +64,11 @@ def plugged(front):
     try:
         system._state_lock = _Gate()
         try:
-            plug = front.submit(Query([count_star()]), budget_partitions=1)
+            plug = front.submit(Query([count_star()]), budget_fraction=1.0)
             assert blocked.wait(timeout=30), "the worker never took the plug"
         finally:
             system._state_lock = lock
-        assert plug.cancel()
+        assert plug.running()  # marked before the worker blocked
         yield release
     finally:
         release()
