@@ -335,9 +335,11 @@ class PS3:
         Returns the started :class:`~repro.engine.serving
         .ServingFrontEnd`; call its ``submit``/``query``/``submit_async``
         from any number of client threads or asyncio tasks, and ``stop``
-        it (or use it as a context manager) when done. Its worker
-        answers one request at a time through :meth:`query`, so a
-        served answer is the one :meth:`query` gives. ``faults`` takes
+        it (or use it as a context manager) when done. Its one-thread
+        :class:`~concurrent.futures.ThreadPoolExecutor` answers one
+        request at a time through :meth:`query`, so a served answer is
+        the one :meth:`query` gives; whatever an answer raises fails
+        that request's future alone. ``faults`` takes
         an object with an ``on_scatter`` hook for deterministic
         fault-injection tests (see :class:`ServingFrontEnd`).
         """

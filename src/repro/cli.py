@@ -49,10 +49,10 @@ from repro.storage import (
     save_statistics,
 )
 from repro.storage.atomic import atomic_write_bytes
+from repro.storage.wal import STATS_NAME
 from repro.workload.generator import QueryGenerator
 
 _MANIFEST = "manifest.json"
-_STATS = "stats.ps3stats"
 _MODEL = "model.json"
 
 
@@ -87,7 +87,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    save_statistics(system.statistics, out / _STATS)
+    save_statistics(system.statistics, out / STATS_NAME)
     save_model(system.model, out / _MODEL)
     (out / _MANIFEST).write_text(
         json.dumps(
@@ -133,7 +133,7 @@ def _load_deployment(deploy: str):
         manifest["layout"],
         seed=manifest["seed"],
     )
-    folded = recover_statistics_bundle(directory / _STATS).wal_applied_seq
+    folded = recover_statistics_bundle(directory / STATS_NAME).wal_applied_seq
     for entry in manifest.get("appends", ()):
         if entry["seq"] <= folded:
             ptable = append_rows(
@@ -217,7 +217,7 @@ def _cmd_checkpoint(args: argparse.Namespace) -> int:
     )
     applied = store.checkpoint(statistics)
     print(
-        f"folded {len(batches)} journaled batches into {directory / _STATS} "
+        f"folded {len(batches)} journaled batches into {store.stats_path} "
         f"(stamped wal_applied_seq={applied}); journal truncated"
     )
     return 0

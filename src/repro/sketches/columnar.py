@@ -195,12 +195,25 @@ class HistogramArrays:
         low_inclusive: bool = True,
         high_inclusive: bool = True,
     ) -> np.ndarray:
-        """Per-partition estimated fraction of rows in an interval."""
-        if low > high:
+        """Per-partition estimated fraction of rows in an interval.
+
+        Floored at ``1/total`` where the interval reaches the partition's
+        first–last edge range, like ``EquiDepthHistogram``: both sides
+        carry the one-row floor, so their difference alone can cancel to
+        0 on real rows.
+        """
+        if low > high or (low == high and not (low_inclusive and high_inclusive)):
             return np.zeros(self.num_partitions, dtype=np.float64)
+        p = self._probe
         upper = self._fraction_below(high, high_inclusive)
         lower = self._fraction_below(low, not low_inclusive)
-        return np.where(self._probe.empty, 0.0, (upper - lower).clip(0.0, 1.0))
+        est = (upper - lower).clip(0.0, 1.0)
+        last = self.edges[:, -1]
+        reaches = (high >= p.first if high_inclusive else high > p.first) & ~(
+            low > last if low_inclusive else low >= last
+        )
+        est = np.where(reaches, np.maximum(est, p.floor), est)
+        return np.where(p.empty, 0.0, est)
 
     def _fraction_below(self, value: float, inclusive: bool) -> np.ndarray:
         """``fraction_leq(value)`` if ``inclusive``, else ``fraction_lt``.

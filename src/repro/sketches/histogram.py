@@ -194,12 +194,25 @@ class EquiDepthHistogram:
         low_inclusive: bool = True,
         high_inclusive: bool = True,
     ) -> float:
-        """Estimated fraction of rows in an interval (for joint clauses)."""
+        """Estimated fraction of rows in an interval (for joint clauses).
+
+        Recall-safe: where the interval reaches the ``[min, max]`` edge
+        range the estimate is floored at ``1/total``, since both sides
+        carry that floor and their difference alone can cancel to 0 on
+        real rows.
+        """
         if self.total == 0 or low > high:
+            return 0.0
+        if low == high and not (low_inclusive and high_inclusive):
             return 0.0
         upper = self.fraction_leq(high) if high_inclusive else self.fraction_lt(high)
         lower = self.fraction_lt(low) if low_inclusive else self.fraction_leq(low)
-        return float(np.clip(upper - lower, 0.0, 1.0))
+        est = float(np.clip(upper - lower, 0.0, 1.0))
+        first, last = self.edges[0], self.edges[-1]
+        reaches = (high >= first if high_inclusive else high > first) and not (
+            low > last if low_inclusive else low >= last
+        )
+        return max(est, 1.0 / self.total) if reaches else est
 
     # -- serialization -----------------------------------------------------
 

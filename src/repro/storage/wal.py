@@ -74,6 +74,11 @@ from repro.storage.stats_io import (
     save_statistics,
 )
 
+#: File names of a :class:`StatisticsStore` directory: the checkpoint
+#: bundle and the journal.
+STATS_NAME = "stats.ps3stats"
+WAL_NAME = "stats.ps3wal"
+
 _FILE_MAGIC = b"PSW1"
 _FILE_HEADER = struct.Struct("<4sQI")
 _RECORD_MAGIC = b"PSWR"
@@ -291,23 +296,16 @@ def replay_batch_into_statistics(
 class StatisticsStore:
     """A crash-safe statistics directory: checkpoint bundle + journal.
 
-    ``stats.ps3stats`` holds the last atomic checkpoint (with ``.bak``
-    as the previous generation); ``stats.ps3wal`` journals the appends
+    :data:`STATS_NAME` holds the last atomic checkpoint (with ``.bak``
+    as the previous generation); :data:`WAL_NAME` journals the appends
     since. At every kill point the pair recovers to a consistent state:
     the checkpoint plus every durably journaled batch.
     """
 
-    def __init__(
-        self,
-        directory: str | Path,
-        *,
-        stats_name: str = "stats.ps3stats",
-        wal_name: str = "stats.ps3wal",
-        io: FileIO | None = None,
-    ) -> None:
+    def __init__(self, directory: str | Path, *, io: FileIO | None = None) -> None:
         self.directory = Path(directory)
-        self.stats_path = self.directory / stats_name
-        self.wal = WriteAheadLog(self.directory / wal_name, io=io)
+        self.stats_path = self.directory / STATS_NAME
+        self.wal = WriteAheadLog(self.directory / WAL_NAME, io=io)
         self.io = io
 
     def log_append(

@@ -101,12 +101,18 @@
   plane is ``tests/serving_faults.py``).
 * A setting nothing outside the tests sets is a constant, not a field:
   ``ServingConfig`` keeps its one capacity setting, the queue bound (no
-  degrade controller, no config-default deadline, no batch size; the
-  restart cap is ``MAX_WORKER_RESTARTS``), ``PickerConfig`` has no outlier share or
+  degrade controller, no config-default deadline, no batch size),
+  ``PickerConfig`` has no outlier share or
   clause limit, ``TrainingConfig`` no label scale, ``ApproximateAnswer``
   no ``degraded``, and no bundle writer takes ``plan_cache_keys``, which
   a bundle written by an older tree may still carry and which loads
   ignore.
+* Serving runs on the standard library's one-thread executor:
+  ``ServingFrontEnd`` has no ``_supervise`` / ``_run`` / ``_drain_queue``,
+  ``repro.engine.serving`` no ``_SHUTDOWN`` sentinel and no
+  ``MAX_WORKER_RESTARTS``, and ``ServingStats`` counts no
+  ``worker_restarts``: an answer that raises fails its own future and
+  the worker keeps serving, so there is nothing to restart.
 * Every ``(module, attribute path)`` the benchmark's tracer patches
   (``TRACED`` in ``benchmarks/e2e/layers.py``, read here, never edited)
   resolves the way the tracer resolves it. A rename would otherwise show
@@ -481,6 +487,18 @@ def test_serving_has_no_batch():
     assert not hasattr(serving.ServingFrontEnd, "_admit")
     assert not hasattr(serving.ServingStats, "note_batch")
     assert not hasattr(ServingFaults, "on_batch")
+
+
+def test_serving_runs_on_the_stdlib_executor():
+    """No hand-rolled worker loop, shutdown sentinel or crash
+    supervisor beside the executor."""
+    import repro.engine.serving as serving
+
+    for name in ("_supervise", "_run", "_drain_queue"):
+        assert not hasattr(serving.ServingFrontEnd, name), name
+    for name in ("_SHUTDOWN", "MAX_WORKER_RESTARTS"):
+        assert not hasattr(serving, name), name
+    assert "worker_restarts" not in vars(serving.ServingStats())
 
 
 def test_one_value_in_use_is_a_constant():

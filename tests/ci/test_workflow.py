@@ -162,6 +162,32 @@ def test_every_python_setup_uses_pip_caching(jobs):
             assert step["with"]["cache-dependency-path"] == "pyproject.toml"
 
 
+RECALL_SUITES = (
+    "tests/property/test_property_selectivity.py",
+    "tests/stats/test_plan_nonfinite.py",
+)
+
+
+def test_recall_contract_is_a_named_tier1_gate(jobs):
+    """The selectivity soundness properties and the full-budget window
+    probe run as one named step of the fast gate, every width included
+    (no ``-m`` filter), so an estimator change that drops a partition
+    holding a passing row is its own red gate."""
+    steps = {step.get("name"): step for step in jobs["tier-1"]["steps"]}
+    step = steps.get("Recall contract")
+    assert step is not None, "tier-1 lost its recall contract step"
+    assert "continue-on-error" not in step
+    assert step["run"].startswith("PYTHONPATH=src python -m pytest -x -q ")
+    assert "slow" not in step["run"]
+    for suite in RECALL_SUITES:
+        assert suite in step["run"].split(), suite
+        assert (WORKFLOW.parents[2] / suite).is_file(), suite
+    header = WORKFLOW.read_text().split("\nname:")[0]
+    assert "Recall contract" in header
+    for suite in RECALL_SUITES:
+        assert suite in header, suite
+
+
 BYTE_IDENTITY_SUITES = (
     "tests/sketches/test_seal_plane.py",
     "tests/storage/test_checkpoint_encoding.py",
@@ -181,7 +207,7 @@ BYTE_IDENTITY_SUITES = (
 def test_byte_identity_goldens_are_a_named_tier1_gate(jobs):
     """The suites that pin sketch, bundle and forest bytes, memoized
     selections, cold picks, online answers, subset executions, exact
-    answers, served batches and the selectivity plan against its scalar
+    answers, served requests and the selectivity plan against its scalar
     oracle (the histogram kernels included) run as one named step of the
     fast gate,
     so a speed-up that drifts a byte or a pick is its own red gate; the

@@ -5,15 +5,16 @@ op once (`tests/storage/test_killpoints.py`); this suite is the same
 discipline on the serving plane. For every injectable fault point —
 poisoned pick, worker crash at pick, an execution error in one
 request, a crash at a future completion (every index of a queue), a
-permanently crashing worker, a client-cancelled queued future — it
-asserts the three isolation invariants of the front end:
+client-cancelled queued future — it asserts the three isolation
+invariants of the front end:
 
 1. a poisoned request (its pick or its execution) fails only its *own*
    future;
-2. a worker crash fails only the request in flight and strands nothing
-   — every queued future completes (answered or failed), none hangs;
-3. after recovery (a restart), answers are bit-identical to the
-   sequential ``PS3.query`` combine walk for the same selections.
+2. a crash (a ``BaseException`` escaping an answer) fails only the
+   request in flight, as raised, and strands nothing — every queued
+   future completes (answered or failed), none hangs;
+3. after the fault, answers are bit-identical to the sequential
+   ``PS3.query`` combine walk for the same selections.
 
 Requests are queued behind :func:`serving_plug.plugged`, whose plug is
 the first request picked and completed, so pick and completion fault
@@ -23,6 +24,7 @@ exhaustive queue-length × fault-index enumeration rides the ``slow`` job.
 
 from __future__ import annotations
 
+import threading
 import time
 
 import pytest
@@ -37,12 +39,11 @@ from repro.datasets.registry import get_dataset
 from repro.engine.aggregates import sum_of
 from repro.engine.expressions import col
 from repro.engine.query import Query
-from repro.engine.serving import MAX_WORKER_RESTARTS, ServingFrontEnd
+from repro.engine.serving import ServingConfig, ServingFrontEnd
 from repro.errors import (
     ConfigError,
     ExecutionError,
-    ServingError,
-    ServingStoppedError,
+    ServingOverloadError,
     ServingTimeoutError,
 )
 from repro.workload import QueryGenerator
@@ -109,8 +110,6 @@ class TestPoisonedPick:
                             system, future.result(timeout=30)
                         )
         assert front.stats.failures.value == 1, (size, poison)
-        # A request bug, not a crash.
-        assert front.stats.worker_restarts.value == 0, (size, poison)
 
     @pytest.mark.parametrize("poison", [0, 1, 3])
     def test_fails_only_its_own_future(self, served_system, poison):
@@ -121,31 +120,6 @@ class TestPoisonedPick:
         for size in (1, 2, 3, 4):
             for poison in range(size):
                 self._run_point(served_system, size, poison)
-
-    def test_crash_at_pick_fails_its_request_restarts_worker(
-        self, served_system
-    ):
-        system, test = served_system
-        with poisoned_picker(system, crash_at_pick=PLUG + 1):
-            with ServingFrontEnd(system) as front:
-                with plugged(front):
-                    futures = [
-                        front.submit(test[i], budget_partitions=3)
-                        for i in range(3)
-                    ]
-                # The crash escapes the per-request guard (it is a
-                # worker death, not a request bug): the request in
-                # flight fails, the ones queued behind it are answered
-                # by the restarted worker, bit-identically.
-                with pytest.raises(ServingError):
-                    futures[1].result(timeout=30)
-                for future in (futures[0], futures[2]):
-                    _assert_matches_sequential(
-                        system, future.result(timeout=30)
-                    )
-        assert front.stats.worker_restarts.value == 1
-        assert front.stats.failures.value == 1
-        assert front.health().last_error is not None
 
 
 class TestExecutionFailure:
@@ -167,7 +141,6 @@ class TestExecutionFailure:
                 system, front.query(test[1], budget_partitions=3)
             )
         assert front.stats.failures.value == 1
-        assert front.stats.worker_restarts.value == 0
 
     def test_failing_request_between_queued_requests(self, served_system):
         system, test = served_system
@@ -183,7 +156,6 @@ class TestExecutionFailure:
             for future, want in zip((first, last), expected):
                 _assert_same_answer(future.result(timeout=30), want)
         assert front.stats.failures.value == 1
-        assert front.stats.worker_restarts.value == 0
 
     def test_each_failing_request_fails_on_its_own(self, served_system):
         system, test = served_system
@@ -208,7 +180,6 @@ class TestExecutionFailure:
         # Each future carries the error its own execution raised.
         assert errors[0] is not errors[1]
         assert front.stats.failures.value == 2
-        assert front.stats.worker_restarts.value == 0
 
     def test_each_request_executes_once(self, served_system, monkeypatch):
         """No retry: a failing execution runs once, like the requests
@@ -242,12 +213,12 @@ class TestExecutionFailure:
         assert snap["counters"]["serving.answer.calls"] == PLUG + 3
         assert snap["counters"]["serving.failures"] == 1
 
-    def test_crash_during_execution_reaches_supervisor(
+    def test_crash_during_execution_fails_its_own_future(
         self, served_system, monkeypatch
     ):
-        """A BaseException-grade crash inside execution is a worker
-        death, not a request failure: the supervisor fails the request
-        in flight, restarts the worker, and later answers are exact."""
+        """A BaseException-grade crash inside execution fails the
+        request in flight as raised; the worker keeps serving, and later
+        answers are exact."""
         import repro.api as api
 
         system, test = served_system
@@ -267,20 +238,18 @@ class TestExecutionFailure:
                     front.submit(test[i], budget_partitions=3)
                     for i in range(2)
                 ]
-            with pytest.raises(ServingError):
+            with pytest.raises(SimulatedWorkerCrash):
                 futures[0].result(timeout=30)
             _assert_matches_sequential(system, futures[1].result(timeout=30))
-            health = front.health()
-            assert health.healthy
-            assert "SimulatedWorkerCrash" in health.last_error
+            assert front.health().running
             _assert_matches_sequential(
                 system, front.query(test[0], budget_partitions=3)
             )
-        assert front.stats.worker_restarts.value == 1
+        assert front.stats.failures.value == 1
 
 
 class TestCrashMidScatter:
-    """Fault point: the worker dies before completing one future."""
+    """Fault point: a crash before completing one future."""
 
     def _run_point(self, served_system, size, crash_at):
         system, test = served_system
@@ -293,17 +262,16 @@ class TestCrashMidScatter:
                 ]
             for i, future in enumerate(futures):
                 if i == crash_at:
-                    # In flight at the crash: failed by the supervisor,
-                    # never stranded.
-                    with pytest.raises(ServingError):
+                    # In flight at the crash: failed as raised, never
+                    # stranded.
+                    with pytest.raises(SimulatedWorkerCrash):
                         future.result(timeout=30)
                 else:
-                    # Answered before the crash, or after it by the
-                    # restarted worker: bit-identical either way.
+                    # Answered before the crash or after it:
+                    # bit-identical either way.
                     _assert_matches_sequential(
                         system, future.result(timeout=30)
                     )
-        assert front.stats.worker_restarts.value == 1, (size, crash_at)
         assert front.stats.failures.value == 1, (size, crash_at)
 
     @pytest.mark.parametrize("crash_at", [0, 2, 3])
@@ -318,91 +286,53 @@ class TestCrashMidScatter:
 
 
 class TestWorkerDeath:
-    """Fault point: the worker dies mid-request (and keeps dying)."""
+    """Fault point: a crash (a ``BaseException``) escapes an answer, once
+    or at every answer, or a slow pick wedges the worker."""
 
     class _AlwaysCrash(ServingFaults):
         def on_scatter(self) -> None:
             self.scatters += 1
-            raise SimulatedWorkerCrash("injected: worker dies every answer")
+            raise SimulatedWorkerCrash("injected: a crash at every answer")
 
-    def test_single_crash_restarts_and_recovers(self, served_system):
+    def test_crash_at_pick_fails_its_future_and_the_queue_is_answered(
+        self, served_system
+    ):
         system, test = served_system
         with (
-            poisoned_picker(system, crash_at_pick=PLUG),
+            poisoned_picker(system, crash_at_pick=PLUG + 1),
             ServingFrontEnd(system) as front,
         ):
             with plugged(front):
                 futures = [
                     front.submit(test[i], budget_partitions=3)
-                    for i in range(2)
+                    for i in range(3)
                 ]
-            with pytest.raises(ServingError):
-                futures[0].result(timeout=30)
-            _assert_matches_sequential(system, futures[1].result(timeout=30))
-            health = front.health()
-            assert health.healthy
-            assert health.worker_restarts == 1
-            assert "SimulatedWorkerCrash" in health.last_error
+            # The crash fails the request in flight as raised; the
+            # requests on either side of it are answered, bit-identically,
+            # and the worker keeps serving.
+            with pytest.raises(SimulatedWorkerCrash):
+                futures[1].result(timeout=30)
+            for future in (futures[0], futures[2]):
+                _assert_matches_sequential(system, future.result(timeout=30))
+            assert front.health().running
             _assert_matches_sequential(
                 system, front.query(test[0], budget_partitions=3)
             )
-
-    def test_restarts_remaining_counts_down(self, served_system):
-        system, test = served_system
-        front = ServingFrontEnd(system, faults=self._AlwaysCrash()).start()
-        try:
-            assert front.health().restarts_remaining == MAX_WORKER_RESTARTS
-            for crashes in range(1, MAX_WORKER_RESTARTS + 1):
-                with pytest.raises(ServingError):
-                    front.query(test[0], budget_partitions=3)
-                deadline = time.monotonic() + 10
-                while (
-                    front.health().worker_restarts < crashes
-                    and time.monotonic() < deadline
-                ):
-                    time.sleep(0.005)
-                health = front.health()
-                assert health.worker_restarts == crashes
-                assert health.restarts_remaining == (
-                    MAX_WORKER_RESTARTS - crashes
-                )
-        finally:
-            front.stop()
-
-    def test_restart_cap_fails_permanently(self, served_system):
-        system, test = served_system
-        front = ServingFrontEnd(system, faults=self._AlwaysCrash()).start()
-        try:
-            # Crashes up to the cap restart the worker; one more is
-            # permanent.
-            for __ in range(MAX_WORKER_RESTARTS + 1):
-                future = front.submit(test[0], budget_partitions=3)
-                with pytest.raises(ServingError):
-                    future.result(timeout=30)
-            deadline = time.monotonic() + 10
-            while front.health().running and time.monotonic() < deadline:
-                time.sleep(0.005)
-            health = front.health()
-            assert not health.running
-            assert not health.healthy
-            assert health.restarts_remaining == 0
-            assert front.stats.worker_restarts.value == MAX_WORKER_RESTARTS
-            with pytest.raises(ServingStoppedError):
-                front.submit(test[0], budget_partitions=3)
-        finally:
-            front.stop()
+        assert front.stats.failures.value == 1
 
     def test_blocking_query_never_hangs_on_worker_death(self, served_system):
-        """Regression: `query` used to block forever on a dead worker."""
+        """Regression: `query` used to block forever on a dead worker. A
+        crash at every answer fails each blocking query as raised, and
+        the front end keeps running: there is no restart cap to reach."""
         system, test = served_system
         front = ServingFrontEnd(system, faults=self._AlwaysCrash()).start()
         try:
-            # The last crash is past the cap: the worker stays dead.
-            for __ in range(MAX_WORKER_RESTARTS + 1):
+            for __ in range(3):
                 started = time.monotonic()
-                with pytest.raises(ServingError):
+                with pytest.raises(SimulatedWorkerCrash):
                     front.query(test[0], budget_partitions=3)
                 assert time.monotonic() - started < 10
+            assert front.health().running
         finally:
             front.stop()
 
@@ -506,8 +436,8 @@ class TestCancelledFutures:
             for future in (f0, f2, f3):
                 _assert_matches_sequential(system, future.result(timeout=30))
             assert f1.cancelled()
+            assert front.health().running
         assert front.stats.cancelled_skips.value == 1  # f1's
-        assert front.stats.worker_restarts.value == 0
         assert front.stats.failures.value == 0
 
     def test_asyncio_cancellation_while_queued(self, served_system):
@@ -537,6 +467,67 @@ class TestCancelledFutures:
         with ServingFrontEnd(system) as front:
             with plugged(front) as release:
                 answers = asyncio.run(go(front, release))
+            assert front.health().running
         for answer in answers:
             _assert_matches_sequential(system, answer)
-        assert front.stats.worker_restarts.value == 0
+        assert front.stats.cancelled_skips.value == 1  # the victim's
+        assert front.stats.failures.value == 0
+
+    def test_a_cancelled_request_holds_its_slot_until_skipped(
+        self, served_system
+    ):
+        """A blocking query that misses its deadline behind a wedged
+        worker cancels its future, but the request stays admitted until
+        the worker skips it: the bound sheds the next submit instead of
+        letting the executor's backlog grow."""
+        system, test = served_system
+        config = ServingConfig(max_queue_depth=1)
+        with ServingFrontEnd(system, config) as front:
+            with plugged(front):
+                with pytest.raises(ServingTimeoutError):
+                    front.query(
+                        test[0], budget_partitions=3, deadline_seconds=0.05
+                    )
+                with pytest.raises(ServingOverloadError):
+                    front.submit(test[1], budget_partitions=3)
+                assert front.stats.queue_depth.value == 1
+        assert front.stats.cancelled_skips.value == 1
+        assert front.stats.shed.value == 1
+        assert front.stats.queue_depth.value == 0
+
+
+class TestStopDrains:
+    """``stop`` answers what was admitted before anything else may use
+    the front end: a ``start`` or a second ``stop`` waits for the drain,
+    so two executors never answer at once."""
+
+    @pytest.mark.parametrize("second", ["start", "stop"])
+    def test_a_second_call_waits_for_the_drain(self, served_system, second):
+        system, test = served_system
+        front = ServingFrontEnd(system).start()
+        done_on_return = []
+        try:
+            with plugged(front):
+                admitted = front.submit(test[0], budget_partitions=3)
+                stopper = threading.Thread(target=front.stop)
+                stopper.start()
+                deadline = time.monotonic() + 10
+                while front.health().running and time.monotonic() < deadline:
+                    time.sleep(0.005)
+                assert not front.health().running
+
+                def call() -> None:
+                    getattr(front, second)()
+                    done_on_return.append(admitted.done())
+
+                caller = threading.Thread(target=call)
+                caller.start()
+                caller.join(timeout=0.2)
+                assert caller.is_alive()  # held while the plug holds
+            stopper.join(timeout=30)
+            caller.join(timeout=30)
+            assert done_on_return == [True]
+            _assert_matches_sequential(system, admitted.result(timeout=0))
+            assert front.health().running == (second == "start")
+        finally:
+            front.stop()

@@ -50,7 +50,7 @@ class TestStatsRegistryConsistency:
         instruments = {
             name: value for name, value in vars(stats).items() if name != "registry"
         }
-        assert len(instruments) == 9
+        assert len(instruments) == 8
         for name, instrument in instruments.items():
             kind = "gauges" if name.startswith("queue_") else "counters"
             assert instrument.name == f"serving.{name}"

@@ -10,7 +10,7 @@ predicate trees against it.
 import dataclasses
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from sketch_oracle import build_partition_statistics, estimate_selectivity
 
@@ -29,10 +29,8 @@ SCHEMA = Schema.of(
 _CATS = ["alpha", "beta", "gamma", "delta"]
 
 
-@st.composite
-def tables(draw):
-    n = draw(st.integers(8, 150))
-    rng = np.random.default_rng(draw(st.integers(0, 2**31)))
+def _table(n: int, seed: int) -> Table:
+    rng = np.random.default_rng(seed)
     return Table(
         SCHEMA,
         {
@@ -41,6 +39,11 @@ def tables(draw):
             "cat": rng.choice(_CATS, n),
         },
     )
+
+
+@st.composite
+def tables(draw):
+    return _table(draw(st.integers(8, 150)), draw(st.integers(0, 2**31)))
 
 
 @st.composite
@@ -79,6 +82,14 @@ def predicates(draw):
 class TestSelectivitySoundness:
     @given(tables(), predicates(), st.integers(1, 6))
     @settings(max_examples=120, deadline=None)
+    # A two-sided range inside the partition's edge range whose two
+    # one-sided estimates both sat at the one-row floor: their
+    # difference was 0 while one row passes.
+    @example(
+        _table(35, 636),
+        And([Comparison("num", ">", -0.79), Comparison("num", "<", -0.66)]),
+        1,
+    )
     def test_perfect_recall_of_upper(self, table, predicate, num_partitions):
         num_partitions = min(num_partitions, table.num_rows)
         ptable = partition_evenly(table, num_partitions)

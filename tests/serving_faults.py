@@ -22,14 +22,14 @@ Two injection vehicles:
 * :class:`ServingFaults` is handed to
   :class:`~repro.engine.serving.ServingFrontEnd` and hooks the worker's
   future completion (its duck-typed ``on_scatter`` call): crash before
-  the Nth completion (``crash_at_scatter`` — the worker dies holding an
-  answered request, which must fail, while the requests queued behind
-  it are answered by the restarted worker).
+  the Nth completion (``crash_at_scatter`` — the crash escapes with an
+  answered request in hand, which must fail, while the requests queued
+  behind it are answered).
 
 :class:`SimulatedWorkerCrash` derives from ``BaseException`` exactly
-like :class:`repro.storage.faults.SimulatedCrash`: no per-request
-``except Exception`` guard may swallow it — it must escape to the
-worker's supervisor, as a real crash would.
+like :class:`repro.storage.faults.SimulatedCrash`: no ``except
+Exception`` guard may swallow it, so it reaches the request's future as
+raised, and the worker must go on to the next request.
 
 :func:`poisoned_picker` installs a :class:`FaultyPicker` on a fitted
 system for the length of a ``with`` block.
@@ -47,12 +47,12 @@ from repro.errors import ExecutionError
 
 
 class SimulatedWorkerCrash(BaseException):
-    """The injected serving-worker death.
+    """The injected serving-worker crash.
 
-    Derives from ``BaseException`` so the per-request pick and
-    execution ``except Exception`` guards cannot swallow it: it
-    propagates out of the worker loop into the supervisor, which must
-    fail the in-flight futures and restart the worker.
+    Derives from ``BaseException`` so no ``except Exception`` guard on
+    the pick and execution path can swallow it: it escapes the answer,
+    fails that request's future as raised, and the worker must keep
+    serving.
     """
 
 
@@ -64,7 +64,7 @@ class FaultyPicker:
     counted across the picker's lifetime) — the "poisoned request"
     case, which must fail only that request's future.
     ``crash_at_pick=k`` raises :class:`SimulatedWorkerCrash` instead —
-    worker death while holding the system state lock.
+    a crash while holding the system state lock.
     ``slow_pick_seconds`` sleeps before every pick.
     """
 

@@ -61,6 +61,18 @@ class TestRangeEstimates:
     def test_empty_interval(self, uniform_hist):
         assert uniform_hist.fraction_in_interval(30.0, 20.0) == 0.0
 
+    def test_interval_reaching_the_edge_range_keeps_one_row(self):
+        # One bucket [1, 100] of 22 rows: both one-sided estimates of
+        # (2, 4) sit at the one-row floor, so their difference alone is 0
+        # although the row 3.0 lies inside.
+        hist = EquiDepthHistogram.build(np.array([1.0, 3.0] + [100.0] * 20), 4)
+        assert hist.fraction_in_interval(2.0, 4.0, False, False) == 1 / 22
+        # Outside the edge range, or an empty interval, stays 0.
+        assert hist.fraction_in_interval(100.0, 200.0, False, True) == 0.0
+        assert hist.fraction_in_interval(-5.0, 1.0, True, False) == 0.0
+        assert hist.fraction_in_interval(3.0, 3.0, True, False) == 0.0
+        assert hist.fraction_in_interval(3.0, 3.0) > 0.0
+
     def test_open_ended_intervals(self, uniform_hist):
         low = uniform_hist.fraction_in_interval(low=90.0)
         assert low == pytest.approx(0.10, abs=0.01)

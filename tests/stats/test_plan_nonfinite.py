@@ -17,6 +17,15 @@ A range clause against a NaN constant (``x < NaN``, alone or in a joint
 interval) passes no row, so both paths estimate it as exactly 0 without
 probing a histogram; negated, it passes every row, and a full budget
 must answer it as ``execute_exact`` does.
+
+A finite two-sided window ``(c > v - w) AND (c < v + w)`` is estimated
+as the difference of two one-sided estimates that each carry the
+one-row floor ``1/total``, so the difference alone once cancelled to 0:
+``(duration > 0.512) AND (duration < 1.512)`` answered ``{}`` where
+``execute_exact`` counted one row. The interval estimate is floored
+wherever the interval reaches the partition's first–last edge range,
+and a full budget must answer a window around every distinct finite
+value of every numeric column, alone and negated, exactly.
 """
 
 from __future__ import annotations
@@ -36,6 +45,7 @@ from repro.engine.expressions import col
 from repro.engine.layout import partition_evenly
 from repro.engine.predicates import And, Comparison, Not
 from repro.engine.query import Query
+from repro.engine.schema import ColumnKind
 from repro.engine.table import Table
 from repro.workload import QueryGenerator
 from repro.sketches.builder import build_dataset_statistics
@@ -159,22 +169,53 @@ def test_a_range_against_nan_is_estimated_as_no_row(statistics):
         assert (negated[:, 0] == 1.0).all(), predicate.label()
 
 
-def test_a_full_budget_answers_a_negated_nan_range_exactly():
+def _fitted(ptable, train_queries: int):
+    """PS3 on ``ptable`` with a one-model, two-tree kdd fit."""
+    workload = get_dataset("kdd").workload()
+    train = QueryGenerator(workload, ptable.table, seed=7).sample_queries(
+        train_queries
+    )
+    return PS3(ptable, workload).fit(
+        train, TrainingConfig(num_models=1, gbrt_trees=2)
+    )
+
+
+@pytest.fixture(scope="module")
+def kdd_system():
+    """The generated kdd table (no planted rows), fitted."""
     spec = get_dataset("kdd")
     ptable = spec.build(PARTITIONS * ROWS_PER_PARTITION, PARTITIONS, seed=7)
-    workload = spec.workload()
-    train = QueryGenerator(workload, ptable.table, seed=7).sample_queries(6)
-    ps3 = PS3(ptable, workload).fit(train, TrainingConfig(num_models=1, gbrt_trees=2))
-    measure = workload.aggregate_columns[0]
-    for predicate in _nan_ranges():
-        for clause in (predicate, Not(predicate)):
-            query = Query([sum_of(col(measure)), count_star()], clause)
-            exact = ps3.execute_exact(query)
-            full = ps3.query(query, budget_fraction=1.0).groups
-            assert bool(exact) == isinstance(clause, Not), clause.label()
-            assert repr(list(full)) == repr(list(exact)), clause.label()
-            for key in full:
-                assert full[key].tobytes() == exact[key].tobytes(), clause.label()
+    return _fitted(ptable, 6)
+
+
+def _probe(ps3, clause) -> Query:
+    """``SUM(measure), COUNT(*)`` under ``clause``."""
+    measure = ps3.workload.aggregate_columns[0]
+    return Query([sum_of(col(measure)), count_star()], clause)
+
+
+def _full_budget_misses(ps3, clauses) -> list[str]:
+    """The clauses whose ``budget_fraction=1.0`` answer is not
+    ``execute_exact``'s, byte for byte."""
+    wrong = []
+    for clause in clauses:
+        query = _probe(ps3, clause)
+        exact = ps3.execute_exact(query)
+        full = ps3.query(query, budget_fraction=1.0).groups
+        same = repr(list(full)) == repr(list(exact)) and all(
+            full[key].tobytes() == exact[key].tobytes() for key in full
+        )
+        if not same:
+            wrong.append(clause.label())
+    return wrong
+
+
+def test_a_full_budget_answers_a_negated_nan_range_exactly(kdd_system):
+    clauses = [c for p in _nan_ranges() for c in (p, Not(p))]
+    for clause in clauses:
+        exact = kdd_system.execute_exact(_probe(kdd_system, clause))
+        assert bool(exact) == isinstance(clause, Not), clause.label()
+    assert _full_budget_misses(kdd_system, clauses) == []
 
 
 def _infinite_ranges():
@@ -201,20 +242,38 @@ def test_a_full_budget_answers_an_infinite_range_exactly():
     """At ``budget_fraction=1.0`` no partition holding a passing row may
     be dropped: ``duration <= -inf`` once lost the ``-inf`` rows of
     partitions whose first bucket spans to a finite edge."""
-    ptable = planted_ptable()
-    spec = get_dataset("kdd")
-    workload = spec.workload()
-    train = QueryGenerator(workload, ptable.table, seed=7).sample_queries(8)
-    ps3 = PS3(ptable, workload).fit(train, TrainingConfig(num_models=1, gbrt_trees=2))
-    measure = workload.aggregate_columns[0]
-    wrong = []
-    for clause in _infinite_ranges():
-        query = Query([sum_of(col(measure)), count_star()], clause)
-        exact = ps3.execute_exact(query)
-        full = ps3.query(query, budget_fraction=1.0).groups
-        same = repr(list(full)) == repr(list(exact)) and all(
-            full[key].tobytes() == exact[key].tobytes() for key in full
-        )
-        if not same:
-            wrong.append(clause.label())
-    assert wrong == []
+    ps3 = _fitted(planted_ptable(), 8)
+    assert _full_budget_misses(ps3, _infinite_ranges()) == []
+
+
+def _windows(table, width: float):
+    """``(c > v - w) AND (c < v + w)`` for every distinct finite ``v``."""
+    for column in table.schema.columns:
+        if column.kind is not ColumnKind.NUMERIC:
+            continue
+        values = np.unique(table.columns[column.name])
+        for value in values[np.isfinite(values)].tolist():
+            yield And(
+                [
+                    Comparison(column.name, ">", value - width),
+                    Comparison(column.name, "<", value + width),
+                ]
+            )
+
+
+@pytest.mark.parametrize(
+    "width",
+    # The narrowest window lost the most rows; the wider ones ride slow.
+    [
+        0.5,
+        pytest.param(5.0, marks=pytest.mark.slow),
+        pytest.param(50.0, marks=pytest.mark.slow),
+    ],
+)
+@pytest.mark.parametrize("negated", [False, True], ids=["alone", "negated"])
+def test_a_full_budget_answers_every_window_exactly(kdd_system, width, negated):
+    clauses = list(_windows(kdd_system.ptable.table, width))
+    assert len(clauses) > 1000
+    if negated:
+        clauses = [Not(clause) for clause in clauses]
+    assert _full_budget_misses(kdd_system, clauses) == []
