@@ -11,20 +11,28 @@ from __future__ import annotations
 
 import pytest
 
+from repro.bench.pickers import (
+    ClusteringOnly,
+    NoClustering,
+    NoOutliers,
+    NoRegressors,
+    OutliersOnly,
+    RegressorsOnly,
+)
 from repro.bench.reporting import emit, format_table
 from repro.bench.runner import get_context
-from repro.core.picker import PickerConfig
+from repro.core.picker import PickerConfig, PS3Picker
 
 LESIONS = {
-    "ps3": {},
-    "w/o cluster": {"use_clustering": False},
-    "w/o outlier": {"use_outliers": False},
-    "w/o regressor": {"use_regressors": False},
+    "ps3": PS3Picker,
+    "w/o cluster": NoClustering,
+    "w/o outlier": NoOutliers,
+    "w/o regressor": NoRegressors,
 }
 FACTORS = {
-    "+outlier": {"use_clustering": False, "use_regressors": False},
-    "+regressor": {"use_clustering": False, "use_outliers": False},
-    "+cluster": {"use_outliers": False, "use_regressors": False},
+    "+outlier": OutliersOnly,
+    "+regressor": RegressorsOnly,
+    "+cluster": ClusteringOnly,
 }
 
 
@@ -33,8 +41,8 @@ def lesion_results(profile):
     ctx = get_context("aria", profile=profile)
     budgets = profile.budgets()
     results = {}
-    for name, overrides in LESIONS.items():
-        picker = ctx.ps3_picker(PickerConfig(seed=profile.seed, **overrides))
+    for name, variant in LESIONS.items():
+        picker = variant(ctx.model, PickerConfig(seed=profile.seed))
         results[name] = ctx.evaluate_method(
             lambda q, n, run, p=picker: p.select(q, n), budgets
         )
@@ -50,8 +58,8 @@ def factor_results(profile):
     results["random"] = ctx.evaluate_method(random_fn, budgets, runs)
     filtered_fn, runs = ctx.standard_methods()["random+filter"]
     results["+filter"] = ctx.evaluate_method(filtered_fn, budgets, runs)
-    for name, overrides in FACTORS.items():
-        picker = ctx.ps3_picker(PickerConfig(seed=profile.seed, **overrides))
+    for name, variant in FACTORS.items():
+        picker = variant(ctx.model, PickerConfig(seed=profile.seed))
         results[name] = ctx.evaluate_method(
             lambda q, n, run, p=picker: p.select(q, n), budgets
         )

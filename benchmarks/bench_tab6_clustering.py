@@ -11,12 +11,29 @@ from __future__ import annotations
 
 import pytest
 
+from repro.bench.pickers import (
+    ClusteringOnly,
+    HACClusteringOnly,
+    HACPicker,
+    NoRegressors,
+)
 from repro.bench.reporting import emit, format_table
 from repro.bench.runner import get_context
 from repro.core.picker import PickerConfig
 
 DATASETS = ("tpcds", "aria", "kdd")
 ALGORITHMS = ("hac-single", "hac-ward", "kmeans")
+
+
+class HACWithoutRegressors(HACPicker, NoRegressors):
+    """The timed pick: ward clusters, outliers kept, no funnel."""
+
+
+def clustering_only(model, algorithm, config):
+    """Table 6's picker for ``algorithm``: clustering alone."""
+    if algorithm == "kmeans":
+        return ClusteringOnly(model, config)
+    return HACClusteringOnly(model, algorithm.removeprefix("hac-"), config)
 
 
 @pytest.fixture(scope="module")
@@ -27,13 +44,8 @@ def clustering_auc(profile):
         budgets = profile.budgets()
         per_algo = {}
         for algorithm in ALGORITHMS:
-            picker = ctx.ps3_picker(
-                PickerConfig(
-                    seed=profile.seed,
-                    clustering_algorithm=algorithm,
-                    use_regressors=False,
-                    use_outliers=False,
-                )
+            picker = clustering_only(
+                ctx.model, algorithm, PickerConfig(seed=profile.seed)
             )
             results = ctx.evaluate_method(
                 lambda q, n, run, p=picker: p.select(q, n), budgets
@@ -69,13 +81,12 @@ def test_tab6_clustering_algorithms(clustering_auc, benchmark, profile):
         assert auc["hac-single"] >= best_pair * 0.9, dataset
 
     ctx = get_context("kdd", profile=profile)
-    config = PickerConfig(clustering_algorithm="hac-ward", use_regressors=False)
     query = ctx.prepared[0].query
     budget = max(1, ctx.num_partitions // 10)
     # A cold pick per round: a fresh picker, since a repeat on one
     # picker is a memo hit.
     benchmark.pedantic(
         lambda picker: picker.select(query, budget),
-        setup=lambda: ((ctx.ps3_picker(config),), {}),
+        setup=lambda: ((HACWithoutRegressors(ctx.model, "ward"),), {}),
         rounds=20,
     )

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.bench.pickers import HACErrorEvaluator
 from repro.bench.reporting import emit, format_table
 from repro.bench.runner import get_context
 from repro.core.feature_selection import (
@@ -18,7 +19,7 @@ from repro.core.feature_selection import (
 )
 
 DATASETS = ("tpcds", "aria", "kdd")
-ALGORITHMS = ("hac-ward", "kmeans")
+EVALUATORS = {"hac-ward": HACErrorEvaluator, "kmeans": ClusteringErrorEvaluator}
 
 
 @pytest.fixture(scope="module")
@@ -27,12 +28,11 @@ def selection_results(profile):
     for dataset in DATASETS:
         ctx = get_context(dataset, profile=profile)
         per_algo = {}
-        for algorithm in ALGORITHMS:
-            evaluator = ClusteringErrorEvaluator(
+        for algorithm, evaluator_class in EVALUATORS.items():
+            evaluator = evaluator_class(
                 ctx.feature_builder.schema,
                 ctx.training_data,
                 budget_fractions=(0.1, 0.2),
-                algorithm=algorithm,
                 max_queries=12,
                 seed=profile.seed,
             )

@@ -8,7 +8,10 @@
 * :mod:`~repro.bench.reporting` — fixed-width tables and result files
   under ``benchmarks/results/``;
 * :mod:`~repro.bench.simcluster` — the cost-model cluster simulator
-  standing in for the paper's SCOPE clusters (Table 3).
+  standing in for the paper's SCOPE clusters (Table 3);
+* :mod:`~repro.bench.pickers` — Figure 4's lesioned pickers and Table
+  6/7's HAC variants, subclasses of the one production picker;
+* :mod:`~repro.bench.hac` — the hierarchical clustering they use.
 """
 
 from repro.bench.profiles import BenchProfile, get_profile

@@ -1,16 +1,21 @@
 """Hierarchical agglomerative clustering via Lance–Williams updates.
 
-Supports the linkages the paper evaluates (section 5.5.5): ``single``
-(minimum inter-point distance — the one that performs poorly in Table 6),
-``ward`` (variance-minimizing), plus ``complete`` and ``average`` for
-completeness. Naive O(n^2) memory / O(n^2 log n)-ish time, ample for
-partition counts in the hundreds-to-thousands.
+Table 6's alternative to the picker's KMeans (section 5.5.5), a
+benchmark variant only. Supports the linkages the paper evaluates:
+``single`` (minimum inter-point distance — the one that performs poorly
+in Table 6), ``ward`` (variance-minimizing), plus ``complete`` and
+``average`` for completeness. Naive O(n^2) memory / O(n^2 log n)-ish
+time, ample for partition counts in the hundreds-to-thousands.
+:func:`hac_sample` is :func:`~repro.core.cluster_sampler.cluster_sample`
+with these clusters in place of KMeans'.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.core.cluster_sampler import candidate_block, weighted_exemplars
+from repro.engine.combiner import WeightedChoice
 from repro.errors import ConfigError
 
 _LINKAGES = ("single", "complete", "average", "ward")
@@ -109,3 +114,23 @@ def agglomerative(X: np.ndarray, n_clusters: int, linkage: str = "ward") -> np.n
                 labels[point] = next_label
             next_label += 1
     return labels
+
+
+def hac_sample(
+    matrix: np.ndarray,
+    candidates: np.ndarray,
+    budget: int,
+    linkage: str,
+    exemplar: str = "median",
+    rng: np.random.Generator | None = None,
+) -> list[WeightedChoice]:
+    """``budget`` weighted partitions from ``candidates``: ``linkage``
+    clusters, then the picker's exemplar step."""
+    candidates = np.asarray(candidates, dtype=np.intp)
+    if budget <= 0 or candidates.size == 0:
+        return []
+    if budget >= candidates.size:
+        return [WeightedChoice(int(p), 1.0) for p in candidates]
+    block = candidate_block(matrix, candidates)
+    labels = agglomerative(block, budget, linkage)
+    return weighted_exemplars(block, candidates, labels, exemplar, rng)

@@ -70,6 +70,7 @@ def _cmd_info(args: argparse.Namespace) -> int:
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
+    config = TrainingConfig(seed=args.seed)  # a bad seed fails before the build
     spec = get_dataset(args.dataset)
     layout = args.layout or spec.default_layout
     print(
@@ -81,9 +82,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
     generator = QueryGenerator(workload, ptable.table, seed=args.seed + 1)
     train_queries = generator.sample_queries(args.train_queries)
     print(f"training on {len(train_queries)} workload queries...")
-    system = PS3(ptable, workload).fit(
-        train_queries, TrainingConfig(seed=args.seed)
-    )
+    system = PS3(ptable, workload).fit(train_queries, config)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

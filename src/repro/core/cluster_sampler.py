@@ -42,25 +42,16 @@ import numpy as np
 
 from repro.engine.combiner import WeightedChoice
 from repro.errors import ConfigError
-from repro.ml.hac import agglomerative
 from repro.ml.kmeans import KMeans
 
-CLUSTER_ALGORITHMS = ("kmeans", "hac-ward", "hac-single", "hac-complete", "hac-average")
 #: Exemplar distances within this relative gap of the smallest are a tie.
 TIE_RTOL = 1e-12
 
 
-def _cluster_labels(matrix: np.ndarray, n_clusters: int, algorithm: str) -> np.ndarray:
-    if algorithm not in CLUSTER_ALGORITHMS:
-        raise ConfigError(
-            f"unknown clustering algorithm {algorithm!r}; "
-            f"choose from {CLUSTER_ALGORITHMS}"
-        )
+def _cluster_labels(matrix: np.ndarray, n_clusters: int) -> np.ndarray:
     if n_clusters == 1:  # one stratum: nothing to seed, merge or iterate
         return np.zeros(matrix.shape[0], dtype=np.intp)
-    if algorithm == "kmeans":
-        return KMeans(n_clusters).fit_predict(matrix)
-    return agglomerative(matrix, n_clusters, linkage=algorithm[4:])
+    return KMeans(n_clusters).fit_predict(matrix)
 
 
 def _median_exemplar(cluster: np.ndarray, partitions: np.ndarray) -> int:
@@ -80,46 +71,32 @@ def _median_exemplar(cluster: np.ndarray, partitions: np.ndarray) -> int:
     return int(partitions.min())
 
 
-def cluster_sample(
-    matrix: np.ndarray,
-    candidates: np.ndarray,
-    budget: int,
-    algorithm: str = "kmeans",
-    exemplar: str = "median",
-    seed: int = 0,
-    rng: np.random.Generator | None = None,
-) -> list[WeightedChoice]:
-    """Select ``budget`` weighted partitions from ``candidates``.
+def candidate_block(matrix: np.ndarray, candidates: np.ndarray) -> np.ndarray:
+    """The candidates' rows of ``matrix``, non-finite entries ``0.0``
+    (module doc): the block their clusters are formed on."""
+    sub = matrix[candidates]
+    finite = np.isfinite(sub)
+    return sub if finite.all() else np.where(finite, sub, 0.0)
 
-    Parameters
-    ----------
-    matrix:
-        Normalized feature block indexed by partition id — from the
-        picker, only the query's live clustering columns.
-    candidates:
-        Partition ids eligible for selection.
-    budget:
-        Number of partitions to return (clusters to form).
-    algorithm:
-        One of :data:`CLUSTER_ALGORITHMS`.
-    exemplar:
-        ``median`` (deterministic, biased) or ``random`` (unbiased).
+
+def weighted_exemplars(
+    block: np.ndarray,
+    candidates: np.ndarray,
+    labels: np.ndarray,
+    exemplar: str,
+    rng: np.random.Generator | None,
+) -> list[WeightedChoice]:
+    """One exemplar per cluster of ``labels``, weighted by its size.
+
+    Row ``i`` of ``block`` (from :func:`candidate_block`) and label ``i``
+    belong to ``candidates[i]``; clusters are visited in ascending label
+    order. ``exemplar`` is ``median`` (deterministic, biased) or
+    ``random`` (unbiased, one draw from ``rng`` per cluster).
     """
     if exemplar not in ("median", "random"):
         raise ConfigError("exemplar must be 'median' or 'random'")
-    candidates = np.asarray(candidates, dtype=np.intp)
-    if budget <= 0 or candidates.size == 0:
-        return []
-    if budget >= candidates.size:
-        return [WeightedChoice(int(p), 1.0) for p in candidates]
     if exemplar == "random" and rng is None:
-        rng = np.random.default_rng(seed)
-
-    sub = matrix[candidates]
-    finite = np.isfinite(sub)
-    if not finite.all():
-        sub = np.where(finite, sub, 0.0)
-    labels = _cluster_labels(sub, budget, algorithm)
+        raise ConfigError("the random exemplar draws from an rng; pass rng=")
     # Members of each cluster, ascending cluster id, in candidate order.
     by_cluster = np.argsort(labels, kind="stable")
     selection: list[WeightedChoice] = []
@@ -130,11 +107,43 @@ def cluster_sample(
         members = by_cluster[start:stop]
         start = stop
         if exemplar == "median":
-            chosen = _median_exemplar(sub[members], candidates[members])
+            chosen = _median_exemplar(block[members], candidates[members])
         else:
             chosen = int(candidates[members[int(rng.integers(members.size))]])
         selection.append(WeightedChoice(chosen, float(members.size)))
     return selection
+
+
+def cluster_sample(
+    matrix: np.ndarray,
+    candidates: np.ndarray,
+    budget: int,
+    exemplar: str = "median",
+    rng: np.random.Generator | None = None,
+) -> list[WeightedChoice]:
+    """Select ``budget`` weighted partitions from ``candidates``: KMeans
+    clusters, then :func:`weighted_exemplars`.
+
+    Parameters
+    ----------
+    matrix:
+        Normalized feature block indexed by partition id — from the
+        picker, only the query's live clustering columns.
+    candidates:
+        Partition ids eligible for selection.
+    budget:
+        Number of partitions to return (clusters to form).
+    exemplar, rng:
+        As :func:`weighted_exemplars` takes them.
+    """
+    candidates = np.asarray(candidates, dtype=np.intp)
+    if budget <= 0 or candidates.size == 0:
+        return []
+    if budget >= candidates.size:
+        return [WeightedChoice(int(p), 1.0) for p in candidates]
+    block = candidate_block(matrix, candidates)
+    labels = _cluster_labels(block, budget)
+    return weighted_exemplars(block, candidates, labels, exemplar, rng)
 
 
 def random_sample(
@@ -144,9 +153,9 @@ def random_sample(
 ) -> list[WeightedChoice]:
     """Uniform fallback: sample without replacement, scale by N/n.
 
-    Used when clustering is disabled (lesion study) or inapplicable —
-    predicates with more than 10 clauses make the per-partition features
-    unrepresentative (Appendix B.1's failure case).
+    The picker's choice for predicates with more than 10 clauses, whose
+    per-partition features are unrepresentative (Appendix B.1's failure
+    case).
     """
     candidates = np.asarray(candidates, dtype=np.intp)
     if budget <= 0 or candidates.size == 0:

@@ -31,6 +31,7 @@ from repro.core.cluster_sampler import cluster_sample
 from repro.core.metrics import mean_report
 from repro.core.training import TrainingData
 from repro.engine.block_estimator import BlockEstimator
+from repro.engine.combiner import WeightedChoice
 from repro.errors import ConfigError
 from repro.stats.features import FeatureSchema
 
@@ -42,7 +43,6 @@ class ClusteringErrorEvaluator:
     schema: FeatureSchema
     data: TrainingData
     budget_fractions: tuple[float, ...] = (0.1, 0.2)
-    algorithm: str = "kmeans"
     max_queries: int = 20
     seed: int = 0
 
@@ -82,6 +82,13 @@ class ClusteringErrorEvaluator:
             prepared.append((qid, passing, estimator.score_grid))
         return prepared
 
+    def _sample(
+        self, normalized: np.ndarray, passing: np.ndarray, budget: int
+    ) -> list[WeightedChoice]:
+        """The clustered selection an exclusion set is scored on.
+        Overridable: Table 7's HAC evaluator clusters by ward linkage."""
+        return cluster_sample(normalized, passing, budget)
+
     def error(self, excluded: frozenset[str]) -> float:
         """Mean avg-relative-error across sampled queries and budgets."""
         cached = self._cache.get(excluded)
@@ -98,11 +105,8 @@ class ClusteringErrorEvaluator:
             normalized = self.data.normalized[qid][:, keep]
             num_partitions = normalized.shape[0]
             selections = [
-                cluster_sample(
-                    normalized,
-                    passing,
-                    max(1, int(round(fraction * num_partitions))),
-                    algorithm=self.algorithm,
+                self._sample(
+                    normalized, passing, max(1, int(round(fraction * num_partitions)))
                 )
                 for fraction in self.budget_fractions
             ]

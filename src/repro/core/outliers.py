@@ -11,23 +11,18 @@ largest signature group).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from repro.sketches.builder import DatasetStatistics
 
+#: Section 4.4's thresholds: a signature group is outlying when smaller
+#: than this many partitions ...
+MAX_ABSOLUTE_SIZE = 10
+#: ... and smaller than this share of the largest signature group.
+MAX_RELATIVE_SIZE = 0.10
 #: Largest mixed-radix signature code; past it the running code is
 #: re-ranked (at most one value per candidate) before the next column.
 _MAX_CODE = 2**62
-
-
-@dataclass(frozen=True)
-class OutlierConfig:
-    """Thresholds from section 4.4."""
-
-    max_absolute_size: int = 10  # signature groups smaller than this ...
-    max_relative_size: float = 0.10  # ... and smaller than this x largest
 
 
 def _signature_codes(
@@ -58,7 +53,6 @@ def find_outliers(
     dataset: DatasetStatistics,
     group_by: tuple[str, ...],
     candidates: np.ndarray,
-    config: OutlierConfig | None = None,
     *,
     index,
 ) -> np.ndarray:
@@ -72,7 +66,6 @@ def find_outliers(
     :class:`~repro.sketches.columnar.ColumnarSketchIndex`) supplies
     per-column signature codes.
     """
-    config = config or OutlierConfig()
     columns = tuple(c for c in group_by if dataset.global_heavy_hitters.get(c))
     if not columns or candidates.size == 0:
         return np.empty(0, dtype=np.intp)
@@ -81,9 +74,7 @@ def find_outliers(
     __, first, group, sizes = np.unique(
         codes, return_index=True, return_inverse=True, return_counts=True
     )
-    threshold = min(
-        config.max_absolute_size, config.max_relative_size * sizes.max()
-    )
+    threshold = min(MAX_ABSOLUTE_SIZE, MAX_RELATIVE_SIZE * sizes.max())
     outlying = np.flatnonzero((sizes < threshold)[group])
     of = group[outlying]
     # ``outlying`` ascends, so the last key keeps members in candidate order.

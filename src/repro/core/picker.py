@@ -10,13 +10,15 @@ partitions, the picker:
 3. funnels the remaining partitions through the trained regressors into
    importance groups (section 4.3);
 4. splits the remaining budget across groups with decay rate ``alpha``;
-5. inside each group, selects samples by clustering the feature vectors
-   and picking one weighted exemplar per cluster (section 4.2), falling
-   back to uniform sampling for predicates with more than 10 clauses
-   (Appendix B.1) or when a lesion disables clustering.
+5. inside each group, selects samples by KMeans-clustering the feature
+   vectors and picking one weighted exemplar per cluster (section 4.2),
+   falling back to uniform sampling for predicates with more than 10
+   clauses (Appendix B.1).
 
-The lesion switches (``use_clustering``, ``use_outliers``,
-``use_regressors``) exist for the paper's Figure 4 study and default on.
+Figure 4's lesions and Table 6's HAC linkages are experiments *on* this
+one algorithm: subclasses in :mod:`repro.bench.pickers` overriding the
+``_outlier_candidates``, ``_group_inliers``, ``_clusters`` or
+``_sample_within_group`` step.
 
 **Pick memo.** A pick that draws nothing from the rng (median exemplar,
 every group clustered) is pure; the last :data:`PICK_MEMO_LIMIT` of them
@@ -41,13 +43,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.allocation import allocate_samples
-from repro.core.cluster_sampler import (
-    CLUSTER_ALGORITHMS,
-    cluster_sample,
-    random_sample,
-)
+from repro.core.cluster_sampler import cluster_sample, random_sample
 from repro.core.importance import importance_groups
-from repro.core.outliers import OutlierConfig, find_outliers
+from repro.core.outliers import find_outliers
 from repro.core.training import PickerModel
 from repro.engine.combiner import WeightedChoice
 from repro.engine.query import Query
@@ -69,17 +67,12 @@ class PickerConfig:
     """Online-picker knobs (paper defaults: k=4 via the model, alpha=2).
 
     ``alpha`` is a finite real ``>= 1``, ``exemplar`` one of ``median``
-    and ``random``, ``clustering_algorithm`` one of
-    :data:`~repro.core.cluster_sampler.CLUSTER_ALGORITHMS` and ``seed`` a
-    non-bool integer; anything else is a :class:`ConfigError`.
+    and ``random`` and ``seed`` a non-negative, non-bool integer;
+    anything else is a :class:`ConfigError`.
     """
 
     alpha: float = 2.0
-    clustering_algorithm: str = "kmeans"
     exemplar: str = "median"
-    use_clustering: bool = True
-    use_outliers: bool = True
-    use_regressors: bool = True
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -92,13 +85,11 @@ class PickerConfig:
             raise ConfigError(
                 f"exemplar must be 'median' or 'random', got {self.exemplar!r}"
             )
-        if self.clustering_algorithm not in CLUSTER_ALGORITHMS:
-            raise ConfigError(
-                f"unknown clustering algorithm {self.clustering_algorithm!r}; "
-                f"choose from {CLUSTER_ALGORITHMS}"
-            )
-        if isinstance(self.seed, bool) or not isinstance(self.seed, numbers.Integral):
-            raise ConfigError(f"seed must be an integer, got {self.seed!r}")
+        seed = self.seed
+        if isinstance(seed, bool) or not isinstance(seed, numbers.Integral):
+            raise ConfigError(f"seed must be an integer, got {seed!r}")
+        if seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {seed!r}")
 
 
 def _merge_unsampled_groups(
@@ -213,6 +204,19 @@ class PS3Picker:
         )
         return block
 
+    def _outlier_candidates(self, query: Query, passing: np.ndarray) -> np.ndarray:
+        """Partitions of rare group signatures among ``passing``, rarest
+        first (section 4.4); the pick reads the first ones its outlier
+        share allows. None without a GROUP BY."""
+        if not query.group_by:
+            return np.empty(0, dtype=np.intp)
+        # The builder's columnar sketch index batches the signature
+        # grouping — the last per-partition loop on the select path.
+        builder = self.model.feature_builder
+        return find_outliers(
+            builder.dataset, query.group_by, passing, index=builder.sketch_index
+        )
+
     def _group_inliers(
         self,
         query: Query,
@@ -226,9 +230,15 @@ class PS3Picker:
         Overridable: the oracle baseline (Appendix C.2) replaces the
         learned funnel with true contributions.
         """
-        if self.config.use_regressors and self.model.regressors:
+        if self.model.regressors:
             return importance_groups(block, inliers, self.model.regressors, columns)
         return [inliers]
+
+    def _clusters(self, query: Query) -> bool:
+        """Whether the groups are clustered, not sampled uniformly: a
+        predicate of more than 10 clauses makes the per-partition
+        features unrepresentative (Appendix B.1)."""
+        return query.num_predicate_clauses() <= MAX_CLAUSES_FOR_CLUSTERING
 
     def _sample_within_group(
         self,
@@ -243,12 +253,7 @@ class PS3Picker:
         if block is None:
             return random_sample(members, budget, self._rng)
         return cluster_sample(
-            block,
-            members,
-            budget,
-            algorithm=self.config.clustering_algorithm,
-            exemplar=self.config.exemplar,
-            rng=self._rng,
+            block, members, budget, exemplar=self.config.exemplar, rng=self._rng
         )
 
     # -- public API -----------------------------------------------------------
@@ -302,22 +307,11 @@ class PS3Picker:
         columns = np.full(self.model.feature_builder.schema.dimension, live.size)
         columns[live] = np.arange(live.size)
 
-        # Step 1: outliers (weight 1 each, up to 10% of the budget).
-        outliers: np.ndarray = np.empty(0, dtype=np.intp)
-        if self.config.use_outliers and query.group_by:
-            # The builder's columnar sketch index batches the signature
-            # grouping — the last per-partition loop on the select path.
-            candidates = find_outliers(
-                self.model.feature_builder.dataset,
-                query.group_by,
-                passing,
-                OutlierConfig(),
-                index=self.model.feature_builder.sketch_index,
-            )
-            # "Up to 10% of the sampling budget" (section 4.4): floor, so
-            # tiny budgets are not halved by a single outlier read.
-            cap = int(np.floor(OUTLIER_BUDGET_FRACTION * budget))
-            outliers = candidates[:cap]
+        # Step 1: outliers (weight 1 each). "Up to 10% of the sampling
+        # budget" (section 4.4): floor, so tiny budgets are not halved by
+        # a single outlier read.
+        cap = int(np.floor(OUTLIER_BUDGET_FRACTION * budget))
+        outliers = self._outlier_candidates(query, passing)[:cap]
         selection = [WeightedChoice(int(p), 1.0) for p in outliers]
         # Both arrays are already unique (`passing` is sorted indices from
         # flatnonzero, outliers are distinct partition ids), so skip the
@@ -341,10 +335,7 @@ class PS3Picker:
         groups, group_budgets = _merge_unsampled_groups(groups, group_budgets)
 
         # Step 4: per-group sample selection.
-        clustering_ok = (
-            self.config.use_clustering
-            and query.num_predicate_clauses() <= MAX_CLAUSES_FOR_CLUSTERING
-        )
+        clustering_ok = self._clusters(query)
         # One gather per select: every group clusters in the query's live
         # subspace (the other columns are zero for every partition).
         clustered = (

@@ -47,8 +47,9 @@ class TrainingConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
-            if name != "seed" and value < 1:
-                raise ConfigError(f"{name} must be >= 1, got {value!r}")
+            floor = 0 if name == "seed" else 1
+            if value < floor:
+                raise ConfigError(f"{name} must be >= {floor}, got {value!r}")
         for name in ("top_fraction", "gbrt_learning_rate", "gbrt_colsample"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Real):

@@ -5,6 +5,7 @@ import pytest
 from scalar_oracle import partition_contributions
 
 from repro.baselines.oracle import OraclePicker
+from repro.bench.pickers import NoRegressors
 from repro.core.picker import PickerConfig
 from repro.engine.aggregates import sum_of
 from repro.engine.batch_executor import BatchExecutor
@@ -60,10 +61,9 @@ class TestOracle:
         )
 
     def test_regressor_lesion_collapses_groups(self, trained_ps3, query):
-        oracle = OraclePicker(
-            trained_ps3.model,
-            trained_ps3.ptable,
-            PickerConfig(use_regressors=False),
-        )
+        class OracleWithoutRegressors(NoRegressors, OraclePicker):
+            pass
+
+        oracle = OracleWithoutRegressors(trained_ps3.model, trained_ps3.ptable)
         result = oracle.select(query, 5)
         assert len(result.group_sizes) == 1

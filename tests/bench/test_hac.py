@@ -1,10 +1,16 @@
-"""Unit tests for hierarchical agglomerative clustering."""
+"""Unit tests for hierarchical agglomerative clustering, Table 6's
+alternative to the picker's KMeans, and the bench variants built on it."""
 
 import numpy as np
 import pytest
 
+from repro.bench.hac import agglomerative, hac_sample
+from repro.bench.pickers import HACClusteringOnly, HACErrorEvaluator
+from repro.engine.aggregates import count_star, sum_of
+from repro.engine.expressions import col
+from repro.engine.predicates import Comparison
+from repro.engine.query import Query
 from repro.errors import ConfigError
-from repro.ml.hac import agglomerative
 
 
 @pytest.fixture
@@ -83,3 +89,55 @@ class TestValidation:
     def test_empty_input(self):
         with pytest.raises(ConfigError):
             agglomerative(np.empty((0, 2)), 1)
+
+
+@pytest.fixture
+def redundant_features():
+    """12 partitions in 3 identical groups of 4 (plus tiny jitter)."""
+    rng = np.random.default_rng(0)
+    base = np.repeat(np.array([[0.0, 0.0], [10.0, 0.0], [0.0, 10.0]]), 4, axis=0)
+    return base + rng.normal(0, 1e-3, base.shape)
+
+
+class TestHACSample:
+    @pytest.mark.parametrize("linkage", ["ward", "single", "average"])
+    def test_all_linkages_work(self, redundant_features, linkage):
+        selection = hac_sample(redundant_features, np.arange(12), 3, linkage)
+        assert sum(c.weight for c in selection) == 12.0
+
+    def test_unknown_linkage_rejected(self, redundant_features):
+        with pytest.raises(ConfigError):
+            hac_sample(redundant_features, np.arange(12), 3, "dbscan")
+
+    def test_nan_and_inf_entries_cluster_as_zero(self, redundant_features):
+        poisoned = redundant_features.copy()
+        poisoned[5] = [np.nan, np.inf]
+        poisoned[9, 0] = -np.inf
+        cleaned = np.where(np.isfinite(poisoned), poisoned, 0.0)
+        selection = hac_sample(poisoned, np.arange(12), 3, "ward")
+        assert selection == hac_sample(cleaned, np.arange(12), 3, "ward")
+        assert sum(c.weight for c in selection) == 12
+
+
+class TestBenchVariants:
+    def test_hac_clustering_only_covers_the_passing_partitions(self, trained_ps3):
+        query = Query(
+            [sum_of(col("l_extendedprice")), count_star()],
+            Comparison("l_quantity", ">", 10.0),
+            ("l_returnflag",),
+        )
+        picker = HACClusteringOnly(trained_ps3.model, "ward")
+        features = trained_ps3.feature_builder.features_for_query(query)
+        result = picker.select(query, budget=10)
+        assert result.outliers == [] and len(result.group_sizes) == 1
+        assert result.used_clustering and len(result.selection) == 10
+        weights = sum(c.weight for c in result.selection)
+        assert weights == features.passing_partitions().size
+
+    def test_hac_error_evaluator_scores_ward_clusters(self, trained_ps3):
+        kwargs = dict(budget_fractions=(0.25,), max_queries=4, seed=0)
+        schema = trained_ps3.feature_builder.schema
+        ward = HACErrorEvaluator(schema, trained_ps3.training_data, **kwargs)
+        error = ward.error(frozenset())
+        assert 0.0 <= error < float("inf")
+        assert ward.error(frozenset()) == error  # cached

@@ -113,6 +113,13 @@
   ``MAX_WORKER_RESTARTS``, and ``ServingStats`` counts no
   ``worker_restarts``: an answer that raises fails its own future and
   the worker keeps serving, so there is nothing to restart.
+* The picker runs one algorithm: ``PickerConfig`` is ``{alpha,
+  exemplar, seed}``, ``cluster_sample`` takes no ``algorithm`` or
+  ``seed``, ``find_outliers`` no thresholds, ``ClusteringErrorEvaluator``
+  no ``algorithm``; ``repro.ml.hac``, ``CLUSTER_ALGORITHMS`` and
+  ``OutlierConfig`` are gone. Figure 4's lesions and Table 6/7's HAC
+  variants are subclasses in ``repro.bench``, which no module outside
+  it imports and ``import repro.api`` does not load.
 * Every ``(module, attribute path)`` the benchmark's tracer patches
   (``TRACED`` in ``benchmarks/e2e/layers.py``, read here, never edited)
   resolves the way the tracer resolves it. A rename would otherwise show
@@ -126,7 +133,10 @@ import dataclasses
 import importlib
 import importlib.util
 import inspect
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -515,15 +525,7 @@ def test_one_value_in_use_is_a_constant():
         return {field.name for field in dataclasses.fields(cls)}
 
     assert fields(serving.ServingConfig) == {"max_queue_depth"}
-    assert fields(PickerConfig) == {
-        "alpha",
-        "clustering_algorithm",
-        "exemplar",
-        "use_clustering",
-        "use_outliers",
-        "use_regressors",
-        "seed",
-    }
+    assert fields(PickerConfig) == {"alpha", "exemplar", "seed"}
     assert fields(TrainingConfig) == {
         "num_models",
         "top_fraction",
@@ -544,6 +546,55 @@ def test_one_value_in_use_is_a_constant():
     assert "plan_cache_keys" not in fields(StatisticsBundle)
     for writer in (save_statistics, StatisticsStore.checkpoint):
         assert "plan_cache_keys" not in inspect.signature(writer).parameters
+
+
+def test_picker_runs_one_algorithm():
+    """The clustering algorithm, its seeding route and the outlier
+    thresholds are not settable; the experiments on the picker are
+    subclasses in ``repro.bench``."""
+    from repro.core.cluster_sampler import cluster_sample
+    from repro.core.feature_selection import ClusteringErrorEvaluator
+    from repro.core.outliers import find_outliers
+
+    assert list(inspect.signature(cluster_sample).parameters) == [
+        "matrix",
+        "candidates",
+        "budget",
+        "exemplar",
+        "rng",
+    ]
+    assert list(inspect.signature(find_outliers).parameters) == [
+        "dataset",
+        "group_by",
+        "candidates",
+        "index",
+    ]
+    assert "algorithm" not in {
+        field.name for field in dataclasses.fields(ClusteringErrorEvaluator)
+    }
+    sources = Path(repro.__file__).resolve().parent
+    importers = {
+        str(path.relative_to(sources))
+        for path in sources.rglob("*.py")
+        if path.parent.name != "bench"
+        and any(name.startswith("repro.bench") for name in _imported_modules(path))
+    }
+    assert importers == set()
+
+
+def test_the_api_loads_no_bench_module():
+    """A fresh interpreter's ``import repro.api`` loads nothing of the
+    benchmark harness (HAC, the lesion pickers)."""
+    probe = (
+        "import sys, repro.api; "
+        "print(sorted(m for m in sys.modules if m.startswith('repro.bench')))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(repro.__file__).parents[1])}
+    loaded = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env
+    )
+    assert loaded.returncode == 0, loaded.stderr
+    assert loaded.stdout.strip() == "[]"
 
 
 def test_one_bundle_load_refuses_v1_and_v2():
@@ -793,8 +844,8 @@ def test_traced_name_resolves(module_name, path):
     assert not isinstance(vars(owner)[attribute], (staticmethod, classmethod))
 
 
-#: What the one-executor change and the serving fault move removed, by
-#: the package that exported it.
+#: What the one-executor change, the serving fault move and the
+#: one-algorithm picker removed, by the package that exported it.
 REMOVED = {
     repro.engine: (
         "execute_on_columns",
@@ -811,8 +862,11 @@ REMOVED = {
         "diagnose_query",
         "estimate_with_confidence",
         "confidence_interval",
+        "CLUSTER_ALGORITHMS",
+        "OutlierConfig",
     ),
     repro.obs: ("Profiler", "StageProfiler", "wrap_stage"),
+    repro.ml: ("agglomerative",),
 }
 TESTS = Path(__file__).resolve().parents[1]
 
@@ -824,6 +878,7 @@ TESTS = Path(__file__).resolve().parents[1]
         "repro.engine.faults",
         "repro.core.diagnostics",
         "repro.obs.profiling",
+        "repro.ml.hac",
     ],
 )
 def test_removed_plane_does_not_import(module_name):
@@ -832,7 +887,9 @@ def test_removed_plane_does_not_import(module_name):
 
 
 def test_packages_export_none_of_the_removed_names():
+    import repro.core.cluster_sampler as cluster_sampler
     import repro.core.contribution as contribution
+    import repro.core.outliers as outliers
     import repro.core.variance as variance
     from repro.engine.combiner import CombinedAnswer
 
@@ -843,18 +900,28 @@ def test_packages_export_none_of_the_removed_names():
     assert not hasattr(contribution, "partition_contributions")
     assert not hasattr(variance, "confidence_interval")
     assert not hasattr(CombinedAnswer, "of")
+    assert not hasattr(cluster_sampler, "CLUSTER_ALGORITHMS")
+    assert not hasattr(outliers, "OutlierConfig")
+
+
+def _imported_modules(path: Path) -> set[str]:
+    """Dotted names of the modules ``path`` imports absolutely."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+            names.add(node.module)
+    return names
 
 
 def _imported_roots(sources: Path) -> set[str]:
     """Top-level names of every module imported under ``sources``."""
-    roots = set()
-    for path in sorted(sources.rglob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Import):
-                roots |= {alias.name.split(".")[0] for alias in node.names}
-            elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
-                roots.add(node.module.split(".")[0])
-    return roots
+    return {
+        name.split(".")[0]
+        for path in sorted(sources.rglob("*.py"))
+        for name in _imported_modules(path)
+    }
 
 
 def test_no_source_module_imports_the_tests():

@@ -44,22 +44,9 @@ class TestClusterSample:
         assert {c.partition for c in selection} <= set(candidates.tolist())
         assert sum(c.weight for c in selection) == 4.0
 
-    @pytest.mark.parametrize(
-        "algorithm", ["kmeans", "hac-ward", "hac-single", "hac-average"]
-    )
-    def test_all_algorithms_work(self, redundant_features, algorithm):
-        selection = cluster_sample(
-            redundant_features, np.arange(12), budget=3, algorithm=algorithm
-        )
-        assert sum(c.weight for c in selection) == 12.0
-
-    def test_unknown_algorithm_rejected(self, redundant_features):
-        with pytest.raises(ConfigError):
-            cluster_sample(redundant_features, np.arange(12), 3, algorithm="dbscan")
-
     def test_median_exemplar_deterministic(self, redundant_features):
-        a = cluster_sample(redundant_features, np.arange(12), 3, seed=5)
-        b = cluster_sample(redundant_features, np.arange(12), 3, seed=5)
+        a = cluster_sample(redundant_features, np.arange(12), 3)
+        b = cluster_sample(redundant_features, np.arange(12), 3)
         assert [(c.partition, c.weight) for c in a] == [
             (c.partition, c.weight) for c in b
         ]
@@ -79,6 +66,35 @@ class TestClusterSample:
         # Random exemplars eventually visit more partitions than the 3
         # deterministic medians.
         assert len(seen) > 3
+
+    def test_random_exemplar_is_unbiased(self):
+        """Over seeds, the mean of sum(weight x value) is the candidates'
+        total; the median exemplar's one estimate is not (the control)."""
+        rng = np.random.default_rng(4)
+        centers = rng.normal(0.0, 10.0, (4, 3))
+        matrix = np.repeat(centers, 6, axis=0) + rng.normal(0.0, 0.5, (24, 3))
+        candidates = rng.permutation(30)[:24]
+        features = np.zeros((30, 3))
+        features[candidates] = matrix
+        values = rng.exponential(5.0, 30)
+        total = values[candidates].sum()
+
+        def estimate(exemplar, rng=None):
+            selection = cluster_sample(features, candidates, 4, exemplar, rng)
+            assert len(selection) == 4
+            return sum(c.weight * values[c.partition] for c in selection)
+
+        estimates = np.array(
+            [estimate("random", np.random.default_rng(seed)) for seed in range(2_000)]
+        )
+        error = 4.0 * estimates.std() / np.sqrt(estimates.size)
+        assert abs(estimates.mean() - total) <= error
+        median = estimate("median")
+        assert abs(median - total) > error
+
+    def test_random_exemplar_needs_an_rng(self, redundant_features):
+        with pytest.raises(ConfigError):
+            cluster_sample(redundant_features, np.arange(12), 3, exemplar="random")
 
     def test_bad_exemplar_rejected(self, redundant_features):
         with pytest.raises(ConfigError):
@@ -131,7 +147,7 @@ class TestTieRule:
         matrix[candidates] = points
         for width, seed in self.LAYOUTS:
             selection = cluster_sample(
-                widened(matrix, width, seed), candidates, budget=3, seed=1
+                widened(matrix, width, seed), candidates, budget=3
             )
             assert sorted((c.partition, c.weight) for c in selection) == [
                 (2, 2.0),
@@ -153,7 +169,7 @@ class TestTieRule:
         picks = set()
         for width, seed in self.LAYOUTS:
             selection = cluster_sample(
-                widened(matrix, width, seed), candidates, budget=2, seed=3
+                widened(matrix, width, seed), candidates, budget=2
             )
             picks.add(tuple(sorted((c.partition, c.weight) for c in selection)))
         assert len(picks) == 1
@@ -171,7 +187,7 @@ class TestTieRule:
         candidates = np.array([6, 5, 2, 1])
         for width, seed in self.LAYOUTS:
             selection = cluster_sample(
-                widened(matrix, width, seed), candidates, budget=1, seed=0
+                widened(matrix, width, seed), candidates, budget=1
             )
             assert [(c.partition, c.weight) for c in selection] == [(2, 4.0)]
 
@@ -268,11 +284,6 @@ class TestNonFiniteFeatures:
         poisoned[5] = [np.nan, np.inf]
         poisoned[9, 0] = -np.inf
         cleaned = np.where(np.isfinite(poisoned), poisoned, 0.0)
-        for algorithm in ("kmeans", "hac-ward"):
-            selection = cluster_sample(
-                poisoned, np.arange(12), budget=3, algorithm=algorithm
-            )
-            assert selection == cluster_sample(
-                cleaned, np.arange(12), budget=3, algorithm=algorithm
-            )
-            assert sum(c.weight for c in selection) == 12
+        selection = cluster_sample(poisoned, np.arange(12), budget=3)
+        assert selection == cluster_sample(cleaned, np.arange(12), budget=3)
+        assert sum(c.weight for c in selection) == 12

@@ -4,25 +4,26 @@
 columnar sketch index. Its reference is a composition kept here:
 :func:`scalar_find_outliers`, the per-partition
 :func:`sketch_oracle.bitmap_signature` loop. Every case checks the
-production result against it.
+production result against it. The section 4.4 thresholds are the
+module's constants; the cases that vary them patch those.
 """
 
 import numpy as np
 import pytest
 from sketch_oracle import bitmap_signature, oracle_dataset, sketch_index
 
-from repro.core.outliers import OutlierConfig, find_outliers
+from repro.core import outliers as outliers_module
+from repro.core.outliers import find_outliers
 from repro.sketches.builder import build_dataset_statistics
 from repro.engine.layout import partition_evenly
 from repro.engine.schema import Column, ColumnKind, Schema
 from repro.engine.table import Table
 
 
-def scalar_find_outliers(oracle, group_by, candidates, config=None):
+def scalar_find_outliers(oracle, group_by, candidates):
     """Section 4.4 one partition at a time: group the candidates by
     ``bitmap_signature``, keep the groups that are small absolutely and
     against the largest, rarest first (ties by first appearance)."""
-    config = config or OutlierConfig()
     columns = tuple(c for c in group_by if oracle.global_heavy_hitters.get(c))
     groups: dict[tuple, list[int]] = {}
     if columns:
@@ -32,8 +33,8 @@ def scalar_find_outliers(oracle, group_by, candidates, config=None):
     if not groups:
         return np.empty(0, dtype=np.intp)
     threshold = min(
-        config.max_absolute_size,
-        config.max_relative_size * max(map(len, groups.values())),
+        outliers_module.MAX_ABSOLUTE_SIZE,
+        outliers_module.MAX_RELATIVE_SIZE * max(map(len, groups.values())),
     )
     rare = sorted(  # stable: equally rare groups keep first-appearance order
         (members for members in groups.values() if len(members) < threshold),
@@ -42,12 +43,18 @@ def scalar_find_outliers(oracle, group_by, candidates, config=None):
     return np.array([p for members in rare for p in members], dtype=np.intp)
 
 
-def checked_outliers(stats, oracle, group_by, candidates, config=None):
+def thresholds(monkeypatch, absolute, relative):
+    """Section 4.4's thresholds set to ``absolute`` and ``relative``."""
+    monkeypatch.setattr(outliers_module, "MAX_ABSOLUTE_SIZE", absolute)
+    monkeypatch.setattr(outliers_module, "MAX_RELATIVE_SIZE", relative)
+
+
+def checked_outliers(stats, oracle, group_by, candidates):
     """``find_outliers`` through the index, equal to the scalar loop over
     the ``oracle``'s sketch objects."""
-    found = find_outliers(stats, group_by, candidates, config, index=stats.index)
+    found = find_outliers(stats, group_by, candidates, index=stats.index)
     np.testing.assert_array_equal(
-        found, scalar_find_outliers(oracle, group_by, candidates, config)
+        found, scalar_find_outliers(oracle, group_by, candidates)
     )
     assert found.dtype == np.intp
     return found
@@ -108,19 +115,19 @@ class TestDetection:
 
 
 class TestThresholds:
-    def test_relative_threshold(self, skewed_dataset, oracle):
+    def test_relative_threshold(self, skewed_dataset, oracle, monkeypatch):
         """Paper example: many small equal groups -> none are outlying."""
         __, stats = skewed_dataset
-        # With max_relative_size tiny, even the 2-partition group fails
+        # With the relative size tiny, even the 2-partition group fails
         # the relative test (2 >= 0.01 * 22).
-        config = OutlierConfig(max_absolute_size=10, max_relative_size=0.01)
-        outliers = checked_outliers(stats, oracle, ("g",), np.arange(24), config)
+        thresholds(monkeypatch, 10, 0.01)
+        outliers = checked_outliers(stats, oracle, ("g",), np.arange(24))
         assert outliers.size == 0
 
-    def test_absolute_threshold(self, skewed_dataset, oracle):
+    def test_absolute_threshold(self, skewed_dataset, oracle, monkeypatch):
         __, stats = skewed_dataset
-        config = OutlierConfig(max_absolute_size=2, max_relative_size=0.5)
-        outliers = checked_outliers(stats, oracle, ("g",), np.arange(24), config)
+        thresholds(monkeypatch, 2, 0.5)
+        outliers = checked_outliers(stats, oracle, ("g",), np.arange(24))
         assert outliers.size == 0  # group of size 2 is not < 2
 
     def test_column_without_heavy_hitters_skipped(self, skewed_dataset, oracle):
@@ -140,14 +147,11 @@ class TestIndexParity:
             candidates = np.sort(rng.choice(24, size=size, replace=False))
             checked_outliers(stats, oracle, ("g",), candidates)
 
-    def test_parity_under_custom_thresholds(self, skewed_dataset, oracle):
+    def test_parity_under_custom_thresholds(self, skewed_dataset, oracle, monkeypatch):
         __, stats = skewed_dataset
-        for config in (
-            OutlierConfig(max_absolute_size=2, max_relative_size=0.5),
-            OutlierConfig(max_absolute_size=10, max_relative_size=0.01),
-            OutlierConfig(max_absolute_size=30, max_relative_size=1.5),
-        ):
-            checked_outliers(stats, oracle, ("g",), np.arange(24), config)
+        for absolute, relative in ((2, 0.5), (10, 0.01), (30, 1.5)):
+            thresholds(monkeypatch, absolute, relative)
+            checked_outliers(stats, oracle, ("g",), np.arange(24))
 
 
 class TestIndexParityOnKdd:
@@ -180,18 +184,16 @@ class TestIndexParityOnKdd:
         sets += [universe[i : i + 2] for i in range(len(universe) - 1)]
         return sets + [universe, universe[::-1]]
 
-    def test_same_outliers_as_the_scalar_loop_after_appends(self, kdd):
+    def test_same_outliers_as_the_scalar_loop_after_appends(self, kdd, monkeypatch):
         __, grown, oracle, universe = kdd
         rng = np.random.default_rng(7)
         found = 0
-        config = OutlierConfig(max_absolute_size=6, max_relative_size=0.5)
+        thresholds(monkeypatch, 6, 0.5)
         for columns in self.column_sets(universe):
             for __unused in range(6):
                 size = int(rng.integers(2, grown.num_partitions + 1))
                 candidates = rng.permutation(grown.num_partitions)[:size]
-                found += checked_outliers(
-                    grown, oracle, columns, candidates, config
-                ).size
+                found += checked_outliers(grown, oracle, columns, candidates).size
         assert found > 20  # the comparison is not between empty arrays
 
     def test_append_then_build_parity_of_the_codes(self, kdd):
@@ -207,15 +209,14 @@ class TestIndexParityOnKdd:
                 assert distinct == built_distinct == len(set(built.tolist()))
 
     def test_a_wide_group_by_cannot_wrap_the_combined_code(self, kdd, monkeypatch):
-        from repro.core import outliers
-
         __, grown, oracle, universe = kdd
         candidates = np.arange(grown.num_partitions)[::-1]
-        config = OutlierConfig(max_absolute_size=30, max_relative_size=1.5)
-        expected = scalar_find_outliers(oracle, universe, candidates, config)
+        thresholds(monkeypatch, 30, 1.5)
+        expected = scalar_find_outliers(oracle, universe, candidates)
         assert expected.size > 10
-        monkeypatch.setattr(outliers, "_MAX_CODE", 4)  # re-rank at every column
+        # Re-rank at every column.
+        monkeypatch.setattr(outliers_module, "_MAX_CODE", 4)
         np.testing.assert_array_equal(
-            find_outliers(grown, universe, candidates, config, index=grown.index),
+            find_outliers(grown, universe, candidates, index=grown.index),
             expected,
         )

@@ -4,7 +4,7 @@
 the picker's rng) per statistics generation. The differential test runs
 one seeded ``kdd`` history with repeats through a memoized system and a
 reference whose memo is cleared before every call: pure and impure
-picks (more than 10 clauses, the ``use_clustering=False`` lesion, the
+picks (more than 10 clauses, the bench's ``NoClustering`` lesion, the
 random exemplar), the early returns, an append between repeats, then a
 checkpoint and ``PS3.open``. Every field of every pick and the rng
 state after it must agree, so a hit never skips a draw.
@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 
 from repro.api import PS3
+from repro.bench.pickers import NoClustering
 from repro.core.picker import PICK_MEMO_LIMIT, PickerConfig, PS3Picker
 from repro.datasets.registry import get_dataset
 from repro.engine.aggregates import count_star
@@ -61,9 +62,7 @@ def deployment(tmp_path_factory):
 def _pickers(system) -> dict[str, PS3Picker]:
     return {
         "median": system.picker,
-        "uniform": PS3Picker(
-            system.model, PickerConfig(use_clustering=False, seed=3)
-        ),
+        "uniform": NoClustering(system.model, PickerConfig(seed=3)),
         "random": PS3Picker(system.model, PickerConfig(exemplar="random", seed=3)),
     }
 

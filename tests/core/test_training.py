@@ -145,6 +145,7 @@ class TestConfigValidation:
             ("gbrt_colsample", 1.01),
             ("seed", 1.5),
             ("seed", True),
+            ("seed", -5),
             ("num_models", True),
             ("top_fraction", "0.1"),
         ],
@@ -159,7 +160,7 @@ class TestConfigValidation:
             gbrt_depth=1,
             gbrt_learning_rate=1.0,
             gbrt_colsample=np.float64(1.0),
-            seed=np.int32(-3),
+            seed=np.int32(0),
         )
         assert config.gbrt_trees == 1
 

@@ -113,7 +113,7 @@ class TestClusterSampleProperties:
         rng = np.random.default_rng(seed)
         matrix = rng.normal(size=(num_candidates, 4))
         candidates = np.arange(num_candidates)
-        selection = cluster_sample(matrix, candidates, budget, seed=seed % 1000)
+        selection = cluster_sample(matrix, candidates, budget)
         assert sum(c.weight for c in selection) == float(num_candidates)
         assert len(selection) == min(budget, num_candidates)
         partitions = [c.partition for c in selection]

@@ -50,6 +50,14 @@ class TestTrain:
         with pytest.raises(SystemExit):
             main(["train", "--dataset", "nope", "--out", str(tmp_path)])
 
+    def test_negative_seed_exits_with_typed_error(self, tmp_path, capsys):
+        out = tmp_path / "deploy"
+        code = main(["train", "--dataset", "kdd", "--seed", "-1", "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "error:" in captured.err and "seed" in captured.err
+        assert "building" not in captured.out and not out.exists()
+
 
 class TestQuery:
     def test_answers_sql(self, deployment, capsys):
